@@ -53,7 +53,6 @@ from .jetcalc import (
     SectionPoly,
     jet_of_section,
     total_derivative,
-    iterated_total_derivative,
     prolong_op,
     iota_reindex,
     IotaReindex,
@@ -63,7 +62,6 @@ from .jetcalc import (
 )
 from .spencer import (
     RationalMatrix,
-    kernel_basis,
     spencer_delta,
     restricted_delta,
     SymbolicSystem,
@@ -125,7 +123,6 @@ from .pfd import (
     vf_apply,
     lie_bracket,
     LocalForm,
-    form_calculus,
     d,
     wedge,
     contract,

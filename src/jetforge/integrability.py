@@ -291,8 +291,9 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
         if any(v != 0 for v in vals):
             raise ValueError("point does not satisfy the prolonged equations")
     A, rhs, unknowns = lift_system_at(h, b)
+    E = sp.Echelon(A)
     try:
-        _, free = A.solve(rhs)
+        _, free = E.solve(rhs)
     except ValueError as err:
         if "inconsistent" in str(err):
             raise LiftObstructionError(
@@ -317,10 +318,10 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
         }
     elif policy != "zero":
         raise ValueError("unknown free-data policy %r" % policy)
-    x, free = A.solve(rhs, free_values=free_values)
+    x, free = E.solve(rhs, free_values=free_values)
     new_jets = {unknowns[i]: x[i] for i in range(len(unknowns))}
     point = b.extend(new_jets)
-    return LiftResult(point=point, free_labels=[unknowns[f] for f in free], rank=A.rank())
+    return LiftResult(point=point, free_labels=[unknowns[f] for f in free], rank=E.rank)
 
 
 def sample_prolonged_points(h, l, count, seed, bound=5):

@@ -233,14 +233,6 @@ def total_derivative(e, i):
     return out
 
 
-def iterated_total_derivative(e, I):
-    """D_I e: apply D_i once per unit of each axis (order irrelevant)."""
-    for i, exp in enumerate(I, start=1):
-        for _ in range(exp):
-            e = total_derivative(e, i)
-    return e
-
-
 def prolong_op(h, l):
     """l-jet prolongation: components D_I h_beta for |I| <= l.
 

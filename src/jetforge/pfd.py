@@ -541,16 +541,6 @@ def contract(V, form):
     return LocalForm(V.tower, mi, form.degree - 1, out)
 
 
-def form_calculus(op, *args):
-    if op == "d":
-        return d(*args)
-    if op == "wedge":
-        return wedge(*args)
-    if op == "contract":
-        return contract(*args)
-    raise ValueError("unknown form operation %r" % op)
-
-
 def total_derivative_field(jt, axis, levels=None):
     """The total derivative along a base axis as a finite-type field.
 
@@ -704,10 +694,13 @@ class TowerSplitting:
         """Exact identities: projecting the level-k assembly down to
         level i recovers the level-i assembly on the shared columns and
         kills the later kernel blocks."""
-        L = self.tower.length
-        for k in range(L):
-            for i in range(k + 1):
-                lhs = self.tower.connect(i, k).matmul(self.lifts[k])
+        steps = self.tower.steps
+        for k in range(self.tower.length):
+            # lhs = connect(i, k) * lifts[k], one step further down per
+            # level; at i == k the identity is trivial
+            lhs = self.lifts[k]
+            for i in range(k - 1, -1, -1):
+                lhs = steps[i].matmul(lhs)
                 want_cols = self.lifts[i].ncols
                 for r in range(lhs.nrows):
                     for c in range(lhs.ncols):
@@ -730,12 +723,13 @@ def tower_splitting(T):
     lifts = [sp.RationalMatrix.identity(T.dims[0])]
     for i in range(1, T.length):
         step = T.steps[i - 1]
-        K = step.kernel_basis()
+        E = sp.Echelon(step)
+        K = E.kernel_basis()
         kernels.append(K)
         cols = []
         for c in range(step.nrows):
             rhs = [Fraction(1 if r == c else 0) for r in range(step.nrows)]
-            x, _ = step.solve(rhs)
+            x, _ = E.solve(rhs)
             cols.append(x)
         f = sp.RationalMatrix.from_columns(cols, step.ncols)
         sections.append(f)

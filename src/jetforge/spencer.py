@@ -1,11 +1,14 @@
 """Exact rational linear algebra, symbolic systems, and Spencer cohomology.
 
-The linear algebra is dense Gauss-Jordan over `fractions.Fraction` with
-deterministic pivoting (first usable column, first usable row), so
-kernel bases and golden outputs are reproducible.  On top of it sit the
-symbolic system g(h; a) of an operator at a jet point, its level-by-level
-prolongations, the delta-complex on wedge-times-symmetric coordinates,
-and exact cohomology dimensions.
+The linear algebra is one dense Gauss-Jordan pass over
+`fractions.Fraction` per matrix, with deterministic pivoting (first
+usable column, first usable row), so kernel bases and golden outputs
+are reproducible.  The pass records its row operations: rank, kernel
+basis and solutions are all read from that one `Echelon`, and a solve
+reduces a right-hand side by replaying the recorded operations on it.
+On top of it sit the symbolic system g(h; a) of an operator at a jet
+point, its level-by-level prolongations, the delta-complex on
+wedge-times-symmetric coordinates, and exact cohomology dimensions.
 """
 
 from __future__ import annotations
@@ -87,10 +90,6 @@ class RationalMatrix:
             labels.extend(m.row_labels)
         return cls(rows, row_labels=labels, col_labels=mats[0].col_labels)
 
-    def transpose(self):
-        rows = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return RationalMatrix(rows, row_labels=self.col_labels, col_labels=self.row_labels)
-
     def matmul(self, other):
         if self.ncols != other.nrows:
             raise ValueError(
@@ -112,84 +111,14 @@ class RationalMatrix:
     def is_zero(self):
         return all(x == 0 for r in self.rows for x in r)
 
-    def _rref(self):
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            if r == len(rows):
-                break
-            pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        return rows, pivots
-
     def rank(self):
-        return len(self._rref()[1])
+        return Echelon(self).rank
 
     def kernel_basis(self):
-        """Columns form a deterministic basis of the null space.
-
-        One basis vector per free column, in column order: the free
-        coordinate is 1, pivot coordinates complete the solution.
-        """
-        rref, pivots = self._rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        cols = []
-        for f in free:
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -rref[r][f]
-            cols.append(v)
-        return RationalMatrix.from_columns(
-            cols, self.ncols,
-            row_labels=self.col_labels,
-            col_labels=tuple(self.col_labels[f] for f in free),
-        )
-
-    def left_kernel_basis(self):
-        return self.transpose().kernel_basis()
+        return Echelon(self).kernel_basis()
 
     def solve(self, rhs, free_values=None):
-        """One exact solution of self * x = rhs.
-
-        Free (non-pivot) coordinates are zero unless `free_values` maps
-        their column position or label to a value.  Returns (solution,
-        free column positions); raises ValueError on inconsistency.
-        """
-        aug = RationalMatrix(
-            [list(r) + [Fraction(b)] for r, b in zip(self.rows, rhs)]
-            if self.nrows else [],
-            col_labels=tuple(self.col_labels) + ("rhs",),
-        )
-        rref, pivots = aug._rref()
-        if self.ncols in pivots:
-            raise ValueError("inconsistent linear system")
-        free = [c for c in range(self.ncols) if c not in set(pivots)]
-        x = [Fraction(0)] * self.ncols
-        if free_values:
-            pos_of = {lab: i for i, lab in enumerate(self.col_labels)}
-            for key, val in free_values.items():
-                pos = key if isinstance(key, int) and key not in pos_of else pos_of.get(key, key)
-                if pos not in free:
-                    raise ValueError("column %r is not free" % (key,))
-                x[pos] = Fraction(val)
-        for r, pc in enumerate(pivots):
-            x[pc] = rref[r][self.ncols] - sum(
-                rref[r][f] * x[f] for f in free if x[f] != 0
-            )
-        return x, free
+        return Echelon(self).solve(rhs, free_values)
 
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self.rows == other.rows
@@ -198,8 +127,104 @@ class RationalMatrix:
         return "RationalMatrix(%dx%d)" % (self.nrows, self.ncols)
 
 
-def kernel_basis(M):
-    return M.kernel_basis()
+class Echelon:
+    """Reduced row echelon form of a matrix and the row operations that
+    produced it.
+
+    One Gauss-Jordan pass: for each column in order, the first row at
+    or below the current rank with a nonzero entry is swapped up,
+    scaled to a unit pivot, and subtracted from every other row.  Each
+    step is recorded as (swap row, pivot value, [(row, multiplier)]),
+    so a right-hand side is reduced by replaying the steps on it alone.
+    Build one per matrix and read rank, kernel and solutions from it.
+    """
+
+    __slots__ = ("nrows", "col_labels", "rows", "pivots", "free", "rank", "ops")
+
+    def __init__(self, M):
+        rows = [list(r) for r in M.rows]
+        pivots = []
+        ops = []
+        r = 0
+        for c in range(M.ncols):
+            if r == len(rows):
+                break
+            pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+            if pr is None:
+                continue
+            rows[r], rows[pr] = rows[pr], rows[r]
+            pv = rows[r][c]
+            rows[r] = [x / pv for x in rows[r]]
+            sub = []
+            for i in range(len(rows)):
+                if i != r and rows[i][c] != 0:
+                    f = rows[i][c]
+                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                    sub.append((i, f))
+            pivots.append(c)
+            ops.append((pr, pv, sub))
+            r += 1
+        self.nrows = M.nrows
+        self.col_labels = M.col_labels
+        # rows below the rank are zero
+        self.rows = rows[:r]
+        self.pivots = pivots
+        self.free = sorted(set(range(M.ncols)) - set(pivots))
+        self.rank = r
+        self.ops = ops
+
+    def kernel_basis(self):
+        """Columns form a deterministic basis of the null space.
+
+        One basis vector per free column, in column order: the free
+        coordinate is 1, pivot coordinates complete the solution.
+        """
+        ncols = len(self.col_labels)
+        cols = []
+        for f in self.free:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for r, pc in enumerate(self.pivots):
+                v[pc] = -self.rows[r][f]
+            cols.append(v)
+        return RationalMatrix.from_columns(
+            cols, ncols,
+            row_labels=self.col_labels,
+            col_labels=tuple(self.col_labels[f] for f in self.free),
+        )
+
+    def solve(self, rhs, free_values=None):
+        """One exact solution x of M * x = rhs.
+
+        Free (non-pivot) coordinates are zero unless `free_values` maps
+        their column label to a value.  Returns (solution, free column
+        positions); raises ValueError on inconsistency, on a label that
+        is not a column label, and on a label of a pivot column.
+        """
+        if len(rhs) != self.nrows:
+            raise ValueError("right-hand side has %d entries for %d rows" % (len(rhs), self.nrows))
+        b = [Fraction(v) for v in rhs]
+        for r, (pr, pv, sub) in enumerate(self.ops):
+            b[r], b[pr] = b[pr], b[r]
+            b[r] /= pv
+            for i, f in sub:
+                b[i] -= f * b[r]
+        if any(b[self.rank:]):
+            raise ValueError("inconsistent linear system")
+        free = self.free
+        x = [Fraction(0)] * len(self.col_labels)
+        if free_values:
+            pos_of = {lab: i for i, lab in enumerate(self.col_labels)}
+            for key, val in free_values.items():
+                if key not in pos_of:
+                    raise ValueError("no column labelled %r" % (key,))
+                pos = pos_of[key]
+                if pos not in free:
+                    raise ValueError("column %r is not free" % (key,))
+                x[pos] = Fraction(val)
+        for r, pc in enumerate(self.pivots):
+            x[pc] = b[r] - sum(self.rows[r][f] * x[f] for f in free if x[f] != 0)
+        return x, list(free)
 
 
 # ---------------------------------------------------------------------------
@@ -245,26 +270,45 @@ def derivative_matrix(m, q, n, i):
     return RationalMatrix(rows, row_labels=dst, col_labels=src)
 
 
+def _delta_columns(m, p, q, n, basis):
+    """delta(e_S (x) b) for each S in wedge(p), then each b in `basis`.
+
+    Each b is a sparse column on Sym^q tensor R^n coordinates, a list of
+    (coordinate position, coefficient) pairs; the images are dense
+    columns on wedge(p+1) tensor Sym^(q-1) tensor R^n, whose labels are
+    returned with them.
+    """
+    src = sym_component_labels(m, q, n)
+    row_lbl = [(S, J, a) for S in wedge_basis(m, p + 1) for (J, a) in sym_component_labels(m, q - 1, n)]
+    pos = {lab: i for i, lab in enumerate(row_lbl)}
+    cols = []
+    for S in wedge_basis(m, p):
+        for b in basis:
+            v = [Fraction(0)] * len(row_lbl)
+            for rj, c in b:
+                J, a = src[rj]
+                for i in range(1, m + 1):
+                    if J[i - 1] == 0:
+                        continue
+                    sign = wedge_sign(i, S)
+                    if sign is None:
+                        continue
+                    Snew = tuple(sorted(S + (i,)))
+                    v[pos[(Snew, J.sub_unit(i), a)]] += sign * J[i - 1] * c
+            cols.append(v)
+    return cols, row_lbl
+
+
 def spencer_delta(p, q, m, n=1):
     """The delta map on wedge(p) tensor Sym^q tensor R^n coordinates.
 
     delta(e_S (x) xi^J (x) w_alpha) = sum over i not in S with J_i > 0 of
     sign(i, S) * J_i * e_{S+i} (x) xi^{J - 1_i} (x) w_alpha.
     """
-    cols = [(S, J, a) for S in wedge_basis(m, p) for (J, a) in sym_component_labels(m, q, n)]
-    rows_lbl = [(S, J, a) for S in wedge_basis(m, p + 1) for (J, a) in sym_component_labels(m, q - 1, n)]
-    pos = {lab: i for i, lab in enumerate(rows_lbl)}
-    rows = [[Fraction(0)] * len(cols) for _ in rows_lbl]
-    for cj, (S, J, a) in enumerate(cols):
-        for i in range(1, m + 1):
-            if J[i - 1] == 0:
-                continue
-            sign = wedge_sign(i, S)
-            if sign is None:
-                continue
-            Snew = tuple(sorted(S + (i,)))
-            rows[pos[(Snew, J.sub_unit(i), a)]][cj] = Fraction(sign * J[i - 1])
-    return RationalMatrix(rows, row_labels=rows_lbl, col_labels=cols)
+    src = sym_component_labels(m, q, n)
+    cols, row_lbl = _delta_columns(m, p, q, n, [[(j, 1)] for j in range(len(src))])
+    col_lbl = [(S, J, a) for S in wedge_basis(m, p) for (J, a) in src]
+    return RationalMatrix.from_columns(cols, len(row_lbl), row_labels=row_lbl, col_labels=col_lbl)
 
 
 # ---------------------------------------------------------------------------
@@ -386,53 +430,19 @@ def prolong_system(g, l):
 # cohomology
 
 
-def _restricted_delta_columns(g, p, q):
-    """Matrix of delta on wedge(p) tensor g_q, ambient target coordinates."""
-    m, n = g.m, g.n
-    if p < 0 or p > m or q < 0:
+def restricted_delta(g, p, q):
+    """Delta on wedge(p) tensor g_q, columns written in the ambient
+    wedge(p+1) tensor Sym^(q-1) coordinates."""
+    if not 0 <= p < g.m or q <= 0:
+        # no source or no target: the empty matrix
         return RationalMatrix([])
     B = g.basis(q)
     if B.ncols == 0:
         return RationalMatrix([])
-    src_sym = sym_component_labels(m, q, n)
-    dst_sym = sym_component_labels(m, q - 1, n)
-    wedges_src = wedge_basis(m, p)
-    wedges_dst = wedge_basis(m, p + 1)
-    if not wedges_dst or q == 0:
-        # target is zero: the map is zero, represent with zero rows
-        return RationalMatrix.zero(0, len(wedges_src) * B.ncols)
-    row_pos = {}
-    rows_lbl = []
-    for S in wedges_dst:
-        for lab in dst_sym:
-            row_pos[(S,) + lab] = len(rows_lbl)
-            rows_lbl.append((S,) + lab)
-    cols = []
-    col_lbl = []
-    for S in wedges_src:
-        for bj in range(B.ncols):
-            v = [Fraction(0)] * len(rows_lbl)
-            for rj, (J, alpha) in enumerate(src_sym):
-                c = B.rows[rj][bj]
-                if c == 0:
-                    continue
-                for i in range(1, m + 1):
-                    if J[i - 1] == 0:
-                        continue
-                    sign = wedge_sign(i, S)
-                    if sign is None:
-                        continue
-                    Snew = tuple(sorted(S + (i,)))
-                    v[row_pos[(Snew, J.sub_unit(i), alpha)]] += sign * J[i - 1] * c
-            cols.append(v)
-            col_lbl.append((S, B.col_labels[bj]))
-    return RationalMatrix.from_columns(cols, len(rows_lbl), row_labels=rows_lbl, col_labels=col_lbl)
-
-
-def restricted_delta(g, p, q):
-    """Delta on wedge(p) tensor g_q, columns written in the ambient
-    wedge(p+1) tensor Sym^(q-1) coordinates."""
-    return _restricted_delta_columns(g, p, q)
+    basis = [[(rj, r[bj]) for rj, r in enumerate(B.rows) if r[bj]] for bj in range(B.ncols)]
+    cols, row_lbl = _delta_columns(g.m, p, q, g.n, basis)
+    col_lbl = [(S, lab) for S in wedge_basis(g.m, p) for lab in B.col_labels]
+    return RationalMatrix.from_columns(cols, len(row_lbl), row_labels=row_lbl, col_labels=col_lbl)
 
 
 class CohomologyTable:
@@ -456,7 +466,7 @@ class CohomologyTable:
             if p < 0 or p > m or q <= 0 or self.g.dim_g(q) == 0:
                 self._rank_cache[key] = 0
             else:
-                self._rank_cache[key] = _restricted_delta_columns(self.g, p, q).rank()
+                self._rank_cache[key] = restricted_delta(self.g, p, q).rank()
         return self._rank_cache[key]
 
     def _dim_H(self, p, q):

@@ -270,6 +270,54 @@ def test_tower_splitting_identities_random():
         assert sum(split.tilde_dim(i) for i in range(len(dims))) == dims[-1]
 
 
+def _tampered(M, r, c, delta):
+    rows = [list(row) for row in M.rows]
+    rows[r][c] += delta
+    return RM(rows)
+
+
+def _reassemble(split, kernels, start):
+    """Lifts from level `start` up, rebuilt from the given kernel bases
+    as tower_splitting assembles them."""
+    lifts = list(split.lifts)
+    for i in range(start, len(lifts)):
+        pushed = split.sections[i].matmul(lifts[i - 1])
+        lifts[i] = RM([list(p) + list(k) for p, k in zip(pushed.rows, kernels[i].rows)])
+    return pfd.TowerSplitting(split.tower, kernels, split.sections, lifts)
+
+
+def test_tower_splitting_verify_rejects_tampering():
+    T = pfd.LinearTower([1, 2, 4, 5], [
+        RM([[Q(1), Q(-1)]]),
+        RM([[Q(1), Q(0), Q(2), Q(0)], [Q(0), Q(1), Q(1), Q(-1)]]),
+        RM([[Q(1), Q(0), Q(0), Q(0), Q(1)], [Q(0), Q(1), Q(0), Q(0), Q(0)],
+            [Q(0), Q(0), Q(1), Q(0), Q(-2)], [Q(0), Q(0), Q(0), Q(1), Q(3)]]),
+    ])
+    split = pfd.tower_splitting(T)
+    assert split.verify()
+    mid = 2
+    L = split.lifts[mid]
+    for r in range(L.nrows):
+        for c in range(L.ncols):
+            lifts = list(split.lifts)
+            lifts[mid] = _tampered(L, r, c, Q(1))
+            bad = pfd.TowerSplitting(T, split.kernel_bases, split.sections, lifts)
+            assert not bad.verify(), (r, c)
+    assert _reassemble(split, split.kernel_bases, mid).verify()
+    K = split.kernel_bases[mid]
+    assert K.ncols == 2
+    section = split.sections[mid].column(0)
+    for c in range(K.ncols):
+        # the step maps a section column to a unit vector, so adding one
+        # moves the kernel column out of the kernel
+        rows = [list(row) for row in K.rows]
+        for r in range(K.nrows):
+            rows[r][c] += section[r]
+        kernels = list(split.kernel_bases)
+        kernels[mid] = RM(rows)
+        assert not _reassemble(split, kernels, mid).verify(), c
+
+
 def test_tangent_threads():
     V = pfd.LinearTower([1, 2, 3], [
         RM([[Q(1), Q(0)]]),

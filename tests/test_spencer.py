@@ -177,3 +177,44 @@ def test_matmul_and_stack():
     assert A.matmul(B).rows == ((Q(7),), (Q(3),))
     S = RationalMatrix.stack_rows([A, A])
     assert S.nrows == 4 and S.ncols == 2
+
+
+def _dense_restricted_delta(g, p, q):
+    """spencer_delta(p, q) * (I (x) B_q) as a dense product, one identity
+    block per wedge basis element."""
+    B = g.basis(q)
+    D = sp.spencer_delta(p, q, g.m, g.n)
+    wedges = sp.wedge_basis(g.m, p)
+    rows = []
+    for S in wedges:
+        for r in B.rows:
+            rows.append([x if T == S else Q(0) for T in wedges for x in r])
+    IB = RationalMatrix(rows, col_labels=[(S, lab) for S in wedges for lab in B.col_labels])
+    return D.matmul(IB)
+
+
+def _random_system(rng, m, n):
+    # order-2 system from n_out = n random equations on Sym^2 (x) R^n
+    labels = sp.sym_component_labels(m, 2, n)
+    A = RationalMatrix([[Q(rng.choice([0, 0, 1, -1, 2])) for _ in labels] for _ in range(n)],
+                       col_labels=labels)
+    return sp.SymbolicSystem(m, n, 2, None, A)
+
+
+def test_restricted_delta_matches_dense_reference():
+    rng = random.Random(11)
+    for m in (2, 3):
+        for n in (1, 2):
+            g = _random_system(rng, m, n)
+            for p in range(0, m + 1):
+                for q in range(0, 5):
+                    got = sp.restricted_delta(g, p, q)
+                    want = _dense_restricted_delta(g, p, q)
+                    if p == m or q == 0:
+                        # zero target: returned as the empty matrix
+                        assert want.nrows == 0
+                        assert (got.nrows, got.ncols) == (0, 0), (m, n, p, q)
+                        continue
+                    assert got.rows == want.rows, (m, n, p, q)
+                    assert got.row_labels == want.row_labels
+                    assert got.col_labels == want.col_labels
