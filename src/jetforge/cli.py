@@ -198,17 +198,17 @@ def parse_problem_file(text):
             body = stmt[len("base"):].strip()
             if not body.startswith("m"):
                 raise ParseError("expected 'base m = <int>'", text, pos)
-            m = _expect_int(text, body.split("=", 1)[1].strip(), pos)
+            m = _expect_int(text, body.partition("=")[2].strip(), pos)
         elif head == "fiber":
             body = stmt[len("fiber"):].strip()
             if not body.startswith("n"):
                 raise ParseError("expected 'fiber n = <int>'", text, pos)
-            n = _expect_int(text, body.split("=", 1)[1].strip(), pos)
+            n = _expect_int(text, body.partition("=")[2].strip(), pos)
         elif head == "order":
             body = stmt[len("order"):].strip()
             if not body.startswith("k"):
                 raise ParseError("expected 'order k = <int>'", text, pos)
-            k = _expect_int(text, body.split("=", 1)[1].strip(), pos)
+            k = _expect_int(text, body.partition("=")[2].strip(), pos)
         elif head == "metric":
             if None in (m, n, k):
                 raise ProblemError("metric block before chart declarations")
@@ -621,10 +621,19 @@ def _run_tower(spec, h, q, flags):
                        _provenance(flags, sampled=True), data, notes=notes)
 
 
+def _read_text(path):
+    """The text of a UTF-8 input file; bytes that do not decode raise
+    OSError, like a file that cannot be read at all."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise OSError("%s is not UTF-8 text: %s" % (path, err)) from None
+
+
 def _load_free_data(path, h):
     """Free-data files hold lines 'u[(2,0)] = 1/3;' keyed by jet index."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     table = {}
     ctx = sx.ExprContext(h.m, n=h.n, order=64)
     for stmt, pos in _Lines(text).statements():
@@ -710,8 +719,7 @@ def main(argv=None):
     ap = _build_argparser()
     ns = ap.parse_args(argv)
     try:
-        with open(ns.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(ns.file)
     except OSError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

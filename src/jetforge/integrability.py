@@ -18,12 +18,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .mindex import MultiIndex, GradedIndexRange, enumerate_indices, dim_F
+from .mindex import MultiIndex, GradedIndexRange, dim_F
 from . import symexpr as sx
 from . import jetcalc as jc
 from . import spencer as sp
 from . import symbols as sy
-from .symexpr import Expr, BaseVar, JetVar, differentiate
+from .symexpr import BaseVar, differentiate
 
 
 # ---------------------------------------------------------------------------
@@ -231,45 +231,31 @@ class LiftResult:
         return len(self.free_labels)
 
 
-def _top_unknowns(m, n, order):
-    return [
-        (alpha, T)
-        for T in enumerate_indices(GradedIndexRange(m, order, order))
-        for alpha in range(1, n + 1)
-    ]
-
-
 def lift_system_at(h, b):
     """The affine system for one more order of jet coordinates at b.
 
     Rows are the components of prolong_op(h, l+1) of outer degree
     exactly l+1 (l inferred from b); columns are the order-(k+l+1)
     coordinates in graded-lex order.  Returns (A, rhs, column labels).
+    The rows and their Jacobian come from h's lift plan; only their
+    values at b are computed here.
     """
     l = b.chart.k - h.order
     if l < 0:
         raise ValueError("point order below operator order")
-    top_order = h.order + l + 1
-    unknowns = _top_unknowns(h.m, h.n, top_order)
-    prolonged = jc.prolong_op(h, l + 1)
+    plan = jc.lift_plan(h, l)
     assignment = b.assignment()
-    for alpha, T in unknowns:
-        assignment[JetVar(alpha, T)] = Fraction(0)
+    for v in plan.unknown_vars:
+        assignment[v] = Fraction(0)
+    values = sx.evaluate_many(plan.exprs, assignment, exact=True)
+    width = len(plan.unknowns) + 1
     rows = []
     rhs = []
-    row_labels = []
-    for comp, (beta, I) in zip(prolonged.components, prolonged.labels):
-        if I.degree != l + 1:
-            continue
-        row = []
-        for alpha, T in unknowns:
-            coef = differentiate(comp, JetVar(alpha, T))
-            row.append(sx.evaluate(coef, assignment, exact=True))
-        rows.append(row)
-        rhs.append(-sx.evaluate(comp, assignment, exact=True))
-        row_labels.append((beta, I))
-    A = sp.RationalMatrix(rows, row_labels=row_labels, col_labels=unknowns)
-    return A, rhs, unknowns
+    for start in range(0, len(values), width):
+        rows.append(values[start:start + width - 1])
+        rhs.append(-values[start + width - 1])
+    A = sp.RationalMatrix(rows, row_labels=plan.row_labels, col_labels=plan.unknowns)
+    return A, rhs, list(plan.unknowns)
 
 
 def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
@@ -521,18 +507,15 @@ def variety_codim(h, l, samples=10, seed=0):
     if h.n_out != 1:
         raise ValueError("codimension diagnostics are for scalar operators")
     prolonged = jc.prolong_op(h, l)
-    chart = prolonged.chart()
-    coords = chart.coordinates()
+    coords = prolonged.chart().coordinates()
     pts = sample_prolonged_points(h, l, samples, seed)
+    # the Jacobian over every chart coordinate, differentiated once for all points
+    jacobian = [differentiate(comp, v) for comp in prolonged.components for v in coords]
+    width = len(coords)
     observed = []
     for p in pts:
-        assignment = p.assignment()
-        rows = []
-        for comp in prolonged.components:
-            row = []
-            for v in coords:
-                row.append(sx.evaluate(differentiate(comp, v), assignment, exact=True))
-            rows.append(row)
+        values = sx.evaluate_many(jacobian, p.assignment(), exact=True)
+        rows = [values[start:start + width] for start in range(0, len(values), width)]
         observed.append(sp.RationalMatrix(rows).rank())
     expected = dim_F(GradedIndexRange(h.m, 0, l))
     return CodimReport(level=l, expected=expected, observed=observed, points=len(pts))

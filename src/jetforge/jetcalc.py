@@ -126,9 +126,13 @@ class DiffOp:
     Components are expressions over the order-k chart; the target space
     is R^len(components).  `labels` records (beta, I) provenance for
     prolonged operators; plain operators get beta-only labels.
+
+    Its prolongations (`prolong_op`) and lift plans (`lift_plan`) are
+    built on first use and kept on it, so an operator must not be
+    mutated after construction.
     """
 
-    __slots__ = ("m", "n", "order", "components", "labels")
+    __slots__ = ("m", "n", "order", "components", "labels", "_prolongations", "_lift_plans")
 
     def __init__(self, m, n, order, components, labels=None):
         components = tuple(as_expr(c) for c in components)
@@ -142,6 +146,8 @@ class DiffOp:
         if labels is None:
             labels = tuple((beta, MultiIndex.zero(m)) for beta in range(1, len(components) + 1))
         self.labels = tuple(labels)
+        self._prolongations = {}  # l >= 1 -> prolong_op(self, l)
+        self._lift_plans = {}  # l -> lift_plan(self, l)
 
     @property
     def n_out(self):
@@ -151,8 +157,7 @@ class DiffOp:
         return JetChartSpec(self.m, self.n, self.order)
 
     def evaluate_at(self, point, exact=True):
-        assignment = point.assignment()
-        return tuple(sx.evaluate(c, assignment, exact=exact) for c in self.components)
+        return tuple(sx.evaluate_many(self.components, point.assignment(), exact=exact))
 
     def is_linear(self):
         """Affine-linear in the jet variables with base-only coefficients.
@@ -237,29 +242,81 @@ def prolong_op(h, l):
     """l-jet prolongation: components D_I h_beta for |I| <= l.
 
     Ordered graded-lex on the outer index I, then by beta; labels carry
-    the (beta, I) provenance.  Iterated derivatives are built up one
-    level at a time and cached, reusing lower components.
+    the (beta, I) provenance.  Each level is built once per operator,
+    from the components of the level below, and kept on h: every later
+    call for that level returns the same object.
     """
     if l < 0:
         raise ValueError("prolongation order must be >= 0")
-    if l == 0:
-        return h
-    cache = {}
-    for beta in range(1, h.n_out + 1):
-        cache[(beta, MultiIndex.zero(h.m))] = h.components[beta - 1]
-    outer = enumerate_indices(GradedIndexRange(h.m, 0, l))
-    components = []
-    labels = []
-    for I in outer:
-        for beta in range(1, h.n_out + 1):
-            key = (beta, I)
-            if key not in cache:
-                i = next(ax + 1 for ax, e in enumerate(I) if e > 0)
-                prev = cache[(beta, I.sub_unit(i))]
-                cache[key] = total_derivative(prev, i)
-            components.append(cache[key])
-            labels.append((beta, I))
+    levels = h._prolongations
+    for j in range(1, l + 1):
+        if j not in levels:
+            levels[j] = _prolong_once(h, levels.get(j - 1, h), j)
+    return levels.get(l, h)
+
+
+def _prolong_once(h, prev, l):
+    """Level l from level l - 1: D_I h_beta = D_i D_{I - 1_i} h_beta for
+    each new |I| = l, with i the first axis where I is positive."""
+    nb = h.n_out
+    below = {J: pos for pos, J in enumerate(enumerate_indices(GradedIndexRange(h.m, l - 1, l - 1)))}
+    first = len(prev.components) - len(below) * nb  # where degree l - 1 starts in prev
+    components = list(prev.components)
+    for I in enumerate_indices(GradedIndexRange(h.m, l, l)):
+        i = next(ax + 1 for ax, e in enumerate(I) if e > 0)
+        at = first + below[I.sub_unit(i)] * nb
+        components.extend(total_derivative(c, i) for c in prev.components[at:at + nb])
+    labels = [
+        (beta, I)
+        for I in enumerate_indices(GradedIndexRange(h.m, 0, l))
+        for beta in range(1, nb + 1)
+    ]
     return DiffOp(h.m, h.n, h.order + l, components, labels=labels)
+
+
+class LiftPlan:
+    """The equations of one lift step of an operator, compiled once.
+
+    Lifting a point of the order-(k+l) equation variety solves for the
+    order-(k+l+1) coordinates `unknowns` ((alpha, T), graded-lex on T)
+    from the rows D_I h_beta with |I| = l + 1 (`row_labels`), which are
+    affine in them.  `exprs` holds, row after row, the Jacobian entries
+    d(D_I h_beta)/du^alpha_T in column order followed by the row's
+    component; only evaluation is left to do at each point.
+    """
+
+    __slots__ = ("unknowns", "unknown_vars", "row_labels", "exprs")
+
+    def __init__(self, h, l):
+        top = h.order + l + 1
+        self.unknowns = tuple(
+            (alpha, T)
+            for T in enumerate_indices(GradedIndexRange(h.m, top, top))
+            for alpha in range(1, h.n + 1)
+        )
+        self.unknown_vars = tuple(JetVar(alpha, T) for alpha, T in self.unknowns)
+        prolonged = prolong_op(h, l + 1)
+        row_labels = []
+        exprs = []
+        for comp, (beta, I) in zip(prolonged.components, prolonged.labels):
+            if I.degree != l + 1:
+                continue
+            row_labels.append((beta, I))
+            exprs.extend(differentiate(comp, v) for v in self.unknown_vars)
+            exprs.append(comp)
+        self.row_labels = tuple(row_labels)
+        self.exprs = tuple(exprs)
+
+
+def lift_plan(h, l):
+    """The lift plan of h at level l (points of order h.order + l),
+    built on first use and kept on h."""
+    if l < 0:
+        raise ValueError("lift level must be >= 0")
+    plan = h._lift_plans.get(l)
+    if plan is None:
+        plan = h._lift_plans[l] = LiftPlan(h, l)
+    return plan
 
 
 class IotaReindex:

@@ -64,7 +64,7 @@ class RationalMatrix:
 
     @classmethod
     def zero(cls, nr, nc):
-        return cls([[0] * nc for _ in range(nr)])
+        return cls([[0] * nc for _ in range(nr)], col_labels=range(nc))
 
     @classmethod
     def identity(cls, n):

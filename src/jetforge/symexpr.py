@@ -558,24 +558,44 @@ def _substitute_atom(a, bindings):
 def evaluate(e, assignment, exact=True):
     """Evaluate at a point.  Exact mode returns a Fraction and refuses
     transcendental primitives; float mode returns a float."""
-    e = as_expr(e)
-    total = Fraction(0) if exact else 0.0
+    return _evaluate_terms(as_expr(e), assignment, exact, {})
+
+
+def evaluate_many(exprs, assignment, exact=True):
+    """Values of several expressions at one point, in order.
+
+    Each distinct atom is evaluated once per call and its value reused
+    wherever it occurs again, inside quotient payloads and primitive
+    arguments too, so a quotient shared by many expressions has its
+    payload evaluated once.  The memo lives for this call only.  Values
+    and errors are those of evaluating the expressions one by one.
+    """
+    memo = {}
+    return [_evaluate_terms(as_expr(e), assignment, exact, memo) for e in exprs]
+
+
+def _evaluate_terms(e, assignment, exact, memo):
+    total = _F0 if exact else 0.0
     for mono, c in e._terms.items():
-        val = Fraction(c) if exact else float(c)
+        val = c if exact else float(c)
         for a, exp in mono:
-            val = val * _evaluate_atom(a, assignment, exact) ** exp
+            x = memo.get(a)
+            if x is None:
+                x = memo[a] = _evaluate_atom(a, assignment, exact, memo)
+            val = val * (x if exp == 1 else x**exp)
         total = total + val
     return total
 
 
-def _evaluate_atom(a, assignment, exact):
+def _evaluate_atom(a, assignment, exact, memo):
     if isinstance(a, VarRef):
-        if a not in assignment:
-            raise EvaluationError("no value assigned to %s" % atom_str(a))
-        v = assignment[a]
+        try:
+            v = assignment[a]
+        except KeyError:
+            raise EvaluationError("no value assigned to %s" % atom_str(a)) from None
         return Fraction(v) if exact else float(v)
     if isinstance(a, PrimCall):
-        inner = _evaluate_atom_arg(a.arg, assignment, exact)
+        inner = _evaluate_terms(a.arg, assignment, exact, memo)
         if exact:
             raise EvaluationError(
                 "exact evaluation of transcendental primitive %r" % a.name
@@ -585,15 +605,11 @@ def _evaluate_atom(a, assignment, exact):
             raise EvaluationError("primitive %r has no numeric implementation" % a.name)
         return impl(inner)
     if isinstance(a, Recip):
-        inner = _evaluate_atom_arg(a.payload, assignment, exact)
+        inner = _evaluate_terms(a.payload, assignment, exact, memo)
         if inner == 0:
             raise EvalZeroDivision("division by zero while evaluating a quotient")
         return (Fraction(1) / inner) if exact else (1.0 / inner)
     raise TypeError(a)
-
-
-def _evaluate_atom_arg(e, assignment, exact):
-    return evaluate(e, assignment, exact=exact)
 
 
 def clear_denominators(e):

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jetforge import cli
 from jetforge import symexpr as sx
@@ -234,3 +240,59 @@ def test_main_solve_with_free_data_file(tmp_path, capsys):
     assert code == 0
     assert cli.main(["solve", str(kg), "--free-data", "bogus"]) == 2
     capsys.readouterr()
+
+
+def test_main_refuses_non_utf8_files(tmp_path, capsys):
+    bad = tmp_path / "bad.jf"
+    bad.write_bytes(b"\xff\xfe" + WAVE.encode("utf-16-le"))
+    assert cli.main(["symbol", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+    kg = tmp_path / "kg.jf"
+    kg.write_text(KG)
+    fd = tmp_path / "fd.txt"
+    fd.write_bytes(b"u[(3,0)] = \xe9;\n")
+    assert cli.main(["solve", str(kg), "--free-data", "file:%s" % fd]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
+_SMALL_FILES = ("wave2.jf", "nonlinear.jf", "cubic.jf")
+
+
+def _corpus_bytes(name):
+    with open(os.path.join(CORPUS_DIR, name), "rb") as fh:
+        return fh.read()
+
+
+@st.composite
+def _mutated_corpus_file(draw):
+    data = bytearray(_corpus_bytes(draw(st.sampled_from(_SMALL_FILES))))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        byte = draw(st.integers(0, 255))
+        if edit == "insert":
+            data.insert(at, byte)
+        elif at < len(data):
+            if edit == "replace":
+                data[at] = byte
+            else:
+                del data[at]
+    return bytes(data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.binary(max_size=200), _mutated_corpus_file()))
+@example(b"\xff\xfe")
+@example(b"base m = 2;\xff")
+@example(b"base m = 2;\nfiber n = 1;\norder k 2;\n")
+def test_main_never_raises_on_arbitrary_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.jf")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["prolong", path])
+    assert code in (0, 1, 2)

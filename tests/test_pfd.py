@@ -224,6 +224,15 @@ def test_linear_tower_requires_surjective_steps():
         pfd.LinearTower([2, 2], [RM([[Q(1), Q(0)], [Q(0), Q(0)]])])
 
 
+def test_kron_keeps_the_width_of_zero_row_factors():
+    K = pfd.kron(RM.zero(0, 2), RM.identity(2))
+    assert (K.nrows, K.ncols) == (0, 4)
+    K = pfd.kron(RM.identity(3), RM.zero(0, 2))
+    assert (K.nrows, K.ncols) == (0, 6)
+    K = pfd.kron(RM.zero(2, 0), RM.identity(2))
+    assert (K.nrows, K.ncols) == (4, 0)
+
+
 def test_tensor_tower_splitting():
     V = pfd.LinearTower([1, 2, 3], [
         RM([[Q(1), Q(0)]]),

@@ -1,0 +1,195 @@
+"""Operator plans against the algorithms they replace.
+
+`prolong_op` builds each level once from the level below and keeps it
+on the operator; `lift_system_at` evaluates a lift plan compiled once
+per (operator, level); `variety_codim` differentiates its Jacobian once
+per call.  The references here recompute everything per point: a fresh
+prolongation by iterated total derivatives from the operator itself
+(axes in increasing order), then one `differentiate` and one `evaluate`
+per entry.  Every comparison is exact.
+"""
+
+import os
+import random
+from fractions import Fraction as Q
+
+import pytest
+
+from jetforge import cli
+from jetforge import integrability as ig
+from jetforge import jetcalc as jc
+from jetforge import spencer as sp
+from jetforge import symexpr as sx
+from jetforge.mindex import GradedIndexRange, MultiIndex, enumerate_indices
+from jetforge.symexpr import JetVar
+
+CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
+
+
+def _curved_metric(m):
+    # nonconstant near the origin, so the inverse carries quotients by
+    # nonconstant determinants; off the diagonal only at m = 2, where
+    # the prolonged expressions stay small enough for the reference
+    x1, x2 = sx.base(1), sx.base(2)
+    entries = {(1, 1): sx.ONE - x2 ** 2 * Q(1, 4), (2, 2): sx.as_expr(Q(-1)) - x1 ** 2 * Q(1, 4)}
+    for i in range(3, m + 1):
+        entries[(i, i)] = sx.as_expr(Q(-1))
+    if m == 2:
+        entries[(1, 2)] = entries[(2, 1)] = x1 * Q(1, 3)
+    return ig.MetricSpec(m, entries)
+
+
+def _kg(m):
+    return ig.make_klein_gordon(_curved_metric(m), F1=1, F2=1, K=lambda e: e ** 3)
+
+
+def _corpus_op(name):
+    with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
+        return cli.parse_problem_file(fh.read()).build_operator()
+
+
+_REF_PROLONGED = {}
+
+
+def _ref_prolong(h, l):
+    # operators with equal components share one reference; it does not
+    # depend on anything kept on h
+    key = (h.m, h.components, l)
+    if key not in _REF_PROLONGED:
+        comps, labels = [], []
+        for I in enumerate_indices(GradedIndexRange(h.m, 0, l)):
+            for beta in range(1, h.n_out + 1):
+                e = h.components[beta - 1]
+                for i, times in enumerate(I, start=1):
+                    for _ in range(times):
+                        e = jc.total_derivative(e, i)
+                comps.append(e)
+                labels.append((beta, I))
+        _REF_PROLONGED[key] = (comps, labels)
+    return _REF_PROLONGED[key]
+
+
+def _ref_lift_system(h, b):
+    l = b.chart.k - h.order
+    top = h.order + l + 1
+    unknowns = [(alpha, T)
+                for T in enumerate_indices(GradedIndexRange(h.m, top, top))
+                for alpha in range(1, h.n + 1)]
+    assignment = b.assignment()
+    for alpha, T in unknowns:
+        assignment[JetVar(alpha, T)] = Q(0)
+    rows, rhs, row_labels = [], [], []
+    for comp, (beta, I) in zip(*_ref_prolong(h, l + 1)):
+        if I.degree != l + 1:
+            continue
+        rows.append([sx.evaluate(sx.differentiate(comp, JetVar(alpha, T)), assignment)
+                     for alpha, T in unknowns])
+        rhs.append(-sx.evaluate(comp, assignment))
+        row_labels.append((beta, I))
+    return rows, rhs, row_labels, unknowns
+
+
+def _random_point(h, k, rng):
+    chart = jc.JetChartSpec(h.m, h.n, k)
+    base = tuple(Q(rng.randint(-2, 2), 5) for _ in range(h.m))
+    jets = {(alpha, I): sx.random_rational(rng, 4) for alpha, I in chart.fiber_labels()}
+    return jc.JetPoint(chart, base, jets)
+
+
+def _system():
+    # two components in two unknowns, so rows and columns interleave
+    # beta and alpha
+    x1, x2 = sx.base(1), sx.base(2)
+    u, v = (lambda I: sx.jet(1, I)), (lambda I: sx.jet(2, I))
+    return jc.DiffOp(2, 2, 1, [u((1, 0)) * v((0, 0)) + x2 * v((0, 1)),
+                               u((0, 1)) - x1 * v((1, 0)) ** 2])
+
+
+CASES = [("kg m=2", lambda: _kg(2)), ("kg m=3", lambda: _kg(3)),
+         ("kg m=4", lambda: _kg(4)), ("nonlinear.jf", lambda: _corpus_op("nonlinear.jf")),
+         ("system n=2", _system)]
+
+
+@pytest.mark.parametrize("name,make", CASES, ids=[c[0] for c in CASES])
+def test_prolong_op_matches_fresh_prolongation_and_is_kept(name, make):
+    h = make()
+    # the highest level first: lower levels come from the same build
+    levels = {l: jc.prolong_op(h, l) for l in range(3, -1, -1)}
+    assert levels[0] is h
+    for l, P in levels.items():
+        assert jc.prolong_op(h, l) is P
+        comps, labels = _ref_prolong(h, l)
+        assert list(P.labels) == labels
+        assert list(P.components) == comps
+        assert P.order == h.order + l
+
+
+@pytest.mark.parametrize("name,make", CASES, ids=[c[0] for c in CASES])
+def test_lift_system_at_matches_per_entry_reference(name, make):
+    h = make()
+    rng = random.Random("plans:%s" % name)
+    # two points at the lower levels: the second one reuses the plan
+    for l, count in ((0, 2), (1, 2), (2, 1)):
+        for _ in range(count):
+            b = _random_point(h, h.order + l, rng)
+            A, rhs, unknowns = ig.lift_system_at(h, b)
+            rows, ref_rhs, row_labels, ref_unknowns = _ref_lift_system(h, b)
+            assert [list(r) for r in A.rows] == rows
+            assert rhs == ref_rhs
+            assert list(A.row_labels) == row_labels
+            assert unknowns == ref_unknowns
+            assert list(A.col_labels) == ref_unknowns
+        assert jc.lift_plan(h, l) is jc.lift_plan(h, l)
+
+
+def test_lift_system_returns_a_fresh_label_list():
+    h = _kg(2)
+    b = _random_point(h, 2, random.Random(5))
+    _, _, unknowns = ig.lift_system_at(h, b)
+    unknowns.clear()
+    _, _, again = ig.lift_system_at(h, b)
+    assert len(again) == 4
+
+
+def test_lift_plan_rejects_negative_level():
+    with pytest.raises(ValueError):
+        jc.lift_plan(_kg(2), -1)
+
+
+def _ref_codim_ranks(h, l, samples, seed):
+    comps, _ = _ref_prolong(h, l)
+    coords = jc.JetChartSpec(h.m, h.n, h.order + l).coordinates()
+    out = []
+    for p in ig.sample_prolonged_points(h, l, samples, seed):
+        assignment = p.assignment()
+        rows = [[sx.evaluate(sx.differentiate(c, v), assignment) for v in coords]
+                for c in comps]
+        out.append(sp.RationalMatrix(rows).rank())
+    return out
+
+
+@pytest.mark.parametrize("name,make,levels", [
+    ("kg m=2", lambda: _kg(2), (0, 1, 2)),
+    ("kg m=3", lambda: _kg(3), (0, 1)),
+    ("nonlinear.jf", lambda: _corpus_op("nonlinear.jf"), (0, 1, 2)),
+], ids=["kg m=2", "kg m=3", "nonlinear.jf"])
+def test_variety_codim_ranks_match_per_point_reference(name, make, levels):
+    h = make()
+    for l in levels:
+        rep = ig.variety_codim(h, l, samples=3, seed=7)
+        assert rep.observed == _ref_codim_ranks(h, l, 3, 7)
+        assert rep.points == 3
+
+
+def test_lift_point_check_still_evaluates_the_residual():
+    h = _kg(2)
+    b = ig.sample_prolonged_points(h, 1, 1, seed=3)[0]
+    ig.lift_point(h, b)
+    # D_1 h carries g^{11} u_(3,0) with g^{11} nonzero, so this leaves
+    # the level-1 variety while h itself still vanishes
+    jets = dict(b.jets)
+    jets[(1, MultiIndex((3, 0)))] += 1
+    off = jc.JetPoint(b.chart, b.base, jets)
+    assert h.evaluate_at(off) == (0,)
+    with pytest.raises(ValueError, match="prolonged equations"):
+        ig.lift_point(h, off)

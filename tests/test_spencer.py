@@ -179,6 +179,14 @@ def test_matmul_and_stack():
     assert S.nrows == 4 and S.ncols == 2
 
 
+def test_zero_keeps_its_shape_without_rows():
+    for nr, nc in ((0, 3), (0, 0), (2, 0), (2, 3)):
+        Z = RationalMatrix.zero(nr, nc)
+        assert (Z.nrows, Z.ncols) == (nr, nc)
+        assert Z.rank() == 0
+    assert RationalMatrix.zero(0, 3).kernel_basis().ncols == 3
+
+
 def _dense_restricted_delta(g, p, q):
     """spencer_delta(p, q) * (I (x) B_q) as a dense product, one identity
     block per wedge basis element."""

@@ -1,0 +1,270 @@
+"""Expression evaluation and calculus against independent references.
+
+Batched evaluation (`evaluate_many`) must agree with evaluating each
+expression alone, values and errors alike, in exact and float mode,
+and with a plain recursive evaluator written here.  `differentiate`,
+`total_derivative` and `substitute` are checked against sympy over QQ
+on random polynomials and quotients; sympy is a test-only oracle and
+jetforge never imports it.  Operator plans differentiate once and reuse
+the result at every point, so a wrong derivative would be wrong
+everywhere.
+"""
+
+from fractions import Fraction as Q
+
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from jetforge import jetcalc as jc
+from jetforge import symexpr as sx
+from jetforge.mindex import MultiIndex
+from jetforge.symexpr import (
+    BaseVar,
+    EvalZeroDivision,
+    EvaluationError,
+    JetVar,
+    ParamVar,
+    PrimCall,
+    Recip,
+)
+
+X1, X2 = BaseVar(1), BaseVar(2)
+U = [JetVar(1, MultiIndex(I)) for I in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1))]
+A = ParamVar("a")
+VARS = [X1, X2, A] + U
+COEFS = st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4), Q(5, 3)])
+# zeros are frequent, so quotient payloads vanish in some draws
+VALUES = st.sampled_from([Q(0), Q(0), Q(1), Q(-1), Q(2), Q(1, 3), Q(-5, 2)])
+
+
+@st.composite
+def polynomials(draw, variables, max_terms=4, max_degree=3):
+    e = sx.ZERO
+    for _ in range(draw(st.integers(0, max_terms))):
+        term = sx.Expr.const(draw(COEFS))
+        for _ in range(draw(st.integers(0, max_degree))):
+            term = term * sx.Expr.variable(draw(st.sampled_from(variables)))
+        e = e + term
+    return e
+
+
+@st.composite
+def factor_pools(draw):
+    """Variables plus up to two quotients by base-variable polynomials
+    and, sometimes, a sine: the factors expressions are built from."""
+    pool = [sx.Expr.variable(v) for v in VARS]
+    for _ in range(draw(st.integers(0, 2))):
+        payload = draw(polynomials([X1, X2], max_terms=3, max_degree=2))
+        if not payload.is_constant():
+            pool.append(sx.inverse(payload))
+    if draw(st.booleans()):
+        pool.append(sx.prim("sin", draw(polynomials([X1, A], max_terms=2, max_degree=1))))
+    return pool
+
+
+@st.composite
+def expression_batches(draw):
+    pool = draw(factor_pools())
+    batch = []
+    for _ in range(draw(st.integers(1, 5))):
+        e = sx.ZERO
+        for _ in range(draw(st.integers(0, 3))):
+            term = sx.Expr.const(draw(COEFS))
+            for _ in range(draw(st.integers(0, 3))):
+                term = term * draw(st.sampled_from(pool))
+            e = e + term
+        batch.append(e)
+    return batch
+
+
+@st.composite
+def assignments(draw):
+    """Values for every variable, except one left out now and then."""
+    out = {v: draw(VALUES) for v in VARS}
+    if draw(st.integers(0, 4)) == 0:
+        del out[draw(st.sampled_from(VARS))]
+    return out
+
+
+def _naive(e, assignment):
+    """Exact per-term, per-atom evaluation with no memo; quotient
+    payloads are evaluated again at every occurrence."""
+    total = Q(0)
+    for mono, c in e.terms():
+        val = c
+        for a, exp in mono:
+            val = val * _naive_atom(a, assignment) ** exp
+        total = total + val
+    return total
+
+
+def _naive_atom(a, assignment):
+    if isinstance(a, PrimCall):
+        _naive(a.arg, assignment)
+        raise EvaluationError("transcendental")
+    if isinstance(a, Recip):
+        inner = _naive(a.payload, assignment)
+        if inner == 0:
+            raise EvalZeroDivision("zero payload")
+        return 1 / inner
+    if a not in assignment:
+        raise EvaluationError("unassigned")
+    return Q(assignment[a])
+
+
+def _outcome(fn):
+    """The value of fn(), or the type of the evaluation error it raised."""
+    try:
+        return fn()
+    except EvaluationError as err:
+        return type(err)
+
+
+def _one_by_one(batch, assignment, exact):
+    return _outcome(lambda: [sx.evaluate(e, assignment, exact=exact) for e in batch])
+
+
+def _batched(batch, assignment, exact):
+    return _outcome(lambda: sx.evaluate_many(batch, assignment, exact=exact))
+
+
+@settings(max_examples=150, deadline=None)
+@given(expression_batches(), assignments(), st.booleans())
+def test_batched_evaluation_agrees_with_one_by_one(batch, assignment, exact):
+    before = dict(assignment)
+    got = _batched(batch, assignment, exact)
+    assert got == _one_by_one(batch, assignment, exact)
+    assert assignment == before
+    if not exact:
+        return
+    # exact values do not depend on the order of terms, so the plain
+    # evaluator must give them too
+    naive = _outcome(lambda: [_naive(e, assignment) for e in batch])
+    if isinstance(got, list):
+        assert got == naive
+    else:
+        # term order may decide which of two faults is met first
+        assert isinstance(naive, type) and issubclass(naive, EvaluationError)
+
+
+@settings(max_examples=100, deadline=None)
+@given(expression_batches(), assignments(), assignments(), st.booleans())
+def test_batched_values_never_leak_between_calls(batch, first, second, exact):
+    _batched(batch, first, exact)
+    assert _batched(batch, second, exact) == _one_by_one(batch, second, exact)
+    # each expression of a batch alone, after the batch, is unaffected too
+    for e in batch:
+        assert _batched([e], second, exact) == _outcome(
+            lambda: [sx.evaluate(e, second, exact=exact)])
+
+
+def test_batched_quotient_with_vanishing_payload_raises():
+    q = sx.inverse(sx.base(1) - sx.base(2))
+    batch = [sx.base(1) + 1, q * sx.base(1), q]
+    point = {X1: Q(3), X2: Q(3)}
+    for exact in (True, False):
+        assert _batched(batch, point, exact) is EvalZeroDivision
+        assert _batched(batch[:1], point, exact) == [4]
+    # the same quotient off the diagonal is fine, and its value is not
+    # carried over from the failed call
+    assert sx.evaluate_many(batch, {X1: Q(3), X2: Q(1)}) == [4, Q(3, 2), Q(1, 2)]
+
+
+def test_batched_primitive_needs_float_mode():
+    batch = [sx.base(1), sx.prim("sin", sx.base(1)) + 1]
+    point = {X1: Q(0)}
+    assert _batched(batch, point, True) is EvaluationError
+    assert sx.evaluate_many(batch, point, exact=False) == [0.0, 1.0]
+
+
+def test_batched_unassigned_variable_raises():
+    batch = [sx.base(1), sx.base(1) * sx.base(2)]
+    assert _batched(batch, {X1: Q(1)}, True) is EvaluationError
+    assert _batched(batch, {X1: Q(1)}, False) is EvaluationError
+    assert sx.evaluate_many(batch[:1], {X1: Q(1)}) == [1]
+
+
+def test_batched_shared_atoms_take_each_assignment_anew():
+    q = sx.inverse(sx.base(1) ** 2 + 1)
+    batch = [q, q * sx.base(1), q ** 2]
+    assert sx.evaluate_many(batch, {X1: Q(1)}) == [Q(1, 2), Q(1, 2), Q(1, 4)]
+    assert sx.evaluate_many(batch, {X1: Q(2)}) == [Q(1, 5), Q(2, 5), Q(1, 25)]
+    assert sx.evaluate_many([], {X1: Q(2)}) == []
+
+
+# ---------------------------------------------------------------------------
+# calculus against sympy
+
+
+def _symbol(v):
+    if isinstance(v, BaseVar):
+        return sympy.Symbol("x%d" % v.i)
+    if isinstance(v, ParamVar):
+        return sympy.Symbol(v.name)
+    return sympy.Symbol("u%d_%s" % (v.alpha, "_".join(map(str, v.index))))
+
+
+def _to_sympy(e):
+    out = sympy.Integer(0)
+    for mono, c in e.terms():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for a, exp in mono:
+            base = 1 / _to_sympy(a.payload) if isinstance(a, Recip) else _symbol(a)
+            term = term * base ** exp
+        out = out + term
+    return out
+
+
+def _same(ours, theirs):
+    return sympy.cancel(sympy.together(_to_sympy(ours) - theirs)) == 0
+
+
+def _sympy_total_derivative(e, i):
+    # D_i = d/dx_i + sum over jet coordinates u^alpha_I of
+    # u^alpha_{I + 1_i} d/du^alpha_I
+    f = _to_sympy(e)
+    out = sympy.diff(f, _symbol(BaseVar(i)))
+    for v in e.free_vars():
+        if isinstance(v, JetVar):
+            up = JetVar(v.alpha, v.index.add_unit(i))
+            out = out + _symbol(up) * sympy.diff(f, _symbol(v))
+    return out
+
+
+@st.composite
+def rational_expressions(draw):
+    """A polynomial plus, half the time, a polynomial over a base-only
+    payload, as in the operators built from a metric inverse."""
+    e = draw(polynomials(VARS))
+    if draw(st.booleans()):
+        payload = draw(polynomials([X1, X2], max_terms=3, max_degree=2))
+        if not payload.is_constant():
+            e = e + draw(polynomials(VARS, max_terms=2)) * sx.inverse(payload) ** draw(
+                st.integers(1, 2))
+    return e
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_expressions(), st.sampled_from(VARS))
+@example(sx.base(1) ** 3 * sx.jet(1, (1, 0)) ** 2, X1)
+def test_differentiate_matches_sympy(e, v):
+    assert _same(sx.differentiate(e, v), sympy.diff(_to_sympy(e), _symbol(v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_expressions(), st.sampled_from([1, 2]))
+@example(sx.base(2) * sx.jet(1, (1, 1)) * sx.jet(1, (0, 0)), 2)
+def test_total_derivative_matches_sympy(e, i):
+    assert _same(jc.total_derivative(e, i), _sympy_total_derivative(e, i))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_expressions(), st.sampled_from(VARS), polynomials([X1, X2, U[0]]))
+def test_substitute_matches_sympy(e, v, replacement):
+    # a substitution that zeroes a quotient payload has no value
+    if any(isinstance(a, Recip) and sx.substitute(a.payload, {v: replacement}).is_zero()
+           for mono, _ in e.terms() for a, _ in mono):
+        return
+    ours = sx.substitute(e, {v: replacement})
+    assert _same(ours, _to_sympy(e).subs(_symbol(v), _to_sympy(replacement)))
