@@ -529,10 +529,16 @@ def _run_symbol(spec, h, q, flags):
                        notes=[] if not S.is_zero() else ["symbol vanishes identically"])
 
 
+def _first_given(*values):
+    return next(v for v in values if v is not None)
+
+
 def _run_spencer(spec, h, q, flags):
     kw = q.arg_dict()
-    pmax = flags.pmax or kw.get("pmax") or (q.args[0] if len(q.args) > 0 else h.m)
-    qmax = flags.qmax or kw.get("qmax") or (q.args[1] if len(q.args) > 1 else h.order + 2)
+    pmax = _first_given(flags.pmax, kw.get("pmax"), q.args[0] if len(q.args) > 0 else h.m)
+    qmax = _first_given(flags.qmax, kw.get("qmax"), q.args[1] if len(q.args) > 1 else h.order + 2)
+    if pmax < 0 or qmax < 0:
+        raise ValueError("pmax and qmax must be nonnegative")
     a = _random_jet_point(h, flags.seed)
     g = sp.symbolic_system_at(h, a)
     dims = {str(qq): g.dim_g(qq) for qq in range(0, qmax + 1)}
@@ -753,6 +759,9 @@ def main(argv=None):
         return 2
     if ns.order < 0:
         print("error: --order must be nonnegative", file=sys.stderr)
+        return 2
+    if any(v is not None and v < 0 for v in (ns.pmax, ns.qmax)):
+        print("error: --pmax and --qmax must be nonnegative", file=sys.stderr)
         return 2
 
     flags = CliFlags(order=ns.order, samples=ns.samples, seed=ns.seed, mode=mode,

@@ -229,13 +229,10 @@ def total_derivative(e, i):
     zero partials, so iterating over present variables loses nothing.
     """
     e = as_expr(e)
-    out = differentiate(e, BaseVar(i))
+    parts = [differentiate(e, BaseVar(i))]
     for v in e.jet_vars():
-        partial = differentiate(e, v)
-        if partial.is_zero():
-            continue
-        out = out + Expr.variable(JetVar(v.alpha, v.index.add_unit(i))) * partial
-    return out
+        parts.append(Expr.variable(JetVar(v.alpha, v.index.add_unit(i))) * differentiate(e, v))
+    return sx.sum_exprs(parts)
 
 
 def prolong_op(h, l):

@@ -1,14 +1,17 @@
 """Exact rational linear algebra, symbolic systems, and Spencer cohomology.
 
-The linear algebra is one dense Gauss-Jordan pass over
-`fractions.Fraction` per matrix, with deterministic pivoting (first
-usable column, first usable row), so kernel bases and golden outputs
-are reproducible.  The pass records its row operations: rank, kernel
-basis and solutions are all read from that one `Echelon`, and a solve
-reduces a right-hand side by replaying the recorded operations on it.
-On top of it sit the symbolic system g(h; a) of an operator at a jet
-point, its level-by-level prolongations, the delta-complex on
-wedge-times-symmetric coordinates, and exact cohomology dimensions.
+The linear algebra is one Gauss-Jordan pass over `fractions.Fraction`
+per matrix, with deterministic pivoting (first usable column, first
+usable row), so kernel bases and golden outputs are reproducible.  The
+pass touches only the nonzero entries of each pivot row, and products
+only the nonzero pairs of factors.  It records its row operations: rank,
+kernel basis and solutions are all read from that one `Echelon`, and a
+solve reduces a right-hand side by replaying the recorded operations on
+it.  On top of it sit the symbolic system g(h; a) of an operator at a
+jet point, its level-by-level prolongations (each level built from the
+reduced rows of the level below, so rows never outgrow m times the rank
+below), the delta-complex on wedge-times-symmetric coordinates, and
+exact cohomology dimensions.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ class RationalMatrix:
     __slots__ = ("rows", "row_labels", "col_labels")
 
     def __init__(self, rows, row_labels=None, col_labels=None):
-        self.rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
+        self.rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r)
+                          for r in rows)
         widths = {len(r) for r in self.rows}
         if len(widths) > 1:
             raise ValueError("ragged rows")
@@ -96,13 +100,16 @@ class RationalMatrix:
                 "shape mismatch %dx%d * %dx%d"
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
-        cols = list(zip(*other.rows)) if other.rows else []
+        nonzero = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
+        zero = Fraction(0)
         rows = []
         for r in self.rows:
-            if cols:
-                rows.append([sum(a * b for a, b in zip(r, c)) for c in cols])
-            else:
-                rows.append([Fraction(0)] * other.ncols)
+            out = [zero] * other.ncols
+            for a, bs in zip(r, nonzero):
+                if a:
+                    for j, b in bs:
+                        out[j] += a * b
+            rows.append(out)
         return RationalMatrix(rows, row_labels=self.row_labels, col_labels=other.col_labels)
 
     def column(self, j):
@@ -133,9 +140,12 @@ class Echelon:
 
     One Gauss-Jordan pass: for each column in order, the first row at
     or below the current rank with a nonzero entry is swapped up,
-    scaled to a unit pivot, and subtracted from every other row.  Each
-    step is recorded as (swap row, pivot value, [(row, multiplier)]),
-    so a right-hand side is reduced by replaying the steps on it alone.
+    scaled to a unit pivot, and subtracted from every other row that
+    has a nonzero entry in that column.  Entries of the pivot row before
+    its pivot are zero, so scaling and subtracting run over its nonzero
+    columns only.  Each step is recorded as (swap row, pivot value,
+    [(row, multiplier)]), so a right-hand side is reduced by replaying
+    the steps on it alone.
     Build one per matrix and read rank, kernel and solutions from it.
     """
 
@@ -153,13 +163,18 @@ class Echelon:
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
+            prow = rows[r]
+            pv = prow[c]
+            nz = [j for j in range(c, M.ncols) if prow[j]]
+            if pv != 1:
+                for j in nz:
+                    prow[j] /= pv
             sub = []
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != r:
+                    for j in nz:
+                        row[j] -= f * prow[j]
                     sub.append((i, f))
             pivots.append(c)
             ops.append((pr, pv, sub))
@@ -318,9 +333,11 @@ def spencer_delta(p, q, m, n=1):
 class SymbolicSystem:
     """The symbol kernel g(h; a) and its prolongations, all exact.
 
-    Level q >= k stores a pair (constraint matrix A_q, kernel basis B_q)
-    on Sym^q tensor R^n coordinates with ker A_q = col B_q.  Levels
-    below the operator order are the full symmetric powers, matching the
+    Level q >= k stores a constraint matrix A_q on Sym^q tensor R^n
+    coordinates, its `Echelon` and the kernel basis B_q, with
+    ker A_q = col B_q.  A_k is the operator's own matrix; each later A_q
+    is the derivatives of the reduced rows of level q - 1.  Levels below
+    the operator order are the full symmetric powers, matching the
     single-equation scalar reading; level q < 0 is zero.
     """
 
@@ -329,7 +346,12 @@ class SymbolicSystem:
         self.n = n
         self.k = k
         self.point = point
-        self._levels = {k: (constraints, constraints.kernel_basis())}
+        self._levels = {}
+        self._add_level(k, constraints)
+
+    def _add_level(self, q, A):
+        E = Echelon(A)
+        self._levels[q] = (A, E, E.kernel_basis())
 
     def full_dim(self, q):
         if q < 0:
@@ -342,7 +364,7 @@ class SymbolicSystem:
         if q < self.k:
             return self.full_dim(q)
         self.prolong_to(q)
-        return self._levels[q][1].ncols
+        return self._levels[q][2].ncols
 
     def basis(self, q):
         """Basis matrix of g_q (columns), identity below the order."""
@@ -353,7 +375,7 @@ class SymbolicSystem:
             B = RationalMatrix.identity(self.full_dim(q))
             return RationalMatrix(B.rows, row_labels=labels, col_labels=labels)
         self.prolong_to(q)
-        return self._levels[q][1]
+        return self._levels[q][2]
 
     def constraints_at(self, q):
         if q < self.k:
@@ -363,23 +385,39 @@ class SymbolicSystem:
         return self._levels[q][0]
 
     def prolong_to(self, q):
-        """Compute levels up to q: g_{q} = {T : d_i T in g_{q-1} for all i}."""
+        """Compute levels up to q: g_{q} = {T : d_i T in g_{q-1} for all i}.
+
+        The rows of A_q are d/dxi_i applied to each reduced row r of
+        level q - 1, for i = 1..m: the entry at (J, a) is
+        J_i * r[(J - 1_i, a)].  They span the same space as the rows of
+        A_{q-1} times each d/dxi_i, so the reduced form and B_q are the
+        same, and there are at most m * rank(A_{q-1}) of them.
+        """
         for level in range(self.k + 1, q + 1):
             if level in self._levels:
                 continue
-            prev_A = self.constraints_at(level - 1)
-            blocks = []
-            for i in range(1, self.m + 1):
-                Di = derivative_matrix(self.m, level, self.n, i)
-                if prev_A.nrows:
-                    blocks.append(prev_A.matmul(Di))
+            prev = self._levels[level - 1][1]
             labels = sym_component_labels(self.m, level, self.n)
-            if blocks:
-                A = RationalMatrix.stack_rows(blocks)
-                A = RationalMatrix(A.rows, col_labels=labels)
-            else:
-                A = RationalMatrix([], row_labels=(), col_labels=labels)
-            self._levels[level] = (A, A.kernel_basis())
+            below = sym_component_labels(self.m, level - 1, self.n)
+            pos = {lab: s for s, lab in enumerate(below)}
+            # target[i - 1][s]: the column (J, a) and factor J_i that
+            # d/dxi_i sends the source column s = (J - 1_i, a) to
+            target = [[None] * len(pos) for _ in range(self.m)]
+            for j, (J, a) in enumerate(labels):
+                for i in range(1, self.m + 1):
+                    if J[i - 1]:
+                        target[i - 1][pos[(J.sub_unit(i), a)]] = (j, J[i - 1])
+            zero = Fraction(0)
+            rows = []
+            for tgt in target:
+                for r in prev.rows:
+                    row = [zero] * len(labels)
+                    for s, x in enumerate(r):
+                        if x:
+                            j, f = tgt[s]
+                            row[j] = f * x
+                    rows.append(row)
+            self._add_level(level, RationalMatrix(rows, col_labels=labels))
 
     def dims_table(self, qmax):
         return {q: self.dim_g(q) for q in range(0, qmax + 1)}

@@ -301,14 +301,8 @@ class Expr:
     # -- arithmetic
 
     def __add__(self, other):
-        other = as_expr(other)
         terms = dict(self._terms)
-        for m, c in other._terms.items():
-            s = terms.get(m, _F0) + c
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
+        _add_terms(terms, as_expr(other)._terms)
         return Expr._make(terms)
 
     __radd__ = __add__
@@ -374,6 +368,26 @@ class Expr:
 
     def __repr__(self):
         return "Expr(%s)" % format_expr(self)
+
+
+def _add_terms(terms, other):
+    """Add the term dict `other` into `terms` in place, dropping zeros."""
+    for m, c in other.items():
+        s = terms.get(m, _F0) + c
+        if s == 0:
+            terms.pop(m, None)
+        else:
+            terms[m] = s
+
+
+def sum_exprs(exprs):
+    """Sum of expressions accumulated into one dict: the same terms in
+    the same order as adding them left to right with `+`, without
+    copying the running sum at each step."""
+    terms = {}
+    for e in exprs:
+        _add_terms(terms, e._terms)
+    return Expr._make(terms)
 
 
 def _mono_key(m):
@@ -513,7 +527,7 @@ def differentiate(e, v):
     e = as_expr(e)
     if not isinstance(v, VarRef):
         raise TypeError("differentiation variable must be a VarRef")
-    out = ZERO
+    parts = []
     for mono, c in e._terms.items():
         for idx, (a, exp) in enumerate(mono):
             da = _atom_derivative(a, v)
@@ -524,8 +538,8 @@ def differentiate(e, v):
                 rest.pop(idx)
             else:
                 rest[idx] = (a, exp - 1)
-            out = out + Expr._make({tuple(rest): c * exp}) * da
-    return out
+            parts.append(Expr._make({tuple(rest): c * exp}) * da)
+    return sum_exprs(parts)
 
 
 def substitute(e, bindings):

@@ -296,3 +296,46 @@ def test_main_never_raises_on_arbitrary_bytes(data):
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["prolong", path])
     assert code in (0, 1, 2)
+
+
+def _spencer_json(capsys, path, *flags):
+    code = cli.main(["spencer", str(path), "--json", *flags])
+    return code, json.loads(capsys.readouterr().out)["results"][0]
+
+
+def test_main_spencer_honours_zero_bounds(tmp_path, capsys):
+    wave = tmp_path / "wave.jf"
+    wave.write_text(WAVE)
+    code, res = _spencer_json(capsys, wave, "--qmax", "0")
+    assert code == 0
+    assert res["args"] == {"pmax": 2, "qmax": 0}
+    assert res["data"]["dim_g"] == {"0": 1}
+    assert sorted(res["data"]["cohomology"]) == ["0,0", "1,0", "2,0"]
+    code, res = _spencer_json(capsys, wave, "--pmax", "0")
+    assert code == 0
+    assert res["args"] == {"pmax": 0, "qmax": 4}
+    assert sorted(res["data"]["cohomology"]) == ["0,%d" % q for q in range(5)]
+
+
+def test_spencer_query_honours_zero_bounds():
+    spec = cli.parse_problem_file(WAVE.replace("pmax=2, qmax=4", "pmax=0, qmax=0"))
+    rep = cli.run_command(spec, "spencer", _flags())
+    assert rep.results[0].args == {"pmax": 0, "qmax": 0}
+    assert rep.results[0].data["cohomology"] == {"0,0": 1}
+
+
+def test_main_refuses_negative_bounds(tmp_path, capsys):
+    wave = tmp_path / "wave.jf"
+    wave.write_text(WAVE)
+    for flag in ("--pmax", "--qmax"):
+        assert cli.main(["spencer", str(wave), flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and flag in captured.err
+        assert captured.out == ""
+
+
+def test_spencer_query_with_negative_bound_fails():
+    spec = cli.parse_problem_file(WAVE.replace("qmax=4", "qmax=-1"))
+    rep = cli.run_command(spec, "spencer", _flags())
+    assert not rep.passed
+    assert "nonnegative" in rep.results[0].data["error"]

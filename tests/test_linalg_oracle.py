@@ -134,3 +134,80 @@ def test_solve_free_values_are_keyed_by_label_only():
         M.solve([Q(4)], free_values={1: Q(1)})
     with pytest.raises(ValueError, match="column 5 is not free"):
         M.solve([Q(4)], free_values={5: Q(1)})
+
+
+# ---------------------------------------------------------------------------
+# mostly-zero matrices: the elimination and the product skip zeros
+
+
+@st.composite
+def sparse(draw, max_rows=8, max_cols=8):
+    """About 10-30% nonzero entries, with zero rows and zero columns."""
+    nr = draw(st.integers(0, max_rows))
+    nc = draw(st.integers(0, max_cols))
+    density = draw(st.sampled_from([0.1, 0.2, 0.3]))
+    nonzero = st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4), Q(5, 3)])
+    rows = [[draw(nonzero) if draw(st.floats(0, 1)) < density else Q(0) for _ in range(nc)]
+            for _ in range(nr)]
+    if nr and draw(st.booleans()):
+        rows[draw(st.integers(0, nr - 1))] = [Q(0)] * nc
+    if nc and draw(st.booleans()):
+        j = draw(st.integers(0, nc - 1))
+        for r in rows:
+            r[j] = Q(0)
+    return rows, nc
+
+
+SPARSE_LABELS = tuple(range(10, 10 + 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse(), st.data())
+def test_sparse_rank_kernel_and_solve_match_sympy(case, data):
+    rows, nc = case
+    M = RationalMatrix(rows, col_labels=SPARSE_LABELS[:nc])
+    S = _oracle(case)
+    assert M.rank() == S.rank()
+    K = M.kernel_basis()
+    null = S.nullspace()
+    assert K.ncols == len(null)
+    for j, v in enumerate(null):
+        assert K.column(j) == _column(v)
+    pick = data.draw(st.lists(ENTRIES, min_size=nc, max_size=nc))
+    rhs = _times(M, pick)
+    x, free = M.solve(rhs)
+    assert _times(M, x) == rhs
+    assert free == [c for c in range(nc) if c not in S.rref()[1]]
+    if M.nrows > M.rank():
+        # a right-hand side off the image
+        b = sympy.Matrix(M.nrows, 1, [0] * (M.nrows - 1) + [1])
+        if S.row_join(b).rank() > S.rank():
+            with pytest.raises(ValueError, match="inconsistent"):
+                M.solve([Q(0)] * (M.nrows - 1) + [Q(1)])
+
+
+@st.composite
+def sparse_pairs(draw):
+    left, nc = draw(sparse())
+    ncols = draw(st.integers(0, 8))
+    right = [[draw(st.sampled_from([Q(0)] * 3 + [Q(1), Q(-2), Q(1, 3)])) for _ in range(ncols)]
+             for _ in range(nc)]
+    return left, nc, right, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_pairs())
+@example(([], 3, [[Q(1), Q(2)]] * 3, 2))
+@example(([[], []], 0, [], 4))
+@example(([[Q(1), Q(2)], [Q(0), Q(3)]], 2, [[], []], 0))
+@example(([[Q(0)] * 3] * 2, 3, [[Q(0)] * 4] * 3, 4))
+def test_matmul_matches_dense_triple_loop(pair):
+    left, nc, right, ncols = pair
+    A = RationalMatrix(left, col_labels=range(nc))
+    B = RationalMatrix(right, col_labels=range(ncols))
+    P = A.matmul(B)
+    assert (P.nrows, P.ncols) == (len(left), ncols)
+    want = [[sum((left[i][t] * right[t][j] for t in range(nc)), Q(0)) for j in range(ncols)]
+            for i in range(len(left))]
+    assert [list(r) for r in P.rows] == want
+    assert all(type(x) is Q for r in P.rows for x in r)

@@ -226,3 +226,82 @@ def test_restricted_delta_matches_dense_reference():
                     assert got.rows == want.rows, (m, n, p, q)
                     assert got.row_labels == want.row_labels
                     assert got.col_labels == want.col_labels
+
+
+# ---------------------------------------------------------------------------
+# prolongation from reduced rows against the unreduced stacking
+
+
+def _unreduced_levels(A, m, n, k, qmax):
+    """A_q for q = k..qmax by stacking A_{q-1} * d/dxi_i for i = 1..m,
+    over the unreduced A_{q-1}, so rows grow as m^(q-k)."""
+    out = {k: A}
+    for q in range(k + 1, qmax + 1):
+        labels = sp.sym_component_labels(m, q, n)
+        blocks = [A.matmul(sp.derivative_matrix(m, q, n, i)) for i in range(1, m + 1)]
+        A = RationalMatrix([r for b in blocks for r in b.rows], col_labels=labels)
+        out[q] = A
+    return out
+
+
+def _random_constraints(rng, m, n, k):
+    labels = sp.sym_component_labels(m, k, n)
+    nout = rng.randint(0, n + 1)
+    values = [Q(0)] * 6 + [Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4)]
+    return RationalMatrix([[rng.choice(values) for _ in labels] for _ in range(nout)],
+                          row_labels=tuple(range(1, nout + 1)), col_labels=labels)
+
+
+def test_prolongation_matches_unreduced_stacking():
+    rng = random.Random(31)
+    for m in (2, 3):
+        for n in (1, 2):
+            for k in (1, 2):
+                for _ in range(3):
+                    A = _random_constraints(rng, m, n, k)
+                    g = sp.SymbolicSystem(m, n, k, None, A)
+                    ref = _unreduced_levels(A, m, n, k, k + 3)
+                    for q in range(k, k + 4):
+                        got, want = g.basis(q), ref[q].kernel_basis()
+                        assert got.rows == want.rows, (m, n, k, q)
+                        assert got.row_labels == want.row_labels
+                        assert got.col_labels == want.col_labels
+                        assert g.constraints_at(q).col_labels == ref[q].col_labels
+
+
+def test_prolonged_rows_stay_within_m_times_rank_below():
+    rng = random.Random(32)
+    systems = [sp.symbolic_system_at(_wave(m), _point(_wave(m))) for m in (2, 3, 4)]
+    systems += [sp.SymbolicSystem(m, n, 2, None, _random_constraints(rng, m, n, 2))
+                for m in (2, 3) for n in (1, 2)]
+    for g in systems:
+        for q in range(g.k + 1, g.k + 4):
+            rank_below = g.full_dim(q - 1) - g.dim_g(q - 1)
+            assert g.constraints_at(q).nrows <= g.m * rank_below, (g.m, g.n, q)
+
+
+def _scalar_hilbert(m, k, q):
+    """dim g_q of one scalar order-k equation with nonzero symbol."""
+    return math.comb(m + q - 1, m - 1) - (math.comb(m + q - k - 1, m - 1) if q >= k else 0)
+
+
+def _curved_klein_gordon_3d():
+    from jetforge import integrability as ig
+
+    x1, x2, x3 = sx.base(1), sx.base(2), sx.base(3)
+    metric = ig.MetricSpec(3, {
+        (1, 1): sx.ONE - x3 ** 2 * Q(1, 5),
+        (2, 2): sx.as_expr(Q(-1)) + x1 * Q(1, 4),
+        (3, 3): sx.as_expr(Q(-2)) - x2 ** 2 * Q(1, 3),
+        (1, 2): x2 * Q(1, 6), (2, 1): x2 * Q(1, 6),
+        (2, 3): Q(1, 9) + x1 * x3 * Q(1, 7), (3, 2): Q(1, 9) + x1 * x3 * Q(1, 7),
+    })
+    return ig.make_klein_gordon(metric, F1=1, F2=1, K=lambda e: e ** 3)
+
+
+@pytest.mark.parametrize("make_op,qmax", [(lambda: _wave(4), 7), (_curved_klein_gordon_3d, 8)])
+def test_prolonged_dims_match_the_hilbert_function(make_op, qmax):
+    h = make_op()
+    g = sp.symbolic_system_at(h, _point(h, seed=3))
+    for q in range(0, qmax + 1):
+        assert g.dim_g(q) == _scalar_hilbert(h.m, h.order, q), q

@@ -268,3 +268,52 @@ def test_substitute_matches_sympy(e, v, replacement):
         return
     ours = sx.substitute(e, {v: replacement})
     assert _same(ours, _to_sympy(e).subs(_symbol(v), _to_sympy(replacement)))
+
+
+# ---------------------------------------------------------------------------
+# one-dict sums keep the terms and the order of repeated `+`
+
+
+def _differentiate_by_repeated_add(e, v):
+    out = sx.ZERO
+    for mono, c in e._terms.items():
+        for idx, (a, exp) in enumerate(mono):
+            da = sx._atom_derivative(a, v)
+            if da.is_zero():
+                continue
+            rest = list(mono)
+            if exp == 1:
+                rest.pop(idx)
+            else:
+                rest[idx] = (a, exp - 1)
+            out = out + sx.Expr._make({tuple(rest): c * exp}) * da
+    return out
+
+
+def _total_derivative_by_repeated_add(e, i):
+    out = sx.differentiate(e, BaseVar(i))
+    for v in e.jet_vars():
+        out = out + sx.Expr.variable(JetVar(v.alpha, v.index.add_unit(i))) * sx.differentiate(e, v)
+    return out
+
+
+def _items(e):
+    return list(e._terms.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_expressions(), st.sampled_from(VARS), st.sampled_from([1, 2]))
+def test_derivative_sums_keep_the_order_of_repeated_addition(e, v, i):
+    assert _items(sx.differentiate(e, v)) == _items(_differentiate_by_repeated_add(e, v))
+    assert _items(jc.total_derivative(e, i)) == _items(_total_derivative_by_repeated_add(e, i))
+
+
+@settings(max_examples=100, deadline=None)
+@given(expression_batches(), st.data())
+def test_sum_exprs_keeps_the_order_of_repeated_addition(batch, data):
+    # negated copies make terms cancel and come back at the end
+    batch = batch + [-e for e in data.draw(st.lists(st.sampled_from(batch), max_size=3))] + batch
+    out = sx.ZERO
+    for e in batch:
+        out = out + e
+    assert _items(sx.sum_exprs(batch)) == _items(out)
