@@ -629,12 +629,16 @@ class LinearTower:
         self.steps = list(steps)
         if len(self.steps) != max(len(self.dims) - 1, 0):
             raise ValueError("need one step matrix per adjacent pair")
+        # the elimination of each step, kept for `tower_splitting`
+        self.echelons = []
         for i, Mstep in enumerate(self.steps):
             if Mstep.nrows != self.dims[i] or Mstep.ncols != self.dims[i + 1]:
                 raise ValueError("step %d has shape %dx%d, expected %dx%d" % (
                     i, Mstep.nrows, Mstep.ncols, self.dims[i], self.dims[i + 1]))
-            if Mstep.rank() != self.dims[i]:
+            E = sp.Echelon(Mstep)
+            if E.rank != self.dims[i]:
                 raise ValueError("step %d is not surjective" % i)
+            self.echelons.append(E)
 
     @property
     def length(self):
@@ -723,7 +727,7 @@ def tower_splitting(T):
     lifts = [sp.RationalMatrix.identity(T.dims[0])]
     for i in range(1, T.length):
         step = T.steps[i - 1]
-        E = sp.Echelon(step)
+        E = T.echelons[i - 1]
         K = E.kernel_basis()
         kernels.append(K)
         cols = []

@@ -79,21 +79,6 @@ class RationalMatrix:
         rows = [[c[i] for c in cols] for i in range(nrows)]
         return cls(rows, row_labels=row_labels, col_labels=col_labels)
 
-    @classmethod
-    def stack_rows(cls, mats):
-        mats = [m for m in mats if m.nrows]
-        if not mats:
-            return cls([])
-        nc = mats[0].ncols
-        rows = []
-        labels = []
-        for m in mats:
-            if m.ncols != nc:
-                raise ValueError("column count mismatch in stack")
-            rows.extend(m.rows)
-            labels.extend(m.row_labels)
-        return cls(rows, row_labels=labels, col_labels=mats[0].col_labels)
-
     def matmul(self, other):
         if self.ncols != other.nrows:
             raise ValueError(
@@ -270,19 +255,6 @@ def wedge_sign(i, S):
     if i in S:
         return None
     return -1 if sum(1 for s in S if s < i) % 2 else 1
-
-
-def derivative_matrix(m, q, n, i):
-    """Matrix of d/dxi_i: Sym^q tensor R^n -> Sym^{q-1} tensor R^n."""
-    src = sym_component_labels(m, q, n)
-    dst = sym_component_labels(m, q - 1, n)
-    pos = {lab: j for j, lab in enumerate(dst)}
-    rows = [[Fraction(0)] * len(src) for _ in dst]
-    for cj, (J, alpha) in enumerate(src):
-        if J[i - 1] == 0:
-            continue
-        rows[pos[(J.sub_unit(i), alpha)]][cj] = Fraction(J[i - 1])
-    return RationalMatrix(rows, row_labels=dst, col_labels=src)
 
 
 def _delta_columns(m, p, q, n, basis):

@@ -63,13 +63,18 @@ _RANK_RECIP = 5
 class Atom:
     """Common behavior for the multiplicative building blocks of monomials."""
 
-    __slots__ = ("key",)
+    __slots__ = ("key", "_hash")
+
+    def _set_key(self, key):
+        # the key never changes, so neither does its hash
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other):
-        return isinstance(other, Atom) and self.key == other.key
+        return self is other or (isinstance(other, Atom) and self.key == other.key)
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __lt__(self, other):
         return self.key < other.key
@@ -91,7 +96,7 @@ class BaseVar(VarRef):
         if i < 1:
             raise ValueError("base axis must be >= 1")
         object.__setattr__(self, "i", int(i))
-        object.__setattr__(self, "key", (_RANK_BASE, (self.i,)))
+        self._set_key((_RANK_BASE, (self.i,)))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -107,7 +112,7 @@ class JetVar(VarRef):
         object.__setattr__(self, "alpha", int(alpha))
         object.__setattr__(self, "index", index)
         deg, neg = index.graded_lex_key()
-        object.__setattr__(self, "key", (_RANK_JET, (deg,) + neg + (self.alpha,)))
+        self._set_key((_RANK_JET, (deg,) + neg + (self.alpha,)))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -118,7 +123,7 @@ class ParamVar(VarRef):
 
     def __init__(self, name):
         object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "key", (_RANK_PARAM, (self.name,)))
+        self._set_key((_RANK_PARAM, (self.name,)))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -131,7 +136,7 @@ class CovectorVar(VarRef):
         if i < 1:
             raise ValueError("covector axis must be >= 1")
         object.__setattr__(self, "i", int(i))
-        object.__setattr__(self, "key", (_RANK_COVECTOR, (self.i,)))
+        self._set_key((_RANK_COVECTOR, (self.i,)))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -146,7 +151,7 @@ class PrimCall(Atom):
         arg = as_expr(arg)
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "key", (_RANK_PRIM, (self.name, arg.sort_key())))
+        self._set_key((_RANK_PRIM, (self.name, arg.sort_key())))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -168,7 +173,7 @@ class Recip(Atom):
         if payload.has_recip():
             raise ExprError("nested quotients are not supported")
         object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "key", (_RANK_RECIP, (payload.sort_key(),)))
+        self._set_key((_RANK_RECIP, (payload.sort_key(),)))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable")
@@ -203,17 +208,23 @@ def _merge_monomials(m1, m2):
 class Expr:
     """Immutable normalized expression; all arithmetic returns new values."""
 
-    __slots__ = ("_terms", "_key")
+    __slots__ = ("_terms", "_key", "_table")
 
     def __init__(self, terms=None):
         self._terms = dict(terms) if terms else {}
         self._key = None
+        self._table = None
 
     @classmethod
     def _make(cls, terms):
+        terms = {m: c for m, c in terms.items() if c != 0}
+        if not terms:
+            # one zero, so zero results share its evaluation table
+            return ZERO
         e = cls.__new__(cls)
-        e._terms = {m: c for m, c in terms.items() if c != 0}
+        e._terms = terms
         e._key = None
+        e._table = None
         return e
 
     @classmethod
@@ -528,11 +539,21 @@ def differentiate(e, v):
     if not isinstance(v, VarRef):
         raise TypeError("differentiation variable must be a VarRef")
     parts = []
+    # a quotient or a primitive call recurs across terms: differentiate
+    # it once; the derivative of a variable is 1 or 0
+    memo = {}
     for mono, c in e._terms.items():
         for idx, (a, exp) in enumerate(mono):
-            da = _atom_derivative(a, v)
-            if da.is_zero():
-                continue
+            if isinstance(a, VarRef):
+                if a != v:
+                    continue
+                da = ONE
+            else:
+                da = memo.get(a)
+                if da is None:
+                    da = memo[a] = _atom_derivative(a, v)
+                if da.is_zero():
+                    continue
             rest = list(mono)
             if exp == 1:
                 rest.pop(idx)
@@ -571,8 +592,9 @@ def _substitute_atom(a, bindings):
 
 def evaluate(e, assignment, exact=True):
     """Evaluate at a point.  Exact mode returns a Fraction and refuses
-    transcendental primitives; float mode returns a float."""
-    return _evaluate_terms(as_expr(e), assignment, exact, {})
+    transcendental primitives; float mode returns a float.  The same as
+    evaluate_many([e], assignment, exact)[0]."""
+    return _values([as_expr(e)], assignment, exact, {})[0]
 
 
 def evaluate_many(exprs, assignment, exact=True):
@@ -583,19 +605,100 @@ def evaluate_many(exprs, assignment, exact=True):
     arguments too, so a quotient shared by many expressions has its
     payload evaluated once.  The memo lives for this call only.  Values
     and errors are those of evaluating the expressions one by one.
+
+    Exact mode is fraction-free: with D the lcm of the denominators of
+    the atom values, each atom becomes the integer value * D, each
+    expression sums its monomials over the integers (see `_int_table`),
+    and the one gcd is taken when its Fraction is formed.
     """
-    memo = {}
-    return [_evaluate_terms(as_expr(e), assignment, exact, memo) for e in exprs]
+    return _values([as_expr(e) for e in exprs], assignment, exact, {})
 
 
-def _evaluate_terms(e, assignment, exact, memo):
-    total = _F0 if exact else 0.0
+def _values(exprs, assignment, exact, memo):
+    if exact:
+        return _exact_values(exprs, assignment, memo)
+    return [_float_terms(e, assignment, memo) for e in exprs]
+
+
+def _int_table(e):
+    """(L, dmax, powers, coefs, gaps, monos, const): e prepared for
+    integer evaluation, kept on e, which never changes, so it is built
+    on the first exact evaluation of e only.
+
+    L is the lcm of the coefficient denominators, dmax the largest total
+    degree of a monomial, and powers the distinct (atom, exponent)
+    factors in the order the terms meet them.  Term t has coefficient
+    coefs[t] / L, total degree dmax - gaps[t], and monos[t] lists the
+    positions in powers of its factors.  So with atom values n / D the
+    value of e is
+    sum(coefs[t] * D^gaps[t] * prod of its factors n^exponent)
+    / (L * D^dmax).
+    An expression without atoms has the same value at every point;
+    const holds it (None when there are atoms).
+    """
+    L = math.lcm(*[c.denominator for c in e._terms.values()])
+    powers = {}
+    coefs = []
+    degrees = []
+    monos = []
     for mono, c in e._terms.items():
-        val = c if exact else float(c)
+        coefs.append(c.numerator * (L // c.denominator))
+        d = 0
+        pos = []
+        for f in mono:
+            pos.append(powers.setdefault(f, len(powers)))
+            d += f[1]
+        degrees.append(d)
+        monos.append(tuple(pos))
+    dmax = max(degrees, default=0)
+    const = None if powers else Fraction(sum(coefs), L)
+    t = e._table = (L, dmax, tuple(powers), tuple(coefs),
+                    tuple([dmax - d for d in degrees]), tuple(monos), const)
+    return t
+
+
+def _exact_values(exprs, assignment, memo):
+    tables = []
+    vals = {}
+    top = 0
+    for e in exprs:
+        t = e._table or _int_table(e)
+        if t[1] > top:
+            top = t[1]
+        # atoms in the order the terms meet them
+        for a, _ in t[2]:
+            if a not in vals:
+                x = memo.get(a)
+                if x is None:
+                    x = memo[a] = _evaluate_atom(a, assignment, True, memo)
+                vals[a] = x
+        tables.append(t)
+    D = math.lcm(*[x.denominator for x in vals.values()])
+    nums = {a: x.numerator * (D // x.denominator) for a, x in vals.items()}
+    dpow = [1]
+    for _ in range(top):
+        dpow.append(dpow[-1] * D)
+    out = []
+    for L, dmax, powers, coefs, gaps, monos, const in tables:
+        if const is not None:
+            out.append(const)
+            continue
+        f = [nums[a] if k == 1 else nums[a] ** k for a, k in powers].__getitem__
+        total = 0
+        for c, g, mono in zip(coefs, gaps, monos):
+            total += math.prod(map(f, mono), start=c * dpow[g])
+        out.append(Fraction(total, L * dpow[dmax]) if total else _F0)
+    return out
+
+
+def _float_terms(e, assignment, memo):
+    total = 0.0
+    for mono, c in e._terms.items():
+        val = float(c)
         for a, exp in mono:
             x = memo.get(a)
             if x is None:
-                x = memo[a] = _evaluate_atom(a, assignment, exact, memo)
+                x = memo[a] = _evaluate_atom(a, assignment, False, memo)
             val = val * (x if exp == 1 else x**exp)
         total = total + val
     return total
@@ -609,7 +712,7 @@ def _evaluate_atom(a, assignment, exact, memo):
             raise EvaluationError("no value assigned to %s" % atom_str(a)) from None
         return Fraction(v) if exact else float(v)
     if isinstance(a, PrimCall):
-        inner = _evaluate_terms(a.arg, assignment, exact, memo)
+        inner = _values([a.arg], assignment, exact, memo)[0]
         if exact:
             raise EvaluationError(
                 "exact evaluation of transcendental primitive %r" % a.name
@@ -619,7 +722,7 @@ def _evaluate_atom(a, assignment, exact, memo):
             raise EvaluationError("primitive %r has no numeric implementation" % a.name)
         return impl(inner)
     if isinstance(a, Recip):
-        inner = _evaluate_terms(a.payload, assignment, exact, memo)
+        inner = _values([a.payload], assignment, exact, memo)[0]
         if inner == 0:
             raise EvalZeroDivision("division by zero while evaluating a quotient")
         return (Fraction(1) / inner) if exact else (1.0 / inner)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -339,3 +340,26 @@ def test_spencer_query_with_negative_bound_fails():
     rep = cli.run_command(spec, "spencer", _flags())
     assert not rep.passed
     assert "nonnegative" in rep.results[0].data["error"]
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CORPUS = os.path.join("tests", "corpus")
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_corpus_reports_match_pinned_sha256(command, monkeypatch):
+    # canonical seed-0 reports are pinned byte for byte in
+    # bench/cli_golden.json; they embed the corpus path relative to the
+    # checkout root, so run from there
+    with open(os.path.join(ROOT, "bench", "cli_golden.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    monkeypatch.chdir(ROOT)
+    names = sorted(f for f in os.listdir(CORPUS) if f.endswith(".jf"))
+    assert names
+    for name in names:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, os.path.join(CORPUS, name), "--seed", "0", "--json", "-"])
+        assert code == 0, name
+        digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        assert digest == golden["%s %s" % (command, name)], name

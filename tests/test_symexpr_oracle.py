@@ -2,14 +2,18 @@
 
 Batched evaluation (`evaluate_many`) must agree with evaluating each
 expression alone, values and errors alike, in exact and float mode,
-and with a plain recursive evaluator written here.  `differentiate`,
-`total_derivative` and `substitute` are checked against sympy over QQ
-on random polynomials and quotients; sympy is a test-only oracle and
-jetforge never imports it.  Operator plans differentiate once and reuse
-the result at every point, so a wrong derivative would be wrong
-everywhere.
+and with a plain recursive evaluator written here.  Exact evaluation
+runs over integers (one common denominator per point, tables cached on
+each expression), so it is also checked against the plain per-term
+loop over `Fraction`, and float mode against the same loop over floats,
+bit for bit.  `differentiate`, `total_derivative` and `substitute` are
+checked against sympy over QQ on random polynomials and quotients;
+sympy is a test-only oracle and jetforge never imports it.  Operator
+plans differentiate once and reuse the result at every point, so a
+wrong derivative would be wrong everywhere.
 """
 
+import math
 from fractions import Fraction as Q
 
 import sympy
@@ -39,10 +43,10 @@ VALUES = st.sampled_from([Q(0), Q(0), Q(1), Q(-1), Q(2), Q(1, 3), Q(-5, 2)])
 
 
 @st.composite
-def polynomials(draw, variables, max_terms=4, max_degree=3):
+def polynomials(draw, variables, max_terms=4, max_degree=3, coefs=COEFS):
     e = sx.ZERO
     for _ in range(draw(st.integers(0, max_terms))):
-        term = sx.Expr.const(draw(COEFS))
+        term = sx.Expr.const(draw(coefs))
         for _ in range(draw(st.integers(0, max_degree))):
             term = term * sx.Expr.variable(draw(st.sampled_from(variables)))
         e = e + term
@@ -194,6 +198,185 @@ def test_batched_shared_atoms_take_each_assignment_anew():
 
 
 # ---------------------------------------------------------------------------
+# the integer kernel against the plain per-term loop
+
+# large numerators and denominators next to small ones, so the common
+# denominator of a point mixes factors of very different sizes
+BIG = st.builds(Q, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 25))
+MIXED = st.one_of(VALUES, BIG)
+# values of one size, so float sums round differently in another order
+MODERATE = st.builds(Q, st.integers(-50, 50), st.integers(1, 13))
+BIG_COEFS = st.one_of(
+    COEFS, st.builds(Q, st.integers(1, 10 ** 15), st.integers(1, 10 ** 12)),
+    st.builds(Q, st.integers(-10 ** 15, -1), st.integers(1, 10 ** 12)))
+
+
+def _plain(e, assignment, exact=True):
+    """One Fraction (or float) operation per multiply and add, terms in
+    stored order, atoms evaluated again at each occurrence."""
+    total = Q(0) if exact else 0.0
+    for mono, c in e._terms.items():
+        val = c if exact else float(c)
+        for a, k in mono:
+            x = _plain_atom(a, assignment, exact)
+            val = val * (x if k == 1 else x ** k)
+        total = total + val
+    return total
+
+
+def _plain_atom(a, assignment, exact):
+    if isinstance(a, PrimCall):
+        inner = _plain(a.arg, assignment, exact)
+        if exact:
+            raise EvaluationError("transcendental")
+        return {"sin": math.sin, "cos": math.cos, "exp": math.exp}[a.name](inner)
+    if isinstance(a, Recip):
+        inner = _plain(a.payload, assignment, exact)
+        if inner == 0:
+            raise EvalZeroDivision("zero payload")
+        return 1 / inner if exact else 1.0 / inner
+    if a not in assignment:
+        raise EvaluationError("unassigned")
+    return Q(assignment[a]) if exact else float(assignment[a])
+
+
+def _float_outcome(fn):
+    """Floats by their bits (hex), or the type of the error raised."""
+    try:
+        return [x.hex() for x in fn()]
+    except (EvaluationError, OverflowError) as err:
+        return type(err)
+
+
+@st.composite
+def wide_batches(draw):
+    """Expressions over one shared pool of factors (variables, up to
+    two quotients with large coefficients, sometimes a sine) raised to
+    exponents up to 6, with the zero and a constant expression mixed in
+    now and then."""
+    pool = [sx.Expr.variable(v) for v in VARS]
+    for _ in range(draw(st.integers(0, 2))):
+        payload = draw(polynomials([X1, X2, A], max_terms=3, max_degree=2, coefs=BIG_COEFS))
+        if not payload.is_constant():
+            pool.append(sx.inverse(payload))
+    if draw(st.booleans()):
+        pool.append(sx.prim("sin", draw(polynomials([X1, A], max_terms=2, max_degree=1))))
+    batch = []
+    for _ in range(draw(st.integers(1, 5))):
+        e = sx.ZERO
+        for _ in range(draw(st.integers(0, 4))):
+            term = sx.Expr.const(draw(BIG_COEFS))
+            for _ in range(draw(st.integers(0, 3))):
+                term = term * draw(st.sampled_from(pool)) ** draw(st.integers(1, 6))
+            e = e + term
+        batch.append(e)
+    if draw(st.booleans()):
+        batch.insert(draw(st.integers(0, len(batch))), sx.ZERO)
+    if draw(st.booleans()):
+        batch.insert(draw(st.integers(0, len(batch))), sx.Expr.const(draw(BIG_COEFS)))
+    return batch
+
+
+@st.composite
+def mixed_points(draw, values=MIXED):
+    out = {v: draw(values) for v in VARS}
+    if draw(st.integers(0, 4)) == 0:
+        del out[draw(st.sampled_from(VARS))]
+    return out
+
+
+def _fresh(e):
+    """An equal expression that has not been evaluated yet."""
+    return sx.Expr._make(dict(e._terms))
+
+
+def _looks(batch):
+    return [(str(e), hash(e), e.terms(), list(e._terms.items())) for e in batch]
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_batches(), mixed_points())
+def test_exact_kernel_matches_the_plain_fraction_loop(batch, point):
+    looks = _looks(batch)
+    want = _outcome(lambda: [_plain(e, point) for e in batch])
+    assert _batched(batch, point, True) == want
+    assert _one_by_one(batch, point, True) == want
+    # the cached tables change nothing an expression shows
+    assert _looks(batch) == looks
+    assert all(e == _fresh(e) and hash(e) == hash(_fresh(e)) for e in batch)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_batches(), mixed_points(), mixed_points())
+def test_cached_tables_do_not_depend_on_the_point(batch, first, second):
+    assert _batched(batch, first, True) == _outcome(lambda: [_plain(e, first) for e in batch])
+    want = _outcome(lambda: [_plain(e, second) for e in batch])
+    assert _batched(batch, second, True) == want
+    assert _batched([_fresh(e) for e in batch], second, True) == want
+
+
+def test_one_expression_at_two_common_denominators():
+    q = sx.inverse(sx.base(1) + sx.base(2))
+    e = sx.base(1) ** 6 / 3 + q * sx.base(2) ** 2 - 5
+    integral = {X1: Q(2), X2: Q(3)}
+    huge = {X1: Q(1, 7), X2: Q(-5, 10 ** 20 + 1)}
+    for point in (integral, huge, integral):
+        assert sx.evaluate(e, point) == _plain(e, point)
+    assert sx.evaluate(e, integral) == Q(64, 3) + Q(9, 5) - 5
+    assert sx.evaluate_many([sx.ZERO, sx.Expr.const(Q(-7, 9))], huge) == [0, Q(-7, 9)]
+
+
+FAULTS = {
+    # (factor, error type, part of its message): a quotient whose
+    # payload vanishes at the point, a variable the point leaves out,
+    # a transcendental primitive in exact mode
+    "zero payload": (sx.inverse(sx.param("a") - 3), EvalZeroDivision, "division by zero"),
+    "unassigned": (sx.jet(1, (1, 1)), EvaluationError, "no value assigned to u[(1,1)]"),
+    "primitive": (sx.prim("sin", sx.base(1)), EvaluationError, "primitive 'sin'"),
+}
+
+
+def _error(fn):
+    try:
+        fn()
+    except EvaluationError as err:
+        return type(err), str(err)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(polynomials(U[:4] + [X1, X2], coefs=BIG_COEFS), min_size=1, max_size=4),
+       st.permutations(list(FAULTS)), st.integers(1, 3), st.data())
+def test_first_fault_in_a_later_expression_decides_the_error(clean, kinds, nfaults, data):
+    q = sx.inverse(sx.base(1) ** 2 + 1)
+    clean = [e * q + c for e, c in zip(clean, [1, -2, Q(1, 3), 7])]
+    # the first faulty expression meets its faults in the order of
+    # `kinds`; each one after it holds one of the other kinds
+    faulty = [clean[-1] + sx.sum_exprs(FAULTS[k][0] * clean[0] for k in kinds[:nfaults])]
+    faulty += [clean[0] + FAULTS[k][0] * clean[0] for k in kinds[1:]]
+    point = {v: data.draw(MIXED) for v in [X1, X2] + U[:4]}
+    point[A] = Q(3)
+    batch = clean + faulty
+    _, kind, text = FAULTS[kinds[0]]
+    got = _error(lambda: sx.evaluate_many(batch, point))
+    assert got[0] is kind and text in got[1]
+    assert got == _error(lambda: [sx.evaluate(e, point) for e in batch])
+    assert _outcome(lambda: [_plain(e, point) for e in batch]) is kind
+    # the expressions before the faulty ones have the loop's values
+    assert sx.evaluate_many(clean, point) == [_plain(e, point) for e in clean]
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_batches(), st.one_of(mixed_points(), mixed_points(MODERATE)))
+# any other order of the terms rounds this sum differently
+@example([sx.base(1) + sx.base(2) + Q(1, 10 ** 17)], {X1: Q(1), X2: Q(-1)})
+def test_float_mode_is_the_plain_float_loop_bit_for_bit(batch, point):
+    want = _float_outcome(lambda: [_plain(e, point, False) for e in batch])
+    assert _float_outcome(lambda: sx.evaluate_many(batch, point, exact=False)) == want
+    assert _float_outcome(lambda: [sx.evaluate(e, point, exact=False) for e in batch]) == want
+
+
+# ---------------------------------------------------------------------------
 # calculus against sympy
 
 
@@ -217,7 +400,11 @@ def _to_sympy(e):
 
 
 def _same(ours, theirs):
-    return sympy.cancel(sympy.together(_to_sympy(ours) - theirs)) == 0
+    # over one denominator the difference is zero iff its numerator
+    # expands to zero; `cancel` alone can leave an unevaluated
+    # -1/8 + 1/8 (sympy 1.14, difference of 2 + (x1 + 1/2)^3 and its
+    # expansion)
+    return sympy.expand(sympy.numer(sympy.together(_to_sympy(ours) - theirs))) == 0
 
 
 def _sympy_total_derivative(e, i):
