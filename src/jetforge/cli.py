@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .mindex import MultiIndex, GradedIndexRange, dim_F
+from .mindex import MultiIndex
 from . import symexpr as sx
 from .symexpr import Expr, ParseError, ParamVar, JetVar
 from . import jetcalc as jc
@@ -474,7 +474,6 @@ class CliFlags:
     free_data: str = "zero"
     pmax: int = None
     qmax: int = None
-    json_path: str = None
 
 
 def _provenance(flags, sampled=False, tol=1e-9):
@@ -765,8 +764,7 @@ def main(argv=None):
         return 2
 
     flags = CliFlags(order=ns.order, samples=ns.samples, seed=ns.seed, mode=mode,
-                     free_data=ns.free_data, pmax=ns.pmax, qmax=ns.qmax,
-                     json_path=ns.json)
+                     free_data=ns.free_data, pmax=ns.pmax, qmax=ns.qmax)
     try:
         report = run_command(spec, ns.command, flags, source=ns.file)
     except (ProblemError, OSError) as err:

@@ -50,11 +50,6 @@ class TruncSeries:
         return cls(m, order, base, {MultiIndex.zero(m): Fraction(value)})
 
     @classmethod
-    def coordinate(cls, i, m, order, base):
-        """The series of x_i - p_i (centered coordinate)."""
-        return cls(m, order, base, {MultiIndex.unit(m, i): Fraction(1)})
-
-    @classmethod
     def from_jet_values(cls, m, order, base, jets):
         """Taylor data from derivative values: c_I = u_I / I!."""
         coeffs = {}

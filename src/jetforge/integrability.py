@@ -69,7 +69,7 @@ class MetricSpec:
 
     def determinant(self):
         if self._det is None:
-            self._det = _det_expr(self.entries)
+            self._det = sx.det(self.entries)
             if sx.is_identically_zero(self._det):
                 raise ValueError("metric expression is singular")
         return self._det
@@ -86,7 +86,7 @@ class MetricSpec:
                         for rr in range(n)
                         if rr != r
                     ]
-                    cof = _det_expr(minor) if minor else sx.ONE
+                    cof = sx.det(minor)
                     sign = -1 if (r + c) % 2 else 1
                     # adjugate transposes, but cofactor matrices of
                     # symmetric matrices are symmetric
@@ -132,22 +132,6 @@ class MetricSpec:
     @classmethod
     def minkowski(cls, m):
         return cls.diagonal([1] + [-1] * (m - 1))
-
-
-def _det_expr(grid):
-    n = len(grid)
-    if n == 0:
-        return sx.ONE
-    if n == 1:
-        return grid[0][0]
-    total = sx.ZERO
-    for c in range(n):
-        if grid[0][c].is_zero():
-            continue
-        minor = [[grid[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
-        sign = -1 if c % 2 else 1
-        total = total + sign * grid[0][c] * _det_expr(minor)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mindex import MultiIndex, GradedIndexRange, enumerate_indices, dim_F, factorial
+from .mindex import MultiIndex, GradedIndexRange, enumerate_indices, dim_F
 from . import symexpr as sx
 from .symexpr import Expr, BaseVar, JetVar, as_expr, differentiate
 
@@ -206,10 +206,6 @@ class SectionPoly:
                 e = differentiate(e, BaseVar(i))
         return e
 
-    def value_at(self, p, exact=True):
-        assignment = {BaseVar(i + 1): v for i, v in enumerate(p)}
-        return tuple(sx.evaluate(c, assignment, exact=exact) for c in self.components)
-
 
 def jet_of_section(psi, p, k, exact=True):
     """The k-jet of the section at p: jets[(alpha, I)] = d^I psi^alpha (p)."""
@@ -271,6 +267,26 @@ def _prolong_once(h, prev, l):
     return DiffOp(h.m, h.n, h.order + l, components, labels=labels)
 
 
+def symbol_table(h):
+    """The symbol of h: {(alpha, beta, J): dh_beta/du^alpha_J} over the
+    top-order jets |J| = h.order, nonzero entries only, ordered by beta,
+    then J graded-lex, then alpha.
+
+    This is the one place where components are differentiated by
+    top-order jets: symbols, symbol matrices, the variety sampler and
+    lift plans all read this table.
+    """
+    tops = enumerate_indices(GradedIndexRange(h.m, h.order, h.order))
+    table = {}
+    for beta, comp in enumerate(h.components, start=1):
+        for J in tops:
+            for alpha in range(1, h.n + 1):
+                c = differentiate(comp, JetVar(alpha, J))
+                if not c.is_zero():
+                    table[(alpha, beta, J)] = c
+    return table
+
+
 class LiftPlan:
     """The equations of one lift step of an operator, compiled once.
 
@@ -280,6 +296,15 @@ class LiftPlan:
     affine in them.  `exprs` holds, row after row, the Jacobian entries
     d(D_I h_beta)/du^alpha_T in column order followed by the row's
     component; only evaluation is left to do at each point.
+
+    The Jacobian is read off the symbol by an index shift, not by
+    differentiating the prolonged rows: for |I| >= 1,
+    d(D_I h_beta)/du^alpha_T = dh_beta/du^alpha_{T-I} when T >= I
+    componentwise, and 0 otherwise (the symbol of the prolonged
+    equation is the prolonged symbol; Seiler, Involution, Springer
+    2010).  By induction on |I|: of the terms u^alpha_{J+1_i} dg/du^alpha_J
+    that D_i adds to an order-k expression g, only those with |J| = k
+    carry order-(k+1) jets, and dg/du^alpha_J has order <= k.
     """
 
     __slots__ = ("unknowns", "unknown_vars", "row_labels", "exprs")
@@ -292,6 +317,7 @@ class LiftPlan:
             for alpha in range(1, h.n + 1)
         )
         self.unknown_vars = tuple(JetVar(alpha, T) for alpha, T in self.unknowns)
+        symbol = symbol_table(h)
         prolonged = prolong_op(h, l + 1)
         row_labels = []
         exprs = []
@@ -299,7 +325,9 @@ class LiftPlan:
             if I.degree != l + 1:
                 continue
             row_labels.append((beta, I))
-            exprs.extend(differentiate(comp, v) for v in self.unknown_vars)
+            for alpha, T in self.unknowns:
+                J = tuple(t - i for t, i in zip(T, I))
+                exprs.append(sx.ZERO if min(J) < 0 else symbol.get((alpha, beta, J), sx.ZERO))
             exprs.append(comp)
         self.row_labels = tuple(row_labels)
         self.exprs = tuple(exprs)

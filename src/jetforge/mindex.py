@@ -10,7 +10,6 @@ that pivoting and golden outputs are reproducible.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 

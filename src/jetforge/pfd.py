@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .mindex import MultiIndex, GradedIndexRange, enumerate_indices, dim_F, factorial
+from .mindex import MultiIndex, GradedIndexRange, dim_F, factorial
 from . import symexpr as sx
 from . import jetcalc as jc
 from . import spencer as sp
@@ -64,10 +64,6 @@ class TowerSpec:
     def dim(self, i):
         return self.dims[i]
 
-    def step_map(self, i):
-        """Connecting map from level i+1 to level i."""
-        return self.steps[i]
-
     def connect(self, i, j):
         """Connecting map from level j down to level i <= j, as exprs in
         the level-j slots; the identity when i == j."""
@@ -107,12 +103,6 @@ class TowerSpec:
             if self.step_jacobian(i, p).rank() != self.dims[i]:
                 return False, p
         return True, None
-
-    def extended(self, new_dim, new_step, label=None):
-        dims = self.dims + [new_dim]
-        steps = self.steps + [tuple(sx.as_expr(e) for e in new_step)]
-        labels = self.labels + [label or "level %d" % (len(dims) - 1)]
-        return TowerSpec(dims, steps, labels)
 
 
 class ThreadError(ValueError):
@@ -213,21 +203,11 @@ class JetTower:
         """Chart atoms of the level in slot order."""
         return self.charts[level].coordinates()
 
-    def slot_of(self, level, atom):
-        return self.slots(level).index(atom) + 1
-
     def to_tower_expr(self, e, level):
         """Rewrite a jet-chart expression in the anonymous slot variables."""
         bindings = {}
         for pos, atom in enumerate(self.slots(level), start=1):
             bindings[atom] = sx.base(pos)
-        return sx.substitute(sx.as_expr(e), bindings)
-
-    def from_tower_expr(self, e, level):
-        """Rewrite a slot expression back in jet-chart variables."""
-        bindings = {}
-        for pos, atom in enumerate(self.slots(level), start=1):
-            bindings[BaseVar(pos)] = Expr.variable(atom)
         return sx.substitute(sx.as_expr(e), bindings)
 
     def point_to_tuple(self, jp):
@@ -448,28 +428,12 @@ class LocalForm:
         for key, coeff in self.table.items():
             c_up = sx.substitute(coeff, bindings)
             for new_key in itertools.combinations(range(1, tower.dims[j] + 1), self.degree):
-                det = _minor_det([[dconn[t - 1][s - 1] for s in new_key] for t in key])
+                det = sx.det([[dconn[t - 1][s - 1] for s in new_key] for t in key])
                 if det.is_zero():
                     continue
                 prev = out.get(new_key, sx.ZERO)
                 out[new_key] = prev + c_up * det
         return LocalForm(tower, j, self.degree, out)
-
-
-def _minor_det(grid):
-    n = len(grid)
-    if n == 0:
-        return sx.ONE
-    if n == 1:
-        return grid[0][0]
-    total = sx.ZERO
-    for c in range(n):
-        if grid[0][c].is_zero():
-            continue
-        minor = [[grid[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
-        sign = -1 if c % 2 else 1
-        total = total + sign * grid[0][c] * _minor_det(minor)
-    return total
 
 
 def d(form):
@@ -697,20 +661,23 @@ class TowerSplitting:
     def verify(self):
         """Exact identities: projecting the level-k assembly down to
         level i recovers the level-i assembly on the shared columns and
-        kills the later kernel blocks."""
-        steps = self.tower.steps
-        for k in range(self.tower.length):
-            # lhs = connect(i, k) * lifts[k], one step further down per
-            # level; at i == k the identity is trivial
-            lhs = self.lifts[k]
-            for i in range(k - 1, -1, -1):
-                lhs = steps[i].matmul(lhs)
-                want_cols = self.lifts[i].ncols
-                for r in range(lhs.nrows):
-                    for c in range(lhs.ncols):
-                        want = self.lifts[i].rows[r][c] if c < want_cols else Fraction(0)
-                        if lhs.rows[r][c] != want:
-                            return False
+        kills the later kernel blocks, connect(i, k) * lifts[k] =
+        [lifts[i] | 0] for all i < k.
+
+        Only the consecutive identities steps[k-1] * lifts[k] =
+        [lifts[k-1] | 0] are checked, L - 1 products for L levels; they
+        imply the rest by induction on k - i, since connect(i, k) =
+        connect(i, k-1) * steps[k-1] gives
+        connect(i, k) * lifts[k] = connect(i, k-1) * [lifts[k-1] | 0]
+        = [connect(i, k-1) * lifts[k-1] | 0] = [lifts[i] | 0].
+        """
+        for k in range(1, self.tower.length):
+            lhs = self.tower.steps[k - 1].matmul(self.lifts[k])
+            want = self.lifts[k - 1]
+            for r in range(lhs.nrows):
+                for c in range(lhs.ncols):
+                    if lhs.rows[r][c] != (want.rows[r][c] if c < want.ncols else 0):
+                        return False
         return True
 
 

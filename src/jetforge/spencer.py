@@ -19,9 +19,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .mindex import MultiIndex, GradedIndexRange, enumerate_indices, dim_F, multinomial
+from .mindex import GradedIndexRange, enumerate_indices, dim_F, multinomial
 from . import symexpr as sx
-from .symexpr import JetVar, differentiate
+from . import jetcalc as jc
 
 
 class SymbolZeroError(ValueError):
@@ -391,9 +391,6 @@ class SymbolicSystem:
                     rows.append(row)
             self._add_level(level, RationalMatrix(rows, col_labels=labels))
 
-    def dims_table(self, qmax):
-        return {q: self.dim_g(q) for q in range(0, qmax + 1)}
-
 
 def symbol_constraint_matrix(h, a):
     """Rows: the symbol functionals of each component at the jet point a.
@@ -404,12 +401,12 @@ def symbol_constraint_matrix(h, a):
     """
     assignment = a.assignment()
     labels = sym_component_labels(h.m, h.order, h.n)
+    table = jc.symbol_table(h)
     rows = []
-    for comp in h.components:
+    for beta in range(1, h.n_out + 1):
         row = []
         for (J, alpha) in labels:
-            c = differentiate(comp, JetVar(alpha, J))
-            val = sx.evaluate(c, assignment, exact=True)
+            val = sx.evaluate(table.get((alpha, beta, J), sx.ZERO), assignment, exact=True)
             row.append(Fraction(val, 1) / multinomial(J))
         rows.append(row)
     return RationalMatrix(rows, row_labels=tuple(range(1, h.n_out + 1)), col_labels=labels)

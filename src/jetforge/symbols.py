@@ -82,15 +82,7 @@ class SymbolPoly:
 
 def symbol_of(h):
     """The operator symbol: partials by the order-k jet variables."""
-    table = {}
-    rng = GradedIndexRange(h.m, h.order, h.order)
-    for beta, comp in enumerate(h.components, start=1):
-        for I in enumerate_indices(rng):
-            for alpha in range(1, h.n + 1):
-                c = differentiate(comp, JetVar(alpha, I))
-                if not c.is_zero():
-                    table[(alpha, beta, I)] = c
-    return SymbolPoly(h.m, h.n, h.n_out, h.order, table)
+    return SymbolPoly(h.m, h.n, h.n_out, h.order, jc.symbol_table(h))
 
 
 def symbol_linear(m, n, k, coeffs, n_out=None):
@@ -230,15 +222,10 @@ def _solvable_top_var(h):
     nonzero coefficient; scalar use picks the equation to solve."""
     if h.n_out != 1:
         raise SamplerError("variety sampler supports scalar operators only")
-    comp = h.components[0]
-    for J in enumerate_indices(GradedIndexRange(h.m, h.order, h.order)):
-        for alpha in range(1, h.n + 1):
-            v = JetVar(alpha, J)
-            c = differentiate(comp, v)
-            if c.is_zero():
-                continue
-            if differentiate(c, v).is_zero():
-                return v, c
+    for (alpha, _, J), c in jc.symbol_table(h).items():
+        v = JetVar(alpha, J)
+        if differentiate(c, v).is_zero():
+            return v, c
     raise SamplerError("no top-order variable with an affine nonzero coefficient")
 
 

@@ -280,10 +280,6 @@ class Expr:
                     return True
         return False
 
-    def is_polynomial(self):
-        """True when the expression is a polynomial in plain variables."""
-        return not self.has_recip() and not self.has_primitive()
-
     def free_vars(self):
         out = set()
         for m in self._terms:
@@ -461,6 +457,25 @@ def inverse(e):
         return d * inverse(p)
     lead = items[0][1]
     return Expr.const(Fraction(1) / lead) * Expr.variable(Recip(e * Fraction(1, 1) / lead))
+
+
+def det(grid):
+    """Determinant of a square grid of expressions, by cofactor
+    expansion along the first row (zero entries skipped); 1 for the
+    empty grid."""
+    n = len(grid)
+    if n == 0:
+        return ONE
+    if n == 1:
+        return grid[0][0]
+    total = ZERO
+    for c in range(n):
+        if grid[0][c].is_zero():
+            continue
+        minor = [[grid[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
+        sign = -1 if c % 2 else 1
+        total = total + sign * grid[0][c] * det(minor)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Guards on code outside the package that depends on its names: the
-benchmark tracer's targets and the demo scripts."""
+"""Guards on names: the benchmark tracer's targets, the demo scripts,
+and no function, class or method in the package that nothing uses."""
 
+import ast
+import collections
 import glob
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -33,3 +36,54 @@ def test_demo_exits_zero(demo):
     proc = subprocess.run([sys.executable, demo], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+_IDENT_PATH = "[A-Za-z_][A-Za-z0-9_]*(\\.[A-Za-z_][A-Za-z0-9_]*)*"
+
+
+def _names_used(tree):
+    """Counter of the identifiers a tree uses: names, attributes,
+    imported names, and the parts of dotted-name strings such as the
+    tracer's "spencer.Echelon.solve"."""
+    out = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(_IDENT_PATH, node.value):
+            out.update(node.value.split("."))
+    return out
+
+
+def _definitions(tree, path=()):
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield path + (node.name,), node
+            yield from _definitions(node, path + (node.name,))
+
+
+def test_every_package_definition_is_referenced():
+    trees = {}
+    for top in ("src", "tests", "demos", "bench"):
+        for path in glob.glob(os.path.join(ROOT, top, "**", "*.py"), recursive=True):
+            with open(path, encoding="utf-8") as fh:
+                trees[path] = ast.parse(fh.read(), filename=path)
+    used = collections.Counter()
+    for tree in trees.values():
+        used.update(_names_used(tree))
+    unused = []
+    for path, tree in trees.items():
+        if not path.startswith(os.path.join(ROOT, "src", "jetforge") + os.sep):
+            continue
+        for qualname, node in _definitions(tree):
+            name = qualname[-1]
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            # uses inside the definition itself (recursion) do not count
+            if used[name] <= _names_used(node)[name]:
+                unused.append("%s: %s" % (os.path.relpath(path, ROOT), ".".join(qualname)))
+    assert not unused, "defined but never referenced: %s" % ", ".join(unused)

@@ -6,7 +6,11 @@ per (operator, level); `variety_codim` differentiates its Jacobian once
 per call.  The references here recompute everything per point: a fresh
 prolongation by iterated total derivatives from the operator itself
 (axes in increasing order), then one `differentiate` and one `evaluate`
-per entry.  Every comparison is exact.
+per entry.  Lift plans read their Jacobian off the operator's symbol
+by an index shift, so random polynomial operators (nonlinear in the
+top-order jets, or declared above their actual order) check the shift,
+and the symbol matrix, against that reference.  Every comparison is
+exact.
 """
 
 import os
@@ -14,13 +18,15 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetforge import cli
 from jetforge import integrability as ig
 from jetforge import jetcalc as jc
 from jetforge import spencer as sp
 from jetforge import symexpr as sx
-from jetforge.mindex import GradedIndexRange, MultiIndex, enumerate_indices
+from jetforge.mindex import GradedIndexRange, MultiIndex, enumerate_indices, multinomial
 from jetforge.symexpr import JetVar
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -140,6 +146,53 @@ def test_lift_system_at_matches_per_entry_reference(name, make):
             assert unknowns == ref_unknowns
             assert list(A.col_labels) == ref_unknowns
         assert jc.lift_plan(h, l) is jc.lift_plan(h, l)
+
+
+@st.composite
+def _polynomial_ops(draw):
+    """Random polynomial operators, possibly nonlinear in the top-order
+    jets and possibly declared above their actual order."""
+    m, n, n_out = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    k = draw(st.integers(1, 2))
+    chart = jc.JetChartSpec(m, n, k)
+    atoms = [sx.base(i) for i in range(1, m + 1)]
+    atoms += [sx.jet(alpha, I) for alpha, I in chart.fiber_labels()]
+    tops = [sx.jet(alpha, I) for alpha, I in chart.fiber_labels() if I.degree == k]
+    coef = st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4)])
+    components = []
+    for _ in range(n_out):
+        e = sx.ZERO
+        for _ in range(draw(st.integers(1, 3))):
+            mono = sx.ONE
+            for a in draw(st.lists(st.sampled_from(atoms), max_size=3)):
+                mono = mono * a
+            e = e + draw(coef) * mono
+        if draw(st.booleans()):
+            e = e + draw(coef) * draw(st.sampled_from(tops)) * draw(st.sampled_from(tops))
+        components.append(e)
+    return jc.DiffOp(m, n, k + draw(st.integers(0, 1)), components)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_polynomial_ops(), st.integers(0, 2 ** 32))
+def test_shifted_symbol_matches_per_entry_reference_on_random_operators(h, seed):
+    rng = random.Random(seed)
+    for l in (0, 1):
+        b = _random_point(h, h.order + l, rng)
+        A, rhs, unknowns = ig.lift_system_at(h, b)
+        rows, ref_rhs, row_labels, ref_unknowns = _ref_lift_system(h, b)
+        assert [list(r) for r in A.rows] == rows
+        assert rhs == ref_rhs
+        assert list(A.row_labels) == row_labels
+        assert unknowns == ref_unknowns
+    a = _random_point(h, h.order, rng)
+    S = sp.symbol_constraint_matrix(h, a)
+    assignment = a.assignment()
+    assert list(S.row_labels) == list(range(1, h.n_out + 1))
+    for beta, comp in enumerate(h.components, start=1):
+        for (J, alpha), got in zip(S.col_labels, S.rows[beta - 1]):
+            want = sx.evaluate(sx.differentiate(comp, JetVar(alpha, J)), assignment) / multinomial(J)
+            assert got == want, (beta, alpha, J)
 
 
 def test_lift_system_returns_a_fresh_label_list():
