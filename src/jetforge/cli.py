@@ -22,12 +22,14 @@ check failed or a computation was obstructed, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .mindex import MultiIndex
 from . import symexpr as sx
@@ -495,8 +497,12 @@ def _random_jet_point(h, seed):
     return jc.JetPoint(chart, base, jets)
 
 
+def _prolong_order(q, flags):
+    return q.args[0] if q.args else q.arg_dict().get("l", flags.order)
+
+
 def _run_prolong(spec, h, q, flags):
-    l = q.args[0] if q.args else q.arg_dict().get("l", flags.order)
+    l = _prolong_order(q, flags)
     P = jc.prolong_op(h, l)
     comps = []
     for (beta, I), e in zip(P.labels, P.components):
@@ -532,10 +538,17 @@ def _first_given(*values):
     return next(v for v in values if v is not None)
 
 
-def _run_spencer(spec, h, q, flags):
+def _spencer_bounds(q, flags, m, order):
+    """(pmax, qmax) of a spencer query: the flags, then the query's
+    arguments, then m and order + 2."""
     kw = q.arg_dict()
-    pmax = _first_given(flags.pmax, kw.get("pmax"), q.args[0] if len(q.args) > 0 else h.m)
-    qmax = _first_given(flags.qmax, kw.get("qmax"), q.args[1] if len(q.args) > 1 else h.order + 2)
+    pmax = _first_given(flags.pmax, kw.get("pmax"), q.args[0] if len(q.args) > 0 else m)
+    qmax = _first_given(flags.qmax, kw.get("qmax"), q.args[1] if len(q.args) > 1 else order + 2)
+    return pmax, qmax
+
+
+def _run_spencer(spec, h, q, flags):
+    pmax, qmax = _spencer_bounds(q, flags, h.m, h.order)
     if pmax < 0 or qmax < 0:
         raise ValueError("pmax and qmax must be nonnegative")
     a = _random_jet_point(h, flags.seed)
@@ -680,6 +693,8 @@ def run_command(spec, command, flags, source="<memory>"):
         queries = [q for q in spec.queries if q.name in kinds]
     else:
         queries = [Query(kinds[0])]
+    for q in queries:
+        _refuse_oversized(spec, q, flags)
     h = spec.build_operator()
     results = []
     for q in queries:
@@ -696,10 +711,82 @@ def run_command(spec, command, flags, source="<memory>"):
 
 
 # ---------------------------------------------------------------------------
+# size guards
+
+# Requests whose estimate is above these are refused before any work.
+# The largest in the corpus, the tests and the benchmark are below a
+# tenth of them: the spencer tables of the benchmark (wave operator at
+# m=4, pmax=4, qmax=5) reach 112896 matrix entries, and the corpus
+# prolongs to at most 15 components.
+MAX_MATRIX_ENTRIES = 2_000_000
+MAX_PROLONGED_COMPONENTS = 2_000
+
+
+def spencer_matrix_entries(m, n, pmax, qmax):
+    """Estimated entries of the largest matrix a Spencer table through
+    (pmax, qmax) builds, with dim g_q bounded by dim Sym^q (x) R^n, so
+    the operator order does not enter.
+
+    The table reads the restricted delta on wedge(p) (x) g_q for
+    p <= min(pmax, m - 1) and q <= qmax + 1, of at most
+    C(m, p+1) dim Sym^(q-1) rows and C(m, p) dim g_q columns, and the
+    prolonged constraints A_q, of at most m dim Sym^(q-1) rows and
+    dim Sym^q columns.  Both grow with q, so q = qmax + 1 bounds them.
+    """
+    top = qmax + 1
+
+    def sym(q):
+        return comb(m + q - 1, q) * n if q >= 0 else 0
+
+    entries = m * sym(top - 1) * sym(top)
+    for p in range(min(pmax, m - 1) + 1):
+        entries = max(entries, comb(m, p + 1) * sym(top - 1) * comb(m, p) * sym(top))
+    return entries
+
+
+def prolonged_components(m, n_out, l):
+    """Components of the order-l prolongation: D_I h_beta for |I| <= l."""
+    return n_out * comb(m + l, l)
+
+
+def _refuse_oversized(spec, q, flags):
+    """Raise ProblemError when a spencer or prolong query would build
+    more than the module bounds allow.  Bounds of the wrong type or sign
+    are left to the query itself, which reports them."""
+    if spec.operator_kind == "klein_gordon":
+        m, n, n_out, order = spec.metric.m, 1, 1, 2
+    else:
+        m, n, n_out, order = spec.m, spec.n, len(spec.operator_exprs), spec.k
+    if q.name == "spencer":
+        pmax, qmax = _spencer_bounds(q, flags, m, order)
+        if _nonnegative_int(pmax) and _nonnegative_int(qmax):
+            entries = spencer_matrix_entries(m, n, pmax, qmax)
+            if entries > MAX_MATRIX_ENTRIES:
+                raise ProblemError(
+                    "spencer(pmax=%d, qmax=%d) is too large: its largest matrix has up to "
+                    "%d entries, above the limit of %d" % (pmax, qmax, entries, MAX_MATRIX_ENTRIES))
+    elif q.name == "prolong":
+        l = _prolong_order(q, flags)
+        if _nonnegative_int(l):
+            count = prolonged_components(m, n_out, l)
+            if count > MAX_PROLONGED_COMPONENTS:
+                raise ProblemError(
+                    "prolong(%d) is too large: %d components, above the limit of %d"
+                    % (l, count, MAX_PROLONGED_COMPONENTS))
+
+
+def _nonnegative_int(v):
+    return type(v) is int and v >= 0
+
+
+# ---------------------------------------------------------------------------
 # entry point
 
 
+@functools.cache
 def _build_argparser():
+    """The command-line parser, built once per process; parsing leaves
+    it unchanged."""
     ap = argparse.ArgumentParser(
         prog="jetforge",
         description="symbolic jet calculus: prolongation, symbols, Spencer "

@@ -23,7 +23,7 @@ from . import symexpr as sx
 from . import jetcalc as jc
 from . import spencer as sp
 from . import symbols as sy
-from .symexpr import BaseVar, differentiate
+from .symexpr import BaseVar, JetVar, differentiate
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +487,30 @@ def variety_codim(h, l, samples=10, seed=0):
 
     The expected codimension of the order-(k+l) equation variety is the
     number of defining equations, dim_F(m, 0, l) for a scalar operator.
+
+    The Jacobian over every chart coordinate is built once for all
+    points.  Component D_I h has order k + |I|: its columns of that
+    order are the shifted symbol entries (`jc.shifted_symbol`), its
+    columns of higher order are zero, and only the lower-order ones
+    are differentiated.
     """
     if h.n_out != 1:
         raise ValueError("codimension diagnostics are for scalar operators")
     prolonged = jc.prolong_op(h, l)
     coords = prolonged.chart().coordinates()
     pts = sample_prolonged_points(h, l, samples, seed)
-    # the Jacobian over every chart coordinate, differentiated once for all points
-    jacobian = [differentiate(comp, v) for comp in prolonged.components for v in coords]
+    symbol = jc.symbol_table(h)
+    jacobian = []
+    for comp, (beta, I) in zip(prolonged.components, prolonged.labels):
+        top = h.order + I.degree
+        for v in coords:
+            order = v.index.degree if isinstance(v, JetVar) else -1
+            if order < top:
+                jacobian.append(differentiate(comp, v))
+            elif order == top:
+                jacobian.append(jc.shifted_symbol(symbol, v.alpha, beta, v.index, I))
+            else:
+                jacobian.append(sx.ZERO)
     width = len(coords)
     observed = []
     for p in pts:

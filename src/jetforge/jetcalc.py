@@ -287,6 +287,14 @@ def symbol_table(h):
     return table
 
 
+def shifted_symbol(table, alpha, beta, T, I):
+    """d(D_I h_beta)/du^alpha_T for |T| = h.order + |I|, read off the
+    symbol table of h: the entry at T - I when T >= I componentwise,
+    else 0 (see `LiftPlan`)."""
+    J = tuple(t - i for t, i in zip(T, I))
+    return sx.ZERO if min(J) < 0 else table.get((alpha, beta, J), sx.ZERO)
+
+
 class LiftPlan:
     """The equations of one lift step of an operator, compiled once.
 
@@ -326,8 +334,7 @@ class LiftPlan:
                 continue
             row_labels.append((beta, I))
             for alpha, T in self.unknowns:
-                J = tuple(t - i for t, i in zip(T, I))
-                exprs.append(sx.ZERO if min(J) < 0 else symbol.get((alpha, beta, J), sx.ZERO))
+                exprs.append(shifted_symbol(symbol, alpha, beta, T, I))
             exprs.append(comp)
         self.row_labels = tuple(row_labels)
         self.exprs = tuple(exprs)

@@ -1,23 +1,27 @@
 """Exact rational linear algebra, symbolic systems, and Spencer cohomology.
 
-The linear algebra is one Gauss-Jordan pass over `fractions.Fraction`
-per matrix, with deterministic pivoting (first usable column, first
-usable row), so kernel bases and golden outputs are reproducible.  The
-pass touches only the nonzero entries of each pivot row, and products
-only the nonzero pairs of factors.  It records its row operations: rank,
-kernel basis and solutions are all read from that one `Echelon`, and a
-solve reduces a right-hand side by replaying the recorded operations on
-it.  On top of it sit the symbolic system g(h; a) of an operator at a
-jet point, its level-by-level prolongations (each level built from the
-reduced rows of the level below, so rows never outgrow m times the rank
-below), the delta-complex on wedge-times-symmetric coordinates, and
-exact cohomology dimensions.
+Matrices are sparse integer rows with one positive denominator per row
+(see `RationalMatrix`).  The linear algebra is one fraction-free
+Gauss-Jordan pass over those integer rows per matrix, with
+deterministic pivoting (first usable column, first usable row); the
+reduced row echelon form is unique, so kernel bases and golden outputs
+are those of any exact elimination.  The pass touches only the nonzero
+entries of rows, and products only the nonzero pairs of factors.  It
+records its row operations: rank, kernel basis and solutions are all
+read from that one `Echelon`, and a solve reduces a right-hand side by
+replaying the recorded operations on it.  On top of it sit the symbolic
+system g(h; a) of an operator at a jet point, its level-by-level
+prolongations (each level built from the integer reduced rows of the
+level below, so rows never outgrow m times the rank below), the
+delta-complex on wedge-times-symmetric coordinates, built as sparse
+integer rows, and exact cohomology dimensions.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb, gcd, lcm
 
 from .mindex import GradedIndexRange, enumerate_indices, dim_F, multinomial
 from . import symexpr as sx
@@ -33,34 +37,93 @@ class SymbolZeroError(ValueError):
 
 
 class RationalMatrix:
-    """Dense exact matrix with optional row/column labels."""
+    """Exact matrix with optional row/column labels.
 
-    __slots__ = ("rows", "row_labels", "col_labels")
+    The one storage is sparse integer rows: `nums[i]` maps the column
+    position of each nonzero entry of row i to an int, and `dens[i]` is
+    the row's positive denominator, so entry (i, j) is
+    nums[i].get(j, 0) / dens[i].  Each row is kept in lowest terms (the
+    denominator is the lcm of the entries' denominators), which makes the
+    pair unique: two matrices of the same shape are equal exactly when
+    their integer rows and denominators are.  `rows` is a read-only view
+    of the entries as tuples of `Fraction`, built on first read and
+    cached; nothing in the arithmetic below reads it.
+    """
+
+    __slots__ = ("nums", "dens", "row_labels", "col_labels", "_rows")
 
     def __init__(self, rows, row_labels=None, col_labels=None):
-        self.rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r)
-                          for r in rows)
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-        if widths:
-            nc = widths.pop()
-        elif col_labels is not None:
-            nc = len(col_labels)
-        else:
-            nc = 0
+        nums = []
+        dens = []
+        nc = None
+        for r in rows:
+            r = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in r]
+            if nc is None:
+                nc = len(r)
+            elif len(r) != nc:
+                raise ValueError("ragged rows")
+            nz = [(j, x) for j, x in enumerate(r) if x]
+            den = lcm(*[x.denominator for _, x in nz])
+            nums.append({j: x.numerator * (den // x.denominator) for j, x in nz})
+            dens.append(den)
+        if nc is None:
+            nc = len(col_labels) if col_labels is not None else 0
+        self._set(nums, dens, nc, row_labels, col_labels)
+
+    def _set(self, nums, dens, nc, row_labels, col_labels):
         if row_labels is None:
-            row_labels = tuple(range(len(self.rows)))
+            row_labels = range(len(dens))
         if col_labels is None:
-            col_labels = tuple(range(nc))
-        if len(row_labels) != len(self.rows) or len(col_labels) != nc:
+            col_labels = range(nc)
+        if len(row_labels) != len(dens) or len(col_labels) != nc:
             raise ValueError("label count mismatch")
+        self.nums = tuple(nums)
+        self.dens = tuple(dens)
         self.row_labels = tuple(row_labels)
         self.col_labels = tuple(col_labels)
+        self._rows = None
+
+    @classmethod
+    def from_int_rows(cls, nums, dens, col_labels, row_labels=None):
+        """The matrix whose row i is nums[i] / dens[i].
+
+        Each nums[i] maps column positions to ints (zeros allowed) and
+        dens[i] is a nonzero int; rows are brought to lowest terms with
+        a positive denominator.
+        """
+        out_nums = []
+        out_dens = []
+        for num, den in zip(nums, dens):
+            num = {j: v for j, v in num.items() if v}
+            g = gcd(den, *num.values())
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = {j: v // g for j, v in num.items()}
+                den //= g
+            out_nums.append(num)
+            out_dens.append(den)
+        M = cls.__new__(cls)
+        M._set(out_nums, out_dens, len(col_labels), row_labels, col_labels)
+        return M
+
+    @property
+    def rows(self):
+        """The entries as a tuple of `Fraction` tuples (read-only)."""
+        if self._rows is None:
+            zero = Fraction(0)
+            view = []
+            for num, den in zip(self.nums, self.dens):
+                r = [zero] * self.ncols
+                for j, v in num.items():
+                    r[j] = Fraction(v, den)
+                view.append(tuple(r))
+            self._rows = tuple(view)
+        return self._rows
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self.dens)
 
     @property
     def ncols(self):
@@ -68,11 +131,11 @@ class RationalMatrix:
 
     @classmethod
     def zero(cls, nr, nc):
-        return cls([[0] * nc for _ in range(nr)], col_labels=range(nc))
+        return cls.from_int_rows([{} for _ in range(nr)], [1] * nr, range(nc))
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_int_rows([{i: 1} for i in range(n)], [1] * n, range(n))
 
     @classmethod
     def from_columns(cls, cols, nrows, row_labels=None, col_labels=None):
@@ -80,28 +143,34 @@ class RationalMatrix:
         return cls(rows, row_labels=row_labels, col_labels=col_labels)
 
     def matmul(self, other):
+        """The product, one denominator per output row: row i of the
+        product is nums[i] times the rows of `other`, each brought to
+        the lcm of the denominators it meets, over dens[i] times that
+        lcm."""
         if self.ncols != other.nrows:
             raise ValueError(
                 "shape mismatch %dx%d * %dx%d"
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
-        nonzero = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
-        zero = Fraction(0)
-        rows = []
-        for r in self.rows:
-            out = [zero] * other.ncols
-            for a, bs in zip(r, nonzero):
-                if a:
-                    for j, b in bs:
-                        out[j] += a * b
-            rows.append(out)
-        return RationalMatrix(rows, row_labels=self.row_labels, col_labels=other.col_labels)
+        bnums, bdens = other.nums, other.dens
+        nums = []
+        dens = []
+        for row, den in zip(self.nums, self.dens):
+            common = lcm(*[bdens[t] for t in row])
+            out = {}
+            for t, a in row.items():
+                a *= common // bdens[t]
+                for j, b in bnums[t].items():
+                    out[j] = out.get(j, 0) + a * b
+            nums.append(out)
+            dens.append(den * common)
+        return RationalMatrix.from_int_rows(nums, dens, other.col_labels, row_labels=self.row_labels)
 
     def column(self, j):
-        return [r[j] for r in self.rows]
+        return [Fraction(num.get(j, 0), den) for num, den in zip(self.nums, self.dens)]
 
     def is_zero(self):
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(self.nums)
 
     def rank(self):
         return Echelon(self).rank
@@ -113,7 +182,10 @@ class RationalMatrix:
         return Echelon(self).solve(rhs, free_values)
 
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
+        # rows equal as Fraction tuples; a matrix without rows has no
+        # entries to compare, whatever its width
+        return (isinstance(other, RationalMatrix) and self.dens == other.dens
+                and self.nums == other.nums and (not self.dens or self.ncols == other.ncols))
 
     def __repr__(self):
         return "RationalMatrix(%dx%d)" % (self.nrows, self.ncols)
@@ -121,51 +193,73 @@ class RationalMatrix:
 
 class Echelon:
     """Reduced row echelon form of a matrix and the row operations that
-    produced it.
+    produced it, in integers.
 
-    One Gauss-Jordan pass: for each column in order, the first row at
-    or below the current rank with a nonzero entry is swapped up,
-    scaled to a unit pivot, and subtracted from every other row that
-    has a nonzero entry in that column.  Entries of the pivot row before
-    its pivot are zero, so scaling and subtracting run over its nonzero
-    columns only.  Each step is recorded as (swap row, pivot value,
-    [(row, multiplier)]), so a right-hand side is reduced by replaying
-    the steps on it alone.
+    One fraction-free Gauss-Jordan pass over the integer rows (each
+    matrix row times its denominator): for each column in order, the
+    first row at or below the current rank with a nonzero entry is
+    swapped up as the pivot row P, with pivot value pv; every other row
+    R with an entry f in that column becomes (a*R - f'*P) / content,
+    where a = pv/g and f' = f/g for g = gcd(pv, f), and the content is
+    the gcd of the result, so every row it changes stays integer and
+    primitive.  Only the nonzero entries of rows are stored and touched.  Each step is
+    recorded as (swap row, [(row, a, f', content)]), so a right-hand
+    side is reduced by replaying the steps on it alone, in integers.
+
+    Every row is at all times a nonzero multiple of the row the same
+    pass over `Fraction` with unit pivots would hold, so the zero
+    pattern, the pivot choices and the swaps are the same, and the
+    reduced rows are held as integer rows plus their pivot value
+    (`rows[r][pivots[r]]`): dividing one by the other gives the reduced
+    row echelon form.  That form is unique, so the rank, every kernel
+    basis and every solution equal those of any exact elimination.
     Build one per matrix and read rank, kernel and solutions from it.
     """
 
-    __slots__ = ("nrows", "col_labels", "rows", "pivots", "free", "rank", "ops")
+    __slots__ = ("nrows", "col_labels", "dens", "rows", "pivots", "free", "rank", "ops")
 
     def __init__(self, M):
-        rows = [list(r) for r in M.rows]
+        rows = [dict(r) for r in M.nums]
+        n = len(rows)
         pivots = []
         ops = []
         r = 0
         for c in range(M.ncols):
-            if r == len(rows):
+            if r == n:
                 break
-            pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+            pr = next((i for i in range(r, n) if c in rows[i]), None)
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            prow = rows[r]
-            pv = prow[c]
-            nz = [j for j in range(c, M.ncols) if prow[j]]
-            if pv != 1:
-                for j in nz:
-                    prow[j] /= pv
+            prow = list(rows[r].items())
+            pv = rows[r][c]
             sub = []
             for i, row in enumerate(rows):
-                f = row[c]
-                if f and i != r:
-                    for j in nz:
-                        row[j] -= f * prow[j]
-                    sub.append((i, f))
+                f = row.get(c)
+                if f is None or i == r:
+                    continue
+                g = gcd(pv, f)
+                a = pv // g
+                f //= g
+                if a != 1:
+                    row = {j: a * v for j, v in row.items()}
+                for j, v in prow:
+                    w = row.get(j, 0) - f * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+                content = gcd(*row.values()) or 1
+                if content != 1:
+                    row = {j: v // content for j, v in row.items()}
+                rows[i] = row
+                sub.append((i, a, f, content))
             pivots.append(c)
-            ops.append((pr, pv, sub))
+            ops.append((pr, sub))
             r += 1
         self.nrows = M.nrows
         self.col_labels = M.col_labels
+        self.dens = M.dens
         # rows below the rank are zero
         self.rows = rows[:r]
         self.pivots = pivots
@@ -177,20 +271,23 @@ class Echelon:
         """Columns form a deterministic basis of the null space.
 
         One basis vector per free column, in column order: the free
-        coordinate is 1, pivot coordinates complete the solution.
+        coordinate is 1, pivot coordinates complete the solution.  The
+        matrix is built by rows: the row of pivot column pc is minus the
+        free entries of its reduced row over the pivot value.
         """
         ncols = len(self.col_labels)
-        cols = []
-        for f in self.free:
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            for r, pc in enumerate(self.pivots):
-                v[pc] = -self.rows[r][f]
-            cols.append(v)
-        return RationalMatrix.from_columns(
-            cols, ncols,
-            row_labels=self.col_labels,
+        at = {f: k for k, f in enumerate(self.free)}
+        nums = [None] * ncols
+        dens = [1] * ncols
+        for f, k in at.items():
+            nums[f] = {k: 1}
+        for row, pc in zip(self.rows, self.pivots):
+            nums[pc] = {at[j]: -v for j, v in row.items() if j != pc}
+            dens[pc] = row[pc]
+        return RationalMatrix.from_int_rows(
+            nums, dens,
             col_labels=tuple(self.col_labels[f] for f in self.free),
+            row_labels=self.col_labels,
         )
 
     def solve(self, rhs, free_values=None):
@@ -203,13 +300,25 @@ class Echelon:
         """
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has %d entries for %d rows" % (len(rhs), self.nrows))
-        b = [Fraction(v) for v in rhs]
-        for r, (pr, pv, sub) in enumerate(self.ops):
-            b[r], b[pr] = b[pr], b[r]
-            b[r] /= pv
-            for i, f in sub:
-                b[i] -= f * b[r]
-        if any(b[self.rank:]):
+        # b[i] = num[i] / den[i], scaled like the integer row i
+        num = []
+        den = []
+        for v, d in zip(rhs, self.dens):
+            if type(v) is not int and type(v) is not Fraction:
+                v = Fraction(v)
+            num.append(v.numerator * d)
+            den.append(v.denominator)
+        for r, (pr, sub) in enumerate(self.ops):
+            num[r], num[pr] = num[pr], num[r]
+            den[r], den[pr] = den[pr], den[r]
+            nr, dr = num[r], den[r]
+            for i, a, f, content in sub:
+                n = a * num[i] * dr - f * nr * den[i]
+                d = den[i] * dr * content
+                g = gcd(n, d)
+                num[i] = n // g
+                den[i] = d // g
+        if any(num[self.rank:]):
             raise ValueError("inconsistent linear system")
         free = self.free
         x = [Fraction(0)] * len(self.col_labels)
@@ -222,8 +331,10 @@ class Echelon:
                 if pos not in free:
                     raise ValueError("column %r is not free" % (key,))
                 x[pos] = Fraction(val)
-        for r, pc in enumerate(self.pivots):
-            x[pc] = b[r] - sum(self.rows[r][f] * x[f] for f in free if x[f] != 0)
+        for r, (row, pc) in enumerate(zip(self.rows, self.pivots)):
+            x[pc] = Fraction(num[r], den[r] * row[pc])
+            if free_values:
+                x[pc] -= sum(Fraction(v, row[pc]) * x[j] for j, v in row.items() if j != pc and x[j])
         return x, list(free)
 
 
@@ -257,33 +368,46 @@ def wedge_sign(i, S):
     return -1 if sum(1 for s in S if s < i) % 2 else 1
 
 
-def _delta_columns(m, p, q, n, basis):
-    """delta(e_S (x) b) for each S in wedge(p), then each b in `basis`.
+def _delta_rows(m, p, q, n, basis, nb):
+    """Integer rows of delta on wedge(p) tensor (the span of `basis`).
 
-    Each b is a sparse column on Sym^q tensor R^n coordinates, a list of
-    (coordinate position, coefficient) pairs; the images are dense
-    columns on wedge(p+1) tensor Sym^(q-1) tensor R^n, whose labels are
-    returned with them.
+    `basis` gives, for each Sym^q tensor R^n coordinate, its entries in
+    the nb basis vectors as a dict {vector: int}.  Column s * nb + b is
+    e_S (x) (vector b) for the s-th S in wedge(p); row labels, returned
+    with the rows, are the wedge(p+1) tensor Sym^(q-1) tensor R^n
+    coordinates.  Coordinate (J, a) meets index i in one target
+    (J - 1_i, a) with factor J_i, and S meets i in one wedge S + i with a
+    sign, both looked up once here.  Each (row, column) entry comes from
+    one (coordinate, i) pair, since S + i and S fix i, so entries are
+    set, never summed.
     """
-    src = sym_component_labels(m, q, n)
-    row_lbl = [(S, J, a) for S in wedge_basis(m, p + 1) for (J, a) in sym_component_labels(m, q - 1, n)]
-    pos = {lab: i for i, lab in enumerate(row_lbl)}
-    cols = []
-    for S in wedge_basis(m, p):
-        for b in basis:
-            v = [Fraction(0)] * len(row_lbl)
-            for rj, c in b:
-                J, a = src[rj]
-                for i in range(1, m + 1):
-                    if J[i - 1] == 0:
-                        continue
-                    sign = wedge_sign(i, S)
-                    if sign is None:
-                        continue
-                    Snew = tuple(sorted(S + (i,)))
-                    v[pos[(Snew, J.sub_unit(i), a)]] += sign * J[i - 1] * c
-            cols.append(v)
-    return cols, row_lbl
+    below = sym_component_labels(m, q - 1, n)
+    pos = {lab: t for t, lab in enumerate(below)}
+    # per source coordinate: (i, target position, J_i) for each J_i > 0
+    down = [[(i, pos[(J.sub_unit(i), a)], J[i - 1]) for i in range(1, m + 1) if J[i - 1]]
+            for (J, a) in sym_component_labels(m, q, n)]
+    wedges = wedge_basis(m, p)
+    up = wedge_basis(m, p + 1)
+    at = {S: w for w, S in enumerate(up)}
+    nbelow = len(below)
+    rows = [{} for _ in range(len(up) * nbelow)]
+    for s, S in enumerate(wedges):
+        # per index i: the sign of e_i wedge e_S and the first row of S + i
+        ext = [None if i in S else (wedge_sign(i, S), at[tuple(sorted(S + (i,)))] * nbelow)
+               for i in range(1, m + 1)]
+        off = s * nb
+        for vec, targets in zip(basis, down):
+            if not vec:
+                continue
+            for i, t, Ji in targets:
+                hit = ext[i - 1]
+                if hit is None:
+                    continue
+                f = hit[0] * Ji
+                row = rows[hit[1] + t]
+                for b, c in vec.items():
+                    row[off + b] = f * c
+    return rows, [(S, J, a) for S in up for (J, a) in below]
 
 
 def spencer_delta(p, q, m, n=1):
@@ -293,9 +417,9 @@ def spencer_delta(p, q, m, n=1):
     sign(i, S) * J_i * e_{S+i} (x) xi^{J - 1_i} (x) w_alpha.
     """
     src = sym_component_labels(m, q, n)
-    cols, row_lbl = _delta_columns(m, p, q, n, [[(j, 1)] for j in range(len(src))])
+    rows, row_lbl = _delta_rows(m, p, q, n, [{j: 1} for j in range(len(src))], len(src))
     col_lbl = [(S, J, a) for S in wedge_basis(m, p) for (J, a) in src]
-    return RationalMatrix.from_columns(cols, len(row_lbl), row_labels=row_lbl, col_labels=col_lbl)
+    return RationalMatrix.from_int_rows(rows, [1] * len(rows), col_lbl, row_labels=row_lbl)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +468,8 @@ class SymbolicSystem:
             return RationalMatrix([])
         if q < self.k:
             labels = sym_component_labels(self.m, q, self.n)
-            B = RationalMatrix.identity(self.full_dim(q))
-            return RationalMatrix(B.rows, row_labels=labels, col_labels=labels)
+            return RationalMatrix.from_int_rows(
+                [{j: 1} for j in range(len(labels))], [1] * len(labels), labels, row_labels=labels)
         self.prolong_to(q)
         return self._levels[q][2]
 
@@ -363,7 +487,9 @@ class SymbolicSystem:
         level q - 1, for i = 1..m: the entry at (J, a) is
         J_i * r[(J - 1_i, a)].  They span the same space as the rows of
         A_{q-1} times each d/dxi_i, so the reduced form and B_q are the
-        same, and there are at most m * rank(A_{q-1}) of them.
+        same, and there are at most m * rank(A_{q-1}) of them.  They are
+        built from the integer reduced rows of level q - 1, each over its
+        pivot value, so the entries are the same rationals.
         """
         for level in range(self.k + 1, q + 1):
             if level in self._levels:
@@ -372,24 +498,23 @@ class SymbolicSystem:
             labels = sym_component_labels(self.m, level, self.n)
             below = sym_component_labels(self.m, level - 1, self.n)
             pos = {lab: s for s, lab in enumerate(below)}
-            # target[i - 1][s]: the column (J, a) and factor J_i that
-            # d/dxi_i sends the source column s = (J - 1_i, a) to
-            target = [[None] * len(pos) for _ in range(self.m)]
+            # column[i - 1][s], factor[i - 1][s]: the column (J, a) and
+            # factor J_i that d/dxi_i sends source column s = (J - 1_i, a) to
+            column = [[None] * len(pos) for _ in range(self.m)]
+            factor = [[None] * len(pos) for _ in range(self.m)]
             for j, (J, a) in enumerate(labels):
                 for i in range(1, self.m + 1):
                     if J[i - 1]:
-                        target[i - 1][pos[(J.sub_unit(i), a)]] = (j, J[i - 1])
-            zero = Fraction(0)
-            rows = []
-            for tgt in target:
-                for r in prev.rows:
-                    row = [zero] * len(labels)
-                    for s, x in enumerate(r):
-                        if x:
-                            j, f = tgt[s]
-                            row[j] = f * x
-                    rows.append(row)
-            self._add_level(level, RationalMatrix(rows, col_labels=labels))
+                        s = pos[(J.sub_unit(i), a)]
+                        column[i - 1][s] = j
+                        factor[i - 1][s] = J[i - 1]
+            nums = []
+            dens = []
+            for cols, fs in zip(column, factor):
+                for r, pc in zip(prev.rows, prev.pivots):
+                    nums.append({cols[s]: fs[s] * x for s, x in r.items()})
+                    dens.append(r[pc])
+            self._add_level(level, RationalMatrix.from_int_rows(nums, dens, labels))
 
 
 def symbol_constraint_matrix(h, a):
@@ -446,10 +571,13 @@ def restricted_delta(g, p, q):
     B = g.basis(q)
     if B.ncols == 0:
         return RationalMatrix([])
-    basis = [[(rj, r[bj]) for rj, r in enumerate(B.rows) if r[bj]] for bj in range(B.ncols)]
-    cols, row_lbl = _delta_columns(g.m, p, q, g.n, basis)
+    # B_q over one common denominator
+    common = lcm(*B.dens)
+    basis = [{b: c * (common // den) for b, c in num.items()} if den != common else num
+             for num, den in zip(B.nums, B.dens)]
+    rows, row_lbl = _delta_rows(g.m, p, q, g.n, basis, B.ncols)
     col_lbl = [(S, lab) for S in wedge_basis(g.m, p) for lab in B.col_labels]
-    return RationalMatrix.from_columns(cols, len(row_lbl), row_labels=row_lbl, col_labels=col_lbl)
+    return RationalMatrix.from_int_rows(rows, [common] * len(rows), col_lbl, row_labels=row_lbl)
 
 
 class CohomologyTable:
@@ -480,8 +608,6 @@ class CohomologyTable:
         m = self.g.m
         if p < 0 or p > m:
             return 0
-        from math import comb
-
         dim_domain = comb(m, p) * self.g.dim_g(q)
         return dim_domain - self._rank(p, q) - self._rank(p - 1, q + 1)
 

@@ -688,6 +688,9 @@ def _exact_values(exprs, assignment, memo):
                     x = memo[a] = _evaluate_atom(a, assignment, True, memo)
                 vals[a] = x
         tables.append(t)
+    if not vals:
+        # atom-free: every table holds its constant
+        return [t[6] for t in tables]
     D = math.lcm(*[x.denominator for x in vals.values()])
     nums = {a: x.numerator * (D // x.denominator) for a, x in vals.items()}
     dpow = [1]

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetforge import cli
+from jetforge import jetcalc as jc
+from jetforge import spencer as sp
 from jetforge import symexpr as sx
 
 WAVE = """\
@@ -340,6 +343,47 @@ def test_spencer_query_with_negative_bound_fails():
     rep = cli.run_command(spec, "spencer", _flags())
     assert not rep.passed
     assert "nonnegative" in rep.results[0].data["error"]
+
+
+@pytest.mark.parametrize("text,argv", [
+    # the flag, a query argument, and a Klein-Gordon operator's defaults
+    (WAVE, ["spencer", "--qmax", "5000"]),
+    (WAVE.replace("qmax=4", "qmax=5000"), ["spencer"]),
+    (KG + "query spencer();\n", ["spencer", "--qmax", "3000"]),
+    (DEGENERATE, ["prolong", "--order", "100"]),
+    (PARAMS + "query prolong(5000);\n", ["prolong"]),
+], ids=["spencer-flag", "spencer-query", "spencer-klein-gordon", "prolong-flag", "prolong-query"])
+def test_main_refuses_oversized_requests_up_front(tmp_path, capsys, text, argv):
+    path = tmp_path / "big.jf"
+    path.write_text(text)
+    t0 = time.perf_counter()
+    code = cli.main([argv[0], str(path), *argv[1:]])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: %s(" % argv[0]) and "too large" in captured.err
+    assert captured.out == ""
+    assert elapsed < 1.0
+
+
+def test_size_estimates_bound_the_matrices_built():
+    # wave operator at m=3 through (pmax, qmax) = (3, 3): the largest
+    # restricted delta and prolonged constraint matrix built are within
+    # the estimate
+    spec = cli.parse_problem_file(WAVE.replace("m = 2", "m = 3").replace(
+        "u[(2,0)] - u[(0,2)]", "u[(2,0,0)] - u[(0,2,0)] - u[(0,0,2)]"))
+    h = spec.build_operator()
+    g = sp.symbolic_system_at(h, cli._random_jet_point(h, 0))
+    sp.cohomology_dims(g, 3, 3)
+    built = [g.constraints_at(q) for q in range(2, 5)]
+    built += [sp.restricted_delta(g, p, q) for p in range(4) for q in range(5)]
+    largest = max(M.nrows * M.ncols for M in built)
+    assert largest <= cli.spencer_matrix_entries(3, 1, 3, 3)
+    assert cli.prolonged_components(3, 1, 2) == len(jc.prolong_op(h, 2).components)
+
+
+def test_argument_parser_is_built_once():
+    assert cli._build_argparser() is cli._build_argparser()
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

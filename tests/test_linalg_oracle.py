@@ -1,16 +1,21 @@
-"""RationalMatrix rank, kernel and solve against sympy over QQ.
+"""RationalMatrix rank, kernel, solve and products against sympy over QQ,
+and invariants of the integer-row kernel: delta squared is zero, a rank
+mod p is at most the rank over Q, and the `rows` view and equality do
+not depend on how a matrix was built.
 
 sympy is a test-only oracle here; jetforge never imports it.
 """
 
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetforge.spencer import RationalMatrix
+from jetforge import spencer as sp
+from jetforge.spencer import Echelon, RationalMatrix
 
 # few distinct values and many zeros, so sparse and rank-deficient
 # matrices come up often
@@ -211,3 +216,172 @@ def test_matmul_matches_dense_triple_loop(pair):
             for i in range(len(left))]
     assert [list(r) for r in P.rows] == want
     assert all(type(x) is Q for r in P.rows for x in r)
+
+
+# ---------------------------------------------------------------------------
+# the integer-row kernel: sparse and dense, empty shapes, zero rows and
+# large denominators, against sympy over QQ
+
+
+BIG = st.builds(Q, st.integers(-10**15, 10**15).filter(bool), st.integers(1, 10**15))
+SMALL = st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4), Q(5, 3)])
+
+
+@st.composite
+def rational_matrices(draw, max_rows=6, max_cols=6):
+    """Empty to dense, small or large denominators, with zero rows."""
+    nr = draw(st.integers(0, max_rows))
+    nc = draw(st.integers(0, max_cols))
+    density = draw(st.sampled_from([0.0, 0.15, 0.4, 1.0]))
+    nonzero = draw(st.sampled_from([SMALL, BIG]))
+    rows = [[draw(nonzero) if draw(st.floats(0, 1)) < density else Q(0) for _ in range(nc)]
+            for _ in range(nr)]
+    for i in range(nr):
+        if draw(st.integers(0, 4)) == 0:
+            rows[i] = [Q(0)] * nc
+    if nr > 1 and draw(st.booleans()):
+        # a repeated row, so the rank drops
+        rows[-1] = list(rows[0])
+    return rows, nc
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+@example(EMPTY_ROWS)
+@example(EMPTY_COLS)
+@example(ZERO)
+def test_integer_elimination_matches_sympy_rref(case):
+    rows, nc = case
+    M, S = RationalMatrix(rows, col_labels=range(nc)), _oracle(case)
+    E = Echelon(M)
+    R, pivots = S.rref()
+    assert E.rank == S.rank() == len(pivots)
+    assert tuple(E.pivots) == pivots
+    # reduced rows: each integer row over its pivot value
+    reduced = [[Q(row.get(j, 0), row[pc]) for j in range(nc)] for row, pc in zip(E.rows, E.pivots)]
+    assert reduced == [_column(R.row(r)) for r in range(len(pivots))]
+    K = E.kernel_basis()
+    null = S.nullspace()
+    assert K.ncols == len(null)
+    for j, v in enumerate(null):
+        assert K.column(j) == _column(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(), st.data())
+def test_integer_solve_matches_sympy(case, data):
+    rows, nc = case
+    labels = tuple(range(100, 100 + nc))
+    M, S = RationalMatrix(rows, col_labels=labels), _oracle(case)
+    free = [c for c in range(nc) if c not in S.rref()[1]]
+    values = {labels[f]: data.draw(st.one_of(SMALL, BIG)) for f in free
+              if data.draw(st.booleans())}
+    pick = data.draw(st.lists(st.one_of(SMALL, BIG), min_size=nc, max_size=nc))
+    arbitrary = data.draw(st.lists(st.one_of(SMALL, BIG), min_size=M.nrows, max_size=M.nrows))
+    for rhs in (_times(M, pick), arbitrary):
+        b = sympy.Matrix(len(rhs), 1, [sympy.Rational(x.numerator, x.denominator) for x in rhs])
+        if S.row_join(b).rank() != S.rank():
+            with pytest.raises(ValueError, match="inconsistent"):
+                M.solve(rhs, free_values=values)
+            continue
+        x, got_free = M.solve(rhs, free_values=values)
+        assert all(type(v) is Q for v in x)
+        assert _times(M, x) == rhs
+        assert got_free == free
+        for f in free:
+            assert x[f] == values.get(labels[f], 0)
+
+
+@st.composite
+def rational_pairs(draw):
+    left, nc = draw(rational_matrices())
+    ncols = draw(st.integers(0, 6))
+    nonzero = draw(st.sampled_from([SMALL, BIG]))
+    right = [[draw(nonzero) if draw(st.booleans()) else Q(0) for _ in range(ncols)]
+             for _ in range(nc)]
+    return left, nc, right, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_pairs())
+def test_integer_matmul_matches_sympy(pair):
+    left, nc, right, ncols = pair
+    P = RationalMatrix(left, col_labels=range(nc)).matmul(RationalMatrix(right, col_labels=range(ncols)))
+    want = _oracle((left, nc)) * _oracle((right, ncols))
+    assert (P.nrows, P.ncols) == (len(left), ncols)
+    assert [list(r) for r in P.rows] == [_column(want.row(i)) for i in range(len(left))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.data())
+def test_rows_view_and_equality_agree_across_constructors(case, data):
+    """The same matrix built dense and from integer rows (over any
+    nonzero multiple of the row denominators, negative ones too)."""
+    rows, nc = case
+    dense = RationalMatrix(rows, col_labels=range(nc))
+    nums, dens = [], []
+    for r in rows:
+        d = lcm(*[x.denominator for x in r]) * data.draw(st.sampled_from([1, 2, -3, 10**9]))
+        nums.append({j: int(x * d) for j, x in enumerate(r)})
+        dens.append(d)
+    ints = RationalMatrix.from_int_rows(nums, dens, range(nc))
+    assert ints.rows == dense.rows == tuple(tuple(r) for r in rows)
+    assert all(type(x) is Q for r in ints.rows for x in r)
+    assert ints == dense
+    assert all(d > 0 for d in ints.dens)
+    if any(any(r) for r in rows):
+        i = next(i for i, r in enumerate(rows) if any(r))
+        changed = [list(r) for r in rows]
+        changed[i] = [2 * x for x in changed[i]]
+        assert RationalMatrix(changed, col_labels=range(nc)) != dense
+
+
+def _rank_mod(M, p):
+    """Rank of the integer rows of M over GF(p)."""
+    rows = [{j: v % p for j, v in num.items() if v % p} for num in M.nums]
+    rank = 0
+    for c in range(M.ncols):
+        pr = next((i for i in range(rank, len(rows)) if c in rows[i]), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i].get(c)
+            if f:
+                for j, v in rows[rank].items():
+                    rows[i][j] = (rows[i].get(j, 0) - f * inv * v) % p
+                rows[i] = {j: v for j, v in rows[i].items() if v}
+        rank += 1
+    return rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.sampled_from([2, 3, 5, 7, 101]))
+def test_rank_mod_p_is_at_most_the_rank_over_q(case, p):
+    rows, nc = case
+    M = RationalMatrix(rows, col_labels=range(nc))
+    assert _rank_mod(M, p) <= M.rank()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 2), st.integers(0, 4), st.integers(1, 5))
+def test_sparse_built_delta_squares_to_zero(m, n, p, q):
+    first = sp.spencer_delta(p, q, m, n)
+    second = sp.spencer_delta(p + 1, q - 1, m, n)
+    assert first.row_labels == second.col_labels
+    assert second.matmul(first).is_zero()
+    assert first.dens == (1,) * first.nrows
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 2), st.integers(0, 3), st.integers(1, 4), st.randoms())
+def test_restricted_delta_composes_to_zero(m, n, p, q, rnd):
+    labels = sp.sym_component_labels(m, 2, n)
+    values = [Q(0), Q(0), Q(1), Q(-1), Q(2), Q(1, 3)]
+    A = RationalMatrix([[rnd.choice(values) for _ in labels] for _ in range(n)], col_labels=labels)
+    g = sp.SymbolicSystem(m, n, 2, None, A)
+    D = sp.restricted_delta(g, p, q)
+    if D.nrows == 0:
+        return
+    assert sp.spencer_delta(p + 1, q - 1, m, n).matmul(D).is_zero()

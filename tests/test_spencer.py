@@ -291,6 +291,27 @@ def test_prolonged_rows_stay_within_m_times_rank_below():
             assert g.constraints_at(q).nrows <= g.m * rank_below, (g.m, g.n, q)
 
 
+def test_prolonged_rows_are_derivatives_of_the_reduced_rows_below():
+    # A_q is d/dxi_i of each row of the reduced row echelon form of
+    # A_{q-1} (sympy's, as Fractions), i outer, entry for entry
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(33)
+    for m in (2, 3):
+        for n in (1, 2):
+            A = _random_constraints(rng, m, n, 2)
+            g = sp.SymbolicSystem(m, n, 2, None, A)
+            for q in range(3, 6):
+                below = g.constraints_at(q - 1)
+                R, pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                                          for r in below.rows]).rref() if below.nrows else (None, ())
+                reduced = RationalMatrix(
+                    [[Q(int(x.p), int(x.q)) for x in R.row(r)] for r in range(len(pivots))],
+                    col_labels=below.col_labels)
+                want = [row for i in range(1, m + 1)
+                        for row in reduced.matmul(_derivative_matrix(m, q, n, i)).rows]
+                assert g.constraints_at(q).rows == tuple(want), (m, n, q)
+
+
 def _scalar_hilbert(m, k, q):
     """dim g_q of one scalar order-k equation with nonzero symbol."""
     return math.comb(m + q - 1, m - 1) - (math.comb(m + q - k - 1, m - 1) if q >= k else 0)

@@ -163,3 +163,16 @@ def test_power_and_coefficient_extraction():
     e = 3 * u * x1 + u ** 2 - 5
     assert e.coefficient_of(v) == 3 * x1 + 2 * u
     assert (x1 + 2 * u).coefficient_of(v) == sx.as_expr(2)
+
+
+def test_atom_free_values_are_their_constants():
+    x = BaseVar(1)
+    consts = [sx.ZERO, sx.as_expr(Q(-7, 3)), sx.as_expr(5) * sx.as_expr(Q(1, 10))]
+    assert sx.evaluate_many(consts, {}) == [Q(0), Q(-7, 3), Q(1, 2)]
+    assert all(type(v) is Q for v in sx.evaluate_many(consts, {}))
+    assert sx.evaluate(consts[1], {x: 2}) == Q(-7, 3)
+    # with an atom among them the values are the same, and a missing
+    # atom still raises after the constants before it
+    assert sx.evaluate_many(consts + [Expr.variable(x)], {x: 2}) == [Q(0), Q(-7, 3), Q(1, 2), Q(2)]
+    with pytest.raises(sx.EvaluationError, match="no value assigned"):
+        sx.evaluate_many(consts + [Expr.variable(x)], {})
