@@ -82,7 +82,10 @@ class ProblemSpec:
     queries: tuple = ()
     float_literals: bool = False
 
-    def build_operator(self):
+    @functools.cached_property
+    def operator(self):
+        """The operator the spec describes, built on first read and kept
+        (outside the dataclass fields, so not in == or the hash)."""
         if self.operator_kind == "klein_gordon":
             F1, F2, Kpoly = self.kg_fields
             K = None
@@ -317,7 +320,7 @@ def parse_problem_file(text):
         queries=tuple(queries),
         float_literals=saw_decimal,
     )
-    spec.build_operator()  # surfaces semantic errors early
+    spec.operator  # surfaces semantic errors early
     return spec
 
 
@@ -693,9 +696,9 @@ def run_command(spec, command, flags, source="<memory>"):
         queries = [q for q in spec.queries if q.name in kinds]
     else:
         queries = [Query(kinds[0])]
+    h = spec.operator
     for q in queries:
-        _refuse_oversized(spec, q, flags)
-    h = spec.build_operator()
+        _refuse_oversized(h, q, flags)
     results = []
     for q in queries:
         t0 = time.perf_counter()
@@ -749,14 +752,12 @@ def prolonged_components(m, n_out, l):
     return n_out * comb(m + l, l)
 
 
-def _refuse_oversized(spec, q, flags):
-    """Raise ProblemError when a spencer or prolong query would build
-    more than the module bounds allow.  Bounds of the wrong type or sign
-    are left to the query itself, which reports them."""
-    if spec.operator_kind == "klein_gordon":
-        m, n, n_out, order = spec.metric.m, 1, 1, 2
-    else:
-        m, n, n_out, order = spec.m, spec.n, len(spec.operator_exprs), spec.k
+def _refuse_oversized(h, q, flags):
+    """Raise ProblemError when a spencer or prolong query on the
+    operator h would build more than the module bounds allow.  Bounds of
+    the wrong type or sign are left to the query itself, which reports
+    them."""
+    m, n, n_out, order = h.m, h.n, h.n_out, h.order
     if q.name == "spencer":
         pmax, qmax = _spencer_bounds(q, flags, m, order)
         if _nonnegative_int(pmax) and _nonnegative_int(qmax):

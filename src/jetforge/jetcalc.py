@@ -63,19 +63,18 @@ class JetPoint:
 
     __slots__ = ("chart", "base", "jets")
 
-    def __init__(self, chart, base, jets, exact=True):
+    def __init__(self, chart, base, jets):
         if len(base) != chart.m:
             raise ValueError("base point has wrong dimension")
-        conv = Fraction if exact else float
         self.chart = chart
-        self.base = tuple(conv(b) for b in base)
+        self.base = tuple(Fraction(b) for b in base)
         table = {}
         for alpha, I in chart.fiber_labels():
             key = (alpha, MultiIndex(I))
             if key not in jets and (alpha, tuple(I)) not in jets:
                 raise ValueError("missing jet value for %s" % (key,))
             val = jets.get(key, jets.get((alpha, tuple(I))))
-            table[key] = conv(val)
+            table[key] = Fraction(val)
         self.jets = table
 
     def __getitem__(self, key):
@@ -97,14 +96,14 @@ class JetPoint:
         jets = {key: v for key, v in self.jets.items() if key[1].degree <= k1}
         return JetPoint(chart, self.base, jets)
 
-    def extend(self, new_jets, exact=True):
+    def extend(self, new_jets):
         """Adjoin order-(k+1) values, producing a point one level up."""
         chart = JetChartSpec(self.chart.m, self.chart.n, self.chart.k + 1)
         jets = dict(self.jets)
         for key, v in new_jets.items():
             alpha, I = key
             jets[(alpha, MultiIndex(I))] = v
-        return JetPoint(chart, self.base, jets, exact=exact)
+        return JetPoint(chart, self.base, jets)
 
     def __eq__(self, other):
         return (
@@ -207,14 +206,14 @@ class SectionPoly:
         return e
 
 
-def jet_of_section(psi, p, k, exact=True):
+def jet_of_section(psi, p, k):
     """The k-jet of the section at p: jets[(alpha, I)] = d^I psi^alpha (p)."""
     chart = JetChartSpec(psi.m, psi.n, k)
     assignment = {BaseVar(i + 1): v for i, v in enumerate(p)}
     jets = {}
     for alpha, I in chart.fiber_labels():
-        jets[(alpha, I)] = sx.evaluate(psi.derivative(alpha, I), assignment, exact=exact)
-    return JetPoint(chart, p, jets, exact=exact)
+        jets[(alpha, I)] = sx.evaluate(psi.derivative(alpha, I), assignment)
+    return JetPoint(chart, p, jets)
 
 
 def total_derivative(e, i):
@@ -428,13 +427,13 @@ def bundle_to_classical(h):
     return coeffs
 
 
-def residual_of_section(h, psi, points, exact=True):
+def residual_of_section(h, psi, points):
     """Values of h along j^k psi at each base point; zero rows mean psi
     solves the equation on the sample."""
     out = []
     for p in points:
-        jp = jet_of_section(psi, p, h.order, exact=exact)
-        out.append(h.evaluate_at(jp, exact=exact))
+        jp = jet_of_section(psi, p, h.order)
+        out.append(h.evaluate_at(jp))
     return out
 
 

@@ -22,6 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .mindex import MultiIndex, GradedIndexRange, dim_F, factorial
 from . import symexpr as sx
@@ -75,27 +76,21 @@ class TowerSpec:
             exprs = tuple(sx.substitute(e, bindings) for e in self.steps[level])
         return exprs
 
-    def apply(self, i, j, point, exact=True):
+    def apply(self, i, j, point):
         """Project a level-j point down to level i."""
         if len(point) != self.dims[j]:
             raise ValueError("point has wrong dimension for level %d" % j)
         assignment = {BaseVar(t + 1): v for t, v in enumerate(point)}
-        return tuple(
-            sx.evaluate(e, assignment, exact=exact) for e in self.connect(i, j)
-        )
+        return tuple(sx.evaluate(e, assignment) for e in self.connect(i, j))
 
-    def step_jacobian(self, i, point, exact=True):
+    def step_jacobian(self, i, point):
         """Jacobian of the step map at a level-(i+1) point."""
         assignment = {BaseVar(t + 1): v for t, v in enumerate(point)}
-        rows = []
-        for e in self.steps[i]:
-            rows.append(
-                [
-                    sx.evaluate(differentiate(e, BaseVar(t + 1)), assignment, exact=exact)
-                    for t in range(self.dims[i + 1])
-                ]
-            )
-        return sp.RationalMatrix(rows) if exact else rows
+        return sp.RationalMatrix([
+            [sx.evaluate(differentiate(e, BaseVar(t + 1)), assignment)
+             for t in range(self.dims[i + 1])]
+            for e in self.steps[i]
+        ])
 
     def check_submersion(self, i, points):
         """Sampled submersion property of the step map: full row rank."""
@@ -112,9 +107,8 @@ class ThreadError(ValueError):
 class Thread:
     """A compatible finite point sequence of a tower."""
 
-    def __init__(self, tower, points, exact=True):
+    def __init__(self, tower, points):
         self.tower = tower
-        self.exact = exact
         self.points = []
         for p in points:
             self._append(tuple(p))
@@ -125,16 +119,11 @@ class Thread:
             raise ThreadError("tower has no level %d" % i)
         if len(p) != self.tower.dims[i]:
             raise ThreadError("point has wrong dimension for level %d" % i)
-        conv = Fraction if self.exact else float
-        p = tuple(conv(v) for v in p)
+        p = tuple(Fraction(v) for v in p)
         if i > 0:
-            down = self.tower.apply(i - 1, i, p, exact=self.exact)
+            down = self.tower.apply(i - 1, i, p)
             prev = self.points[i - 1]
-            if self.exact:
-                ok = down == prev
-            else:
-                ok = all(abs(a - b) <= 1e-9 for a, b in zip(down, prev))
-            if not ok:
+            if down != prev:
                 raise ThreadError(
                     "incompatible extension at level %d: projected %s, stored %s"
                     % (i, down, prev)
@@ -152,7 +141,7 @@ class Thread:
 def thread_check_extend(t, new_point):
     """Return the thread extended by one level; raises ThreadError with
     the witness values when the compatibility check fails."""
-    out = Thread(t.tower, t.points, exact=t.exact)
+    out = Thread(t.tower, t.points)
     out._append(tuple(new_point))
     return out
 
@@ -214,12 +203,9 @@ class JetTower:
         assignment = jp.assignment()
         return tuple(assignment[a] for a in self.slots(jp.chart.k))
 
-    def thread_of_section(self, psi, p, levels, exact=True):
-        pts = []
-        for i in range(levels):
-            jp = jc.jet_of_section(psi, p, i, exact=exact)
-            pts.append(self.point_to_tuple(jp))
-        return Thread(self.tower, pts, exact=exact)
+    def thread_of_section(self, psi, p, levels):
+        pts = [self.point_to_tuple(jc.jet_of_section(psi, p, i)) for i in range(levels)]
+        return Thread(self.tower, pts)
 
 
 def make_jet_tower(m, n, levels=5):
@@ -319,7 +305,7 @@ class LocalVectorField:
         conn = self.tower.connect(i + 1, top) if top > i + 1 else tuple(sx.base(t + 1) for t in range(self.tower.dims[i + 1]))
         for p in points:
             assignment = {BaseVar(t + 1): v for t, v in enumerate(p)}
-            pt_i1 = [sx.evaluate(c, assignment, exact=True) for c in conn]
+            pt_i1 = [sx.evaluate(c, assignment) for c in conn]
             a_i1 = {BaseVar(t + 1): v for t, v in enumerate(pt_i1)}
             got = []
             for e in step:
@@ -328,9 +314,9 @@ class LocalVectorField:
                     d = differentiate(e, BaseVar(t + 1))
                     if d.is_zero():
                         continue
-                    total += sx.evaluate(d, a_i1, exact=True) * sx.evaluate(Vi1[t], assignment, exact=True)
+                    total += sx.evaluate(d, a_i1) * sx.evaluate(Vi1[t], assignment)
                 got.append(total)
-            want = [sx.evaluate(e, assignment, exact=True) for e in Vi]
+            want = [sx.evaluate(e, assignment) for e in Vi]
             if got != want:
                 return False, p
         return True, None
@@ -548,14 +534,11 @@ class EquationSubtower:
         self.h = h
         self.jet = make_jet_tower(h.m, h.n, (levels or h.order + 4))
 
-    def membership(self, jp, exact=True):
+    def membership(self, jp):
         l = jp.chart.k - self.h.order
         if l < 0:
             return True
-        vals = jc.prolong_op(self.h, l).evaluate_at(jp, exact=exact)
-        if exact:
-            return all(v == 0 for v in vals)
-        return all(abs(float(v)) <= 1e-9 for v in vals)
+        return all(v == 0 for v in jc.prolong_op(self.h, l).evaluate_at(jp))
 
     def dimension(self, level):
         """Expected dimension of the level: jet dimension minus the
@@ -630,14 +613,17 @@ class LinearTower:
 
 
 def kron(A, B):
-    """Kronecker product of exact matrices, row-major block layout."""
-    rows = []
-    for ra in A.rows:
-        for rb in B.rows:
-            rows.append([a * b for a in ra for b in rb])
-    if not rows:
-        return sp.RationalMatrix.zero(A.nrows * B.nrows, A.ncols * B.ncols)
-    return sp.RationalMatrix(rows)
+    """Kronecker product of exact matrices, row-major block layout: row
+    (i, k) holds a * b at column j * B.ncols + l for the nonzero entries
+    a = A[i, j] and b = B[k, l], over the denominator dens[i] * dens[k]."""
+    w = B.ncols
+    nums = []
+    dens = []
+    for ra, da in zip(A.nums, A.dens):
+        for rb, db in zip(B.nums, B.dens):
+            nums.append({j * w + l: a * b for j, a in ra.items() for l, b in rb.items()})
+            dens.append(da * db)
+    return sp.RationalMatrix.from_int_rows(nums, dens, range(A.ncols * w))
 
 
 @dataclass
@@ -670,14 +656,16 @@ class TowerSplitting:
         connect(i, k-1) * steps[k-1] gives
         connect(i, k) * lifts[k] = connect(i, k-1) * [lifts[k-1] | 0]
         = [connect(i, k-1) * lifts[k-1] | 0] = [lifts[i] | 0].
+
+        Rows are unique in lowest terms, so [lifts[k-1] | 0] has the
+        integer rows and denominators of lifts[k-1], and any nonzero in
+        the extra columns makes the integer rows differ.
         """
         for k in range(1, self.tower.length):
             lhs = self.tower.steps[k - 1].matmul(self.lifts[k])
             want = self.lifts[k - 1]
-            for r in range(lhs.nrows):
-                for c in range(lhs.ncols):
-                    if lhs.rows[r][c] != (want.rows[r][c] if c < want.ncols else 0):
-                        return False
+            if lhs.nums != want.nums or lhs.dens != want.dens:
+                return False
         return True
 
 
@@ -704,12 +692,18 @@ def tower_splitting(T):
             cols.append(x)
         f = sp.RationalMatrix.from_columns(cols, step.ncols)
         sections.append(f)
-        prev = lifts[i - 1]
-        pushed = f.matmul(prev)
-        rows = []
-        for r in range(T.dims[i]):
-            rows.append(list(pushed.rows[r]) + list(K.rows[r] if K.ncols else []))
-        lifts.append(sp.RationalMatrix(rows))
+        # [f * lifts[i-1] | K], row by row over the lcm of the two denominators
+        pushed = f.matmul(lifts[i - 1])
+        w = pushed.ncols
+        nums = []
+        dens = []
+        for pn, pd, kn, kd in zip(pushed.nums, pushed.dens, K.nums, K.dens):
+            den = lcm(pd, kd)
+            row = {j: v * (den // pd) for j, v in pn.items()}
+            row.update((w + j, v * (den // kd)) for j, v in kn.items())
+            nums.append(row)
+            dens.append(den)
+        lifts.append(sp.RationalMatrix.from_int_rows(nums, dens, range(w + K.ncols)))
     return TowerSplitting(tower=T, kernel_bases=kernels, sections=sections, lifts=lifts)
 
 
@@ -773,7 +767,7 @@ class EquivalenceReport:
 
 def _eval_map(exprs, point):
     assignment = {BaseVar(t + 1): v for t, v in enumerate(point)}
-    return tuple(sx.evaluate(e, assignment, exact=True) for e in exprs)
+    return tuple(sx.evaluate(e, assignment) for e in exprs)
 
 
 def verify_equivalence(A, B, phi, F, psi, G, samples=5, seed=0):

@@ -51,17 +51,17 @@ class SymbolPoly:
             out = out + c * mono
         return out
 
-    def evaluate(self, beta, a, xi, alpha=1, exact=True):
+    def evaluate(self, beta, a, xi, alpha=1):
         """S_beta(xi; a) = sum s_I(a) xi^I."""
         assignment = a.assignment()
-        total = Fraction(0) if exact else 0.0
+        total = Fraction(0)
         for I in enumerate_indices(GradedIndexRange(self.m, self.k, self.k)):
             c = self.coefficient(alpha, beta, I)
             if c.is_zero():
                 continue
-            val = sx.evaluate(c, assignment, exact=exact)
+            val = sx.evaluate(c, assignment)
             for i, e in enumerate(I):
-                val = val * (Fraction(xi[i]) if exact else float(xi[i])) ** e
+                val = val * Fraction(xi[i]) ** e
             total = total + val
         return total
 
@@ -72,7 +72,7 @@ class SymbolPoly:
         out = {}
         for I in enumerate_indices(GradedIndexRange(self.m, self.k, self.k)):
             c = self.coefficient(alpha, beta, I)
-            val = sx.evaluate(c, assignment, exact=True)
+            val = sx.evaluate(c, assignment)
             out[I] = Fraction(val) / multinomial(I)
         return out
 
@@ -171,15 +171,10 @@ class SymbolProlongMatrix:
     def ncols(self):
         return len(self.col_labels)
 
-    def evaluate_at(self, a, exact=True):
+    def evaluate_at(self, a):
         assignment = a.assignment()
-        rows = [
-            [sx.evaluate(e, assignment, exact=exact) for e in row]
-            for row in self.entries
-        ]
-        if exact:
-            return sp.RationalMatrix(rows, row_labels=self.row_labels, col_labels=self.col_labels)
-        return rows
+        rows = [[sx.evaluate(e, assignment) for e in row] for row in self.entries]
+        return sp.RationalMatrix(rows, row_labels=self.row_labels, col_labels=self.col_labels)
 
     def apply_to_power(self, v, a):
         """The image of the decomposable power v^(x)(k+1) at the point a,
@@ -257,10 +252,10 @@ def sample_variety_points(h, count, seed, bound=5, max_tries=200):
             jets[(alpha, I)] = sx.random_rational(rng, bound)
             assignment[JetVar(alpha, I)] = jets[(alpha, I)]
         try:
-            cval = sx.evaluate(c, assignment, exact=True)
+            cval = sx.evaluate(c, assignment)
             if cval == 0:
                 continue
-            rval = sx.evaluate(rest, assignment, exact=True)
+            rval = sx.evaluate(rest, assignment)
         except sx.EvalZeroDivision:
             continue
         except sx.EvaluationError:
@@ -333,8 +328,8 @@ def rank_profile(entries, constraint=None, samples=20, seed=0, mode="exact", tol
         import numpy as np
 
         ranks = []
-        pts = _sample_points_for(entries, constraint, samples, seed, exact=False)
-        for assignment in pts:
+        # the points are exact; sx.evaluate applies float() to each value
+        for assignment in _sample_points_for(entries, constraint, samples, seed):
             M = np.array(
                 [[sx.evaluate(e, assignment, exact=False) for e in row] for row in entries],
                 dtype=float,
@@ -360,12 +355,10 @@ def rank_profile(entries, constraint=None, samples=20, seed=0, mode="exact", tol
         report.notes.append("generic rank skipped (non-polynomial entries)")
 
     try:
-        pts = _sample_points_for(entries, constraint, samples, seed, exact=True)
+        pts = _sample_points_for(entries, constraint, samples, seed)
         ranks = []
         for assignment in pts:
-            M = sp.RationalMatrix(
-                [[sx.evaluate(e, assignment, exact=True) for e in row] for row in entries]
-            )
+            M = sp.RationalMatrix([[sx.evaluate(e, assignment) for e in row] for row in entries])
             ranks.append(M.rank())
         report.sampled_ranks = ranks
         report.sample_count = len(ranks)
@@ -380,25 +373,15 @@ def rank_profile(entries, constraint=None, samples=20, seed=0, mode="exact", tol
     return report
 
 
-def _sample_points_for(entries, constraint, samples, seed, exact=True):
-    """Assignments covering the free variables of the entries: variety
-    points when a constraint is given, plain random points otherwise."""
+def _sample_points_for(entries, constraint, samples, seed):
+    """Exact assignments covering the free variables of the entries:
+    variety points when a constraint is given, plain random points
+    otherwise."""
     if constraint is not None:
-        pts = sample_variety_points(constraint, samples, seed)
-        out = []
-        for p in pts:
-            out.append(p.assignment() if exact else {k: float(v) for k, v in p.assignment().items()})
-        return out
+        return [p.assignment() for p in sample_variety_points(constraint, samples, seed)]
     rng = random.Random(seed)
     allvars = sorted(
         {v for row in entries for e in row for v in e.free_vars()},
         key=lambda v: v.key,
     )
-    out = []
-    for _ in range(samples):
-        a = {}
-        for v in allvars:
-            val = sx.random_rational(rng, 5)
-            a[v] = val if exact else float(val)
-        out.append(a)
-    return out
+    return [{v: sx.random_rational(rng, 5) for v in allvars} for _ in range(samples)]

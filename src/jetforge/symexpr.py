@@ -757,14 +757,7 @@ def clear_denominators(e):
     are nonzero by construction), so e == 0 iff p == 0.
     """
     e = as_expr(e)
-    payloads = {}
-    for mono, _ in e._terms.items():
-        for a, exp in mono:
-            if isinstance(a, Recip):
-                k = a.payload.sort_key()
-                prev = payloads.get(k)
-                if prev is None or exp > prev[1]:
-                    payloads[k] = (a.payload, exp)
+    payloads = quotient_payloads(e)
     if not payloads:
         return e, ONE
     order = sorted(payloads)

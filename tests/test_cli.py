@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetforge import cli
+from jetforge import integrability as ig
 from jetforge import jetcalc as jc
 from jetforge import spencer as sp
 from jetforge import symexpr as sx
@@ -64,7 +65,7 @@ def test_parse_minimal_file():
     assert len(spec.operator_exprs) == 1
     assert [q.name for q in spec.queries] == ["integrability", "spencer"]
     assert spec.queries[1].arg_dict() == {"pmax": 2, "qmax": 4}
-    h = spec.build_operator()
+    h = spec.operator
     assert h.order == 2
 
 
@@ -73,14 +74,14 @@ def test_parse_metric_and_kg_operator():
     assert spec.operator_kind == "klein_gordon"
     assert spec.metric is not None
     assert spec.metric.m == 2
-    h = spec.build_operator()
+    h = spec.operator
     assert h.order == 2
     assert spec.queries[1].args == (5,)
 
 
 def test_parse_param_macro_substitution():
     spec = cli.parse_problem_file(PARAMS)
-    h = spec.build_operator()
+    h = spec.operator
     vals = {sx.BaseVar(1): Q(0), sx.BaseVar(2): Q(0),
             sx.JetVar(1, (0, 0)): Q(0),
             sx.JetVar(1, (1, 0)): Q(3), sx.JetVar(1, (0, 1)): Q(2)}
@@ -170,7 +171,7 @@ def test_load_free_data(tmp_path):
     p = tmp_path / "fd.txt"
     p.write_text("u[(3,0)] = 1/2;\nu[(2,1)] = -1;\n")
     spec = cli.parse_problem_file(WAVE)
-    h = spec.build_operator()
+    h = spec.operator
     table = cli._load_free_data(str(p), h)
     keys = {(alpha, tuple(I)) for (alpha, I) in table}
     assert keys == {(1, (3, 0)), (1, (2, 1))}
@@ -372,7 +373,7 @@ def test_size_estimates_bound_the_matrices_built():
     # the estimate
     spec = cli.parse_problem_file(WAVE.replace("m = 2", "m = 3").replace(
         "u[(2,0)] - u[(0,2)]", "u[(2,0,0)] - u[(0,2,0)] - u[(0,0,2)]"))
-    h = spec.build_operator()
+    h = spec.operator
     g = sp.symbolic_system_at(h, cli._random_jet_point(h, 0))
     sp.cohomology_dims(g, 3, 3)
     built = [g.constraints_at(q) for q in range(2, 5)]
@@ -407,3 +408,17 @@ def test_corpus_reports_match_pinned_sha256(command, monkeypatch):
         assert code == 0, name
         digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
         assert digest == golden["%s %s" % (command, name)], name
+
+
+def test_main_builds_the_operator_once(monkeypatch, capsys):
+    calls = []
+    build = ig.make_klein_gordon
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(ig, "make_klein_gordon", counting)
+    assert cli.main(["integrability", os.path.join(CORPUS_DIR, "kg_mink4.jf")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

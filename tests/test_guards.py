@@ -1,5 +1,6 @@
 """Guards on names: the benchmark tracer's targets, the demo scripts,
-and no function, class or method in the package that nothing uses."""
+the package namespace, and no function, class or method in the package
+that nothing uses."""
 
 import ast
 import collections
@@ -87,3 +88,11 @@ def test_every_package_definition_is_referenced():
             if used[name] <= _names_used(node)[name]:
                 unused.append("%s: %s" % (os.path.relpath(path, ROOT), ".".join(qualname)))
     assert not unused, "defined but never referenced: %s" % ", ".join(unused)
+
+
+def test_package_namespace_is_the_submodules():
+    import jetforge
+
+    names = {n for n in vars(jetforge) if not (n.startswith("__") and n.endswith("__"))}
+    assert names == {"mindex", "symexpr", "jetcalc", "spencer", "symbols",
+                     "integrability", "formal", "pfd", "cli"}

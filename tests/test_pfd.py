@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jetforge import jetcalc as jc
 from jetforge import pfd
@@ -233,6 +235,34 @@ def test_kron_keeps_the_width_of_zero_row_factors():
     assert (K.nrows, K.ncols) == (4, 0)
 
 
+_ENTRIES = st.one_of(st.just(Q(0)), st.fractions(min_value=-6, max_value=6, max_denominator=5))
+
+
+@st.composite
+def _dense(draw):
+    nr = draw(st.integers(0, 3))
+    nc = draw(st.integers(0, 3))
+    return nc, [[draw(_ENTRIES) for _ in range(nc)] for _ in range(nr)]
+
+
+def _rm(nc, rows):
+    return RM(rows, col_labels=range(nc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_dense(), _dense())
+@example((2, []), (2, [[Q(1), Q(0)], [Q(0), Q(1)]]))
+@example((0, [[], []]), (3, [[Q(1, 2), Q(0), Q(-3)]]))
+@example((3, [[Q(1, 2), Q(2, 3), Q(0)]]), (0, [[], [], []]))
+def test_kron_matches_dense_reference(a, b):
+    (na, A), (nb, B) = a, b
+    K = pfd.kron(_rm(na, A), _rm(nb, B))
+    want = [tuple(x * y for x in ra for y in rb) for ra in A for rb in B]
+    assert (K.nrows, K.ncols) == (len(A) * len(B), na * nb)
+    assert K.rows == tuple(want)
+    assert K == _rm(na * nb, want)
+
+
 def test_tensor_tower_splitting():
     V = pfd.LinearTower([1, 2, 3], [
         RM([[Q(1), Q(0)]]),
@@ -277,6 +307,37 @@ def test_tower_splitting_identities_random():
         split = pfd.tower_splitting(T)
         assert split.verify()
         assert sum(split.tilde_dim(i) for i in range(len(dims))) == dims[-1]
+
+
+def _random_rational_tower(rng, levels):
+    dims = [rng.randint(1, 3)]
+    for _ in range(levels - 1):
+        dims.append(dims[-1] + rng.randint(0, 2))
+    steps = []
+    for i in range(levels - 1):
+        while True:
+            M = RM([[Q(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dims[i + 1])]
+                    for _ in range(dims[i])])
+            if M.rank() == dims[i]:
+                break
+        steps.append(M)
+    return pfd.LinearTower(dims, steps)
+
+
+def test_tower_splitting_lifts_match_dense_assembly():
+    rng = random.Random(11)
+    for _ in range(6):
+        split = pfd.tower_splitting(_random_rational_tower(rng, 4))
+        for i in range(1, len(split.lifts)):
+            f = split.sections[i].rows
+            prev = split.lifts[i - 1].rows
+            K = split.kernel_bases[i].rows
+            pushed = [[sum((f[r][t] * prev[t][c] for t in range(len(prev))), Q(0))
+                       for c in range(split.lifts[i - 1].ncols)] for r in range(len(f))]
+            want = tuple(tuple(p) + tuple(k) for p, k in zip(pushed, K))
+            assert split.lifts[i].rows == want
+            assert split.lifts[i].ncols == split.lifts[i - 1].ncols + split.kernel_bases[i].ncols
+        assert split.verify()
 
 
 def _tampered(M, r, c, delta):

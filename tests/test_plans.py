@@ -51,7 +51,7 @@ def _kg(m):
 
 def _corpus_op(name):
     with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
-        return cli.parse_problem_file(fh.read()).build_operator()
+        return cli.parse_problem_file(fh.read()).operator
 
 
 _REF_PROLONGED = {}

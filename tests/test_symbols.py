@@ -130,6 +130,24 @@ def test_rank_profile_float_mode():
     assert rep.min_rank == rep.max_rank == 3
 
 
+@pytest.mark.parametrize("constrained", [False, True])
+def test_rank_profile_float_ranks_are_ranks_of_the_exact_samples(constrained):
+    np = pytest.importorskip("numpy")
+    # Monge-Ampere with a cubic term: the symbol depends on the point
+    h = jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) * sx.jet(1, (0, 2)) - sx.jet(1, (1, 1)) ** 2
+                            + sx.jet(1, (0, 0)) ** 3])
+    entries = sy.symbol_prolong1(h).entries
+    constraint = h if constrained else None
+    rep = sy.rank_profile(entries, constraint=constraint, samples=8, seed=5, mode="float")
+    want = []
+    for a in sy._sample_points_for(entries, constraint, 8, 5):
+        exact = [[sx.evaluate(e, a) for e in row] for row in entries]
+        assert all(type(x) is Q for row in exact for x in row)
+        want.append(int(np.linalg.matrix_rank(np.array(exact, dtype=float), tol=1e-9)))
+    assert rep.sampled_ranks == want
+    assert len(want) == 8
+
+
 def test_prolonged_symbol_coefficient_normalization():
     # entry at (i, beta), column J is s_{J - e_i} * J_i / ((k+1) * mult(J - e_i))
     h = _laplace(2)
