@@ -15,7 +15,7 @@ import sys
 import tempfile
 
 JETFORGE = ([shutil.which("jetforge")] if shutil.which("jetforge")
-            else [sys.executable, "-m", "jetforge.cli"])
+            else [sys.executable, "-m", "jetforge"])
 
 PROBLEM = """\
 base m = 2;

@@ -227,11 +227,10 @@ def lift_system_at(h, b):
     l = b.chart.k - h.order
     if l < 0:
         raise ValueError("point order below operator order")
+    if (b.chart.m, b.chart.n) != (h.m, h.n):
+        raise ValueError("point and operator live on different bundles")
     plan = jc.lift_plan(h, l)
-    assignment = b.assignment()
-    for v in plan.unknown_vars:
-        assignment[v] = Fraction(0)
-    values = sx.evaluate_many(plan.exprs, assignment, exact=True)
+    values = plan.values_at(b)
     width = len(plan.unknowns) + 1
     rows = []
     rhs = []
@@ -497,7 +496,8 @@ def variety_codim(h, l, samples=10, seed=0):
     if h.n_out != 1:
         raise ValueError("codimension diagnostics are for scalar operators")
     prolonged = jc.prolong_op(h, l)
-    coords = prolonged.chart().coordinates()
+    layout = prolonged.chart().layout
+    coords = layout.atoms
     pts = sample_prolonged_points(h, l, samples, seed)
     symbol = jc.symbol_table(h)
     jacobian = []
@@ -512,9 +512,10 @@ def variety_codim(h, l, samples=10, seed=0):
             else:
                 jacobian.append(sx.ZERO)
     width = len(coords)
+    batch = sx.Batch(jacobian, layout.slots)
     observed = []
     for p in pts:
-        values = sx.evaluate_many(jacobian, p.assignment(), exact=True)
+        values = batch.at(p.base + p.values)
         rows = [values[start:start + width] for start in range(0, len(values), width)]
         observed.append(sp.RationalMatrix(rows).rank())
     expected = dim_F(GradedIndexRange(h.m, 0, l))

@@ -9,12 +9,53 @@ iterated total differentiation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .mindex import MultiIndex, GradedIndexRange, enumerate_indices, dim_F
 from . import symexpr as sx
 from .symexpr import Expr, BaseVar, JetVar, as_expr, differentiate
+
+
+class ChartLayout:
+    """The coordinates of the order-k jet chart over R^m with fiber R^n,
+    built once per (m, n, k) by `chart_layout`.
+
+    `indices` are the multi-indices |I| <= k in graded-lex order, and
+    `labels` the (alpha, I) fiber labels in chart order: graded-lex on
+    I, degree first, then alpha.  So the order-k labels are a prefix of
+    the order-(k+1) labels.  `atoms` are the chart coordinates as
+    atoms, the base variables x_1..x_m first and then one JetVar per
+    label.  `index` maps a label to its position in `labels`, `slots`
+    an atom to its position in `atoms`; both are read-only, since every
+    point on the chart shares them.
+    """
+
+    __slots__ = ("indices", "labels", "atoms", "index", "slots")
+
+    def __init__(self, indices, labels, atoms):
+        self.indices = indices
+        self.labels = labels
+        self.atoms = atoms
+        self.index = MappingProxyType({label: pos for pos, label in enumerate(labels)})
+        self.slots = MappingProxyType({a: pos for pos, a in enumerate(atoms)})
+
+
+@functools.cache
+def chart_layout(m, n, k):
+    """The layout of the order-k jet chart, extending the order-(k-1)
+    one, so that lower orders share their index, label and atom
+    objects."""
+    if k == 0:
+        below = ChartLayout((), (), tuple(BaseVar(i) for i in range(1, m + 1)))
+    else:
+        below = chart_layout(m, n, k - 1)
+    top = enumerate_indices(GradedIndexRange(m, k, k))
+    labels = tuple((alpha, I) for I in top for alpha in range(1, n + 1))
+    return ChartLayout(below.indices + tuple(top), below.labels + labels,
+                       below.atoms + tuple(JetVar(alpha, I) for alpha, I in labels))
 
 
 @dataclass(frozen=True)
@@ -29,30 +70,40 @@ class JetChartSpec:
         if self.m < 1 or self.n < 1 or self.k < 0:
             raise ValueError("need m >= 1, n >= 1, k >= 0")
 
+    @property
+    def layout(self):
+        return chart_layout(self.m, self.n, self.k)
+
     def jet_indices(self):
-        return enumerate_indices(GradedIndexRange(self.m, 0, self.k))
+        return list(self.layout.indices)
 
     def fiber_labels(self):
         """(alpha, I) pairs in chart order: graded-lex on I, then alpha."""
-        return [
-            (alpha, I)
-            for I in self.jet_indices()
-            for alpha in range(1, self.n + 1)
-        ]
+        return list(self.layout.labels)
 
     def coordinates(self):
         """All chart coordinates as atoms, base first."""
-        out = [BaseVar(i) for i in range(1, self.m + 1)]
-        out.extend(JetVar(alpha, I) for alpha, I in self.fiber_labels())
-        return out
+        return list(self.layout.atoms)
 
     @property
     def dim(self):
         return self.m + self.n * dim_F(GradedIndexRange(self.m, 0, self.k))
 
 
+_MISSING = object()
+
+
+def _as_fraction(v):
+    return v if type(v) is Fraction else Fraction(v)
+
+
 class JetPoint:
     """A point of the order-k jet chart: base values plus every jet value.
+
+    The jet values are a tuple `values` in the order of the chart's
+    labels (`chart.layout`), so `project` keeps a prefix and `extend`
+    appends the new top-order values.  `p[(alpha, I)]` reads one value;
+    `jets` builds the {(alpha, I): value} dict.
 
     Example:
         >>> chart = JetChartSpec(1, 1, 1)
@@ -61,62 +112,86 @@ class JetPoint:
         Fraction(3, 1)
     """
 
-    __slots__ = ("chart", "base", "jets")
+    __slots__ = ("chart", "base", "values")
 
     def __init__(self, chart, base, jets):
+        self._fill(chart, base, _jet_values(chart.layout.labels, jets))
+
+    @classmethod
+    def from_values(cls, chart, base, values):
+        """The point with jet values given in the order of the chart's
+        labels."""
+        p = cls.__new__(cls)
+        p._fill(chart, base, values)
+        return p
+
+    def _fill(self, chart, base, values):
         if len(base) != chart.m:
             raise ValueError("base point has wrong dimension")
+        if len(values) != len(chart.layout.labels):
+            raise ValueError("wrong number of jet values")
         self.chart = chart
-        self.base = tuple(Fraction(b) for b in base)
-        table = {}
-        for alpha, I in chart.fiber_labels():
-            key = (alpha, MultiIndex(I))
-            if key not in jets and (alpha, tuple(I)) not in jets:
-                raise ValueError("missing jet value for %s" % (key,))
-            val = jets.get(key, jets.get((alpha, tuple(I))))
-            table[key] = Fraction(val)
-        self.jets = table
+        self.base = tuple([_as_fraction(b) for b in base])
+        self.values = tuple([_as_fraction(v) for v in values])
+
+    @property
+    def jets(self):
+        return dict(zip(self.chart.layout.labels, self.values))
 
     def __getitem__(self, key):
-        alpha, I = key
-        return self.jets[(alpha, MultiIndex(I))]
+        # a MultiIndex is a tuple, so (alpha, I) finds the label for
+        # either; other index sequences are turned into tuples
+        index = self.chart.layout.index
+        try:
+            pos = index[key]
+        except TypeError:
+            alpha, I = key
+            pos = index[(alpha, tuple(I))]
+        return self.values[pos]
 
     def assignment(self):
         """Variable assignment suitable for symexpr.evaluate."""
-        out = {BaseVar(i + 1): v for i, v in enumerate(self.base)}
-        for (alpha, I), v in self.jets.items():
-            out[JetVar(alpha, I)] = v
-        return out
+        return dict(zip(self.chart.layout.atoms, self.base + self.values))
 
     def project(self, k1):
         """Forget jets of degree above k1."""
         if k1 > self.chart.k:
             raise ValueError("cannot project upward")
         chart = JetChartSpec(self.chart.m, self.chart.n, k1)
-        jets = {key: v for key, v in self.jets.items() if key[1].degree <= k1}
-        return JetPoint(chart, self.base, jets)
+        return JetPoint.from_values(chart, self.base, self.values[:len(chart.layout.labels)])
 
     def extend(self, new_jets):
-        """Adjoin order-(k+1) values, producing a point one level up."""
+        """Adjoin order-(k+1) values, producing a point one level up.
+
+        new_jets maps each new label (alpha, I), |I| = k + 1, to its
+        value; other keys are not read."""
         chart = JetChartSpec(self.chart.m, self.chart.n, self.chart.k + 1)
-        jets = dict(self.jets)
-        for key, v in new_jets.items():
-            alpha, I = key
-            jets[(alpha, MultiIndex(I))] = v
-        return JetPoint(chart, self.base, jets)
+        top = chart.layout.labels[len(self.values):]
+        return JetPoint.from_values(chart, self.base, [*self.values, *_jet_values(top, new_jets)])
 
     def __eq__(self, other):
         return (
             isinstance(other, JetPoint)
             and self.chart == other.chart
             and self.base == other.base
-            and self.jets == other.jets
+            and self.values == other.values
         )
 
     def __repr__(self):
         return "JetPoint(m=%d, n=%d, k=%d, base=%s)" % (
             self.chart.m, self.chart.n, self.chart.k, self.base,
         )
+
+
+def _jet_values(labels, jets):
+    """The values of jets ({(alpha, I): value}) at labels, in order."""
+    out = []
+    for key in labels:
+        v = jets.get(key, _MISSING)
+        if v is _MISSING:
+            raise ValueError("missing jet value for %s" % (key,))
+        out.append(v)
+    return out
 
 
 class DiffOp:
@@ -126,12 +201,14 @@ class DiffOp:
     is R^len(components).  `labels` records (beta, I) provenance for
     prolonged operators; plain operators get beta-only labels.
 
-    Its prolongations (`prolong_op`) and lift plans (`lift_plan`) are
-    built on first use and kept on it, so an operator must not be
-    mutated after construction.
+    Its prolongations (`prolong_op`), lift plans (`lift_plan`) and the
+    exact evaluation batch of its components for each chart it is
+    evaluated on are built on first use and kept on it, so an operator
+    must not be mutated after construction.
     """
 
-    __slots__ = ("m", "n", "order", "components", "labels", "_prolongations", "_lift_plans")
+    __slots__ = ("m", "n", "order", "components", "labels", "_prolongations", "_lift_plans",
+                 "_batches")
 
     def __init__(self, m, n, order, components, labels=None):
         components = tuple(as_expr(c) for c in components)
@@ -147,6 +224,7 @@ class DiffOp:
         self.labels = tuple(labels)
         self._prolongations = {}  # l >= 1 -> prolong_op(self, l)
         self._lift_plans = {}  # l -> lift_plan(self, l)
+        self._batches = {}  # chart layout -> sx.Batch of the components
 
     @property
     def n_out(self):
@@ -156,7 +234,15 @@ class DiffOp:
         return JetChartSpec(self.m, self.n, self.order)
 
     def evaluate_at(self, point, exact=True):
-        return tuple(sx.evaluate_many(self.components, point.assignment(), exact=exact))
+        """Component values at a jet point; exact ones read the point's
+        coordinates by slot position."""
+        if not exact:
+            return tuple(sx.evaluate_many(self.components, point.assignment(), exact=False))
+        layout = point.chart.layout
+        batch = self._batches.get(layout)
+        if batch is None:
+            batch = self._batches[layout] = sx.Batch(self.components, layout.slots)
+        return tuple(batch.at(point.base + point.values))
 
     def is_linear(self):
         """Affine-linear in the jet variables with base-only coefficients.
@@ -209,11 +295,10 @@ class SectionPoly:
 def jet_of_section(psi, p, k):
     """The k-jet of the section at p: jets[(alpha, I)] = d^I psi^alpha (p)."""
     chart = JetChartSpec(psi.m, psi.n, k)
-    assignment = {BaseVar(i + 1): v for i, v in enumerate(p)}
-    jets = {}
-    for alpha, I in chart.fiber_labels():
-        jets[(alpha, I)] = sx.evaluate(psi.derivative(alpha, I), assignment)
-    return JetPoint(chart, p, jets)
+    layout = chart.layout
+    assignment = dict(zip(layout.atoms[:psi.m], p))
+    derivatives = [psi.derivative(alpha, I) for alpha, I in layout.labels]
+    return JetPoint.from_values(chart, p, sx.evaluate_many(derivatives, assignment))
 
 
 def total_derivative(e, i):
@@ -298,11 +383,13 @@ class LiftPlan:
     """The equations of one lift step of an operator, compiled once.
 
     Lifting a point of the order-(k+l) equation variety solves for the
-    order-(k+l+1) coordinates `unknowns` ((alpha, T), graded-lex on T)
-    from the rows D_I h_beta with |I| = l + 1 (`row_labels`), which are
-    affine in them.  `exprs` holds, row after row, the Jacobian entries
-    d(D_I h_beta)/du^alpha_T in column order followed by the row's
-    component; only evaluation is left to do at each point.
+    order-(k+l+1) coordinates `unknowns` (the new labels of the chart
+    layout, (alpha, T) graded-lex on T) from the rows D_I h_beta with
+    |I| = l + 1 (`row_labels`), which are affine in them.  `batch`
+    holds, row after row, the Jacobian entries d(D_I h_beta)/du^alpha_T
+    in column order followed by the row's component, compiled against
+    the order-(k+l+1) layout; `values_at` evaluates them at a point with
+    the unknowns set to zero, which is all that is left to do there.
 
     The Jacobian is read off the symbol by an index shift, not by
     differentiating the prolonged rows: for |I| >= 1,
@@ -314,16 +401,13 @@ class LiftPlan:
     carry order-(k+1) jets, and dg/du^alpha_J has order <= k.
     """
 
-    __slots__ = ("unknowns", "unknown_vars", "row_labels", "exprs")
+    __slots__ = ("unknowns", "row_labels", "batch", "_zeros")
 
     def __init__(self, h, l):
-        top = h.order + l + 1
-        self.unknowns = tuple(
-            (alpha, T)
-            for T in enumerate_indices(GradedIndexRange(h.m, top, top))
-            for alpha in range(1, h.n + 1)
-        )
-        self.unknown_vars = tuple(JetVar(alpha, T) for alpha, T in self.unknowns)
+        layout = chart_layout(h.m, h.n, h.order + l + 1)
+        below = chart_layout(h.m, h.n, h.order + l)
+        self.unknowns = layout.labels[len(below.labels):]
+        self._zeros = (Fraction(0),) * len(self.unknowns)
         symbol = symbol_table(h)
         prolonged = prolong_op(h, l + 1)
         row_labels = []
@@ -336,7 +420,11 @@ class LiftPlan:
                 exprs.append(shifted_symbol(symbol, alpha, beta, T, I))
             exprs.append(comp)
         self.row_labels = tuple(row_labels)
-        self.exprs = tuple(exprs)
+        self.batch = sx.Batch(exprs, layout.slots)
+
+    def values_at(self, b):
+        """The entries at the level-l point b, row after row."""
+        return self.batch.at(b.base + b.values + self._zeros)
 
 
 def lift_plan(h, l):
@@ -365,25 +453,27 @@ class IotaReindex:
         inner_labels = self.inner_chart.fiber_labels()
         self.outer_chart = JetChartSpec(m, len(inner_labels), l)
         self.inner_labels = inner_labels
+        # outer labels (pos, J) in chart order, and the position of the
+        # source label each pulls back to
+        source = self.source_chart.layout.index
         self.label_map = {}
-        for J in enumerate_indices(GradedIndexRange(m, 0, l)):
-            for pos, (alpha, I) in enumerate(inner_labels, start=1):
-                self.label_map[(pos, J)] = (alpha, I.add(J))
+        self._sources = []
+        for pos, J in self.outer_chart.layout.labels:
+            alpha, I = inner_labels[pos - 1]
+            label = self.label_map[(pos, J)] = (alpha, I.add(J))
+            self._sources.append(source[label])
 
     def point_embed(self, jp):
         """Image of an order-(k+l) point in the iterated-jet chart."""
         if jp.chart != self.source_chart:
             raise ValueError("point does not live on J^{k+l}")
-        jets = {}
-        for (pos, J), (alpha, IJ) in self.label_map.items():
-            jets[(pos, J)] = jp[(alpha, IJ)]
-        return JetPoint(self.outer_chart, jp.base, jets)
+        return JetPoint.from_values(self.outer_chart, jp.base, [jp.values[s] for s in self._sources])
 
     def pull_expr(self, e):
         """Rewrite an expression on J^l(pi_k) as one on J^{k+l}(pi)."""
-        bindings = {}
-        for (pos, J), (alpha, IJ) in self.label_map.items():
-            bindings[JetVar(pos, J)] = Expr.variable(JetVar(alpha, IJ))
+        outer = self.outer_chart.layout.atoms[self.m:]
+        source = self.source_chart.layout.atoms[self.m:]
+        bindings = {a: Expr.variable(source[s]) for a, s in zip(outer, self._sources)}
         return sx.substitute(e, bindings)
 
 
@@ -443,8 +533,8 @@ def section_jet_assignment(psi, k):
     Substituting this into an operator component gives its pullback
     along j^k psi as a base-variable expression.
     """
-    chart = JetChartSpec(psi.m, psi.n, k)
-    out = {}
-    for alpha, I in chart.fiber_labels():
-        out[JetVar(alpha, I)] = psi.derivative(alpha, I)
-    return out
+    layout = chart_layout(psi.m, psi.n, k)
+    return {
+        atom: psi.derivative(alpha, I)
+        for atom, (alpha, I) in zip(layout.atoms[psi.m:], layout.labels)
+    }

@@ -27,6 +27,12 @@ class MultiIndex(tuple):
             raise ValueError("multi-index entries must be nonnegative: %r" % (entries,))
         return super().__new__(cls, entries)
 
+    @classmethod
+    def _trusted(cls, entries):
+        """A multi-index from entries known to be nonnegative ints:
+        internal arithmetic skips the conversion and the sign scan."""
+        return tuple.__new__(cls, entries)
+
     @property
     def m(self):
         return len(self)
@@ -36,10 +42,11 @@ class MultiIndex(tuple):
         return sum(self)
 
     def add(self, other):
-        other = MultiIndex(other)
+        if not isinstance(other, MultiIndex):
+            other = MultiIndex(other)
         if len(other) != len(self):
             raise ValueError("dimension mismatch: %d vs %d" % (len(self), len(other)))
-        return MultiIndex(a + b for a, b in zip(self, other))
+        return MultiIndex._trusted([a + b for a, b in zip(self, other)])
 
     def graded_lex_key(self):
         # degree ascending, then lexicographic with the first axis dominant:
@@ -48,7 +55,9 @@ class MultiIndex(tuple):
 
     def add_unit(self, i):
         """I + 1_i (1-based axis)."""
-        return self.add(MultiIndex.unit(len(self), i))
+        if not 1 <= i <= len(self):
+            raise ValueError("axis %d out of range 1..%d" % (i, len(self)))
+        return MultiIndex._trusted(self[: i - 1] + (self[i - 1] + 1,) + self[i:])
 
     def sub_unit(self, i):
         """I - 1_i; raises when the entry is already zero."""
@@ -56,18 +65,18 @@ class MultiIndex(tuple):
             raise ValueError("axis %d out of range 1..%d" % (i, len(self)))
         if self[i - 1] == 0:
             raise ValueError("cannot decrement axis %d of %r" % (i, tuple(self)))
-        return MultiIndex(self[: i - 1] + (self[i - 1] - 1,) + self[i:])
+        return MultiIndex._trusted(self[: i - 1] + (self[i - 1] - 1,) + self[i:])
 
     @classmethod
     def zero(cls, m):
-        return cls((0,) * m)
+        return cls._trusted((0,) * m)
 
     @classmethod
     def unit(cls, m, i):
         """1_i, the multi-index with a single 1 in axis i (1-based)."""
         if not 1 <= i <= m:
             raise ValueError("axis %d out of range 1..%d" % (i, m))
-        return cls(tuple(1 if j == i - 1 else 0 for j in range(m)))
+        return cls._trusted([1 if j == i - 1 else 0 for j in range(m)])
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,7 @@ def enumerate_indices(rng: GradedIndexRange):
     out = []
     for deg in range(rng.k1, rng.k2 + 1):
         for c in _compositions(deg, rng.m):
-            out.append(MultiIndex(c))
+            out.append(MultiIndex._trusted(c))
     return out
 
 
@@ -133,7 +142,8 @@ def offset(I: MultiIndex, i: int, delta: int):
     The None return marks the boundary case of delta-contractions and
     total derivatives, where the shifted index leaves N^m.
     """
-    I = MultiIndex(I)
+    if not isinstance(I, MultiIndex):
+        I = MultiIndex(I)
     if not 1 <= i <= len(I):
         raise ValueError("axis %d out of range 1..%d" % (i, len(I)))
     if delta not in (1, -1):
@@ -141,7 +151,7 @@ def offset(I: MultiIndex, i: int, delta: int):
     e = I[i - 1] + delta
     if e < 0:
         return None
-    return MultiIndex(I[: i - 1] + (e,) + I[i:])
+    return MultiIndex._trusted(I[: i - 1] + (e,) + I[i:])
 
 
 def sorted_graded_lex(indices):

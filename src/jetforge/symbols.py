@@ -18,7 +18,7 @@ from .mindex import MultiIndex, GradedIndexRange, enumerate_indices, multinomial
 from . import symexpr as sx
 from . import jetcalc as jc
 from . import spencer as sp
-from .symexpr import Expr, BaseVar, JetVar, differentiate
+from .symexpr import Expr, JetVar, differentiate
 
 
 class SymbolPoly:
@@ -235,33 +235,32 @@ def sample_variety_points(h, count, seed, bound=5, max_tries=200):
     rest = h.components[0] - c * Expr.variable(v)
     rng = random.Random(seed)
     chart = h.chart()
+    layout = chart.layout
+    # coordinates are drawn in chart order, base first; v has no slot,
+    # so c and rest are evaluated without it
+    solved = layout.slots[v]
+    slots = {a: pos for a, pos in layout.slots.items() if pos != solved}
+    cb = sx.Batch([c], slots)
+    rb = sx.Batch([rest], slots)
     points = []
     tries = 0
     while len(points) < count:
         tries += 1
         if tries > max_tries * count:
             raise SamplerError("variety sampling kept hitting vanishing coefficients")
-        assignment = {}
-        base = [sx.random_rational(rng, bound) for _ in range(h.m)]
-        for i, val in enumerate(base, start=1):
-            assignment[BaseVar(i)] = val
-        jets = {}
-        for alpha, I in chart.fiber_labels():
-            if (alpha, I) == (v.alpha, v.index):
-                continue
-            jets[(alpha, I)] = sx.random_rational(rng, bound)
-            assignment[JetVar(alpha, I)] = jets[(alpha, I)]
+        coords = [sx.random_rational(rng, bound) for _ in range(len(layout.atoms) - 1)]
+        coords.insert(solved, None)
         try:
-            cval = sx.evaluate(c, assignment)
+            cval = cb.at(coords)[0]
             if cval == 0:
                 continue
-            rval = sx.evaluate(rest, assignment)
+            rval = rb.at(coords)[0]
         except sx.EvalZeroDivision:
             continue
         except sx.EvaluationError:
             raise SamplerError("exact sampling needs polynomial or rational data")
-        jets[(v.alpha, v.index)] = -rval / cval
-        points.append(jc.JetPoint(chart, base, jets))
+        coords[solved] = -rval / cval
+        points.append(jc.JetPoint.from_values(chart, coords[:h.m], coords[h.m:]))
     return points
 
 

@@ -106,7 +106,8 @@ class JetVar(VarRef):
     __slots__ = ("alpha", "index")
 
     def __init__(self, alpha, index):
-        index = MultiIndex(index)
+        if not isinstance(index, MultiIndex):
+            index = MultiIndex(index)
         if alpha < 1:
             raise ValueError("fiber component must be >= 1")
         object.__setattr__(self, "alpha", int(alpha))
@@ -208,23 +209,23 @@ def _merge_monomials(m1, m2):
 class Expr:
     """Immutable normalized expression; all arithmetic returns new values."""
 
-    __slots__ = ("_terms", "_key", "_table")
+    __slots__ = ("_terms", "_key", "_batch")
 
     def __init__(self, terms=None):
         self._terms = dict(terms) if terms else {}
         self._key = None
-        self._table = None
+        self._batch = None
 
     @classmethod
     def _make(cls, terms):
         terms = {m: c for m, c in terms.items() if c != 0}
         if not terms:
-            # one zero, so zero results share its evaluation table
+            # one zero, so zero results share its evaluation batch
             return ZERO
         e = cls.__new__(cls)
         e._terms = terms
         e._key = None
-        e._table = None
+        e._batch = None
         return e
 
     @classmethod
@@ -621,37 +622,166 @@ def evaluate_many(exprs, assignment, exact=True):
     payload evaluated once.  The memo lives for this call only.  Values
     and errors are those of evaluating the expressions one by one.
 
-    Exact mode is fraction-free: with D the lcm of the denominators of
-    the atom values, each atom becomes the integer value * D, each
-    expression sums its monomials over the integers (see `_int_table`),
-    and the one gcd is taken when its Fraction is formed.
+    Exact mode compiles the expressions into a `Batch` for this call;
+    float mode sums term by term.
     """
     return _values([as_expr(e) for e in exprs], assignment, exact, {})
 
 
 def _values(exprs, assignment, exact, memo):
     if exact:
-        return _exact_values(exprs, assignment, memo)
+        batch = _batch_of(exprs[0]) if len(exprs) == 1 else Batch(exprs)
+        return batch.given(assignment, memo)
     return [_float_terms(e, assignment, memo) for e in exprs]
 
 
-def _int_table(e):
-    """(L, dmax, powers, coefs, gaps, monos, const): e prepared for
-    integer evaluation, kept on e, which never changes, so it is built
-    on the first exact evaluation of e only.
+class Batch:
+    """A fixed list of expressions compiled once for exact evaluation.
 
-    L is the lcm of the coefficient denominators, dmax the largest total
-    degree of a monomial, and powers the distinct (atom, exponent)
-    factors in the order the terms meet them.  Term t has coefficient
-    coefs[t] / L, total degree dmax - gaps[t], and monos[t] lists the
-    positions in powers of its factors.  So with atom values n / D the
-    value of e is
-    sum(coefs[t] * D^gaps[t] * prod of its factors n^exponent)
-    / (L * D^dmax).
-    An expression without atoms has the same value at every point;
-    const holds it (None when there are atoms).
+    The table of one expression (`_single`, kept on the expression)
+    lists its atoms in the order its terms meet them, its distinct
+    (atom position, exponent) powers, and one entry
+    (L, dmax, coefs, gaps, monos, const): L is the lcm of the
+    coefficient denominators, dmax the largest total degree of a
+    monomial, term t has coefficient coefs[t] / L and total degree
+    dmax - gaps[t], and monos[t] lists the positions of its powers.
+    So with atom values n / D the value of the expression is
+    sum(coefs[t] * D^gaps[t] * prod of its powers of n)
+    / (L * D^dmax).  An expression without atoms has the same value at
+    every point, const (None when there are atoms).
+
+    A batch of several expressions unites their tables over the union
+    of their atoms and powers: atoms in the order evaluating the
+    expressions one by one meets them, one entry per distinct Expr
+    object.  An evaluation takes one lcm D of the atom denominators,
+    computes each power once and sums each entry over the integers;
+    the one gcd is taken when its Fraction is formed.
+
+    Atom values come either from an assignment (`given`) or, for a
+    batch compiled with `slots` ({variable atom: position}), by
+    position from a sequence of values (`at`).  Atoms that have no
+    slot are evaluated in their turn: a quotient or primitive from its
+    argument, a variable not at all ("no value assigned").  Evaluating
+    atoms is the only step that can fail, so the first error is the
+    one evaluating the expressions one by one meets.
     """
+
+    __slots__ = ("atoms", "powers", "entries", "out", "top", "read", "special")
+
+    def __init__(self, exprs, slots=None):
+        atoms = {}
+        powers = {}
+        plist = []
+        entries = []
+        seen = {}
+        out = []
+        top = 0
+        for e in exprs:
+            pos = seen.get(id(e))
+            if pos is None:
+                pos = seen[id(e)] = len(entries)
+                one = _batch_of(e)
+                entry = one.entries[0]
+                if one.powers:
+                    start = len(plist)
+                    local = []
+                    for i, k in one.powers:
+                        f = (one.atoms[i], k)
+                        p = powers.get(f)
+                        if p is None:
+                            p = powers[f] = len(plist)
+                            plist.append((atoms.setdefault(f[0], len(atoms)), k))
+                        local.append(p)
+                    if start or len(plist) != len(local):
+                        L, dmax, coefs, gaps, monos, const = entry
+                        monos = tuple([tuple([local[i] for i in mono]) for mono in monos])
+                        entry = (L, dmax, coefs, gaps, monos, const)
+                    if one.top > top:
+                        top = one.top
+                entries.append(entry)
+            out.append(pos)
+        self.atoms = tuple(atoms)
+        self.powers = tuple(plist)
+        self.entries = tuple(entries)
+        # None when every expression is its own entry, in order
+        self.out = None if len(out) == len(entries) else tuple(out)
+        self.top = top
+        if slots is not None:
+            self.read = tuple([slots[a] for a in self.atoms if a in slots])
+            self.special = tuple([
+                (i, a, None if isinstance(a, VarRef) else Batch([_argument(a)], slots))
+                for i, a in enumerate(self.atoms) if a not in slots
+            ])
+
+    def given(self, assignment, memo=None):
+        """Exact values with atoms read from assignment ({atom: value});
+        memo ({atom: Fraction}) carries atom values between the batches
+        of one call, quotient payloads and primitive arguments among
+        them."""
+        if memo is None:
+            memo = {}
+        vals = []
+        for a in self.atoms:
+            x = memo.get(a)
+            if x is None:
+                if isinstance(a, VarRef):
+                    try:
+                        x = assignment[a]
+                    except KeyError:
+                        raise _unassigned(a) from None
+                    if type(x) is not Fraction:
+                        x = Fraction(x)
+                else:
+                    inner = _batch_of(_argument(a)).given(assignment, memo)[0]
+                    x = _exact_compound(a, inner)
+                memo[a] = x
+            vals.append(x)
+        return self._run(vals)
+
+    def at(self, values):
+        """Exact values with each slotted atom read from values (a
+        sequence of Fractions) at its slot position."""
+        vals = [values[p] for p in self.read]
+        # atoms without a slot go in at their place, in order
+        for i, a, inner in self.special:
+            if inner is None:
+                raise _unassigned(a)
+            vals.insert(i, _exact_compound(a, inner.at(values)[0]))
+        return self._run(vals)
+
+    def _run(self, vals):
+        entries = self.entries
+        if vals:
+            D = math.lcm(*[x.denominator for x in vals])
+            nums = [x.numerator * (D // x.denominator) for x in vals]
+            f = [nums[i] if k == 1 else nums[i] ** k for i, k in self.powers].__getitem__
+            dpow = [1]
+            for _ in range(self.top):
+                dpow.append(dpow[-1] * D)
+            res = []
+            for L, dmax, coefs, gaps, monos, const in entries:
+                if const is not None:
+                    res.append(const)
+                    continue
+                total = 0
+                for c, g, mono in zip(coefs, gaps, monos):
+                    total += math.prod(map(f, mono), start=c * dpow[g])
+                res.append(Fraction(total, L * dpow[dmax]) if total else _F0)
+        else:
+            # atom-free: every entry holds its constant
+            res = [t[5] for t in entries]
+        return res if self.out is None else [res[i] for i in self.out]
+
+
+def _batch_of(e):
+    return e._batch or _single(e)
+
+
+def _single(e):
+    """The batch of e alone, kept on e, which never changes, so it is
+    built on the first exact evaluation of e only."""
     L = math.lcm(*[c.denominator for c in e._terms.values()])
+    atoms = {}
     powers = {}
     coefs = []
     degrees = []
@@ -661,52 +791,42 @@ def _int_table(e):
         d = 0
         pos = []
         for f in mono:
-            pos.append(powers.setdefault(f, len(powers)))
+            p = powers.get(f)
+            if p is None:
+                p = powers[f] = len(powers)
+                atoms.setdefault(f[0], len(atoms))
+            pos.append(p)
             d += f[1]
         degrees.append(d)
         monos.append(tuple(pos))
     dmax = max(degrees, default=0)
-    const = None if powers else Fraction(sum(coefs), L)
-    t = e._table = (L, dmax, tuple(powers), tuple(coefs),
-                    tuple([dmax - d for d in degrees]), tuple(monos), const)
-    return t
+    b = e._batch = Batch.__new__(Batch)
+    b.atoms = tuple(atoms)
+    b.powers = tuple([(atoms[a], k) for a, k in powers])
+    b.entries = ((L, dmax, tuple(coefs), tuple([dmax - d for d in degrees]), tuple(monos),
+                  None if powers else Fraction(sum(coefs), L)),)
+    b.out = None
+    b.top = dmax
+    return b
 
 
-def _exact_values(exprs, assignment, memo):
-    tables = []
-    vals = {}
-    top = 0
-    for e in exprs:
-        t = e._table or _int_table(e)
-        if t[1] > top:
-            top = t[1]
-        # atoms in the order the terms meet them
-        for a, _ in t[2]:
-            if a not in vals:
-                x = memo.get(a)
-                if x is None:
-                    x = memo[a] = _evaluate_atom(a, assignment, True, memo)
-                vals[a] = x
-        tables.append(t)
-    if not vals:
-        # atom-free: every table holds its constant
-        return [t[6] for t in tables]
-    D = math.lcm(*[x.denominator for x in vals.values()])
-    nums = {a: x.numerator * (D // x.denominator) for a, x in vals.items()}
-    dpow = [1]
-    for _ in range(top):
-        dpow.append(dpow[-1] * D)
-    out = []
-    for L, dmax, powers, coefs, gaps, monos, const in tables:
-        if const is not None:
-            out.append(const)
-            continue
-        f = [nums[a] if k == 1 else nums[a] ** k for a, k in powers].__getitem__
-        total = 0
-        for c, g, mono in zip(coefs, gaps, monos):
-            total += math.prod(map(f, mono), start=c * dpow[g])
-        out.append(Fraction(total, L * dpow[dmax]) if total else _F0)
-    return out
+def _argument(a):
+    """The argument of a primitive atom, the payload of a quotient."""
+    return a.arg if isinstance(a, PrimCall) else a.payload
+
+
+def _unassigned(a):
+    return EvaluationError("no value assigned to %s" % atom_str(a))
+
+
+def _exact_compound(a, inner):
+    """The exact value of a primitive or quotient atom whose argument
+    (payload) has the value inner."""
+    if isinstance(a, PrimCall):
+        raise EvaluationError("exact evaluation of transcendental primitive %r" % a.name)
+    if inner == 0:
+        raise EvalZeroDivision("division by zero while evaluating a quotient")
+    return 1 / inner
 
 
 def _float_terms(e, assignment, memo):
@@ -716,34 +836,30 @@ def _float_terms(e, assignment, memo):
         for a, exp in mono:
             x = memo.get(a)
             if x is None:
-                x = memo[a] = _evaluate_atom(a, assignment, False, memo)
+                x = memo[a] = _float_atom(a, assignment, memo)
             val = val * (x if exp == 1 else x**exp)
         total = total + val
     return total
 
 
-def _evaluate_atom(a, assignment, exact, memo):
+def _float_atom(a, assignment, memo):
     if isinstance(a, VarRef):
         try:
             v = assignment[a]
         except KeyError:
-            raise EvaluationError("no value assigned to %s" % atom_str(a)) from None
-        return Fraction(v) if exact else float(v)
+            raise _unassigned(a) from None
+        return float(v)
     if isinstance(a, PrimCall):
-        inner = _values([a.arg], assignment, exact, memo)[0]
-        if exact:
-            raise EvaluationError(
-                "exact evaluation of transcendental primitive %r" % a.name
-            )
+        inner = _values([a.arg], assignment, False, memo)[0]
         impl = _REGISTRY[a.name].float_impl
         if impl is None:
             raise EvaluationError("primitive %r has no numeric implementation" % a.name)
         return impl(inner)
     if isinstance(a, Recip):
-        inner = _values([a.payload], assignment, exact, memo)[0]
+        inner = _values([a.payload], assignment, False, memo)[0]
         if inner == 0:
             raise EvalZeroDivision("division by zero while evaluating a quotient")
-        return (Fraction(1) / inner) if exact else (1.0 / inner)
+        return 1.0 / inner
     raise TypeError(a)
 
 

@@ -1,0 +1,115 @@
+"""Compiled evaluation batches against one-by-one evaluation.
+
+`symexpr.Batch` compiles a fixed list of expressions once into one
+integer table; every exact evaluation runs it.  A batch compiled once
+and evaluated at several points must give the values, and the first
+error (type and message), of `evaluate` on each expression alone, and
+reading atoms by slot position must give what reading them from an
+assignment gives.
+"""
+
+from fractions import Fraction as Q
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jetforge import symexpr as sx
+from jetforge.mindex import MultiIndex
+from jetforge.symexpr import BaseVar, EvalZeroDivision, EvaluationError, JetVar, ParamVar
+
+X1, X2 = BaseVar(1), BaseVar(2)
+U = [JetVar(1, MultiIndex(I)) for I in ((0, 0), (1, 0), (0, 1))]
+A = ParamVar("a")
+VARS = [X1, X2] + U + [A]
+VALUES = st.sampled_from([Q(0), Q(0), Q(1), Q(-1), Q(2), Q(1, 3), Q(-5, 2)])
+COEFS = st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4)])
+
+
+@st.composite
+def batches(draw):
+    """Expressions over variables and quotients, with shared objects,
+    zero and constants among them."""
+    pool = [sx.Expr.variable(v) for v in VARS]
+    pool.append(sx.inverse(sx.base(1) - sx.base(2)))
+    pool.append(sx.inverse(sx.base(1) + sx.Expr.variable(U[0])))
+    made = []
+    for _ in range(draw(st.integers(1, 4))):
+        e = sx.ZERO
+        for _ in range(draw(st.integers(0, 3))):
+            term = sx.Expr.const(draw(COEFS))
+            for _ in range(draw(st.integers(0, 3))):
+                term = term * draw(st.sampled_from(pool))
+            e = e + term
+        made.append(e)
+    extras = [sx.ZERO, sx.Expr.const(Q(-7, 3))]
+    picks = st.sampled_from(made + extras)
+    return [draw(picks) for _ in range(draw(st.integers(1, 8)))]
+
+
+@st.composite
+def points(draw):
+    """Values for the variables, now and then one left out."""
+    out = {v: draw(VALUES) for v in VARS}
+    if draw(st.integers(0, 3)) == 0:
+        del out[draw(st.sampled_from(VARS))]
+    return out
+
+
+def _outcome(fn):
+    """The values of fn(), or the type and message of its evaluation error."""
+    try:
+        return fn()
+    except EvaluationError as err:
+        return type(err), str(err)
+
+
+def _one_by_one(exprs, point):
+    return _outcome(lambda: [sx.evaluate(e, point) for e in exprs])
+
+
+@settings(max_examples=150, deadline=None)
+@given(batches(), points(), points())
+def test_one_batch_at_two_points_equals_one_by_one(exprs, first, second):
+    batch = sx.Batch(exprs)
+    for point in (first, second, first):
+        assert _outcome(lambda: batch.given(point)) == _one_by_one(exprs, point)
+        assert _outcome(lambda: sx.evaluate_many(exprs, point)) == _one_by_one(exprs, point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batches(), points(), points())
+def test_slot_reading_equals_assignment_reading(exprs, first, second):
+    # slots for the variables the first point assigns; the rest are
+    # evaluated in their turn, and a variable there raises
+    order = [v for v in VARS if v in first]
+    slots = {v: pos for pos, v in enumerate(order)}
+    batch = sx.Batch(exprs, slots)
+    for point in (first, second):
+        values = [point.get(v, Q(0)) for v in order]
+        reads = dict(zip(order, values))
+        assert _outcome(lambda: batch.at(values)) == _outcome(lambda: sx.Batch(exprs).given(reads))
+
+
+def test_shared_objects_get_one_entry():
+    e = sx.base(1) * sx.base(2) + 1
+    batch = sx.Batch([e, sx.ZERO, e, sx.ZERO, sx.as_expr(3), e])
+    assert len(batch.entries) == 3
+    assert batch.given({X1: Q(2), X2: Q(1, 2)}) == [2, 0, 2, 0, 3, 2]
+    assert sx.Batch([sx.ZERO, sx.as_expr(Q(1, 2))]).given({}) == [0, Q(1, 2)]
+
+
+def test_first_error_is_met_in_turn():
+    q = sx.inverse(sx.base(1) - sx.base(2))
+    exprs = [sx.base(1) + 1, q * sx.base(1), sx.Expr.variable(A)]
+    point = {X1: Q(3), X2: Q(3)}
+    want = (EvalZeroDivision, "division by zero while evaluating a quotient")
+    assert _outcome(lambda: sx.Batch(exprs).given(point)) == want
+    assert _outcome(lambda: sx.Batch(exprs, {X1: 0, X2: 1}).at([Q(3), Q(3)])) == want
+    # the unassigned variable comes first once the quotient is fine
+    want = (EvaluationError, "no value assigned to a")
+    assert _outcome(lambda: sx.Batch(exprs).given({X1: Q(3), X2: Q(1)})) == want
+    assert _outcome(lambda: sx.Batch(exprs, {X1: 0, X2: 1}).at([Q(3), Q(1)])) == want
+    assert _one_by_one(exprs, {X1: Q(3), X2: Q(1)}) == want
+    # with no slots at all every atom is met in its turn
+    want = (EvaluationError, "no value assigned to x1")
+    assert _outcome(lambda: sx.Batch(exprs, {}).at([])) == want

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction as Q
@@ -422,3 +424,19 @@ def test_main_builds_the_operator_once(monkeypatch, capsys):
     assert cli.main(["integrability", os.path.join(CORPUS_DIR, "kg_mink4.jf")]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_python_dash_m_runs_the_command_line(monkeypatch, capsys):
+    # the package runs as a program without a warning, and prints what
+    # cli.main prints (the canonical report, which has no timings)
+    monkeypatch.chdir(ROOT)
+    args = ["integrability", os.path.join("tests", "corpus", "kg_mink4.jf"), "--json", "-"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "jetforge", *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert cli.main(args) == 0
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == capsys.readouterr().out
