@@ -588,7 +588,7 @@ def _run_integrability(spec, h, q, flags):
 
 
 def _run_codim(spec, h, q, flags):
-    l = q.args[0] if q.args else q.arg_dict().get("l", flags.order)
+    l = _prolong_order(q, flags)
     rep = ig.variety_codim(h, l, samples=min(flags.samples, 10), seed=flags.seed)
     data = {
         "level": l, "expected": rep.expected,
@@ -598,8 +598,12 @@ def _run_codim(spec, h, q, flags):
                        _provenance(flags, sampled=True), data, notes=[rep.summary()])
 
 
+def _solve_order(q, flags, order):
+    return q.args[0] if q.args else q.arg_dict().get("N", max(order + 2, flags.order))
+
+
 def _run_solve(spec, h, q, flags):
-    N = q.args[0] if q.args else q.arg_dict().get("N", max(h.order + 2, flags.order))
+    N = _solve_order(q, flags, h.order)
     policy = flags.free_data
     free_table = None
     if policy.startswith("file:"):
@@ -753,10 +757,11 @@ def prolonged_components(m, n_out, l):
 
 
 def _refuse_oversized(h, q, flags):
-    """Raise ProblemError when a spencer or prolong query on the
-    operator h would build more than the module bounds allow.  Bounds of
-    the wrong type or sign are left to the query itself, which reports
-    them."""
+    """Raise ProblemError when a spencer, prolong, codim or solve query
+    on the operator h would build more than the module bounds allow:
+    prolong(l) and codim(l) prolong to level l, solve(N) to level N - k.
+    Bounds of the wrong type or sign are left to the query itself, which
+    reports them."""
     m, n, n_out, order = h.m, h.n, h.n_out, h.order
     if q.name == "spencer":
         pmax, qmax = _spencer_bounds(q, flags, m, order)
@@ -766,14 +771,18 @@ def _refuse_oversized(h, q, flags):
                 raise ProblemError(
                     "spencer(pmax=%d, qmax=%d) is too large: its largest matrix has up to "
                     "%d entries, above the limit of %d" % (pmax, qmax, entries, MAX_MATRIX_ENTRIES))
-    elif q.name == "prolong":
-        l = _prolong_order(q, flags)
+    elif q.name in ("prolong", "codim", "solve"):
+        if q.name == "solve":
+            arg = _solve_order(q, flags, order)
+            l = arg - order if type(arg) is int else None
+        else:
+            arg = l = _prolong_order(q, flags)
         if _nonnegative_int(l):
             count = prolonged_components(m, n_out, l)
             if count > MAX_PROLONGED_COMPONENTS:
                 raise ProblemError(
-                    "prolong(%d) is too large: %d components, above the limit of %d"
-                    % (l, count, MAX_PROLONGED_COMPONENTS))
+                    "%s(%d) is too large: %d components, above the limit of %d"
+                    % (q.name, arg, count, MAX_PROLONGED_COMPONENTS))
 
 
 def _nonnegative_int(v):
@@ -855,20 +864,13 @@ def main(argv=None):
                      free_data=ns.free_data, pmax=ns.pmax, qmax=ns.qmax)
     try:
         report = run_command(spec, ns.command, flags, source=ns.file)
+        if ns.json not in (None, "-"):
+            with open(ns.json, "w", encoding="utf-8") as fh:
+                fh.write(emit_report(report, "json"))
     except (ProblemError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
-
-    if ns.json is not None:
-        payload = emit_report(report, "json")
-        if ns.json == "-":
-            sys.stdout.write(payload)
-        else:
-            with open(ns.json, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            sys.stdout.write(emit_report(report, "text"))
-    else:
-        sys.stdout.write(emit_report(report, "text"))
+    sys.stdout.write(emit_report(report, "json" if ns.json == "-" else "text"))
     return 0 if report.passed else 1
 
 

@@ -260,15 +260,13 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
         if any(v != 0 for v in vals):
             raise ValueError("point does not satisfy the prolonged equations")
     A, rhs, unknowns = lift_system_at(h, b)
-    E = sp.Echelon(A)
-    try:
-        _, free = E.solve(rhs)
-    except ValueError as err:
-        if "inconsistent" in str(err):
-            raise LiftObstructionError(
-                "no lift at this point: the next-order conditions are inconsistent"
-            )
-        raise
+    E = sp.Echelon(A, sp.RationalMatrix.from_int_rows(
+        [{0: v.numerator} for v in rhs], [v.denominator for v in rhs], range(1)))
+    if not E.consistent:
+        raise LiftObstructionError(
+            "no lift at this point: the next-order conditions are inconsistent"
+        )
+    free = E.free
     free_values = None
     if policy == "random":
         rng = random.Random(seed)
@@ -287,7 +285,7 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
         }
     elif policy != "zero":
         raise ValueError("unknown free-data policy %r" % policy)
-    x, free = E.solve(rhs, free_values=free_values)
+    x, free = E.solve(free_values)
     new_jets = {unknowns[i]: x[i] for i in range(len(unknowns))}
     point = b.extend(new_jets)
     return LiftResult(point=point, free_labels=[unknowns[f] for f in free], rank=E.rank)

@@ -22,7 +22,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .mindex import MultiIndex, GradedIndexRange, dim_F, factorial
 from . import symexpr as sx
@@ -576,13 +575,14 @@ class LinearTower:
         self.steps = list(steps)
         if len(self.steps) != max(len(self.dims) - 1, 0):
             raise ValueError("need one step matrix per adjacent pair")
-        # the elimination of each step, kept for `tower_splitting`
+        # the elimination of each [step | identity], kept for
+        # `tower_splitting`: its kernel and its section
         self.echelons = []
         for i, Mstep in enumerate(self.steps):
             if Mstep.nrows != self.dims[i] or Mstep.ncols != self.dims[i + 1]:
                 raise ValueError("step %d has shape %dx%d, expected %dx%d" % (
                     i, Mstep.nrows, Mstep.ncols, self.dims[i], self.dims[i + 1]))
-            E = sp.Echelon(Mstep)
+            E = sp.Echelon(Mstep, sp.RationalMatrix.identity(self.dims[i]))
             if E.rank != self.dims[i]:
                 raise ValueError("step %d is not surjective" % i)
             self.echelons.append(E)
@@ -681,29 +681,13 @@ def tower_splitting(T):
     sections = [None]
     lifts = [sp.RationalMatrix.identity(T.dims[0])]
     for i in range(1, T.length):
-        step = T.steps[i - 1]
         E = T.echelons[i - 1]
         K = E.kernel_basis()
         kernels.append(K)
-        cols = []
-        for c in range(step.nrows):
-            rhs = [Fraction(1 if r == c else 0) for r in range(step.nrows)]
-            x, _ = E.solve(rhs)
-            cols.append(x)
-        f = sp.RationalMatrix.from_columns(cols, step.ncols)
+        # step * f = identity, with f zero on the step's free columns
+        f = E.solution()
         sections.append(f)
-        # [f * lifts[i-1] | K], row by row over the lcm of the two denominators
-        pushed = f.matmul(lifts[i - 1])
-        w = pushed.ncols
-        nums = []
-        dens = []
-        for pn, pd, kn, kd in zip(pushed.nums, pushed.dens, K.nums, K.dens):
-            den = lcm(pd, kd)
-            row = {j: v * (den // pd) for j, v in pn.items()}
-            row.update((w + j, v * (den // kd)) for j, v in kn.items())
-            nums.append(row)
-            dens.append(den)
-        lifts.append(sp.RationalMatrix.from_int_rows(nums, dens, range(w + K.ncols)))
+        lifts.append(f.matmul(lifts[i - 1]).join(K))
     return TowerSplitting(tower=T, kernel_bases=kernels, sections=sections, lifts=lifts)
 
 

@@ -6,10 +6,10 @@ Gauss-Jordan pass over those integer rows per matrix, with
 deterministic pivoting (first usable column, first usable row); the
 reduced row echelon form is unique, so kernel bases and golden outputs
 are those of any exact elimination.  The pass touches only the nonzero
-entries of rows, and products only the nonzero pairs of factors.  It
-records its row operations: rank, kernel basis and solutions are all
-read from that one `Echelon`, and a solve reduces a right-hand side by
-replaying the recorded operations on it.  On top of it sit the symbolic
+entries of rows, and products only the nonzero pairs of factors.  A
+solve is the same pass over the augmented matrix [M | rhs], pivoting in
+M's columns only: rank, kernel basis, consistency and solutions are all
+read from that one `Echelon`.  On top of it sit the symbolic
 system g(h; a) of an operator at a jet point, its level-by-level
 prolongations (each level built from the integer reduced rows of the
 level below, so rows never outgrow m times the rank below), the
@@ -137,10 +137,28 @@ class RationalMatrix:
     def identity(cls, n):
         return cls.from_int_rows([{i: 1} for i in range(n)], [1] * n, range(n))
 
-    @classmethod
-    def from_columns(cls, cols, nrows, row_labels=None, col_labels=None):
-        rows = [[c[i] for c in cols] for i in range(nrows)]
-        return cls(rows, row_labels=row_labels, col_labels=col_labels)
+    def join(self, other):
+        """[self | other], columns numbered from 0: row i is the two rows
+        over the lcm L of their denominators.  That is lowest terms
+        already: if p^e exactly divides L, it exactly divides one row's
+        denominator d, that row's scale L/d is prime to p, and its
+        numerators are not all multiples of p."""
+        if self.nrows != other.nrows:
+            raise ValueError("cannot join %d rows to %d" % (other.nrows, self.nrows))
+        w = self.ncols
+        nums = []
+        dens = []
+        for an, ad, bn, bd in zip(self.nums, self.dens, other.nums, other.dens):
+            den = lcm(ad, bd)
+            sa, sb = den // ad, den // bd
+            row = {j: v * sa for j, v in an.items()}
+            for j, v in bn.items():
+                row[w + j] = v * sb
+            nums.append(row)
+            dens.append(den)
+        M = RationalMatrix.__new__(RationalMatrix)
+        M._set(nums, dens, w + other.ncols, self.row_labels, None)
+        return M
 
     def matmul(self, other):
         """The product, one denominator per output row: row i of the
@@ -179,7 +197,9 @@ class RationalMatrix:
         return Echelon(self).kernel_basis()
 
     def solve(self, rhs, free_values=None):
-        return Echelon(self).solve(rhs, free_values)
+        if len(rhs) != self.nrows:
+            raise ValueError("right-hand side has %d entries for %d rows" % (len(rhs), self.nrows))
+        return Echelon(self, RationalMatrix([[v] for v in rhs], col_labels=range(1))).solve(free_values)
 
     def __eq__(self, other):
         # rows equal as Fraction tuples; a matrix without rows has no
@@ -192,19 +212,20 @@ class RationalMatrix:
 
 
 class Echelon:
-    """Reduced row echelon form of a matrix and the row operations that
-    produced it, in integers.
+    """Reduced row echelon form of a matrix M, or of [M | rhs], in
+    integers.
 
-    One fraction-free Gauss-Jordan pass over the integer rows (each
-    matrix row times its denominator): for each column in order, the
-    first row at or below the current rank with a nonzero entry is
+    One fraction-free Gauss-Jordan pass over the integer rows (each row
+    times its denominator; a right-hand side `rhs`, a `RationalMatrix`
+    with M's rows, is joined on first): for each column of M in order,
+    the first row at or below the current rank with a nonzero entry is
     swapped up as the pivot row P, with pivot value pv; every other row
     R with an entry f in that column becomes (a*R - f'*P) / content,
     where a = pv/g and f' = f/g for g = gcd(pv, f), and the content is
     the gcd of the result, so every row it changes stays integer and
-    primitive.  Only the nonzero entries of rows are stored and touched.  Each step is
-    recorded as (swap row, [(row, a, f', content)]), so a right-hand
-    side is reduced by replaying the steps on it alone, in integers.
+    primitive.  Only the nonzero entries of rows are stored and touched.
+    The right-hand side rides along: the system is consistent when no
+    row below the rank keeps an entry.
 
     Every row is at all times a nonzero multiple of the row the same
     pass over `Fraction` with unit pivots would hold, so the zero
@@ -212,17 +233,17 @@ class Echelon:
     reduced rows are held as integer rows plus their pivot value
     (`rows[r][pivots[r]]`): dividing one by the other gives the reduced
     row echelon form.  That form is unique, so the rank, every kernel
-    basis and every solution equal those of any exact elimination.
-    Build one per matrix and read rank, kernel and solutions from it.
+    basis and every solution equal those of any exact elimination, and
+    the pivots and reduced rows on M's columns are those of M alone.
     """
 
-    __slots__ = ("nrows", "col_labels", "dens", "rows", "pivots", "free", "rank", "ops")
+    __slots__ = ("col_labels", "rhs_labels", "rows", "pivots", "free", "rank", "consistent")
 
-    def __init__(self, M):
-        rows = [dict(r) for r in M.nums]
+    def __init__(self, M, rhs=None):
+        # the rows are changed in place: copies of M's, or the fresh join
+        rows = [dict(r) for r in M.nums] if rhs is None else list(M.join(rhs).nums)
         n = len(rows)
         pivots = []
-        ops = []
         r = 0
         for c in range(M.ncols):
             if r == n:
@@ -233,7 +254,6 @@ class Echelon:
             rows[r], rows[pr] = rows[pr], rows[r]
             prow = list(rows[r].items())
             pv = rows[r][c]
-            sub = []
             for i, row in enumerate(rows):
                 f = row.get(c)
                 if f is None or i == r:
@@ -253,22 +273,19 @@ class Echelon:
                 if content != 1:
                     row = {j: v // content for j, v in row.items()}
                 rows[i] = row
-                sub.append((i, a, f, content))
             pivots.append(c)
-            ops.append((pr, sub))
             r += 1
-        self.nrows = M.nrows
         self.col_labels = M.col_labels
-        self.dens = M.dens
-        # rows below the rank are zero
+        self.rhs_labels = () if rhs is None else rhs.col_labels
+        # rows below the rank are zero on M's columns
         self.rows = rows[:r]
+        self.consistent = not any(rows[r:])
         self.pivots = pivots
         self.free = sorted(set(range(M.ncols)) - set(pivots))
         self.rank = r
-        self.ops = ops
 
     def kernel_basis(self):
-        """Columns form a deterministic basis of the null space.
+        """Columns form a deterministic basis of the null space of M.
 
         One basis vector per free column, in column order: the free
         coordinate is 1, pivot coordinates complete the solution.  The
@@ -282,7 +299,7 @@ class Echelon:
         for f, k in at.items():
             nums[f] = {k: 1}
         for row, pc in zip(self.rows, self.pivots):
-            nums[pc] = {at[j]: -v for j, v in row.items() if j != pc}
+            nums[pc] = {at[j]: -v for j, v in row.items() if j in at}
             dens[pc] = row[pc]
         return RationalMatrix.from_int_rows(
             nums, dens,
@@ -290,38 +307,33 @@ class Echelon:
             row_labels=self.col_labels,
         )
 
-    def solve(self, rhs, free_values=None):
-        """One exact solution x of M * x = rhs.
+    def solution(self):
+        """The solution X of M * X = rhs whose free rows are zero: the
+        row of pivot column pc is the right-hand side part of its reduced
+        row over the pivot value.  Raises ValueError when inconsistent."""
+        if not self.consistent:
+            raise ValueError("inconsistent linear system")
+        ncols = len(self.col_labels)
+        nums = [{} for _ in range(ncols)]
+        dens = [1] * ncols
+        for row, pc in zip(self.rows, self.pivots):
+            nums[pc] = {j - ncols: v for j, v in row.items() if j >= ncols}
+            dens[pc] = row[pc]
+        return RationalMatrix.from_int_rows(nums, dens, self.rhs_labels, row_labels=self.col_labels)
+
+    def solve(self, free_values=None):
+        """One exact solution x of M * x = rhs, for a one-column rhs.
 
         Free (non-pivot) coordinates are zero unless `free_values` maps
         their column label to a value.  Returns (solution, free column
         positions); raises ValueError on inconsistency, on a label that
         is not a column label, and on a label of a pivot column.
         """
-        if len(rhs) != self.nrows:
-            raise ValueError("right-hand side has %d entries for %d rows" % (len(rhs), self.nrows))
-        # b[i] = num[i] / den[i], scaled like the integer row i
-        num = []
-        den = []
-        for v, d in zip(rhs, self.dens):
-            if type(v) is not int and type(v) is not Fraction:
-                v = Fraction(v)
-            num.append(v.numerator * d)
-            den.append(v.denominator)
-        for r, (pr, sub) in enumerate(self.ops):
-            num[r], num[pr] = num[pr], num[r]
-            den[r], den[pr] = den[pr], den[r]
-            nr, dr = num[r], den[r]
-            for i, a, f, content in sub:
-                n = a * num[i] * dr - f * nr * den[i]
-                d = den[i] * dr * content
-                g = gcd(n, d)
-                num[i] = n // g
-                den[i] = d // g
-        if any(num[self.rank:]):
+        if not self.consistent:
             raise ValueError("inconsistent linear system")
         free = self.free
-        x = [Fraction(0)] * len(self.col_labels)
+        ncols = len(self.col_labels)
+        x = [Fraction(0)] * ncols
         if free_values:
             pos_of = {lab: i for i, lab in enumerate(self.col_labels)}
             for key, val in free_values.items():
@@ -331,10 +343,11 @@ class Echelon:
                 if pos not in free:
                     raise ValueError("column %r is not free" % (key,))
                 x[pos] = Fraction(val)
-        for r, (row, pc) in enumerate(zip(self.rows, self.pivots)):
-            x[pc] = Fraction(num[r], den[r] * row[pc])
+        for row, pc in zip(self.rows, self.pivots):
+            x[pc] = Fraction(row.get(ncols, 0), row[pc])
             if free_values:
-                x[pc] -= sum(Fraction(v, row[pc]) * x[j] for j, v in row.items() if j != pc and x[j])
+                x[pc] -= sum(Fraction(v, row[pc]) * x[j] for j, v in row.items()
+                             if j != pc and j < ncols and x[j])
         return x, list(free)
 
 

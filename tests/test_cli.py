@@ -369,6 +369,45 @@ def test_main_refuses_oversized_requests_up_front(tmp_path, capsys, text, argv):
     assert elapsed < 1.0
 
 
+LAPLACE3 = """\
+base m = 3;
+fiber n = 1;
+order k = 2;
+operator h = u[(2,0,0)] + u[(0,2,0)] + u[(0,0,2)];
+"""
+
+
+@pytest.mark.parametrize("text,argv,query", [
+    # codim(25) and solve(27) prolong to level 25: 3276 components
+    (LAPLACE3 + "query codim(25);\n", ["integrability"], "codim"),
+    (LAPLACE3 + "query solve(60);\n", ["solve"], "solve"),
+    (LAPLACE3, ["solve", "--order", "27"], "solve"),
+], ids=["codim-query", "solve-query", "solve-flag"])
+def test_main_refuses_oversized_codim_and_solve_up_front(tmp_path, capsys, text, argv, query):
+    path = tmp_path / "big.jf"
+    path.write_text(text)
+    t0 = time.perf_counter()
+    code = cli.main([argv[0], str(path), *argv[1:]])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: %s(" % query) and "too large" in captured.err
+    assert captured.out == ""
+    assert elapsed < 1.0
+
+
+def test_main_reports_unwritable_json_path(tmp_path, capsys):
+    wave = tmp_path / "wave.jf"
+    wave.write_text(WAVE)
+    out_path = tmp_path / "missing" / "out.json"
+    assert cli.main(["spencer", str(wave), "--json", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(out_path) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 def test_size_estimates_bound_the_matrices_built():
     # wave operator at m=3 through (pmax, qmax) = (3, 3): the largest
     # restricted delta and prolonged constraint matrix built are within

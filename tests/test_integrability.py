@@ -175,6 +175,26 @@ def test_lift_obstruction_frobenius_counterexample():
         ig.lift_point(h, b)
 
 
+def test_warm_lift_solves_once(monkeypatch):
+    # one elimination of [A | rhs] gives the free columns, the
+    # obstruction test and the solution: Echelon.solve runs once
+    h = ig.make_klein_gordon(_curved_metric_m2(), F1=1, F2=1, K=lambda e: e ** 3)
+    b = ig.sample_prolonged_points(h, 1, 1, seed=2)[0]
+    want = ig.lift_point(h, b, policy="random", seed=5)
+    solve = sp.Echelon.solve
+    calls = []
+
+    def counting_solve(self, *args, **kwargs):
+        calls.append(args)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.Echelon, "solve", counting_solve)
+    got = ig.lift_point(h, b, policy="random", seed=5)
+    assert got.point == want.point
+    assert got.free_labels == want.free_labels and got.free_labels
+    assert len(calls) == 1
+
+
 def test_sample_prolonged_points_satisfy_all_equations():
     h = ig.make_klein_gordon(ig.MetricSpec.minkowski(2), F1=1, F2=1, K=lambda e: e ** 3)
     pts = ig.sample_prolonged_points(h, 2, 3, seed=4)

@@ -293,6 +293,57 @@ def test_integer_solve_matches_sympy(case, data):
 
 
 @st.composite
+def augmented_systems(draw):
+    """A matrix M and a right-hand side B of 0 to 3 columns, each in
+    M's image or arbitrary."""
+    rows, nc = draw(rational_matrices())
+    nonzero = draw(st.sampled_from([SMALL, BIG]))
+    cols = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            pick = [draw(nonzero) if draw(st.booleans()) else Q(0) for _ in range(nc)]
+            cols.append([sum((a * b for a, b in zip(r, pick)), Q(0)) for r in rows])
+        else:
+            cols.append([draw(nonzero) if draw(st.booleans()) else Q(0) for _ in rows])
+    return rows, nc, [[c[i] for c in cols] for i in range(len(rows))], len(cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(augmented_systems())
+@example(([], 3, [], 2))
+@example(([[], []], 0, [[Q(1)], [Q(0)]], 1))
+@example(([[Q(1), Q(2)], [Q(2), Q(4)]], 2, [[Q(1), Q(1)], [Q(2), Q(3)]], 2))
+def test_augmented_elimination_matches_sympy(system):
+    rows, nc, right, k = system
+    M = RationalMatrix(rows, col_labels=range(nc))
+    B = RationalMatrix(right, col_labels=range(k))
+    S, SB = _oracle((rows, nc)), _oracle((right, k))
+    assert M.join(B).rows == tuple(tuple(a) + tuple(b) for a, b in zip(rows, right))
+    E, plain = Echelon(M, B), Echelon(M)
+    assert E.consistent == (S.row_join(SB).rank() == S.rank())
+    # pivots and reduced rows on M's columns do not see the right-hand side
+    assert (E.rank, E.pivots, E.free) == (plain.rank, plain.pivots, plain.free)
+
+    def reduced(ech):
+        return [[Q(row.get(j, 0), row[pc]) for j in range(nc)]
+                for row, pc in zip(ech.rows, ech.pivots)]
+
+    assert reduced(E) == reduced(plain)
+    assert E.kernel_basis() == plain.kernel_basis()
+    if not E.consistent:
+        with pytest.raises(ValueError, match="inconsistent"):
+            E.solution()
+        return
+    X = E.solution()
+    assert (X.nrows, X.ncols) == (nc, k)
+    assert M.matmul(X) == B
+    assert all(X.rows[f] == (Q(0),) * k for f in E.free)
+    if k == 1:
+        x, free = E.solve()
+        assert x == X.column(0) and free == E.free
+
+
+@st.composite
 def rational_pairs(draw):
     left, nc = draw(rational_matrices())
     ncols = draw(st.integers(0, 6))

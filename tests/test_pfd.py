@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -338,6 +339,23 @@ def test_tower_splitting_lifts_match_dense_assembly():
             assert split.lifts[i].rows == want
             assert split.lifts[i].ncols == split.lifts[i - 1].ncols + split.kernel_bases[i].ncols
         assert split.verify()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32))
+def test_sections_split_the_steps_and_vanish_on_free_columns(seed):
+    # step * section = identity and zero rows at the free columns pin
+    # the section down: its pivot rows are then the reduced rows' values
+    T = _random_rational_tower(random.Random(seed), 4)
+    split = pfd.tower_splitting(T)
+    for i in range(1, T.length):
+        step, f = T.steps[i - 1], split.sections[i]
+        assert (f.nrows, f.ncols) == (T.dims[i], T.dims[i - 1])
+        assert step.matmul(f) == RM.identity(T.dims[i - 1])
+        pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                               for r in step.rows]).rref()[1]
+        free = [c for c in range(step.ncols) if c not in pivots]
+        assert all(f.rows[c] == (Q(0),) * f.ncols for c in free)
 
 
 def _tampered(M, r, c, delta):
