@@ -17,13 +17,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .mindex import MultiIndex, GradedIndexRange, dim_F
 from . import symexpr as sx
 from . import jetcalc as jc
 from . import spencer as sp
 from . import symbols as sy
-from .symexpr import BaseVar, JetVar, differentiate
+from .symexpr import BaseVar, JetVar
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +100,9 @@ class MetricSpec:
         if self._christoffel is None:
             m = self.m
             table = {}
+            base = [BaseVar(l) for l in range(1, m + 1)]
             dg = [
-                [
-                    [differentiate(self.entries[a][b], BaseVar(l)) for l in range(1, m + 1)]
-                    for b in range(m)
-                ]
+                [list(sx.partials(self.entries[a][b], base).values()) for b in range(m)]
                 for a in range(m)
             ]
             for kk in range(1, m + 1):
@@ -224,6 +223,15 @@ def lift_system_at(h, b):
     The rows and their Jacobian come from h's lift plan; only their
     values at b are computed here.
     """
+    A, R, unknowns = _lift_system(h, b)
+    return A, R.column(0), unknowns
+
+
+def _lift_system(h, b):
+    """(A, the right-hand side as a one-column matrix, column labels) of
+    `lift_system_at`, both matrices built from integer rows in one pass
+    over the plan's values: each row of A over the lcm of its entries'
+    denominators, which is lowest terms."""
     l = b.chart.k - h.order
     if l < 0:
         raise ValueError("point order below operator order")
@@ -232,13 +240,18 @@ def lift_system_at(h, b):
     plan = jc.lift_plan(h, l)
     values = plan.values_at(b)
     width = len(plan.unknowns) + 1
-    rows = []
-    rhs = []
+    nums, dens, rhs_nums, rhs_dens = [], [], [], []
     for start in range(0, len(values), width):
-        rows.append(values[start:start + width - 1])
-        rhs.append(-values[start + width - 1])
-    A = sp.RationalMatrix(rows, row_labels=plan.row_labels, col_labels=plan.unknowns)
-    return A, rhs, list(plan.unknowns)
+        nz = [(j, x) for j, x in enumerate(values[start:start + width - 1]) if x]
+        den = lcm(*[x.denominator for _, x in nz])
+        nums.append({j: x.numerator * (den // x.denominator) for j, x in nz})
+        dens.append(den)
+        v = values[start + width - 1]
+        rhs_nums.append({0: -v.numerator})
+        rhs_dens.append(v.denominator)
+    A = sp.RationalMatrix.from_int_rows(nums, dens, plan.unknowns, row_labels=plan.row_labels)
+    R = sp.RationalMatrix.from_int_rows(rhs_nums, rhs_dens, range(1), row_labels=plan.row_labels)
+    return A, R, list(plan.unknowns)
 
 
 def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
@@ -259,9 +272,8 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
         vals = prev.evaluate_at(b)
         if any(v != 0 for v in vals):
             raise ValueError("point does not satisfy the prolonged equations")
-    A, rhs, unknowns = lift_system_at(h, b)
-    E = sp.Echelon(A, sp.RationalMatrix.from_int_rows(
-        [{0: v.numerator} for v in rhs], [v.denominator for v in rhs], range(1)))
+    A, R, unknowns = _lift_system(h, b)
+    E = sp.Echelon(A, R)
     if not E.consistent:
         raise LiftObstructionError(
             "no lift at this point: the next-order conditions are inconsistent"
@@ -489,7 +501,7 @@ def variety_codim(h, l, samples=10, seed=0):
     points.  Component D_I h has order k + |I|: its columns of that
     order are the shifted symbol entries (`jc.shifted_symbol`), its
     columns of higher order are zero, and only the lower-order ones
-    are differentiated.
+    are differentiated, by one walk per component (`sx.partials`).
     """
     if h.n_out != 1:
         raise ValueError("codimension diagnostics are for scalar operators")
@@ -498,13 +510,14 @@ def variety_codim(h, l, samples=10, seed=0):
     coords = layout.atoms
     pts = sample_prolonged_points(h, l, samples, seed)
     symbol = jc.symbol_table(h)
+    orders = [v.index.degree if isinstance(v, JetVar) else -1 for v in coords]
     jacobian = []
     for comp, (beta, I) in zip(prolonged.components, prolonged.labels):
         top = h.order + I.degree
-        for v in coords:
-            order = v.index.degree if isinstance(v, JetVar) else -1
+        d = sx.partials(comp, [v for v, order in zip(coords, orders) if order < top])
+        for v, order in zip(coords, orders):
             if order < top:
-                jacobian.append(differentiate(comp, v))
+                jacobian.append(d[v])
             elif order == top:
                 jacobian.append(jc.shifted_symbol(symbol, v.alpha, beta, v.index, I))
             else:

@@ -307,12 +307,17 @@ def total_derivative(e, i):
     D_i e = de/dx_i + sum over jet variables u^alpha_I present in e of
     u^alpha_{I + 1_i} * de/du^alpha_I.  Jet variables absent from e have
     zero partials, so iterating over present variables loses nothing.
+    All the partials come from one walk over the terms of e
+    (`sx.partials`), and each chain term goes into the sum by one more
+    factor per monomial; the sum is the x_i part, then the jet
+    variables in key order.
     """
     e = as_expr(e)
-    parts = [differentiate(e, BaseVar(i))]
-    for v in e.jet_vars():
-        parts.append(Expr.variable(JetVar(v.alpha, v.index.add_unit(i))) * differentiate(e, v))
-    return sx.sum_exprs(parts)
+    x = BaseVar(i)
+    jets = e.jet_vars()
+    d = sx.partials(e, [x, *jets])
+    return sx.sum_times_atoms(
+        [(None, d[x])] + [(JetVar(v.alpha, v.index.add_unit(i)), d[v]) for v in jets])
 
 
 def prolong_op(h, l):
@@ -357,17 +362,17 @@ def symbol_table(h):
     then J graded-lex, then alpha.
 
     This is the one place where components are differentiated by
-    top-order jets: symbols, symbol matrices, the variety sampler and
-    lift plans all read this table.
+    top-order jets, one walk per component (`sx.partials`): symbols,
+    symbol matrices, the variety sampler and lift plans all read this
+    table.
     """
-    tops = enumerate_indices(GradedIndexRange(h.m, h.order, h.order))
+    tops = [JetVar(alpha, J) for J in enumerate_indices(GradedIndexRange(h.m, h.order, h.order))
+            for alpha in range(1, h.n + 1)]
     table = {}
     for beta, comp in enumerate(h.components, start=1):
-        for J in tops:
-            for alpha in range(1, h.n + 1):
-                c = differentiate(comp, JetVar(alpha, J))
-                if not c.is_zero():
-                    table[(alpha, beta, J)] = c
+        for v, c in sx.partials(comp, tops).items():
+            if not c.is_zero():
+                table[(v.alpha, beta, v.index)] = c
     return table
 
 

@@ -565,12 +565,6 @@ def full_system(m, n, k):
     return SymbolicSystem(m, n, k, None, A)
 
 
-def prolong_system(g, l):
-    """Ensure levels through k + l exist; returns the same system."""
-    g.prolong_to(g.k + l)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # cohomology
 

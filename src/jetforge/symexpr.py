@@ -218,15 +218,7 @@ class Expr:
 
     @classmethod
     def _make(cls, terms):
-        terms = {m: c for m, c in terms.items() if c != 0}
-        if not terms:
-            # one zero, so zero results share its evaluation batch
-            return ZERO
-        e = cls.__new__(cls)
-        e._terms = terms
-        e._key = None
-        e._batch = None
-        return e
+        return _wrap({m: c for m, c in terms.items() if c != 0})
 
     @classmethod
     def const(cls, value):
@@ -302,10 +294,6 @@ class Expr:
         degs = [v.index.degree for v in self.free_vars() if isinstance(v, JetVar)]
         return max(degs, default=-1)
 
-    def coefficient_of(self, v):
-        """d(self)/dv for affine occurrences; exact linear coefficient."""
-        return differentiate(self, v)
-
     # -- arithmetic
 
     def __add__(self, other):
@@ -331,12 +319,7 @@ class Expr:
         terms = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                m = _merge_monomials(m1, m2)
-                s = terms.get(m, _F0) + c1 * c2
-                if s == 0:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
+                _add_term(terms, _merge_monomials(m1, m2), c1 * c2)
         return Expr._make(terms)
 
     __rmul__ = __mul__
@@ -378,14 +361,37 @@ class Expr:
         return "Expr(%s)" % format_expr(self)
 
 
+def _wrap(terms):
+    """The expression of `terms`, a term dict without zero coefficients
+    (or None), which it takes over."""
+    if not terms:
+        # one zero, so zero results share its evaluation batch
+        return ZERO
+    e = Expr.__new__(Expr)
+    e._terms = terms
+    e._key = None
+    e._batch = None
+    return e
+
+
 def _add_terms(terms, other):
     """Add the term dict `other` into `terms` in place, dropping zeros."""
     for m, c in other.items():
-        s = terms.get(m, _F0) + c
-        if s == 0:
-            terms.pop(m, None)
-        else:
+        _add_term(terms, m, c)
+
+
+def _add_term(terms, m, c):
+    """Add the nonzero term c*m into `terms` in place: a new monomial
+    goes in last, a sum that cancels leaves."""
+    s = terms.get(m)
+    if s is None:
+        terms[m] = c
+    else:
+        s += c
+        if s:
             terms[m] = s
+        else:
+            del terms[m]
 
 
 def sum_exprs(exprs):
@@ -396,6 +402,19 @@ def sum_exprs(exprs):
     for e in exprs:
         _add_terms(terms, e._terms)
     return Expr._make(terms)
+
+
+def sum_times_atoms(parts):
+    """Sum of a*e over the (a, e) pairs of parts, a an atom or None for
+    1, accumulated into one dict: the same terms in the same order as
+    `sum_exprs` of the products, without building them (each term of e
+    takes one more factor a, its coefficient as it is)."""
+    terms = {}
+    for a, e in parts:
+        factor = () if a is None else ((a, 1),)
+        for m, c in e._terms.items():
+            _add_term(terms, _merge_monomials(factor, m), c)
+    return _wrap(terms)
 
 
 def _mono_key(m):
@@ -527,56 +546,112 @@ register_primitive("exp", derivative=lambda a: prim("exp", a), float_impl=math.e
 # calculus
 
 
-def _atom_derivative(a, v):
-    if isinstance(a, VarRef):
-        return ONE if a == v else ZERO
-    if isinstance(a, PrimCall):
-        inner = differentiate(a.arg, v)
-        if inner.is_zero():
-            return ZERO
-        rule = _REGISTRY[a.name].derivative
-        if rule is None:
-            raise DifferentiationError(
-                "primitive %r has no registered derivative rule" % a.name
-            )
-        return rule(a.arg) * inner
-    if isinstance(a, Recip):
-        inner = differentiate(a.payload, v)
-        if inner.is_zero():
-            return ZERO
-        r = Expr.variable(a)
-        return -inner * r * r
-    raise TypeError(a)
+def partials(e, variables):
+    """{v: de/dv} for each variable v in `variables`, by one walk over
+    the terms of e.
 
-
-def differentiate(e, v):
-    """Exact partial derivative of e with respect to the variable v."""
+    Each monomial is walked once: every factor that is a requested
+    variable, or a quotient or primitive atom whose argument holds one,
+    puts its chain-rule term c*exp*(rest)*d(atom) into the bucket of
+    each such variable.  A quotient or primitive atom is differentiated
+    once per call, by one recursive walk over its argument.  Each
+    partial has the terms, in the same order, of differentiating e by v
+    alone.  A primitive without a derivative rule raises
+    DifferentiationError when a requested variable occurs in its
+    argument; the error raised is the one differentiating by the
+    variables one by one, in order, meets first.  The dict lists the
+    variables in the order given.
+    """
     e = as_expr(e)
-    if not isinstance(v, VarRef):
-        raise TypeError("differentiation variable must be a VarRef")
-    parts = []
-    # a quotient or a primitive call recurs across terms: differentiate
-    # it once; the derivative of a variable is 1 or 0
-    memo = {}
+    variables = tuple(variables)
+    for v in variables:
+        if not isinstance(v, VarRef):
+            raise TypeError("differentiation variable must be a VarRef")
+    buckets, errors = _partial_terms(e, frozenset(variables))
+    for v in variables:
+        if v in errors:
+            raise errors[v]
+    return {v: _wrap(buckets.get(v)) for v in variables}
+
+
+def _partial_terms(e, wanted):
+    """The walk of `partials`: ({v: term dict of de/dv}, {v: first
+    error}) over the variables v in `wanted` that occur in e."""
+    buckets = {}
+    errors = {}
+    memo = {}  # quotient or primitive atom -> {v: nonzero d(atom)/dv}
     for mono, c in e._terms.items():
         for idx, (a, exp) in enumerate(mono):
             if isinstance(a, VarRef):
-                if a != v:
+                if a not in wanted:
                     continue
-                da = ONE
+                da = None
             else:
                 da = memo.get(a)
                 if da is None:
-                    da = memo[a] = _atom_derivative(a, v)
-                if da.is_zero():
+                    da = memo[a] = _compound_partials(a, wanted, errors)
+                if not da:
                     continue
-            rest = list(mono)
             if exp == 1:
-                rest.pop(idx)
+                rest = mono[:idx] + mono[idx + 1:]
+                c1 = c
             else:
-                rest[idx] = (a, exp - 1)
-            parts.append(Expr._make({tuple(rest): c * exp}) * da)
-    return sum_exprs(parts)
+                rest = mono[:idx] + ((a, exp - 1),) + mono[idx + 1:]
+                c1 = c * exp
+            if da is None:
+                _add_term(buckets.setdefault(a, {}), rest, c1)
+                continue
+            for v, dv in da.items():
+                terms = buckets.setdefault(v, {})
+                for m2, c2 in dv._terms.items():
+                    _add_term(terms, _merge_monomials(rest, m2), c1 * c2)
+    return buckets, errors
+
+
+def _compound_partials(a, wanted, errors):
+    """{v: d(a)/dv} for a quotient or primitive atom a, nonzero ones
+    only, over the variables in `wanted` that occur in its argument;
+    the error of each variable that has one goes into `errors`, unless
+    an earlier one is there."""
+    arg = _argument(a)
+    inner, inner_errors = _partial_terms(arg, wanted)
+    for v, err in inner_errors.items():
+        errors.setdefault(v, err)
+    out = {}
+    for v, terms in inner.items():
+        if not terms or v in inner_errors:
+            continue
+        if isinstance(a, Recip):
+            r = Expr.variable(a)
+            out[v] = -_wrap(terms) * r * r
+            continue
+        rule = _REGISTRY[a.name].derivative
+        if rule is None:
+            errors.setdefault(v, DifferentiationError(
+                "primitive %r has no registered derivative rule" % a.name))
+            continue
+        da = rule(arg) * _wrap(terms)
+        if not da.is_zero():
+            out[v] = da
+    return out
+
+
+def _atom_derivative(a, v):
+    """d(a)/dv for one atom: 1 or 0 for a variable, the chain rule
+    through the argument of a quotient or primitive atom."""
+    if isinstance(a, VarRef):
+        return ONE if a == v else ZERO
+    errors = {}
+    da = _compound_partials(a, frozenset((v,)), errors)
+    if v in errors:
+        raise errors[v]
+    return da.get(v, ZERO)
+
+
+def differentiate(e, v):
+    """Exact partial derivative of e with respect to the variable v:
+    the one-variable case of `partials`."""
+    return partials(e, (v,))[v]
 
 
 def substitute(e, bindings):

@@ -246,3 +246,23 @@ def test_lift_point_check_still_evaluates_the_residual():
     assert h.evaluate_at(off) == (0,)
     with pytest.raises(ValueError, match="prolonged equations"):
         ig.lift_point(h, off)
+
+
+def test_prolongation_symbol_and_jacobian_take_one_walk_per_expression(monkeypatch):
+    # every first partial of an expression comes from one `partials`
+    # walk, so a cold prolongation, symbol table and codimension
+    # Jacobian never differentiate by one variable at a time
+    calls = []
+    differentiate = sx.differentiate
+
+    def counting(e, v):
+        calls.append(v)
+        return differentiate(e, v)
+
+    monkeypatch.setattr(sx, "differentiate", counting)
+    monkeypatch.setattr(jc, "differentiate", counting)
+    h = _corpus_op("kg_curved2.jf")
+    jc.prolong_op(h, 3)
+    jc.symbol_table(h)
+    ig.variety_codim(h, 1, samples=2)
+    assert calls == []

@@ -124,8 +124,8 @@ def test_wave_cohomology_table_m2():
 def test_prolong_system_matches_internal_levels():
     h = _wave(2)
     g = sp.symbolic_system_at(h, _point(h))
-    g2 = sp.prolong_system(g, 2)
-    assert g2.dim_g(4) == g.dim_g(4)
+    g.prolong_to(g.k + 2)
+    assert g.dim_g(4) == sp.symbolic_system_at(h, _point(h)).dim_g(4)
 
 
 def test_symbol_zero_error():

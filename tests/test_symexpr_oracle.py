@@ -14,15 +14,18 @@ wrong derivative would be wrong everywhere.
 """
 
 import math
+import os
 from fractions import Fraction as Q
 
+import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jetforge import cli
 from jetforge import jetcalc as jc
 from jetforge import symexpr as sx
-from jetforge.mindex import MultiIndex
+from jetforge.mindex import GradedIndexRange, MultiIndex, enumerate_indices
 from jetforge.symexpr import (
     BaseVar,
     EvalZeroDivision,
@@ -504,3 +507,70 @@ def test_sum_exprs_keeps_the_order_of_repeated_addition(batch, data):
     for e in batch:
         out = out + e
     assert _items(sx.sum_exprs(batch)) == _items(out)
+
+
+# ---------------------------------------------------------------------------
+# one walk for every first partial keeps the terms and the order of
+# differentiating by one variable at a time
+
+
+def _total_derivative_reference(e, i):
+    # built on the per-variable reference above, not on `differentiate`,
+    # which shares the walk of `partials`
+    out = _differentiate_by_repeated_add(e, BaseVar(i))
+    for v in e.jet_vars():
+        up = sx.Expr.variable(JetVar(v.alpha, v.index.add_unit(i)))
+        out = out + up * _differentiate_by_repeated_add(e, v)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_expressions(), st.sampled_from([1, 2]))
+@example(sx.prim("sin", sx.base(1) * sx.jet(1, (1, 0))) * sx.jet(1, (0, 0)) ** 2
+         + sx.inverse(sx.base(1) + sx.base(2)) * sx.jet(1, (0, 1)), 1)
+def test_partials_keep_the_terms_and_order_of_one_variable_at_a_time(e, i):
+    d = sx.partials(e, VARS)
+    assert list(d) == VARS
+    for v in VARS:
+        assert _items(d[v]) == _items(_differentiate_by_repeated_add(e, v))
+    assert _items(jc.total_derivative(e, i)) == _items(_total_derivative_reference(e, i))
+
+
+def _reference_prolongation(h, l):
+    # D_I h_beta = D_i D_{I - 1_i} h_beta with i the first positive axis,
+    # the composition order of `prolong_op`, each D_i by the reference
+    levels = {MultiIndex.zero(h.m): list(h.components)}
+    out = []
+    for I in enumerate_indices(GradedIndexRange(h.m, 0, l)):
+        if I.degree:
+            i = next(ax + 1 for ax, e in enumerate(I) if e > 0)
+            levels[I] = [_total_derivative_reference(c, i) for c in levels[I.sub_unit(i)]]
+        out.extend(levels[I])
+    return out
+
+
+CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(CORPUS) if f.endswith(".jf")))
+def test_corpus_prolongations_match_the_reference_term_for_term(name):
+    with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
+        h = cli.parse_problem_file(fh.read()).operator
+    got = jc.prolong_op(h, 2).components
+    want = _reference_prolongation(h, 2)
+    assert list(got) == want
+    assert [_items(c) for c in got] == [_items(c) for c in want]
+
+
+def test_primitive_without_derivative_rule_fails_only_where_it_is_reached():
+    # D_1 never differentiates the argument x2; D_2 does, and fails
+    sx.register_primitive("norule")
+    try:
+        e = sx.prim("norule", sx.base(2)) * sx.jet(1, (1, 0)) + sx.jet(1, (0, 0)) ** 2
+        d1 = jc.total_derivative(e, 1)
+        assert sx.format_expr(d1) == "2*u[(0,0)]*u[(1,0)] + u[(2,0)]*norule(x2)"
+        with pytest.raises(sx.DifferentiationError,
+                           match="^primitive 'norule' has no registered derivative rule$"):
+            jc.total_derivative(e, 2)
+    finally:
+        del sx._REGISTRY["norule"]
