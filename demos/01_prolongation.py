@@ -37,6 +37,16 @@ for l in range(3):
     assert all(sx.is_identically_zero(v) for v in vals)
 print("\nall prolonged equations vanish identically on j^k of (x1+x2)^4")
 
+# J^(k+l) embeds in J^l(J^k): an iterated jet relabels an ordinary one
+io = jc.IotaReindex(2, 1, 2, 1)
+jp = jc.jet_of_section(psi, (Q(1), Q(2)), 3)
+emb = io.point_embed(jp)
+# slot 3 of the order-2 chart is u_(0,1); its x1-derivative is u_(1,1)
+assert emb[(3, (1, 0))] == jp[(1, (1, 1))]
+g = sx.jet(3, (1, 0)) * sx.jet(1, (0, 1))
+assert sx.evaluate(g, emb.assignment()) == sx.evaluate(io.pull_expr(g), jp.assignment())
+print("\niota: J^3 -> J^1(J^2) relabels u_(1,1) as the x1-derivative of slot u_(0,1)")
+
 # a non-solution leaves a residual
 bad = jc.SectionPoly(2, [x1 ** 2])
 res = jc.residual_of_section(h, bad, [(Q(0), Q(0)), (Q(1), Q(2))])

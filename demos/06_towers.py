@@ -28,6 +28,20 @@ th = jt.thread_of_section(psi, (Q(1), Q(2)), 5)
 print("thread of a cubic section through 5 levels, dims:",
       [len(p) for p in th.points])
 
+# --- tangent threads: the velocity of the family psi + t*phi at t = 0 ---
+# the base point stays put, and each jet slot moves with phi's jet
+phi = jc.SectionPoly(2, [sx.base(1) * sx.base(2)])
+vel = [(Q(0), Q(0)) + jt.point_to_tuple(jc.jet_of_section(phi, (Q(1), Q(2)), i))[2:]
+       for i in range(5)]
+pfd.TangentThread(th, vel)
+print("d/dt of the threads of psi + t*phi is a tangent thread")
+try:
+    pfd.TangentThread(th, [vel[0], (Q(1),) + vel[1][1:]])
+except pfd.ThreadError as err:
+    print("a vector that moves the base point at level 1 only is refused:", err)
+else:
+    raise AssertionError("incompatible tangent vectors were accepted")
+
 # --- total derivatives as finite-type vector fields ---
 D1 = pfd.total_derivative_field(jt, 1)
 D2 = pfd.total_derivative_field(jt, 2)

@@ -627,8 +627,14 @@ def _run_solve(spec, h, q, flags):
                        _provenance(flags, sampled=True), data, notes=notes)
 
 
+def _tower_levels(q, order):
+    return q.args[0] if q.args else q.arg_dict().get("levels", order + 2)
+
+
 def _run_tower(spec, h, q, flags):
-    levels = q.args[0] if q.args else q.arg_dict().get("levels", h.order + 2)
+    levels = _tower_levels(q, h.order)
+    if levels < 0:
+        raise ValueError("levels must be nonnegative")
     E = pfd.equation_subtower(h, levels=levels + 1)
     dims = {str(i): E.dimension(i) for i in range(levels + 1)}
     pts = ig.sample_prolonged_points(h, 1, 1, "tower:%d" % flags.seed)
@@ -757,11 +763,13 @@ def prolonged_components(m, n_out, l):
 
 
 def _refuse_oversized(h, q, flags):
-    """Raise ProblemError when a spencer, prolong, codim or solve query
-    on the operator h would build more than the module bounds allow:
-    prolong(l) and codim(l) prolong to level l, solve(N) to level N - k.
-    Bounds of the wrong type or sign are left to the query itself, which
-    reports them."""
+    """Raise ProblemError when a spencer, prolong, codim, solve or tower
+    query on the operator h would build more than the module bounds
+    allow: prolong(l) and codim(l) prolong to level l, solve(N) to level
+    N - k, and tower(levels) builds jet charts up to order levels, whose
+    top one has as many jet coordinates as an order-levels prolongation
+    of n components.  Bounds of the wrong type or sign are left to the
+    query itself, which reports them."""
     m, n, n_out, order = h.m, h.n, h.n_out, h.order
     if q.name == "spencer":
         pmax, qmax = _spencer_bounds(q, flags, m, order)
@@ -783,6 +791,14 @@ def _refuse_oversized(h, q, flags):
                 raise ProblemError(
                     "%s(%d) is too large: %d components, above the limit of %d"
                     % (q.name, arg, count, MAX_PROLONGED_COMPONENTS))
+    elif q.name == "tower":
+        levels = _tower_levels(q, order)
+        if _nonnegative_int(levels):
+            count = prolonged_components(m, n, levels)
+            if count > MAX_PROLONGED_COMPONENTS:
+                raise ProblemError(
+                    "tower(%d) is too large: its top chart has %d jet coordinates, "
+                    "above the limit of %d" % (levels, count, MAX_PROLONGED_COMPONENTS))
 
 
 def _nonnegative_int(v):

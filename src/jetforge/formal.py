@@ -75,10 +75,6 @@ class TruncSeries:
     def coefficient(self, I):
         return self.coeffs[MultiIndex(I)]
 
-    def jet_value(self, I):
-        I = MultiIndex(I)
-        return self.coeffs[I] * factorial(I)
-
     def _check_compatible(self, other):
         if self.m != other.m or self.base != other.base:
             raise ValueError("mismatched variables or base points")
@@ -170,37 +166,6 @@ class TruncSeries:
 
     def __repr__(self):
         return "TruncSeries(m=%d, order=%d, base=%s)" % (self.m, self.order, self.base)
-
-
-def series_mul(s, t):
-    return s * t
-
-
-def series_compose_scalar(K, s):
-    """K(s) for a polynomial K.
-
-    K may be a callable built from ring operations (applied directly to
-    the series) or an expression in one variable; primitives are
-    rejected since composition needs polynomial data on exact paths.
-    """
-    if callable(K):
-        out = K(s)
-        if not isinstance(out, TruncSeries):
-            raise ValueError("K must map series to series")
-        return out
-    e = sx.as_expr(K)
-    if e.has_primitive() or e.has_recip():
-        raise ValueError("composition requires a polynomial K")
-    vs = sorted(e.free_vars(), key=lambda v: v.key)
-    if len(vs) > 1:
-        raise ValueError("K must be univariate")
-    out = TruncSeries.constant(0, s.m, s.order, s.base)
-    for mono, c in e.terms():
-        term = TruncSeries.constant(c, s.m, s.order, s.base)
-        for _, exp in mono:
-            term = term * s**exp
-        out = out + term
-    return out
 
 
 # ---------------------------------------------------------------------------

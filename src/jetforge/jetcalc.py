@@ -482,31 +482,6 @@ class IotaReindex:
         return sx.substitute(e, bindings)
 
 
-def iota_reindex(m, n, k, l):
-    return IotaReindex(m, n, k, l)
-
-
-def classical_to_bundle(m, n, k, coeffs, n_out=None):
-    """Linear operator from classical coefficient data.
-
-    coeffs maps (alpha, beta, I) -> Expr in base variables; component
-    beta is sum over (alpha, I) of coeff * u^alpha_I.
-    """
-    if n_out is None:
-        n_out = max((beta for _, beta, _ in coeffs), default=1)
-    components = [sx.ZERO for _ in range(n_out)]
-    for (alpha, beta, I), c in coeffs.items():
-        I = MultiIndex(I)
-        if I.degree > k:
-            raise ValueError("coefficient index above operator order")
-        c = as_expr(c)
-        bad = [v for v in c.free_vars() if not isinstance(v, BaseVar)]
-        if bad:
-            raise ValueError("classical coefficients must be base-only")
-        components[beta - 1] = components[beta - 1] + c * sx.jet(alpha, I)
-    return DiffOp(m, n, k, components)
-
-
 def bundle_to_classical(h):
     """Recover the classical coefficient table of a linear operator."""
     if not h.is_linear():

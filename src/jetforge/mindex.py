@@ -135,24 +135,3 @@ def multinomial(I: MultiIndex):
     """|I|! / I!, the number of ways to realize the monomial xi^I."""
     return math.factorial(MultiIndex(I).degree) // factorial(I)
 
-
-def offset(I: MultiIndex, i: int, delta: int):
-    """I with axis i (1-based) shifted by +1 or -1; None when negative.
-
-    The None return marks the boundary case of delta-contractions and
-    total derivatives, where the shifted index leaves N^m.
-    """
-    if not isinstance(I, MultiIndex):
-        I = MultiIndex(I)
-    if not 1 <= i <= len(I):
-        raise ValueError("axis %d out of range 1..%d" % (i, len(I)))
-    if delta not in (1, -1):
-        raise ValueError("delta must be +1 or -1")
-    e = I[i - 1] + delta
-    if e < 0:
-        return None
-    return MultiIndex._trusted(I[: i - 1] + (e,) + I[i:])
-
-
-def sorted_graded_lex(indices):
-    return sorted((MultiIndex(I) for I in indices), key=MultiIndex.graded_lex_key)

@@ -19,8 +19,7 @@ jet tower records the translation between slots and jet chart labels.
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .mindex import MultiIndex, GradedIndexRange, dim_F, factorial
@@ -91,13 +90,6 @@ class TowerSpec:
             for e in self.steps[i]
         ])
 
-    def check_submersion(self, i, points):
-        """Sampled submersion property of the step map: full row rank."""
-        for p in points:
-            if self.step_jacobian(i, p).rank() != self.dims[i]:
-                return False, p
-        return True, None
-
 
 class ThreadError(ValueError):
     pass
@@ -135,14 +127,6 @@ class Thread:
 
     def __getitem__(self, i):
         return self.points[i]
-
-
-def thread_check_extend(t, new_point):
-    """Return the thread extended by one level; raises ThreadError with
-    the witness values when the compatibility check fails."""
-    out = Thread(t.tower, t.points)
-    out._append(tuple(new_point))
-    return out
 
 
 class TangentThread:
@@ -292,35 +276,6 @@ class LocalVectorField:
             raise ValueError("component map at level %d has wrong arity" % i)
         return comps
 
-    def check_compatibility(self, i, points):
-        """Sampled step compatibility:
-        Jacobian(mu_{i,i+1}) . V_{i+1} = V_i after pullback to a common level."""
-        mi = self.type_of(i)
-        mi1 = self.type_of(i + 1)
-        top = max(mi, mi1)
-        Vi = [pullback_local_function(LocalFunction(mi, e), self.tower, max(top, mi)).expr for e in self.component_map(i)]
-        Vi1 = [pullback_local_function(LocalFunction(mi1, e), self.tower, max(top, mi1)).expr for e in self.component_map(i + 1)]
-        step = self.tower.steps[i]
-        conn = self.tower.connect(i + 1, top) if top > i + 1 else tuple(sx.base(t + 1) for t in range(self.tower.dims[i + 1]))
-        for p in points:
-            assignment = {BaseVar(t + 1): v for t, v in enumerate(p)}
-            pt_i1 = [sx.evaluate(c, assignment) for c in conn]
-            a_i1 = {BaseVar(t + 1): v for t, v in enumerate(pt_i1)}
-            got = []
-            for e in step:
-                total = Fraction(0)
-                for t in range(self.tower.dims[i + 1]):
-                    d = differentiate(e, BaseVar(t + 1))
-                    if d.is_zero():
-                        continue
-                    total += sx.evaluate(d, a_i1) * sx.evaluate(Vi1[t], assignment)
-                got.append(total)
-            want = [sx.evaluate(e, assignment) for e in Vi]
-            if got != want:
-                return False, p
-        return True, None
-
-
 def vf_apply(V, f):
     """Directional derivative of a local function along a vector field.
 
@@ -438,10 +393,6 @@ def d(form):
     return LocalForm(tower, form.level, form.degree + 1, out)
 
 
-def d_of_function(f, tower):
-    return d(LocalForm(tower, f.level, 0, {(): f.expr}))
-
-
 def wedge(a, b):
     """Wedge product after pulling both forms to the higher level."""
     level = max(a.level, b.level)
@@ -531,7 +482,7 @@ class EquationSubtower:
         if h.n_out != 1:
             raise ValueError("equation subtowers are built from scalar operators")
         self.h = h
-        self.jet = make_jet_tower(h.m, h.n, (levels or h.order + 4))
+        self.jet = make_jet_tower(h.m, h.n, h.order + 4 if levels is None else levels)
 
     def membership(self, jp):
         l = jp.chart.k - self.h.order
@@ -597,20 +548,6 @@ class LinearTower:
         for level in range(j - 1, i - 1, -1):
             M = self.steps[level].matmul(M)
         return M
-
-    def as_tower_spec(self):
-        steps = []
-        for Mstep in self.steps:
-            exprs = []
-            for r in Mstep.rows:
-                e = sx.ZERO
-                for t, c in enumerate(r):
-                    if c:
-                        e = e + Expr.const(c) * sx.base(t + 1)
-                exprs.append(e)
-            steps.append(tuple(exprs))
-        return TowerSpec(self.dims, steps)
-
 
 def kron(A, B):
     """Kronecker product of exact matrices, row-major block layout: row
@@ -730,92 +667,3 @@ def tensor_tower(V, W):
         tensor=T, left=sV, right=sW, diagonal=sT,
         identities_hold=ok, dim_identity_holds=dim_ok,
     )
-
-
-# ---------------------------------------------------------------------------
-# equivalence of projective representations
-
-
-@dataclass
-class EquivalenceReport:
-    passed: bool
-    checked: int
-    failures: list = field(default_factory=list)
-
-    def summary(self):
-        if self.passed:
-            return "all %d diagram identities hold at the sampled points" % self.checked
-        return "%d of %d diagram identities fail; first witness: %s" % (
-            len(self.failures), self.checked, self.failures[0])
-
-
-def _eval_map(exprs, point):
-    assignment = {BaseVar(t + 1): v for t, v in enumerate(point)}
-    return tuple(sx.evaluate(e, assignment) for e in exprs)
-
-
-def verify_equivalence(A, B, phi, F, psi, G, samples=5, seed=0):
-    """Check the two triangle diagrams (and the connecting squares) of a
-    mutual translation between two towers at sampled points.
-
-    phi and psi are strictly increasing level reindexings; F[a] maps
-    level phi(a) of A onto level a of B, G[i] maps level psi(i) of B
-    onto level i of A.  Points are sampled at the highest needed source
-    level and pushed down, so every identity is evaluated on compatible
-    data.
-    """
-    rng = random.Random(seed)
-    failures = []
-    checked = 0
-
-    def sample(tower, level):
-        return tuple(sx.random_rational(rng, 5) for _ in range(tower.dims[level]))
-
-    levels_B = [a for a in range(len(phi)) if a + 1 < len(phi)]
-    for a in levels_B:
-        b = a + 1
-        if phi[b] >= A.length or b >= B.length:
-            continue
-        for _ in range(samples):
-            p = sample(A, phi[b])
-            lhs = _eval_map(F[a], A.apply(phi[a], phi[b], p))
-            rhs = _eval_map(B.connect(a, b), _eval_map(F[b], p))
-            checked += 1
-            if lhs != rhs:
-                failures.append(("square F", a, b, p, lhs, rhs))
-    levels_A = [i for i in range(len(psi)) if i + 1 < len(psi)]
-    for i in levels_A:
-        j = i + 1
-        if psi[j] >= B.length or j >= A.length:
-            continue
-        for _ in range(samples):
-            p = sample(B, psi[j])
-            lhs = _eval_map(G[i], B.apply(psi[i], psi[j], p))
-            rhs = _eval_map(A.connect(i, j), _eval_map(G[j], p))
-            checked += 1
-            if lhs != rhs:
-                failures.append(("square G", i, j, p, lhs, rhs))
-
-    for i in range(len(psi)):
-        a = psi[i]
-        if a >= len(phi) or phi[a] >= A.length:
-            continue
-        for _ in range(samples):
-            p = sample(A, phi[a])
-            lhs = _eval_map(G[i], _eval_map(F[a], p))
-            rhs = A.apply(i, phi[a], p)
-            checked += 1
-            if lhs != rhs:
-                failures.append(("triangle G.F", i, a, p, lhs, rhs))
-    for a in range(len(phi)):
-        i = phi[a]
-        if i >= len(psi) or psi[i] >= B.length:
-            continue
-        for _ in range(samples):
-            p = sample(B, psi[i])
-            lhs = _eval_map(F[a], _eval_map(G[i], p))
-            rhs = B.apply(a, psi[i], p)
-            checked += 1
-            if lhs != rhs:
-                failures.append(("triangle F.G", a, i, p, lhs, rhs))
-    return EquivalenceReport(passed=not failures, checked=checked, failures=failures)

@@ -558,13 +558,6 @@ def symbolic_system_at(h, a, allow_zero=False):
     return SymbolicSystem(h.m, h.n, h.order, a, A)
 
 
-def full_system(m, n, k):
-    """The trivial system g = everything at order k (no constraints)."""
-    labels = sym_component_labels(m, k, n)
-    A = RationalMatrix([], row_labels=(), col_labels=labels)
-    return SymbolicSystem(m, n, k, None, A)
-
-
 # ---------------------------------------------------------------------------
 # cohomology
 

@@ -65,17 +65,6 @@ class SymbolPoly:
             total = total + val
         return total
 
-    def functional_values(self, beta, a, alpha=1):
-        """Monomial-basis values s_I(a)/multinomial(I) of the functional
-        sigma(h)|_a on Sym^k; pairs with t_J coordinates of tensors."""
-        assignment = a.assignment()
-        out = {}
-        for I in enumerate_indices(GradedIndexRange(self.m, self.k, self.k)):
-            c = self.coefficient(alpha, beta, I)
-            val = sx.evaluate(c, assignment)
-            out[I] = Fraction(val) / multinomial(I)
-        return out
-
     def is_zero(self):
         return all(c.is_zero() for c in self.table.values())
 
@@ -176,31 +165,9 @@ class SymbolProlongMatrix:
         rows = [[sx.evaluate(e, assignment) for e in row] for row in self.entries]
         return sp.RationalMatrix(rows, row_labels=self.row_labels, col_labels=self.col_labels)
 
-    def apply_to_power(self, v, a):
-        """The image of the decomposable power v^(x)(k+1) at the point a,
-        as a map row label -> value; equals v_i * S_beta(v; a)."""
-        M = self.evaluate_at(a)
-        coords = []
-        for (alpha, J) in self.col_labels:
-            c = Fraction(multinomial(J))
-            for i, e in enumerate(J):
-                c *= Fraction(v[i]) ** e
-            coords.append(c)
-        out = {}
-        for ri, lab in enumerate(self.row_labels):
-            out[lab] = sum(M.rows[ri][j] * coords[j] for j in range(len(coords)))
-        return out
-
 
 def symbol_prolong1(h):
     return SymbolProlongMatrix(h)
-
-
-def characteristic_test(h, a, xi):
-    """True iff the covector is characteristic at a: S(xi; a) = 0."""
-    if h.n != 1 or h.n_out != 1:
-        raise ValueError("characteristic test is for scalar operators")
-    return symbol_of(h).evaluate(1, a, xi) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -394,21 +394,12 @@ def _add_term(terms, m, c):
             del terms[m]
 
 
-def sum_exprs(exprs):
-    """Sum of expressions accumulated into one dict: the same terms in
-    the same order as adding them left to right with `+`, without
-    copying the running sum at each step."""
-    terms = {}
-    for e in exprs:
-        _add_terms(terms, e._terms)
-    return Expr._make(terms)
-
-
 def sum_times_atoms(parts):
     """Sum of a*e over the (a, e) pairs of parts, a an atom or None for
     1, accumulated into one dict: the same terms in the same order as
-    `sum_exprs` of the products, without building them (each term of e
-    takes one more factor a, its coefficient as it is)."""
+    adding the products left to right with `+`, without building them
+    or copying the running sum (each term of e takes one more factor a,
+    its coefficient as it is)."""
     terms = {}
     for a, e in parts:
         factor = () if a is None else ((a, 1),)
@@ -634,18 +625,6 @@ def _compound_partials(a, wanted, errors):
         if not da.is_zero():
             out[v] = da
     return out
-
-
-def _atom_derivative(a, v):
-    """d(a)/dv for one atom: 1 or 0 for a variable, the chain rule
-    through the argument of a quotient or primitive atom."""
-    if isinstance(a, VarRef):
-        return ONE if a == v else ZERO
-    errors = {}
-    da = _compound_partials(a, frozenset((v,)), errors)
-    if v in errors:
-        raise errors[v]
-    return da.get(v, ZERO)
 
 
 def differentiate(e, v):

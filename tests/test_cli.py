@@ -396,6 +396,33 @@ def test_main_refuses_oversized_codim_and_solve_up_front(tmp_path, capsys, text,
     assert elapsed < 1.0
 
 
+def test_main_refuses_oversized_tower_up_front(tmp_path, capsys):
+    # tower(levels) builds the jet charts up to order levels; at m=3 the
+    # top chart of tower(21) has C(24, 3) = 2024 jet coordinates
+    path = tmp_path / "big.jf"
+    path.write_text(LAPLACE3 + "query tower(21);\n")
+    t0 = time.perf_counter()
+    code = cli.main(["tower", str(path)])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: tower(21)") and "too large" in captured.err
+    assert captured.out == ""
+    assert elapsed < 1.0
+    # the largest tower admitted at m=3
+    path.write_text(LAPLACE3 + "query tower(20);\n")
+    assert cli.main(["tower", str(path)]) == 0
+
+
+def test_main_tower_with_negative_levels_fails(tmp_path, capsys):
+    path = tmp_path / "neg.jf"
+    path.write_text(LAPLACE3 + "query tower(-1);\n")
+    assert cli.main(["tower", str(path), "--json"]) == 1
+    res = json.loads(capsys.readouterr().out)["results"][0]
+    assert not res["passed"]
+    assert res["data"] == {"error": "levels must be nonnegative"}
+
+
 def test_main_reports_unwritable_json_path(tmp_path, capsys):
     wave = tmp_path / "wave.jf"
     wave.write_text(WAVE)

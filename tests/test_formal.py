@@ -9,7 +9,7 @@ from jetforge import jetcalc as jc
 from jetforge import spencer as sp
 from jetforge import symexpr as sx
 from jetforge.formal import TruncSeries
-from jetforge.mindex import MultiIndex
+from jetforge.mindex import MultiIndex, factorial
 
 
 def _wave():
@@ -27,7 +27,7 @@ def test_series_from_polynomial_coefficients():
     assert s.coefficient(MultiIndex((1, 1))) == 2
     assert s.coefficient(MultiIndex((0, 2))) == 1
     assert s.coefficient(MultiIndex((3, 0))) == 0
-    assert s.jet_value(MultiIndex((2, 0))) == 2
+    assert s.coefficient(MultiIndex((2, 0))) * factorial(MultiIndex((2, 0))) == 2
 
 
 def test_series_mul_matches_polynomial_product():
@@ -39,7 +39,7 @@ def test_series_mul_matches_polynomial_product():
         e2 = sx.random_polynomial(rng, atoms, degree=3, terms=4, bound=5)
         s1 = _series_of_poly(e1, 4)
         s2 = _series_of_poly(e2, 4)
-        prod = fm.series_mul(s1, s2)
+        prod = s1 * s2
         want = _series_of_poly(e1 * e2, 4)
         assert prod == want
 
@@ -66,8 +66,7 @@ def test_series_around_shifted_base_point():
 def test_series_compose_scalar_powers():
     x1 = sx.base(1)
     s = _series_of_poly(1 + x1, 3)
-    z = sx.param("z")
-    out = fm.series_compose_scalar(sx.as_expr(z) ** 2, s)
+    out = s ** 2
     want = _series_of_poly((1 + x1) ** 2, 3)
     assert out == want
 

@@ -9,8 +9,6 @@ from jetforge.mindex import (
     enumerate_indices,
     factorial,
     multinomial,
-    offset,
-    sorted_graded_lex,
 )
 
 
@@ -37,7 +35,7 @@ def test_sorted_graded_lex_is_idempotent_permutation():
     rng = GradedIndexRange(3, 0, 3)
     ordered = list(enumerate_indices(rng))
     shuffled = list(reversed(ordered))
-    assert sorted_graded_lex(shuffled) == ordered
+    assert sorted(shuffled, key=MultiIndex.graded_lex_key) == ordered
 
 
 def test_factorial_and_multinomial_values():
@@ -56,15 +54,15 @@ def test_add_and_units():
     assert tuple(I.sub_unit(3)) == (1, 0, 1)
     with pytest.raises(ValueError):
         I.sub_unit(2)
-
-
-def test_offset_returns_none_at_boundary():
-    I = MultiIndex((0, 1))
-    assert offset(I, 1, -1) is None
-    assert tuple(offset(I, 2, -1)) == (0, 0)
-    assert tuple(offset(I, 1, 1)) == (1, 1)
+    J = MultiIndex((0, 1))
     with pytest.raises(ValueError):
-        offset(I, 3, 1)
+        J.sub_unit(1)
+    assert tuple(J.sub_unit(2)) == (0, 0)
+    assert tuple(J.add_unit(1)) == (1, 1)
+    with pytest.raises(ValueError):
+        J.add_unit(3)
+    with pytest.raises(ValueError):
+        J.sub_unit(3)
 
 
 def test_degree_and_keys():

@@ -91,7 +91,9 @@ def test_spencer_delta_full_complex_is_exact():
 
 
 def test_full_system_cohomology_vanishes():
-    g = sp.full_system(2, 1, 2)
+    # the trivial system: no constraints, g_q is everything
+    g = sp.SymbolicSystem(2, 1, 2, None, RationalMatrix(
+        [], row_labels=(), col_labels=sp.sym_component_labels(2, 2, 1)))
     H = sp.cohomology_dims(g, 2, 3)
     for (p, q), v in H.items():
         if (p, q) == (0, 0):

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 from jetforge import jetcalc as jc
+from jetforge import spencer as sp
 from jetforge import symbols as sy
 from jetforge import symexpr as sx
 from jetforge.mindex import GradedIndexRange, MultiIndex, enumerate_indices, multinomial
@@ -47,8 +49,8 @@ def test_symbol_polynomial_evaluation():
 
 def test_functional_values_divide_multinomial():
     h = _laplace(2)
-    S = sy.symbol_of(h)
-    vals = S.functional_values(1, _point(h))
+    A = sp.symbol_constraint_matrix(h, _point(h))
+    vals = {J: v for (J, alpha), v in zip(A.col_labels, A.rows[0])}
     assert vals[MultiIndex((2, 0))] == 1
     assert vals[MultiIndex((1, 1))] == 0
     assert vals[MultiIndex((0, 2))] == 1
@@ -81,20 +83,24 @@ def test_symbol_prolong_matrix_shape_and_identity():
     rng = random.Random(4)
     a = _point(h)
     S = sy.symbol_of(h)
+    Ma = M.evaluate_at(a)
     for _ in range(10):
         v = tuple(sx.random_rational(rng, 5) for _ in range(2))
-        out = M.apply_to_power(v, a)
+        # coordinates of v^(x)3 in the monomial basis of Sym^3
+        coords = [multinomial(J) * math.prod(Q(v[i]) ** e for i, e in enumerate(J))
+                  for (alpha, J) in M.col_labels]
         s_val = S.evaluate(1, a, v)
-        for (i, beta), got in out.items():
-            assert got == Q(v[i - 1]) * s_val
+        for (i, beta), row in zip(M.row_labels, Ma.rows):
+            assert sum(x * c for x, c in zip(row, coords)) == Q(v[i - 1]) * s_val
 
 
 def test_characteristic_test():
     h = _wave()
     a = _point(h)
-    assert sy.characteristic_test(h, a, (Q(1), Q(1)))
-    assert sy.characteristic_test(h, a, (Q(1), Q(-1)))
-    assert not sy.characteristic_test(h, a, (Q(1), Q(0)))
+    S = sy.symbol_of(h)
+    assert S.evaluate(1, a, (Q(1), Q(1))) == 0
+    assert S.evaluate(1, a, (Q(1), Q(-1))) == 0
+    assert S.evaluate(1, a, (Q(1), Q(0))) != 0
 
 
 def test_sample_variety_points_satisfy_equation():
