@@ -54,6 +54,11 @@ def test_add_and_units():
     assert tuple(I.sub_unit(3)) == (1, 0, 1)
     with pytest.raises(ValueError):
         I.sub_unit(2)
+
+
+def test_offset_returns_none_at_boundary():
+    # A unit step off the nonnegative orthant, or along an axis out of
+    # range, is refused by add_unit/sub_unit.
     J = MultiIndex((0, 1))
     with pytest.raises(ValueError):
         J.sub_unit(1)
