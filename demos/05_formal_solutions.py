@@ -7,14 +7,12 @@ result is an exact truncated Taylor series whose residual vanishes to
 the verified depth.
 """
 
-import random
 from fractions import Fraction as Q
 
 from jetforge import formal as fm
 from jetforge import integrability as ig
 from jetforge import jetcalc as jc
 from jetforge import symexpr as sx
-from jetforge.mindex import MultiIndex
 
 x1, x2 = sx.base(1), sx.base(2)
 

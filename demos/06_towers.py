@@ -22,7 +22,7 @@ from jetforge import symexpr as sx
 RM = sp.RationalMatrix
 
 # --- the jet tower and its threads ---
-jt = pfd.make_jet_tower(2, 1, 6)
+jt = pfd.JetTower(2, 1, 6)
 psi = jc.SectionPoly(2, [(sx.base(1) + sx.base(2)) ** 3])
 th = jt.thread_of_section(psi, (Q(1), Q(2)), 5)
 print("thread of a cubic section through 5 levels, dims:",
@@ -74,7 +74,7 @@ print("random order-4 jet data realized by a polynomial section, exactly")
 
 # --- equation subtowers ---
 wave = jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) - sx.jet(1, (0, 2))])
-E = pfd.equation_subtower(wave, levels=6)
+E = pfd.EquationSubtower(wave, levels=6)
 print("equation subtower dimensions:", [E.dimension(l) for l in range(2, 6)])
 
 # --- splitting a tensor product of linear towers ---

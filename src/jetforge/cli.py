@@ -635,7 +635,7 @@ def _run_tower(spec, h, q, flags):
     levels = _tower_levels(q, h.order)
     if levels < 0:
         raise ValueError("levels must be nonnegative")
-    E = pfd.equation_subtower(h, levels=levels + 1)
+    E = pfd.EquationSubtower(h, levels=levels + 1)
     dims = {str(i): E.dimension(i) for i in range(levels + 1)}
     pts = ig.sample_prolonged_points(h, 1, 1, "tower:%d" % flags.seed)
     member = E.membership(pts[0])

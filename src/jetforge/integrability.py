@@ -419,7 +419,7 @@ def check_conditions(h, samples=20, seed=0, mode="exact"):
 
     c1 = _check_symbol_nonvanishing(h, samples, seed)
 
-    M1 = sy.symbol_prolong1(h)
+    M1 = sy.SymbolProlongMatrix(h)
     profile = sy.rank_profile(M1.entries, constraint=h, samples=samples, seed=seed + 1, mode=mode)
     c2 = ConditionReport(
         "prolonged symbol constant rank",

@@ -191,10 +191,6 @@ class JetTower:
         return Thread(self.tower, pts)
 
 
-def make_jet_tower(m, n, levels=5):
-    return JetTower(m, n, levels)
-
-
 def borel_realize(m, n, data, p0, order):
     """The polynomial section whose derivatives at p0 match the data.
 
@@ -482,7 +478,7 @@ class EquationSubtower:
         if h.n_out != 1:
             raise ValueError("equation subtowers are built from scalar operators")
         self.h = h
-        self.jet = make_jet_tower(h.m, h.n, h.order + 4 if levels is None else levels)
+        self.jet = JetTower(h.m, h.n, h.order + 4 if levels is None else levels)
 
     def membership(self, jp):
         l = jp.chart.k - self.h.order
@@ -508,10 +504,6 @@ class EquationSubtower:
         for p in pts:
             ig.lift_point(self.h, p, check=False)
         return len(pts)
-
-
-def equation_subtower(h, levels=None):
-    return EquationSubtower(h, levels=levels)
 
 
 # ---------------------------------------------------------------------------

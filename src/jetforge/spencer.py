@@ -2,19 +2,22 @@
 
 Matrices are sparse integer rows with one positive denominator per row
 (see `RationalMatrix`).  The linear algebra is one fraction-free
-Gauss-Jordan pass over those integer rows per matrix, with
-deterministic pivoting (first usable column, first usable row); the
-reduced row echelon form is unique, so kernel bases and golden outputs
-are those of any exact elimination.  The pass touches only the nonzero
-entries of rows, and products only the nonzero pairs of factors.  A
-solve is the same pass over the augmented matrix [M | rhs], pivoting in
-M's columns only: rank, kernel basis, consistency and solutions are all
-read from that one `Echelon`.  On top of it sit the symbolic
-system g(h; a) of an operator at a jet point, its level-by-level
-prolongations (each level built from the integer reduced rows of the
-level below, so rows never outgrow m times the rank below), the
-delta-complex on wedge-times-symmetric coordinates, built as sparse
-integer rows, and exact cohomology dimensions.
+elimination over those integer rows per matrix (`Echelon`): a column
+index of the rows holding each column lets each pivot step touch only
+those rows, the pivot row is the shortest of them, and the rows are
+brought to reduced form only when they are read, so a rank costs the
+forward pass alone.  The reduced row echelon form is unique, so which
+row serves as pivot row is invisible: ranks, kernel bases and golden
+outputs are those of any exact elimination.  The pass touches only the
+nonzero entries of rows, and products only the nonzero pairs of factors.
+A solve is the same pass over the augmented matrix [M | rhs], pivoting
+in M's columns only: rank, kernel basis, consistency and solutions are
+all read from that one `Echelon`.  On top of it sit the symbolic system
+g(h; a) of an operator at a jet point, its level-by-level prolongations
+(each level built from the integer reduced rows of the level below, so
+rows never outgrow m times the rank below), the delta-complex on
+wedge-times-symmetric coordinates, built as sparse integer rows, and
+exact cohomology dimensions.
 """
 
 from __future__ import annotations
@@ -211,78 +214,138 @@ class RationalMatrix:
         return "RationalMatrix(%dx%d)" % (self.nrows, self.ncols)
 
 
+def _eliminate(row, c, pivot, i=None, holders=None):
+    """`row` with its entry f in column c cleared by the row `pivot`,
+    whose entry there is pv: (a*row - f'*pivot) / content, with
+    a/f' = pv/f in lowest terms and the content the gcd of the result.
+    With `holders`, the column index of `Echelon` is kept for row id i
+    where an entry fills in or cancels."""
+    pv = pivot[c]
+    g = gcd(pv, row[c])
+    a = pv // g
+    f = row[c] // g
+    if a != 1:
+        row = {j: a * v for j, v in row.items()}
+    for j, v in pivot.items():
+        w = row.get(j)
+        if w is None:
+            row[j] = -f * v
+            if holders is not None:
+                holders[j].add(i)
+        else:
+            w -= f * v
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+                if holders is not None:
+                    holders[j].discard(i)
+    content = gcd(*row.values()) or 1
+    if content != 1:
+        row = {j: v // content for j, v in row.items()}
+    return row
+
+
 class Echelon:
     """Reduced row echelon form of a matrix M, or of [M | rhs], in
     integers.
 
-    One fraction-free Gauss-Jordan pass over the integer rows (each row
-    times its denominator; a right-hand side `rhs`, a `RationalMatrix`
-    with M's rows, is joined on first): for each column of M in order,
-    the first row at or below the current rank with a nonzero entry is
-    swapped up as the pivot row P, with pivot value pv; every other row
-    R with an entry f in that column becomes (a*R - f'*P) / content,
+    One fraction-free pass over the integer rows (each row times its
+    denominator; a right-hand side `rhs`, a `RationalMatrix` with M's
+    rows, is joined on first).  A column index holds, for each column,
+    the ids of the rows with an entry there; it changes only where an
+    entry fills in or cancels.  For each column c of M in order, the
+    pivot row P is the holder of c not yet a pivot row with the fewest
+    stored entries (ties to the lowest row id), with pivot value pv, and
+    every other such holder R with entry f becomes (a*R - f'*P) / content,
     where a = pv/g and f' = f/g for g = gcd(pv, f), and the content is
     the gcd of the result, so every row it changes stays integer and
-    primitive.  Only the nonzero entries of rows are stored and touched.
-    The right-hand side rides along: the system is consistent when no
-    row below the rank keeps an entry.
+    primitive.  Only the holders of c are touched, and only their nonzero
+    entries; a pivot row is not changed again in this pass.  The
+    right-hand side rides along: the system is consistent when no row
+    that is never a pivot row keeps an entry.
 
-    Every row is at all times a nonzero multiple of the row the same
-    pass over `Fraction` with unit pivots would hold, so the zero
-    pattern, the pivot choices and the swaps are the same, and the
-    reduced rows are held as integer rows plus their pivot value
-    (`rows[r][pivots[r]]`): dividing one by the other gives the reduced
-    row echelon form.  That form is unique, so the rank, every kernel
-    basis and every solution equal those of any exact elimination, and
-    the pivots and reduced rows on M's columns are those of M alone.
+    The constructor eliminates only in rows that are not yet pivot rows,
+    which settles `rank`, `pivots`, `free` and `consistent`.  `rows` is
+    the reduced pivot rows, in pivot order, each an integer row over its
+    pivot value `rows[r][pivots[r]]`; the first read clears the entries
+    of each pivot row in the pivot columns after its own, last pivot
+    first, by the same update.  Dividing each row by its pivot value
+    gives the reduced row echelon form, which is unique: whichever row
+    is chosen as pivot row, the rank, the pivots, every kernel basis and
+    every solution equal those of any exact elimination, and the pivots
+    and reduced rows on M's columns are those of M alone.
     """
 
-    __slots__ = ("col_labels", "rhs_labels", "rows", "pivots", "free", "rank", "consistent")
+    __slots__ = ("col_labels", "rhs_labels", "pivots", "free", "rank", "consistent",
+                 "_rows", "_above")
 
     def __init__(self, M, rhs=None):
         # the rows are changed in place: copies of M's, or the fresh join
         rows = [dict(r) for r in M.nums] if rhs is None else list(M.join(rhs).nums)
-        n = len(rows)
+        ncols = M.ncols
+        # holders[j]: ids of the rows with an entry in column j of
+        # [M | rhs].  A pivot row is never changed again and stays in
+        # the index; entries fill in and cancel only in the other rows.
+        holders = {}
+        for i, row in enumerate(rows):
+            for j in row:
+                if j in holders:
+                    holders[j].add(i)
+                else:
+                    holders[j] = {i}
+        # rank_of[i]: the position among the pivot rows of row i, if any
+        rank_of = [None] * len(rows)
+        pivot_rows = []
         pivots = []
-        r = 0
-        for c in range(M.ncols):
-            if r == n:
+        above = []
+        # a column that no row holds at the start never gains a holder
+        for c in sorted(holders):
+            if c >= ncols or len(pivots) == len(rows):
                 break
-            pr = next((i for i in range(r, n) if c in rows[i]), None)
-            if pr is None:
+            below = []
+            earlier = []
+            for i in holders[c]:
+                if rank_of[i] is None:
+                    below.append(i)
+                else:
+                    earlier.append(rank_of[i])
+            if not below:
                 continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            prow = list(rows[r].items())
-            pv = rows[r][c]
-            for i, row in enumerate(rows):
-                f = row.get(c)
-                if f is None or i == r:
-                    continue
-                g = gcd(pv, f)
-                a = pv // g
-                f //= g
-                if a != 1:
-                    row = {j: a * v for j, v in row.items()}
-                for j, v in prow:
-                    w = row.get(j, 0) - f * v
-                    if w:
-                        row[j] = w
-                    else:
-                        del row[j]
-                content = gcd(*row.values()) or 1
-                if content != 1:
-                    row = {j: v // content for j, v in row.items()}
-                rows[i] = row
+            p = min((len(rows[i]), i) for i in below)[1]
+            for i in below:
+                if i != p:
+                    rows[i] = _eliminate(rows[i], c, rows[p], i, holders)
+            rank_of[p] = len(pivots)
+            pivot_rows.append(rows[p])
             pivots.append(c)
-            r += 1
+            above.append(earlier)
         self.col_labels = M.col_labels
         self.rhs_labels = () if rhs is None else rhs.col_labels
-        # rows below the rank are zero on M's columns
-        self.rows = rows[:r]
-        self.consistent = not any(rows[r:])
+        # the rows that never became pivot rows are zero on M's columns
+        self.consistent = not any(row for i, row in enumerate(rows) if rank_of[i] is None)
+        self._rows = pivot_rows
+        # above[r]: the earlier pivot rows with an entry in column
+        # pivots[r], still to be reduced by row r; None once reduced
+        self._above = above
         self.pivots = pivots
-        self.free = sorted(set(range(M.ncols)) - set(pivots))
-        self.rank = r
+        self.free = sorted(set(range(ncols)) - set(pivots))
+        self.rank = len(pivots)
+
+    @property
+    def rows(self):
+        """The reduced pivot rows, each an integer row over its pivot
+        value, reduced on first read."""
+        if self._above is not None:
+            rows = self._rows
+            # reducing by row r fills in only free and right-hand side
+            # columns, so the rows to reduce in each pivot column are
+            # those found by the forward pass
+            for r in reversed(range(len(rows))):
+                for t in self._above[r]:
+                    rows[t] = _eliminate(rows[t], self.pivots[r], rows[r])
+            self._above = None
+        return self._rows
 
     def kernel_basis(self):
         """Columns form a deterministic basis of the null space of M.

@@ -166,10 +166,6 @@ class SymbolProlongMatrix:
         return sp.RationalMatrix(rows, row_labels=self.row_labels, col_labels=self.col_labels)
 
 
-def symbol_prolong1(h):
-    return SymbolProlongMatrix(h)
-
-
 # ---------------------------------------------------------------------------
 # variety sampling and rank profiles
 

@@ -320,7 +320,7 @@ def test_criterion_08_tensor_tower_splitting():
 
 
 def test_criterion_09_pfd_calculus():
-    jt = pfd.make_jet_tower(2, 1, 6)
+    jt = pfd.JetTower(2, 1, 6)
     tw = jt.tower
     rng = random.Random(99)
 

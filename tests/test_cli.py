@@ -299,10 +299,11 @@ def test_main_never_raises_on_arbitrary_bytes(data):
         path = os.path.join(tmp, "fuzz.jf")
         with open(path, "wb") as fh:
             fh.write(data)
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(["prolong", path])
-    assert code in (0, 1, 2)
+        for command in cli.COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([command, path])
+            assert code in (0, 1, 2), command
 
 
 def _spencer_json(capsys, path, *flags):

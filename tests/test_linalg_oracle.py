@@ -344,6 +344,41 @@ def test_augmented_elimination_matches_sympy(system):
 
 
 @st.composite
+def permuted_systems(draw):
+    """An augmented system and a permutation of its rows."""
+    rows, nc, right, k = draw(augmented_systems())
+    return rows, nc, right, k, draw(st.permutations(range(len(rows))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_systems())
+# every row of [M | B] holds three entries, so each pivot row is picked
+# by the tie break on the row id, which the permutation changes
+@example(([[Q(1), Q(2), Q(0)], [Q(2), Q(0), Q(3)], [Q(3), Q(0), Q(-1)]], 3,
+          [[Q(1)], [Q(1)], [Q(1)]], 1, [2, 0, 1]))
+def test_elimination_does_not_depend_on_row_order(system):
+    rows, nc, right, k, perm = system
+    B = RationalMatrix(right, col_labels=range(k))
+    E = Echelon(RationalMatrix(rows, col_labels=range(nc)), B)
+    P = Echelon(RationalMatrix([rows[i] for i in perm], col_labels=range(nc)),
+                RationalMatrix([right[i] for i in perm], col_labels=range(k)))
+    assert (P.rank, P.pivots, P.free, P.consistent) == (E.rank, E.pivots, E.free, E.consistent)
+
+    # the right-hand side part of a reduced row is fixed only modulo
+    # the rows that are zero on M, which an inconsistent system has
+    width = nc + k if E.consistent else nc
+
+    def reduced(ech):
+        return [[Q(row.get(j, 0), row[pc]) for j in range(width)]
+                for row, pc in zip(ech.rows, ech.pivots)]
+
+    assert reduced(P) == reduced(E)
+    assert P.kernel_basis() == E.kernel_basis()
+    if E.consistent:
+        assert P.solution() == E.solution()
+
+
+@st.composite
 def rational_pairs(draw):
     left, nc = draw(rational_matrices())
     ncols = draw(st.integers(0, 6))

@@ -7,7 +7,6 @@ import pytest
 from jetforge import jetcalc as jc
 from jetforge import spencer as sp
 from jetforge import symexpr as sx
-from jetforge.mindex import MultiIndex
 from jetforge.spencer import RationalMatrix
 
 
@@ -339,3 +338,13 @@ def test_prolonged_dims_match_the_hilbert_function(make_op, qmax):
     g = sp.symbolic_system_at(h, _point(h, seed=3))
     for q in range(0, qmax + 1):
         assert g.dim_g(q) == _scalar_hilbert(h.m, h.order, q), q
+
+
+def test_wave_m5_cohomology_table_closed_form():
+    h = _wave(5)
+    g = sp.symbolic_system_at(h, _point(h))
+    H = sp.cohomology_dims(g, 5, 5)
+    for q in range(0, 7):
+        assert g.dim_g(q) == math.comb(q + 4, 4) - math.comb(q + 2, 4), q
+    assert H[(0, 0)] == H[(1, 1)] == 1
+    assert all(v == 0 for (p, q), v in H.items() if q >= 2)

@@ -8,7 +8,7 @@ from jetforge import jetcalc as jc
 from jetforge import spencer as sp
 from jetforge import symbols as sy
 from jetforge import symexpr as sx
-from jetforge.mindex import GradedIndexRange, MultiIndex, enumerate_indices, multinomial
+from jetforge.mindex import MultiIndex, multinomial
 
 
 def _wave():
@@ -76,7 +76,7 @@ def test_linear_symbol_diagram_gradient_laplace():
 
 def test_symbol_prolong_matrix_shape_and_identity():
     h = _wave()
-    M = sy.symbol_prolong1(h)
+    M = sy.SymbolProlongMatrix(h)
     # rows (i, beta): 2; cols |J| = 3: 4
     assert len(M.row_labels) == 2
     assert len(M.col_labels) == 4
@@ -120,7 +120,7 @@ def test_sampler_raises_without_affine_top_variable():
 
 def test_rank_profile_certified_for_wave():
     h = _wave()
-    M = sy.symbol_prolong1(h)
+    M = sy.SymbolProlongMatrix(h)
     rep = sy.rank_profile(M.entries, constraint=h, samples=6, seed=1)
     assert rep.certified
     assert rep.generic_rank == 2
@@ -130,7 +130,7 @@ def test_rank_profile_certified_for_wave():
 
 def test_rank_profile_float_mode():
     h = _laplace(3)
-    M = sy.symbol_prolong1(h)
+    M = sy.SymbolProlongMatrix(h)
     rep = sy.rank_profile(M.entries, constraint=h, samples=4, seed=2, mode="float")
     assert rep.mode == "float"
     assert rep.min_rank == rep.max_rank == 3
@@ -142,7 +142,7 @@ def test_rank_profile_float_ranks_are_ranks_of_the_exact_samples(constrained):
     # Monge-Ampere with a cubic term: the symbol depends on the point
     h = jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) * sx.jet(1, (0, 2)) - sx.jet(1, (1, 1)) ** 2
                             + sx.jet(1, (0, 0)) ** 3])
-    entries = sy.symbol_prolong1(h).entries
+    entries = sy.SymbolProlongMatrix(h).entries
     constraint = h if constrained else None
     rep = sy.rank_profile(entries, constraint=constraint, samples=8, seed=5, mode="float")
     want = []
@@ -157,7 +157,7 @@ def test_rank_profile_float_ranks_are_ranks_of_the_exact_samples(constrained):
 def test_prolonged_symbol_coefficient_normalization():
     # entry at (i, beta), column J is s_{J - e_i} * J_i / ((k+1) * mult(J - e_i))
     h = _laplace(2)
-    M = sy.symbol_prolong1(h)
+    M = sy.SymbolProlongMatrix(h)
     S = sy.symbol_of(h)
     k = h.order
     for r, (i, beta) in enumerate(M.row_labels):
