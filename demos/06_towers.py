@@ -74,7 +74,7 @@ print("random order-4 jet data realized by a polynomial section, exactly")
 
 # --- equation subtowers ---
 wave = jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) - sx.jet(1, (0, 2))])
-E = pfd.EquationSubtower(wave, levels=6)
+E = pfd.EquationSubtower(wave)
 print("equation subtower dimensions:", [E.dimension(l) for l in range(2, 6)])
 
 # --- splitting a tensor product of linear towers ---

@@ -481,9 +481,9 @@ class CliFlags:
     qmax: int = None
 
 
-def _provenance(flags, sampled=False, tol=1e-9):
+def _provenance(flags, sampled=False):
     if flags.mode == "float":
-        return "float(%.0e)" % tol
+        return "float(%.0e)" % sy.FLOAT_RANK_TOL
     if sampled:
         return "sampled(%d, seed=%d)" % (flags.samples, flags.seed)
     return "exact"
@@ -635,7 +635,7 @@ def _run_tower(spec, h, q, flags):
     levels = _tower_levels(q, h.order)
     if levels < 0:
         raise ValueError("levels must be nonnegative")
-    E = pfd.EquationSubtower(h, levels=levels + 1)
+    E = pfd.EquationSubtower(h)
     dims = {str(i): E.dimension(i) for i in range(levels + 1)}
     pts = ig.sample_prolonged_points(h, 1, 1, "tower:%d" % flags.seed)
     member = E.membership(pts[0])

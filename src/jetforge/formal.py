@@ -210,7 +210,7 @@ class FormalSolution:
         return jc.SectionPoly(self.operator.m, [s.truncation_polynomial() for s in self.series])
 
 
-def formal_solve(h, seed_point, N, policy="zero", free_table=None, seed=None, check=True):
+def formal_solve(h, seed_point, N, policy="zero", free_table=None, seed=None):
     """Order-by-order formal solution from a seed jet point.
 
     Lifts the seed until its order reaches N; the free parameters
@@ -225,10 +225,9 @@ def formal_solve(h, seed_point, N, policy="zero", free_table=None, seed=None, ch
     l0 = b.chart.k - h.order
     if l0 < 0:
         raise ValueError("seed order below operator order")
-    if check:
-        vals = jc.prolong_op(h, l0).evaluate_at(b)
-        if any(v != 0 for v in vals):
-            raise ValueError("seed does not satisfy the prolonged equations")
+    vals = jc.prolong_op(h, l0).evaluate_at(b)
+    if any(v != 0 for v in vals):
+        raise ValueError("seed does not satisfy the prolonged equations")
     free_counts = []
     while b.chart.k < N:
         level_policy = policy

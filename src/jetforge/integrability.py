@@ -219,19 +219,13 @@ def lift_system_at(h, b):
 
     Rows are the components of prolong_op(h, l+1) of outer degree
     exactly l+1 (l inferred from b); columns are the order-(k+l+1)
-    coordinates in graded-lex order.  Returns (A, rhs, column labels).
-    The rows and their Jacobian come from h's lift plan; only their
-    values at b are computed here.
+    coordinates in graded-lex order.  Returns (A, R, column labels), R
+    the right-hand side as a one-column matrix.  The rows and their
+    Jacobian come from h's lift plan; only their values at b are
+    computed here.  Both matrices are built from integer rows in one
+    pass over the plan's values: each row of A over the lcm of its
+    entries' denominators, which is lowest terms.
     """
-    A, R, unknowns = _lift_system(h, b)
-    return A, R.column(0), unknowns
-
-
-def _lift_system(h, b):
-    """(A, the right-hand side as a one-column matrix, column labels) of
-    `lift_system_at`, both matrices built from integer rows in one pass
-    over the plan's values: each row of A over the lcm of its entries'
-    denominators, which is lowest terms."""
     l = b.chart.k - h.order
     if l < 0:
         raise ValueError("point order below operator order")
@@ -272,7 +266,7 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
         vals = prev.evaluate_at(b)
         if any(v != 0 for v in vals):
             raise ValueError("point does not satisfy the prolonged equations")
-    A, R, unknowns = _lift_system(h, b)
+    A, R, unknowns = lift_system_at(h, b)
     E = sp.Echelon(A, R)
     if not E.consistent:
         raise LiftObstructionError(
@@ -303,10 +297,10 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
     return LiftResult(point=point, free_labels=[unknowns[f] for f in free], rank=E.rank)
 
 
-def sample_prolonged_points(h, l, count, seed, bound=5):
+def sample_prolonged_points(h, l, count, seed):
     """Points of ker(h)^(l) built by lifting sampled ker(h) points with
     seeded random free data."""
-    base_points = sy.sample_variety_points(h, count, seed, bound=bound)
+    base_points = sy.sample_variety_points(h, count, seed)
     out = []
     for idx, b in enumerate(base_points):
         for step in range(l):
@@ -506,8 +500,8 @@ def variety_codim(h, l, samples=10, seed=0):
     if h.n_out != 1:
         raise ValueError("codimension diagnostics are for scalar operators")
     prolonged = jc.prolong_op(h, l)
-    layout = prolonged.chart().layout
-    coords = layout.atoms
+    chart = prolonged.chart()
+    coords = chart.atoms
     pts = sample_prolonged_points(h, l, samples, seed)
     symbol = jc.symbol_table(h)
     orders = [v.index.degree if isinstance(v, JetVar) else -1 for v in coords]
@@ -523,7 +517,7 @@ def variety_codim(h, l, samples=10, seed=0):
             else:
                 jacobian.append(sx.ZERO)
     width = len(coords)
-    batch = sx.Batch(jacobian, layout.slots)
+    batch = sx.Batch(jacobian, chart.slots)
     observed = []
     for p in pts:
         values = batch.at(p.base + p.values)

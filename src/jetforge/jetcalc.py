@@ -10,84 +10,70 @@ iterated total differentiation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .mindex import MultiIndex, GradedIndexRange, enumerate_indices, dim_F
+from .mindex import MultiIndex, GradedIndexRange, enumerate_indices
 from . import symexpr as sx
 from .symexpr import Expr, BaseVar, JetVar, as_expr, differentiate
 
 
-class ChartLayout:
-    """The coordinates of the order-k jet chart over R^m with fiber R^n,
-    built once per (m, n, k) by `chart_layout`.
+class JetChartSpec:
+    """The order-k jet chart of the trivial bundle over R^m with fiber R^n.
+
+    `JetChartSpec(m, n, k)` returns the one chart for (m, n, k), built
+    on first use by extending the order-(k-1) chart, so charts compare
+    and hash by identity and lower orders share their index, label and
+    atom objects.  A chart is read-only, since every point on it shares
+    it.
 
     `indices` are the multi-indices |I| <= k in graded-lex order, and
     `labels` the (alpha, I) fiber labels in chart order: graded-lex on
     I, degree first, then alpha.  So the order-k labels are a prefix of
-    the order-(k+1) labels.  `atoms` are the chart coordinates as
-    atoms, the base variables x_1..x_m first and then one JetVar per
-    label.  `index` maps a label to its position in `labels`, `slots`
-    an atom to its position in `atoms`; both are read-only, since every
-    point on the chart shares them.
+    the order-(k+1) labels.  `atoms` are the chart coordinates as atoms,
+    the base variables x_1..x_m first and then one JetVar per label, and
+    `dim` is their number.  `index` maps a label to its position in
+    `labels`, `slots` an atom to its position in `atoms`.
     """
 
-    __slots__ = ("indices", "labels", "atoms", "index", "slots")
+    __slots__ = ("m", "n", "k", "dim", "indices", "labels", "atoms", "index", "slots")
 
-    def __init__(self, indices, labels, atoms):
-        self.indices = indices
-        self.labels = labels
-        self.atoms = atoms
-        self.index = MappingProxyType({label: pos for pos, label in enumerate(labels)})
-        self.slots = MappingProxyType({a: pos for pos, a in enumerate(atoms)})
+    def __new__(cls, m, n, k):
+        return _chart(m, n, k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a jet chart is read-only")
+
+    def __reduce__(self):
+        return JetChartSpec, (self.m, self.n, self.k)
+
+    def __repr__(self):
+        return "JetChartSpec(m=%d, n=%d, k=%d)" % (self.m, self.n, self.k)
+
+    def jet_indices(self):
+        return list(self.indices)
 
 
 @functools.cache
-def chart_layout(m, n, k):
-    """The layout of the order-k jet chart, extending the order-(k-1)
-    one, so that lower orders share their index, label and atom
-    objects."""
+def _chart(m, n, k):
+    if m < 1 or n < 1 or k < 0:
+        raise ValueError("need m >= 1, n >= 1, k >= 0")
     if k == 0:
-        below = ChartLayout((), (), tuple(BaseVar(i) for i in range(1, m + 1)))
+        indices, labels, atoms = (), (), tuple(BaseVar(i) for i in range(1, m + 1))
     else:
-        below = chart_layout(m, n, k - 1)
+        below = _chart(m, n, k - 1)
+        indices, labels, atoms = below.indices, below.labels, below.atoms
     top = enumerate_indices(GradedIndexRange(m, k, k))
-    labels = tuple((alpha, I) for I in top for alpha in range(1, n + 1))
-    return ChartLayout(below.indices + tuple(top), below.labels + labels,
-                       below.atoms + tuple(JetVar(alpha, I) for alpha, I in labels))
-
-
-@dataclass(frozen=True)
-class JetChartSpec:
-    """Chart data for the order-k jet space of a trivial bundle."""
-
-    m: int
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1 or self.k < 0:
-            raise ValueError("need m >= 1, n >= 1, k >= 0")
-
-    @property
-    def layout(self):
-        return chart_layout(self.m, self.n, self.k)
-
-    def jet_indices(self):
-        return list(self.layout.indices)
-
-    def fiber_labels(self):
-        """(alpha, I) pairs in chart order: graded-lex on I, then alpha."""
-        return list(self.layout.labels)
-
-    def coordinates(self):
-        """All chart coordinates as atoms, base first."""
-        return list(self.layout.atoms)
-
-    @property
-    def dim(self):
-        return self.m + self.n * dim_F(GradedIndexRange(self.m, 0, self.k))
+    new = tuple((alpha, I) for I in top for alpha in range(1, n + 1))
+    labels += new
+    atoms += tuple(JetVar(alpha, I) for alpha, I in new)
+    chart = object.__new__(JetChartSpec)
+    for name, value in dict(
+            m=m, n=n, k=k, dim=len(atoms), indices=indices + tuple(top), labels=labels,
+            atoms=atoms, index=MappingProxyType({label: pos for pos, label in enumerate(labels)}),
+            slots=MappingProxyType({a: pos for pos, a in enumerate(atoms)})).items():
+        object.__setattr__(chart, name, value)
+    return chart
 
 
 _MISSING = object()
@@ -101,7 +87,7 @@ class JetPoint:
     """A point of the order-k jet chart: base values plus every jet value.
 
     The jet values are a tuple `values` in the order of the chart's
-    labels (`chart.layout`), so `project` keeps a prefix and `extend`
+    labels (`chart.labels`), so `project` keeps a prefix and `extend`
     appends the new top-order values.  `p[(alpha, I)]` reads one value;
     `jets` builds the {(alpha, I): value} dict.
 
@@ -115,7 +101,7 @@ class JetPoint:
     __slots__ = ("chart", "base", "values")
 
     def __init__(self, chart, base, jets):
-        self._fill(chart, base, _jet_values(chart.layout.labels, jets))
+        self._fill(chart, base, _jet_values(chart.labels, jets))
 
     @classmethod
     def from_values(cls, chart, base, values):
@@ -128,7 +114,7 @@ class JetPoint:
     def _fill(self, chart, base, values):
         if len(base) != chart.m:
             raise ValueError("base point has wrong dimension")
-        if len(values) != len(chart.layout.labels):
+        if len(values) != len(chart.labels):
             raise ValueError("wrong number of jet values")
         self.chart = chart
         self.base = tuple([_as_fraction(b) for b in base])
@@ -136,12 +122,12 @@ class JetPoint:
 
     @property
     def jets(self):
-        return dict(zip(self.chart.layout.labels, self.values))
+        return dict(zip(self.chart.labels, self.values))
 
     def __getitem__(self, key):
         # a MultiIndex is a tuple, so (alpha, I) finds the label for
         # either; other index sequences are turned into tuples
-        index = self.chart.layout.index
+        index = self.chart.index
         try:
             pos = index[key]
         except TypeError:
@@ -151,14 +137,14 @@ class JetPoint:
 
     def assignment(self):
         """Variable assignment suitable for symexpr.evaluate."""
-        return dict(zip(self.chart.layout.atoms, self.base + self.values))
+        return dict(zip(self.chart.atoms, self.base + self.values))
 
     def project(self, k1):
         """Forget jets of degree above k1."""
         if k1 > self.chart.k:
             raise ValueError("cannot project upward")
         chart = JetChartSpec(self.chart.m, self.chart.n, k1)
-        return JetPoint.from_values(chart, self.base, self.values[:len(chart.layout.labels)])
+        return JetPoint.from_values(chart, self.base, self.values[:len(chart.labels)])
 
     def extend(self, new_jets):
         """Adjoin order-(k+1) values, producing a point one level up.
@@ -166,13 +152,13 @@ class JetPoint:
         new_jets maps each new label (alpha, I), |I| = k + 1, to its
         value; other keys are not read."""
         chart = JetChartSpec(self.chart.m, self.chart.n, self.chart.k + 1)
-        top = chart.layout.labels[len(self.values):]
+        top = chart.labels[len(self.values):]
         return JetPoint.from_values(chart, self.base, [*self.values, *_jet_values(top, new_jets)])
 
     def __eq__(self, other):
         return (
             isinstance(other, JetPoint)
-            and self.chart == other.chart
+            and self.chart is other.chart
             and self.base == other.base
             and self.values == other.values
         )
@@ -224,7 +210,7 @@ class DiffOp:
         self.labels = tuple(labels)
         self._prolongations = {}  # l >= 1 -> prolong_op(self, l)
         self._lift_plans = {}  # l -> lift_plan(self, l)
-        self._batches = {}  # chart layout -> sx.Batch of the components
+        self._batches = {}  # chart -> sx.Batch of the components
 
     @property
     def n_out(self):
@@ -238,10 +224,10 @@ class DiffOp:
         coordinates by slot position."""
         if not exact:
             return tuple(sx.evaluate_many(self.components, point.assignment(), exact=False))
-        layout = point.chart.layout
-        batch = self._batches.get(layout)
+        chart = point.chart
+        batch = self._batches.get(chart)
         if batch is None:
-            batch = self._batches[layout] = sx.Batch(self.components, layout.slots)
+            batch = self._batches[chart] = sx.Batch(self.components, chart.slots)
         return tuple(batch.at(point.base + point.values))
 
     def is_linear(self):
@@ -295,9 +281,8 @@ class SectionPoly:
 def jet_of_section(psi, p, k):
     """The k-jet of the section at p: jets[(alpha, I)] = d^I psi^alpha (p)."""
     chart = JetChartSpec(psi.m, psi.n, k)
-    layout = chart.layout
-    assignment = dict(zip(layout.atoms[:psi.m], p))
-    derivatives = [psi.derivative(alpha, I) for alpha, I in layout.labels]
+    assignment = dict(zip(chart.atoms[:psi.m], p))
+    derivatives = [psi.derivative(alpha, I) for alpha, I in chart.labels]
     return JetPoint.from_values(chart, p, sx.evaluate_many(derivatives, assignment))
 
 
@@ -388,12 +373,12 @@ class LiftPlan:
     """The equations of one lift step of an operator, compiled once.
 
     Lifting a point of the order-(k+l) equation variety solves for the
-    order-(k+l+1) coordinates `unknowns` (the new labels of the chart
-    layout, (alpha, T) graded-lex on T) from the rows D_I h_beta with
+    order-(k+l+1) coordinates `unknowns` (the new labels of the chart,
+    (alpha, T) graded-lex on T) from the rows D_I h_beta with
     |I| = l + 1 (`row_labels`), which are affine in them.  `batch`
     holds, row after row, the Jacobian entries d(D_I h_beta)/du^alpha_T
     in column order followed by the row's component, compiled against
-    the order-(k+l+1) layout; `values_at` evaluates them at a point with
+    the order-(k+l+1) chart; `values_at` evaluates them at a point with
     the unknowns set to zero, which is all that is left to do there.
 
     The Jacobian is read off the symbol by an index shift, not by
@@ -409,9 +394,9 @@ class LiftPlan:
     __slots__ = ("unknowns", "row_labels", "batch", "_zeros")
 
     def __init__(self, h, l):
-        layout = chart_layout(h.m, h.n, h.order + l + 1)
-        below = chart_layout(h.m, h.n, h.order + l)
-        self.unknowns = layout.labels[len(below.labels):]
+        chart = JetChartSpec(h.m, h.n, h.order + l + 1)
+        below = JetChartSpec(h.m, h.n, h.order + l)
+        self.unknowns = chart.labels[len(below.labels):]
         self._zeros = (Fraction(0),) * len(self.unknowns)
         symbol = symbol_table(h)
         prolonged = prolong_op(h, l + 1)
@@ -425,7 +410,7 @@ class LiftPlan:
                 exprs.append(shifted_symbol(symbol, alpha, beta, T, I))
             exprs.append(comp)
         self.row_labels = tuple(row_labels)
-        self.batch = sx.Batch(exprs, layout.slots)
+        self.batch = sx.Batch(exprs, chart.slots)
 
     def values_at(self, b):
         """The entries at the level-l point b, row after row."""
@@ -455,29 +440,28 @@ class IotaReindex:
         self.m, self.n, self.k, self.l = m, n, k, l
         self.inner_chart = JetChartSpec(m, n, k)
         self.source_chart = JetChartSpec(m, n, k + l)
-        inner_labels = self.inner_chart.fiber_labels()
+        inner_labels = self.inner_chart.labels
         self.outer_chart = JetChartSpec(m, len(inner_labels), l)
-        self.inner_labels = inner_labels
         # outer labels (pos, J) in chart order, and the position of the
         # source label each pulls back to
-        source = self.source_chart.layout.index
+        source = self.source_chart.index
         self.label_map = {}
         self._sources = []
-        for pos, J in self.outer_chart.layout.labels:
+        for pos, J in self.outer_chart.labels:
             alpha, I = inner_labels[pos - 1]
             label = self.label_map[(pos, J)] = (alpha, I.add(J))
             self._sources.append(source[label])
 
     def point_embed(self, jp):
         """Image of an order-(k+l) point in the iterated-jet chart."""
-        if jp.chart != self.source_chart:
+        if jp.chart is not self.source_chart:
             raise ValueError("point does not live on J^{k+l}")
         return JetPoint.from_values(self.outer_chart, jp.base, [jp.values[s] for s in self._sources])
 
     def pull_expr(self, e):
         """Rewrite an expression on J^l(pi_k) as one on J^{k+l}(pi)."""
-        outer = self.outer_chart.layout.atoms[self.m:]
-        source = self.source_chart.layout.atoms[self.m:]
+        outer = self.outer_chart.atoms[self.m:]
+        source = self.source_chart.atoms[self.m:]
         bindings = {a: Expr.variable(source[s]) for a, s in zip(outer, self._sources)}
         return sx.substitute(e, bindings)
 
@@ -513,8 +497,8 @@ def section_jet_assignment(psi, k):
     Substituting this into an operator component gives its pullback
     along j^k psi as a base-variable expression.
     """
-    layout = chart_layout(psi.m, psi.n, k)
+    chart = JetChartSpec(psi.m, psi.n, k)
     return {
         atom: psi.derivative(alpha, I)
-        for atom, (alpha, I) in zip(layout.atoms[psi.m:], layout.labels)
+        for atom, (alpha, I) in zip(chart.atoms[psi.m:], chart.labels)
     }

@@ -173,7 +173,7 @@ class JetTower:
 
     def slots(self, level):
         """Chart atoms of the level in slot order."""
-        return self.charts[level].coordinates()
+        return self.charts[level].atoms
 
     def to_tower_expr(self, e, level):
         """Rewrite a jet-chart expression in the anonymous slot variables."""
@@ -183,8 +183,7 @@ class JetTower:
         return sx.substitute(sx.as_expr(e), bindings)
 
     def point_to_tuple(self, jp):
-        assignment = jp.assignment()
-        return tuple(assignment[a] for a in self.slots(jp.chart.k))
+        return jp.base + jp.values
 
     def thread_of_section(self, psi, p, levels):
         pts = [self.point_to_tuple(jc.jet_of_section(psi, p, i)) for i in range(levels)]
@@ -437,19 +436,19 @@ def contract(V, form):
     return LocalForm(V.tower, mi, form.degree - 1, out)
 
 
-def total_derivative_field(jt, axis, levels=None):
+def total_derivative_field(jt, axis):
     """The total derivative along a base axis as a finite-type field.
 
-    The level-i block reads the order-(i+1) chart: the slot of x_j gets
-    the constant delta, the slot of u_I gets the coordinate u_{I + e}.
-    Brackets of these fields vanish, which is the coordinate statement
-    of flatness of the Cartan distribution along jet prolongations.
+    There is one block per level below the top one.  The level-i block
+    reads the order-(i+1) chart: the slot of x_j gets the constant
+    delta, the slot of u_I gets the coordinate u_{I + e}.  Brackets of
+    these fields vanish, which is the coordinate statement of flatness
+    of the Cartan distribution along jet prolongations.
     """
     if not 1 <= axis <= jt.m:
         raise ValueError("axis out of range")
-    L = levels if levels is not None else jt.tower.length - 1
     comps = {}
-    for i in range(L):
+    for i in range(jt.tower.length - 1):
         exprs = []
         for atom in jt.slots(i):
             if isinstance(atom, BaseVar):
@@ -474,11 +473,10 @@ class EquationSubtower:
     is witnessed at samples through the lift solver.
     """
 
-    def __init__(self, h, levels=None):
+    def __init__(self, h):
         if h.n_out != 1:
             raise ValueError("equation subtowers are built from scalar operators")
         self.h = h
-        self.jet = JetTower(h.m, h.n, h.order + 4 if levels is None else levels)
 
     def membership(self, jp):
         l = jp.chart.k - self.h.order

@@ -613,10 +613,10 @@ def symbol_constraint_matrix(h, a):
     return RationalMatrix(rows, row_labels=tuple(range(1, h.n_out + 1)), col_labels=labels)
 
 
-def symbolic_system_at(h, a, allow_zero=False):
+def symbolic_system_at(h, a):
     """The symbolic system of h at the jet point a (exact data only)."""
     A = symbol_constraint_matrix(h, a)
-    if A.is_zero() and not allow_zero:
+    if A.is_zero():
         raise SymbolZeroError("operator symbol vanishes identically at the point")
     return SymbolicSystem(h.m, h.n, h.order, a, A)
 
@@ -643,41 +643,31 @@ def restricted_delta(g, p, q):
     return RationalMatrix.from_int_rows(rows, [common] * len(rows), col_lbl, row_labels=row_lbl)
 
 
-class CohomologyTable:
-    """Exact Spencer cohomology dimensions of a symbolic system."""
-
-    def __init__(self, g, pmax, qmax):
-        self.g = g
-        self.pmax = pmax
-        self.qmax = qmax
-        self._rank_cache = {}
-        self.dims = {}
-        for p in range(0, pmax + 1):
-            for q in range(0, qmax + 1):
-                self.dims[(p, q)] = self._dim_H(p, q)
-
-    def _rank(self, p, q):
-        """Rank of delta restricted to wedge(p) tensor g_q."""
-        key = (p, q)
-        if key not in self._rank_cache:
-            m = self.g.m
-            if p < 0 or p > m or q <= 0 or self.g.dim_g(q) == 0:
-                self._rank_cache[key] = 0
-            else:
-                self._rank_cache[key] = restricted_delta(self.g, p, q).rank()
-        return self._rank_cache[key]
-
-    def _dim_H(self, p, q):
-        m = self.g.m
-        if p < 0 or p > m:
-            return 0
-        dim_domain = comb(m, p) * self.g.dim_g(q)
-        return dim_domain - self._rank(p, q) - self._rank(p - 1, q + 1)
-
-
 def cohomology_dims(g, pmax, qmax):
-    """Table {(p, q): dim H^{p,q}(g)} computed by exact rank-nullity."""
-    return CohomologyTable(g, pmax, qmax).dims
+    """Table {(p, q): dim H^{p,q}(g)} computed by exact rank-nullity.
+
+    Each rank of delta on wedge(p) tensor g_q is computed once: it
+    enters both H^{p,q} and H^{p+1,q-1}.
+    """
+    m = g.m
+    ranks = {}
+
+    def rank(p, q):
+        if (p, q) not in ranks:
+            if p < 0 or p > m or q <= 0 or g.dim_g(q) == 0:
+                ranks[(p, q)] = 0
+            else:
+                ranks[(p, q)] = restricted_delta(g, p, q).rank()
+        return ranks[(p, q)]
+
+    dims = {}
+    for p in range(0, pmax + 1):
+        for q in range(0, qmax + 1):
+            if p > m:
+                dims[(p, q)] = 0
+            else:
+                dims[(p, q)] = comb(m, p) * g.dim_g(q) - rank(p, q) - rank(p - 1, q + 1)
+    return dims
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,8 @@ def symbol_of(h):
     return SymbolPoly(h.m, h.n, h.n_out, h.order, jc.symbol_table(h))
 
 
-def symbol_linear(m, n, k, coeffs, n_out=None):
+def symbol_linear(m, n, k, coeffs, n_out):
     """Symbol from classical linear coefficients: keep |I| = k entries."""
-    if n_out is None:
-        n_out = max((beta for _, beta, _ in coeffs), default=1)
     table = {}
     for (alpha, beta, I), c in coeffs.items():
         I = MultiIndex(I)
@@ -106,7 +104,7 @@ def check_linear_symbol_diagram(h, points, covectors):
     if not h.is_linear():
         raise ValueError("operator is not linear")
     s_jet = symbol_of(h)
-    s_cls = symbol_linear(h.m, h.n, h.order, jc.bundle_to_classical(h), n_out=h.n_out)
+    s_cls = symbol_linear(h.m, h.n, h.order, jc.bundle_to_classical(h), h.n_out)
     count = 0
     for a, xi in zip(points, covectors):
         for beta in range(1, h.n_out + 1):
@@ -129,11 +127,10 @@ class SymbolProlongMatrix:
     v^(x)(k+1) maps to v_i * S_beta(v) in row (i, beta).
     """
 
-    def __init__(self, h, symbol=None):
+    def __init__(self, h):
         self.h = h
         self.m, self.n, self.k = h.m, h.n, h.order
-        symbol = symbol or symbol_of(h)
-        self.symbol = symbol
+        symbol = self.symbol = symbol_of(h)
         self.row_labels = [(i, beta) for i in range(1, self.m + 1) for beta in range(1, h.n_out + 1)]
         self.col_labels = [
             (alpha, J)
@@ -151,19 +148,6 @@ class SymbolProlongMatrix:
                 c = symbol.coefficient(alpha, beta, I)
                 row.append(c * Fraction(J[i - 1], (self.k + 1) * multinomial(I)))
             self.entries.append(row)
-
-    @property
-    def nrows(self):
-        return len(self.row_labels)
-
-    @property
-    def ncols(self):
-        return len(self.col_labels)
-
-    def evaluate_at(self, a):
-        assignment = a.assignment()
-        rows = [[sx.evaluate(e, assignment) for e in row] for row in self.entries]
-        return sp.RationalMatrix(rows, row_labels=self.row_labels, col_labels=self.col_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -187,31 +171,32 @@ def _solvable_top_var(h):
     raise SamplerError("no top-order variable with an affine nonzero coefficient")
 
 
-def sample_variety_points(h, count, seed, bound=5, max_tries=200):
+def sample_variety_points(h, count, seed):
     """Random exact points of the zero set of a scalar operator.
 
     All coordinates except one solvable top-order variable are drawn as
-    random rationals; that variable is solved for exactly.  Draws where
-    the solve coefficient vanishes are rejected.
+    random rationals with numerator and denominator bounded by 5; that
+    variable is solved for exactly.  Draws where the solve coefficient
+    vanishes are rejected; after 200 draws per requested point the
+    sampler gives up.
     """
     v, c = _solvable_top_var(h)
     rest = h.components[0] - c * Expr.variable(v)
     rng = random.Random(seed)
     chart = h.chart()
-    layout = chart.layout
     # coordinates are drawn in chart order, base first; v has no slot,
     # so c and rest are evaluated without it
-    solved = layout.slots[v]
-    slots = {a: pos for a, pos in layout.slots.items() if pos != solved}
+    solved = chart.slots[v]
+    slots = {a: pos for a, pos in chart.slots.items() if pos != solved}
     cb = sx.Batch([c], slots)
     rb = sx.Batch([rest], slots)
     points = []
     tries = 0
     while len(points) < count:
         tries += 1
-        if tries > max_tries * count:
+        if tries > 200 * count:
             raise SamplerError("variety sampling kept hitting vanishing coefficients")
-        coords = [sx.random_rational(rng, bound) for _ in range(len(layout.atoms) - 1)]
+        coords = [sx.random_rational(rng, 5) for _ in range(chart.dim - 1)]
         coords.insert(solved, None)
         try:
             cval = cb.at(coords)[0]
@@ -270,7 +255,11 @@ class RankReport:
         return "rank varies over samples: min %s max %s" % (self.min_rank, self.max_rank)
 
 
-def rank_profile(entries, constraint=None, samples=20, seed=0, mode="exact", tol=1e-9):
+# singular values at or below this count as zero in float mode
+FLOAT_RANK_TOL = 1e-9
+
+
+def rank_profile(entries, constraint=None, samples=20, seed=0, mode="exact"):
     """Rank statistics of a matrix of expressions, optionally restricted
     to the zero variety of a scalar operator.
 
@@ -296,10 +285,10 @@ def rank_profile(entries, constraint=None, samples=20, seed=0, mode="exact", tol
                 [[sx.evaluate(e, assignment, exact=False) for e in row] for row in entries],
                 dtype=float,
             )
-            ranks.append(int(np.linalg.matrix_rank(M, tol=tol)))
+            ranks.append(int(np.linalg.matrix_rank(M, tol=FLOAT_RANK_TOL)))
         report.sampled_ranks = ranks
         report.sample_count = len(ranks)
-        report.notes.append("float mode: singular-value rank, tol=%g" % tol)
+        report.notes.append("float mode: singular-value rank, tol=%g" % FLOAT_RANK_TOL)
         return report
 
     work = entries

@@ -1287,11 +1287,8 @@ def parse_expr_flagged(text, ctx):
 # seeded rational sampling (shared by property tests and samplers)
 
 
-def random_rational(rng, bound=9, nonzero=False):
-    while True:
-        c = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-        if not nonzero or c != 0:
-            return c
+def random_rational(rng, bound):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
 def random_polynomial(rng, variables, degree=2, terms=3, bound=5):

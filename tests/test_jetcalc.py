@@ -15,8 +15,7 @@ def _wave():
 
 def test_chart_labels_are_graded_lex_outer():
     chart = jc.JetChartSpec(2, 2, 1)
-    labels = chart.fiber_labels()
-    assert labels == [
+    assert list(chart.labels) == [
         (1, MultiIndex((0, 0))), (2, MultiIndex((0, 0))),
         (1, MultiIndex((1, 0))), (2, MultiIndex((1, 0))),
         (1, MultiIndex((0, 1))), (2, MultiIndex((0, 1))),

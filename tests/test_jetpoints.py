@@ -1,16 +1,19 @@
-"""Jet points over one cached chart layout, against the per-label form.
+"""Jet points over one cached chart per (m, n, k), against the per-label
+form.
 
 A `JetPoint` stores its jet values as a tuple in the order of its
-chart's layout.  The reference here is the dictionary form points had
+chart's labels.  The reference here is the dictionary form points had
 before: one `MultiIndex` key and one `Fraction` per fiber label, one
 `JetVar` per coordinate, with the labels enumerated independently of
 `mindex.enumerate_indices` (all exponent tuples, sorted graded-lex).
-A warm lift reads the layout and the compiled plan only, which the
+A warm lift reads the chart and the compiled plan only, which the
 last test counts.
 """
 
 import collections
 import itertools
+import pickle
+from math import comb
 from fractions import Fraction as Q
 
 import pytest
@@ -97,8 +100,8 @@ def test_jet_point_matches_the_per_label_reference(case, data):
     p = jc.JetPoint(chart, base, jets)
     ref = _RefPoint(m, n, k, base, jets)
     _agrees(p, ref)
-    assert chart.fiber_labels() == _ref_labels(m, n, k)
-    assert chart.coordinates() == list(ref.assignment())
+    assert list(chart.labels) == _ref_labels(m, n, k)
+    assert list(chart.atoms) == list(ref.assignment())
     up = p.extend(top)
     _agrees(up, ref.extend(top))
     assert up.project(k) == p
@@ -128,14 +131,27 @@ def test_jet_point_matches_the_per_label_reference(case, data):
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (4, 1)])
-def test_layouts_are_cached_prefixes(m, n):
-    for k in range(3):
-        low, high = jc.chart_layout(m, n, k), jc.chart_layout(m, n, k + 1)
-        assert jc.JetChartSpec(m, n, k).layout is low
-        assert high.labels[:len(low.labels)] == low.labels
-        assert all(a is b for a, b in zip(high.atoms, low.atoms))
-        assert [l for l in high.labels[len(low.labels):] if l[1].degree != k + 1] == []
-        assert high.slots == {a: pos for pos, a in enumerate(high.atoms)}
+def test_charts_are_cached_prefixes(m, n):
+    for k in range(4):
+        chart = jc.JetChartSpec(m, n, k)
+        assert jc.JetChartSpec(m, n, k) is chart
+        assert pickle.loads(pickle.dumps(chart)) is chart
+        assert len(chart.indices) == comb(m + k, m)
+        assert chart.dim == len(chart.atoms) == m + n * len(chart.indices)
+        assert chart.slots == {a: pos for pos, a in enumerate(chart.atoms)}
+        assert chart.index == {label: pos for pos, label in enumerate(chart.labels)}
+        if k:
+            low = jc.JetChartSpec(m, n, k - 1)
+            assert chart.indices[:len(low.indices)] == low.indices
+            assert chart.labels[:len(low.labels)] == low.labels
+            assert all(a is b for a, b in zip(chart.atoms, low.atoms))
+            assert [l for l in chart.labels[len(low.labels):] if l[1].degree != k] == []
+        with pytest.raises(AttributeError):
+            chart.k = k + 1
+        assert chart.k == k
+    for bad in ((0, n, 1), (m, 0, 1), (m, n, -1)):
+        with pytest.raises(ValueError, match=r"^need m >= 1, n >= 1, k >= 0$"):
+            jc.JetChartSpec(*bad)
 
 
 def _curved_kg4():
@@ -153,15 +169,15 @@ def test_lift_plan_unknowns_are_the_new_layout_labels():
     h = _curved_kg4()
     for l in (0, 1):
         plan = jc.lift_plan(h, l)
-        below = jc.chart_layout(4, 1, h.order + l)
-        above = jc.chart_layout(4, 1, h.order + l + 1)
+        below = jc.JetChartSpec(4, 1, h.order + l)
+        above = jc.JetChartSpec(4, 1, h.order + l + 1)
         assert plan.unknowns == above.labels[len(below.labels):]
 
 
 def test_lift_rejects_a_point_of_another_bundle():
     h = _curved_kg4()
     chart = jc.JetChartSpec(3, 1, 2)
-    b = jc.JetPoint(chart, (0, 0, 0), {label: 0 for label in chart.fiber_labels()})
+    b = jc.JetPoint(chart, (0, 0, 0), {label: 0 for label in chart.labels})
     with pytest.raises(ValueError, match="different bundles"):
         ig.lift_system_at(h, b)
 

@@ -192,7 +192,7 @@ def test_form_pullback_uses_jacobian_minors():
 
 def test_equation_subtower_membership_and_dims():
     wave = jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) - sx.jet(1, (0, 2))])
-    E = pfd.EquationSubtower(wave, levels=6)
+    E = pfd.EquationSubtower(wave)
     sol = _cubic_section()
     nonsol = jc.SectionPoly(2, [sx.base(1) ** 2])
     assert E.membership(jc.jet_of_section(sol, (Q(0), Q(0)), 4))

@@ -83,14 +83,15 @@ def test_symbol_prolong_matrix_shape_and_identity():
     rng = random.Random(4)
     a = _point(h)
     S = sy.symbol_of(h)
-    Ma = M.evaluate_at(a)
+    assignment = a.assignment()
+    Ma = [[sx.evaluate(e, assignment) for e in row] for row in M.entries]
     for _ in range(10):
         v = tuple(sx.random_rational(rng, 5) for _ in range(2))
         # coordinates of v^(x)3 in the monomial basis of Sym^3
         coords = [multinomial(J) * math.prod(Q(v[i]) ** e for i, e in enumerate(J))
                   for (alpha, J) in M.col_labels]
         s_val = S.evaluate(1, a, v)
-        for (i, beta), row in zip(M.row_labels, Ma.rows):
+        for (i, beta), row in zip(M.row_labels, Ma):
             assert sum(x * c for x, c in zip(row, coords)) == Q(v[i - 1]) * s_val
 
 
