@@ -740,11 +740,15 @@ def spencer_matrix_entries(m, n, pmax, qmax):
     (pmax, qmax) builds, with dim g_q bounded by dim Sym^q (x) R^n, so
     the operator order does not enter.
 
-    The table reads the restricted delta on wedge(p) (x) g_q for
-    p <= min(pmax, m - 1) and q <= qmax + 1, of at most
-    C(m, p+1) dim Sym^(q-1) rows and C(m, p) dim g_q columns, and the
-    prolonged constraints A_q, of at most m dim Sym^(q-1) rows and
-    dim Sym^q columns.  Both grow with q, so q = qmax + 1 bounds them.
+    The table ranks delta on wedge(p) (x) g_q for
+    1 <= p <= min(pmax, m - 1) and q <= qmax + 1 (the rank for p = 0 is
+    dim g_q), built only at the rows of the free coordinates of
+    g_(q-1), so of at most C(m, p+1) dim Sym^(q-1) rows and
+    C(m, p) dim g_q columns; it also builds the prolonged constraints
+    A_q, of at most m dim Sym^(q-1) rows and dim Sym^q columns.  Both
+    grow with q, so q = qmax + 1 bounds them.  The estimate still counts
+    p = 0 and every ambient row, the size of `spencer.restricted_delta`,
+    so it bounds the matrices built from above.
     """
     top = qmax + 1
 

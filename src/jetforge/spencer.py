@@ -17,11 +17,16 @@ g(h; a) of an operator at a jet point, its level-by-level prolongations
 (each level built from the integer reduced rows of the level below, so
 rows never outgrow m times the rank below), the delta-complex on
 wedge-times-symmetric coordinates, built as sparse integer rows, and
-exact cohomology dimensions.
+exact cohomology dimensions.  Both the prolongations and the delta rows
+read one index table of d/dxi_i per (m, q, n).  A cohomology table needs
+each rank of delta on wedge(p) tensor g_q once: it is dim g_q for p = 0
+and 0 for p >= m, and otherwise the rank of the rows of delta at the
+free coordinates of g_(q-1) alone, which hold its whole image.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -432,9 +437,34 @@ def sym_basis(m, q):
     return enumerate_indices(GradedIndexRange(m, q, q))
 
 
+@functools.cache
 def sym_component_labels(m, q, n):
-    """(J, alpha) labels for Sym^q tensor R^n, J outer."""
-    return [(J, alpha) for J in sym_basis(m, q) for alpha in range(1, n + 1)]
+    """(J, alpha) labels for Sym^q tensor R^n, J outer; one tuple per
+    (m, q, n)."""
+    return tuple((J, alpha) for J in sym_basis(m, q) for alpha in range(1, n + 1))
+
+
+@functools.cache
+def _partials(m, q, n):
+    """The index table of d/dxi_i: Sym^q tensor R^n -> Sym^(q-1) tensor
+    R^n, built once per (m, q, n), in two readings.
+
+    `down[j]` lists, for the j-th coordinate (J, a) of level q, the
+    triples (i, t, J_i) for each J_i > 0, where t is the position of
+    (J - 1_i, a) at level q - 1.  `up[i - 1]` is the pair of tuples
+    (column, factor): d/dxi_i sends position t at level q - 1 onto the
+    level-q coordinate column[t], whose J_i is factor[t].
+    """
+    pos = {lab: t for t, lab in enumerate(sym_component_labels(m, q - 1, n))}
+    down = tuple(tuple((i, pos[(J.sub_unit(i), a)], J[i - 1]) for i in range(1, m + 1) if J[i - 1])
+                 for (J, a) in sym_component_labels(m, q, n))
+    column = [[None] * len(pos) for _ in range(m)]
+    factor = [[None] * len(pos) for _ in range(m)]
+    for j, targets in enumerate(down):
+        for i, t, Ji in targets:
+            column[i - 1][t] = j
+            factor[i - 1][t] = Ji
+    return down, tuple((tuple(c), tuple(f)) for c, f in zip(column, factor))
 
 
 def wedge_sign(i, S):
@@ -444,24 +474,31 @@ def wedge_sign(i, S):
     return -1 if sum(1 for s in S if s < i) % 2 else 1
 
 
-def _delta_rows(m, p, q, n, basis, nb):
+def _delta_rows(m, p, q, n, basis, nb, targets=None):
     """Integer rows of delta on wedge(p) tensor (the span of `basis`).
 
     `basis` gives, for each Sym^q tensor R^n coordinate, its entries in
     the nb basis vectors as a dict {vector: int}.  Column s * nb + b is
     e_S (x) (vector b) for the s-th S in wedge(p); row labels, returned
-    with the rows, are the wedge(p+1) tensor Sym^(q-1) tensor R^n
-    coordinates.  Coordinate (J, a) meets index i in one target
-    (J - 1_i, a) with factor J_i, and S meets i in one wedge S + i with a
-    sign, both looked up once here.  Each (row, column) entry comes from
-    one (coordinate, i) pair, since S + i and S fix i, so entries are
-    set, never summed.
+    with the rows, are the wedge(p+1) tensor `targets` coordinates, where
+    `targets` are (J, a) labels of Sym^(q-1) tensor R^n, all of them by
+    default; the rows at other targets are left out.  Coordinate (J, a)
+    meets index i in one target (J - 1_i, a) with factor J_i (the table
+    of `_partials`), and S meets i in one wedge S + i with a sign, looked
+    up once here.  Each (row, column) entry comes from one
+    (coordinate, i) pair, since S + i and S fix i, so entries are set,
+    never summed.
     """
     below = sym_component_labels(m, q - 1, n)
-    pos = {lab: t for t, lab in enumerate(below)}
-    # per source coordinate: (i, target position, J_i) for each J_i > 0
-    down = [[(i, pos[(J.sub_unit(i), a)], J[i - 1]) for i in range(1, m + 1) if J[i - 1]]
-            for (J, a) in sym_component_labels(m, q, n)]
+    down = _partials(m, q, n)[0]
+    if targets is not None:
+        # renumber the kept targets and drop the others
+        at_row = [None] * len(below)
+        pos = {lab: t for t, lab in enumerate(below)}
+        for r, lab in enumerate(targets):
+            at_row[pos[lab]] = r
+        down = [[(i, at_row[t], Ji) for i, t, Ji in ts if at_row[t] is not None] for ts in down]
+        below = targets
     wedges = wedge_basis(m, p)
     up = wedge_basis(m, p + 1)
     at = {S: w for w, S in enumerate(up)}
@@ -472,10 +509,10 @@ def _delta_rows(m, p, q, n, basis, nb):
         ext = [None if i in S else (wedge_sign(i, S), at[tuple(sorted(S + (i,)))] * nbelow)
                for i in range(1, m + 1)]
         off = s * nb
-        for vec, targets in zip(basis, down):
+        for vec, hits in zip(basis, down):
             if not vec:
                 continue
-            for i, t, Ji in targets:
+            for i, t, Ji in hits:
                 hit = ext[i - 1]
                 if hit is None:
                     continue
@@ -565,32 +602,22 @@ class SymbolicSystem:
         A_{q-1} times each d/dxi_i, so the reduced form and B_q are the
         same, and there are at most m * rank(A_{q-1}) of them.  They are
         built from the integer reduced rows of level q - 1, each over its
-        pivot value, so the entries are the same rationals.
+        pivot value, so the entries are the same rationals.  The column
+        and factor of each entry come from the `_partials` table: d/dxi_i
+        sends source column s = (J - 1_i, a) to (J, a) with factor J_i.
         """
         for level in range(self.k + 1, q + 1):
             if level in self._levels:
                 continue
             prev = self._levels[level - 1][1]
-            labels = sym_component_labels(self.m, level, self.n)
-            below = sym_component_labels(self.m, level - 1, self.n)
-            pos = {lab: s for s, lab in enumerate(below)}
-            # column[i - 1][s], factor[i - 1][s]: the column (J, a) and
-            # factor J_i that d/dxi_i sends source column s = (J - 1_i, a) to
-            column = [[None] * len(pos) for _ in range(self.m)]
-            factor = [[None] * len(pos) for _ in range(self.m)]
-            for j, (J, a) in enumerate(labels):
-                for i in range(1, self.m + 1):
-                    if J[i - 1]:
-                        s = pos[(J.sub_unit(i), a)]
-                        column[i - 1][s] = j
-                        factor[i - 1][s] = J[i - 1]
             nums = []
             dens = []
-            for cols, fs in zip(column, factor):
+            for cols, fs in _partials(self.m, level, self.n)[1]:
                 for r, pc in zip(prev.rows, prev.pivots):
                     nums.append({cols[s]: fs[s] * x for s, x in r.items()})
                     dens.append(r[pc])
-            self._add_level(level, RationalMatrix.from_int_rows(nums, dens, labels))
+            self._add_level(level, RationalMatrix.from_int_rows(
+                nums, dens, sym_component_labels(self.m, level, self.n)))
 
 
 def symbol_constraint_matrix(h, a):
@@ -625,41 +652,58 @@ def symbolic_system_at(h, a):
 # cohomology
 
 
-def restricted_delta(g, p, q):
-    """Delta on wedge(p) tensor g_q, columns written in the ambient
-    wedge(p+1) tensor Sym^(q-1) coordinates."""
-    if not 0 <= p < g.m or q <= 0:
-        # no source or no target: the empty matrix
-        return RationalMatrix([])
+def _delta_on_g(g, p, q, targets=None):
+    """Delta on wedge(p) tensor g_q (dim g_q > 0): columns (S, b) for
+    the basis vectors b of g_q, and the rows of `_delta_rows` at
+    `targets`, all wedge(p+1) tensor Sym^(q-1) coordinates by default."""
     B = g.basis(q)
-    if B.ncols == 0:
-        return RationalMatrix([])
     # B_q over one common denominator
     common = lcm(*B.dens)
     basis = [{b: c * (common // den) for b, c in num.items()} if den != common else num
              for num, den in zip(B.nums, B.dens)]
-    rows, row_lbl = _delta_rows(g.m, p, q, g.n, basis, B.ncols)
+    rows, row_lbl = _delta_rows(g.m, p, q, g.n, basis, B.ncols, targets)
     col_lbl = [(S, lab) for S in wedge_basis(g.m, p) for lab in B.col_labels]
     return RationalMatrix.from_int_rows(rows, [common] * len(rows), col_lbl, row_labels=row_lbl)
+
+
+def restricted_delta(g, p, q):
+    """Delta on wedge(p) tensor g_q, columns written in the ambient
+    wedge(p+1) tensor Sym^(q-1) coordinates."""
+    if not 0 <= p < g.m or q <= 0 or g.dim_g(q) == 0:
+        # no source or no target: the empty matrix
+        return RationalMatrix([])
+    return _delta_on_g(g, p, q)
+
+
+def delta_rank(g, p, q):
+    """The rank of delta on wedge(p) tensor g_q, that of
+    `restricted_delta(g, p, q)`.
+
+    It is 0 without source or target (p < 0, p >= m, q <= 0, or
+    g_q = 0), and dim g_q for p = 0, q >= 1: delta is injective on
+    Sym^q, since delta T = 0 makes every d/dxi_i T vanish.  Otherwise
+    the image lies in wedge(p+1) tensor g_(q-1), because
+    g_q = {T : d/dxi_i T in g_(q-1)}, and each basis vector of g_(q-1)
+    is 1 at its own free coordinate of level q - 1 and 0 at the other
+    free coordinates (`Echelon.kernel_basis`), so reading the image only
+    at those coordinates keeps the rank: only the rows at the free
+    labels of g_(q-1), its basis column labels, are built.
+    """
+    if not 0 <= p < g.m or q <= 0 or g.dim_g(q) == 0:
+        return 0
+    if p == 0:
+        return g.dim_g(q)
+    return _delta_on_g(g, p, q, g.basis(q - 1).col_labels).rank()
 
 
 def cohomology_dims(g, pmax, qmax):
     """Table {(p, q): dim H^{p,q}(g)} computed by exact rank-nullity.
 
-    Each rank of delta on wedge(p) tensor g_q is computed once: it
-    enters both H^{p,q} and H^{p+1,q-1}.
+    Each rank of delta on wedge(p) tensor g_q (`delta_rank`) is computed
+    once: it enters both H^{p,q} and H^{p+1,q-1}.
     """
     m = g.m
-    ranks = {}
-
-    def rank(p, q):
-        if (p, q) not in ranks:
-            if p < 0 or p > m or q <= 0 or g.dim_g(q) == 0:
-                ranks[(p, q)] = 0
-            else:
-                ranks[(p, q)] = restricted_delta(g, p, q).rank()
-        return ranks[(p, q)]
-
+    rank = functools.cache(lambda p, q: delta_rank(g, p, q))
     dims = {}
     for p in range(0, pmax + 1):
         for q in range(0, qmax + 1):

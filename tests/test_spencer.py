@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetforge import jetcalc as jc
 from jetforge import spencer as sp
@@ -348,3 +350,80 @@ def test_wave_m5_cohomology_table_closed_form():
         assert g.dim_g(q) == math.comb(q + 4, 4) - math.comb(q + 2, 4), q
     assert H[(0, 0)] == H[(1, 1)] == 1
     assert all(v == 0 for (p, q), v in H.items() if q >= 2)
+
+
+# ---------------------------------------------------------------------------
+# the ranks of the cohomology table against the ambient restricted delta
+
+
+def _bench_workloads():
+    import importlib.util
+    import os
+    import sys
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    sys.modules.setdefault("bench_workloads", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _check_table_ranks(g, qmax):
+    """Each rank `cohomology_dims(g, m, qmax)` reads, and `delta_rank` for
+    p <= m, q <= qmax + 1, is the rank of the ambient restricted delta;
+    the table is rank-nullity over those ranks."""
+    ambient = {(p, q): sp.restricted_delta(g, p, q).rank()
+               for p in range(g.m + 1) for q in range(qmax + 2)}
+    used = {}
+    delta_rank = sp.delta_rank
+
+    def spy(g_, p, q):
+        used[(p, q)] = delta_rank(g_, p, q)
+        return used[(p, q)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sp, "delta_rank", spy)
+        table = sp.cohomology_dims(g, g.m, qmax)
+    assert {key for key in used if key[0] >= 0} >= {
+        (p, q) for p in range(g.m) for q in range(1, qmax + 2)}
+    for (p, q), r in used.items():
+        assert r == ambient.get((p, q), 0), (g.m, g.n, g.k, p, q)
+    for (p, q), r in ambient.items():
+        assert sp.delta_rank(g, p, q) == r, (g.m, g.n, g.k, p, q)
+    for q in range(1, qmax + 2):
+        assert ambient[(0, q)] == g.dim_g(q), q
+    for (p, q), v in table.items():
+        assert v == (math.comb(g.m, p) * g.dim_g(q) - ambient[(p, q)]
+                     - ambient.get((p - 1, q + 1), 0)), (p, q)
+
+
+@st.composite
+def _exact_systems(draw):
+    m, n, k = draw(st.integers(2, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    labels = sp.sym_component_labels(m, k, n)
+    values = st.sampled_from([Q(0)] * 5 + [Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4)])
+    nout = draw(st.integers(1, n + 1))
+    rows = [[draw(values) for _ in labels] for _ in range(nout)]
+    return sp.SymbolicSystem(m, n, k, None, RationalMatrix(rows, col_labels=labels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_exact_systems())
+def test_table_ranks_equal_the_ambient_ranks_on_random_systems(g):
+    _check_table_ranks(g, g.k + 1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_table_ranks_equal_the_ambient_ranks_on_the_wave_operator(m):
+    h = _wave(m)
+    _check_table_ranks(sp.symbolic_system_at(h, _point(h)), 5)
+
+
+def test_table_ranks_equal_the_ambient_ranks_on_the_benchmark_tables():
+    jobs = _bench_workloads().build_spencer_tables(1)
+    for job, qmax in zip(jobs, (5, 6)):
+        g, _ = job.run()
+        _check_table_ranks(g, qmax)

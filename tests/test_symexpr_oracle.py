@@ -423,6 +423,33 @@ def _sympy_total_derivative(e, i):
     return out
 
 
+RING = polynomials(VARS, max_terms=3, max_degree=2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(RING, RING, RING)
+@example(sx.base(1) - sx.jet(1, (0, 0)), sx.base(1) + sx.jet(1, (0, 0)), sx.ZERO)
+def test_expr_ring_axioms(a, b, c):
+    # the sums and products below build equal values with their terms
+    # inserted in different orders; == and hash must not see the order
+    pairs = [
+        (a + b, b + a), (a * b, b * a),
+        ((a + b) + c, a + (b + c)), ((a * b) * c, a * (b * c)),
+        (a * (b + c), a * b + a * c), ((a + b) * c, a * c + b * c),
+        (a - a, sx.ZERO), (a + sx.ZERO, a), (sx.ZERO + a, a),
+        (a * sx.ONE, a), (sx.ONE * a, a), (a * sx.ZERO, sx.ZERO), (-(-a), a),
+    ]
+    for left, right in pairs:
+        assert left == right, (left, right)
+        assert hash(left) == hash(right), (left, right)
+        assert len({left, right}) == 1
+    assert (a - a).is_zero() and a != a + sx.ONE
+    # values that happen to be equal hash alike too
+    for x, y in ((a, b), (a * b, a + b), (a * b, c)):
+        if x == y:
+            assert hash(x) == hash(y)
+
+
 @st.composite
 def rational_expressions(draw):
     """A polynomial plus, half the time, a polynomial over a base-only
