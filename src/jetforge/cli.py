@@ -43,8 +43,6 @@ from . import pfd
 
 SCHEMA = "jetforge-report/1"
 
-COMMANDS = ("prolong", "symbol", "spencer", "integrability", "solve", "tower")
-
 _COMMAND_QUERIES = {
     "prolong": ("prolong",),
     "symbol": ("symbol",),
@@ -53,6 +51,8 @@ _COMMAND_QUERIES = {
     "solve": ("solve",),
     "tower": ("tower",),
 }
+
+COMMANDS = tuple(_COMMAND_QUERIES)
 
 
 class ProblemError(ValueError):
@@ -284,7 +284,7 @@ def parse_problem_file(text):
             name = name.strip()
             if not rest.endswith(")"):
                 raise ParseError("queries look like 'query name(args);'", text, pos)
-            if name not in ("prolong", "symbol", "spencer", "integrability", "solve", "tower", "codim"):
+            if name not in _RUNNERS:
                 raise ProblemError("unknown query %r" % name)
             args = []
             kwargs = []
@@ -617,7 +617,7 @@ def _run_solve(spec, h, q, flags):
     data = {
         "order": N,
         "base_point": [v for v in sol.base],
-        "series": sol.series[0].serialize() if spec.n == 1 else [s.serialize() for s in sol.series],
+        "series": sol.coefficients(),
         "free_counts": sol.free_counts,
         "residual_order": r,
         "residual_passed": res.passed,

@@ -193,17 +193,11 @@ class JetTower:
 def borel_realize(m, n, data, p0, order):
     """The polynomial section whose derivatives at p0 match the data.
 
-    data maps (alpha, I) (or plain I when n == 1) to the derivative
-    value u^alpha_I; the component polynomials are sums of
-    data/I! * (x - p0)^I, witnessing surjectivity of the finite-order
-    truncations of the jet projections.
+    data maps (alpha, I) to the derivative value u^alpha_I; the
+    component polynomials are sums of data/I! * (x - p0)^I, witnessing
+    surjectivity of the finite-order truncations of the jet projections.
     """
-    table = {}
-    for key, v in data.items():
-        if n == 1 and not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], int) and isinstance(key[1], (tuple, MultiIndex))):
-            key = (1, MultiIndex(key))
-        alpha, I = key
-        table[(alpha, MultiIndex(I))] = Fraction(v)
+    table = {(alpha, MultiIndex(I)): Fraction(v) for (alpha, I), v in data.items()}
     comps = []
     for alpha in range(1, n + 1):
         e = sx.ZERO

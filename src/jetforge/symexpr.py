@@ -352,6 +352,12 @@ class Expr:
         return self.sort_key() == other.sort_key()
 
     def __hash__(self):
+        # a constant equals its Fraction (ZERO equals 0), so it hashes as one
+        terms = self._terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and () in terms:
+            return hash(terms[()])
         return hash(self.sort_key())
 
     def __str__(self):

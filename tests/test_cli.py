@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -167,6 +168,75 @@ def test_format_problem_round_trip_fixed_point():
         printed = cli.format_problem(spec)
         spec2 = cli.parse_problem_file(printed)
         assert cli.format_problem(spec2) == printed
+
+
+_PARAM_NAMES = ("a", "b", "c")
+_QUERY_KWARGS = ("pmax", "qmax", "N", "levels")
+
+
+def _rational_text(draw):
+    c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    return "(%s)" % c
+
+
+def _polynomial_text(draw, atoms, min_factors=0):
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        factors = draw(st.lists(st.sampled_from(atoms), min_size=min_factors, max_size=3)) if atoms else []
+        terms.append("*".join([_rational_text(draw)] + factors))
+    return " + ".join(terms)
+
+
+@st.composite
+def _problem_text(draw):
+    kg = draw(st.booleans())
+    m = draw(st.integers(1, 2 if kg else 3))
+    n, k = (1, 2) if kg else (draw(st.integers(1, 2)), draw(st.integers(1, 3)))
+    xs = ["x%d" % i for i in range(1, m + 1)]
+    lines = ["base m = %d;" % m, "fiber n = %d;" % n, "order k = %d;" % k]
+    if kg:
+        # a diagonal metric whose entries have nonzero constant terms is
+        # invertible
+        entries = []
+        for i in range(1, m + 1):
+            c = draw(st.sampled_from(("1", "-1", "2", "-1/2")))
+            entries.append("g[%d][%d] = %s + %s;" % (i, i, c, _polynomial_text(draw, xs, 1)))
+        lines.append("metric { %s }" % " ".join(entries))
+    params = draw(st.lists(st.sampled_from(_PARAM_NAMES), unique=True, max_size=2))
+    for name in params:
+        lines.append("param %s = %s;" % (name, _polynomial_text(draw, xs)))
+    if kg:
+        lines.append("operator h = klein_gordon(F1=%s, F2=%s, K=%s);" % (
+            _polynomial_text(draw, xs + params), _polynomial_text(draw, params),
+            _polynomial_text(draw, ["z"] + params)))
+    else:
+        jets = ["u%s[(%s)]" % ("" if alpha == 1 else alpha, ",".join(map(str, I)))
+                for I in jc.JetChartSpec(m, n, k).indices for alpha in range(1, n + 1)]
+        components = [_polynomial_text(draw, xs + params + jets)
+                      for _ in range(draw(st.integers(1, 2)))]
+        lines.append("operator h = %s;" % ", ".join(components))
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(sorted(cli._RUNNERS)))
+        args = [str(v) for v in draw(st.lists(st.integers(-1, 6), max_size=1))]
+        kwargs = draw(st.lists(st.sampled_from(_QUERY_KWARGS), unique=True, max_size=2))
+        args += ["%s=%d" % (kw, draw(st.integers(-1, 6))) for kw in kwargs]
+        lines.append("query %s(%s);" % (name, ", ".join(args)))
+    return "\n".join(lines) + "\n"
+
+
+def _same_spec(a, b):
+    # a MetricSpec compares by identity, so its entries are compared
+    assert dataclasses.replace(a, metric=None) == dataclasses.replace(b, metric=None)
+    assert (a.metric is None) == (b.metric is None)
+    if a.metric is not None:
+        assert a.metric.entries == b.metric.entries
+
+
+@settings(max_examples=30, deadline=None)
+@given(_problem_text())
+def test_parse_format_parse_is_a_fixed_point(text):
+    spec = cli.parse_problem_file(text)
+    _same_spec(cli.parse_problem_file(cli.format_problem(spec)), spec)
 
 
 def test_load_free_data(tmp_path):

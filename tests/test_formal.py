@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as Q
 
 import pytest
@@ -8,7 +7,6 @@ from jetforge import integrability as ig
 from jetforge import jetcalc as jc
 from jetforge import spencer as sp
 from jetforge import symexpr as sx
-from jetforge.formal import TruncSeries
 from jetforge.mindex import MultiIndex, factorial
 
 
@@ -16,74 +14,65 @@ def _wave():
     return jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) - sx.jet(1, (0, 2))])
 
 
-def _series_of_poly(e, order, base=(Q(0), Q(0))):
-    return TruncSeries.from_polynomial(e, 2, order, base)
+def _solution_of_poly(e, order, base=(Q(0), Q(0))):
+    # the jet of a wave solution, as the formal solution it is
+    top = jc.jet_of_section(jc.SectionPoly(2, [e]), base, order)
+    return fm.FormalSolution(operator=_wave(), top_jet=top)
+
+
+def _coefficient(sol, I):
+    return {J: Q(num, den) for J, num, den in sol.coefficients()}[tuple(I)]
 
 
 def test_series_from_polynomial_coefficients():
     x1, x2 = sx.base(1), sx.base(2)
-    s = _series_of_poly((x1 + x2) ** 2, 3)
-    assert s.coefficient(MultiIndex((2, 0))) == 1
-    assert s.coefficient(MultiIndex((1, 1))) == 2
-    assert s.coefficient(MultiIndex((0, 2))) == 1
-    assert s.coefficient(MultiIndex((3, 0))) == 0
-    assert s.coefficient(MultiIndex((2, 0))) * factorial(MultiIndex((2, 0))) == 2
-
-
-def test_series_mul_matches_polynomial_product():
-    rng = random.Random(8)
-    x1, x2 = sx.base(1), sx.base(2)
-    atoms = [sx.BaseVar(1), sx.BaseVar(2)]
-    for _ in range(8):
-        e1 = sx.random_polynomial(rng, atoms, degree=3, terms=4, bound=5)
-        e2 = sx.random_polynomial(rng, atoms, degree=3, terms=4, bound=5)
-        s1 = _series_of_poly(e1, 4)
-        s2 = _series_of_poly(e2, 4)
-        prod = s1 * s2
-        want = _series_of_poly(e1 * e2, 4)
-        assert prod == want
-
-
-def test_series_truncates_at_min_order():
-    x1 = sx.base(1)
-    s1 = _series_of_poly(x1 ** 2, 2)
-    s2 = _series_of_poly(x1, 5)
-    assert (s1 * s2).order == 2
+    s = _solution_of_poly((x1 + x2) ** 2, 3)
+    assert _coefficient(s, MultiIndex((2, 0))) == 1
+    assert _coefficient(s, MultiIndex((1, 1))) == 2
+    assert _coefficient(s, MultiIndex((0, 2))) == 1
+    assert _coefficient(s, MultiIndex((3, 0))) == 0
+    assert _coefficient(s, MultiIndex((2, 0))) * factorial(MultiIndex((2, 0))) == 2
 
 
 def test_series_around_shifted_base_point():
     x1, x2 = sx.base(1), sx.base(2)
     p = (Q(1), Q(2))
-    s = TruncSeries.from_polynomial(x1 * x2, 2, 2, p)
-    assert s.coefficient(MultiIndex((0, 0))) == 2
-    assert s.coefficient(MultiIndex((1, 0))) == 2
-    assert s.coefficient(MultiIndex((0, 1))) == 1
-    assert s.coefficient(MultiIndex((1, 1))) == 1
-    back = s.truncation_polynomial()
+    s = _solution_of_poly(x1 * x2, 2, p)
+    assert _coefficient(s, MultiIndex((0, 0))) == 2
+    assert _coefficient(s, MultiIndex((1, 0))) == 2
+    assert _coefficient(s, MultiIndex((0, 1))) == 1
+    assert _coefficient(s, MultiIndex((1, 1))) == 1
+    back = s.section().components[0]
     assert sx.is_identically_zero(back - x1 * x2)
-
-
-def test_series_compose_scalar_powers():
-    x1 = sx.base(1)
-    s = _series_of_poly(1 + x1, 3)
-    out = s ** 2
-    want = _series_of_poly((1 + x1) ** 2, 3)
-    assert out == want
 
 
 def test_serialize_is_graded_lex():
     x1, x2 = sx.base(1), sx.base(2)
-    s = _series_of_poly(x1 + 3 * x2, 2)
-    triples = s.serialize()
+    s = _solution_of_poly(x1 + 3 * x2, 2)
+    triples = s.coefficients()
     indices = [t[0] for t in triples]
     assert indices == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     assert triples[1] == ((1, 0), 1, 1)
     assert triples[2] == ((0, 1), 3, 1)
 
 
+def _curved_klein_gordon():
+    g_m = ig.MetricSpec(2, {(1, 1): sx.ONE - sx.base(2) ** 2 * Q(1, 4),
+                            (2, 2): sx.as_expr(Q(-1)) - sx.base(1) ** 2 * Q(1, 4)})
+    return ig.make_klein_gordon(g_m, F1=1, F2=1, K=lambda e: e ** 3)
+
+
+@pytest.mark.parametrize("make_op", [_wave, _curved_klein_gordon])
+def test_section_round_trips_to_top_jet(make_op):
+    h = make_op()
+    seed_pt = ig.sample_prolonged_points(h, 0, 1, seed=11)[0]
+    sol = fm.formal_solve(h, seed_pt, 5, policy="random", seed=5)
+    assert jc.jet_of_section(sol.section(), sol.base, sol.order) == sol.top_jet
+
+
 def test_formal_solve_wave_reproduces_polynomial_solution():
     # seed with the 2-jet of (x1+x2)^3 and hand the lift exactly the
-    # free data of that polynomial; the series must match its jets
+    # free data of that polynomial; the top jet must be its jet
     h = _wave()
     x1, x2 = sx.base(1), sx.base(2)
     poly = (x1 + x2) ** 3
@@ -96,8 +85,7 @@ def test_formal_solve_wave_reproduces_polynomial_solution():
             if I.degree == N:
                 free[(1, I)] = jp[(1, I)]
     sol = fm.formal_solve(h, seed_pt, 5, policy="explicit", free_table=free)
-    want = TruncSeries.from_polynomial(poly, 2, 5, (Q(0), Q(0)))
-    assert sol.series[0] == want
+    assert sol.top_jet == jc.jet_of_section(psi, (Q(0), Q(0)), 5)
     rep = fm.verify_residual(sol, 3)
     assert rep.passed
     assert sol.verified_order == 3
@@ -110,7 +98,7 @@ def test_formal_solve_zero_free_data_is_deterministic():
     seed_pt = jc.JetPoint(chart, (Q(0), Q(0)), jets)
     s1 = fm.formal_solve(h, seed_pt, 4)
     s2 = fm.formal_solve(h, seed_pt, 4)
-    assert s1.series[0] == s2.series[0]
+    assert s1.top_jet == s2.top_jet
     assert s1.free_counts == [2, 2]
 
 
@@ -124,10 +112,17 @@ def test_formal_solve_rejects_seed_off_the_variety():
         fm.formal_solve(h, bad, 4)
 
 
+def test_formal_solve_rejects_seed_above_the_order():
+    # a solve to an order below the seed's cannot drop the seed's jets
+    h = _wave()
+    chart = jc.JetChartSpec(2, 1, 3)
+    seed_pt = jc.JetPoint(chart, (Q(0), Q(0)), {(1, I): Q(0) for I in chart.jet_indices()})
+    with pytest.raises(ValueError, match=r"beyond truncation order: \(3, 0\)"):
+        fm.formal_solve(h, seed_pt, 2)
+
+
 def test_free_counts_match_symbol_kernel_dims():
-    g_m = ig.MetricSpec(2, {(1, 1): sx.ONE - sx.base(2) ** 2 * Q(1, 4),
-                            (2, 2): sx.as_expr(Q(-1)) - sx.base(1) ** 2 * Q(1, 4)})
-    h = ig.make_klein_gordon(g_m, F1=1, F2=1, K=lambda e: e ** 3)
+    h = _curved_klein_gordon()
     pt = ig.sample_prolonged_points(h, 0, 1, seed=6)[0]
     sol = fm.formal_solve(h, pt, 5)
     g = sp.symbolic_system_at(h, pt)
@@ -146,8 +141,7 @@ def test_residual_negative_control():
                     ((1, I) for I in top.chart.jet_indices()))
     tampered[(1, MultiIndex((4, 0)))] = Q(1)
     bad_top = jc.JetPoint(top.chart, top.base, tampered)
-    bad = fm.FormalSolution(operator=h, base=sol.base, series=sol.series,
-                            top_jet=bad_top, free_counts=sol.free_counts)
+    bad = fm.FormalSolution(operator=h, top_jet=bad_top, free_counts=sol.free_counts)
     rep = fm.verify_residual(bad, 2)
     assert not rep.passed
 

@@ -77,7 +77,6 @@ TEST_ONLY = {
     "wedge": "the exterior product of the Leibniz rule for d that criterion 9 checks",
     "random_polynomial": "the seeded generator of the forms criterion 9 checks and of unit-test inputs",
     "column": "RationalMatrix.column, the one-column reader through which the kernel, solve and lift tests compare",
-    "jets": "JetPoint.jets, the label-to-value mapping through which the plan tests read a jet point",
 }
 
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jetforge import symexpr as sx
 from jetforge.symexpr import (
@@ -176,3 +178,26 @@ def test_atom_free_values_are_their_constants():
     assert sx.evaluate_many(consts + [Expr.variable(x)], {x: 2}) == [Q(0), Q(-7, 3), Q(1, 2), Q(2)]
     with pytest.raises(sx.EvaluationError, match="no value assigned"):
         sx.evaluate_many(consts + [Expr.variable(x)], {})
+
+
+_SMALL_RATIONALS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+_HASHABLE_VALUES = st.one_of(
+    st.integers(-2, 2),
+    _SMALL_RATIONALS,
+    st.builds(sx.as_expr, _SMALL_RATIONALS),
+    # c0 + c1*x1 is a constant when c1 is 0
+    st.builds(lambda c0, c1: c0 + c1 * sx.base(1), _SMALL_RATIONALS, st.integers(0, 1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_HASHABLE_VALUES, _HASHABLE_VALUES)
+@example(sx.ONE, 1)
+@example(Q(1, 2), sx.as_expr(Q(1, 2)))
+@example(sx.ZERO, 0)
+def test_equal_values_hash_equal(a, b):
+    # a constant expression equals its int or Fraction, so the two must
+    # find each other in a set or as dict keys
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a in {b}) == (a == b)
