@@ -500,12 +500,35 @@ def _random_jet_point(h, seed):
     return jc.JetPoint(chart, base, jets)
 
 
-def _prolong_order(q, flags):
-    return q.args[0] if q.args else q.arg_dict().get("l", flags.order)
+def _first_given(*values):
+    return next(v for v in values if v is not None)
+
+
+def _query_args(q, h, flags):
+    """The arguments of query q on the operator h as its report names
+    them, defaults filled in: l for prolong and codim (the position,
+    then the keyword, then flags.order), N for solve (the position,
+    then the keyword, then the larger of order + 2 and flags.order),
+    levels for tower (the position, then the keyword, then order + 2),
+    pmax and qmax for spencer (the flags, then the keywords, then the
+    positions, then m and order + 2); none for the other queries."""
+    kw = q.arg_dict()
+    pos = q.args
+    if q.name in ("prolong", "codim"):
+        return {"l": pos[0] if pos else kw.get("l", flags.order)}
+    if q.name == "solve":
+        return {"N": pos[0] if pos else kw.get("N", max(h.order + 2, flags.order))}
+    if q.name == "tower":
+        return {"levels": pos[0] if pos else kw.get("levels", h.order + 2)}
+    if q.name == "spencer":
+        return {"pmax": _first_given(flags.pmax, kw.get("pmax"), pos[0] if len(pos) > 0 else h.m),
+                "qmax": _first_given(flags.qmax, kw.get("qmax"),
+                                     pos[1] if len(pos) > 1 else h.order + 2)}
+    return {}
 
 
 def _run_prolong(spec, h, q, flags):
-    l = _prolong_order(q, flags)
+    l = _query_args(q, h, flags)["l"]
     P = jc.prolong_op(h, l)
     comps = []
     for (beta, I), e in zip(P.labels, P.components):
@@ -537,21 +560,9 @@ def _run_symbol(spec, h, q, flags):
                        notes=[] if not S.is_zero() else ["symbol vanishes identically"])
 
 
-def _first_given(*values):
-    return next(v for v in values if v is not None)
-
-
-def _spencer_bounds(q, flags, m, order):
-    """(pmax, qmax) of a spencer query: the flags, then the query's
-    arguments, then m and order + 2."""
-    kw = q.arg_dict()
-    pmax = _first_given(flags.pmax, kw.get("pmax"), q.args[0] if len(q.args) > 0 else m)
-    qmax = _first_given(flags.qmax, kw.get("qmax"), q.args[1] if len(q.args) > 1 else order + 2)
-    return pmax, qmax
-
-
 def _run_spencer(spec, h, q, flags):
-    pmax, qmax = _spencer_bounds(q, flags, h.m, h.order)
+    args = _query_args(q, h, flags)
+    pmax, qmax = args["pmax"], args["qmax"]
     if pmax < 0 or qmax < 0:
         raise ValueError("pmax and qmax must be nonnegative")
     a = _random_jet_point(h, flags.seed)
@@ -567,7 +578,7 @@ def _run_spencer(spec, h, q, flags):
         "nonzero_positions": [list(key) for key in nonzero],
     }
     notes = ["base point sampled with seed %d; arithmetic exact" % flags.seed]
-    return QueryResult("spencer", {"pmax": pmax, "qmax": qmax}, True,
+    return QueryResult("spencer", args, True,
                        "exact", data, notes=notes)
 
 
@@ -588,7 +599,7 @@ def _run_integrability(spec, h, q, flags):
 
 
 def _run_codim(spec, h, q, flags):
-    l = _prolong_order(q, flags)
+    l = _query_args(q, h, flags)["l"]
     rep = ig.variety_codim(h, l, samples=min(flags.samples, 10), seed=flags.seed)
     data = {
         "level": l, "expected": rep.expected,
@@ -598,12 +609,8 @@ def _run_codim(spec, h, q, flags):
                        _provenance(flags, sampled=True), data, notes=[rep.summary()])
 
 
-def _solve_order(q, flags, order):
-    return q.args[0] if q.args else q.arg_dict().get("N", max(order + 2, flags.order))
-
-
 def _run_solve(spec, h, q, flags):
-    N = _solve_order(q, flags, h.order)
+    N = _query_args(q, h, flags)["N"]
     policy = flags.free_data
     free_table = None
     if policy.startswith("file:"):
@@ -627,12 +634,8 @@ def _run_solve(spec, h, q, flags):
                        _provenance(flags, sampled=True), data, notes=notes)
 
 
-def _tower_levels(q, order):
-    return q.args[0] if q.args else q.arg_dict().get("levels", order + 2)
-
-
 def _run_tower(spec, h, q, flags):
-    levels = _tower_levels(q, h.order)
+    levels = _query_args(q, h, flags)["levels"]
     if levels < 0:
         raise ValueError("levels must be nonnegative")
     E = pfd.EquationSubtower(h)
@@ -715,7 +718,7 @@ def run_command(spec, command, flags, source="<memory>"):
         try:
             r = _RUNNERS[q.name](spec, h, q, flags)
         except (RuntimeError, ValueError, sx.ExprError) as err:
-            r = QueryResult(q.name, q.arg_dict(), False, _provenance(flags),
+            r = QueryResult(q.name, _query_args(q, h, flags), False, _provenance(flags),
                             {"error": str(err)}, notes=["error: %s" % err])
         r.elapsed = time.perf_counter() - t0
         results.append(r)
@@ -775,8 +778,9 @@ def _refuse_oversized(h, q, flags):
     of n components.  Bounds of the wrong type or sign are left to the
     query itself, which reports them."""
     m, n, n_out, order = h.m, h.n, h.n_out, h.order
+    args = _query_args(q, h, flags)
     if q.name == "spencer":
-        pmax, qmax = _spencer_bounds(q, flags, m, order)
+        pmax, qmax = args["pmax"], args["qmax"]
         if _nonnegative_int(pmax) and _nonnegative_int(qmax):
             entries = spencer_matrix_entries(m, n, pmax, qmax)
             if entries > MAX_MATRIX_ENTRIES:
@@ -785,10 +789,10 @@ def _refuse_oversized(h, q, flags):
                     "%d entries, above the limit of %d" % (pmax, qmax, entries, MAX_MATRIX_ENTRIES))
     elif q.name in ("prolong", "codim", "solve"):
         if q.name == "solve":
-            arg = _solve_order(q, flags, order)
+            arg = args["N"]
             l = arg - order if type(arg) is int else None
         else:
-            arg = l = _prolong_order(q, flags)
+            arg = l = args["l"]
         if _nonnegative_int(l):
             count = prolonged_components(m, n_out, l)
             if count > MAX_PROLONGED_COMPONENTS:
@@ -796,7 +800,7 @@ def _refuse_oversized(h, q, flags):
                     "%s(%d) is too large: %d components, above the limit of %d"
                     % (q.name, arg, count, MAX_PROLONGED_COMPONENTS))
     elif q.name == "tower":
-        levels = _tower_levels(q, order)
+        levels = args["levels"]
         if _nonnegative_int(levels):
             count = prolonged_components(m, n, levels)
             if count > MAX_PROLONGED_COMPONENTS:

@@ -105,21 +105,23 @@ class MetricSpec:
                 [list(sx.partials(self.entries[a][b], base).values()) for b in range(m)]
                 for a in range(m)
             ]
+            # the nonzero brackets d_i g_jl + d_j g_il - d_l g_ij, in l
+            # order, which do not depend on k
+            brackets = {}
+            for ii in range(m):
+                for jj in range(ii, m):
+                    brackets[(ii, jj)] = [
+                        (ll, b) for ll in range(m)
+                        if not (b := dg[jj][ll][ii] + dg[ii][ll][jj] - dg[ii][jj][ll]).is_zero()
+                    ]
             for kk in range(1, m + 1):
-                for ii in range(1, m + 1):
-                    for jj in range(ii, m + 1):
-                        total = sx.ZERO
-                        for ll in range(1, m + 1):
-                            term = (
-                                dg[jj - 1][ll - 1][ii - 1]
-                                + dg[ii - 1][ll - 1][jj - 1]
-                                - dg[ii - 1][jj - 1][ll - 1]
-                            )
-                            if not term.is_zero():
-                                total = total + self.inverse_entry(kk, ll) * term
-                        total = Fraction(1, 2) * total
-                        table[(kk, ii, jj)] = total
-                        table[(kk, jj, ii)] = total
+                for (ii, jj), nonzero in brackets.items():
+                    total = sx.ZERO
+                    for ll, b in nonzero:
+                        total = total + self.inverse_entry(kk, ll + 1) * b
+                    total = Fraction(1, 2) * total
+                    table[(kk, ii + 1, jj + 1)] = total
+                    table[(kk, jj + 1, ii + 1)] = total
             self._christoffel = table
         return self._christoffel[(k, i, j)]
 
@@ -221,10 +223,11 @@ def lift_system_at(h, b):
     exactly l+1 (l inferred from b); columns are the order-(k+l+1)
     coordinates in graded-lex order.  Returns (A, R, column labels), R
     the right-hand side as a one-column matrix.  The rows and their
-    Jacobian come from h's lift plan; only their values at b are
-    computed here.  Both matrices are built from integer rows in one
-    pass over the plan's values: each row of A over the lcm of its
-    entries' denominators, which is lowest terms.
+    Jacobian come from h's lift plan, compiled on b's own chart with
+    the new coordinates at zero (R is minus the rows there); only
+    their values at b are computed here.  Both matrices are built from
+    integer rows in one pass over the plan's values: each row of A over
+    the lcm of its entries' denominators, which is lowest terms.
     """
     l = b.chart.k - h.order
     if l < 0:

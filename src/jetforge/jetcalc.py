@@ -373,13 +373,16 @@ class LiftPlan:
     """The equations of one lift step of an operator, compiled once.
 
     Lifting a point of the order-(k+l) equation variety solves for the
-    order-(k+l+1) coordinates `unknowns` (the new labels of the chart,
-    (alpha, T) graded-lex on T) from the rows D_I h_beta with
-    |I| = l + 1 (`row_labels`), which are affine in them.  `batch`
-    holds, row after row, the Jacobian entries d(D_I h_beta)/du^alpha_T
-    in column order followed by the row's component, compiled against
-    the order-(k+l+1) chart; `values_at` evaluates them at a point with
-    the unknowns set to zero, which is all that is left to do there.
+    order-(k+l+1) coordinates `unknowns` (the new labels of the
+    order-(k+l+1) chart, (alpha, T) graded-lex on T) from the rows
+    D_I h_beta with |I| = l + 1 (`row_labels`), which are affine in
+    them.  `batch` holds, row after row, the Jacobian entries
+    d(D_I h_beta)/du^alpha_T in column order followed by the row's
+    component with the unknowns set to zero, which is all that a lift
+    evaluates.  Setting them to zero drops the terms that have one as a
+    factor (`sx.drop_factors`), and nothing of order k+l+1 is left, so
+    the batch is compiled against the point's own chart, order k+l, and
+    `values_at` reads the point as it is.
 
     The Jacobian is read off the symbol by an index shift, not by
     differentiating the prolonged rows: for |I| >= 1,
@@ -388,16 +391,19 @@ class LiftPlan:
     equation is the prolonged symbol; Seiler, Involution, Springer
     2010).  By induction on |I|: of the terms u^alpha_{J+1_i} dg/du^alpha_J
     that D_i adds to an order-k expression g, only those with |J| = k
-    carry order-(k+1) jets, and dg/du^alpha_J has order <= k.
+    carry order-(k+1) jets, and dg/du^alpha_J has order <= k.  So the
+    new jets enter a row only as plain factors, each term at most one,
+    never inside a quotient or primitive argument; were one left in a
+    row, evaluating the batch would raise "no value assigned".
     """
 
-    __slots__ = ("unknowns", "row_labels", "batch", "_zeros")
+    __slots__ = ("unknowns", "row_labels", "batch")
 
     def __init__(self, h, l):
         chart = JetChartSpec(h.m, h.n, h.order + l + 1)
         below = JetChartSpec(h.m, h.n, h.order + l)
         self.unknowns = chart.labels[len(below.labels):]
-        self._zeros = (Fraction(0),) * len(self.unknowns)
+        new = frozenset(chart.atoms[below.dim:])
         symbol = symbol_table(h)
         prolonged = prolong_op(h, l + 1)
         row_labels = []
@@ -408,13 +414,13 @@ class LiftPlan:
             row_labels.append((beta, I))
             for alpha, T in self.unknowns:
                 exprs.append(shifted_symbol(symbol, alpha, beta, T, I))
-            exprs.append(comp)
+            exprs.append(sx.drop_factors(comp, new))
         self.row_labels = tuple(row_labels)
-        self.batch = sx.Batch(exprs, chart.slots)
+        self.batch = sx.Batch(exprs, below.slots)
 
     def values_at(self, b):
         """The entries at the level-l point b, row after row."""
-        return self.batch.at(b.base + b.values + self._zeros)
+        return self.batch.at(b.base + b.values)
 
 
 def lift_plan(h, l):

@@ -414,6 +414,15 @@ def sum_times_atoms(parts):
     return _wrap(terms)
 
 
+def drop_factors(e, atoms):
+    """e with the atoms of the set `atoms` set to 0 where they are
+    factors: the terms that have one of them as a factor are dropped,
+    by one pass over the terms, which keep their order.  An atom inside
+    a quotient payload or primitive argument is left as it is."""
+    terms = {m: c for m, c in e._terms.items() if atoms.isdisjoint([a for a, _ in m])}
+    return e if len(terms) == len(e._terms) else _wrap(terms)
+
+
 def _mono_key(m):
     return tuple((a.key, e) for a, e in m)
 
@@ -715,7 +724,9 @@ class Batch:
     expressions one by one meets them, one entry per distinct Expr
     object.  An evaluation takes one lcm D of the atom denominators,
     computes each power once and sums each entry over the integers;
-    the one gcd is taken when its Fraction is formed.
+    the one gcd is taken when its Fraction is formed.  Terms that hold
+    an atom of value 0 are skipped, not multiplied out; when no atom is
+    0 that costs one membership test per evaluation.
 
     Atom values come either from an assignment (`given`) or, for a
     batch compiled with `slots` ({variable atom: position}), by
@@ -818,14 +829,23 @@ class Batch:
             dpow = [1]
             for _ in range(self.top):
                 dpow.append(dpow[-1] * D)
+            # the powers of zero-valued atoms; a term holding one is 0
+            zero = None
+            if 0 in nums:
+                zero = {p for p, (i, _) in enumerate(self.powers) if not nums[i]}
             res = []
             for L, dmax, coefs, gaps, monos, const in entries:
                 if const is not None:
                     res.append(const)
                     continue
                 total = 0
-                for c, g, mono in zip(coefs, gaps, monos):
-                    total += math.prod(map(f, mono), start=c * dpow[g])
+                if zero is None:
+                    for c, g, mono in zip(coefs, gaps, monos):
+                        total += math.prod(map(f, mono), start=c * dpow[g])
+                else:
+                    for c, g, mono in zip(coefs, gaps, monos):
+                        if zero.isdisjoint(mono):
+                            total += math.prod(map(f, mono), start=c * dpow[g])
                 res.append(Fraction(total, L * dpow[dmax]) if total else _F0)
         else:
             # atom-free: every entry holds its constant

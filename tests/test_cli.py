@@ -134,6 +134,34 @@ def test_run_command_failure_reported_not_raised():
     assert rep.results[0].data.get("error") or rep.results[0].notes
 
 
+@pytest.mark.parametrize("query, command, args", [
+    ("solve(1)", "solve", {"N": 1}),
+    ("prolong(-1)", "prolong", {"l": -1}),
+    ("codim(-1)", "integrability", {"l": -1}),
+    ("tower(-1)", "tower", {"levels": -1}),
+    ("spencer(1, -1)", "spencer", {"pmax": 1, "qmax": -1}),
+    ("spencer(-1)", "spencer", {"pmax": -1, "qmax": 4}),
+])
+def test_failed_query_names_positional_arguments(query, command, args):
+    # a failed query reports its arguments under the names a successful
+    # one uses, positional ones included
+    text = WAVE.split("query")[0] + "query %s;\n" % query
+    rep = cli.run_command(cli.parse_problem_file(text), command, _flags())
+    [r] = rep.results
+    assert not r.passed and "error" in r.data
+    assert r.args == args
+
+
+def test_failed_solve_reports_its_order_from_the_command_line(capsys):
+    path = os.path.join(CORPUS_DIR, "params.jf")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read().replace("query solve(4);", "query solve(1);")
+    rep = cli.run_command(cli.parse_problem_file(text), "solve", _flags())
+    [r] = rep.results
+    assert r.data == {"error": "coefficient beyond truncation order: (2, 0)"}
+    assert r.args == {"N": 1}
+
+
 def test_json_reports_are_byte_identical():
     spec = cli.parse_problem_file(KG)
     flags = _flags(seed=3, samples=4)

@@ -1,8 +1,10 @@
+import os
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+from jetforge import cli
 from jetforge import integrability as ig
 from jetforge import jetcalc as jc
 from jetforge import spencer as sp
@@ -46,6 +48,71 @@ def test_minkowski_metric_values():
         for i in range(1, 4):
             for j in range(1, 4):
                 assert g.christoffel(k, i, j).is_zero()
+
+
+def _christoffel_reference(g):
+    # the table built the way it was before the brackets were hoisted:
+    # every bracket formed inside the loop over k
+    m = g.m
+    base = [sx.BaseVar(l) for l in range(1, m + 1)]
+    dg = [[list(sx.partials(g.entries[a][b], base).values()) for b in range(m)]
+          for a in range(m)]
+    table = {}
+    for k in range(1, m + 1):
+        for i in range(1, m + 1):
+            for j in range(i, m + 1):
+                total = sx.ZERO
+                for l in range(1, m + 1):
+                    term = (dg[j - 1][l - 1][i - 1] + dg[i - 1][l - 1][j - 1]
+                            - dg[i - 1][j - 1][l - 1])
+                    if not term.is_zero():
+                        total = total + g.inverse_entry(k, l) * term
+                table[(k, i, j)] = table[(k, j, i)] = Q(1, 2) * total
+    return table
+
+
+def _corpus_and_bench_metrics():
+    corpus = os.path.join(os.path.dirname(__file__), "corpus")
+    out = []
+    for name in sorted(os.listdir(corpus)):
+        with open(os.path.join(corpus, name), encoding="utf-8") as fh:
+            spec = cli.parse_problem_file(fh.read())
+        if spec.metric is not None:
+            out.append((name, spec.metric.entries))
+    # the metrics of the benchmark's workloads
+    x1, x2, x3 = sx.base(1), sx.base(2), sx.base(3)
+    out.append(("offdiag m=3", ig.MetricSpec(3, {
+        (1, 1): sx.ONE + x2 ** 2 * Q(1, 4),
+        (2, 2): sx.as_expr(Q(-1)) - x1 ** 2 * Q(1, 4),
+        (3, 3): sx.as_expr(Q(-1)) + x1 * x2 * Q(1, 8),
+        (1, 2): x3 * Q(1, 3), (2, 1): x3 * Q(1, 3),
+        (1, 3): x1 * x2 * Q(1, 5), (3, 1): x1 * x2 * Q(1, 5),
+        (2, 3): Q(1, 7) + x2 * Q(1, 6), (3, 2): Q(1, 7) + x2 * Q(1, 6),
+    }).entries))
+    out.append(("curved m=4", ig.MetricSpec(4, {
+        (1, 1): sx.ONE - x2 ** 2, (2, 2): sx.as_expr(Q(-1)) - x1 ** 2,
+        (3, 3): sx.as_expr(Q(-1)), (4, 4): sx.as_expr(Q(-1)),
+    }).entries))
+    out.append(("minkowski m=4", ig.MetricSpec.minkowski(4).entries))
+    out.append(("curved m=2", _curved_metric_m2().entries))
+    return out
+
+
+@pytest.mark.parametrize("name, entries", _corpus_and_bench_metrics())
+def test_christoffel_table_and_operator_match_the_reference_loop(name, entries):
+    g = ig.MetricSpec(len(entries), entries)
+    ref = ig.MetricSpec(len(entries), entries)
+    table = _christoffel_reference(ref)
+    for key, want in table.items():
+        got = g.christoffel(*key)
+        assert got == want and str(got) == str(want), (name, key)
+    # an operator built from the reference table is the same operator
+    ref._christoffel = table
+    cubic = lambda e: e ** 3
+    h = ig.make_klein_gordon(g, F1=1, F2=1, K=cubic)
+    want = ig.make_klein_gordon(ref, F1=1, F2=1, K=cubic)
+    assert h.components == want.components
+    assert [str(c) for c in h.components] == [str(c) for c in want.components]
 
 
 def test_metric_inverse_identity_curved():

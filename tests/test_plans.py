@@ -102,6 +102,29 @@ def _random_point(h, k, rng):
     return jc.JetPoint(chart, base, jets)
 
 
+def _zero_heavy_points(h, k, rng):
+    """A random point with its base at the origin, and one with half of
+    its jet coordinates set to 0: most terms of a lift row vanish."""
+    b = _random_point(h, k, rng)
+    origin = jc.JetPoint(b.chart, (Q(0),) * h.m, b.jets)
+    b = _random_point(h, k, rng)
+    jets = dict(b.jets)
+    for label in rng.sample(b.chart.labels, len(b.chart.labels) // 2):
+        jets[label] = Q(0)
+    return [origin, jc.JetPoint(b.chart, b.base, jets)]
+
+
+def _check_lift_system(h, b):
+    A, R, unknowns = ig.lift_system_at(h, b)
+    rhs = R.column(0)
+    rows, ref_rhs, row_labels, ref_unknowns = _ref_lift_system(h, b)
+    assert [list(r) for r in A.rows] == rows
+    assert rhs == ref_rhs
+    assert list(A.row_labels) == row_labels
+    assert unknowns == ref_unknowns
+    assert list(A.col_labels) == ref_unknowns
+
+
 def _system():
     # two components in two unknowns, so rows and columns interleave
     # beta and alpha
@@ -137,16 +160,37 @@ def test_lift_system_at_matches_per_entry_reference(name, make):
     # two points at the lower levels: the second one reuses the plan
     for l, count in ((0, 2), (1, 2), (2, 1)):
         for _ in range(count):
-            b = _random_point(h, h.order + l, rng)
-            A, R, unknowns = ig.lift_system_at(h, b)
-            rhs = R.column(0)
-            rows, ref_rhs, row_labels, ref_unknowns = _ref_lift_system(h, b)
-            assert [list(r) for r in A.rows] == rows
-            assert rhs == ref_rhs
-            assert list(A.row_labels) == row_labels
-            assert unknowns == ref_unknowns
-            assert list(A.col_labels) == ref_unknowns
+            _check_lift_system(h, _random_point(h, h.order + l, rng))
         assert jc.lift_plan(h, l) is jc.lift_plan(h, l)
+    # points where most terms vanish, drawn apart from the ones above
+    rng = random.Random("plans at zeros:%s" % name)
+    for l in (0, 1, 2):
+        for b in _zero_heavy_points(h, h.order + l, rng):
+            _check_lift_system(h, b)
+
+
+def _batch_reads(batch):
+    """The slots a batch reads, those of its quotient payloads too."""
+    out = set(batch.read)
+    for _, _, inner in batch.special:
+        out |= _batch_reads(inner)
+    return out
+
+
+@pytest.mark.parametrize("name,make", CASES, ids=[c[0] for c in CASES])
+def test_lift_plans_read_only_the_points_own_chart(name, make):
+    # the new coordinates are set to zero when a plan is compiled, so
+    # its batch never holds them and reads only the point's own chart
+    h = make()
+    for l in (0, 1, 2):
+        plan = jc.lift_plan(h, l)
+        below = jc.JetChartSpec(h.m, h.n, h.order + l)
+        held = set()
+        for a in plan.batch.atoms:
+            held |= sx.Expr.variable(a).free_vars()
+        assert not [v for v in held if isinstance(v, JetVar) and v.index.degree > below.k]
+        assert held <= set(below.atoms)
+        assert max(_batch_reads(plan.batch)) < below.dim
 
 
 @st.composite

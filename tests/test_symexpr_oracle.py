@@ -370,6 +370,70 @@ def test_first_fault_in_a_later_expression_decides_the_error(clean, kinds, nfaul
     assert sx.evaluate_many(clean, point) == [_plain(e, point) for e in clean]
 
 
+# ---------------------------------------------------------------------------
+# the kernel at points where atoms vanish: terms holding a zero-valued
+# atom are skipped, and must be worth nothing
+
+NONZERO = st.one_of(st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 3), Q(-5, 2)]),
+                    st.builds(Q, st.integers(1, 10 ** 30), st.integers(1, 10 ** 20)),
+                    st.builds(Q, st.integers(-10 ** 30, -1), st.integers(1, 10 ** 20)))
+SLOTS = {v: pos for pos, v in enumerate(VARS)}
+
+
+@st.composite
+def quotient_polynomials(draw):
+    """Rational polynomials over the variables and up to two quotients
+    by polynomials in x1, x2, a, each factor raised to up to 4."""
+    pool = [sx.Expr.variable(v) for v in VARS]
+    for _ in range(draw(st.integers(0, 2))):
+        payload = draw(polynomials([X1, X2, A], max_terms=3, max_degree=2, coefs=BIG_COEFS))
+        if not payload.is_constant():
+            pool.append(sx.inverse(payload))
+    batch = []
+    for _ in range(draw(st.integers(1, 5))):
+        e = sx.ZERO
+        for _ in range(draw(st.integers(0, 5))):
+            term = sx.Expr.const(draw(BIG_COEFS))
+            for _ in range(draw(st.integers(0, 4))):
+                term = term * draw(st.sampled_from(pool)) ** draw(st.integers(1, 4))
+            e = e + term
+        batch.append(e)
+    return batch
+
+
+@st.composite
+def points_with_zeros(draw):
+    """Every variable assigned: a random subset of them 0, the rest not."""
+    zero = draw(st.sets(st.sampled_from(VARS)))
+    return {v: Q(0) if v in zero else draw(NONZERO) for v in VARS}
+
+
+def _zero_at(*zero):
+    return {v: Q(0) if v in zero else Q(2) for v in VARS}
+
+
+X1E, X2E, AE = sx.base(1), sx.base(2), sx.param("a")
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotient_polynomials(), points_with_zeros())
+@example([X1E * X2E + 3, sx.Expr.variable(U[0]) ** 2 * AE - Q(1, 2)], _zero_at(*VARS))
+@example([X1E ** 3 * X2E + X2E ** 2 - X1E ** 4, X1E ** 2], _zero_at(X1))
+@example([X1E * sx.inverse(X2E + 1) + AE, sx.inverse(X2E + 1) ** 2 * X1E], _zero_at(X1))
+@example([AE + 1, X1E * sx.inverse(X2E - AE)], _zero_at(X1, X2, A))
+def test_kernel_at_zero_atoms_matches_the_plain_fraction_loop(batch, point):
+    want = _outcome(lambda: [_plain(e, point) for e in batch])
+    at = lambda: sx.Batch(batch, SLOTS).at([point[v] for v in VARS])
+    many = lambda: sx.evaluate_many(batch, point)
+    if isinstance(want, list):
+        assert at() == many() == [sx.evaluate(e, point) for e in batch] == want
+    else:
+        # a vanishing payload raises though its term holds a zero factor
+        assert want is EvalZeroDivision
+        assert _error(at) == _error(many) == (
+            EvalZeroDivision, "division by zero while evaluating a quotient")
+
+
 @settings(max_examples=150, deadline=None)
 @given(wide_batches(), st.one_of(mixed_points(), mixed_points(MODERATE)))
 # any other order of the terms rounds this sum differently
