@@ -476,7 +476,8 @@ class CliFlags:
     samples: int = 8
     seed: int = 0
     mode: str = "exact"
-    free_data: str = "zero"
+    # "zero", "random", or the {(alpha, I): value} table of a free-data file
+    free_data: object = "zero"
     pmax: int = None
     qmax: int = None
 
@@ -611,11 +612,9 @@ def _run_codim(spec, h, q, flags):
 
 def _run_solve(spec, h, q, flags):
     N = _query_args(q, h, flags)["N"]
-    policy = flags.free_data
-    free_table = None
-    if policy.startswith("file:"):
-        free_table = _load_free_data(policy[5:], h)
-        policy = "explicit"
+    policy, free_table = flags.free_data, None
+    if isinstance(policy, dict):
+        policy, free_table = "explicit", policy
     seed_pt = ig.sample_prolonged_points(h, 0, 1, "solve:%d" % flags.seed)[0]
     sol = fm.formal_solve(h, seed_pt, N, policy=policy, free_table=free_table,
                           seed="cli:%d" % flags.seed)
@@ -666,20 +665,25 @@ def _read_text(path):
 
 
 def _load_free_data(path, h):
-    """Free-data files hold lines 'u[(2,0)] = 1/3;' keyed by jet index."""
+    """Free-data files hold lines 'u[(2,0)] = 1/3;' keyed by jet index.
+    Malformed content raises ParseError at the statement it is in."""
     text = _read_text(path)
     table = {}
     ctx = sx.ExprContext(h.m, n=h.n, order=64)
     for stmt, pos in _Lines(text).statements():
-        lhs, _, rhs = stmt.partition("=")
-        e = sx.parse_expr(lhs.strip(), ctx)
-        terms = e.terms()
-        if len(terms) != 1 or len(terms[0][0]) != 1 or not isinstance(terms[0][0][0][0], JetVar):
-            raise ProblemError("free-data keys must be single jet variables")
-        v = terms[0][0][0][0]
-        val = sx.parse_expr(rhs.strip(), ctx)
-        if not val.is_constant():
-            raise ProblemError("free-data values must be rational constants")
+        try:
+            lhs, _, rhs = stmt.partition("=")
+            e = sx.parse_expr(lhs.strip(), ctx)
+            terms = e.terms()
+            if (len(terms) != 1 or len(terms[0][0]) != 1
+                    or not isinstance(terms[0][0][0][0], JetVar)):
+                raise ProblemError("free-data keys must be single jet variables")
+            v = terms[0][0][0][0]
+            val = sx.parse_expr(rhs.strip(), ctx)
+            if not val.is_constant():
+                raise ProblemError("free-data values must be rational constants")
+        except (ValueError, sx.ExprError) as err:
+            raise ParseError("%s in %r" % (err, stmt), text, pos) from None
         table[(v.alpha, v.index)] = val.constant_value()
     return table
 
@@ -841,6 +845,15 @@ def _build_argparser():
     return ap
 
 
+def _located(err, text):
+    """The error line for a ParseError in text: its message, then the
+    line and column of its position."""
+    pos = err.pos or 0
+    line = text.count("\n", 0, pos) + 1
+    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+    return "error: %s (line %d, col %d)" % (err, line, col)
+
+
 def main(argv=None):
     ap = _build_argparser()
     ns = ap.parse_args(argv)
@@ -852,10 +865,7 @@ def main(argv=None):
     try:
         spec = parse_problem_file(text)
     except ParseError as err:
-        pos = err.pos or 0
-        line = text.count("\n", 0, pos) + 1
-        col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-        print("error: %s (line %d, col %d)" % (err, line, col), file=sys.stderr)
+        print(_located(err, text), file=sys.stderr)
         return 2
     except (ProblemError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
@@ -884,8 +894,20 @@ def main(argv=None):
         print("error: --pmax and --qmax must be nonnegative", file=sys.stderr)
         return 2
 
+    free_data = ns.free_data
+    if free_data.startswith("file:"):
+        # read and checked once, before any query runs
+        try:
+            free_data = _load_free_data(free_data[5:], spec.operator)
+        except OSError as err:
+            print("error: %s" % err, file=sys.stderr)
+            return 2
+        except ParseError as err:
+            print(_located(err, err.text), file=sys.stderr)
+            return 2
+
     flags = CliFlags(order=ns.order, samples=ns.samples, seed=ns.seed, mode=mode,
-                     free_data=ns.free_data, pmax=ns.pmax, qmax=ns.qmax)
+                     free_data=free_data, pmax=ns.pmax, qmax=ns.qmax)
     try:
         report = run_command(spec, ns.command, flags, source=ns.file)
         if ns.json not in (None, "-"):

@@ -63,6 +63,7 @@ class MetricSpec:
         self.entries = grid
         self._det = None
         self._inv = None
+        self._brackets = None
         self._christoffel = None
 
     def entry(self, i, j):
@@ -95,25 +96,32 @@ class MetricSpec:
             self._inv = inv
         return self._inv[i - 1][j - 1]
 
-    def christoffel(self, k, i, j):
-        """Levi-Civita symbols: one half g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
-        if self._christoffel is None:
+    def brackets(self):
+        """The nonzero brackets d_i g_jl + d_j g_il - d_l g_ij, which are
+        symmetric in i, j: {(i, j): [(l, bracket), ...]} for i <= j, in l
+        order, with 0-based indices; built on first use and kept."""
+        if self._brackets is None:
             m = self.m
-            table = {}
             base = [BaseVar(l) for l in range(1, m + 1)]
             dg = [
                 [list(sx.partials(self.entries[a][b], base).values()) for b in range(m)]
                 for a in range(m)
             ]
-            # the nonzero brackets d_i g_jl + d_j g_il - d_l g_ij, in l
-            # order, which do not depend on k
-            brackets = {}
+            brackets = self._brackets = {}
             for ii in range(m):
                 for jj in range(ii, m):
                     brackets[(ii, jj)] = [
                         (ll, b) for ll in range(m)
                         if not (b := dg[jj][ll][ii] + dg[ii][ll][jj] - dg[ii][jj][ll]).is_zero()
                     ]
+        return self._brackets
+
+    def christoffel(self, k, i, j):
+        """Levi-Civita symbols: one half g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
+        if self._christoffel is None:
+            m = self.m
+            table = {}
+            brackets = self.brackets()
             for kk in range(1, m + 1):
                 for (ii, jj), nonzero in brackets.items():
                     total = sx.ZERO
@@ -173,16 +181,26 @@ def make_klein_gordon(metric, F1=0, F2=0, K=None):
                 continue
             I = MultiIndex.unit(m, i).add(MultiIndex.unit(m, j))
             h = h + gij * sx.jet(1, I)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            gij = metric.inverse_entry(i, j)
-            if gij.is_zero():
-                continue
-            for k in range(1, m + 1):
-                gamma = metric.christoffel(k, i, j)
-                if gamma.is_zero():
-                    continue
-                h = h - gij * gamma * sx.jet(1, MultiIndex.unit(m, k))
+    # sum_ij g^{ij} Gamma^k_{ij} = 1/2 sum_l g^{kl} w_l with
+    # w_l = sum_ij g^{ij} (d_i g_jl + d_j g_il - d_l g_ij): m
+    # contractions instead of m^3 products g^{ij} Gamma^k_{ij}
+    w = [sx.ZERO] * m
+    for (i, j), nonzero in metric.brackets().items():
+        gij = metric.inverse_entry(i + 1, j + 1)
+        if gij.is_zero():
+            continue
+        if i != j:
+            # the bracket is symmetric in i, j: the (j, i) term too
+            gij = 2 * gij
+        for l, b in nonzero:
+            w[l] = w[l] + gij * b
+    for k in range(1, m + 1):
+        total = sx.ZERO
+        for l in range(m):
+            if not w[l].is_zero():
+                total = total + metric.inverse_entry(k, l + 1) * w[l]
+        if not total.is_zero():
+            h = h - Fraction(1, 2) * total * sx.jet(1, MultiIndex.unit(m, k))
     if not F1.is_zero():
         h = h + F1 * u0
     if not F2.is_zero():

@@ -266,7 +266,10 @@ def rank_profile(entries, constraint=None, samples=20, seed=0, mode="exact"):
     Exact mode computes the symbolic generic rank by division-free
     elimination (after substituting the variety chart when a constraint
     is given) and compares it against exact ranks at sampled variety
-    points; the report is certified only when they all agree.
+    points, read from one `sx.Batch` of all entries; the report is
+    certified only when they all agree.  Float mode ranks the same
+    points by singular values.  In either mode a sampler or evaluation
+    failure is a note, not an error.
     """
     entries = [[sx.as_expr(e) for e in row] for row in entries]
     nrows = len(entries)
@@ -274,47 +277,47 @@ def rank_profile(entries, constraint=None, samples=20, seed=0, mode="exact"):
     report = RankReport(nrows=nrows, ncols=ncols, mode=mode, seed=seed)
     if mode not in ("exact", "float"):
         raise ValueError("mode must be exact or float")
+    exact = mode == "exact"
 
-    if mode == "float":
-        import numpy as np
+    if exact:
+        work = entries
+        exact_ok = all(not e.has_primitive() for row in entries for e in row)
+        if constraint is not None:
+            try:
+                work = restrict_to_variety(entries, constraint)
+                report.notes.append("restricted to a rational chart of the constraint variety")
+            except SamplerError as err:
+                report.notes.append("variety restriction unavailable: %s" % err)
+                exact_ok = False
+        if exact_ok:
+            report.generic_rank = sp.generic_rank_exprs(work)
+        else:
+            report.notes.append("generic rank skipped (non-polynomial entries)")
 
-        ranks = []
-        # the points are exact; sx.evaluate applies float() to each value
-        for assignment in _sample_points_for(entries, constraint, samples, seed):
-            M = np.array(
-                [[sx.evaluate(e, assignment, exact=False) for e in row] for row in entries],
-                dtype=float,
-            )
-            ranks.append(int(np.linalg.matrix_rank(M, tol=FLOAT_RANK_TOL)))
-        report.sampled_ranks = ranks
-        report.sample_count = len(ranks)
-        report.notes.append("float mode: singular-value rank, tol=%g" % FLOAT_RANK_TOL)
-        return report
-
-    work = entries
-    exact_ok = all(not e.has_primitive() for row in entries for e in row)
-    if constraint is not None:
-        try:
-            work = restrict_to_variety(entries, constraint)
-            report.notes.append("restricted to a rational chart of the constraint variety")
-        except SamplerError as err:
-            report.notes.append("variety restriction unavailable: %s" % err)
-            exact_ok = False
-    if exact_ok:
-        report.generic_rank = sp.generic_rank_exprs(work)
-    else:
-        report.notes.append("generic rank skipped (non-polynomial entries)")
-
+    flat = [e for row in entries for e in row]
+    split = lambda vals: [vals[i * ncols:(i + 1) * ncols] for i in range(nrows)]
     try:
-        pts = _sample_points_for(entries, constraint, samples, seed)
+        slots, points = _sample_points_for(entries, constraint, samples, seed)
+        if exact:
+            batch = sx.Batch(flat, slots)
+        else:
+            import numpy as np
         ranks = []
-        for assignment in pts:
-            M = sp.RationalMatrix([[sx.evaluate(e, assignment) for e in row] for row in entries])
-            ranks.append(M.rank())
+        for values in points:
+            if exact:
+                ranks.append(sp.RationalMatrix(split(batch.at(values))).rank())
+            else:
+                # the points are exact; float mode applies float() to each value
+                vals = sx.evaluate_many(flat, {v: values[p] for v, p in slots.items()},
+                                        exact=False)
+                ranks.append(int(np.linalg.matrix_rank(np.array(split(vals), dtype=float),
+                                                       tol=FLOAT_RANK_TOL)))
         report.sampled_ranks = ranks
         report.sample_count = len(ranks)
     except (SamplerError, sx.EvaluationError) as err:
         report.notes.append("sampling failed: %s" % err)
+    if not exact:
+        report.notes.append("float mode: singular-value rank, tol=%g" % FLOAT_RANK_TOL)
 
     report.certified = (
         report.generic_rank is not None
@@ -325,14 +328,17 @@ def rank_profile(entries, constraint=None, samples=20, seed=0, mode="exact"):
 
 
 def _sample_points_for(entries, constraint, samples, seed):
-    """Exact assignments covering the free variables of the entries:
-    variety points when a constraint is given, plain random points
-    otherwise."""
+    """Exact points covering the free variables of the entries, as
+    ({variable: position}, a list of value lists): variety points on
+    the constraint's chart when a constraint is given, plain random
+    points otherwise."""
     if constraint is not None:
-        return [p.assignment() for p in sample_variety_points(constraint, samples, seed)]
+        points = sample_variety_points(constraint, samples, seed)
+        return constraint.chart().slots, [p.base + p.values for p in points]
     rng = random.Random(seed)
     allvars = sorted(
         {v for row in entries for e in row for v in e.free_vars()},
         key=lambda v: v.key,
     )
-    return [{v: sx.random_rational(rng, 5) for v in allvars} for _ in range(samples)]
+    return ({v: pos for pos, v in enumerate(allvars)},
+            [[sx.random_rational(rng, 5) for _ in allvars] for _ in range(samples)])

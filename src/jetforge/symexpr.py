@@ -209,12 +209,11 @@ def _merge_monomials(m1, m2):
 class Expr:
     """Immutable normalized expression; all arithmetic returns new values."""
 
-    __slots__ = ("_terms", "_key", "_batch")
+    __slots__ = ("_terms", "_key")
 
     def __init__(self, terms=None):
         self._terms = dict(terms) if terms else {}
         self._key = None
-        self._batch = None
 
     @classmethod
     def _make(cls, terms):
@@ -371,12 +370,11 @@ def _wrap(terms):
     """The expression of `terms`, a term dict without zero coefficients
     (or None), which it takes over."""
     if not terms:
-        # one zero, so zero results share its evaluation batch
+        # one zero object, so the zeros of a batch share one entry
         return ZERO
     e = Expr.__new__(Expr)
     e._terms = terms
     e._key = None
-    e._batch = None
     return e
 
 
@@ -679,70 +677,66 @@ def evaluate(e, assignment, exact=True):
     """Evaluate at a point.  Exact mode returns a Fraction and refuses
     transcendental primitives; float mode returns a float.  The same as
     evaluate_many([e], assignment, exact)[0]."""
-    return _values([as_expr(e)], assignment, exact, {})[0]
+    return evaluate_many([e], assignment, exact)[0]
 
 
 def evaluate_many(exprs, assignment, exact=True):
     """Values of several expressions at one point, in order.
 
-    Each distinct atom is evaluated once per call and its value reused
-    wherever it occurs again, inside quotient payloads and primitive
-    arguments too, so a quotient shared by many expressions has its
-    payload evaluated once.  The memo lives for this call only.  Values
+    Exact mode compiles the expressions into one `Batch` whose slots
+    are the assignment's variables and reads it once.  Float mode sums
+    term by term; each distinct atom is evaluated once per call and its
+    value reused wherever it occurs again, inside quotient payloads and
+    primitive arguments too.  Nothing is kept between calls, and values
     and errors are those of evaluating the expressions one by one.
-
-    Exact mode compiles the expressions into a `Batch` for this call;
-    float mode sums term by term.
     """
-    return _values([as_expr(e) for e in exprs], assignment, exact, {})
-
-
-def _values(exprs, assignment, exact, memo):
-    if exact:
-        batch = _batch_of(exprs[0]) if len(exprs) == 1 else Batch(exprs)
-        return batch.given(assignment, memo)
-    return [_float_terms(e, assignment, memo) for e in exprs]
+    exprs = [as_expr(e) for e in exprs]
+    if not exact:
+        memo = {}
+        return [_float_terms(e, assignment, memo) for e in exprs]
+    slots = {}
+    values = []
+    for v, x in assignment.items():
+        slots[v] = len(values)
+        values.append(x if type(x) is Fraction else Fraction(x))
+    return Batch(exprs, slots).at(values)
 
 
 class Batch:
-    """A fixed list of expressions compiled once for exact evaluation.
+    """A fixed list of expressions compiled once for exact evaluation,
+    with each variable atom read from the position `slots` ({variable
+    atom: position}) gives it.  Every exact evaluation runs one.
 
-    The table of one expression (`_single`, kept on the expression)
-    lists its atoms in the order its terms meet them, its distinct
-    (atom position, exponent) powers, and one entry
-    (L, dmax, coefs, gaps, monos, const): L is the lcm of the
-    coefficient denominators, dmax the largest total degree of a
-    monomial, term t has coefficient coefs[t] / L and total degree
-    dmax - gaps[t], and monos[t] lists the positions of its powers.
-    So with atom values n / D the value of the expression is
-    sum(coefs[t] * D^gaps[t] * prod of its powers of n)
-    / (L * D^dmax).  An expression without atoms has the same value at
-    every point, const (None when there are atoms).
+    The table lists the atoms in the order evaluating the expressions
+    one by one meets them, their distinct (atom position, exponent)
+    powers, and one entry (L, dmax, coefs, gaps, monos, const) per
+    distinct Expr object: L is the lcm of the expression's coefficient
+    denominators, dmax the largest total degree of its monomials, term
+    t has coefficient coefs[t] / L and total degree dmax - gaps[t], and
+    monos[t] lists the positions of its powers.  So with atom values
+    n / D the value of the expression is
+    sum(coefs[t] * D^gaps[t] * prod of its powers of n) / (L * D^dmax).
+    An expression without atoms has the same value at every point,
+    const (None when there are atoms).
 
-    A batch of several expressions unites their tables over the union
-    of their atoms and powers: atoms in the order evaluating the
-    expressions one by one meets them, one entry per distinct Expr
-    object.  An evaluation takes one lcm D of the atom denominators,
-    computes each power once and sums each entry over the integers;
-    the one gcd is taken when its Fraction is formed.  Terms that hold
-    an atom of value 0 are skipped, not multiplied out; when no atom is
-    0 that costs one membership test per evaluation.
+    An evaluation (`at`) takes one lcm D of the atom denominators,
+    computes each power once and sums each entry over the integers; the
+    one gcd is taken when its Fraction is formed.  Terms that hold an
+    atom of value 0 are skipped, not multiplied out; when no atom is 0
+    that costs one membership test per evaluation.
 
-    Atom values come either from an assignment (`given`) or, for a
-    batch compiled with `slots` ({variable atom: position}), by
-    position from a sequence of values (`at`).  Atoms that have no
-    slot are evaluated in their turn: a quotient or primitive from its
-    argument, a variable not at all ("no value assigned").  Evaluating
-    atoms is the only step that can fail, so the first error is the
-    one evaluating the expressions one by one meets.
+    Atoms that have no slot are evaluated in their turn: a quotient or
+    primitive from its argument, by a batch of its own over the same
+    slots, a variable not at all ("no value assigned").  Evaluating
+    atoms is the only step that can fail, so the first error is the one
+    evaluating the expressions one by one meets.
     """
 
     __slots__ = ("atoms", "powers", "entries", "out", "top", "read", "special")
 
-    def __init__(self, exprs, slots=None):
+    def __init__(self, exprs, slots):
         atoms = {}
         powers = {}
-        plist = []
         entries = []
         seen = {}
         out = []
@@ -751,67 +745,45 @@ class Batch:
             pos = seen.get(id(e))
             if pos is None:
                 pos = seen[id(e)] = len(entries)
-                one = _batch_of(e)
-                entry = one.entries[0]
-                if one.powers:
-                    start = len(plist)
-                    local = []
-                    for i, k in one.powers:
-                        f = (one.atoms[i], k)
+                terms = e._terms
+                L = math.lcm(*[c.denominator for c in terms.values()])
+                coefs = []
+                degrees = []
+                monos = []
+                for mono, c in terms.items():
+                    coefs.append(c.numerator * (L // c.denominator))
+                    d = 0
+                    ps = []
+                    for f in mono:
                         p = powers.get(f)
                         if p is None:
-                            p = powers[f] = len(plist)
-                            plist.append((atoms.setdefault(f[0], len(atoms)), k))
-                        local.append(p)
-                    if start or len(plist) != len(local):
-                        L, dmax, coefs, gaps, monos, const = entry
-                        monos = tuple([tuple([local[i] for i in mono]) for mono in monos])
-                        entry = (L, dmax, coefs, gaps, monos, const)
-                    if one.top > top:
-                        top = one.top
-                entries.append(entry)
+                            p = powers[f] = len(powers)
+                            atoms.setdefault(f[0], len(atoms))
+                        ps.append(p)
+                        d += f[1]
+                    degrees.append(d)
+                    monos.append(tuple(ps))
+                dmax = max(degrees, default=0)
+                if dmax > top:
+                    top = dmax
+                entries.append((L, dmax, tuple(coefs), tuple([dmax - d for d in degrees]),
+                                tuple(monos), None if any(monos) else Fraction(sum(coefs), L)))
             out.append(pos)
         self.atoms = tuple(atoms)
-        self.powers = tuple(plist)
+        self.powers = tuple([(atoms[a], k) for a, k in powers])
         self.entries = tuple(entries)
         # None when every expression is its own entry, in order
         self.out = None if len(out) == len(entries) else tuple(out)
         self.top = top
-        if slots is not None:
-            self.read = tuple([slots[a] for a in self.atoms if a in slots])
-            self.special = tuple([
-                (i, a, None if isinstance(a, VarRef) else Batch([_argument(a)], slots))
-                for i, a in enumerate(self.atoms) if a not in slots
-            ])
-
-    def given(self, assignment, memo=None):
-        """Exact values with atoms read from assignment ({atom: value});
-        memo ({atom: Fraction}) carries atom values between the batches
-        of one call, quotient payloads and primitive arguments among
-        them."""
-        if memo is None:
-            memo = {}
-        vals = []
-        for a in self.atoms:
-            x = memo.get(a)
-            if x is None:
-                if isinstance(a, VarRef):
-                    try:
-                        x = assignment[a]
-                    except KeyError:
-                        raise _unassigned(a) from None
-                    if type(x) is not Fraction:
-                        x = Fraction(x)
-                else:
-                    inner = _batch_of(_argument(a)).given(assignment, memo)[0]
-                    x = _exact_compound(a, inner)
-                memo[a] = x
-            vals.append(x)
-        return self._run(vals)
+        self.read = tuple([slots[a] for a in self.atoms if a in slots])
+        self.special = tuple([
+            (i, a, None if isinstance(a, VarRef) else Batch([_argument(a)], slots))
+            for i, a in enumerate(self.atoms) if a not in slots
+        ])
 
     def at(self, values):
         """Exact values with each slotted atom read from values (a
-        sequence of Fractions) at its slot position."""
+        sequence of Fractions or ints) at its slot position."""
         vals = [values[p] for p in self.read]
         # atoms without a slot go in at their place, in order
         for i, a, inner in self.special:
@@ -851,43 +823,6 @@ class Batch:
             # atom-free: every entry holds its constant
             res = [t[5] for t in entries]
         return res if self.out is None else [res[i] for i in self.out]
-
-
-def _batch_of(e):
-    return e._batch or _single(e)
-
-
-def _single(e):
-    """The batch of e alone, kept on e, which never changes, so it is
-    built on the first exact evaluation of e only."""
-    L = math.lcm(*[c.denominator for c in e._terms.values()])
-    atoms = {}
-    powers = {}
-    coefs = []
-    degrees = []
-    monos = []
-    for mono, c in e._terms.items():
-        coefs.append(c.numerator * (L // c.denominator))
-        d = 0
-        pos = []
-        for f in mono:
-            p = powers.get(f)
-            if p is None:
-                p = powers[f] = len(powers)
-                atoms.setdefault(f[0], len(atoms))
-            pos.append(p)
-            d += f[1]
-        degrees.append(d)
-        monos.append(tuple(pos))
-    dmax = max(degrees, default=0)
-    b = e._batch = Batch.__new__(Batch)
-    b.atoms = tuple(atoms)
-    b.powers = tuple([(atoms[a], k) for a, k in powers])
-    b.entries = ((L, dmax, tuple(coefs), tuple([dmax - d for d in degrees]), tuple(monos),
-                  None if powers else Fraction(sum(coefs), L)),)
-    b.out = None
-    b.top = dmax
-    return b
 
 
 def _argument(a):
@@ -930,13 +865,13 @@ def _float_atom(a, assignment, memo):
             raise _unassigned(a) from None
         return float(v)
     if isinstance(a, PrimCall):
-        inner = _values([a.arg], assignment, False, memo)[0]
+        inner = _float_terms(a.arg, assignment, memo)
         impl = _REGISTRY[a.name].float_impl
         if impl is None:
             raise EvaluationError("primitive %r has no numeric implementation" % a.name)
         return impl(inner)
     if isinstance(a, Recip):
-        inner = _values([a.payload], assignment, False, memo)[0]
+        inner = _float_terms(a.payload, assignment, memo)
         if inner == 0:
             raise EvalZeroDivision("division by zero while evaluating a quotient")
         return 1.0 / inner

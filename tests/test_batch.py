@@ -1,11 +1,11 @@
 """Compiled evaluation batches against one-by-one evaluation.
 
 `symexpr.Batch` compiles a fixed list of expressions once into one
-integer table; every exact evaluation runs it.  A batch compiled once
-and evaluated at several points must give the values, and the first
-error (type and message), of `evaluate` on each expression alone, and
-reading atoms by slot position must give what reading them from an
-assignment gives.
+integer table and reads each variable at its slot position; every exact
+evaluation runs one.  A batch compiled once and evaluated at several
+points must give the values, and the first error (type and message),
+of `evaluate` on each expression alone and of `evaluate_many`, with a
+variable that has no slot met in its turn.
 """
 
 from fractions import Fraction as Q
@@ -55,6 +55,20 @@ def points(draw):
     return out
 
 
+@st.composite
+def point_pairs(draw):
+    """Two points that assign the same variables."""
+    first = draw(points())
+    return first, {v: draw(VALUES) for v in first}
+
+
+def _slotted(exprs, point):
+    """The batch of exprs with a slot for each variable of point, in
+    VARS order, and the values of point in slot order."""
+    order = [v for v in VARS if v in point]
+    return sx.Batch(exprs, {v: pos for pos, v in enumerate(order)}), [point[v] for v in order]
+
+
 def _outcome(fn):
     """The values of fn(), or the type and message of its evaluation error."""
     try:
@@ -68,11 +82,13 @@ def _one_by_one(exprs, point):
 
 
 @settings(max_examples=150, deadline=None)
-@given(batches(), points(), points())
-def test_one_batch_at_two_points_equals_one_by_one(exprs, first, second):
-    batch = sx.Batch(exprs)
+@given(batches(), point_pairs())
+def test_one_batch_at_two_points_equals_one_by_one(exprs, pair):
+    first, second = pair
+    batch, _ = _slotted(exprs, first)
     for point in (first, second, first):
-        assert _outcome(lambda: batch.given(point)) == _one_by_one(exprs, point)
+        _, values = _slotted(exprs, point)
+        assert _outcome(lambda: batch.at(values)) == _one_by_one(exprs, point)
         assert _outcome(lambda: sx.evaluate_many(exprs, point)) == _one_by_one(exprs, point)
 
 
@@ -82,20 +98,21 @@ def test_slot_reading_equals_assignment_reading(exprs, first, second):
     # slots for the variables the first point assigns; the rest are
     # evaluated in their turn, and a variable there raises
     order = [v for v in VARS if v in first]
-    slots = {v: pos for pos, v in enumerate(order)}
-    batch = sx.Batch(exprs, slots)
+    batch, _ = _slotted(exprs, first)
     for point in (first, second):
         values = [point.get(v, Q(0)) for v in order]
         reads = dict(zip(order, values))
-        assert _outcome(lambda: batch.at(values)) == _outcome(lambda: sx.Batch(exprs).given(reads))
+        assert (_outcome(lambda: batch.at(values))
+                == _outcome(lambda: sx.evaluate_many(exprs, reads))
+                == _one_by_one(exprs, reads))
 
 
 def test_shared_objects_get_one_entry():
     e = sx.base(1) * sx.base(2) + 1
-    batch = sx.Batch([e, sx.ZERO, e, sx.ZERO, sx.as_expr(3), e])
+    batch = sx.Batch([e, sx.ZERO, e, sx.ZERO, sx.as_expr(3), e], {X1: 0, X2: 1})
     assert len(batch.entries) == 3
-    assert batch.given({X1: Q(2), X2: Q(1, 2)}) == [2, 0, 2, 0, 3, 2]
-    assert sx.Batch([sx.ZERO, sx.as_expr(Q(1, 2))]).given({}) == [0, Q(1, 2)]
+    assert batch.at([Q(2), Q(1, 2)]) == [2, 0, 2, 0, 3, 2]
+    assert sx.Batch([sx.ZERO, sx.as_expr(Q(1, 2))], {}).at([]) == [0, Q(1, 2)]
 
 
 def test_first_error_is_met_in_turn():
@@ -103,11 +120,11 @@ def test_first_error_is_met_in_turn():
     exprs = [sx.base(1) + 1, q * sx.base(1), sx.Expr.variable(A)]
     point = {X1: Q(3), X2: Q(3)}
     want = (EvalZeroDivision, "division by zero while evaluating a quotient")
-    assert _outcome(lambda: sx.Batch(exprs).given(point)) == want
+    assert _outcome(lambda: sx.evaluate_many(exprs, point)) == want
     assert _outcome(lambda: sx.Batch(exprs, {X1: 0, X2: 1}).at([Q(3), Q(3)])) == want
     # the unassigned variable comes first once the quotient is fine
     want = (EvaluationError, "no value assigned to a")
-    assert _outcome(lambda: sx.Batch(exprs).given({X1: Q(3), X2: Q(1)})) == want
+    assert _outcome(lambda: sx.evaluate_many(exprs, {X1: Q(3), X2: Q(1)})) == want
     assert _outcome(lambda: sx.Batch(exprs, {X1: 0, X2: 1}).at([Q(3), Q(1)])) == want
     assert _one_by_one(exprs, {X1: Q(3), X2: Q(1)}) == want
     # with no slots at all every atom is met in its turn

@@ -347,6 +347,43 @@ def test_main_solve_with_free_data_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+FREE_DATA = "u[(3,0)] = 1/2;\n"
+
+
+@pytest.mark.parametrize("bad", ["foo bar;", "u[(2,1)] = x1;", "u[(2,1)] = 1/0;", "u[(2,1)] = 1/3"])
+def test_main_refuses_malformed_free_data_up_front(tmp_path, capsys, bad):
+    kg = os.path.join(CORPUS_DIR, "kg_curved2.jf")
+    fd = tmp_path / "fd.txt"
+    fd.write_text(FREE_DATA + "  " + bad + "\n")
+    assert cli.main(["solve", kg, "--free-data", "file:%s" % fd]) == 2
+    out = capsys.readouterr()
+    # no query ran, and the error names the bad statement's place
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+    assert out.err.endswith("(line 2, col 3)\n")
+    fd.write_text(FREE_DATA)
+    assert cli.main(["solve", kg, "--free-data", "file:%s" % fd]) == 0
+    capsys.readouterr()
+
+
+def test_integrability_reports_every_condition_when_sampling_fails(tmp_path, capsys):
+    # no top-order variable enters affinely, so the variety sampler
+    # fails; a decimal literal makes the second file run in float mode
+    text = "base m = 2;\nfiber n = 1;\norder k = 2;\noperator h = u[(2,0)]^2 + u[(0,2)]^2 - %s;\n"
+    for const, mode in (("1", "exact"), ("0.5", "float")):
+        f = tmp_path / ("%s.jf" % mode)
+        f.write_text(text % const)
+        assert cli.main(["integrability", str(f), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["mode"] == mode
+        conds = report["results"][0]["data"]["conditions"]
+        assert [c["name"] for c in conds] == [
+            "symbol nonvanishing", "prolonged symbol constant rank", "lift surjectivity"]
+        assert [c["passed"] for c in conds] == [True, False, False]
+        assert conds[2]["detail"] == (
+            "sampling failed: no top-order variable with an affine nonzero coefficient")
+
+
 def test_main_refuses_non_utf8_files(tmp_path, capsys):
     bad = tmp_path / "bad.jf"
     bad.write_bytes(b"\xff\xfe" + WAVE.encode("utf-16-le"))

@@ -77,6 +77,7 @@ TEST_ONLY = {
     "wedge": "the exterior product of the Leibniz rule for d that criterion 9 checks",
     "random_polynomial": "the seeded generator of the forms criterion 9 checks and of unit-test inputs",
     "column": "RationalMatrix.column, the one-column reader through which the kernel, solve and lift tests compare",
+    "christoffel": "MetricSpec.christoffel, the Levi-Civita table the Klein-Gordon operator's contracted first-order part is checked against",
 }
 
 

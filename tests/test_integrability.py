@@ -115,6 +115,24 @@ def test_christoffel_table_and_operator_match_the_reference_loop(name, entries):
     assert [str(c) for c in h.components] == [str(c) for c in want.components]
 
 
+@pytest.mark.parametrize("name, entries", _corpus_and_bench_metrics())
+def test_klein_gordon_operator_matches_the_gamma_loop(name, entries):
+    # the operator built term by term from the Christoffel table, one
+    # product g^{ij} Gamma^k_{ij} per (i, j, k)
+    g = ig.MetricSpec(len(entries), entries)
+    m = g.m
+    u = lambda I: sx.jet(1, MultiIndex(I))
+    unit = lambda i: MultiIndex.unit(m, i)
+    want = u((0,) * m) + u((0,) * m) ** 3
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            want = want + g.inverse_entry(i, j) * u(unit(i).add(unit(j)))
+            for k in range(1, m + 1):
+                want = want - g.inverse_entry(i, j) * g.christoffel(k, i, j) * u(unit(k))
+    h = ig.make_klein_gordon(g, F1=1, F2=1, K=lambda e: e ** 3)
+    assert h.components[0] == want, name
+
+
 def test_metric_inverse_identity_curved():
     g = _curved_metric_m2()
     for i in range(1, 3):

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction as Q
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetforge import cli
 from jetforge import jetcalc as jc
 from jetforge import spencer as sp
 from jetforge import symexpr as sx
@@ -427,3 +429,46 @@ def test_table_ranks_equal_the_ambient_ranks_on_the_benchmark_tables():
     for job, qmax in zip(jobs, (5, 6)):
         g, _ = job.run()
         _check_table_ranks(g, qmax)
+
+
+# Closed form for one scalar equation of order k with symbol sigma != 0:
+# g is dual to S/(sigma), so H^{0,0} = H^{1,k-1} = 1 and every other
+# H^{p,q} is 0.
+
+
+def _one_equation_table(m, k):
+    qmax = k + 3
+    ones = {(0, 0), (1, k - 1)}
+    return {(p, q): int((p, q) in ones) for p in range(m + 1) for q in range(qmax + 1)}
+
+
+def _exact_scalar_corpus_files():
+    corpus = os.path.join(os.path.dirname(__file__), "corpus")
+    out = []
+    for name in sorted(os.listdir(corpus)):
+        with open(os.path.join(corpus, name), encoding="utf-8") as fh:
+            spec = cli.parse_problem_file(fh.read())
+        h = spec.operator
+        if not spec.float_literals and h.n == 1 and h.n_out == 1:
+            out.append(name)
+    return out
+
+
+@pytest.mark.parametrize("name", _exact_scalar_corpus_files())
+def test_one_equation_cohomology_closed_form_on_the_corpus(name):
+    with open(os.path.join(os.path.dirname(__file__), "corpus", name), encoding="utf-8") as fh:
+        h = cli.parse_problem_file(fh.read()).operator
+    # the point the spencer command uses at seed 0
+    g = sp.symbolic_system_at(h, cli._random_jet_point(h, 0))
+    assert sp.cohomology_dims(g, h.m, h.order + 3) == _one_equation_table(h.m, h.order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_one_equation_cohomology_closed_form_on_constant_symbols(m, k, data):
+    labels = sp.sym_component_labels(m, k, 1)
+    values = st.sampled_from([Q(0)] * 3 + [Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4)])
+    row = data.draw(st.lists(values, min_size=len(labels), max_size=len(labels))
+                    .filter(any))
+    g = sp.SymbolicSystem(m, 1, k, None, RationalMatrix([row], col_labels=labels))
+    assert sp.cohomology_dims(g, m, k + 3) == _one_equation_table(m, k)

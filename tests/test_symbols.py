@@ -147,7 +147,9 @@ def test_rank_profile_float_ranks_are_ranks_of_the_exact_samples(constrained):
     constraint = h if constrained else None
     rep = sy.rank_profile(entries, constraint=constraint, samples=8, seed=5, mode="float")
     want = []
-    for a in sy._sample_points_for(entries, constraint, 8, 5):
+    slots, points = sy._sample_points_for(entries, constraint, 8, 5)
+    for values in points:
+        a = {v: values[p] for v, p in slots.items()}
         exact = [[sx.evaluate(e, a) for e in row] for row in entries]
         assert all(type(x) is Q for row in exact for x in row)
         want.append(int(np.linalg.matrix_rank(np.array(exact, dtype=float), tol=1e-9)))

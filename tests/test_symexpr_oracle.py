@@ -3,8 +3,8 @@
 Batched evaluation (`evaluate_many`) must agree with evaluating each
 expression alone, values and errors alike, in exact and float mode,
 and with a plain recursive evaluator written here.  Exact evaluation
-runs over integers (one common denominator per point, tables cached on
-each expression), so it is also checked against the plain per-term
+runs over integers (one common denominator per point, one table
+compiled per call), so it is also checked against the plain per-term
 loop over `Fraction`, and float mode against the same loop over floats,
 bit for bit.  `differentiate`, `total_derivative` and `substitute` are
 checked against sympy over QQ on random polynomials and quotients;
@@ -304,7 +304,7 @@ def test_exact_kernel_matches_the_plain_fraction_loop(batch, point):
     want = _outcome(lambda: [_plain(e, point) for e in batch])
     assert _batched(batch, point, True) == want
     assert _one_by_one(batch, point, True) == want
-    # the cached tables change nothing an expression shows
+    # compiling a table changes nothing an expression shows
     assert _looks(batch) == looks
     assert all(e == _fresh(e) and hash(e) == hash(_fresh(e)) for e in batch)
 
