@@ -18,7 +18,7 @@ from jetforge import symexpr as sx
 h = jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) - sx.jet(1, (0, 2))])
 S = sy.symbol_of(h)
 print("symbol entries of the wave operator:")
-for (alpha, beta, I), c in sorted(S.table.items(), key=lambda kv: kv[0][2].graded_lex_key()):
+for (alpha, beta, I), c in S.items():
     print("  alpha=%d beta=%d I=%s coeff=%s" % (alpha, beta, tuple(I), sx.format_expr(c)))
 
 # characteristic covectors are the light-cone directions
@@ -26,7 +26,7 @@ chart = h.chart()
 jets = {(1, I): Q(0) for I in chart.jet_indices()}
 a = jc.JetPoint(chart, (Q(0), Q(0)), jets)
 for xi in ((1, 1), (1, -1), (1, 0), (0, 1)):
-    val = S.evaluate(1, a, xi)
+    val = sy.symbol_value(S, 1, a, xi)
     tag = "characteristic" if val == 0 else "non-characteristic, sigma=%s" % val
     print("  xi=%s: %s" % (xi, tag))
 
@@ -45,4 +45,4 @@ assert rep.passed
 nl = jc.DiffOp(2, 1, 2, [sx.jet(1, (0, 0)) * sx.jet(1, (2, 0)) - sx.jet(1, (0, 2))])
 Snl = sy.symbol_of(nl)
 print("nonlinear principal coefficient at u20:",
-      sx.format_expr(Snl.coefficient(1, 1, (2, 0))))
+      sx.format_expr(Snl[(1, 1, (2, 0))]))

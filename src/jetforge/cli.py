@@ -544,21 +544,16 @@ def _run_prolong(spec, h, q, flags):
 
 def _run_symbol(spec, h, q, flags):
     S = sy.symbol_of(h)
-    entries = []
-    for (alpha, beta, I), c in sorted(
-            S.table.items(), key=lambda kv: (kv[0][1], kv[0][2].graded_lex_key(), kv[0][0])):
-        if not c.is_zero():
-            entries.append({
-                "beta": beta, "alpha": alpha, "index": list(I),
-                "coeff": sx.format_expr(c),
-            })
+    # the table is ordered by beta, then I graded-lex, then alpha
+    entries = [{"beta": beta, "alpha": alpha, "index": list(I), "coeff": sx.format_expr(c)}
+               for (alpha, beta, I), c in S.items()]
     polys = {}
     if h.n == 1:
         for beta in range(1, h.n_out + 1):
-            polys[str(beta)] = sx.format_expr(S.poly_expr(beta))
+            polys[str(beta)] = sx.format_expr(sy.symbol_polynomial(S, beta))
     data = {"order": h.order, "entries": entries, "polynomials": polys}
-    return QueryResult("symbol", {}, not S.is_zero(), _provenance(flags), data,
-                       notes=[] if not S.is_zero() else ["symbol vanishes identically"])
+    return QueryResult("symbol", {}, bool(S), _provenance(flags), data,
+                       notes=[] if S else ["symbol vanishes identically"])
 
 
 def _run_spencer(spec, h, q, flags):
@@ -721,7 +716,7 @@ def run_command(spec, command, flags, source="<memory>"):
         t0 = time.perf_counter()
         try:
             r = _RUNNERS[q.name](spec, h, q, flags)
-        except (RuntimeError, ValueError, sx.ExprError) as err:
+        except (RuntimeError, ValueError, OverflowError, sx.ExprError) as err:
             r = QueryResult(q.name, _query_args(q, h, flags), False, _provenance(flags),
                             {"error": str(err)}, notes=["error: %s" % err])
         r.elapsed = time.perf_counter() - t0

@@ -187,14 +187,14 @@ class DiffOp:
     is R^len(components).  `labels` records (beta, I) provenance for
     prolonged operators; plain operators get beta-only labels.
 
-    Its prolongations (`prolong_op`), lift plans (`lift_plan`) and the
-    exact evaluation batch of its components for each chart it is
-    evaluated on are built on first use and kept on it, so an operator
-    must not be mutated after construction.
+    Its symbol (`symbol_table`), prolongations (`prolong_op`), lift
+    plans (`lift_plan`) and the exact evaluation batch of its components
+    for each chart it is evaluated on are built on first use and kept on
+    it, so an operator must not be mutated after construction.
     """
 
-    __slots__ = ("m", "n", "order", "components", "labels", "_prolongations", "_lift_plans",
-                 "_batches")
+    __slots__ = ("m", "n", "order", "components", "labels", "_symbol", "_prolongations",
+                 "_lift_plans", "_batches")
 
     def __init__(self, m, n, order, components, labels=None):
         components = tuple(as_expr(c) for c in components)
@@ -208,6 +208,7 @@ class DiffOp:
         if labels is None:
             labels = tuple((beta, MultiIndex.zero(m)) for beta in range(1, len(components) + 1))
         self.labels = tuple(labels)
+        self._symbol = None  # symbol_table(self)
         self._prolongations = {}  # l >= 1 -> prolong_op(self, l)
         self._lift_plans = {}  # l -> lift_plan(self, l)
         self._batches = {}  # chart -> sx.Batch of the components
@@ -347,17 +348,22 @@ def symbol_table(h):
     then J graded-lex, then alpha.
 
     This is the one place where components are differentiated by
-    top-order jets, one walk per component (`sx.partials`): symbols,
-    symbol matrices, the variety sampler and lift plans all read this
-    table.
+    top-order jets, one walk per component (`sx.partials`).  The table
+    is built on first use and kept on h, read-only, and every call
+    returns that one mapping: symbols, symbol matrices, the variety
+    sampler and lift plans all read it.
     """
-    tops = [JetVar(alpha, J) for J in enumerate_indices(GradedIndexRange(h.m, h.order, h.order))
-            for alpha in range(1, h.n + 1)]
-    table = {}
-    for beta, comp in enumerate(h.components, start=1):
-        for v, c in sx.partials(comp, tops).items():
-            if not c.is_zero():
-                table[(v.alpha, beta, v.index)] = c
+    table = h._symbol
+    if table is None:
+        tops = [JetVar(alpha, J)
+                for J in enumerate_indices(GradedIndexRange(h.m, h.order, h.order))
+                for alpha in range(1, h.n + 1)]
+        entries = {}
+        for beta, comp in enumerate(h.components, start=1):
+            for v, c in sx.partials(comp, tops).items():
+                if not c.is_zero():
+                    entries[(v.alpha, beta, v.index)] = c
+        table = h._symbol = MappingProxyType(entries)
     return table
 
 

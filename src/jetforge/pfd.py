@@ -42,7 +42,7 @@ class TowerSpec:
     construction: composites are built on demand by substitution.
     """
 
-    def __init__(self, dims, steps, labels=None):
+    def __init__(self, dims, steps):
         self.dims = list(dims)
         self.steps = [tuple(sx.as_expr(e) for e in s) for s in steps]
         if len(self.steps) != max(len(self.dims) - 1, 0):
@@ -54,7 +54,6 @@ class TowerSpec:
                 for v in e.free_vars():
                     if not isinstance(v, BaseVar) or v.i > self.dims[i + 1]:
                         raise ValueError("step %d uses a variable outside level %d" % (i, i + 1))
-        self.labels = list(labels) if labels else ["level %d" % i for i in range(len(self.dims))]
 
     @property
     def length(self):
@@ -169,7 +168,7 @@ class JetTower:
         steps = []
         for i in range(levels - 1):
             steps.append(tuple(sx.base(t + 1) for t in range(dims[i])))
-        self.tower = TowerSpec(dims, steps, labels=["jets of order %d" % i for i in range(levels)])
+        self.tower = TowerSpec(dims, steps)
 
     def slots(self, level):
         """Chart atoms of the level in slot order."""

@@ -626,18 +626,15 @@ def symbol_constraint_matrix(h, a):
     Entry at (beta, (J, alpha)) is the partial of h_beta by u^alpha_J
     evaluated at a, divided by multinomial(J); with this normalization a
     decomposable power v^{(x)k} pairs to the symbol polynomial at v.
+    All the entries are read from one `sx.Batch` on the point's chart.
     """
-    assignment = a.assignment()
     labels = sym_component_labels(h.m, h.order, h.n)
     table = jc.symbol_table(h)
-    rows = []
-    for beta in range(1, h.n_out + 1):
-        row = []
-        for (J, alpha) in labels:
-            val = sx.evaluate(table.get((alpha, beta, J), sx.ZERO), assignment, exact=True)
-            row.append(Fraction(val, 1) / multinomial(J))
-        rows.append(row)
-    return RationalMatrix(rows, row_labels=tuple(range(1, h.n_out + 1)), col_labels=labels)
+    betas = tuple(range(1, h.n_out + 1))
+    entries = [table.get((alpha, beta, J), sx.ZERO) for beta in betas for (J, alpha) in labels]
+    values = iter(sx.Batch(entries, a.chart.slots).at(a.base + a.values))
+    rows = [[next(values) / multinomial(J) for (J, _) in labels] for _ in betas]
+    return RationalMatrix(rows, row_labels=betas, col_labels=labels)
 
 
 def symbolic_system_at(h, a):
@@ -718,40 +715,22 @@ def cohomology_dims(g, pmax, qmax):
 # symbolic generic rank over expression entries
 
 
-def clear_row_denominators(row):
-    """Scale a row of expressions by the product of its distinct quotient
-    payloads raised to their row-maximal exponents, returning
-    reciprocal-free entries.  Row scaling by a nonzero rational function
-    preserves generic rank."""
-    entries = [sx.as_expr(e) for e in row]
-    entry_payloads = [sx.quotient_payloads(e) for e in entries]
-    rowmax = {}
-    for pm in entry_payloads:
-        for k, (payload, exp) in pm.items():
-            if k not in rowmax or exp > rowmax[k][1]:
-                rowmax[k] = (payload, exp)
-    out = []
-    for e, pm in zip(entries, entry_payloads):
-        p, _ = sx.clear_denominators(e)
-        for k in sorted(rowmax):
-            payload, top = rowmax[k]
-            deficit = top - (pm[k][1] if k in pm else 0)
-            if deficit:
-                p = p * payload**deficit
-        out.append(p)
-    return out
-
-
 def generic_rank_exprs(rows):
     """Generic (symbolic) rank of a matrix of expressions.
 
-    Entries are cleared of quotients per row, then eliminated
+    Each row is scaled by the product of the quotient payloads of its
+    entries, each to its largest exponent in the row (`sx.clear_denominators`
+    against the row's payloads); scaling a row by a nonzero rational
+    function keeps the generic rank.  The entries are then eliminated
     division-free with structural zero tests.  For polynomial entries
     the result is the exact rank over the rational function field; with
     opaque primitives present it is an upper bound certified only by
     sample agreement (the caller reports which).
     """
-    work = [clear_row_denominators(list(r)) for r in rows]
+    work = []
+    for row in rows:
+        payloads = sx.quotient_payloads(*row)
+        work.append([sx.clear_denominators(e, payloads)[0] for e in row])
     if not work:
         return 0
     ncols = len(work[0])

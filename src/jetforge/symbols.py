@@ -14,76 +14,48 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .mindex import MultiIndex, GradedIndexRange, enumerate_indices, multinomial
+from .mindex import GradedIndexRange, enumerate_indices, multinomial
 from . import symexpr as sx
 from . import jetcalc as jc
 from . import spencer as sp
 from .symexpr import Expr, JetVar, differentiate
 
 
-class SymbolPoly:
-    """Coefficient table s^{alpha,beta}_I = dh_beta/du^alpha_I, |I| = k.
-
-    Entries are expressions over the order-k chart; evaluation plugs in
-    a jet point and a rational covector.
-    """
-
-    def __init__(self, m, n, n_out, k, table):
-        self.m = m
-        self.n = n
-        self.n_out = n_out
-        self.k = k
-        self.table = dict(table)
-
-    def coefficient(self, alpha, beta, I):
-        return self.table.get((alpha, beta, MultiIndex(I)), sx.ZERO)
-
-    def poly_expr(self, beta, alpha=1):
-        """The symbol polynomial in covector variables, coefficients on J^k."""
-        out = sx.ZERO
-        for I in enumerate_indices(GradedIndexRange(self.m, self.k, self.k)):
-            c = self.coefficient(alpha, beta, I)
-            if c.is_zero():
-                continue
-            mono = sx.ONE
-            for i, e in enumerate(I, start=1):
-                mono = mono * sx.covector(i) ** e
-            out = out + c * mono
-        return out
-
-    def evaluate(self, beta, a, xi, alpha=1):
-        """S_beta(xi; a) = sum s_I(a) xi^I."""
-        assignment = a.assignment()
-        total = Fraction(0)
-        for I in enumerate_indices(GradedIndexRange(self.m, self.k, self.k)):
-            c = self.coefficient(alpha, beta, I)
-            if c.is_zero():
-                continue
-            val = sx.evaluate(c, assignment)
-            for i, e in enumerate(I):
-                val = val * Fraction(xi[i]) ** e
-            total = total + val
-        return total
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.table.values())
-
-
 def symbol_of(h):
-    """The operator symbol: partials by the order-k jet variables."""
-    return SymbolPoly(h.m, h.n, h.n_out, h.order, jc.symbol_table(h))
+    """The operator symbol, `jc.symbol_table(h)`: the read-only mapping
+    {(alpha, beta, J): dh_beta/du^alpha_J} over |J| = h.order, nonzero
+    entries only, kept on h."""
+    return jc.symbol_table(h)
 
 
-def symbol_linear(m, n, k, coeffs, n_out):
-    """Symbol from classical linear coefficients: keep |I| = k entries."""
-    table = {}
-    for (alpha, beta, I), c in coeffs.items():
-        I = MultiIndex(I)
-        if I.degree == k:
-            c = sx.as_expr(c)
-            if not c.is_zero():
-                table[(alpha, beta, I)] = c
-    return SymbolPoly(m, n, n_out, k, table)
+def _entries(S, beta, alpha):
+    """The (J, coefficient) pairs of S at (alpha, beta), J graded-lex."""
+    return [(J, c) for (a, b, J), c in S.items() if a == alpha and b == beta]
+
+
+def symbol_polynomial(S, beta, alpha=1):
+    """The symbol polynomial sum s_J xi^J in covector variables, with
+    coefficients on the jet chart."""
+    out = sx.ZERO
+    for J, c in _entries(S, beta, alpha):
+        mono = sx.ONE
+        for i, e in enumerate(J, start=1):
+            mono = mono * sx.covector(i) ** e
+        out = out + c * mono
+    return out
+
+
+def symbol_value(S, beta, a, xi, alpha=1):
+    """S_beta(xi; a) = sum s_J(a) xi^J, the coefficients read from one
+    `sx.Batch` on the chart of the jet point a."""
+    entries = _entries(S, beta, alpha)
+    values = sx.Batch([c for _, c in entries], a.chart.slots).at(a.base + a.values)
+    total = Fraction(0)
+    for (J, _), val in zip(entries, values):
+        for i, e in enumerate(J):
+            val = val * Fraction(xi[i]) ** e
+        total = total + val
+    return total
 
 
 @dataclass
@@ -104,13 +76,15 @@ def check_linear_symbol_diagram(h, points, covectors):
     if not h.is_linear():
         raise ValueError("operator is not linear")
     s_jet = symbol_of(h)
-    s_cls = symbol_linear(h.m, h.n, h.order, jc.bundle_to_classical(h), h.n_out)
+    # the classical coefficients of order k, nonzero by construction
+    s_cls = {(alpha, beta, I): c for (alpha, beta, I), c in jc.bundle_to_classical(h).items()
+             if I.degree == h.order}
     count = 0
     for a, xi in zip(points, covectors):
         for beta in range(1, h.n_out + 1):
             for alpha in range(1, h.n + 1):
-                lhs = s_jet.evaluate(beta, a, xi, alpha=alpha)
-                rhs = s_cls.evaluate(beta, a, xi, alpha=alpha)
+                lhs = symbol_value(s_jet, beta, a, xi, alpha=alpha)
+                rhs = symbol_value(s_cls, beta, a, xi, alpha=alpha)
                 if lhs != rhs:
                     return DiagramReport(False, count, witness=(a, tuple(xi), beta, alpha, lhs, rhs))
         count += 1
@@ -130,7 +104,7 @@ class SymbolProlongMatrix:
     def __init__(self, h):
         self.h = h
         self.m, self.n, self.k = h.m, h.n, h.order
-        symbol = self.symbol = symbol_of(h)
+        symbol = symbol_of(h)
         self.row_labels = [(i, beta) for i in range(1, self.m + 1) for beta in range(1, h.n_out + 1)]
         self.col_labels = [
             (alpha, J)
@@ -145,7 +119,7 @@ class SymbolProlongMatrix:
                     row.append(sx.ZERO)
                     continue
                 I = J.sub_unit(i)
-                c = symbol.coefficient(alpha, beta, I)
+                c = symbol.get((alpha, beta, I), sx.ZERO)
                 row.append(c * Fraction(J[i - 1], (self.k + 1) * multinomial(I)))
             self.entries.append(row)
 
@@ -269,7 +243,7 @@ def rank_profile(entries, constraint=None, samples=20, seed=0, mode="exact"):
     points, read from one `sx.Batch` of all entries; the report is
     certified only when they all agree.  Float mode ranks the same
     points by singular values.  In either mode a sampler or evaluation
-    failure is a note, not an error.
+    failure, a float overflow included, is a note, not an error.
     """
     entries = [[sx.as_expr(e) for e in row] for row in entries]
     nrows = len(entries)
@@ -314,7 +288,7 @@ def rank_profile(entries, constraint=None, samples=20, seed=0, mode="exact"):
                                                        tol=FLOAT_RANK_TOL)))
         report.sampled_ranks = ranks
         report.sample_count = len(ranks)
-    except (SamplerError, sx.EvaluationError) as err:
+    except (SamplerError, sx.EvaluationError, OverflowError) as err:
         report.notes.append("sampling failed: %s" % err)
     if not exact:
         report.notes.append("float mode: singular-value rank, tol=%g" % FLOAT_RANK_TOL)

@@ -61,9 +61,16 @@ _RANK_RECIP = 5
 
 
 class Atom:
-    """Common behavior for the multiplicative building blocks of monomials."""
+    """Common behavior for the multiplicative building blocks of monomials.
+
+    Atoms are immutable: `_set_key` and the constructors write their
+    fields through `object.__setattr__`, and any other assignment raises.
+    """
 
     __slots__ = ("key", "_hash")
+
+    def __setattr__(self, *a):
+        raise AttributeError("immutable")
 
     def _set_key(self, key):
         # the key never changes, so neither does its hash
@@ -98,9 +105,6 @@ class BaseVar(VarRef):
         object.__setattr__(self, "i", int(i))
         self._set_key((_RANK_BASE, (self.i,)))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
 
 class JetVar(VarRef):
     __slots__ = ("alpha", "index")
@@ -115,9 +119,6 @@ class JetVar(VarRef):
         deg, neg = index.graded_lex_key()
         self._set_key((_RANK_JET, (deg,) + neg + (self.alpha,)))
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
 
 class ParamVar(VarRef):
     __slots__ = ("name",)
@@ -125,9 +126,6 @@ class ParamVar(VarRef):
     def __init__(self, name):
         object.__setattr__(self, "name", str(name))
         self._set_key((_RANK_PARAM, (self.name,)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
 
 class CovectorVar(VarRef):
@@ -138,9 +136,6 @@ class CovectorVar(VarRef):
             raise ValueError("covector axis must be >= 1")
         object.__setattr__(self, "i", int(i))
         self._set_key((_RANK_COVECTOR, (self.i,)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
 
 class PrimCall(Atom):
@@ -153,9 +148,6 @@ class PrimCall(Atom):
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "arg", arg)
         self._set_key((_RANK_PRIM, (self.name, arg.sort_key())))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
 
 class Recip(Atom):
@@ -175,9 +167,6 @@ class Recip(Atom):
             raise ExprError("nested quotients are not supported")
         object.__setattr__(self, "payload", payload)
         self._set_key((_RANK_RECIP, (payload.sort_key(),)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
 
 
 # ---------------------------------------------------------------------------
@@ -878,17 +867,20 @@ def _float_atom(a, assignment, memo):
     raise TypeError(a)
 
 
-def clear_denominators(e):
+def clear_denominators(e, payloads=None):
     """Rewrite e == p / d with p free of quotient atoms.
 
     Returns (p, d) where d is the product of the distinct quotient
-    payloads raised to their maximal exponents across the terms of e.
-    Quotients hidden inside opaque primitive arguments are left alone.
-    Multiplying by d is injective on rational expressions (the payloads
-    are nonzero by construction), so e == 0 iff p == 0.
+    payloads raised to their maximal exponents across the terms of e,
+    or of the given `payloads` table (from `quotient_payloads`, which
+    must cover those of e), so that several expressions can be cleared
+    by one d.  Quotients hidden inside opaque primitive arguments are
+    left alone.  Multiplying by d is injective on rational expressions
+    (the payloads are nonzero by construction), so e == 0 iff p == 0.
     """
     e = as_expr(e)
-    payloads = quotient_payloads(e)
+    if payloads is None:
+        payloads = quotient_payloads(e)
     if not payloads:
         return e, ONE
     order = sorted(payloads)
@@ -915,17 +907,18 @@ def clear_denominators(e):
     return out, d
 
 
-def quotient_payloads(e):
-    """Distinct quotient payloads at the top level of e, keyed by the
-    payload sort key, with the maximal exponent seen across terms."""
-    e = as_expr(e)
+def quotient_payloads(*exprs):
+    """Distinct quotient payloads at the top level of the expressions,
+    keyed by the payload sort key, with the maximal exponent seen across
+    their terms."""
     out = {}
-    for mono in e._terms:
-        for a, exp in mono:
-            if isinstance(a, Recip):
-                k = a.payload.sort_key()
-                if k not in out or exp > out[k][1]:
-                    out[k] = (a.payload, exp)
+    for e in exprs:
+        for mono in as_expr(e)._terms:
+            for a, exp in mono:
+                if isinstance(a, Recip):
+                    k = a.payload.sort_key()
+                    if k not in out or exp > out[k][1]:
+                        out[k] = (a.payload, exp)
     return out
 
 
@@ -1011,14 +1004,13 @@ def format_expr(e):
 
 class ExprContext:
     """Declarations an expression is parsed against: dimensions, chart
-    order, parameter names, and whether covectors are allowed."""
+    order and parameter names."""
 
-    def __init__(self, m, n=1, order=0, params=(), allow_covectors=False):
+    def __init__(self, m, n=1, order=0, params=()):
         self.m = m
         self.n = n
         self.order = order
         self.params = set(params)
-        self.allow_covectors = allow_covectors
 
 
 _TOKEN_RE = re.compile(
@@ -1158,12 +1150,6 @@ class _Parser:
             if not 1 <= i <= ctx.m:
                 raise ParseError("base variable %s out of range 1..%d" % (name, ctx.m), self.text, pos)
             return base(i)
-        mcov = re.fullmatch(r"xi(\d+)", name)
-        if mcov and ctx.allow_covectors:
-            i = int(mcov.group(1))
-            if not 1 <= i <= ctx.m:
-                raise ParseError("covector %s out of range 1..%d" % (name, ctx.m), self.text, pos)
-            return covector(i)
         if self.peek()[1] == "(":
             return self.call(name, pos)
         if name in ctx.params:

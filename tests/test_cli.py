@@ -18,6 +18,7 @@ from jetforge import cli
 from jetforge import integrability as ig
 from jetforge import jetcalc as jc
 from jetforge import spencer as sp
+from jetforge import symbols as sy
 from jetforge import symexpr as sx
 
 WAVE = """\
@@ -382,6 +383,36 @@ def test_integrability_reports_every_condition_when_sampling_fails(tmp_path, cap
         assert [c["passed"] for c in conds] == [True, False, False]
         assert conds[2]["detail"] == (
             "sampling failed: no top-order variable with an affine nonzero coefficient")
+
+
+def test_float_overflow_is_a_failed_condition_or_an_error_line(tmp_path, capsys):
+    # a coefficient past the float range: float mode samples the rank of
+    # the prolonged symbol and checks the solve's residual in floats
+    text = ("base m = 2;\nfiber n = 1;\norder k = 2;\n"
+            "operator h = u[(2,0)] - 1%s.5*u[(0,2)];\n" % ("0" * 400))
+    f = tmp_path / "overflow.jf"
+    f.write_text(text)
+    assert cli.main(["integrability", str(f), "--json"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    report = json.loads(out.out)
+    assert report["mode"] == "float"
+    conds = report["results"][0]["data"]["conditions"]
+    assert [c["name"] for c in conds] == [
+        "symbol nonvanishing", "prolonged symbol constant rank", "lift surjectivity"]
+    assert [c["passed"] for c in conds] == [True, False, True]
+
+    h = cli.parse_problem_file(text).operator
+    profile = sy.rank_profile(sy.SymbolProlongMatrix(h).entries, constraint=h, samples=4,
+                              seed=1, mode="float")
+    assert profile.sampled_ranks == []
+    assert "sampling failed: integer division result too large for a float" in profile.notes
+
+    assert cli.main(["solve", str(f), "--json"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    result = json.loads(out.out)["results"][0]
+    assert result["data"] == {"error": "integer division result too large for a float"}
 
 
 def test_main_refuses_non_utf8_files(tmp_path, capsys):

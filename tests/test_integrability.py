@@ -308,3 +308,56 @@ def test_metric_singular_determinant_rejected():
     g = ig.MetricSpec(2, {(1, 1): sx.ONE, (1, 2): sx.ONE, (2, 1): sx.ONE, (2, 2): sx.ONE})
     with pytest.raises(ValueError):
         g.inverse_entry(1, 1)
+
+
+def _condition1_fallback_reference(h, samples, seed):
+    """The sampled fallback of condition 1 as a per-trial loop that
+    draws a fresh assignment and evaluates each coefficient on its own:
+    (ConditionReport, number of trials skipped on a zero division)."""
+    table = jc.symbol_table(h)
+    rng = random.Random(seed)
+    allvars = sorted({v for c in table.values() for v in c.free_vars()}, key=lambda v: v.key)
+    skipped = 0
+    for _ in range(samples):
+        assignment = {v: sx.random_rational(rng, 5) for v in allvars}
+        try:
+            vals = [sx.evaluate(c, assignment, exact=True) for c in table.values()]
+        except sx.EvalZeroDivision:
+            skipped += 1
+            continue
+        except sx.EvaluationError:
+            return ig.ConditionReport(
+                "symbol nonvanishing", True, False,
+                "non-rational coefficients: nonvanishing not sampled exactly"), skipped
+        if all(v == 0 for v in vals):
+            return ig.ConditionReport(
+                "symbol nonvanishing", False, False,
+                "all top-order coefficients vanish at a sampled point",
+                {"witness": assignment}), skipped
+    return ig.ConditionReport(
+        "symbol nonvanishing", True, False,
+        "nonzero at all %d sampled points" % samples), skipped
+
+
+_X1, _X2 = sx.base(1), sx.base(2)
+_U20, _U02 = sx.jet(1, (2, 0)), sx.jet(1, (0, 2))
+
+
+@pytest.mark.parametrize("component, outcome", [
+    ((1 + _X1 ** 2) * _U20 + _X2 * _U02, "nonzero at all"),
+    (_X1 * _U20 + _X1 * _U02, "all top-order coefficients vanish"),
+    (_U20 / _X1 + _X2 * _U02, "nonzero at all"),
+    (sx.prim("sin", _X1) * _U20 + _X2 * _U02, "non-rational coefficients"),
+], ids=["pass", "witness", "zero-division", "primitive"])
+def test_condition1_sampled_fallback_matches_the_per_trial_loop(component, outcome):
+    h = jc.DiffOp(2, 1, 2, [component])
+    for seed in range(4):
+        got = ig._check_symbol_nonvanishing(h, 30, seed)
+        want, skipped = _condition1_fallback_reference(h, 30, seed)
+        assert got == want
+        assert got.detail.startswith(outcome)
+        if "witness" in want.data:
+            assert list(got.data["witness"].items()) == list(want.data["witness"].items())
+        if outcome == "nonzero at all" and component.has_recip():
+            # the quotient's payload is drawn as 0 in some trial, which is skipped
+            assert skipped

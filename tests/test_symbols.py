@@ -32,19 +32,19 @@ def _point(h, seed=0):
 
 def test_symbol_of_wave_table():
     S = sy.symbol_of(_wave())
-    assert S.coefficient(1, 1, (2, 0)) == sx.ONE
-    assert S.coefficient(1, 1, (0, 2)) == -sx.ONE
-    assert S.coefficient(1, 1, (1, 1)).is_zero()
-    assert not S.is_zero()
+    assert S.get((1, 1, (2, 0)), sx.ZERO) == sx.ONE
+    assert S.get((1, 1, (0, 2)), sx.ZERO) == -sx.ONE
+    assert S.get((1, 1, (1, 1)), sx.ZERO).is_zero()
+    assert S
 
 
 def test_symbol_polynomial_evaluation():
     h = _wave()
     S = sy.symbol_of(h)
     a = _point(h)
-    assert S.evaluate(1, a, (Q(1), Q(1))) == 0
-    assert S.evaluate(1, a, (Q(2), Q(1))) == 3
-    assert S.evaluate(1, a, (Q(0), Q(1))) == -1
+    assert sy.symbol_value(S, 1, a, (Q(1), Q(1))) == 0
+    assert sy.symbol_value(S, 1, a, (Q(2), Q(1))) == 3
+    assert sy.symbol_value(S, 1, a, (Q(0), Q(1))) == -1
 
 
 def test_functional_values_divide_multinomial():
@@ -59,7 +59,7 @@ def test_functional_values_divide_multinomial():
 def test_nonlinear_symbol_depends_on_point():
     h = jc.DiffOp(2, 1, 2, [sx.jet(1, (0, 0)) * sx.jet(1, (2, 0))])
     S = sy.symbol_of(h)
-    assert S.coefficient(1, 1, (2, 0)) == sx.jet(1, (0, 0))
+    assert S.get((1, 1, (2, 0)), sx.ZERO) == sx.jet(1, (0, 0))
 
 
 def test_linear_symbol_diagram_gradient_laplace():
@@ -90,7 +90,7 @@ def test_symbol_prolong_matrix_shape_and_identity():
         # coordinates of v^(x)3 in the monomial basis of Sym^3
         coords = [multinomial(J) * math.prod(Q(v[i]) ** e for i, e in enumerate(J))
                   for (alpha, J) in M.col_labels]
-        s_val = S.evaluate(1, a, v)
+        s_val = sy.symbol_value(S, 1, a, v)
         for (i, beta), row in zip(M.row_labels, Ma):
             assert sum(x * c for x, c in zip(row, coords)) == Q(v[i - 1]) * s_val
 
@@ -99,9 +99,9 @@ def test_characteristic_test():
     h = _wave()
     a = _point(h)
     S = sy.symbol_of(h)
-    assert S.evaluate(1, a, (Q(1), Q(1))) == 0
-    assert S.evaluate(1, a, (Q(1), Q(-1))) == 0
-    assert S.evaluate(1, a, (Q(1), Q(0))) != 0
+    assert sy.symbol_value(S, 1, a, (Q(1), Q(1))) == 0
+    assert sy.symbol_value(S, 1, a, (Q(1), Q(-1))) == 0
+    assert sy.symbol_value(S, 1, a, (Q(1), Q(0))) != 0
 
 
 def test_sample_variety_points_satisfy_equation():
@@ -169,5 +169,62 @@ def test_prolonged_symbol_coefficient_normalization():
                 assert M.entries[r][c].is_zero()
                 continue
             I = J.sub_unit(i)
-            want = S.coefficient(alpha, beta, I) * Q(J[i - 1], (k + 1) * multinomial(I))
+            want = S.get((alpha, beta, I), sx.ZERO) * Q(J[i - 1], (k + 1) * multinomial(I))
             assert M.entries[r][c] == want
+
+
+def test_symbol_is_built_once_and_kept_read_only_on_the_operator():
+    h = jc.DiffOp(2, 1, 2, [sx.jet(1, (0, 0)) * sx.jet(1, (2, 0)) - sx.jet(1, (0, 2))])
+    S = jc.symbol_table(h)
+    assert S is jc.symbol_table(h) is sy.symbol_of(h) is sy.symbol_of(h)
+    with pytest.raises(TypeError):
+        S[(1, 1, MultiIndex((1, 1)))] = sx.ONE
+    assert (1, 1, (1, 1)) not in S
+    # a prolongation is an operator of its own, with its own symbol
+    P = jc.prolong_op(h, 1)
+    assert jc.symbol_table(P) is sy.symbol_of(P) is not S
+
+
+def _constraint_rows_reference(h, a):
+    """The rows of `symbol_constraint_matrix`, each entry evaluated on
+    its own, in row order."""
+    table = jc.symbol_table(h)
+    return [[sx.evaluate(table.get((alpha, beta, J), sx.ZERO), a.assignment()) / multinomial(J)
+             for (J, alpha) in sp.sym_component_labels(h.m, h.order, h.n)]
+            for beta in range(1, h.n_out + 1)]
+
+
+def _error(f):
+    try:
+        f()
+    except sx.EvaluationError as err:
+        return type(err), str(err)
+    return None
+
+
+@pytest.mark.parametrize("component, base, kind", [
+    # the quotient's payload vanishes at x1 = 0; sin comes later in the row
+    (sx.jet(1, (2, 0)) / sx.base(1) + sx.prim("sin", sx.base(2)) * sx.jet(1, (0, 2)),
+     (0, 1), sx.EvalZeroDivision),
+    # sin comes first in the row, before the vanishing quotient
+    (sx.prim("sin", sx.base(1)) * sx.jet(1, (2, 0)) + sx.jet(1, (0, 2)) / sx.base(2),
+     (1, 0), sx.EvaluationError),
+    (sx.jet(1, (2, 0)) / sx.base(1) + sx.prim("sin", sx.base(2)) * sx.jet(1, (0, 2)),
+     (1, 1), sx.EvaluationError),
+])
+def test_symbol_constraint_matrix_raises_the_first_error_of_its_entries(component, base, kind):
+    h = jc.DiffOp(2, 1, 2, [component, sx.jet(1, (1, 1)) / (sx.base(1) + 1)])
+    chart = h.chart()
+    a = jc.JetPoint(chart, base, {label: Q(1, 2) for label in chart.labels})
+    got = _error(lambda: sp.symbol_constraint_matrix(h, a))
+    assert got == _error(lambda: _constraint_rows_reference(h, a))
+    assert got[0] is kind
+
+
+def test_symbol_constraint_matrix_matches_the_entrywise_rows():
+    h = jc.DiffOp(2, 2, 2, [sx.jet(1, (0, 0)) * sx.jet(1, (2, 0)) + sx.jet(2, (1, 1)) / (1 + sx.base(1) ** 2),
+                            sx.jet(2, (0, 2)) - sx.base(2) * sx.jet(1, (1, 1))])
+    for seed in range(3):
+        a = _point(h, seed)
+        assert [list(r) for r in sp.symbol_constraint_matrix(h, a).rows] == \
+            _constraint_rows_reference(h, a)

@@ -137,10 +137,9 @@ def test_parser_rational_vs_decimal_literals():
 
 
 def test_parse_covectors_only_when_allowed():
+    # covectors are never declared in problem files, so xi1 is undeclared
     with pytest.raises(ParseError):
         sx.parse_expr("xi1", _ctx())
-    e = sx.parse_expr("xi1^2 - xi2^2", _ctx(allow_covectors=True))
-    assert e == sx.covector(1) ** 2 - sx.covector(2) ** 2
 
 
 def test_exact_evaluation_refuses_transcendentals():
@@ -201,3 +200,19 @@ def test_equal_values_hash_equal(a, b):
     if a == b:
         assert hash(a) == hash(b)
     assert (a in {b}) == (a == b)
+
+
+@pytest.mark.parametrize("atom, field", [
+    (sx.BaseVar(1), "i"),
+    (sx.JetVar(1, (1, 0)), "alpha"),
+    (sx.ParamVar("c"), "name"),
+    (sx.CovectorVar(2), "i"),
+    (sx.PrimCall("sin", sx.base(1)), "arg"),
+    (sx.Recip(sx.base(1) + 1), "payload"),
+], ids=lambda x: type(x).__name__ if isinstance(x, sx.Atom) else x)
+def test_atoms_are_immutable(atom, field):
+    before = (getattr(atom, field), atom.key, hash(atom))
+    for name in (field, "key", "_hash", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(atom, name, 0)
+    assert (getattr(atom, field), atom.key, hash(atom)) == before
