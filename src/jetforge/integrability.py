@@ -78,7 +78,8 @@ class MetricSpec:
 
     def inverse_entry(self, i, j):
         if self._inv is None:
-            det = self.determinant()
+            # the one 1/det that every entry is a cofactor times
+            inv_det = sx.inverse(self.determinant())
             n = self.m
             inv = [[sx.ZERO] * n for _ in range(n)]
             for r in range(n):
@@ -92,7 +93,7 @@ class MetricSpec:
                     sign = -1 if (r + c) % 2 else 1
                     # adjugate transposes, but cofactor matrices of
                     # symmetric matrices are symmetric
-                    inv[c][r] = sign * cof / det
+                    inv[c][r] = sign * cof * inv_det
             self._inv = inv
         return self._inv[i - 1][j - 1]
 
@@ -240,9 +241,11 @@ def lift_system_at(h, b):
     the right-hand side as a one-column matrix.  The rows and their
     Jacobian come from h's lift plan, compiled on b's own chart with
     the new coordinates at zero (R is minus the rows there); only
-    their values at b are computed here.  Both matrices are built from
-    integer rows in one pass over the plan's values: each row of A over
-    the lcm of its entries' denominators, which is lowest terms.
+    their values at b are computed here.  A is the shifted symbol, so it
+    is built from the symbol values sigma(b) alone, at the plan's
+    structurally nonzero entries, each row over the lcm of its entries'
+    denominators, which is lowest terms; while sigma(b) equals that of
+    the plan's last point, A is that point's matrix object.
     """
     l = b.chart.k - h.order
     if l < 0:
@@ -251,18 +254,21 @@ def lift_system_at(h, b):
         raise ValueError("point and operator live on different bundles")
     plan = jc.lift_plan(h, l)
     values = plan.values_at(b)
-    width = len(plan.unknowns) + 1
-    nums, dens, rhs_nums, rhs_dens = [], [], [], []
-    for start in range(0, len(values), width):
-        nz = [(j, x) for j, x in enumerate(values[start:start + width - 1]) if x]
-        den = lcm(*[x.denominator for _, x in nz])
-        nums.append({j: x.numerator * (den // x.denominator) for j, x in nz})
-        dens.append(den)
-        v = values[start + width - 1]
-        rhs_nums.append({0: -v.numerator})
-        rhs_dens.append(v.denominator)
-    A = sp.RationalMatrix.from_int_rows(nums, dens, plan.unknowns, row_labels=plan.row_labels)
-    R = sp.RationalMatrix.from_int_rows(rhs_nums, rhs_dens, range(1), row_labels=plan.row_labels)
+    sigma = [values[p] for p in plan.sigma]
+    if plan.last is not None and plan.last[0] == sigma:
+        A = plan.last[1]
+    else:
+        nums, dens = [], []
+        for row in plan.entries:
+            nz = [(j, values[p]) for j, p in row]
+            den = lcm(*[x.denominator for _, x in nz])
+            nums.append({j: x.numerator * (den // x.denominator) for j, x in nz})
+            dens.append(den)
+        A = sp.RationalMatrix.from_int_rows(nums, dens, plan.unknowns, row_labels=plan.row_labels)
+        plan.last = (sigma, A)
+    R = sp.RationalMatrix.from_int_rows(
+        [{0: -values[p].numerator} for p in plan.rhs], [values[p].denominator for p in plan.rhs],
+        range(1), row_labels=plan.row_labels)
     return A, R, list(plan.unknowns)
 
 
@@ -270,11 +276,19 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
     """One-step lift: extend a point of ker(h)^(l) to one of ker(h)^(l+1).
 
     The new top-order coordinates solve the affine system of next-order
-    prolonged components evaluated at b.  Free coordinates (the kernel
-    of the top-order system, graded-lex order) are zero by default;
-    policy "random" draws them from a seeded rational sampler, policy
-    "explicit" reads them from free_data keyed by (alpha, index).
+    prolonged components evaluated at b (`lift_system_at`), A x = R.
+    Free coordinates (the kernel of A, graded-lex order) are zero by
+    default; policy "random" draws them from a seeded rational sampler,
+    policy "explicit" reads them from free_data keyed by (alpha, index).
     Raises LiftObstructionError when the system is inconsistent.
+
+    The solve reads one elimination of [A | I], kept on the lift plan
+    for the last A it was made for, against R (`Echelon.solve`): A
+    repeats wherever the symbol values do, as at every point of a
+    constant-coefficient operator or over one base point of a
+    Klein-Gordon operator.  The free columns are those of the reduced
+    row echelon form of A alone, and the solution is unique given the
+    free values.
     """
     l = b.chart.k - h.order
     if l < 0:
@@ -285,8 +299,11 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
         if any(v != 0 for v in vals):
             raise ValueError("point does not satisfy the prolonged equations")
     A, R, unknowns = lift_system_at(h, b)
-    E = sp.Echelon(A, R)
-    if not E.consistent:
+    plan = jc.lift_plan(h, l)
+    if plan.elimination is None or plan.elimination[0] is not A:
+        plan.elimination = (A, sp.Echelon(A, sp.RationalMatrix.identity(A.nrows)))
+    E = plan.elimination[1]
+    if not E.consistent_with(R):
         raise LiftObstructionError(
             "no lift at this point: the next-order conditions are inconsistent"
         )
@@ -309,7 +326,7 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
         }
     elif policy != "zero":
         raise ValueError("unknown free-data policy %r" % policy)
-    x, free = E.solve(free_values)
+    x, free = E.solve(free_values, rhs=R)
     new_jets = {unknowns[i]: x[i] for i in range(len(unknowns))}
     point = b.extend(new_jets)
     return LiftResult(point=point, free_labels=[unknowns[f] for f in free], rank=E.rank)

@@ -385,10 +385,11 @@ class LiftPlan:
     them.  `batch` holds, row after row, the Jacobian entries
     d(D_I h_beta)/du^alpha_T in column order followed by the row's
     component with the unknowns set to zero, which is all that a lift
-    evaluates.  Setting them to zero drops the terms that have one as a
-    factor (`sx.drop_factors`), and nothing of order k+l+1 is left, so
-    the batch is compiled against the point's own chart, order k+l, and
-    `values_at` reads the point as it is.
+    evaluates, so the first error evaluating a row meets is the one a
+    lift raises.  Setting the unknowns to zero drops the terms that have
+    one as a factor (`sx.drop_factors`), and nothing of order k+l+1 is
+    left, so the batch is compiled against the point's own chart, order
+    k+l, and `values_at` reads the point as it is.
 
     The Jacobian is read off the symbol by an index shift, not by
     differentiating the prolonged rows: for |I| >= 1,
@@ -401,9 +402,19 @@ class LiftPlan:
     new jets enter a row only as plain factors, each term at most one,
     never inside a quotient or primitive argument; were one left in a
     row, evaluating the batch would raise "no value assigned".
+
+    So the Jacobian A depends on the point only through the symbol
+    values sigma(b).  `entries` lists, per row, the (column, value
+    position) of each structurally nonzero entry of A, `sigma` the value
+    position of each distinct symbol entry, and `rhs` the value position
+    of each row's component.  `last` is (the values at `sigma`, A) of
+    the last point a lift system was built at, and `elimination` is
+    (A, the `Echelon` of [A | I]) of the last A a lift solved with; both
+    are None until then, and only the last one of each is kept.
     """
 
-    __slots__ = ("unknowns", "row_labels", "batch")
+    __slots__ = ("unknowns", "row_labels", "batch", "entries", "sigma", "rhs", "last",
+                 "elimination")
 
     def __init__(self, h, l):
         chart = JetChartSpec(h.m, h.n, h.order + l + 1)
@@ -414,15 +425,29 @@ class LiftPlan:
         prolonged = prolong_op(h, l + 1)
         row_labels = []
         exprs = []
+        entries = []
+        sigma = {}
+        rhs = []
         for comp, (beta, I) in zip(prolonged.components, prolonged.labels):
             if I.degree != l + 1:
                 continue
             row_labels.append((beta, I))
-            for alpha, T in self.unknowns:
-                exprs.append(shifted_symbol(symbol, alpha, beta, T, I))
+            row = []
+            for j, (alpha, T) in enumerate(self.unknowns):
+                e = shifted_symbol(symbol, alpha, beta, T, I)
+                if not e.is_zero():
+                    row.append((j, sigma.setdefault(id(e), len(exprs))))
+                exprs.append(e)
+            entries.append(tuple(row))
+            rhs.append(len(exprs))
             exprs.append(sx.drop_factors(comp, new))
         self.row_labels = tuple(row_labels)
         self.batch = sx.Batch(exprs, below.slots)
+        self.entries = tuple(entries)
+        self.sigma = tuple(sigma.values())
+        self.rhs = tuple(rhs)
+        self.last = None
+        self.elimination = None
 
     def values_at(self, b):
         """The entries at the level-l point b, row after row."""

@@ -268,7 +268,10 @@ class Echelon:
     primitive.  Only the holders of c are touched, and only their nonzero
     entries; a pivot row is not changed again in this pass.  The
     right-hand side rides along: the system is consistent when no row
-    that is never a pivot row keeps an entry.
+    that is never a pivot row keeps an entry.  Those rows are zero on
+    M's columns, so with the identity as right-hand side they are the
+    left null space of M, and one elimination of [M | I] decides and
+    solves M * x = b for every b (`consistent_with`, `solve`).
 
     The constructor eliminates only in rows that are not yet pivot rows,
     which settles `rank`, `pivots`, `free` and `consistent`.  `rows` is
@@ -283,7 +286,7 @@ class Echelon:
     """
 
     __slots__ = ("col_labels", "rhs_labels", "pivots", "free", "rank", "consistent",
-                 "_rows", "_above")
+                 "_rows", "_above", "_rest")
 
     def __init__(self, M, rhs=None):
         # the rows are changed in place: copies of M's, or the fresh join
@@ -327,8 +330,10 @@ class Echelon:
             above.append(earlier)
         self.col_labels = M.col_labels
         self.rhs_labels = () if rhs is None else rhs.col_labels
-        # the rows that never became pivot rows are zero on M's columns
-        self.consistent = not any(row for i, row in enumerate(rows) if rank_of[i] is None)
+        # the rows that never became pivot rows are zero on M's columns:
+        # each is [0 | n * rhs] for a vector n with n * M = 0
+        self._rest = [row for i, row in enumerate(rows) if rank_of[i] is None and row]
+        self.consistent = not self._rest
         self._rows = pivot_rows
         # above[r]: the earlier pivot rows with an entry in column
         # pivots[r], still to be reduced by row r; None once reduced
@@ -389,19 +394,41 @@ class Echelon:
             dens[pc] = row[pc]
         return RationalMatrix.from_int_rows(nums, dens, self.rhs_labels, row_labels=self.col_labels)
 
-    def solve(self, free_values=None):
-        """One exact solution x of M * x = rhs, for a one-column rhs.
+    def consistent_with(self, rhs):
+        """Whether M * x = rhs_M * y has a solution, for rhs_M the
+        right-hand side this elimination was made with and y the one
+        column of the `RationalMatrix` rhs, one row per column of rhs_M:
+        whether every row that never became a pivot row, a left-null
+        vector of M on the right-hand side columns, is zero at y."""
+        if not self._rest:
+            return True
+        ncols = len(self.col_labels)
+        y = [Fraction(n.get(0, 0), d) for n, d in zip(rhs.nums, rhs.dens)]
+        return not any(sum(v * y[j - ncols] for j, v in row.items()) for row in self._rest)
+
+    def solve(self, free_values=None, rhs=None):
+        """One exact solution x of M * x = b.
+
+        Without `rhs`, b is the one column this elimination was made
+        with.  Otherwise b = rhs_M * y for the right-hand side rhs_M it
+        was made with and y the one column of the `RationalMatrix` rhs
+        (one row per column of rhs_M): one elimination of [M | I] solves
+        for every b, the right-hand side part of each reduced pivot row
+        read against y (`consistent_with` checks the other rows).
 
         Free (non-pivot) coordinates are zero unless `free_values` maps
         their column label to a value.  Returns (solution, free column
         positions); raises ValueError on inconsistency, on a label that
         is not a column label, and on a label of a pivot column.
         """
-        if not self.consistent:
+        ncols = len(self.col_labels)
+        if not (self.consistent if rhs is None else self.consistent_with(rhs)):
             raise ValueError("inconsistent linear system")
         free = self.free
-        ncols = len(self.col_labels)
         x = [Fraction(0)] * ncols
+        # the known values of [M | rhs_M] as (column, numerator,
+        # denominator): each given free value negated, then y
+        known = []
         if free_values:
             pos_of = {lab: i for i, lab in enumerate(self.col_labels)}
             for key, val in free_values.items():
@@ -410,12 +437,18 @@ class Echelon:
                 pos = pos_of[key]
                 if pos not in free:
                     raise ValueError("column %r is not free" % (key,))
-                x[pos] = Fraction(val)
+                val = x[pos] = Fraction(val)
+                if val:
+                    known.append((pos, -val.numerator, val.denominator))
+        if rhs is None:
+            known.append((ncols, 1, 1))
+        else:
+            known += [(ncols + t, n[0], d) for t, (n, d) in enumerate(zip(rhs.nums, rhs.dens)) if n]
+        # all of them as integers over one denominator D
+        D = lcm(*[d for _, _, d in known])
+        known = [(j, n * (D // d)) for j, n, d in known]
         for row, pc in zip(self.rows, self.pivots):
-            x[pc] = Fraction(row.get(ncols, 0), row[pc])
-            if free_values:
-                x[pc] -= sum(Fraction(v, row[pc]) * x[j] for j, v in row.items()
-                             if j != pc and j < ncols and x[j])
+            x[pc] = Fraction(sum([k * row[j] for j, k in known if j in row]), row[pc] * D)
         return x, list(free)
 
 

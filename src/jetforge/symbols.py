@@ -226,6 +226,10 @@ class RankReport:
                 self.generic_rank, self.sample_count)
         if self.constant_on_samples:
             return "rank %d on %d samples (sampled evidence only)" % (self.min_rank, self.sample_count)
+        if not self.sampled_ranks:
+            # the profile's note says why no point was ranked
+            return next((n for n in self.notes if n.startswith("sampling failed: ")),
+                        "no point was ranked")
         return "rank varies over samples: min %s max %s" % (self.min_rank, self.max_rank)
 
 

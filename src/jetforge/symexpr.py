@@ -205,21 +205,17 @@ class Expr:
         self._key = None
 
     @classmethod
-    def _make(cls, terms):
-        return _wrap({m: c for m, c in terms.items() if c != 0})
-
-    @classmethod
     def const(cls, value):
         c = Fraction(value)
         if c == 0:
             return ZERO
-        return cls._make({(): c})
+        return _wrap({(): c})
 
     @classmethod
     def variable(cls, v):
         if not isinstance(v, Atom):
             raise TypeError("expected an atom, got %r" % (v,))
-        return cls._make({((v, 1),): Fraction(1)})
+        return _wrap({((v, 1),): Fraction(1)})
 
     # -- inspection
 
@@ -287,12 +283,12 @@ class Expr:
     def __add__(self, other):
         terms = dict(self._terms)
         _add_terms(terms, as_expr(other)._terms)
-        return Expr._make(terms)
+        return _wrap(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr._make({m: -c for m, c in self._terms.items()})
+        return _wrap({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-as_expr(other))
@@ -308,7 +304,7 @@ class Expr:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 _add_term(terms, _merge_monomials(m1, m2), c1 * c2)
-        return Expr._make(terms)
+        return _wrap(terms)
 
     __rmul__ = __mul__
 
@@ -893,7 +889,7 @@ def clear_denominators(e, payloads=None):
                 seen[a.payload.sort_key()] = exp
             else:
                 plain.append((a, exp))
-        term = Expr._make({tuple(plain): c})
+        term = _wrap({tuple(plain): c})
         for k in order:
             payload, top = payloads[k]
             deficit = top - seen.get(k, 0)

@@ -261,8 +261,9 @@ def test_lift_obstruction_frobenius_counterexample():
 
 
 def test_warm_lift_solves_once(monkeypatch):
-    # one elimination of [A | rhs] gives the free columns, the
-    # obstruction test and the solution: Echelon.solve runs once
+    # the one elimination of [A | I] kept on the plan gives the free
+    # columns, the obstruction test and the solution: Echelon.solve
+    # runs once
     h = ig.make_klein_gordon(_curved_metric_m2(), F1=1, F2=1, K=lambda e: e ** 3)
     b = ig.sample_prolonged_points(h, 1, 1, seed=2)[0]
     want = ig.lift_point(h, b, policy="random", seed=5)
@@ -361,3 +362,17 @@ def test_condition1_sampled_fallback_matches_the_per_trial_loop(component, outco
         if outcome == "nonzero at all" and component.has_recip():
             # the quotient's payload is drawn as 0 in some trial, which is skipped
             assert skipped
+
+
+@pytest.mark.parametrize("name", ["kg_curved2.jf", "offdiag.jf", "kg_mink4.jf"])
+def test_inverse_metric_is_adjugate_over_determinant_term_for_term(name):
+    with open(os.path.join(os.path.dirname(__file__), "corpus", name), encoding="utf-8") as fh:
+        metric = cli.parse_problem_file(fh.read()).operator.metric
+    n, det = metric.m, metric.determinant()
+    for r in range(n):
+        for c in range(n):
+            minor = [[metric.entries[rr][cc] for cc in range(n) if cc != c]
+                     for rr in range(n) if rr != r]
+            want = (-1) ** (r + c) * sx.det(minor) / det
+            got = metric.inverse_entry(c + 1, r + 1)
+            assert list(got._terms.items()) == list(want._terms.items())

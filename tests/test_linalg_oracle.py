@@ -115,14 +115,21 @@ def test_solve_matches_sympy_consistency(case, data):
         free = [c for c in range(M.ncols) if c not in S.rref()[1]]
         values = {LABELS[f]: data.draw(ENTRIES) for f in free}
         assign = [values, values]
+    # one elimination of [M | I] serves every right-hand side
+    E = Echelon(M, RationalMatrix.identity(M.nrows))
     for rhs, values in zip(rhs_list, assign):
         b = sympy.Matrix(len(rhs), 1, [sympy.Rational(x.numerator, x.denominator) for x in rhs])
         consistent = S.row_join(b).rank() == S.rank()
+        R = RationalMatrix([[v] for v in rhs], col_labels=range(1))
+        assert E.consistent_with(R) == consistent
         if not consistent:
             with pytest.raises(ValueError, match="inconsistent"):
                 M.solve(rhs, free_values=values)
+            with pytest.raises(ValueError, match="inconsistent"):
+                E.solve(values, rhs=R)
             continue
         x, free = M.solve(rhs, free_values=values)
+        assert E.solve(values, rhs=R) == (x, free)
         assert _times(M, x) == rhs
         assert free == [c for c in range(M.ncols) if c not in S.rref()[1]]
         for f in free:

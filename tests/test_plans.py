@@ -26,7 +26,7 @@ from jetforge import integrability as ig
 from jetforge import jetcalc as jc
 from jetforge import spencer as sp
 from jetforge import symexpr as sx
-from jetforge.mindex import GradedIndexRange, MultiIndex, enumerate_indices, multinomial
+from jetforge.mindex import GradedIndexRange, MultiIndex, dim_F, enumerate_indices, multinomial
 from jetforge.symexpr import JetVar
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -312,3 +312,178 @@ def test_prolongation_symbol_and_jacobian_take_one_walk_per_expression(monkeypat
     jc.symbol_table(h)
     ig.variety_codim(h, 1, samples=2)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# lifts from the symbol: one elimination of [A | I] per distinct A
+
+
+def _ref_lift(h, b, policy="zero", free_data=None, seed=None):
+    """The lift by one elimination of [A | R] at this point, on the
+    per-entry reference system: the solution with zero free values plus
+    the kernel basis vectors times the free values, not `solve`."""
+    rows, rhs, row_labels, unknowns = _ref_lift_system(h, b)
+    A = sp.RationalMatrix(rows, row_labels=row_labels, col_labels=unknowns)
+    R = sp.RationalMatrix([[v] for v in rhs], row_labels=row_labels, col_labels=range(1))
+    E = sp.Echelon(A, R)
+    if not E.consistent:
+        raise ig.LiftObstructionError(
+            "no lift at this point: the next-order conditions are inconsistent")
+    free = [unknowns[f] for f in E.free]
+    values = None
+    if policy == "random":
+        rng = random.Random(seed)
+        draws = {lab: sx.random_rational(rng, 4) for lab in unknowns}
+        values = {lab: draws[lab] for lab in free}
+    elif policy == "explicit":
+        values = {lab: free_data[lab] for lab in free if lab in free_data}
+    x = E.solution().column(0)
+    K = E.kernel_basis()
+    for k, lab in enumerate(K.col_labels):
+        v = (values or {}).get(lab, 0)
+        x = [a + v * c for a, c in zip(x, K.column(k))]
+    return ig.LiftResult(point=b.extend(dict(zip(unknowns, x))), free_labels=free, rank=E.rank)
+
+
+def _check_lift(h, b, **kwargs):
+    """lift_point equals the per-point reference: the same point, free
+    labels and rank, or the same obstruction message."""
+    try:
+        want = _ref_lift(h, b, **kwargs)
+    except ig.LiftObstructionError as err:
+        with pytest.raises(ig.LiftObstructionError) as got:
+            ig.lift_point(h, b, check=False, **kwargs)
+        assert str(got.value) == str(err)
+        return None
+    got = ig.lift_point(h, b, check=False, **kwargs)
+    assert got.point == want.point
+    assert got.free_labels == want.free_labels
+    assert got.rank == want.rank
+    return got
+
+
+def _free_data(h, k, rng):
+    # a value for every order-k label, pivot columns included, which
+    # an explicit lift ignores
+    chart = jc.JetChartSpec(h.m, h.n, k)
+    return {(alpha, I): sx.random_rational(rng, 4) for alpha, I in chart.labels if I.degree == k}
+
+
+def _same_base(b, rng):
+    """A point over b's base point with fresh jet values."""
+    return jc.JetPoint(b.chart, b.base, {label: sx.random_rational(rng, 4) for label in b.chart.labels})
+
+
+LIFT_CASES = CASES[:2] + CASES[3:] + [
+    ("wave m=3", lambda: jc.DiffOp(3, 1, 2, [sx.jet(1, (2, 0, 0)) - sx.jet(1, (0, 2, 0))
+                                             - sx.jet(1, (0, 0, 2))]))]
+
+
+@pytest.mark.parametrize("policy", ["zero", "random", "explicit"])
+@pytest.mark.parametrize("name,make", LIFT_CASES, ids=[c[0] for c in LIFT_CASES])
+def test_lift_point_matches_one_elimination_per_point(name, make, policy):
+    h = make()
+    rng = random.Random("lift:%s:%s" % (name, policy))
+    for l in (0, 1):
+        k = h.order + l
+        kwargs = {"policy": policy}
+        # a run of points over one base point, then a new base point
+        # (a new sigma(b) wherever the symbol depends on the base), and
+        # back to the first base point
+        first = _random_point(h, k, rng)
+        points = [first, _same_base(first, rng), _same_base(first, rng),
+                  _random_point(h, k, rng), _same_base(first, rng)]
+        for i, b in enumerate(points):
+            if policy == "random":
+                kwargs["seed"] = "%s:%d" % (name, i)
+            elif policy == "explicit":
+                kwargs["free_data"] = _free_data(h, k + 1, rng)
+            _check_lift(h, b, **kwargs)
+
+
+def test_lift_reuses_the_matrix_and_its_elimination_while_the_symbol_repeats(monkeypatch):
+    # on curved Klein-Gordon the symbol is g^{ij}(x): every point over
+    # one base point has the same A, a new base point a new one
+    h = _kg(2)
+    rng = random.Random("reuse")
+    plan = jc.lift_plan(h, 0)
+    b = _random_point(h, 2, rng)
+    A = ig.lift_system_at(h, b)[0]
+    _check_lift(h, b)
+    E = plan.elimination[1]
+    assert plan.elimination[0] is A
+    made = []
+    init = sp.Echelon.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.Echelon, "__init__", counting_init)
+    for _ in range(3):
+        c = _same_base(b, rng)
+        assert ig.lift_system_at(h, c)[0] is A
+        ig.lift_point(h, c, check=False, policy="random", seed=1)
+    assert not made and plan.elimination[1] is E
+    # a new base point changes sigma(b): a new A, eliminated once
+    c = jc.JetPoint(b.chart, (b.base[0] + 1, b.base[1]), b.jets)
+    assert ig.lift_system_at(h, c)[0] is not A
+    monkeypatch.setattr(sp.Echelon, "__init__", init)
+    _check_lift(h, c)
+    assert plan.elimination[0] is not A
+
+
+def _vanishing_symbol_op():
+    # x1*u_(2,0) + x1*u_(0,2) - u: sigma(b) = 0 on the line x1 = 0
+    x1 = sx.base(1)
+    return jc.DiffOp(2, 1, 2, [x1 * sx.jet(1, (2, 0)) + x1 * sx.jet(1, (0, 2))
+                               - sx.jet(1, (0, 0))])
+
+
+@pytest.mark.parametrize("policy", ["zero", "random"])
+def test_lift_where_the_symbol_vanishes(policy):
+    h = _vanishing_symbol_op()
+    rng = random.Random("vanishing symbol")
+    chart = jc.JetChartSpec(2, 1, 2)
+    kwargs = {"policy": policy, "seed": 3}
+    # A = 0 at x1 = 0: the rows are D_1 h = u_(2,0) + u_(0,2) - u_(1,0)
+    # and D_2 h = -u_(0,1) there, so the lift is obstructed unless both
+    # vanish, and then every new coordinate is free
+    off = _random_point(h, 2, rng)
+    on = jc.JetPoint(chart, (Q(0), Q(1, 3)), off.jets)
+    assert not any(ig.lift_system_at(h, on)[0].nums)
+    jets = dict(off.jets)
+    jets[(1, (0, 1))] = Q(0)
+    jets[(1, (1, 0))] = jets[(1, (2, 0))] + jets[(1, (0, 2))]
+    solvable = jc.JetPoint(chart, (Q(0), Q(2)), jets)
+    # nonzero sigma, zero sigma obstructed, zero sigma solvable, and back
+    assert _check_lift(h, off, **kwargs).rank == 2
+    with pytest.raises(ig.LiftObstructionError, match="inconsistent"):
+        ig.lift_point(h, on, check=False, **kwargs)
+    _check_lift(h, on, **kwargs)
+    res = _check_lift(h, solvable, **kwargs)
+    assert res.rank == 0 and res.free_count == 4
+    assert _check_lift(h, off, **kwargs).rank == 2
+
+
+SCALAR_CORPUS = sorted(name for name in os.listdir(CORPUS)
+                       if name.endswith(".jf") and _corpus_op(name).n_out == 1)
+
+
+@pytest.mark.parametrize("name", SCALAR_CORPUS)
+def test_lift_matrix_has_full_row_rank_where_the_symbol_is_nonzero(name):
+    # for one scalar equation, A at level l is multiplication by sigma(xi)
+    # from Sym^(l+1) to Sym^(k+l+1), injective wherever sigma(b) != 0
+    h = _corpus_op(name)
+    symbol = list(jc.symbol_table(h).values())
+    checked = 0
+    for l in (0, 1, 2):
+        for b in ig.sample_prolonged_points(h, l, 3, seed="rank:%s" % name):
+            assignment = b.assignment()
+            if all(sx.evaluate(e, assignment) == 0 for e in symbol):
+                continue
+            A = ig.lift_system_at(h, b)[0]
+            assert A.nrows == dim_F(GradedIndexRange(h.m, l + 1, l + 1))
+            assert sp.Echelon(A).rank == A.nrows, (name, l)
+            checked += 1
+    assert checked == 9

@@ -228,3 +228,12 @@ def test_symbol_constraint_matrix_matches_the_entrywise_rows():
         a = _point(h, seed)
         assert [list(r) for r in sp.symbol_constraint_matrix(h, a).rows] == \
             _constraint_rows_reference(h, a)
+
+
+def test_rank_summary_reports_why_no_point_was_ranked():
+    # x1^3000 overflows a float at every sampled point, so no rank is
+    # sampled and the summary is the sampling failure, not a varying rank
+    rep = sy.rank_profile([[sx.base(1) ** 3000]], samples=3, seed=0, mode="float")
+    assert rep.sampled_ranks == []
+    assert rep.summary().startswith("sampling failed: ")
+    assert rep.summary() in rep.notes

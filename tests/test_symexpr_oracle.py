@@ -290,7 +290,7 @@ def mixed_points(draw, values=MIXED):
 
 def _fresh(e):
     """An equal expression that has not been evaluated yet."""
-    return sx.Expr._make(dict(e._terms))
+    return sx._wrap(dict(e._terms))
 
 
 def _looks(batch):
@@ -585,7 +585,7 @@ def _differentiate_by_repeated_add(e, v):
                 rest.pop(idx)
             else:
                 rest[idx] = (a, exp - 1)
-            out = out + sx.Expr._make({tuple(rest): c * exp}) * da
+            out = out + sx._wrap({tuple(rest): c * exp}) * da
     return out
 
 
