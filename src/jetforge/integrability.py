@@ -265,7 +265,7 @@ def lift_system_at(h, b):
             nums.append({j: x.numerator * (den // x.denominator) for j, x in nz})
             dens.append(den)
         A = sp.RationalMatrix.from_int_rows(nums, dens, plan.unknowns, row_labels=plan.row_labels)
-        plan.last = (sigma, A)
+        plan.last = (sigma, A, None)
     R = sp.RationalMatrix.from_int_rows(
         [{0: -values[p].numerator} for p in plan.rhs], [values[p].denominator for p in plan.rhs],
         range(1), row_labels=plan.row_labels)
@@ -300,13 +300,10 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
             raise ValueError("point does not satisfy the prolonged equations")
     A, R, unknowns = lift_system_at(h, b)
     plan = jc.lift_plan(h, l)
-    if plan.elimination is None or plan.elimination[0] is not A:
-        plan.elimination = (A, sp.Echelon(A, sp.RationalMatrix.identity(A.nrows)))
-    E = plan.elimination[1]
-    if not E.consistent_with(R):
-        raise LiftObstructionError(
-            "no lift at this point: the next-order conditions are inconsistent"
-        )
+    sigma, _, E = plan.last
+    if E is None:
+        E = sp.Echelon(A, sp.RationalMatrix.identity(A.nrows))
+        plan.last = (sigma, A, E)
     free = E.free
     free_values = None
     if policy == "random":
@@ -326,7 +323,14 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
         }
     elif policy != "zero":
         raise ValueError("unknown free-data policy %r" % policy)
-    x, free = E.solve(free_values, rhs=R)
+    try:
+        x, free = E.solve(R, free_values)
+    except ValueError:
+        # the free values are keyed by E's own free columns, so the one
+        # error left is an inconsistent R
+        raise LiftObstructionError(
+            "no lift at this point: the next-order conditions are inconsistent"
+        ) from None
     new_jets = {unknowns[i]: x[i] for i in range(len(unknowns))}
     point = b.extend(new_jets)
     return LiftResult(point=point, free_labels=[unknowns[f] for f in free], rank=E.rank)

@@ -407,14 +407,13 @@ class LiftPlan:
     values sigma(b).  `entries` lists, per row, the (column, value
     position) of each structurally nonzero entry of A, `sigma` the value
     position of each distinct symbol entry, and `rhs` the value position
-    of each row's component.  `last` is (the values at `sigma`, A) of
-    the last point a lift system was built at, and `elimination` is
-    (A, the `Echelon` of [A | I]) of the last A a lift solved with; both
-    are None until then, and only the last one of each is kept.
+    of each row's component.  `last` is (the values at `sigma`, A, the
+    `Echelon` of [A | I] or None until a lift solves with A) of the last
+    point a lift system was built at, None until then; only the last one
+    is kept.
     """
 
-    __slots__ = ("unknowns", "row_labels", "batch", "entries", "sigma", "rhs", "last",
-                 "elimination")
+    __slots__ = ("unknowns", "row_labels", "batch", "entries", "sigma", "rhs", "last")
 
     def __init__(self, h, l):
         chart = JetChartSpec(h.m, h.n, h.order + l + 1)
@@ -447,7 +446,6 @@ class LiftPlan:
         self.sigma = tuple(sigma.values())
         self.rhs = tuple(rhs)
         self.last = None
-        self.elimination = None
 
     def values_at(self, b):
         """The entries at the level-l point b, row after row."""

@@ -205,9 +205,12 @@ class RationalMatrix:
         return Echelon(self).kernel_basis()
 
     def solve(self, rhs, free_values=None):
+        """`Echelon.solve` for the one column rhs, eliminated with M as
+        [M | rhs], at y = (1)."""
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has %d entries for %d rows" % (len(rhs), self.nrows))
-        return Echelon(self, RationalMatrix([[v] for v in rhs], col_labels=range(1))).solve(free_values)
+        E = Echelon(self, RationalMatrix([[v] for v in rhs], col_labels=range(1)))
+        return E.solve(RationalMatrix.identity(1), free_values)
 
     def __eq__(self, other):
         # rows equal as Fraction tuples; a matrix without rows has no
@@ -406,23 +409,21 @@ class Echelon:
         y = [Fraction(n.get(0, 0), d) for n, d in zip(rhs.nums, rhs.dens)]
         return not any(sum(v * y[j - ncols] for j, v in row.items()) for row in self._rest)
 
-    def solve(self, free_values=None, rhs=None):
-        """One exact solution x of M * x = b.
-
-        Without `rhs`, b is the one column this elimination was made
-        with.  Otherwise b = rhs_M * y for the right-hand side rhs_M it
-        was made with and y the one column of the `RationalMatrix` rhs
-        (one row per column of rhs_M): one elimination of [M | I] solves
-        for every b, the right-hand side part of each reduced pivot row
-        read against y (`consistent_with` checks the other rows).
+    def solve(self, rhs, free_values=None):
+        """One exact solution x of M * x = rhs_M * y, for rhs_M the
+        right-hand side this elimination was made with and y the one
+        column of the `RationalMatrix` rhs, one row per column of rhs_M.
+        One elimination of [M | I] so solves M * x = b for every b: the
+        right-hand side part of each reduced pivot row is read against y.
 
         Free (non-pivot) coordinates are zero unless `free_values` maps
         their column label to a value.  Returns (solution, free column
-        positions); raises ValueError on inconsistency, on a label that
-        is not a column label, and on a label of a pivot column.
+        positions); raises ValueError on inconsistency
+        (`consistent_with`), on a label that is not a column label, and
+        on a label of a pivot column.
         """
         ncols = len(self.col_labels)
-        if not (self.consistent if rhs is None else self.consistent_with(rhs)):
+        if not self.consistent_with(rhs):
             raise ValueError("inconsistent linear system")
         free = self.free
         x = [Fraction(0)] * ncols
@@ -440,10 +441,7 @@ class Echelon:
                 val = x[pos] = Fraction(val)
                 if val:
                     known.append((pos, -val.numerator, val.denominator))
-        if rhs is None:
-            known.append((ncols, 1, 1))
-        else:
-            known += [(ncols + t, n[0], d) for t, (n, d) in enumerate(zip(rhs.nums, rhs.dens)) if n]
+        known += [(ncols + t, n[0], d) for t, (n, d) in enumerate(zip(rhs.nums, rhs.dens)) if n]
         # all of them as integers over one denominator D
         D = lcm(*[d for _, _, d in known])
         known = [(j, n * (D // d)) for j, n, d in known]

@@ -126,10 +126,10 @@ def test_solve_matches_sympy_consistency(case, data):
             with pytest.raises(ValueError, match="inconsistent"):
                 M.solve(rhs, free_values=values)
             with pytest.raises(ValueError, match="inconsistent"):
-                E.solve(values, rhs=R)
+                E.solve(R, free_values=values)
             continue
         x, free = M.solve(rhs, free_values=values)
-        assert E.solve(values, rhs=R) == (x, free)
+        assert E.solve(R, free_values=values) == (x, free)
         assert _times(M, x) == rhs
         assert free == [c for c in range(M.ncols) if c not in S.rref()[1]]
         for f in free:
@@ -346,7 +346,8 @@ def test_augmented_elimination_matches_sympy(system):
     assert M.matmul(X) == B
     assert all(X.rows[f] == (Q(0),) * k for f in E.free)
     if k == 1:
-        x, free = E.solve()
+        # y = (1): b is B's one column
+        x, free = E.solve(RationalMatrix.identity(1))
         assert x == X.column(0) and free == E.free
 
 

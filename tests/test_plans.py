@@ -410,8 +410,8 @@ def test_lift_reuses_the_matrix_and_its_elimination_while_the_symbol_repeats(mon
     b = _random_point(h, 2, rng)
     A = ig.lift_system_at(h, b)[0]
     _check_lift(h, b)
-    E = plan.elimination[1]
-    assert plan.elimination[0] is A
+    assert plan.last[1] is A
+    E = plan.last[2]
     made = []
     init = sp.Echelon.__init__
 
@@ -424,13 +424,13 @@ def test_lift_reuses_the_matrix_and_its_elimination_while_the_symbol_repeats(mon
         c = _same_base(b, rng)
         assert ig.lift_system_at(h, c)[0] is A
         ig.lift_point(h, c, check=False, policy="random", seed=1)
-    assert not made and plan.elimination[1] is E
+    assert not made and plan.last[2] is E
     # a new base point changes sigma(b): a new A, eliminated once
     c = jc.JetPoint(b.chart, (b.base[0] + 1, b.base[1]), b.jets)
     assert ig.lift_system_at(h, c)[0] is not A
     monkeypatch.setattr(sp.Echelon, "__init__", init)
     _check_lift(h, c)
-    assert plan.elimination[0] is not A
+    assert plan.last[1] is not A and plan.last[2] is not E
 
 
 def _vanishing_symbol_op():
