@@ -731,10 +731,12 @@ def run_command(spec, command, flags, source="<memory>"):
 # Requests whose estimate is above these are refused before any work.
 # The largest in the corpus, the tests and the benchmark are below a
 # tenth of them: the spencer tables of the benchmark (wave operator at
-# m=4, pmax=4, qmax=5) reach 112896 matrix entries, and the corpus
-# prolongs to at most 15 components.
+# m=4, pmax=4, qmax=5) reach 112896 matrix entries, the corpus prolongs
+# to at most 15 components, and its largest term degree is 8.  Exact
+# evaluation raises numbers to the term degree (`term_degree`).
 MAX_MATRIX_ENTRIES = 2_000_000
 MAX_PROLONGED_COMPONENTS = 2_000
+MAX_TERM_DEGREE = 200
 
 
 def spencer_matrix_entries(m, n, pmax, qmax):
@@ -768,14 +770,27 @@ def prolonged_components(m, n_out, l):
     return n_out * comb(m + l, l)
 
 
+def term_degree(h):
+    """The largest total degree of a term of h's components, every atom
+    counted: the dmax to which `sx.Batch` raises a common denominator."""
+    return max((sum(e for _, e in mono) for c in h.components for mono, _ in c.terms()),
+               default=0)
+
+
 def _refuse_oversized(h, q, flags):
-    """Raise ProblemError when a spencer, prolong, codim, solve or tower
-    query on the operator h would build more than the module bounds
-    allow: prolong(l) and codim(l) prolong to level l, solve(N) to level
-    N - k, and tower(levels) builds jet charts up to order levels, whose
-    top one has as many jet coordinates as an order-levels prolongation
-    of n components.  Bounds of the wrong type or sign are left to the
-    query itself, which reports them."""
+    """Raise ProblemError when h has a term of degree above
+    MAX_TERM_DEGREE, or when a spencer, prolong, codim, solve or tower
+    query on h would build more than the module bounds allow: prolong(l)
+    and codim(l) prolong to level l, solve(N) to level N - k, and
+    tower(levels) builds jet charts up to order levels, whose top one
+    has as many jet coordinates as an order-levels prolongation of n
+    components.  Bounds of the wrong type or sign are left to the query
+    itself, which reports them."""
+    degree = term_degree(h)
+    if degree > MAX_TERM_DEGREE:
+        raise ProblemError(
+            "the operator is too large: it has a term of total degree %d, above the "
+            "limit of %d" % (degree, MAX_TERM_DEGREE))
     m, n, n_out, order = h.m, h.n, h.n_out, h.order
     args = _query_args(q, h, flags)
     if q.name == "spencer":

@@ -8,8 +8,11 @@ the next order of jet coordinates; its closed form for wave-type
 operators in normal coordinates is pinned by golden tests.
 
 Exactness policy: certification claims are made only for polynomial or
-rational data where symbolic generic ranks and identities are decided
-structurally; everything else is reported as sampled evidence.
+rational data, where identities are decided structurally and the ranks
+that the symbol fixes have closed forms: where sigma != 0 the prolonged
+symbol has rank m and each block of the prolonged Jacobian full row rank
+(`symbols.rank_profile`, `variety_codim`).  Everything else is reported
+as sampled evidence.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from . import symexpr as sx
 from . import jetcalc as jc
 from . import spencer as sp
 from . import symbols as sy
-from .symexpr import BaseVar, JetVar
+from .symexpr import BaseVar
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +342,20 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
 def sample_prolonged_points(h, l, count, seed):
     """Points of ker(h)^(l) built by lifting sampled ker(h) points with
     seeded random free data."""
-    base_points = sy.sample_variety_points(h, count, seed)
-    out = []
-    for idx, b in enumerate(base_points):
+    return [b for b, _ in _lifted_points(h, l, count, seed)]
+
+
+def _lifted_points(h, l, count, seed):
+    """(point, lift ranks) for each point of `sample_prolonged_points`:
+    the rank of the lift matrix of each of the l steps that built it."""
+    for idx, b in enumerate(sy.sample_variety_points(h, count, seed)):
+        ranks = []
         for step in range(l):
-            step_seed = "%s:%d:%d" % (seed, idx, step)
-            b = lift_point(h, b, policy="random", seed=step_seed, check=False).point
-        out.append(b)
-    return out
+            res = lift_point(h, b, policy="random", seed="%s:%d:%d" % (seed, idx, step),
+                             check=False)
+            b = res.point
+            ranks.append(res.rank)
+        yield b, ranks
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +430,7 @@ def _check_symbol_nonvanishing(h, samples, seed):
                 "is nondegenerate",
             )
     # sampled fallback: all coefficients zero at some point would fail
-    slots, points = sy._sample_points_for([coeffs], None, samples, seed)
+    slots, points = sy._random_points(coeffs, samples, seed)
     batch = sx.Batch(coeffs, slots)
     for values in points:
         try:
@@ -452,8 +461,7 @@ def check_conditions(h, samples=20, seed=0, mode="exact"):
 
     c1 = _check_symbol_nonvanishing(h, samples, seed)
 
-    M1 = sy.SymbolProlongMatrix(h)
-    profile = sy.rank_profile(M1.entries, constraint=h, samples=samples, seed=seed + 1, mode=mode)
+    profile = sy.rank_profile(h, samples=samples, seed=seed + 1, mode=mode)
     c2 = ConditionReport(
         "prolonged symbol constant rank",
         profile.constant_on_samples or profile.certified,
@@ -530,37 +538,20 @@ def variety_codim(h, l, samples=10, seed=0):
     The expected codimension of the order-(k+l) equation variety is the
     number of defining equations, dim_F(m, 0, l) for a scalar operator.
 
-    The Jacobian over every chart coordinate is built once for all
-    points.  Component D_I h has order k + |I|: its columns of that
-    order are the shifted symbol entries (`jc.shifted_symbol`), its
-    columns of higher order are zero, and only the lower-order ones
-    are differentiated, by one walk per component (`sx.partials`).
+    The Jacobian of `prolong_op(h, l)` is block lower-triangular: D_I h
+    has order k + |I|, and its columns of that order are the shifted
+    symbol, the row sigma(b) for |I| = 0 and the lift matrix of step
+    |I| - 1 otherwise.  Every point of `sy.sample_variety_points` has
+    c(b) != 0, c the symbol entry of its solved variable, so sigma(b) != 0
+    there and at each lift of it.  Then each diagonal block has full row
+    rank (multiplication by sigma(xi) is injective), and so has the
+    Jacobian: its rank is 1 plus the rank of each lift step that built
+    the point, read off its `LiftResult`.
     """
     if h.n_out != 1:
         raise ValueError("codimension diagnostics are for scalar operators")
-    prolonged = jc.prolong_op(h, l)
-    chart = prolonged.chart()
-    coords = chart.atoms
-    pts = sample_prolonged_points(h, l, samples, seed)
-    symbol = jc.symbol_table(h)
-    orders = [v.index.degree if isinstance(v, JetVar) else -1 for v in coords]
-    jacobian = []
-    for comp, (beta, I) in zip(prolonged.components, prolonged.labels):
-        top = h.order + I.degree
-        d = sx.partials(comp, [v for v, order in zip(coords, orders) if order < top])
-        for v, order in zip(coords, orders):
-            if order < top:
-                jacobian.append(d[v])
-            elif order == top:
-                jacobian.append(jc.shifted_symbol(symbol, v.alpha, beta, v.index, I))
-            else:
-                jacobian.append(sx.ZERO)
-    width = len(coords)
-    batch = sx.Batch(jacobian, chart.slots)
-    observed = []
-    for p in pts:
-        values = batch.at(p.base + p.values)
-        rows = [values[start:start + width] for start in range(0, len(values), width)]
-        observed.append(sp.RationalMatrix(rows).rank())
+    # built before sampling, so a prolongation error comes first
+    jc.prolong_op(h, l)
+    observed = [1 + sum(ranks) for _, ranks in _lifted_points(h, l, samples, seed)]
     expected = dim_F(GradedIndexRange(h.m, 0, l))
-    return CodimReport(level=l, expected=expected, observed=observed, points=len(pts))
+    return CodimReport(level=l, expected=expected, observed=observed, points=len(observed))

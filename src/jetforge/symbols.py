@@ -186,16 +186,6 @@ def sample_variety_points(h, count, seed):
     return points
 
 
-def restrict_to_variety(entries, h):
-    """Substitute the solved top-order variable of h = 0 into a matrix of
-    expressions, yielding entries on a rational chart of the variety."""
-    v, c = _solvable_top_var(h)
-    rest = h.components[0] - c * Expr.variable(v)
-    sol = -rest / c
-    bindings = {v: sol}
-    return [[sx.substitute(e, bindings) for e in row] for row in entries]
-
-
 @dataclass
 class RankReport:
     nrows: int
@@ -237,57 +227,58 @@ class RankReport:
 FLOAT_RANK_TOL = 1e-9
 
 
-def rank_profile(entries, constraint=None, samples=20, seed=0, mode="exact"):
-    """Rank statistics of a matrix of expressions, optionally restricted
-    to the zero variety of a scalar operator.
+def rank_profile(h, samples=20, seed=0, mode="exact"):
+    """Rank statistics of the prolonged symbol `SymbolProlongMatrix(h)`
+    over the zero variety of the scalar operator h.
 
-    Exact mode computes the symbolic generic rank by division-free
-    elimination (after substituting the variety chart when a constraint
-    is given) and compares it against exact ranks at sampled variety
-    points, read from one `sx.Batch` of all entries; the report is
-    certified only when they all agree.  Float mode ranks the same
-    points by singular values.  In either mode a sampler or evaluation
-    failure, a float overflow included, is a note, not an error.
+    Entry (i, J) is sigma_{J-e_i} J!/(k+1)!, so the matrix is
+    multiplication by sigma(xi) from Sym^1 to Sym^(k+1), columns scaled,
+    and has rank m wherever sigma != 0.  On the variety sigma is not
+    identically 0: its entry c at the solved top-order variable
+    (`_solvable_top_var`) is nonzero and free of that variable.  So the
+    exact generic rank is the closed form m, given where that variable
+    exists and the entries hold no primitive; the notes say which gate
+    failed.  The sampled ranks are taken at variety points, exact ones
+    from one `sx.Batch` of all entries, float ones by singular values;
+    the report is certified only when the generic rank equals them all.
+    A sampler or evaluation failure, a float overflow included, is a
+    note, not an error.
     """
-    entries = [[sx.as_expr(e) for e in row] for row in entries]
+    if mode not in ("exact", "float"):
+        raise ValueError("mode must be exact or float")
+    entries = SymbolProlongMatrix(h).entries
     nrows = len(entries)
     ncols = len(entries[0]) if entries else 0
     report = RankReport(nrows=nrows, ncols=ncols, mode=mode, seed=seed)
-    if mode not in ("exact", "float"):
-        raise ValueError("mode must be exact or float")
     exact = mode == "exact"
 
     if exact:
-        work = entries
         exact_ok = all(not e.has_primitive() for row in entries for e in row)
-        if constraint is not None:
-            try:
-                work = restrict_to_variety(entries, constraint)
-                report.notes.append("restricted to a rational chart of the constraint variety")
-            except SamplerError as err:
-                report.notes.append("variety restriction unavailable: %s" % err)
-                exact_ok = False
+        try:
+            _solvable_top_var(h)
+            report.notes.append("restricted to a rational chart of the constraint variety")
+        except SamplerError as err:
+            report.notes.append("variety restriction unavailable: %s" % err)
+            exact_ok = False
         if exact_ok:
-            report.generic_rank = sp.generic_rank_exprs(work)
+            report.generic_rank = h.m
         else:
             report.notes.append("generic rank skipped (non-polynomial entries)")
 
     flat = [e for row in entries for e in row]
     split = lambda vals: [vals[i * ncols:(i + 1) * ncols] for i in range(nrows)]
     try:
-        slots, points = _sample_points_for(entries, constraint, samples, seed)
+        points = sample_variety_points(h, samples, seed)
+        ranks = []
         if exact:
-            batch = sx.Batch(flat, slots)
+            batch = sx.Batch(flat, h.chart().slots)
+            for p in points:
+                ranks.append(sp.RationalMatrix(split(batch.at(p.base + p.values))).rank())
         else:
             import numpy as np
-        ranks = []
-        for values in points:
-            if exact:
-                ranks.append(sp.RationalMatrix(split(batch.at(values))).rank())
-            else:
+            for p in points:
                 # the points are exact; float mode applies float() to each value
-                vals = sx.evaluate_many(flat, {v: values[p] for v, p in slots.items()},
-                                        exact=False)
+                vals = sx.evaluate_many(flat, p.assignment(), exact=False)
                 ranks.append(int(np.linalg.matrix_rank(np.array(split(vals), dtype=float),
                                                        tol=FLOAT_RANK_TOL)))
         report.sampled_ranks = ranks
@@ -305,18 +296,10 @@ def rank_profile(entries, constraint=None, samples=20, seed=0, mode="exact"):
     return report
 
 
-def _sample_points_for(entries, constraint, samples, seed):
-    """Exact points covering the free variables of the entries, as
-    ({variable: position}, a list of value lists): variety points on
-    the constraint's chart when a constraint is given, plain random
-    points otherwise."""
-    if constraint is not None:
-        points = sample_variety_points(constraint, samples, seed)
-        return constraint.chart().slots, [p.base + p.values for p in points]
+def _random_points(exprs, samples, seed):
+    """Seeded random exact points covering the free variables of exprs,
+    as ({variable: position}, a list of value lists)."""
     rng = random.Random(seed)
-    allvars = sorted(
-        {v for row in entries for e in row for v in e.free_vars()},
-        key=lambda v: v.key,
-    )
+    allvars = sorted({v for e in exprs for v in e.free_vars()}, key=lambda v: v.key)
     return ({v: pos for pos, v in enumerate(allvars)},
             [[sx.random_rational(rng, 5) for _ in allvars] for _ in range(samples)])

@@ -705,10 +705,12 @@ class Batch:
     const (None when there are atoms).
 
     An evaluation (`at`) takes one lcm D of the atom denominators,
-    computes each power once and sums each entry over the integers; the
-    one gcd is taken when its Fraction is formed.  Terms that hold an
-    atom of value 0 are skipped, not multiplied out; when no atom is 0
-    that costs one membership test per evaluation.
+    computes each power once, of D only those whose exponent is a gap or
+    a dmax of some entry, each from the one before (`dsteps`), and sums
+    each entry over the integers; the one gcd is taken when its Fraction
+    is formed.  Terms that hold an atom of value 0 are skipped, not
+    multiplied out; when no atom is 0 that costs one membership test per
+    evaluation.
 
     Atoms that have no slot are evaluated in their turn: a quotient or
     primitive from its argument, by a batch of its own over the same
@@ -717,7 +719,7 @@ class Batch:
     evaluating the expressions one by one meets.
     """
 
-    __slots__ = ("atoms", "powers", "entries", "out", "top", "read", "special")
+    __slots__ = ("atoms", "powers", "entries", "out", "dsteps", "read", "special")
 
     def __init__(self, exprs, slots):
         atoms = {}
@@ -725,7 +727,6 @@ class Batch:
         entries = []
         seen = {}
         out = []
-        top = 0
         for e in exprs:
             pos = seen.get(id(e))
             if pos is None:
@@ -749,8 +750,6 @@ class Batch:
                     degrees.append(d)
                     monos.append(tuple(ps))
                 dmax = max(degrees, default=0)
-                if dmax > top:
-                    top = dmax
                 entries.append((L, dmax, tuple(coefs), tuple([dmax - d for d in degrees]),
                                 tuple(monos), None if any(monos) else Fraction(sum(coefs), L)))
             out.append(pos)
@@ -759,7 +758,9 @@ class Batch:
         self.entries = tuple(entries)
         # None when every expression is its own entry, in order
         self.out = None if len(out) == len(entries) else tuple(out)
-        self.top = top
+        # consecutive exponents of the powers of D that the entries use
+        exps = sorted({0}.union(*[(t[1], *t[3]) for t in entries]))
+        self.dsteps = tuple(zip(exps, exps[1:]))
         self.read = tuple([slots[a] for a in self.atoms if a in slots])
         self.special = tuple([
             (i, a, None if isinstance(a, VarRef) else Batch([_argument(a)], slots))
@@ -783,9 +784,9 @@ class Batch:
             D = math.lcm(*[x.denominator for x in vals])
             nums = [x.numerator * (D // x.denominator) for x in vals]
             f = [nums[i] if k == 1 else nums[i] ** k for i, k in self.powers].__getitem__
-            dpow = [1]
-            for _ in range(self.top):
-                dpow.append(dpow[-1] * D)
+            dpow = {0: 1}
+            for a, b in self.dsteps:
+                dpow[b] = dpow[a] * D ** (b - a)
             # the powers of zero-valued atoms; a term holding one is 0
             zero = None
             if 0 in nums:

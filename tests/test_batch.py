@@ -130,3 +130,22 @@ def test_first_error_is_met_in_turn():
     # with no slots at all every atom is met in its turn
     want = (EvaluationError, "no value assigned to x1")
     assert _outcome(lambda: sx.Batch(exprs, {}).at([])) == want
+
+
+def test_batch_of_degrees_3000_and_0_matches_a_per_term_reference():
+    # the entries use the powers D^e of the common denominator only at
+    # e = 0, 1499, 2999 and 3000, far apart
+    x1, x2 = sx.base(1), sx.base(2)
+    exprs = [x1 ** 3000 - 2 * x1 ** 1500 * x2 + x2 * Q(1, 3) - 5, sx.Expr.const(Q(7, 2))]
+    values = {X1: Q(3, 2), X2: Q(-5, 7)}
+    want = [sum((c * _term_value(mono, values) for mono, c in e.terms()), Q(0))
+            for e in exprs]
+    assert sx.Batch(exprs, {X1: 0, X2: 1}).at([values[X1], values[X2]]) == want
+    assert want[1] == Q(7, 2)
+
+
+def _term_value(mono, values):
+    out = Q(1)
+    for v, exp in mono:
+        out *= values[v] ** exp
+    return out

@@ -403,8 +403,7 @@ def test_float_overflow_is_a_failed_condition_or_an_error_line(tmp_path, capsys)
     assert [c["passed"] for c in conds] == [True, False, True]
 
     h = cli.parse_problem_file(text).operator
-    profile = sy.rank_profile(sy.SymbolProlongMatrix(h).entries, constraint=h, samples=4,
-                              seed=1, mode="float")
+    profile = sy.rank_profile(h, samples=4, seed=1, mode="float")
     assert profile.sampled_ranks == []
     assert "sampling failed: integer division result too large for a float" in profile.notes
 
@@ -561,6 +560,31 @@ def test_main_refuses_oversized_codim_and_solve_up_front(tmp_path, capsys, text,
     assert captured.err.startswith("error: %s(" % query) and "too large" in captured.err
     assert captured.out == ""
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", ["integrability", "symbol"])
+def test_main_refuses_an_operator_of_too_high_degree_up_front(tmp_path, capsys, command):
+    # exact evaluation raises numbers to the term degree: without the
+    # bound, integrability on this operator ran for minutes
+    path = tmp_path / "big.jf"
+    path.write_text("base m = 2;\nfiber n = 1;\norder k = 2;\n"
+                    "operator h = u[(2,0)]*u[(0,0)]^3000 - 0.5*u[(0,2)];\n")
+    t0 = time.perf_counter()
+    code = cli.main([command, str(path)])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("error: the operator is too large: it has a term of total "
+                            "degree 3001, above the limit of %d\n" % cli.MAX_TERM_DEGREE)
+    assert captured.out == ""
+    assert elapsed < 1.0
+
+
+def test_term_degree_bound_is_far_above_the_corpus():
+    degrees = [cli.term_degree(cli.parse_problem_file(_corpus_bytes(name).decode()).operator)
+               for name in sorted(os.listdir(CORPUS_DIR)) if name.endswith(".jf")]
+    assert max(degrees) == 8
+    assert 10 * max(degrees) < cli.MAX_TERM_DEGREE
 
 
 def test_main_refuses_oversized_tower_up_front(tmp_path, capsys):

@@ -339,6 +339,44 @@ def test_sections_split_the_steps_and_vanish_on_free_columns(seed):
         assert all(f.rows[c] == (Q(0),) * f.ncols for c in free)
 
 
+@st.composite
+def _surjective_towers(draw):
+    """Random linear towers of 1 to 5 levels: each step is a row-echelon
+    block with a nonzero diagonal, so of full row rank, with its
+    columns permuted."""
+    dims = [draw(st.integers(1, 3))]
+    for _ in range(draw(st.integers(0, 4))):
+        dims.append(dims[-1] + draw(st.integers(0, 2)))
+    entry = st.builds(Q, st.integers(-3, 3), st.integers(1, 4))
+    pivot = st.builds(Q, st.integers(1, 3) | st.integers(-3, -1), st.integers(1, 4))
+    steps = []
+    for r, c in zip(dims, dims[1:]):
+        rows = [[Q(0)] * a + [draw(pivot)] + [draw(entry) for _ in range(c - a - 1)]
+                for a in range(r)]
+        perm = draw(st.permutations(range(c)))
+        steps.append(RM([[row[p] for p in perm] for row in rows]))
+    return pfd.LinearTower(dims, steps)
+
+
+def _dense_product(A, B):
+    return [[sum((a * b for a, b in zip(row, col)), Q(0)) for col in zip(*B.rows)]
+            for row in A.rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_surjective_towers())
+def test_tower_splitting_identities_on_random_surjective_towers(T):
+    split = pfd.tower_splitting(T)
+    assert split.verify()
+    for i in range(1, T.length):
+        step, f, K = T.steps[i - 1], split.sections[i], split.kernel_bases[i]
+        n = T.dims[i - 1]
+        assert _dense_product(step, f) == [[Q(int(r == c)) for c in range(n)] for r in range(n)]
+        assert K.ncols == T.dims[i] - n
+        assert all(x == 0 for row in _dense_product(step, K) for x in row)
+    assert sum(split.tilde_dim(i) for i in range(T.length)) == T.dims[-1]
+
+
 def _tampered(M, r, c, delta):
     rows = [list(row) for row in M.rows]
     rows[r][c] += delta

@@ -2,11 +2,13 @@
 
 `prolong_op` builds each level once from the level below and keeps it
 on the operator; `lift_system_at` evaluates a lift plan compiled once
-per (operator, level); `variety_codim` differentiates its Jacobian once
-per call.  The references here recompute everything per point: a fresh
-prolongation by iterated total derivatives from the operator itself
-(axes in increasing order), then one `differentiate` and one `evaluate`
-per entry.  Lift plans read their Jacobian off the operator's symbol
+per (operator, level); `variety_codim` and condition 2 read their ranks
+off the symbol, by closed forms.  The references here recompute
+everything per point: a fresh prolongation by iterated total
+derivatives from the operator itself (axes in increasing order), then
+one `differentiate` and one `evaluate` per entry, and for condition 2
+the symbolic route, a substitution and a division-free elimination.
+Lift plans read their Jacobian off the operator's symbol
 by an index shift, so random polynomial operators (nonlinear in the
 top-order jets, or declared above their actual order) check the shift,
 and the symbol matrix, against that reference.  Every comparison is
@@ -25,6 +27,7 @@ from jetforge import cli
 from jetforge import integrability as ig
 from jetforge import jetcalc as jc
 from jetforge import spencer as sp
+from jetforge import symbols as sy
 from jetforge import symexpr as sx
 from jetforge.mindex import GradedIndexRange, MultiIndex, dim_F, enumerate_indices, multinomial
 from jetforge.symexpr import JetVar
@@ -52,6 +55,10 @@ def _kg(m):
 def _corpus_op(name):
     with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
         return cli.parse_problem_file(fh.read()).operator
+
+
+SCALAR_CORPUS = sorted(name for name in os.listdir(CORPUS)
+                       if name.endswith(".jf") and _corpus_op(name).n_out == 1)
 
 
 _REF_PROLONGED = {}
@@ -270,8 +277,8 @@ def _ref_codim_ranks(h, l, samples, seed):
 @pytest.mark.parametrize("name,make,levels", [
     ("kg m=2", lambda: _kg(2), (0, 1, 2)),
     ("kg m=3", lambda: _kg(3), (0, 1)),
-    ("nonlinear.jf", lambda: _corpus_op("nonlinear.jf"), (0, 1, 2)),
-], ids=["kg m=2", "kg m=3", "nonlinear.jf"])
+] + [(name, lambda name=name: _corpus_op(name), (0, 1, 2)) for name in SCALAR_CORPUS],
+    ids=["kg m=2", "kg m=3"] + SCALAR_CORPUS)
 def test_variety_codim_ranks_match_per_point_reference(name, make, levels):
     h = make()
     for l in levels:
@@ -296,8 +303,8 @@ def test_lift_point_check_still_evaluates_the_residual():
 
 def test_prolongation_symbol_and_jacobian_take_one_walk_per_expression(monkeypatch):
     # every first partial of an expression comes from one `partials`
-    # walk, so a cold prolongation, symbol table and codimension
-    # Jacobian never differentiate by one variable at a time
+    # walk, so a cold prolongation, symbol table and codimension check
+    # never differentiate by one variable at a time
     calls = []
     differentiate = sx.differentiate
 
@@ -466,10 +473,6 @@ def test_lift_where_the_symbol_vanishes(policy):
     assert _check_lift(h, off, **kwargs).rank == 2
 
 
-SCALAR_CORPUS = sorted(name for name in os.listdir(CORPUS)
-                       if name.endswith(".jf") and _corpus_op(name).n_out == 1)
-
-
 @pytest.mark.parametrize("name", SCALAR_CORPUS)
 def test_lift_matrix_has_full_row_rank_where_the_symbol_is_nonzero(name):
     # for one scalar equation, A at level l is multiplication by sigma(xi)
@@ -487,3 +490,70 @@ def test_lift_matrix_has_full_row_rank_where_the_symbol_is_nonzero(name):
             assert sp.Echelon(A).rank == A.nrows, (name, l)
             checked += 1
     assert checked == 9
+
+
+# ---------------------------------------------------------------------------
+# condition 2 by its closed form: the prolonged symbol has rank m
+
+
+def _ref_generic_rank(h):
+    """The generic rank of the prolonged symbol on the variety by the
+    symbolic route: substitute the solved top-order variable, then
+    eliminate division-free (`sp.generic_rank_exprs`)."""
+    v, c = sy._solvable_top_var(h)
+    sol = -(h.components[0] - c * sx.Expr.variable(v)) / c
+    return sp.generic_rank_exprs([[sx.substitute(e, {v: sol}) for e in row]
+                                  for row in sy.SymbolProlongMatrix(h).entries])
+
+
+@pytest.mark.parametrize("name", SCALAR_CORPUS)
+def test_prolonged_symbol_generic_rank_is_m_on_the_corpus(name):
+    h = _corpus_op(name)
+    rep = sy.rank_profile(h, samples=2, seed=1)
+    assert rep.generic_rank == _ref_generic_rank(h) == h.m
+    assert rep.certified
+
+
+@st.composite
+def _scalar_ops(draw):
+    """Random scalar polynomial operators c v + rest with a top-order
+    variable v and a nonzero coefficient c free of v, so the variety
+    sampler can solve for some top-order variable; c and rest may carry
+    a quotient, and rest may be nonlinear in the other top-order jets."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    chart = jc.JetChartSpec(m, 1, k)
+    lower = [sx.base(i) for i in range(1, m + 1)]
+    lower += [sx.jet(1, I) for _, I in chart.labels if I.degree < k]
+    tops = [sx.jet(1, I) for _, I in chart.labels if I.degree == k]
+    v = draw(st.sampled_from(tops))
+    others = [t for t in tops if t != v]
+    coef = st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4)])
+
+    def poly(atoms):
+        e = sx.ZERO
+        for _ in range(draw(st.integers(0, 2))):
+            mono = sx.ONE
+            for a in draw(st.lists(st.sampled_from(atoms), max_size=3)):
+                mono = mono * a
+            e = e + draw(coef) * mono
+        return e
+
+    def maybe_quotient(e):
+        if draw(st.booleans()):
+            return e / (1 + draw(st.sampled_from(lower)) ** 2)
+        return e
+
+    c = draw(coef) + poly(lower)
+    if c.is_zero():
+        c = sx.ONE
+    rest = maybe_quotient(poly(lower + others))
+    if others and draw(st.booleans()):
+        rest = rest + draw(coef) * draw(st.sampled_from(others)) * draw(st.sampled_from(others))
+    return jc.DiffOp(m, 1, k, [maybe_quotient(c) * v + rest])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_scalar_ops())
+def test_prolonged_symbol_generic_rank_is_m_on_random_operators(h):
+    assert _ref_generic_rank(h) == h.m
+    assert sy.rank_profile(h, samples=2, seed=3).generic_rank == h.m

@@ -121,8 +121,7 @@ def test_sampler_raises_without_affine_top_variable():
 
 def test_rank_profile_certified_for_wave():
     h = _wave()
-    M = sy.SymbolProlongMatrix(h)
-    rep = sy.rank_profile(M.entries, constraint=h, samples=6, seed=1)
+    rep = sy.rank_profile(h, samples=6, seed=1)
     assert rep.certified
     assert rep.generic_rank == 2
     assert rep.constant_on_samples
@@ -131,25 +130,21 @@ def test_rank_profile_certified_for_wave():
 
 def test_rank_profile_float_mode():
     h = _laplace(3)
-    M = sy.SymbolProlongMatrix(h)
-    rep = sy.rank_profile(M.entries, constraint=h, samples=4, seed=2, mode="float")
+    rep = sy.rank_profile(h, samples=4, seed=2, mode="float")
     assert rep.mode == "float"
     assert rep.min_rank == rep.max_rank == 3
 
 
-@pytest.mark.parametrize("constrained", [False, True])
-def test_rank_profile_float_ranks_are_ranks_of_the_exact_samples(constrained):
+def test_rank_profile_float_ranks_are_ranks_of_the_exact_samples():
     np = pytest.importorskip("numpy")
     # Monge-Ampere with a cubic term: the symbol depends on the point
     h = jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) * sx.jet(1, (0, 2)) - sx.jet(1, (1, 1)) ** 2
                             + sx.jet(1, (0, 0)) ** 3])
     entries = sy.SymbolProlongMatrix(h).entries
-    constraint = h if constrained else None
-    rep = sy.rank_profile(entries, constraint=constraint, samples=8, seed=5, mode="float")
+    rep = sy.rank_profile(h, samples=8, seed=5, mode="float")
     want = []
-    slots, points = sy._sample_points_for(entries, constraint, 8, 5)
-    for values in points:
-        a = {v: values[p] for v, p in slots.items()}
+    for p in sy.sample_variety_points(h, 8, 5):
+        a = p.assignment()
         exact = [[sx.evaluate(e, a) for e in row] for row in entries]
         assert all(type(x) is Q for row in exact for x in row)
         want.append(int(np.linalg.matrix_rank(np.array(exact, dtype=float), tol=1e-9)))
@@ -231,9 +226,11 @@ def test_symbol_constraint_matrix_matches_the_entrywise_rows():
 
 
 def test_rank_summary_reports_why_no_point_was_ranked():
-    # x1^3000 overflows a float at every sampled point, so no rank is
-    # sampled and the summary is the sampling failure, not a varying rank
-    rep = sy.rank_profile([[sx.base(1) ** 3000]], samples=3, seed=0, mode="float")
+    # a symbol coefficient of 10^400 overflows a float at every sampled
+    # point, so no rank is sampled and the summary is the sampling
+    # failure, not a varying rank
+    h = jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) - 10 ** 400 * sx.jet(1, (0, 2))])
+    rep = sy.rank_profile(h, samples=3, seed=0, mode="float")
     assert rep.sampled_ranks == []
     assert rep.summary().startswith("sampling failed: ")
     assert rep.summary() in rep.notes
