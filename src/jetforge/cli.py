@@ -733,7 +733,7 @@ def run_command(spec, command, flags, source="<memory>"):
 # tenth of them: the spencer tables of the benchmark (wave operator at
 # m=4, pmax=4, qmax=5) reach 112896 matrix entries, the corpus prolongs
 # to at most 15 components, and its largest term degree is 8.  Exact
-# evaluation raises numbers to the term degree (`term_degree`).
+# evaluation raises numbers to the term degree (`Expr.degree`).
 MAX_MATRIX_ENTRIES = 2_000_000
 MAX_PROLONGED_COMPONENTS = 2_000
 MAX_TERM_DEGREE = 200
@@ -770,13 +770,6 @@ def prolonged_components(m, n_out, l):
     return n_out * comb(m + l, l)
 
 
-def term_degree(h):
-    """The largest total degree of a term of h's components, every atom
-    counted: the dmax to which `sx.Batch` raises a common denominator."""
-    return max((sum(e for _, e in mono) for c in h.components for mono, _ in c.terms()),
-               default=0)
-
-
 def _refuse_oversized(h, q, flags):
     """Raise ProblemError when h has a term of degree above
     MAX_TERM_DEGREE, or when a spencer, prolong, codim, solve or tower
@@ -786,7 +779,7 @@ def _refuse_oversized(h, q, flags):
     has as many jet coordinates as an order-levels prolongation of n
     components.  Bounds of the wrong type or sign are left to the query
     itself, which reports them."""
-    degree = term_degree(h)
+    degree = max(c.degree() for c in h.components)
     if degree > MAX_TERM_DEGREE:
         raise ProblemError(
             "the operator is too large: it has a term of total degree %d, above the "

@@ -274,6 +274,11 @@ class Expr:
             (v for v in self.free_vars() if isinstance(v, JetVar)), key=lambda v: v.key
         )
 
+    def degree(self):
+        """The largest total degree of a term, every atom counted with
+        its exponent: the dmax to which `Batch` raises a denominator."""
+        return max((sum(e for _, e in m) for m in self._terms), default=0)
+
     def max_jet_degree(self):
         degs = [v.index.degree for v in self.free_vars() if isinstance(v, JetVar)]
         return max(degs, default=-1)
