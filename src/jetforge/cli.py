@@ -234,6 +234,8 @@ def parse_problem_file(text):
                     i, j = int(i_s), int(j_s)
                 except ValueError:
                     raise ParseError("bad metric indices in %r" % lhs, text, pos)
+                if (i, j) in metric_entries:
+                    raise ParseError("metric entry %s given twice" % lhs, text, pos)
                 metric_entries[(i, j)] = parse_e(rhs.strip(), 0, pos=pos)
         elif head == "param":
             if None in (m, n, k):
@@ -732,7 +734,7 @@ def run_command(spec, command, flags, source="<memory>"):
 # The largest in the corpus, the tests and the benchmark are below a
 # tenth of them: the spencer tables of the benchmark (wave operator at
 # m=4, pmax=4, qmax=5) reach 112896 matrix entries, the corpus prolongs
-# to at most 15 components, and its largest term degree is 8.  Exact
+# to at most 15 components, and its largest term degree is 4.  Exact
 # evaluation raises numbers to the term degree (`Expr.degree`).
 MAX_MATRIX_ENTRIES = 2_000_000
 MAX_PROLONGED_COMPONENTS = 2_000

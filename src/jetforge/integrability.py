@@ -38,9 +38,12 @@ class MetricSpec:
     """A pseudo-Riemannian metric on the base chart, with exact inverse
     and Christoffel symbols.
 
-    Entries are expressions in base variables; the inverse is computed
-    as adjugate over determinant, so its entries are exact rational
-    expressions wherever the determinant does not vanish.
+    Entries are expressions in base variables, keyed by 1-based index
+    pairs.  The inverse is computed one block at a time (`blocks`): each
+    block's adjugate over that block's determinant, and zero between
+    blocks.  So its entries are exact rational expressions wherever the
+    determinant does not vanish, and each carries only its own block's
+    determinant.
     """
 
     def __init__(self, m, entries):
@@ -55,6 +58,8 @@ class MetricSpec:
                 for j in range(m)
             )
         for (i, j), e in items:
+            if not (1 <= i <= m and 1 <= j <= m):
+                raise ValueError("metric index g[%s][%s] is outside 1..%d" % (i, j, m))
             grid[i - 1][j - 1] = sx.as_expr(e)
         for i in range(m):
             for j in range(m):
@@ -79,24 +84,41 @@ class MetricSpec:
                 raise ValueError("metric expression is singular")
         return self._det
 
+    def blocks(self):
+        """The index blocks of the metric, 0-based and in index order: the
+        connected components of its structural nonzero pattern, so g is
+        block diagonal up to a permutation of the indices."""
+        linked = lambda r, c: not (self.entries[r][c].is_zero() and self.entries[c][r].is_zero())
+        blocks = []
+        for i in range(self.m):
+            touching = [b for b in blocks if any(linked(i, j) for j in b)]
+            blocks = [b for b in blocks if b not in touching]
+            blocks.append(sorted([i] + [j for b in touching for j in b]))
+        return sorted(blocks)
+
     def inverse_entry(self, i, j):
         if self._inv is None:
-            # the one 1/det that every entry is a cofactor times
-            inv_det = sx.inverse(self.determinant())
-            n = self.m
-            inv = [[sx.ZERO] * n for _ in range(n)]
-            for r in range(n):
-                for c in range(n):
-                    minor = [
-                        [self.entries[rr][cc] for cc in range(n) if cc != c]
-                        for rr in range(n)
-                        if rr != r
-                    ]
-                    cof = sx.det(minor)
-                    sign = -1 if (r + c) % 2 else 1
-                    # adjugate transposes, but cofactor matrices of
-                    # symmetric matrices are symmetric
-                    inv[c][r] = sign * cof * inv_det
+            # singular metrics are refused before any block is inverted
+            self.determinant()
+            inv = [[sx.ZERO] * self.m for _ in range(self.m)]
+            for block in self.blocks():
+                n = len(block)
+                g = [[self.entries[r][c] for c in block] for r in block]
+                # the one 1/det that every entry of the block is a cofactor
+                # times; a metric of one block reuses det g
+                inv_det = sx.inverse(self._det if n == self.m else sx.det(g))
+                for r in range(n):
+                    for c in range(n):
+                        minor = [
+                            [g[rr][cc] for cc in range(n) if cc != c]
+                            for rr in range(n)
+                            if rr != r
+                        ]
+                        cof = sx.det(minor)
+                        sign = -1 if (r + c) % 2 else 1
+                        # adjugate transposes, but cofactor matrices of
+                        # symmetric matrices are symmetric
+                        inv[block[c]][block[r]] = sign * cof * inv_det
             self._inv = inv
         return self._inv[i - 1][j - 1]
 

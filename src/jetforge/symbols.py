@@ -188,14 +188,11 @@ def sample_variety_points(h, count, seed):
 
 @dataclass
 class RankReport:
-    nrows: int
-    ncols: int
     mode: str
     generic_rank: int | None = None
     sampled_ranks: list = field(default_factory=list)
     certified: bool = False
     sample_count: int = 0
-    seed: int | None = None
     notes: list = field(default_factory=list)
 
     @property
@@ -247,9 +244,7 @@ def rank_profile(h, samples=20, seed=0, mode="exact"):
     if mode not in ("exact", "float"):
         raise ValueError("mode must be exact or float")
     entries = SymbolProlongMatrix(h).entries
-    nrows = len(entries)
-    ncols = len(entries[0]) if entries else 0
-    report = RankReport(nrows=nrows, ncols=ncols, mode=mode, seed=seed)
+    report = RankReport(mode=mode)
     exact = mode == "exact"
 
     if exact:
@@ -266,6 +261,8 @@ def rank_profile(h, samples=20, seed=0, mode="exact"):
             report.notes.append("generic rank skipped (non-polynomial entries)")
 
     flat = [e for row in entries for e in row]
+    nrows = len(entries)
+    ncols = len(entries[0]) if entries else 0
     split = lambda vals: [vals[i * ncols:(i + 1) * ncols] for i in range(nrows)]
     try:
         points = sample_variety_points(h, samples, seed)

@@ -83,6 +83,40 @@ def test_parse_metric_and_kg_operator():
     assert spec.queries[1].args == (5,)
 
 
+_KG_METRIC = "metric { g[1][1] = 1 - x2^2/4; g[2][2] = -1 - x1^2/4; }"
+
+
+@pytest.mark.parametrize("metric, message", [
+    ("metric { g[1][1] = 1; g[2][2] = -1; g[3][3] = -1; }",
+     "error: metric index g[3][3] is outside 1..2"),
+    # index 0 must not reach g[2][2] through Python's index -1
+    ("metric { g[0][0] = 5; g[1][1] = 1; g[2][2] = -1; }",
+     "error: metric index g[0][0] is outside 1..2"),
+    ("metric { g[1][1] = 1; g[2][2] = -1; g[1][1] = 2; }",
+     "error: metric entry g[1][1] given twice"),
+], ids=["above_m", "zero", "repeated"])
+def test_main_refuses_bad_metric_indices(tmp_path, capsys, metric, message):
+    path = tmp_path / "bad_metric.jf"
+    path.write_text(KG.replace(_KG_METRIC, metric))
+    assert cli.main(["integrability", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_parse_refuses_a_repeated_metric_entry_at_its_statement():
+    text = KG.replace(_KG_METRIC, "metric { g[1][1] = 1; g[2][2] = -1; g[2][2] = -2; }")
+    with pytest.raises(sx.ParseError) as exc:
+        cli.parse_problem_file(text)
+    assert "g[2][2] given twice" in str(exc.value)
+    assert exc.value.pos == text.index("metric")
+    # both triangles of an off-diagonal entry are still one entry each
+    spec = cli.parse_problem_file(
+        KG.replace(_KG_METRIC, "metric { g[1][1] = 2; g[1][2] = x1; g[2][1] = x1; g[2][2] = -1; }"))
+    assert spec.metric.entry(1, 2) == spec.metric.entry(2, 1) == sx.base(1)
+
+
 def test_parse_param_macro_substitution():
     spec = cli.parse_problem_file(PARAMS)
     h = spec.operator
@@ -583,7 +617,7 @@ def test_main_refuses_an_operator_of_too_high_degree_up_front(tmp_path, capsys, 
 def test_term_degree_bound_is_far_above_the_corpus():
     degrees = [c.degree() for name in sorted(os.listdir(CORPUS_DIR)) if name.endswith(".jf")
                for c in cli.parse_problem_file(_corpus_bytes(name).decode()).operator.components]
-    assert max(degrees) == 8
+    assert max(degrees) == 4
     assert 10 * max(degrees) < cli.MAX_TERM_DEGREE
 
 

@@ -364,15 +364,39 @@ def test_condition1_sampled_fallback_matches_the_per_trial_loop(component, outco
             assert skipped
 
 
-@pytest.mark.parametrize("name", ["kg_curved2.jf", "offdiag.jf", "kg_mink4.jf"])
-def test_inverse_metric_is_adjugate_over_determinant_term_for_term(name):
+def _cofactor_over_det(grid, r, c):
+    n = len(grid)
+    minor = [[grid[rr][cc] for cc in range(n) if cc != c] for rr in range(n) if rr != r]
+    return (-1) ** (r + c) * sx.det(minor) / sx.det(grid)
+
+
+@pytest.mark.parametrize("name, blocks", [
+    ("kg_curved2.jf", [[0], [1]]),
+    ("offdiag.jf", [[0, 1]]),
+    ("kg_mink4.jf", [[0], [1], [2], [3]]),
+])
+def test_inverse_metric_is_adjugate_over_determinant_term_for_term(name, blocks):
+    # each entry is its block's adjugate over the block's determinant,
+    # term for term, and zero across blocks; as a rational function it
+    # is the cofactor of g over det g
     with open(os.path.join(os.path.dirname(__file__), "corpus", name), encoding="utf-8") as fh:
         metric = cli.parse_problem_file(fh.read()).operator.metric
-    n, det = metric.m, metric.determinant()
-    for r in range(n):
-        for c in range(n):
-            minor = [[metric.entries[rr][cc] for cc in range(n) if cc != c]
-                     for rr in range(n) if rr != r]
-            want = (-1) ** (r + c) * sx.det(minor) / det
-            got = metric.inverse_entry(c + 1, r + 1)
-            assert list(got._terms.items()) == list(want._terms.items())
+    assert metric.blocks() == blocks
+    n = metric.m
+    for block in blocks:
+        g = [[metric.entries[rr][cc] for cc in block] for rr in block]
+        for r in range(n):
+            for c in range(n):
+                got = metric.inverse_entry(c + 1, r + 1)
+                if r in block and c in block:
+                    want = _cofactor_over_det(g, block.index(r), block.index(c))
+                    assert list(got._terms.items()) == list(want._terms.items())
+                elif r in block:
+                    assert got.is_zero()
+                assert sx.is_identically_zero(got - _cofactor_over_det(metric.entries, r, c))
+
+
+def test_metric_indices_outside_the_chart_are_refused():
+    for key in [(3, 3), (0, 0), (1, 3), (-1, 1)]:
+        with pytest.raises(ValueError, match=r"metric index g\[.*\] is outside 1\.\.2"):
+            ig.MetricSpec(2, {(1, 1): 1, (2, 2): -1, key: 1})
