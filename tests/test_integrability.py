@@ -374,7 +374,7 @@ def _cofactor_over_det(grid, r, c):
     ("kg_curved2.jf", [[0], [1]]),
     ("offdiag.jf", [[0, 1]]),
     ("kg_mink4.jf", [[0], [1], [2], [3]]),
-])
+], ids=["kg_curved2.jf", "offdiag.jf", "kg_mink4.jf"])
 def test_inverse_metric_is_adjugate_over_determinant_term_for_term(name, blocks):
     # each entry is its block's adjugate over the block's determinant,
     # term for term, and zero across blocks; as a rational function it
