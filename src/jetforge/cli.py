@@ -100,7 +100,9 @@ class ProblemSpec:
 
 
 class _Lines:
-    """Statement splitter: strips comments, tracks positions."""
+    """Statement splitter: yields each statement with its offset in the
+    text.  Comments are blanked, not dropped, so offset + i is the text
+    position of a statement's character i."""
 
     def __init__(self, text):
         self.text = text
@@ -113,13 +115,12 @@ class _Lines:
         in_comment = False
         depth = 0
         for pos, ch in enumerate(self.text):
-            if in_comment:
-                if ch == "\n":
-                    in_comment = False
-                continue
             if ch == "#":
                 in_comment = True
-                continue
+            elif ch == "\n":
+                in_comment = False
+            if in_comment:
+                ch = " "
             if ch == "{":
                 depth += 1
             elif ch == "}":
@@ -161,6 +162,13 @@ def _expect_int(text, value, pos):
         raise ParseError("expected an integer, got %r" % value, text, pos)
 
 
+def _field(s, pos):
+    """s stripped of surrounding blanks, and the text position of its
+    first character, pos being that of s."""
+    stripped = s.lstrip()
+    return stripped.rstrip(), pos + len(s) - len(stripped)
+
+
 def _sub_params(e, params):
     if not params:
         return e
@@ -188,12 +196,14 @@ def parse_problem_file(text):
         names = tuple(name for name, _ in params) + tuple(extra_params)
         return sx.ExprContext(m, n=n, order=order, params=names)
 
-    def parse_e(src, order, extra_params=(), pos=0):
+    def parse_e(src, pos, order, extra_params=()):
+        # pos is the text position of src, so an error points at its token
         nonlocal saw_decimal
         try:
             e, dec = sx.parse_expr_flagged(src, ctx(order, extra_params))
         except ParseError as err:
-            raise ParseError("%s in %r" % (err, src), text, pos)
+            raise ParseError("%s in %r" % (err.message, " ".join(src.split())), text,
+                             pos + (err.pos or 0))
         saw_decimal = saw_decimal or dec
         return _sub_params(e, params)
 
@@ -217,61 +227,63 @@ def parse_problem_file(text):
         elif head == "metric":
             if None in (m, n, k):
                 raise ProblemError("metric block before chart declarations")
-            body = stmt[len("metric"):].strip()
+            body, at = _field(stmt[len("metric"):], pos + len("metric"))
             if not (body.startswith("{") and body.endswith("}")):
                 raise ParseError("metric block must be '{ ... }'", text, pos)
             metric_entries = {}
-            for part in body[1:-1].split(";"):
-                part = part.strip()
+            at += 1
+            for raw in body[1:-1].split(";"):
+                part, epos = _field(raw, at)
+                at += len(raw) + 1
                 if not part:
                     continue
                 lhs, _, rhs = part.partition("=")
-                lhs = lhs.replace(" ", "")
-                if not (lhs.startswith("g[") and lhs.endswith("]")):
-                    raise ParseError("metric entries look like g[i][j] = expr", text, pos)
+                name = lhs.replace(" ", "")
+                if not (name.startswith("g[") and name.endswith("]")):
+                    raise ParseError("metric entries look like g[i][j] = expr", text, epos)
                 try:
-                    i_s, j_s = lhs[2:-1].split("][")
+                    i_s, j_s = name[2:-1].split("][")
                     i, j = int(i_s), int(j_s)
                 except ValueError:
-                    raise ParseError("bad metric indices in %r" % lhs, text, pos)
+                    raise ParseError("bad metric indices in %r" % name, text, epos)
                 if (i, j) in metric_entries:
-                    raise ParseError("metric entry %s given twice" % lhs, text, pos)
-                metric_entries[(i, j)] = parse_e(rhs.strip(), 0, pos=pos)
+                    raise ParseError("metric entry %s given twice" % name, text, epos)
+                metric_entries[(i, j)] = parse_e(*_field(rhs, epos + len(lhs) + 1), 0)
         elif head == "param":
             if None in (m, n, k):
                 raise ProblemError("param before chart declarations")
-            body = stmt[len("param"):].strip()
-            name, _, rhs = body.partition("=")
-            name = name.strip()
+            body, at = _field(stmt[len("param"):], pos + len("param"))
+            lhs, _, rhs = body.partition("=")
+            name = lhs.strip()
             if not name.isidentifier():
                 raise ParseError("bad parameter name %r" % name, text, pos)
-            params.append((name, parse_e(rhs.strip(), 0, pos=pos)))
+            params.append((name, parse_e(*_field(rhs, at + len(lhs) + 1), 0)))
         elif head == "operator":
             if None in (m, n, k):
                 raise ProblemError("operator before chart declarations")
-            body = stmt[len("operator"):].strip()
+            body, at = _field(stmt[len("operator"):], pos + len("operator"))
             lhs, _, rhs = body.partition("=")
             if lhs.strip() != "h":
                 raise ParseError("operators are declared as 'operator h = ...'", text, pos)
-            rhs = rhs.strip()
+            rhs, at = _field(rhs, at + len(lhs) + 1)
             if rhs.startswith("klein_gordon"):
                 op_kind = "klein_gordon"
-                inner = rhs[len("klein_gordon"):].strip()
+                inner, at = _field(rhs[len("klein_gordon"):], at + len("klein_gordon"))
                 if not (inner.startswith("(") and inner.endswith(")")):
                     raise ParseError("klein_gordon takes (F1=..., F2=..., K=...)", text, pos)
                 F1 = sx.ZERO
                 F2 = sx.ZERO
                 Kpoly = None
-                for part in _split_top(inner[1:-1]):
+                for off, part in _split_top(inner[1:-1]):
                     key, _, val = part.partition("=")
+                    val = _field(val, at + 1 + off + len(key) + 1)
                     key = key.strip()
-                    val = val.strip()
                     if key == "F1":
-                        F1 = parse_e(val, 0, pos=pos)
+                        F1 = parse_e(*val, 0)
                     elif key == "F2":
-                        F2 = parse_e(val, 0, pos=pos)
+                        F2 = parse_e(*val, 0)
                     elif key == "K":
-                        Kpoly = parse_e(val, 0, extra_params=("z",), pos=pos)
+                        Kpoly = parse_e(*val, 0, extra_params=("z",))
                     else:
                         raise ParseError("unknown klein_gordon field %r" % key, text, pos)
                 if metric_entries is None:
@@ -279,7 +291,7 @@ def parse_problem_file(text):
                 kg_fields = (F1, F2, Kpoly)
             else:
                 op_kind = "expr"
-                op_exprs = tuple(parse_e(p.strip(), k, pos=pos) for p in _split_top(rhs))
+                op_exprs = tuple(parse_e(*_field(p, at + off), k) for off, p in _split_top(rhs))
         elif head == "query":
             body = stmt[len("query"):].strip()
             name, _, rest = body.partition("(")
@@ -290,7 +302,7 @@ def parse_problem_file(text):
                 raise ProblemError("unknown query %r" % name)
             args = []
             kwargs = []
-            for part in _split_top(rest[:-1]):
+            for _, part in _split_top(rest[:-1]):
                 part = part.strip()
                 if not part:
                     continue
@@ -327,23 +339,21 @@ def parse_problem_file(text):
 
 
 def _split_top(s):
-    """Split on commas outside parentheses and brackets."""
+    """Split on commas outside parentheses and brackets: (offset in s,
+    part) pairs."""
     parts = []
     depth = 0
-    buf = []
-    for ch in s:
+    start = 0
+    for pos, ch in enumerate(s):
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
         if ch == "," and depth == 0:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    tail = "".join(buf)
-    if tail.strip():
-        parts.append(tail)
+            parts.append((start, s[start:pos]))
+            start = pos + 1
+    if s[start:].strip():
+        parts.append((start, s[start:]))
     return parts
 
 
@@ -530,8 +540,8 @@ def _query_args(q, h, flags):
     return {}
 
 
-def _run_prolong(spec, h, q, flags):
-    l = _query_args(q, h, flags)["l"]
+def _run_prolong(h, args, flags):
+    l = args["l"]
     P = jc.prolong_op(h, l)
     comps = []
     for (beta, I), e in zip(P.labels, P.components):
@@ -541,10 +551,10 @@ def _run_prolong(spec, h, q, flags):
         "n_components": P.n_out,
         "components": comps,
     }
-    return QueryResult("prolong", {"l": l}, True, _provenance(flags), data)
+    return QueryResult("prolong", args, True, _provenance(flags), data)
 
 
-def _run_symbol(spec, h, q, flags):
+def _run_symbol(h, args, flags):
     S = sy.symbol_of(h)
     # the table is ordered by beta, then I graded-lex, then alpha
     entries = [{"beta": beta, "alpha": alpha, "index": list(I), "coeff": sx.format_expr(c)}
@@ -554,12 +564,11 @@ def _run_symbol(spec, h, q, flags):
         for beta in range(1, h.n_out + 1):
             polys[str(beta)] = sx.format_expr(sy.symbol_polynomial(S, beta))
     data = {"order": h.order, "entries": entries, "polynomials": polys}
-    return QueryResult("symbol", {}, bool(S), _provenance(flags), data,
+    return QueryResult("symbol", args, bool(S), _provenance(flags), data,
                        notes=[] if S else ["symbol vanishes identically"])
 
 
-def _run_spencer(spec, h, q, flags):
-    args = _query_args(q, h, flags)
+def _run_spencer(h, args, flags):
     pmax, qmax = args["pmax"], args["qmax"]
     if pmax < 0 or qmax < 0:
         raise ValueError("pmax and qmax must be nonnegative")
@@ -580,7 +589,7 @@ def _run_spencer(spec, h, q, flags):
                        "exact", data, notes=notes)
 
 
-def _run_integrability(spec, h, q, flags):
+def _run_integrability(h, args, flags):
     rep = ig.check_conditions(h, samples=flags.samples, seed=flags.seed, mode=flags.mode)
     conds = []
     for c in (rep.condition1, rep.condition2, rep.condition3):
@@ -590,25 +599,25 @@ def _run_integrability(spec, h, q, flags):
         })
     data = {"conditions": conds, "verdict": rep.verdict}
     notes = rep.lines()
-    return QueryResult("integrability", {}, rep.passed,
+    return QueryResult("integrability", args, rep.passed,
                        _provenance(flags, sampled=not all(c.certified for c in
                                                           (rep.condition1, rep.condition2, rep.condition3))),
                        data, notes=notes)
 
 
-def _run_codim(spec, h, q, flags):
-    l = _query_args(q, h, flags)["l"]
+def _run_codim(h, args, flags):
+    l = args["l"]
     rep = ig.variety_codim(h, l, samples=min(flags.samples, 10), seed=flags.seed)
     data = {
         "level": l, "expected": rep.expected,
         "observed": sorted(set(rep.observed)), "all_match": rep.all_match,
     }
-    return QueryResult("codim", {"l": l}, rep.all_match,
+    return QueryResult("codim", args, rep.all_match,
                        _provenance(flags, sampled=True), data, notes=[rep.summary()])
 
 
-def _run_solve(spec, h, q, flags):
-    N = _query_args(q, h, flags)["N"]
+def _run_solve(h, args, flags):
+    N = args["N"]
     policy, free_table = flags.free_data, None
     if isinstance(policy, dict):
         policy, free_table = "explicit", policy
@@ -626,12 +635,12 @@ def _run_solve(spec, h, q, flags):
         "residual_passed": res.passed,
     }
     notes = [res.summary(), "free parameters per level: %s" % (sol.free_counts,)]
-    return QueryResult("solve", {"N": N}, res.passed,
+    return QueryResult("solve", args, res.passed,
                        _provenance(flags, sampled=True), data, notes=notes)
 
 
-def _run_tower(spec, h, q, flags):
-    levels = _query_args(q, h, flags)["levels"]
+def _run_tower(h, args, flags):
+    levels = args["levels"]
     if levels < 0:
         raise ValueError("levels must be nonnegative")
     E = pfd.EquationSubtower(h)
@@ -647,7 +656,7 @@ def _run_tower(spec, h, q, flags):
         "surjectivity_samples": n_surj,
     }
     notes = ["projection surjectivity witnessed at %d sampled points" % n_surj]
-    return QueryResult("tower", {"levels": levels}, bool(member),
+    return QueryResult("tower", args, bool(member),
                        _provenance(flags, sampled=True), data, notes=notes)
 
 
@@ -663,22 +672,27 @@ def _read_text(path):
 
 def _load_free_data(path, h):
     """Free-data files hold lines 'u[(2,0)] = 1/3;' keyed by jet index.
-    Malformed content raises ParseError at the statement it is in."""
+    Malformed content raises ParseError at the offending token of a key
+    or value that does not parse, else at the statement it is in."""
     text = _read_text(path)
     table = {}
     ctx = sx.ExprContext(h.m, n=h.n, order=64)
     for stmt, pos in _Lines(text).statements():
+        lhs, _, rhs = stmt.partition("=")
+        src, at = _field(lhs, pos)
         try:
-            lhs, _, rhs = stmt.partition("=")
-            e = sx.parse_expr(lhs.strip(), ctx)
+            e = sx.parse_expr(src, ctx)
             terms = e.terms()
             if (len(terms) != 1 or len(terms[0][0]) != 1
                     or not isinstance(terms[0][0][0][0], JetVar)):
                 raise ProblemError("free-data keys must be single jet variables")
             v = terms[0][0][0][0]
-            val = sx.parse_expr(rhs.strip(), ctx)
+            src, at = _field(rhs, pos + len(lhs) + 1)
+            val = sx.parse_expr(src, ctx)
             if not val.is_constant():
                 raise ProblemError("free-data values must be rational constants")
+        except ParseError as err:
+            raise ParseError("%s in %r" % (err.message, stmt), text, at + (err.pos or 0)) from None
         except (ValueError, sx.ExprError) as err:
             raise ParseError("%s in %r" % (err, stmt), text, pos) from None
         table[(v.alpha, v.index)] = val.constant_value()
@@ -711,15 +725,16 @@ def run_command(spec, command, flags, source="<memory>"):
     else:
         queries = [Query(kinds[0])]
     h = spec.operator
-    for q in queries:
-        _refuse_oversized(h, q, flags)
+    query_args = [_query_args(q, h, flags) for q in queries]
+    for q, args in zip(queries, query_args):
+        _refuse_oversized(h, q.name, args)
     results = []
-    for q in queries:
+    for q, args in zip(queries, query_args):
         t0 = time.perf_counter()
         try:
-            r = _RUNNERS[q.name](spec, h, q, flags)
+            r = _RUNNERS[q.name](h, args, flags)
         except (RuntimeError, ValueError, OverflowError, sx.ExprError) as err:
-            r = QueryResult(q.name, _query_args(q, h, flags), False, _provenance(flags),
+            r = QueryResult(q.name, args, False, _provenance(flags),
                             {"error": str(err)}, notes=["error: %s" % err])
         r.elapsed = time.perf_counter() - t0
         results.append(r)
@@ -772,10 +787,11 @@ def prolonged_components(m, n_out, l):
     return n_out * comb(m + l, l)
 
 
-def _refuse_oversized(h, q, flags):
+def _refuse_oversized(h, name, args):
     """Raise ProblemError when h has a term of degree above
     MAX_TERM_DEGREE, or when a spencer, prolong, codim, solve or tower
-    query on h would build more than the module bounds allow: prolong(l)
+    query on h, named name with the arguments args of `_query_args`,
+    would build more than the module bounds allow: prolong(l)
     and codim(l) prolong to level l, solve(N) to level N - k, and
     tower(levels) builds jet charts up to order levels, whose top one
     has as many jet coordinates as an order-levels prolongation of n
@@ -787,8 +803,7 @@ def _refuse_oversized(h, q, flags):
             "the operator is too large: it has a term of total degree %d, above the "
             "limit of %d" % (degree, MAX_TERM_DEGREE))
     m, n, n_out, order = h.m, h.n, h.n_out, h.order
-    args = _query_args(q, h, flags)
-    if q.name == "spencer":
+    if name == "spencer":
         pmax, qmax = args["pmax"], args["qmax"]
         if _nonnegative_int(pmax) and _nonnegative_int(qmax):
             entries = spencer_matrix_entries(m, n, pmax, qmax)
@@ -796,8 +811,8 @@ def _refuse_oversized(h, q, flags):
                 raise ProblemError(
                     "spencer(pmax=%d, qmax=%d) is too large: its largest matrix has up to "
                     "%d entries, above the limit of %d" % (pmax, qmax, entries, MAX_MATRIX_ENTRIES))
-    elif q.name in ("prolong", "codim", "solve"):
-        if q.name == "solve":
+    elif name in ("prolong", "codim", "solve"):
+        if name == "solve":
             arg = args["N"]
             l = arg - order if type(arg) is int else None
         else:
@@ -807,8 +822,8 @@ def _refuse_oversized(h, q, flags):
             if count > MAX_PROLONGED_COMPONENTS:
                 raise ProblemError(
                     "%s(%d) is too large: %d components, above the limit of %d"
-                    % (q.name, arg, count, MAX_PROLONGED_COMPONENTS))
-    elif q.name == "tower":
+                    % (name, arg, count, MAX_PROLONGED_COMPONENTS))
+    elif name == "tower":
         levels = args["levels"]
         if _nonnegative_int(levels):
             count = prolonged_components(m, n, levels)
@@ -856,7 +871,7 @@ def _located(err, text):
     pos = err.pos or 0
     line = text.count("\n", 0, pos) + 1
     col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-    return "error: %s (line %d, col %d)" % (err, line, col)
+    return "error: %s (line %d, col %d)" % (err.message, line, col)
 
 
 def main(argv=None):

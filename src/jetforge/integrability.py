@@ -5,14 +5,17 @@ of the operator symbol, constant rank of the prolonged symbol over the
 equation variety, and surjectivity of the one-step lift between
 prolonged varieties.  The lift itself is the affine-linear solve for
 the next order of jet coordinates; its closed form for wave-type
-operators in normal coordinates is pinned by golden tests.
+operators in normal coordinates is pinned by golden tests.  For one
+equation its matrix is the prolonged symbol, so conditions 2 and 3 read
+one matrix: condition 2 its rank (`symbols.rank_profile`), condition 3
+whether the lift solves.
 
 Exactness policy: certification claims are made only for polynomial or
 rational data, where identities are decided structurally and the ranks
-that the symbol fixes have closed forms: where sigma != 0 the prolonged
-symbol has rank m and each block of the prolonged Jacobian full row rank
-(`symbols.rank_profile`, `variety_codim`).  Everything else is reported
-as sampled evidence.
+that the symbol fixes have closed forms: where sigma != 0 the lift
+matrix, the prolonged symbol, has rank m and each block of the
+prolonged Jacobian full row rank (`symbols.rank_profile`,
+`variety_codim`).  Everything else is reported as sampled evidence.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ class MetricSpec:
         if isinstance(entries, dict):
             items = entries.items()
         else:
+            if len(entries) != m or any(len(row) != m for row in entries):
+                raise ValueError("metric grid must be %d x %d" % (m, m))
             items = (
                 ((i + 1, j + 1), entries[i][j])
                 for i in range(m)
@@ -189,8 +194,7 @@ def make_klein_gordon(metric, F1=0, F2=0, K=None):
     sum_ij g^{ij} u_{1_i + 1_j} - sum_ijk g^{ij} Gamma^k_{ij} u_{1_k}
     + F1 u + F2 K(u).
 
-    K may be a callable Expr -> Expr (polynomial self-interactions stay
-    on exact paths) or the name of a registered primitive.
+    K is a callable Expr -> Expr, the self-interaction applied to u.
     """
     m = metric.m
     F1 = sx.as_expr(F1)
@@ -229,11 +233,7 @@ def make_klein_gordon(metric, F1=0, F2=0, K=None):
     if not F2.is_zero():
         if K is None:
             raise ValueError("F2 is nonzero but no K was given")
-        if isinstance(K, str):
-            k_of_u = sx.prim(K, u0)
-        else:
-            k_of_u = sx.as_expr(K(u0))
-        h = h + F2 * k_of_u
+        h = h + F2 * sx.as_expr(K(u0))
     return KleinGordonOp(metric, [h])
 
 
@@ -399,9 +399,6 @@ class IntegrabilityReport:
     condition2: ConditionReport
     condition3: ConditionReport
     verdict: str
-    seed: int
-    samples: int
-    mode: str
 
     @property
     def passed(self):
@@ -528,7 +525,7 @@ def check_conditions(h, samples=20, seed=0, mode="exact"):
     else:
         failed = [c.name for c in (c1, c2, c3) if not c.passed]
         verdict = "not established: %s failed" % ", ".join(failed)
-    return IntegrabilityReport(c1, c2, c3, verdict, seed, samples, mode)
+    return IntegrabilityReport(c1, c2, c3, verdict)
 
 
 # ---------------------------------------------------------------------------

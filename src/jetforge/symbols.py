@@ -1,11 +1,13 @@
-"""Operator symbols, the prolonged symbol matrix, and rank diagnostics.
+"""Operator symbols, variety sampling, and rank diagnostics.
 
 The symbol of an order-k operator collects the partials of each
 component by the top-order jet variables; as a functional on the
 symmetric power it is normalized so that a decomposable power v^(x)k
-pairs to the symbol polynomial evaluated at v.  The prolonged symbol is
-the composition with the symmetric-power comultiplication, realized as
-a matrix of expressions over the order-k chart.
+pairs to the symbol polynomial evaluated at v.  For one equation the
+prolonged symbol at a point of the equation variety is the matrix of
+the one-step lift there (`integrability.lift_system_at`), multiplication
+by sigma(xi) from Sym^1 to Sym^(k+1); `rank_profile` reads condition 2,
+its constant rank, off that matrix.
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .mindex import GradedIndexRange, enumerate_indices, multinomial
 from . import symexpr as sx
 from . import jetcalc as jc
-from . import spencer as sp
 from .symexpr import Expr, JetVar, differentiate
 
 
@@ -89,39 +89,6 @@ def check_linear_symbol_diagram(h, points, covectors):
                     return DiagramReport(False, count, witness=(a, tuple(xi), beta, alpha, lhs, rhs))
         count += 1
     return DiagramReport(True, count)
-
-
-class SymbolProlongMatrix:
-    """Matrix of the prolonged symbol on Sym^{k+1} monomial coordinates.
-
-    Rows are labeled (i, beta) for i = 1..m; columns (alpha, J) with
-    |J| = k+1 in graded-lex order.  The entry is J_i/(k+1) times the
-    functional value s_{J-1_i}/multinomial(J-1_i), an expression over
-    the order-k chart; with this normalization a decomposable power
-    v^(x)(k+1) maps to v_i * S_beta(v) in row (i, beta).
-    """
-
-    def __init__(self, h):
-        self.h = h
-        self.m, self.n, self.k = h.m, h.n, h.order
-        symbol = symbol_of(h)
-        self.row_labels = [(i, beta) for i in range(1, self.m + 1) for beta in range(1, h.n_out + 1)]
-        self.col_labels = [
-            (alpha, J)
-            for J in enumerate_indices(GradedIndexRange(self.m, self.k + 1, self.k + 1))
-            for alpha in range(1, self.n + 1)
-        ]
-        self.entries = []
-        for (i, beta) in self.row_labels:
-            row = []
-            for (alpha, J) in self.col_labels:
-                if J[i - 1] == 0:
-                    row.append(sx.ZERO)
-                    continue
-                I = J.sub_unit(i)
-                c = symbol.get((alpha, beta, I), sx.ZERO)
-                row.append(c * Fraction(J[i - 1], (self.k + 1) * multinomial(I)))
-            self.entries.append(row)
 
 
 # ---------------------------------------------------------------------------
@@ -225,30 +192,33 @@ FLOAT_RANK_TOL = 1e-9
 
 
 def rank_profile(h, samples=20, seed=0, mode="exact"):
-    """Rank statistics of the prolonged symbol `SymbolProlongMatrix(h)`
-    over the zero variety of the scalar operator h.
+    """Rank statistics of the prolonged symbol over the zero variety of
+    the scalar operator h.
 
-    Entry (i, J) is sigma_{J-e_i} J!/(k+1)!, so the matrix is
-    multiplication by sigma(xi) from Sym^1 to Sym^(k+1), columns scaled,
-    and has rank m wherever sigma != 0.  On the variety sigma is not
-    identically 0: its entry c at the solved top-order variable
-    (`_solvable_top_var`) is nonzero and free of that variable.  So the
-    exact generic rank is the closed form m, given where that variable
-    exists and the entries hold no primitive; the notes say which gate
-    failed.  The sampled ranks are taken at variety points, exact ones
-    from one `sx.Batch` of all entries, float ones by singular values;
-    the report is certified only when the generic rank equals them all.
-    A sampler or evaluation failure, a float overflow included, is a
-    note, not an error.
+    For one equation the prolonged symbol at a point p of the variety
+    is the matrix A of the one-step lift at p, `lift_system_at(h, p)[0]`:
+    entry (i, T) is sigma_{T-e_i}, so A is multiplication by sigma(xi)
+    from Sym^1 to Sym^(k+1) and has rank m wherever sigma != 0.  On the
+    variety sigma is not identically 0: its entry c at the solved
+    top-order variable (`_solvable_top_var`) is nonzero and free of that
+    variable.  So the exact generic rank is the closed form m, given
+    where that variable exists and the symbol holds no primitive; the
+    notes say which gate failed.  The sampled ranks are those of A at
+    variety points, exact ones by elimination, float ones by singular
+    values of A's entries rounded to floats; the report is certified
+    only when the generic rank equals them all.  A sampler or evaluation
+    failure, a float overflow included, is a note, not an error.
     """
+    # integrability imports this module
+    from .integrability import lift_system_at
+
     if mode not in ("exact", "float"):
         raise ValueError("mode must be exact or float")
-    entries = SymbolProlongMatrix(h).entries
     report = RankReport(mode=mode)
     exact = mode == "exact"
 
     if exact:
-        exact_ok = all(not e.has_primitive() for row in entries for e in row)
+        exact_ok = not any(c.has_primitive() for c in symbol_of(h).values())
         try:
             _solvable_top_var(h)
             report.notes.append("restricted to a rational chart of the constraint variety")
@@ -260,23 +230,15 @@ def rank_profile(h, samples=20, seed=0, mode="exact"):
         else:
             report.notes.append("generic rank skipped (non-polynomial entries)")
 
-    flat = [e for row in entries for e in row]
-    nrows = len(entries)
-    ncols = len(entries[0]) if entries else 0
-    split = lambda vals: [vals[i * ncols:(i + 1) * ncols] for i in range(nrows)]
     try:
-        points = sample_variety_points(h, samples, seed)
         ranks = []
-        if exact:
-            batch = sx.Batch(flat, h.chart().slots)
-            for p in points:
-                ranks.append(sp.RationalMatrix(split(batch.at(p.base + p.values))).rank())
-        else:
-            import numpy as np
-            for p in points:
-                # the points are exact; float mode applies float() to each value
-                vals = sx.evaluate_many(flat, p.assignment(), exact=False)
-                ranks.append(int(np.linalg.matrix_rank(np.array(split(vals), dtype=float),
+        for p in sample_variety_points(h, samples, seed):
+            A = lift_system_at(h, p)[0]
+            if exact:
+                ranks.append(A.rank())
+            else:
+                import numpy as np
+                ranks.append(int(np.linalg.matrix_rank(np.array(A.rows, dtype=float),
                                                        tol=FLOAT_RANK_TOL)))
         report.sampled_ranks = ranks
         report.sample_count = len(ranks)

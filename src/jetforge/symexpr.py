@@ -29,10 +29,13 @@ class ExprError(Exception):
 
 
 class ParseError(ExprError):
+    """A syntax error: `message` says what is wrong and `pos`, when
+    given, is its offset in `text`; str() is the message followed by
+    that offset."""
+
     def __init__(self, message, text=None, pos=None):
-        if pos is not None:
-            message = "%s (at position %d)" % (message, pos)
-        super().__init__(message)
+        super().__init__(message if pos is None else "%s (at position %d)" % (message, pos))
+        self.message = message
         self.pos = pos
         self.text = text
 
@@ -506,18 +509,13 @@ class PrimitiveDef:
 _REGISTRY = {}
 
 
-def register_primitive(name, derivative=None, derivative_name=None, float_impl=None):
+def register_primitive(name, derivative=None, float_impl=None):
     """Register a univariate smooth primitive.
 
     `derivative` is a callable mapping the argument expression to the
-    derivative expression; alternatively `derivative_name` registers an
-    opaque primitive of that name as the derivative (further derivatives
-    of it are an error until registered themselves).
+    derivative expression; without one, differentiating the primitive
+    is an error.
     """
-    if derivative is None and derivative_name is not None:
-        if derivative_name not in _REGISTRY:
-            _REGISTRY[derivative_name] = PrimitiveDef(derivative_name)
-        derivative = lambda arg: prim(derivative_name, arg)  # noqa: E731
     _REGISTRY[name] = PrimitiveDef(name, derivative, float_impl)
 
 

@@ -110,11 +110,41 @@ def test_parse_refuses_a_repeated_metric_entry_at_its_statement():
     with pytest.raises(sx.ParseError) as exc:
         cli.parse_problem_file(text)
     assert "g[2][2] given twice" in str(exc.value)
-    assert exc.value.pos == text.index("metric")
+    assert exc.value.pos == text.index("g[2][2] = -2")
     # both triangles of an off-diagonal entry are still one entry each
     spec = cli.parse_problem_file(
         KG.replace(_KG_METRIC, "metric { g[1][1] = 2; g[1][2] = x1; g[2][1] = x1; g[2][2] = -1; }"))
     assert spec.metric.entry(1, 2) == spec.metric.entry(2, 1) == sx.base(1)
+
+
+_CHART = "base m = 2;\nfiber n = 1;\norder k = 2;\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("base m = ;\nfiber n = 1;\norder k = 2;\noperator h = u[(2,0)];\n",
+     "expected an integer, got '' (line 1, col 1)"),
+    # a comment inside the block is blanked, so its ';' ends no entry
+    (_CHART + "metric {  # curved; g[1][1] = 0;\n  g[1][1] = 1;\n  g[2][2] = -1 + y;\n}\n"
+     "operator h = klein_gordon(F1=1, F2=1, K=z^3);\n",
+     "undeclared identifier 'y' in '-1 + y' (line 6, col 18)"),
+    (_CHART + "operator h = u[(2,0)] - u[(0,2)]  # the wave part\n    + w;\n",
+     "undeclared identifier 'w' in 'u[(2,0)] - u[(0,2)] + w' (line 5, col 7)"),
+    (_CHART + "operator h = u[(2,0)], u[(0,2)] + u[(3,0)];\n",
+     "jet index (3,0) exceeds order 2 in 'u[(0,2)] + u[(3,0)]' (line 4, col 35)"),
+    (_CHART + "metric { g[1][1] = 1; g[2][2] = -1; }\n"
+     "operator h = klein_gordon(F1=1, F2 = 1 + q, K=z^3);\n",
+     "undeclared identifier 'q' in '1 + q' (line 5, col 42)"),
+    (_CHART + "param c = 3/;\noperator h = u[(2,0)] - c*u[(0,2)];\n",
+     "unexpected token 'end' in '3/' (line 4, col 13)"),
+], ids=["chart", "metric_entry", "operator_after_comment", "second_component",
+        "klein_gordon_field", "param"])
+def test_main_locates_a_parse_error_once_at_its_token(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.jf"
+    path.write_text(text)
+    assert cli.main(["symbol", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: %s\n" % message
+    assert out.out == ""
 
 
 def test_parse_param_macro_substitution():
@@ -392,10 +422,11 @@ def test_main_refuses_malformed_free_data_up_front(tmp_path, capsys, bad):
     fd.write_text(FREE_DATA + "  " + bad + "\n")
     assert cli.main(["solve", kg, "--free-data", "file:%s" % fd]) == 2
     out = capsys.readouterr()
-    # no query ran, and the error names the bad statement's place
+    # no query ran, and the error names the place of the bad statement,
+    # or of its token where a value does not parse: the '/' of 1/0
     assert out.out == ""
     assert out.err.startswith("error: ")
-    assert out.err.endswith("(line 2, col 3)\n")
+    assert out.err.endswith("(line 2, col %d)\n" % (15 if "1/0" in bad else 3))
     fd.write_text(FREE_DATA)
     assert cli.main(["solve", kg, "--free-data", "file:%s" % fd]) == 0
     capsys.readouterr()

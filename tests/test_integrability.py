@@ -400,3 +400,18 @@ def test_metric_indices_outside_the_chart_are_refused():
     for key in [(3, 3), (0, 0), (1, 3), (-1, 1)]:
         with pytest.raises(ValueError, match=r"metric index g\[.*\] is outside 1\.\.2"):
             ig.MetricSpec(2, {(1, 1): 1, (2, 2): -1, key: 1})
+
+
+@pytest.mark.parametrize("m, grid", [
+    # one row and column too many: the third was dropped
+    (2, [[1, 0, 5], [0, -1, 7], [9, 9, 9]]),
+    # one row and column too few: an IndexError
+    (3, [[1, 0], [0, -1]]),
+    # square, but one row short
+    (2, [[1, 0], [0]]),
+], ids=["larger", "smaller", "ragged"])
+def test_metric_grid_of_the_wrong_shape_is_refused(m, grid):
+    with pytest.raises(ValueError, match=r"metric grid must be %d x %d" % (m, m)):
+        ig.MetricSpec(m, grid)
+    # the square grid of the same metric is accepted
+    assert ig.MetricSpec(2, [[1, 0], [0, -1]]).entries == ig.MetricSpec.minkowski(2).entries

@@ -498,12 +498,18 @@ def test_lift_matrix_has_full_row_rank_where_the_symbol_is_nonzero(name):
 
 def _ref_generic_rank(h):
     """The generic rank of the prolonged symbol on the variety by the
-    symbolic route: substitute the solved top-order variable, then
-    eliminate division-free (`sp.generic_rank_exprs`)."""
+    symbolic route: the rows D_i h of the shifted symbol, entry (i, T)
+    sigma_{T-e_i} over |T| = k+1, with the solved top-order variable
+    substituted, eliminated division-free (`sp.generic_rank_exprs`)."""
     v, c = sy._solvable_top_var(h)
     sol = -(h.components[0] - c * sx.Expr.variable(v)) / c
-    return sp.generic_rank_exprs([[sx.substitute(e, {v: sol}) for e in row]
-                                  for row in sy.SymbolProlongMatrix(h).entries])
+    table = jc.symbol_table(h)
+    cols = [(alpha, T) for T in enumerate_indices(GradedIndexRange(h.m, h.order + 1, h.order + 1))
+            for alpha in range(1, h.n + 1)]
+    return sp.generic_rank_exprs([
+        [sx.substitute(jc.shifted_symbol(table, alpha, 1, T, MultiIndex.unit(h.m, i)), {v: sol})
+         for alpha, T in cols]
+        for i in range(1, h.m + 1)])
 
 
 @pytest.mark.parametrize("name", SCALAR_CORPUS)
@@ -557,3 +563,22 @@ def _scalar_ops(draw):
 def test_prolonged_symbol_generic_rank_is_m_on_random_operators(h):
     assert _ref_generic_rank(h) == h.m
     assert sy.rank_profile(h, samples=2, seed=3).generic_rank == h.m
+
+
+def _check_sampled_ranks_are_the_lift_ranks(h, samples, seed):
+    # condition 2 ranks the prolonged symbol, which is the matrix of the
+    # one-step lift at each variety point: rank m, as sigma != 0 there
+    ranks = sy.rank_profile(h, samples, seed).sampled_ranks
+    points = sy.sample_variety_points(h, samples, seed)
+    assert ranks == [ig.lift_point(h, p, check=False).rank for p in points] == [h.m] * samples
+
+
+@pytest.mark.parametrize("name", SCALAR_CORPUS)
+def test_sampled_symbol_ranks_are_the_lift_ranks_on_the_corpus(name):
+    _check_sampled_ranks_are_the_lift_ranks(_corpus_op(name), 3, 7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_scalar_ops(), st.integers(0, 2 ** 16))
+def test_sampled_symbol_ranks_are_the_lift_ranks_on_random_operators(h, seed):
+    _check_sampled_ranks_are_the_lift_ranks(h, 2, seed)

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from jetforge import integrability as ig
 from jetforge import jetcalc as jc
 from jetforge import spencer as sp
 from jetforge import symbols as sy
@@ -75,24 +76,28 @@ def test_linear_symbol_diagram_gradient_laplace():
 
 
 def test_symbol_prolong_matrix_shape_and_identity():
-    h = _wave()
-    M = sy.SymbolProlongMatrix(h)
-    # rows (i, beta): 2; cols |J| = 3: 4
-    assert len(M.row_labels) == 2
-    assert len(M.col_labels) == 4
+    # for one equation the prolonged symbol at a point of order k is the
+    # lift matrix there: entry (i, T) is s_{T - e_i}, so row i sends the
+    # powers v^T to v_i * S(v)
+    wave = _wave()
+    A = ig.lift_system_at(wave, _point(wave))[0]
+    # rows D_i h: 2; cols u_T, |T| = 3: 4
+    assert (A.nrows, A.ncols) == (2, 4)
+    nonlinear = jc.DiffOp(2, 1, 2, [sx.jet(1, (0, 0)) * sx.jet(1, (2, 0)) - sx.jet(1, (1, 0)) * sx.jet(1, (1, 1))
+                                    - sx.jet(1, (0, 2))])
     rng = random.Random(4)
-    a = _point(h)
-    S = sy.symbol_of(h)
-    assignment = a.assignment()
-    Ma = [[sx.evaluate(e, assignment) for e in row] for row in M.entries]
-    for _ in range(10):
-        v = tuple(sx.random_rational(rng, 5) for _ in range(2))
-        # coordinates of v^(x)3 in the monomial basis of Sym^3
-        coords = [multinomial(J) * math.prod(Q(v[i]) ** e for i, e in enumerate(J))
-                  for (alpha, J) in M.col_labels]
-        s_val = sy.symbol_value(S, 1, a, v)
-        for (i, beta), row in zip(M.row_labels, Ma):
-            assert sum(x * c for x, c in zip(row, coords)) == Q(v[i - 1]) * s_val
+    for h in (wave, nonlinear):
+        S = sy.symbol_of(h)
+        for seed in range(3):
+            a = _point(h, seed)
+            A = ig.lift_system_at(h, a)[0]
+            for _ in range(10):
+                v = tuple(sx.random_rational(rng, 5) for _ in range(2))
+                powers = [math.prod(Q(v[j]) ** e for j, e in enumerate(T)) for (alpha, T) in A.col_labels]
+                s_val = sy.symbol_value(S, 1, a, v)
+                for (beta, I), row in zip(A.row_labels, A.rows):
+                    i = list(I).index(1)
+                    assert sum(x * c for x, c in zip(row, powers)) == Q(v[i]) * s_val
 
 
 def test_characteristic_test():
@@ -140,32 +145,15 @@ def test_rank_profile_float_ranks_are_ranks_of_the_exact_samples():
     # Monge-Ampere with a cubic term: the symbol depends on the point
     h = jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) * sx.jet(1, (0, 2)) - sx.jet(1, (1, 1)) ** 2
                             + sx.jet(1, (0, 0)) ** 3])
-    entries = sy.SymbolProlongMatrix(h).entries
     rep = sy.rank_profile(h, samples=8, seed=5, mode="float")
     want = []
     for p in sy.sample_variety_points(h, 8, 5):
-        a = p.assignment()
-        exact = [[sx.evaluate(e, a) for e in row] for row in entries]
-        assert all(type(x) is Q for row in exact for x in row)
-        want.append(int(np.linalg.matrix_rank(np.array(exact, dtype=float), tol=1e-9)))
+        A = ig.lift_system_at(h, p)[0]
+        assert all(type(x) is Q for row in A.rows for x in row)
+        floats = [[float(x) for x in row] for row in A.rows]
+        want.append(int(np.linalg.matrix_rank(np.array(floats), tol=1e-9)))
     assert rep.sampled_ranks == want
     assert len(want) == 8
-
-
-def test_prolonged_symbol_coefficient_normalization():
-    # entry at (i, beta), column J is s_{J - e_i} * J_i / ((k+1) * mult(J - e_i))
-    h = _laplace(2)
-    M = sy.SymbolProlongMatrix(h)
-    S = sy.symbol_of(h)
-    k = h.order
-    for r, (i, beta) in enumerate(M.row_labels):
-        for c, (alpha, J) in enumerate(M.col_labels):
-            if J[i - 1] == 0:
-                assert M.entries[r][c].is_zero()
-                continue
-            I = J.sub_unit(i)
-            want = S.get((alpha, beta, I), sx.ZERO) * Q(J[i - 1], (k + 1) * multinomial(I))
-            assert M.entries[r][c] == want
 
 
 def test_symbol_is_built_once_and_kept_read_only_on_the_operator():
