@@ -85,7 +85,9 @@ class ProblemSpec:
     @functools.cached_property
     def operator(self):
         """The operator the spec describes, built on first read and kept
-        (outside the dataclass fields, so not in == or the hash)."""
+        (outside the dataclass fields, so not in == or the hash).  Specs
+        from `parse_problem_file` are shared per text, so this operator
+        and what it keeps are shared too: do not mutate it."""
         if self.operator_kind == "klein_gordon":
             F1, F2, Kpoly = self.kg_fields
             K = None
@@ -155,11 +157,38 @@ class _Lines:
         return out
 
 
-def _expect_int(text, value, pos):
+def _expect_int(text, raw, pos):
+    """The integer in raw, pos being the text position of raw; an error
+    points at the stripped value, or at the next token of the text when
+    raw is blank."""
+    value, at = _field(raw, pos)
+    if not value:
+        while at < len(text) and text[at].isspace():
+            at += 1
     try:
         return int(value)
     except ValueError:
-        raise ParseError("expected an integer, got %r" % value, text, pos)
+        raise ParseError("expected an integer, got %r" % value, text, at)
+
+
+# the chart declarations: the letter each declares and its least value
+_CHART_DECLS = {"base": ("m", 1), "fiber": ("n", 1), "order": ("k", 0)}
+
+
+def _chart_value(text, head, stmt, pos):
+    """The value of the chart declaration stmt ('base m = <int>', 'fiber
+    n = <int>' or 'order k = <int>'), pos being its text position; a
+    value below its least is refused at its token."""
+    letter, least = _CHART_DECLS[head]
+    body, at = _field(stmt[len(head):], pos + len(head))
+    if not body.startswith(letter):
+        raise ParseError("expected '%s %s = <int>'" % (head, letter), text, pos)
+    lhs, _, rhs = body.partition("=")
+    rhs, at = _field(rhs, at + len(lhs) + 1)
+    value = _expect_int(text, rhs, at)
+    if value < least:
+        raise ParseError("%s %s must be >= %d, got %d" % (head, letter, least, value), text, at)
+    return value
 
 
 def _field(s, pos):
@@ -176,14 +205,24 @@ def _sub_params(e, params):
     return sx.substitute(e, bindings)
 
 
+@functools.lru_cache(maxsize=64)
 def parse_problem_file(text):
     """Parse a problem file into a ProblemSpec.
 
+    Each distinct text is parsed once per process: a later call with
+    the same text, from `main` or from a library caller, returns the
+    same spec, and with it the same operator and everything derived
+    and kept on it (prolongations, lift plans, the symbol), for the
+    last 64 texts.  The key is the text, not a path, so an edited file
+    parses again.  The spec and its operator are shared and must not be
+    mutated.
+
     Raises ParseError with a position for syntax errors and
     ProblemError for semantic ones (missing declarations, order
-    overflow, unknown query names).
+    overflow, unknown query names); a text that raises is not kept, so
+    it raises on every call.
     """
-    m = n = k = None
+    chart = {}  # letter -> value of base m, fiber n, order k
     metric_entries = None
     params = []
     op_kind = None
@@ -194,7 +233,7 @@ def parse_problem_file(text):
 
     def ctx(order, extra_params=()):
         names = tuple(name for name, _ in params) + tuple(extra_params)
-        return sx.ExprContext(m, n=n, order=order, params=names)
+        return sx.ExprContext(chart["m"], n=chart["n"], order=order, params=names)
 
     def parse_e(src, pos, order, extra_params=()):
         # pos is the text position of src, so an error points at its token
@@ -209,27 +248,17 @@ def parse_problem_file(text):
 
     for stmt, pos in _Lines(text).statements():
         head = stmt.split(None, 1)[0]
-        if head == "base":
-            body = stmt[len("base"):].strip()
-            if not body.startswith("m"):
-                raise ParseError("expected 'base m = <int>'", text, pos)
-            m = _expect_int(text, body.partition("=")[2].strip(), pos)
-        elif head == "fiber":
-            body = stmt[len("fiber"):].strip()
-            if not body.startswith("n"):
-                raise ParseError("expected 'fiber n = <int>'", text, pos)
-            n = _expect_int(text, body.partition("=")[2].strip(), pos)
-        elif head == "order":
-            body = stmt[len("order"):].strip()
-            if not body.startswith("k"):
-                raise ParseError("expected 'order k = <int>'", text, pos)
-            k = _expect_int(text, body.partition("=")[2].strip(), pos)
+        if head in _CHART_DECLS:
+            letter = _CHART_DECLS[head][0]
+            if letter in chart:
+                raise ParseError("'%s %s' declared twice" % (head, letter), text, pos)
+            chart[letter] = _chart_value(text, head, stmt, pos)
         elif head == "metric":
-            if None in (m, n, k):
+            if len(chart) < 3:
                 raise ProblemError("metric block before chart declarations")
             body, at = _field(stmt[len("metric"):], pos + len("metric"))
             if not (body.startswith("{") and body.endswith("}")):
-                raise ParseError("metric block must be '{ ... }'", text, pos)
+                raise ParseError("metric block must be '{ ... }'", text, at)
             metric_entries = {}
             at += 1
             for raw in body[1:-1].split(";"):
@@ -250,7 +279,7 @@ def parse_problem_file(text):
                     raise ParseError("metric entry %s given twice" % name, text, epos)
                 metric_entries[(i, j)] = parse_e(*_field(rhs, epos + len(lhs) + 1), 0)
         elif head == "param":
-            if None in (m, n, k):
+            if len(chart) < 3:
                 raise ProblemError("param before chart declarations")
             body, at = _field(stmt[len("param"):], pos + len("param"))
             lhs, _, rhs = body.partition("=")
@@ -259,8 +288,10 @@ def parse_problem_file(text):
                 raise ParseError("bad parameter name %r" % name, text, pos)
             params.append((name, parse_e(*_field(rhs, at + len(lhs) + 1), 0)))
         elif head == "operator":
-            if None in (m, n, k):
+            if len(chart) < 3:
                 raise ProblemError("operator before chart declarations")
+            if op_kind is not None:
+                raise ParseError("'operator h' declared twice", text, pos)
             body, at = _field(stmt[len("operator"):], pos + len("operator"))
             lhs, _, rhs = body.partition("=")
             if lhs.strip() != "h":
@@ -270,14 +301,14 @@ def parse_problem_file(text):
                 op_kind = "klein_gordon"
                 inner, at = _field(rhs[len("klein_gordon"):], at + len("klein_gordon"))
                 if not (inner.startswith("(") and inner.endswith(")")):
-                    raise ParseError("klein_gordon takes (F1=..., F2=..., K=...)", text, pos)
+                    raise ParseError("klein_gordon takes (F1=..., F2=..., K=...)", text, at)
                 F1 = sx.ZERO
                 F2 = sx.ZERO
                 Kpoly = None
                 for off, part in _split_top(inner[1:-1]):
                     key, _, val = part.partition("=")
                     val = _field(val, at + 1 + off + len(key) + 1)
-                    key = key.strip()
+                    key, key_at = _field(key, at + 1 + off)
                     if key == "F1":
                         F1 = parse_e(*val, 0)
                     elif key == "F2":
@@ -285,16 +316,18 @@ def parse_problem_file(text):
                     elif key == "K":
                         Kpoly = parse_e(*val, 0, extra_params=("z",))
                     else:
-                        raise ParseError("unknown klein_gordon field %r" % key, text, pos)
+                        raise ParseError("unknown klein_gordon field %r" % key, text, key_at)
                 if metric_entries is None:
                     raise ProblemError("klein_gordon requires a metric block")
                 kg_fields = (F1, F2, Kpoly)
             else:
                 op_kind = "expr"
-                op_exprs = tuple(parse_e(*_field(p, at + off), k) for off, p in _split_top(rhs))
+                op_exprs = tuple(parse_e(*_field(p, at + off), chart["k"])
+                                 for off, p in _split_top(rhs))
         elif head == "query":
-            body = stmt[len("query"):].strip()
+            body, at = _field(stmt[len("query"):], pos + len("query"))
             name, _, rest = body.partition("(")
+            at += len(name) + 1
             name = name.strip()
             if not rest.endswith(")"):
                 raise ParseError("queries look like 'query name(args);'", text, pos)
@@ -302,20 +335,20 @@ def parse_problem_file(text):
                 raise ProblemError("unknown query %r" % name)
             args = []
             kwargs = []
-            for _, part in _split_top(rest[:-1]):
-                part = part.strip()
-                if not part:
+            for off, part in _split_top(rest[:-1]):
+                if not part.strip():
                     continue
                 if "=" in part:
                     kname, _, val = part.partition("=")
-                    kwargs.append((kname.strip(), _expect_int(text, val.strip(), pos)))
+                    kwargs.append((kname.strip(),
+                                   _expect_int(text, val, at + off + len(kname) + 1)))
                 else:
-                    args.append(_expect_int(text, part, pos))
+                    args.append(_expect_int(text, part, at + off))
             queries.append(Query(name, tuple(args), tuple(kwargs)))
         else:
             raise ParseError("unknown declaration %r" % head, text, pos)
 
-    if None in (m, n, k):
+    if len(chart) < 3:
         raise ProblemError("a problem file must declare base, fiber, and order")
     if op_kind is None:
         raise ProblemError("a problem file must declare an operator")
@@ -325,9 +358,9 @@ def parse_problem_file(text):
         for (i, j) in list(metric_entries):
             if (j, i) not in metric_entries:
                 metric_entries[(j, i)] = metric_entries[(i, j)]
-        metric = ig.MetricSpec(m, metric_entries)
+        metric = ig.MetricSpec(chart["m"], metric_entries)
     spec = ProblemSpec(
-        m=m, n=n, k=k, metric=metric, params=tuple(params),
+        m=chart["m"], n=chart["n"], k=chart["k"], metric=metric, params=tuple(params),
         operator_kind=op_kind,
         operator_exprs=op_exprs or (),
         kg_fields=kg_fields or (),

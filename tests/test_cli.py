@@ -122,7 +122,7 @@ _CHART = "base m = 2;\nfiber n = 1;\norder k = 2;\n"
 
 @pytest.mark.parametrize("text, message", [
     ("base m = ;\nfiber n = 1;\norder k = 2;\noperator h = u[(2,0)];\n",
-     "expected an integer, got '' (line 1, col 1)"),
+     "expected an integer, got '' (line 1, col 10)"),
     # a comment inside the block is blanked, so its ';' ends no entry
     (_CHART + "metric {  # curved; g[1][1] = 0;\n  g[1][1] = 1;\n  g[2][2] = -1 + y;\n}\n"
      "operator h = klein_gordon(F1=1, F2=1, K=z^3);\n",
@@ -136,8 +136,18 @@ _CHART = "base m = 2;\nfiber n = 1;\norder k = 2;\n"
      "undeclared identifier 'q' in '1 + q' (line 5, col 42)"),
     (_CHART + "param c = 3/;\noperator h = u[(2,0)] - c*u[(0,2)];\n",
      "unexpected token 'end' in '3/' (line 4, col 13)"),
+    (_CHART + "operator h = u[(2,0)];\nquery prolong(1);\nquery spencer(pmax=2, qmax= 4x);\n",
+     "expected an integer, got '4x' (line 6, col 29)"),
+    (_CHART + "metric { g[1][1] = 1; g[2][2] = -1; }\n"
+     "operator h = klein_gordon(F1=1,  F3 = 2);\n",
+     "unknown klein_gordon field 'F3' (line 5, col 34)"),
+    (_CHART + "metric g[1][1] = 1;\noperator h = u[(2,0)];\n",
+     "metric block must be '{ ... }' (line 4, col 8)"),
+    (_CHART + "metric { g[1][1] = 1; g[2][2] = -1; }\noperator h = klein_gordon F1=1;\n",
+     "klein_gordon takes (F1=..., F2=..., K=...) (line 5, col 27)"),
 ], ids=["chart", "metric_entry", "operator_after_comment", "second_component",
-        "klein_gordon_field", "param"])
+        "klein_gordon_field", "param", "query_integer", "klein_gordon_key", "metric_block",
+        "klein_gordon_arguments"])
 def test_main_locates_a_parse_error_once_at_its_token(tmp_path, capsys, text, message):
     path = tmp_path / "bad.jf"
     path.write_text(text)
@@ -145,6 +155,38 @@ def test_main_locates_a_parse_error_once_at_its_token(tmp_path, capsys, text, me
     out = capsys.readouterr()
     assert out.err == "error: %s\n" % message
     assert out.out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("base m = 2;\nfiber n = -1;\norder k = 2;\noperator h = 1;\n",
+     "fiber n must be >= 1, got -1 (line 2, col 11)"),
+    ("base m = -1;\nfiber n = 1;\norder k = 2;\noperator h = 1;\n",
+     "base m must be >= 1, got -1 (line 1, col 10)"),
+    ("base m = 0;\nfiber n = 1;\norder k = 2;\noperator h = 1;\n",
+     "base m must be >= 1, got 0 (line 1, col 10)"),
+    ("base m = 2;\nfiber n = 1;\norder k =  -1;\noperator h = 1;\n",
+     "order k must be >= 0, got -1 (line 3, col 12)"),
+    ("base m = 2;\nbase m = 3;\nfiber n = 1;\norder k = 2;\noperator h = u[(2,0)];\n",
+     "'base m' declared twice (line 2, col 1)"),
+    (_CHART + "fiber n = 2;\noperator h = u[(2,0)];\n",
+     "'fiber n' declared twice (line 4, col 1)"),
+    (_CHART + "order k = 3;\noperator h = u[(2,0)];\n",
+     "'order k' declared twice (line 4, col 1)"),
+    (_CHART + "operator h = u[(2,0)];\n  operator h = u[(0,2)];\n",
+     "'operator h' declared twice (line 5, col 3)"),
+], ids=["fiber_negative", "base_negative", "base_zero", "order_negative", "base_twice",
+        "fiber_twice", "order_twice", "operator_twice"])
+def test_main_refuses_a_bad_chart_or_a_repeated_declaration_at_its_token(
+        tmp_path, capsys, text, message):
+    path = tmp_path / "bad.jf"
+    path.write_text(text)
+    for command in cli.COMMANDS:
+        assert cli.main([command, str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.err == "error: %s\n" % message
+        assert out.out == ""
+    with pytest.raises(cli.ParseError):
+        cli.parse_problem_file(text)
 
 
 def test_parse_param_macro_substitution():
@@ -259,7 +301,7 @@ def test_format_problem_round_trip_fixed_point():
     for text in (WAVE, KG, PARAMS):
         spec = cli.parse_problem_file(text)
         printed = cli.format_problem(spec)
-        spec2 = cli.parse_problem_file(printed)
+        spec2 = cli.parse_problem_file.__wrapped__(printed)
         assert cli.format_problem(spec2) == printed
 
 
@@ -329,7 +371,9 @@ def _same_spec(a, b):
 @given(_problem_text())
 def test_parse_format_parse_is_a_fixed_point(text):
     spec = cli.parse_problem_file(text)
-    _same_spec(cli.parse_problem_file(cli.format_problem(spec)), spec)
+    # the uncached parse, so a text that is already canonical is parsed
+    # twice rather than compared with its own cached spec
+    _same_spec(cli.parse_problem_file.__wrapped__(cli.format_problem(spec)), spec)
 
 
 def test_load_free_data(tmp_path):
@@ -734,7 +778,7 @@ def test_corpus_reports_match_pinned_sha256(command, monkeypatch):
         assert digest == golden["%s %s" % (command, name)], name
 
 
-def test_main_builds_the_operator_once(monkeypatch, capsys):
+def test_main_builds_the_operator_once(tmp_path, monkeypatch, capsys):
     calls = []
     build = ig.make_klein_gordon
 
@@ -743,9 +787,86 @@ def test_main_builds_the_operator_once(monkeypatch, capsys):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(ig, "make_klein_gordon", counting)
-    assert cli.main(["integrability", os.path.join(CORPUS_DIR, "kg_mink4.jf")]) == 0
-    capsys.readouterr()
+    cli.parse_problem_file.cache_clear()
+    path = tmp_path / "kg_mink4.jf"
+    path.write_text(_corpus_bytes("kg_mink4.jf").decode("utf-8"))
+    # two calls on one text build its operator once
+    for seed in ("0", "3"):
+        assert cli.main(["integrability", str(path), "--seed", seed]) == 0
     assert len(calls) == 1
+    # an edited file is a new text, so it is parsed and built again
+    path.write_text(path.read_text() + "# edited\n")
+    assert cli.main(["integrability", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# one parse per text
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parse_returns_one_spec_per_text():
+    spec = cli.parse_problem_file(WAVE)
+    assert cli.parse_problem_file(WAVE) is spec
+    assert cli.parse_problem_file(WAVE).operator is spec.operator
+    # the key is the text: another text is another spec
+    assert cli.parse_problem_file(WAVE + "# edited\n") is not spec
+
+
+@pytest.mark.parametrize("text, error", [
+    (DEGENERATE.replace("base m = 2", "base m = "), cli.ParseError),
+    (DEGENERATE.replace("order k = 2;", "order k = 2;\norder k = 3;"), cli.ParseError),
+    (DEGENERATE + "query bogus();\n", cli.ProblemError),
+    ("param c = 1;\n" + DEGENERATE, cli.ProblemError),
+], ids=["parse_error", "repeated_declaration", "unknown_query", "param_before_chart"])
+def test_a_text_that_fails_to_parse_fails_on_every_call(text, error):
+    messages = []
+    for _ in range(3):
+        with pytest.raises(error) as exc:
+            cli.parse_problem_file(text)
+        messages.append(str(exc.value))
+    assert len(set(messages)) == 1
+
+
+def test_a_failing_command_fails_alike_on_every_call(tmp_path):
+    # DEGENERATE parses; its integrability check fails when it runs
+    path = tmp_path / "degenerate.jf"
+    path.write_text(DEGENERATE)
+    argv = ["integrability", str(path), "--json", "-"]
+    cli.parse_problem_file.cache_clear()
+    cold = _main_output(argv)
+    assert cold[0] == 1
+    assert _main_output(argv) == cold
+
+
+def test_the_parse_cache_keeps_at_most_64_texts():
+    for i in range(70):
+        cli.parse_problem_file(PARAMS.replace("3/2", "%d/7" % (i + 1)))
+    info = cli.parse_problem_file.cache_info()
+    assert info.maxsize == 64
+    assert info.currsize <= 64
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(CORPUS_DIR) if f.endswith(".jf")))
+def test_warm_calls_print_the_bytes_of_cold_calls(name):
+    # a cold call parses the text afresh; a warm one reuses its spec,
+    # operator and plans after every other command and seed ran on it
+    path = os.path.join(CORPUS_DIR, name)
+    runs = [(command, seed) for command in cli.COMMANDS for seed in ("0", "7")]
+    cold = {}
+    for command, seed in runs:
+        cli.parse_problem_file.cache_clear()
+        cold[command, seed] = _main_output([command, path, "--seed", seed, "--json", "-"])
+    for command, seed in runs + runs[::-1]:
+        warm = _main_output([command, path, "--seed", seed, "--json", "-"])
+        assert warm == cold[command, seed], (command, seed)
 
 
 def test_python_dash_m_runs_the_command_line(monkeypatch, capsys):

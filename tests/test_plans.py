@@ -15,6 +15,9 @@ and the symbol matrix, against that reference.  Every comparison is
 exact.
 """
 
+import collections
+import contextlib
+import io
 import os
 import random
 from fractions import Fraction as Q
@@ -53,8 +56,10 @@ def _kg(m):
 
 
 def _corpus_op(name):
+    # a fresh operator on every call, with nothing prolonged or compiled
+    # yet: `cli.parse_problem_file` shares one per text
     with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
-        return cli.parse_problem_file(fh.read()).operator
+        return cli.parse_problem_file.__wrapped__(fh.read()).operator
 
 
 SCALAR_CORPUS = sorted(name for name in os.listdir(CORPUS)
@@ -319,6 +324,45 @@ def test_prolongation_symbol_and_jacobian_take_one_walk_per_expression(monkeypat
     jc.symbol_table(h)
     ig.variety_codim(h, 1, samples=2)
     assert calls == []
+
+
+def _cli_pass(seed):
+    for command in cli.COMMANDS:
+        for name in sorted(f for f in os.listdir(CORPUS) if f.endswith(".jf")):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([command, os.path.join(CORPUS, name), "--seed", str(seed),
+                                 "--json", "-"])
+            assert code == 0, (command, name)
+
+
+def test_warm_cli_calls_parse_build_and_compile_nothing(monkeypatch):
+    # cli.main parses each text once per process and keeps its operator,
+    # so a second pass over the corpus at another seed parses no
+    # expression, builds no operator, prolongs no level and compiles no
+    # lift plan: none of the plans depends on the seed
+    counts = collections.Counter()
+
+    def count(owner, name):
+        orig = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    targets = ((sx, "parse_expr_flagged"), (ig, "make_klein_gordon"), (jc, "_prolong_once"),
+               (jc.LiftPlan, "__init__"))
+    for owner, name in targets:
+        count(owner, name)
+    cli.parse_problem_file.cache_clear()
+    _cli_pass(0)
+    # the counters see the cold pass
+    assert all(counts[name] for _, name in targets), counts
+    counts.clear()
+    _cli_pass(5)
+    assert counts == {}
 
 
 # ---------------------------------------------------------------------------
