@@ -205,7 +205,6 @@ def _sub_params(e, params):
     return sx.substitute(e, bindings)
 
 
-@functools.lru_cache(maxsize=64)
 def parse_problem_file(text):
     """Parse a problem file into a ProblemSpec.
 
@@ -213,15 +212,26 @@ def parse_problem_file(text):
     the same text, from `main` or from a library caller, returns the
     same spec, and with it the same operator and everything derived
     and kept on it (prolongations, lift plans, the symbol), for the
-    last 64 texts.  The key is the text, not a path, so an edited file
-    parses again.  The spec and its operator are shared and must not be
-    mutated.
+    last 16 texts.  The key is the text, not a path, so an edited file
+    parses again; it also holds the primitive registry, so a text
+    parses again after `symexpr.register_primitive` changes a rule.
+    The spec and its operator are shared and must not be mutated.
 
     Raises ParseError with a position for syntax errors and
     ProblemError for semantic ones (missing declarations, order
     overflow, unknown query names); a text that raises is not kept, so
     it raises on every call.
     """
+    return _parse(text, sx.registry_state())
+
+
+# 16 texts: above the 14 corpus files, since an LRU smaller than a
+# cyclic access pattern never hits; each text keeps every prolongation
+# and plan asked of it, tens of MB for a large prolongation
+@functools.lru_cache(maxsize=16)
+def _parse(text, registry=None):
+    """The spec of text, uncached through `_parse.__wrapped__(text)`;
+    registry is only part of the cache key."""
     chart = {}  # letter -> value of base m, fiber n, order k
     metric_entries = None
     params = []

@@ -523,6 +523,13 @@ def primitive_registered(name):
     return name in _REGISTRY
 
 
+def registry_state():
+    """The registered primitives as a hashable value.  Each registration
+    makes a new PrimitiveDef, so the value changes whenever a rule
+    does: a cache of what was built under the registry keys on it."""
+    return tuple(_REGISTRY.items())
+
+
 def prim(name, arg):
     if name not in _REGISTRY:
         raise ExprError("unregistered primitive %r" % name)

@@ -386,7 +386,7 @@ def test_criterion_10_determinism_and_parsing(tmp_path):
         text = open(f, encoding="utf-8").read()
         spec = cli.parse_problem_file(text)
         printed = cli.format_problem(spec)
-        spec2 = cli.parse_problem_file.__wrapped__(printed)
+        spec2 = cli._parse.__wrapped__(printed)
         assert cli.format_problem(spec2) == printed, f
 
     wave = [f for f in files if f.endswith("wave2.jf")][0]

@@ -301,7 +301,7 @@ def test_format_problem_round_trip_fixed_point():
     for text in (WAVE, KG, PARAMS):
         spec = cli.parse_problem_file(text)
         printed = cli.format_problem(spec)
-        spec2 = cli.parse_problem_file.__wrapped__(printed)
+        spec2 = cli._parse.__wrapped__(printed)
         assert cli.format_problem(spec2) == printed
 
 
@@ -373,7 +373,7 @@ def test_parse_format_parse_is_a_fixed_point(text):
     spec = cli.parse_problem_file(text)
     # the uncached parse, so a text that is already canonical is parsed
     # twice rather than compared with its own cached spec
-    _same_spec(cli.parse_problem_file.__wrapped__(cli.format_problem(spec)), spec)
+    _same_spec(cli._parse.__wrapped__(cli.format_problem(spec)), spec)
 
 
 def test_load_free_data(tmp_path):
@@ -787,7 +787,7 @@ def test_main_builds_the_operator_once(tmp_path, monkeypatch, capsys):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(ig, "make_klein_gordon", counting)
-    cli.parse_problem_file.cache_clear()
+    cli._parse.cache_clear()
     path = tmp_path / "kg_mink4.jf"
     path.write_text(_corpus_bytes("kg_mink4.jf").decode("utf-8"))
     # two calls on one text build its operator once
@@ -812,61 +812,55 @@ def _main_output(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_parse_returns_one_spec_per_text():
-    spec = cli.parse_problem_file(WAVE)
-    assert cli.parse_problem_file(WAVE) is spec
-    assert cli.parse_problem_file(WAVE).operator is spec.operator
-    # the key is the text: another text is another spec
-    assert cli.parse_problem_file(WAVE + "# edited\n") is not spec
-
-
-@pytest.mark.parametrize("text, error", [
-    (DEGENERATE.replace("base m = 2", "base m = "), cli.ParseError),
-    (DEGENERATE.replace("order k = 2;", "order k = 2;\norder k = 3;"), cli.ParseError),
-    (DEGENERATE + "query bogus();\n", cli.ProblemError),
-    ("param c = 1;\n" + DEGENERATE, cli.ProblemError),
-], ids=["parse_error", "repeated_declaration", "unknown_query", "param_before_chart"])
-def test_a_text_that_fails_to_parse_fails_on_every_call(text, error):
-    messages = []
-    for _ in range(3):
-        with pytest.raises(error) as exc:
-            cli.parse_problem_file(text)
-        messages.append(str(exc.value))
-    assert len(set(messages)) == 1
-
-
 def test_a_failing_command_fails_alike_on_every_call(tmp_path):
     # DEGENERATE parses; its integrability check fails when it runs
     path = tmp_path / "degenerate.jf"
     path.write_text(DEGENERATE)
     argv = ["integrability", str(path), "--json", "-"]
-    cli.parse_problem_file.cache_clear()
+    cli._parse.cache_clear()
     cold = _main_output(argv)
     assert cold[0] == 1
     assert _main_output(argv) == cold
 
 
-def test_the_parse_cache_keeps_at_most_64_texts():
-    for i in range(70):
-        cli.parse_problem_file(PARAMS.replace("3/2", "%d/7" % (i + 1)))
-    info = cli.parse_problem_file.cache_info()
-    assert info.maxsize == 64
-    assert info.currsize <= 64
+def test_a_primitive_registered_again_parses_the_text_again(tmp_path):
+    # the operator keeps its prolongations, so a reused spec would
+    # prolong under the first rule
+    path = tmp_path / "twist.jf"
+    path.write_text("base m = 2;\nfiber n = 1;\norder k = 1;\n"
+                    "operator h = u[(1,0)] - twist_test(u[(0,0)]);\nquery prolong(1);\n")
+    argv = ["prolong", str(path), "--json", "-"]
+    try:
+        sx.register_primitive("twist_test", derivative=lambda a: 2 * a)
+        first = _main_output(argv)
+        assert first[0] == 0 and "2*u[(0,0)]*u[(0,1)]" in first[1]
+        sx.register_primitive("twist_test", derivative=lambda a: 3 * a)
+        again = _main_output(argv)
+        cli._parse.cache_clear()
+        assert again == _main_output(argv)
+        assert "3*u[(0,0)]*u[(0,1)]" in again[1]
+    finally:
+        del sx._REGISTRY["twist_test"]
 
 
 @pytest.mark.parametrize("name", sorted(f for f in os.listdir(CORPUS_DIR) if f.endswith(".jf")))
 def test_warm_calls_print_the_bytes_of_cold_calls(name):
     # a cold call parses the text afresh; a warm one reuses its spec,
-    # operator and plans after every other command and seed ran on it
+    # operator and plans after every other run on the text: each command
+    # under two seeds, float and exact mode (exact fails on decimal.jf),
+    # order 2 before and after order 1, fewer samples and random free data
     path = os.path.join(CORPUS_DIR, name)
-    runs = [(command, seed) for command in cli.COMMANDS for seed in ("0", "7")]
+    flag_sets = [("--seed", "0"), ("--seed", "7"), ("--mode", "float", "--seed", "7"),
+                 ("--mode", "exact"), ("--order", "2"), ("--order", "1"),
+                 ("--samples", "3", "--seed", "2"), ("--free-data", "random", "--seed", "7")]
+    runs = [(command, flags) for command in cli.COMMANDS for flags in flag_sets]
     cold = {}
-    for command, seed in runs:
-        cli.parse_problem_file.cache_clear()
-        cold[command, seed] = _main_output([command, path, "--seed", seed, "--json", "-"])
-    for command, seed in runs + runs[::-1]:
-        warm = _main_output([command, path, "--seed", seed, "--json", "-"])
-        assert warm == cold[command, seed], (command, seed)
+    for command, flags in runs:
+        cli._parse.cache_clear()
+        cold[command, flags] = _main_output([command, path, *flags, "--json", "-"])
+    for command, flags in runs + runs[::-1]:
+        warm = _main_output([command, path, *flags, "--json", "-"])
+        assert warm == cold[command, flags], (command, flags)
 
 
 def test_python_dash_m_runs_the_command_line(monkeypatch, capsys):

@@ -59,7 +59,7 @@ def _corpus_op(name):
     # a fresh operator on every call, with nothing prolonged or compiled
     # yet: `cli.parse_problem_file` shares one per text
     with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
-        return cli.parse_problem_file.__wrapped__(fh.read()).operator
+        return cli._parse.__wrapped__(fh.read()).operator
 
 
 SCALAR_CORPUS = sorted(name for name in os.listdir(CORPUS)
@@ -356,7 +356,7 @@ def test_warm_cli_calls_parse_build_and_compile_nothing(monkeypatch):
                (jc.LiftPlan, "__init__"))
     for owner, name in targets:
         count(owner, name)
-    cli.parse_problem_file.cache_clear()
+    cli._parse.cache_clear()
     _cli_pass(0)
     # the counters see the cold pass
     assert all(counts[name] for _, name in targets), counts
