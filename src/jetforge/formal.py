@@ -43,7 +43,6 @@ class FormalSolution:
     operator: jc.DiffOp
     top_jet: jc.JetPoint
     free_counts: list = field(default_factory=list)
-    verified_order: int | None = None
 
     @property
     def base(self):
@@ -124,6 +123,4 @@ def verify_residual(sol, r, mode="exact"):
         mx = max(abs(float(v)) for v in values) if values else 0.0
         passed = mx < 1e-9
         report = ResidualReport(order=r, passed=passed, mode=mode, values=values, max_abs=mx)
-    if report.passed and (sol.verified_order is None or r > sol.verified_order):
-        sol.verified_order = r
     return report

@@ -257,32 +257,38 @@ class LiftResult:
         return len(self.free_labels)
 
 
-def lift_system_at(h, b):
-    """The affine system for one more order of jet coordinates at b.
-
-    Rows are the components of prolong_op(h, l+1) of outer degree
-    exactly l+1 (l inferred from b); columns are the order-(k+l+1)
-    coordinates in graded-lex order.  Returns (A, R, column labels), R
-    the right-hand side as a one-column matrix.  The rows and their
-    Jacobian come from h's lift plan, compiled on b's own chart with
-    the new coordinates at zero (R is minus the rows there); only
-    their values at b are computed here.  A is the shifted symbol, so it
-    is built from the symbol values sigma(b) alone, at the plan's
-    structurally nonzero entries, each row over the lcm of its entries'
-    denominators, which is lowest terms; while sigma(b) equals that of
-    the plan's last point, A is that point's matrix object.
-    """
+def _level(h, b):
+    """The level l of the point b for h, b of order h.order + l on h's
+    bundle."""
     l = b.chart.k - h.order
     if l < 0:
         raise ValueError("point order below operator order")
     if (b.chart.m, b.chart.n) != (h.m, h.n):
         raise ValueError("point and operator live on different bundles")
-    plan = jc.lift_plan(h, l)
+    return l
+
+
+def lift_system_at(h, b):
+    """The affine system for one more order of jet coordinates at b.
+
+    Rows are the components of prolong_op(h, l+1) of outer degree
+    exactly l+1 (l inferred from b); columns are the order-(k+l+1)
+    coordinates in graded-lex order.  Returns (A, R, column labels, E):
+    R the tuple of right-hand-side values, one per row, and E the
+    `Echelon` of [A | I], which decides and solves A x = y for every y.
+    The rows and their Jacobian come from h's lift plan, compiled on b's
+    own chart with the new coordinates at zero (R is minus the rows
+    there); only their values at b are computed here.  A is the shifted
+    symbol, so it is built from the symbol values sigma(b) alone, at
+    the plan's structurally nonzero entries, each row over the lcm of
+    its entries' denominators, which is lowest terms; E is made with it.
+    This is the one writer of the plan's `last`: while sigma(b) equals
+    that of the plan's last point, A and E are that point's objects.
+    """
+    plan = jc.lift_plan(h, _level(h, b))
     values = plan.values_at(b)
     sigma = [values[p] for p in plan.sigma]
-    if plan.last is not None and plan.last[0] == sigma:
-        A = plan.last[1]
-    else:
+    if plan.last is None or plan.last[0] != sigma:
         nums, dens = [], []
         for row in plan.entries:
             nz = [(j, values[p]) for j, p in row]
@@ -290,11 +296,9 @@ def lift_system_at(h, b):
             nums.append({j: x.numerator * (den // x.denominator) for j, x in nz})
             dens.append(den)
         A = sp.RationalMatrix.from_int_rows(nums, dens, plan.unknowns, row_labels=plan.row_labels)
-        plan.last = (sigma, A, None)
-    R = sp.RationalMatrix.from_int_rows(
-        [{0: -values[p].numerator} for p in plan.rhs], [values[p].denominator for p in plan.rhs],
-        range(1), row_labels=plan.row_labels)
-    return A, R, list(plan.unknowns)
+        plan.last = (sigma, A, sp.Echelon(A, sp.RationalMatrix.identity(A.nrows)))
+    _, A, E = plan.last
+    return A, tuple([-values[p] for p in plan.rhs]), list(plan.unknowns), E
 
 
 def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
@@ -307,28 +311,19 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
     policy "explicit" reads them from free_data keyed by (alpha, index).
     Raises LiftObstructionError when the system is inconsistent.
 
-    The solve reads one elimination of [A | I], kept on the lift plan
-    for the last A it was made for, against R (`Echelon.solve`): A
-    repeats wherever the symbol values do, as at every point of a
-    constant-coefficient operator or over one base point of a
-    Klein-Gordon operator.  The free columns are those of the reduced
-    row echelon form of A alone, and the solution is unique given the
-    free values.
+    The solve reads the elimination E of [A | I] that `lift_system_at`
+    returns with A, against R (`Echelon.solve`): A and E repeat wherever
+    the symbol values do, as at every point of a constant-coefficient
+    operator or over one base point of a Klein-Gordon operator.  The
+    free columns are those of the reduced row echelon form of A alone,
+    and the solution is unique given the free values; it is the new
+    jets of the lifted point, in label order.
     """
-    l = b.chart.k - h.order
-    if l < 0:
-        raise ValueError("point order below operator order")
     if check:
-        prev = jc.prolong_op(h, l)
-        vals = prev.evaluate_at(b)
+        vals = jc.prolong_op(h, _level(h, b)).evaluate_at(b)
         if any(v != 0 for v in vals):
             raise ValueError("point does not satisfy the prolonged equations")
-    A, R, unknowns = lift_system_at(h, b)
-    plan = jc.lift_plan(h, l)
-    sigma, _, E = plan.last
-    if E is None:
-        E = sp.Echelon(A, sp.RationalMatrix.identity(A.nrows))
-        plan.last = (sigma, A, E)
+    _, R, unknowns, E = lift_system_at(h, b)
     free = E.free
     free_values = None
     if policy == "random":
@@ -356,9 +351,7 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
         raise LiftObstructionError(
             "no lift at this point: the next-order conditions are inconsistent"
         ) from None
-    new_jets = {unknowns[i]: x[i] for i in range(len(unknowns))}
-    point = b.extend(new_jets)
-    return LiftResult(point=point, free_labels=[unknowns[f] for f in free], rank=E.rank)
+    return LiftResult(point=b.extend(x), free_labels=[unknowns[f] for f in free], rank=E.rank)
 
 
 def sample_prolonged_points(h, l, count, seed):

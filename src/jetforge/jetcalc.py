@@ -146,14 +146,14 @@ class JetPoint:
         chart = JetChartSpec(self.chart.m, self.chart.n, k1)
         return JetPoint.from_values(chart, self.base, self.values[:len(chart.labels)])
 
-    def extend(self, new_jets):
+    def extend(self, values):
         """Adjoin order-(k+1) values, producing a point one level up.
 
-        new_jets maps each new label (alpha, I), |I| = k + 1, to its
-        value; other keys are not read."""
+        values holds one value per new label (alpha, I), |I| = k + 1, in
+        the order of the order-(k+1) chart's labels, as `from_values`
+        takes them."""
         chart = JetChartSpec(self.chart.m, self.chart.n, self.chart.k + 1)
-        top = chart.labels[len(self.values):]
-        return JetPoint.from_values(chart, self.base, [*self.values, *_jet_values(top, new_jets)])
+        return JetPoint.from_values(chart, self.base, [*self.values, *values])
 
     def __eq__(self, other):
         return (
@@ -408,9 +408,9 @@ class LiftPlan:
     position) of each structurally nonzero entry of A, `sigma` the value
     position of each distinct symbol entry, and `rhs` the value position
     of each row's component.  `last` is (the values at `sigma`, A, the
-    `Echelon` of [A | I] or None until a lift solves with A) of the last
-    point a lift system was built at, None until then; only the last one
-    is kept.
+    `Echelon` of [A | I]) of the last point a lift system was built at,
+    None until then; only the last one is kept, and only
+    `integrability.lift_system_at` writes it.
     """
 
     __slots__ = ("unknowns", "row_labels", "batch", "entries", "sigma", "rhs", "last")

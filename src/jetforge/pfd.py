@@ -59,9 +59,6 @@ class TowerSpec:
     def length(self):
         return len(self.dims)
 
-    def dim(self, i):
-        return self.dims[i]
-
     def connect(self, i, j):
         """Connecting map from level j down to level i <= j, as exprs in
         the level-j slots; the identity when i == j."""

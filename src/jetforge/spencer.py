@@ -138,10 +138,6 @@ class RationalMatrix:
         return len(self.col_labels)
 
     @classmethod
-    def zero(cls, nr, nc):
-        return cls.from_int_rows([{} for _ in range(nr)], [1] * nr, range(nc))
-
-    @classmethod
     def identity(cls, n):
         return cls.from_int_rows([{i: 1} for i in range(n)], [1] * n, range(n))
 
@@ -206,11 +202,11 @@ class RationalMatrix:
 
     def solve(self, rhs, free_values=None):
         """`Echelon.solve` for the one column rhs, eliminated with M as
-        [M | rhs], at y = (1)."""
+        [M | rhs], at y = (1,)."""
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has %d entries for %d rows" % (len(rhs), self.nrows))
         E = Echelon(self, RationalMatrix([[v] for v in rhs], col_labels=range(1)))
-        return E.solve(RationalMatrix.identity(1), free_values)
+        return E.solve((1,), free_values)
 
     def __eq__(self, other):
         # rows equal as Fraction tuples; a matrix without rows has no
@@ -397,33 +393,34 @@ class Echelon:
             dens[pc] = row[pc]
         return RationalMatrix.from_int_rows(nums, dens, self.rhs_labels, row_labels=self.col_labels)
 
-    def consistent_with(self, rhs):
+    def consistent_with(self, y):
         """Whether M * x = rhs_M * y has a solution, for rhs_M the
-        right-hand side this elimination was made with and y the one
-        column of the `RationalMatrix` rhs, one row per column of rhs_M:
-        whether every row that never became a pivot row, a left-null
-        vector of M on the right-hand side columns, is zero at y."""
-        if not self._rest:
-            return True
+        right-hand side this elimination was made with and y a sequence
+        of ints or `Fraction`s, one per column of rhs_M: whether every
+        row that never became a pivot row, a left-null vector of M on
+        the right-hand side columns, is zero at y.  Raises ValueError
+        when y has another length."""
+        if len(y) != len(self.rhs_labels):
+            raise ValueError("y has %d values for %d right-hand side columns"
+                             % (len(y), len(self.rhs_labels)))
         ncols = len(self.col_labels)
-        y = [Fraction(n.get(0, 0), d) for n, d in zip(rhs.nums, rhs.dens)]
         return not any(sum(v * y[j - ncols] for j, v in row.items()) for row in self._rest)
 
-    def solve(self, rhs, free_values=None):
+    def solve(self, y, free_values=None):
         """One exact solution x of M * x = rhs_M * y, for rhs_M the
-        right-hand side this elimination was made with and y the one
-        column of the `RationalMatrix` rhs, one row per column of rhs_M.
-        One elimination of [M | I] so solves M * x = b for every b: the
+        right-hand side this elimination was made with and y a sequence
+        of ints or `Fraction`s, one per column of rhs_M.  One
+        elimination of [M | I] so solves M * x = b for every b: the
         right-hand side part of each reduced pivot row is read against y.
 
         Free (non-pivot) coordinates are zero unless `free_values` maps
         their column label to a value.  Returns (solution, free column
-        positions); raises ValueError on inconsistency
-        (`consistent_with`), on a label that is not a column label, and
-        on a label of a pivot column.
+        positions); raises ValueError on a y of another length or
+        inconsistency (`consistent_with`), on a label that is not a
+        column label, and on a label of a pivot column.
         """
         ncols = len(self.col_labels)
-        if not self.consistent_with(rhs):
+        if not self.consistent_with(y):
             raise ValueError("inconsistent linear system")
         free = self.free
         x = [Fraction(0)] * ncols
@@ -441,7 +438,7 @@ class Echelon:
                 val = x[pos] = Fraction(val)
                 if val:
                     known.append((pos, -val.numerator, val.denominator))
-        known += [(ncols + t, n[0], d) for t, (n, d) in enumerate(zip(rhs.nums, rhs.dens)) if n]
+        known += [(ncols + t, v.numerator, v.denominator) for t, v in enumerate(y) if v]
         # all of them as integers over one denominator D
         D = lcm(*[d for _, _, d in known])
         known = [(j, n * (D // d)) for j, n, d in known]
@@ -581,11 +578,10 @@ class SymbolicSystem:
     single-equation scalar reading; level q < 0 is zero.
     """
 
-    def __init__(self, m, n, k, point, constraints):
+    def __init__(self, m, n, k, constraints):
         self.m = m
         self.n = n
         self.k = k
-        self.point = point
         self._levels = {}
         self._add_level(k, constraints)
 
@@ -673,7 +669,7 @@ def symbolic_system_at(h, a):
     A = symbol_constraint_matrix(h, a)
     if A.is_zero():
         raise SymbolZeroError("operator symbol vanishes identically at the point")
-    return SymbolicSystem(h.m, h.n, h.order, a, A)
+    return SymbolicSystem(h.m, h.n, h.order, A)
 
 
 # ---------------------------------------------------------------------------

@@ -204,10 +204,12 @@ def rank_profile(h, samples=20, seed=0, mode="exact"):
     variable.  So the exact generic rank is the closed form m, given
     where that variable exists and the symbol holds no primitive; the
     notes say which gate failed.  The sampled ranks are those of A at
-    variety points, exact ones by elimination, float ones by singular
-    values of A's entries rounded to floats; the report is certified
-    only when the generic rank equals them all.  A sampler or evaluation
-    failure, a float overflow included, is a note, not an error.
+    variety points, exact ones read off the elimination that
+    `lift_system_at` returns with A, the one a lift solves with, float
+    ones by singular values of A's entries rounded to floats; the report
+    is certified only when the generic rank equals them all.  A sampler
+    or evaluation failure, a float overflow included, is a note, not an
+    error.
     """
     # integrability imports this module
     from .integrability import lift_system_at
@@ -233,9 +235,9 @@ def rank_profile(h, samples=20, seed=0, mode="exact"):
     try:
         ranks = []
         for p in sample_variety_points(h, samples, seed):
-            A = lift_system_at(h, p)[0]
+            A, _, _, E = lift_system_at(h, p)
             if exact:
-                ranks.append(A.rank())
+                ranks.append(E.rank)
             else:
                 import numpy as np
                 ranks.append(int(np.linalg.matrix_rank(np.array(A.rows, dtype=float),

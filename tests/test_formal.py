@@ -88,7 +88,7 @@ def test_formal_solve_wave_reproduces_polynomial_solution():
     assert sol.top_jet == jc.jet_of_section(psi, (Q(0), Q(0)), 5)
     rep = fm.verify_residual(sol, 3)
     assert rep.passed
-    assert sol.verified_order == 3
+    assert rep.order == 3
 
 
 def test_formal_solve_zero_free_data_is_deterministic():

@@ -102,7 +102,9 @@ def test_jet_point_matches_the_per_label_reference(case, data):
     _agrees(p, ref)
     assert list(chart.labels) == _ref_labels(m, n, k)
     assert list(chart.atoms) == list(ref.assignment())
-    up = p.extend(top)
+    # the new values in label order: top is built in that order
+    values = list(top.values())
+    up = p.extend(values)
     _agrees(up, ref.extend(top))
     assert up.project(k) == p
     for k1 in range(k + 1):
@@ -121,13 +123,10 @@ def test_jet_point_matches_the_per_label_reference(case, data):
     with pytest.raises(ValueError) as want:
         _RefPoint(m, n, k, base, changed)
     assert str(got.value) == str(want.value)
-    missing = dict(top)
-    del missing[data.draw(st.sampled_from(sorted(top)))]
-    with pytest.raises(ValueError) as got:
-        p.extend(missing)
-    with pytest.raises(ValueError) as want:
-        ref.extend(missing)
-    assert str(got.value) == str(want.value)
+    # one new value too few or too many
+    for wrong in (values[:-1], values + [0]):
+        with pytest.raises(ValueError, match="^wrong number of jet values$"):
+            p.extend(wrong)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (4, 1)])

@@ -120,20 +120,29 @@ def test_solve_matches_sympy_consistency(case, data):
     for rhs, values in zip(rhs_list, assign):
         b = sympy.Matrix(len(rhs), 1, [sympy.Rational(x.numerator, x.denominator) for x in rhs])
         consistent = S.row_join(b).rank() == S.rank()
-        R = RationalMatrix([[v] for v in rhs], col_labels=range(1))
-        assert E.consistent_with(R) == consistent
+        assert E.consistent_with(rhs) == consistent
         if not consistent:
             with pytest.raises(ValueError, match="inconsistent"):
                 M.solve(rhs, free_values=values)
             with pytest.raises(ValueError, match="inconsistent"):
-                E.solve(R, free_values=values)
+                E.solve(rhs, free_values=values)
             continue
         x, free = M.solve(rhs, free_values=values)
-        assert E.solve(R, free_values=values) == (x, free)
+        assert E.solve(rhs, free_values=values) == (x, free)
         assert _times(M, x) == rhs
         assert free == [c for c in range(M.ncols) if c not in S.rref()[1]]
         for f in free:
             assert x[f] == values.get(LABELS[f], 0)
+
+
+def test_solve_takes_one_value_per_right_hand_side_column():
+    E = Echelon(RationalMatrix([[Q(1), Q(1)], [Q(2), Q(2)]]), RationalMatrix.identity(2))
+    for y in ([Q(1)], [Q(1), Q(2), Q(0)]):
+        with pytest.raises(ValueError, match="right-hand side columns"):
+            E.consistent_with(y)
+        with pytest.raises(ValueError, match="right-hand side columns"):
+            E.solve(y)
+    assert E.solve([Q(1), Q(2)]) == ([Q(1), Q(0)], [1])
 
 
 def test_solve_free_values_are_keyed_by_label_only():
@@ -347,7 +356,7 @@ def test_augmented_elimination_matches_sympy(system):
     assert all(X.rows[f] == (Q(0),) * k for f in E.free)
     if k == 1:
         # y = (1): b is B's one column
-        x, free = E.solve(RationalMatrix.identity(1))
+        x, free = E.solve([1])
         assert x == X.column(0) and free == E.free
 
 
@@ -474,7 +483,7 @@ def test_restricted_delta_composes_to_zero(m, n, p, q, rnd):
     labels = sp.sym_component_labels(m, 2, n)
     values = [Q(0), Q(0), Q(1), Q(-1), Q(2), Q(1, 3)]
     A = RationalMatrix([[rnd.choice(values) for _ in labels] for _ in range(n)], col_labels=labels)
-    g = sp.SymbolicSystem(m, n, 2, None, A)
+    g = sp.SymbolicSystem(m, n, 2, A)
     D = sp.restricted_delta(g, p, q)
     if D.nrows == 0:
         return

@@ -209,11 +209,14 @@ def test_linear_tower_requires_surjective_steps():
 
 
 def test_kron_keeps_the_width_of_zero_row_factors():
-    K = pfd.kron(RM.zero(0, 2), RM.identity(2))
+    def zero(nr, nc):
+        return RM.from_int_rows([{}] * nr, [1] * nr, range(nc))
+
+    K = pfd.kron(zero(0, 2), RM.identity(2))
     assert (K.nrows, K.ncols) == (0, 4)
-    K = pfd.kron(RM.identity(3), RM.zero(0, 2))
+    K = pfd.kron(RM.identity(3), zero(0, 2))
     assert (K.nrows, K.ncols) == (0, 6)
-    K = pfd.kron(RM.zero(2, 0), RM.identity(2))
+    K = pfd.kron(zero(2, 0), RM.identity(2))
     assert (K.nrows, K.ncols) == (4, 0)
 
 

@@ -127,11 +127,10 @@ def _zero_heavy_points(h, k, rng):
 
 
 def _check_lift_system(h, b):
-    A, R, unknowns = ig.lift_system_at(h, b)
-    rhs = R.column(0)
+    A, R, unknowns, _ = ig.lift_system_at(h, b)
     rows, ref_rhs, row_labels, ref_unknowns = _ref_lift_system(h, b)
     assert [list(r) for r in A.rows] == rows
-    assert rhs == ref_rhs
+    assert list(R) == ref_rhs
     assert list(A.row_labels) == row_labels
     assert unknowns == ref_unknowns
     assert list(A.col_labels) == ref_unknowns
@@ -236,11 +235,10 @@ def test_shifted_symbol_matches_per_entry_reference_on_random_operators(h, seed)
     rng = random.Random(seed)
     for l in (0, 1):
         b = _random_point(h, h.order + l, rng)
-        A, R, unknowns = ig.lift_system_at(h, b)
-        rhs = R.column(0)
+        A, R, unknowns, _ = ig.lift_system_at(h, b)
         rows, ref_rhs, row_labels, ref_unknowns = _ref_lift_system(h, b)
         assert [list(r) for r in A.rows] == rows
-        assert rhs == ref_rhs
+        assert list(R) == ref_rhs
         assert list(A.row_labels) == row_labels
         assert unknowns == ref_unknowns
     a = _random_point(h, h.order, rng)
@@ -256,9 +254,9 @@ def test_shifted_symbol_matches_per_entry_reference_on_random_operators(h, seed)
 def test_lift_system_returns_a_fresh_label_list():
     h = _kg(2)
     b = _random_point(h, 2, random.Random(5))
-    _, _, unknowns = ig.lift_system_at(h, b)
+    _, _, unknowns, _ = ig.lift_system_at(h, b)
     unknowns.clear()
-    _, _, again = ig.lift_system_at(h, b)
+    _, _, again, _ = ig.lift_system_at(h, b)
     assert len(again) == 4
 
 
@@ -393,7 +391,7 @@ def _ref_lift(h, b, policy="zero", free_data=None, seed=None):
     for k, lab in enumerate(K.col_labels):
         v = (values or {}).get(lab, 0)
         x = [a + v * c for a, c in zip(x, K.column(k))]
-    return ig.LiftResult(point=b.extend(dict(zip(unknowns, x))), free_labels=free, rank=E.rank)
+    return ig.LiftResult(point=b.extend(x), free_labels=free, rank=E.rank)
 
 
 def _check_lift(h, b, **kwargs):
@@ -452,17 +450,8 @@ def test_lift_point_matches_one_elimination_per_point(name, make, policy):
             _check_lift(h, b, **kwargs)
 
 
-def test_lift_reuses_the_matrix_and_its_elimination_while_the_symbol_repeats(monkeypatch):
-    # on curved Klein-Gordon the symbol is g^{ij}(x): every point over
-    # one base point has the same A, a new base point a new one
-    h = _kg(2)
-    rng = random.Random("reuse")
-    plan = jc.lift_plan(h, 0)
-    b = _random_point(h, 2, rng)
-    A = ig.lift_system_at(h, b)[0]
-    _check_lift(h, b)
-    assert plan.last[1] is A
-    E = plan.last[2]
+def _count_echelons(monkeypatch):
+    """A list that gets the arguments of every `Echelon` built from now on."""
     made = []
     init = sp.Echelon.__init__
 
@@ -471,17 +460,61 @@ def test_lift_reuses_the_matrix_and_its_elimination_while_the_symbol_repeats(mon
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(sp.Echelon, "__init__", counting_init)
+    return made
+
+
+def test_lift_reuses_the_matrix_and_its_elimination_while_the_symbol_repeats(monkeypatch):
+    # on curved Klein-Gordon the symbol is g^{ij}(x): every point over
+    # one base point has the same A, a new base point a new one
+    h = _kg(2)
+    rng = random.Random("reuse")
+    b = _random_point(h, 2, rng)
+    A, _, _, E = ig.lift_system_at(h, b)
+    _check_lift(h, b)
+    made = _count_echelons(monkeypatch)
     for _ in range(3):
         c = _same_base(b, rng)
-        assert ig.lift_system_at(h, c)[0] is A
+        got = ig.lift_system_at(h, c)
+        assert got[0] is A and got[3] is E
         ig.lift_point(h, c, check=False, policy="random", seed=1)
-    assert not made and plan.last[2] is E
+    assert not made
     # a new base point changes sigma(b): a new A, eliminated once
     c = jc.JetPoint(b.chart, (b.base[0] + 1, b.base[1]), b.jets)
-    assert ig.lift_system_at(h, c)[0] is not A
-    monkeypatch.setattr(sp.Echelon, "__init__", init)
+    A2, _, _, E2 = ig.lift_system_at(h, c)
+    assert A2 is not A and E2 is not E and len(made) == 1
+    monkeypatch.undo()
     _check_lift(h, c)
-    assert plan.last[1] is not A and plan.last[2] is not E
+    assert ig.lift_system_at(h, c)[3] is E2
+
+
+def test_conditions_2_and_3_eliminate_a_constant_symbol_once(monkeypatch):
+    # wave2.jf has a constant symbol, so every sampled point has the
+    # same lift matrix: the exact rank of condition 2 and the lifts of
+    # condition 3 read one elimination of it
+    made = _count_echelons(monkeypatch)
+    report = ig.check_conditions(_corpus_op("wave2.jf"), samples=8)
+    assert report.passed
+    assert report.condition2.data["profile"].sample_count == 8
+    assert len(report.condition3.data["free_counts"]) == 8
+    assert len(made) == 1
+
+
+def test_lift_point_builds_its_system_through_the_module_attribute(monkeypatch):
+    # the benchmark's tracer counts `integrability.lift_system_at` by
+    # rebinding the module attribute, so each lift must call it there
+    calls = []
+    lift_system_at = ig.lift_system_at
+
+    def counting(h, b):
+        calls.append(b)
+        return lift_system_at(h, b)
+
+    monkeypatch.setattr(ig, "lift_system_at", counting)
+    h = _kg(2)
+    b = ig.sample_prolonged_points(h, 0, 1, seed=4)[0]
+    for step in range(3):
+        b = ig.lift_point(h, b, policy="random", seed=step).point
+        assert len(calls) == step + 1
 
 
 def _vanishing_symbol_op():
