@@ -793,10 +793,13 @@ def run_command(spec, command, flags, source="<memory>"):
 # tenth of them: the spencer tables of the benchmark (wave operator at
 # m=4, pmax=4, qmax=5) reach 112896 matrix entries, the corpus prolongs
 # to at most 15 components, and its largest term degree is 4.  Exact
-# evaluation raises numbers to the term degree (`Expr.degree`).
+# evaluation raises numbers to the term degree (`Expr.degree`).  They
+# ask for at most 25 samples (the default 8 through `--samples`), and
+# integrability samples, ranks and lifts about three points per sample.
 MAX_MATRIX_ENTRIES = 2_000_000
 MAX_PROLONGED_COMPONENTS = 2_000
 MAX_TERM_DEGREE = 200
+MAX_SAMPLES = 1_000
 
 
 def spencer_matrix_entries(m, n, pmax, qmax):
@@ -949,6 +952,10 @@ def main(argv=None):
         return 2
     if ns.samples < 1:
         print("error: --samples must be at least 1", file=sys.stderr)
+        return 2
+    if ns.samples > MAX_SAMPLES:
+        print("error: --samples %d is too large: above the limit of %d"
+              % (ns.samples, MAX_SAMPLES), file=sys.stderr)
         return 2
     if ns.order < 0:
         print("error: --order must be nonnegative", file=sys.stderr)

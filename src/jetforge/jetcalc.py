@@ -188,19 +188,31 @@ class DiffOp:
     prolonged operators; plain operators get beta-only labels.
 
     Its symbol (`symbol_table`), prolongations (`prolong_op`), lift
-    plans (`lift_plan`) and the exact evaluation batch of its components
-    for each chart it is evaluated on are built on first use and kept on
-    it, so an operator must not be mutated after construction.
+    plans (`lift_plan`), variety sampler plan (`symbols.sampler_plan`)
+    and the exact evaluation batch of its components for each chart it
+    is evaluated on are built on first use and kept on it, so an
+    operator must not be mutated after construction.
     """
 
     __slots__ = ("m", "n", "order", "components", "labels", "_symbol", "_prolongations",
-                 "_lift_plans", "_batches")
+                 "_lift_plans", "_sampler", "_batches")
 
     def __init__(self, m, n, order, components, labels=None):
         components = tuple(as_expr(c) for c in components)
         for c in components:
             if c.max_jet_degree() > order:
                 raise ValueError("component uses jets above the declared order")
+        self._fill(m, n, order, components, labels)
+
+    @classmethod
+    def _unchecked(cls, m, n, order, components, labels):
+        """The operator of the given Expr components, whose jets are of
+        order <= order by construction, without checking them."""
+        h = cls.__new__(cls)
+        h._fill(m, n, order, tuple(components), labels)
+        return h
+
+    def _fill(self, m, n, order, components, labels):
         self.m = m
         self.n = n
         self.order = order
@@ -211,6 +223,7 @@ class DiffOp:
         self._symbol = None  # symbol_table(self)
         self._prolongations = {}  # l >= 1 -> prolong_op(self, l)
         self._lift_plans = {}  # l -> lift_plan(self, l)
+        self._sampler = None  # symbols.sampler_plan(self)
         self._batches = {}  # chart -> sx.Batch of the components
 
     @property
@@ -339,7 +352,8 @@ def _prolong_once(h, prev, l):
         for I in enumerate_indices(GradedIndexRange(h.m, 0, l))
         for beta in range(1, nb + 1)
     ]
-    return DiffOp(h.m, h.n, h.order + l, components, labels=labels)
+    # D_i raises the jet order by at most one, so level l has order <= h.order + l
+    return DiffOp._unchecked(h.m, h.n, h.order + l, components, labels)
 
 
 def symbol_table(h):

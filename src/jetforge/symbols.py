@@ -112,25 +112,47 @@ def _solvable_top_var(h):
     raise SamplerError("no top-order variable with an affine nonzero coefficient")
 
 
+class SamplerPlan:
+    """What sampling the variety of a scalar operator h reads of h alone,
+    built once (`sampler_plan`): the slot `solved` on the chart of h of
+    the solved top-order variable v (`_solvable_top_var`), and the
+    batches `coef` of its coefficient c and `rest` of h_1 - c v,
+    compiled against the chart's slots without `solved`."""
+
+    __slots__ = ("chart", "solved", "coef", "rest")
+
+    def __init__(self, h):
+        v, c = _solvable_top_var(h)
+        self.chart = h.chart()
+        self.solved = self.chart.slots[v]
+        slots = {a: pos for a, pos in self.chart.slots.items() if pos != self.solved}
+        self.coef = sx.Batch([c], slots)
+        self.rest = sx.Batch([h.components[0] - c * Expr.variable(v)], slots)
+
+
+def sampler_plan(h):
+    """The sampler plan of h, built on first use and kept on h.  A build
+    that fails keeps nothing, so every call raises its SamplerError."""
+    plan = h._sampler
+    if plan is None:
+        plan = h._sampler = SamplerPlan(h)
+    return plan
+
+
 def sample_variety_points(h, count, seed):
     """Random exact points of the zero set of a scalar operator.
 
     All coordinates except one solvable top-order variable are drawn as
-    random rationals with numerator and denominator bounded by 5; that
-    variable is solved for exactly.  Draws where the solve coefficient
-    vanishes are rejected; after 200 draws per requested point the
-    sampler gives up.
+    random rationals with numerator and denominator bounded by 5
+    (`sx.random_rational`, in chart order, base first); that variable
+    is solved for exactly.  What depends on h alone, the variable and
+    the batches of its coefficient and the rest, is the operator's
+    `sampler_plan`.  Draws where the solve coefficient vanishes are
+    rejected; after 200 draws per requested point the sampler gives up.
     """
-    v, c = _solvable_top_var(h)
-    rest = h.components[0] - c * Expr.variable(v)
+    plan = sampler_plan(h)
     rng = random.Random(seed)
-    chart = h.chart()
-    # coordinates are drawn in chart order, base first; v has no slot,
-    # so c and rest are evaluated without it
-    solved = chart.slots[v]
-    slots = {a: pos for a, pos in chart.slots.items() if pos != solved}
-    cb = sx.Batch([c], slots)
-    rb = sx.Batch([rest], slots)
+    chart, solved = plan.chart, plan.solved
     points = []
     tries = 0
     while len(points) < count:
@@ -140,10 +162,10 @@ def sample_variety_points(h, count, seed):
         coords = [sx.random_rational(rng, 5) for _ in range(chart.dim - 1)]
         coords.insert(solved, None)
         try:
-            cval = cb.at(coords)[0]
+            cval = plan.coef.at(coords)[0]
             if cval == 0:
                 continue
-            rval = rb.at(coords)[0]
+            rval = plan.rest.at(coords)[0]
         except sx.EvalZeroDivision:
             continue
         except sx.EvaluationError:
@@ -200,10 +222,10 @@ def rank_profile(h, samples=20, seed=0, mode="exact"):
     entry (i, T) is sigma_{T-e_i}, so A is multiplication by sigma(xi)
     from Sym^1 to Sym^(k+1) and has rank m wherever sigma != 0.  On the
     variety sigma is not identically 0: its entry c at the solved
-    top-order variable (`_solvable_top_var`) is nonzero and free of that
-    variable.  So the exact generic rank is the closed form m, given
-    where that variable exists and the symbol holds no primitive; the
-    notes say which gate failed.  The sampled ranks are those of A at
+    top-order variable of the operator's `sampler_plan` is nonzero and
+    free of that variable.  So the exact generic rank is the closed form
+    m, given where that plan builds and the symbol holds no primitive;
+    the notes say which gate failed.  The sampled ranks are those of A at
     variety points, exact ones read off the elimination that
     `lift_system_at` returns with A, the one a lift solves with, float
     ones by singular values of A's entries rounded to floats; the report
@@ -222,7 +244,7 @@ def rank_profile(h, samples=20, seed=0, mode="exact"):
     if exact:
         exact_ok = not any(c.has_primitive() for c in symbol_of(h).values())
         try:
-            _solvable_top_var(h)
+            sampler_plan(h)
             report.notes.append("restricted to a rational chart of the constraint variety")
         except SamplerError as err:
             report.notes.append("variety restriction unavailable: %s" % err)

@@ -17,6 +17,7 @@ expression is free of transcendental primitives.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -1241,8 +1242,23 @@ def parse_expr_flagged(text, ctx):
 # seeded rational sampling (shared by property tests and samplers)
 
 
+@functools.cache
+def _rational_table(bound):
+    """The rows (n/1, ..., n/bound) for n = -bound..bound, built once per
+    bound."""
+    return tuple(tuple(Fraction(n, d) for d in range(1, bound + 1))
+                 for n in range(-bound, bound + 1))
+
+
 def random_rational(rng, bound):
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+    """Fraction(rng.randint(-bound, bound), rng.randint(1, bound)), read
+    from a shared table as rng.choice(rng.choice(rows)) without building
+    a Fraction.  randint(a, b) is a + rng._randbelow(b - a + 1) and
+    choice(seq) is seq[rng._randbelow(len(seq))], so both take the same
+    two draws, of widths 2*bound + 1 and bound: the values, their order
+    and the generator's state afterwards are those of the randint form.
+    """
+    return rng.choice(rng.choice(_rational_table(bound)))
 
 
 def random_polynomial(rng, variables, degree=2, terms=3, bound=5):

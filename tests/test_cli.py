@@ -696,6 +696,26 @@ def test_term_degree_bound_is_far_above_the_corpus():
     assert 10 * max(degrees) < cli.MAX_TERM_DEGREE
 
 
+def test_main_refuses_too_many_samples_up_front(tmp_path, capsys, monkeypatch):
+    # the tests ask for at most 25 samples and the corpus runs take the
+    # default of 8; the boundary is checked on a lowered limit
+    assert 10 * 25 < cli.MAX_SAMPLES
+    path = tmp_path / "wave.jf"
+    path.write_text(WAVE)
+    for argv, limit in ((["--samples", "100000000"], cli.MAX_SAMPLES), (["--samples", "4"], 3)):
+        monkeypatch.setattr(cli, "MAX_SAMPLES", limit)
+        t0 = time.perf_counter()
+        code = cli.main(["integrability", str(path), *argv])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: --samples %s is too large: above the limit of %d\n" % (
+            argv[1], limit)
+        assert captured.out == ""
+        assert elapsed < 1.0
+    assert cli.main(["integrability", str(path), "--samples", "3"]) == 0
+
+
 def test_main_refuses_oversized_tower_up_front(tmp_path, capsys):
     # tower(levels) builds the jet charts up to order levels; at m=3 the
     # top chart of tower(21) has C(24, 3) = 2024 jet coordinates

@@ -142,5 +142,18 @@ def test_iota_point_embed_consistent_with_pull_expr():
 
 
 def test_diffop_rejects_overflow_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="component uses jets above the declared order"):
         jc.DiffOp(2, 1, 1, [sx.jet(1, (2, 0))])
+
+
+def test_prolongation_checks_no_jet_degree(monkeypatch):
+    # the operator a caller passes in is checked; its prolongations have
+    # the right jet degree by construction
+    h = jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) * sx.jet(1, (0, 0)) - sx.jet(1, (0, 2))])
+    calls = []
+    real = sx.Expr.max_jet_degree
+    monkeypatch.setattr(sx.Expr, "max_jet_degree", lambda e: calls.append(e) or real(e))
+    top = jc.prolong_op(h, 3)
+    assert calls == []
+    assert top.order == 5
+    assert max(real(c) for c in top.components) == 5

@@ -659,3 +659,95 @@ def test_sampled_symbol_ranks_are_the_lift_ranks_on_the_corpus(name):
 @given(_scalar_ops(), st.integers(0, 2 ** 16))
 def test_sampled_symbol_ranks_are_the_lift_ranks_on_random_operators(h, seed):
     _check_sampled_ranks_are_the_lift_ranks(h, 2, seed)
+
+
+# ---------------------------------------------------------------------------
+# the variety sampler plan
+
+
+def _ref_sample_variety_points(h, count, seed):
+    """The sampler as it was before its plan was kept on the operator:
+    everything rebuilt per call, each coordinate drawn as a Fraction of
+    two randints."""
+    v, c = sy._solvable_top_var(h)
+    rest = h.components[0] - c * sx.Expr.variable(v)
+    rng = random.Random(seed)
+    chart = h.chart()
+    solved = chart.slots[v]
+    slots = {a: pos for a, pos in chart.slots.items() if pos != solved}
+    cb = sx.Batch([c], slots)
+    rb = sx.Batch([rest], slots)
+    points = []
+    tries = 0
+    while len(points) < count:
+        tries += 1
+        if tries > 200 * count:
+            raise sy.SamplerError("variety sampling kept hitting vanishing coefficients")
+        coords = [Q(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(chart.dim - 1)]
+        coords.insert(solved, None)
+        try:
+            cval = cb.at(coords)[0]
+            if cval == 0:
+                continue
+            rval = rb.at(coords)[0]
+        except sx.EvalZeroDivision:
+            continue
+        except sx.EvaluationError:
+            raise sy.SamplerError("exact sampling needs polynomial or rational data")
+        coords[solved] = -rval / cval
+        points.append(jc.JetPoint.from_values(chart, coords[:h.m], coords[h.m:]))
+    return points
+
+
+@pytest.mark.parametrize("name", SCALAR_CORPUS)
+def test_variety_points_match_the_per_call_sampler_on_the_corpus(name):
+    h = _corpus_op(name)
+    for seed in (0, 1, 5):
+        assert sy.sample_variety_points(h, 4, seed) == _ref_sample_variety_points(h, 4, seed)
+
+
+def test_the_sampler_plan_is_built_once_per_operator():
+    h = _corpus_op("kg_curved2.jf")
+    first = sy.sample_variety_points(h, 3, 0)
+    plan = h._sampler
+    assert isinstance(plan, sy.SamplerPlan)
+    assert sy.sample_variety_points(h, 3, 0) == first
+    sy.rank_profile(h, samples=2, seed=1)
+    assert h._sampler is plan is sy.sampler_plan(h)
+
+
+def _vanishing_everywhere_sampled():
+    # c vanishes at every rational the sampler draws for x1, numerator
+    # and denominator bounded by 5
+    c = sx.ONE
+    for s in sorted({Q(n, d) for n in range(-5, 6) for d in range(1, 6)}):
+        c = c * (sx.base(1) - s)
+    return jc.DiffOp(1, 1, 1, [c * sx.jet(1, (1,)) + sx.jet(1, (0,))])
+
+
+@pytest.mark.parametrize("h,message", [
+    (jc.DiffOp(2, 1, 1, [sx.jet(1, (1, 0)), sx.jet(1, (0, 1))]),
+     "variety sampler supports scalar operators only"),
+    (jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) ** 2 + sx.jet(1, (0, 2)) ** 2]),
+     "no top-order variable with an affine nonzero coefficient"),
+    (_vanishing_everywhere_sampled(), "variety sampling kept hitting vanishing coefficients"),
+    (jc.DiffOp(1, 1, 1, [sx.prim("sin", sx.base(1)) * sx.jet(1, (1,)) + sx.jet(1, (0,))]),
+     "exact sampling needs polynomial or rational data"),
+], ids=["non-scalar", "no-affine-variable", "vanishing", "primitive"])
+def test_sampler_errors_keep_their_messages_on_every_call(h, message):
+    for seed in (0, 0, 1):
+        with pytest.raises(sy.SamplerError, match="^%s$" % message):
+            sy.sample_variety_points(h, 2, seed)
+    with pytest.raises(sy.SamplerError, match="^%s$" % message):
+        _ref_sample_variety_points(h, 2, 0)
+
+
+@pytest.mark.parametrize("h", [
+    jc.DiffOp(2, 1, 1, [sx.jet(1, (1, 0)), sx.jet(1, (0, 1))]),
+    jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) ** 2 + sx.jet(1, (0, 2)) ** 2]),
+], ids=["non-scalar", "no-affine-variable"])
+def test_a_failed_sampler_plan_is_not_kept(h):
+    for _ in range(2):
+        with pytest.raises(sy.SamplerError):
+            sy.sampler_plan(h)
+        assert h._sampler is None

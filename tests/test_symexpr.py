@@ -217,3 +217,12 @@ def test_atoms_are_immutable(atom, field):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(atom, name, 0)
     assert (getattr(atom, field), atom.key, hash(atom)) == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 6), st.integers(1, 40))
+def test_random_rational_is_the_randint_fraction_on_the_same_stream(seed, bound, count):
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = [sx.random_rational(rng, bound) for _ in range(count)]
+    assert got == [Q(ref.randint(-bound, bound), ref.randint(1, bound)) for _ in range(count)]
+    assert rng.random() == ref.random()
