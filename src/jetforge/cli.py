@@ -198,6 +198,18 @@ def _field(s, pos):
     return stripped.rstrip(), pos + len(s) - len(stripped)
 
 
+def _taken_name(name):
+    """What an expression reads name as before a parameter, if anything:
+    a parameter of that name would be silently ignored or would hide it."""
+    if name == "u":
+        return "the fiber coordinate"
+    if name[:1] == "x" and name[1:].isdigit():
+        return "a base coordinate"
+    if sx.primitive_registered(name):
+        return "a registered primitive"
+    return None
+
+
 def _sub_params(e, params):
     if not params:
         return e
@@ -235,6 +247,7 @@ def _parse(text, registry=None):
     chart = {}  # letter -> value of base m, fiber n, order k
     metric_entries = None
     params = []
+    param_at = {}  # name -> text position of its declared name
     op_kind = None
     op_exprs = None
     kg_fields = None
@@ -254,7 +267,7 @@ def _parse(text, registry=None):
             raise ParseError("%s in %r" % (err.message, " ".join(src.split())), text,
                              pos + (err.pos or 0))
         saw_decimal = saw_decimal or dec
-        return _sub_params(e, params)
+        return _sub_params(e, [(name, v) for name, v in params if name not in extra_params])
 
     for stmt, pos in _Lines(text).statements():
         head = stmt.split(None, 1)[0]
@@ -296,6 +309,12 @@ def _parse(text, registry=None):
             name = lhs.strip()
             if not name.isidentifier():
                 raise ParseError("bad parameter name %r" % name, text, pos)
+            if name in param_at:
+                raise ParseError("'param %s' declared twice" % name, text, at)
+            taken = _taken_name(name)
+            if taken:
+                raise ParseError("param name %r is taken by %s" % (name, taken), text, at)
+            param_at[name] = at
             params.append((name, parse_e(*_field(rhs, at + len(lhs) + 1), 0)))
         elif head == "operator":
             if len(chart) < 3:
@@ -360,6 +379,10 @@ def _parse(text, registry=None):
 
     if len(chart) < 3:
         raise ProblemError("a problem file must declare base, fiber, and order")
+    Kpoly = kg_fields[2] if kg_fields else None
+    if "z" in param_at and Kpoly is not None and ParamVar("z") in Kpoly.free_vars():
+        raise ParseError("param name 'z' is taken by the argument of klein_gordon's K",
+                         text, param_at["z"])
     if op_kind is None:
         raise ProblemError("a problem file must declare an operator")
     metric = None
@@ -716,7 +739,8 @@ def _read_text(path):
 def _load_free_data(path, h):
     """Free-data files hold lines 'u[(2,0)] = 1/3;' keyed by jet index.
     Malformed content raises ParseError at the offending token of a key
-    or value that does not parse, else at the statement it is in."""
+    or value that does not parse, else at the statement it is in; a key
+    given twice is refused at its second statement."""
     text = _read_text(path)
     table = {}
     ctx = sx.ExprContext(h.m, n=h.n, order=64)
@@ -738,6 +762,8 @@ def _load_free_data(path, h):
             raise ParseError("%s in %r" % (err.message, stmt), text, at + (err.pos or 0)) from None
         except (ValueError, sx.ExprError) as err:
             raise ParseError("%s in %r" % (err, stmt), text, pos) from None
+        if (v.alpha, v.index) in table:
+            raise ParseError("free-data key %s given twice" % lhs.strip(), text, pos)
         table[(v.alpha, v.index)] = val.constant_value()
     return table
 

@@ -246,6 +246,9 @@ class LiftObstructionError(RuntimeError):
     next-order derivative conditions cannot all be met."""
 
 
+OBSTRUCTED = "no lift at this point: the next-order conditions are inconsistent"
+
+
 @dataclass
 class LiftResult:
     point: jc.JetPoint
@@ -348,9 +351,7 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
     except ValueError:
         # the free values are keyed by E's own free columns, so the one
         # error left is an inconsistent R
-        raise LiftObstructionError(
-            "no lift at this point: the next-order conditions are inconsistent"
-        ) from None
+        raise LiftObstructionError(OBSTRUCTED) from None
     return LiftResult(point=b.extend(x), free_labels=[unknowns[f] for f in free], rank=E.rank)
 
 
@@ -467,7 +468,8 @@ def _check_symbol_nonvanishing(h, samples, seed):
 
 
 def check_conditions(h, samples=20, seed=0, mode="exact"):
-    """Run the three-part formal-integrability check on a scalar operator."""
+    """Run the three-part formal-integrability check on a scalar operator;
+    conditions 2 and 3 read one `sy.rank_profile`, sampled at seed + 1."""
     if h.n != 1 or h.n_out != 1:
         raise ValueError("the checker handles scalar operators (n = 1, one component)")
 
@@ -482,33 +484,21 @@ def check_conditions(h, samples=20, seed=0, mode="exact"):
         {"profile": profile},
     )
 
-    lift_fail = None
-    free_counts = []
-    try:
-        pts = sy.sample_variety_points(h, samples, seed + 2)
-        for p in pts:
-            try:
-                res = lift_point(h, p, check=False)
-                free_counts.append(res.free_count)
-            except LiftObstructionError as err:
-                lift_fail = (p, str(err))
-                break
-        if lift_fail is None:
-            c3 = ConditionReport(
-                "lift surjectivity", True, False,
-                "one-step lift solvable at all %d sampled points (free parameters: %s)"
-                % (len(pts), sorted(set(free_counts))),
-                {"free_counts": free_counts},
-            )
-        else:
-            c3 = ConditionReport(
-                "lift surjectivity", False, False,
-                "lift obstructed at a sampled point: %s" % lift_fail[1],
-                {"witness": lift_fail[0]},
-            )
-    except sy.SamplerError as err:
+    counts = profile.free_counts
+    if counts is None:
+        c3 = ConditionReport("lift surjectivity", False, False, c2.detail)
+    elif None in counts:
         c3 = ConditionReport(
-            "lift surjectivity", False, False, "sampling failed: %s" % err,
+            "lift surjectivity", False, False,
+            "lift obstructed at a sampled point: %s" % OBSTRUCTED,
+            {"witness": profile.points[counts.index(None)]},
+        )
+    else:
+        c3 = ConditionReport(
+            "lift surjectivity", True, False,
+            "one-step lift solvable at all %d sampled points (free parameters: %s)"
+            % (len(counts), sorted(set(counts))),
+            {"free_counts": counts},
         )
 
     if c1.passed and c2.passed and c3.passed:

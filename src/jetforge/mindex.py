@@ -34,10 +34,6 @@ class MultiIndex(tuple):
         return tuple.__new__(cls, entries)
 
     @property
-    def m(self):
-        return len(self)
-
-    @property
     def degree(self):
         return sum(self)
 

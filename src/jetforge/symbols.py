@@ -7,7 +7,8 @@ pairs to the symbol polynomial evaluated at v.  For one equation the
 prolonged symbol at a point of the equation variety is the matrix of
 the one-step lift there (`integrability.lift_system_at`), multiplication
 by sigma(xi) from Sym^1 to Sym^(k+1); `rank_profile` reads condition 2,
-its constant rank, off that matrix.
+its constant rank, off that matrix, and condition 3, whether the lift
+solves, off the same system at the same points.
 """
 
 from __future__ import annotations
@@ -181,8 +182,11 @@ class RankReport:
     generic_rank: int | None = None
     sampled_ranks: list = field(default_factory=list)
     certified: bool = False
-    sample_count: int = 0
     notes: list = field(default_factory=list)
+    # condition 3 at the sampled points: each lift's free-column count,
+    # None where it is obstructed; None when not every system was built
+    points: list = field(default_factory=list)
+    free_counts: list | None = None
 
     @property
     def min_rank(self):
@@ -199,9 +203,9 @@ class RankReport:
     def summary(self):
         if self.certified:
             return "constant rank %d (certified: exact generic rank equals all %d sampled ranks)" % (
-                self.generic_rank, self.sample_count)
+                self.generic_rank, len(self.sampled_ranks))
         if self.constant_on_samples:
-            return "rank %d on %d samples (sampled evidence only)" % (self.min_rank, self.sample_count)
+            return "rank %d on %d samples (sampled evidence only)" % (self.min_rank, len(self.sampled_ranks))
         if not self.sampled_ranks:
             # the profile's note says why no point was ranked
             return next((n for n in self.notes if n.startswith("sampling failed: ")),
@@ -226,12 +230,13 @@ def rank_profile(h, samples=20, seed=0, mode="exact"):
     free of that variable.  So the exact generic rank is the closed form
     m, given where that plan builds and the symbol holds no primitive;
     the notes say which gate failed.  The sampled ranks are those of A at
-    variety points, exact ones read off the elimination that
-    `lift_system_at` returns with A, the one a lift solves with, float
-    ones by singular values of A's entries rounded to floats; the report
-    is certified only when the generic rank equals them all.  A sampler
-    or evaluation failure, a float overflow included, is a note, not an
-    error.
+    variety points, exact ones read off the elimination E that
+    `lift_system_at` returns with A, float ones by singular values of
+    A's entries rounded to floats; the report is certified only when the
+    generic rank equals them all.  The same pass decides condition 3:
+    the lift at p solves when E is consistent with the right-hand side R,
+    with len(E.free) free columns.  A sampler or evaluation failure, a
+    float overflow included, is a note, not an error.
     """
     # integrability imports this module
     from .integrability import lift_system_at
@@ -255,17 +260,18 @@ def rank_profile(h, samples=20, seed=0, mode="exact"):
             report.notes.append("generic rank skipped (non-polynomial entries)")
 
     try:
-        ranks = []
-        for p in sample_variety_points(h, samples, seed):
-            A, _, _, E = lift_system_at(h, p)
-            if exact:
-                ranks.append(E.rank)
-            else:
-                import numpy as np
-                ranks.append(int(np.linalg.matrix_rank(np.array(A.rows, dtype=float),
-                                                       tol=FLOAT_RANK_TOL)))
-        report.sampled_ranks = ranks
-        report.sample_count = len(ranks)
+        points = sample_variety_points(h, samples, seed)
+        systems = [lift_system_at(h, p) for p in points]
+        # every lift is decided before a float rank can overflow
+        report.points = points
+        report.free_counts = [len(E.free) if E.consistent_with(R) else None
+                              for _, R, _, E in systems]
+        if not exact:
+            import numpy as np
+        report.sampled_ranks = [
+            E.rank if exact
+            else int(np.linalg.matrix_rank(np.array(A.rows, dtype=float), tol=FLOAT_RANK_TOL))
+            for A, _, _, E in systems]
     except (SamplerError, sx.EvaluationError, OverflowError) as err:
         report.notes.append("sampling failed: %s" % err)
     if not exact:
@@ -273,7 +279,7 @@ def rank_profile(h, samples=20, seed=0, mode="exact"):
 
     report.certified = (
         report.generic_rank is not None
-        and report.sample_count > 0
+        and bool(report.sampled_ranks)
         and all(r == report.generic_rank for r in report.sampled_ranks)
     )
     return report

@@ -189,6 +189,46 @@ def test_main_refuses_a_bad_chart_or_a_repeated_declaration_at_its_token(
         cli.parse_problem_file(text)
 
 
+_KG_HEAD = _CHART + "metric { g[1][1] = 1; g[2][2] = -1; }\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_CHART + "param c = 1;\nparam c = 4;\noperator h = u[(2,0)] - c*u[(0,2)];\n",
+     "'param c' declared twice (line 5, col 7)"),
+    (_CHART + "param x1 = 9/4;\noperator h = u[(2,0)] - x1*u[(0,2)];\n",
+     "param name 'x1' is taken by a base coordinate (line 4, col 7)"),
+    (_CHART + "param  u = 2;\noperator h = u[(2,0)] - u[(0,2)];\n",
+     "param name 'u' is taken by the fiber coordinate (line 4, col 8)"),
+    (_CHART + "param sin = 2;\noperator h = u[(2,0)] - sin(x1)*u[(0,2)];\n",
+     "param name 'sin' is taken by a registered primitive (line 4, col 7)"),
+    (_KG_HEAD + "param z = 2;\noperator h = klein_gordon(F1=0, F2=1, K=z^3);\n",
+     "param name 'z' is taken by the argument of klein_gordon's K (line 5, col 7)"),
+    (_KG_HEAD + "operator h = klein_gordon(F1=0, F2=1, K=z^3);\nparam z = 2;\n",
+     "param name 'z' is taken by the argument of klein_gordon's K (line 6, col 7)"),
+], ids=["repeated", "base_coordinate", "fiber_coordinate", "primitive", "z_before_K",
+        "z_after_K"])
+def test_main_refuses_a_param_name_that_means_something_else(tmp_path, capsys, text, message):
+    # each of these once parsed to a wrong operator: the coordinate or
+    # the primitive won over the parameter, or the parameter over K's
+    # argument or an earlier parameter of its name
+    path = tmp_path / "bad.jf"
+    path.write_text(text)
+    assert cli.main(["integrability", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: %s\n" % message
+    assert out.out == ""
+
+
+def test_a_param_may_use_the_names_the_parser_leaves_free():
+    # z is free where K does not use it, and u1 or x name no coordinate
+    spec = cli.parse_problem_file(
+        _KG_HEAD + "param z = 2;\noperator h = klein_gordon(F1=z, F2=1, K=1);\n")
+    assert spec.kg_fields[0] == sx.as_expr(2)
+    spec = cli.parse_problem_file(
+        _CHART + "param x = 2;\nparam u1 = 3;\noperator h = u[(2,0)] - x*u1*u[(0,2)];\n")
+    assert spec.operator.components[0] == sx.jet(1, (2, 0)) - 6 * sx.jet(1, (0, 2))
+
+
 def test_parse_param_macro_substitution():
     spec = cli.parse_problem_file(PARAMS)
     h = spec.operator
@@ -391,6 +431,17 @@ def test_load_free_data(tmp_path):
         cli._load_free_data(str(bad), h)
 
 
+def test_main_refuses_a_free_data_key_given_twice(tmp_path, capsys):
+    # the second value once silently replaced the first
+    fd = tmp_path / "fd.txt"
+    fd.write_text("u[(0,3)] = 1;\nu[(1,2)] = 2;\n  u[(0, 3)] = 5;\n")
+    path = os.path.join(CORPUS_DIR, "kg_curved2.jf")
+    assert cli.main(["solve", path, "--free-data", "file:%s" % fd]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: free-data key u[(0, 3)] given twice (line 3, col 3)\n"
+    assert out.out == ""
+
+
 def test_main_exit_codes(tmp_path, capsys):
     wave = tmp_path / "wave.jf"
     wave.write_text(WAVE)
@@ -510,6 +561,9 @@ def test_float_overflow_is_a_failed_condition_or_an_error_line(tmp_path, capsys)
     assert [c["name"] for c in conds] == [
         "symbol nonvanishing", "prolonged symbol constant rank", "lift surjectivity"]
     assert [c["passed"] for c in conds] == [True, False, True]
+    # the lifts are decided before the float ranks overflow
+    assert conds[2]["detail"] == (
+        "one-step lift solvable at all 8 sampled points (free parameters: [2])")
 
     h = cli.parse_problem_file(text).operator
     profile = sy.rank_profile(h, samples=4, seed=1, mode="float")

@@ -73,7 +73,7 @@ def test_offset_returns_none_at_boundary():
 def test_degree_and_keys():
     I = MultiIndex((2, 0, 1))
     assert I.degree == 3
-    assert I.m == 3
+    assert len(I) == 3
     a = MultiIndex((1, 0)).graded_lex_key()
     b = MultiIndex((0, 1)).graded_lex_key()
     assert a < b

@@ -487,16 +487,103 @@ def test_lift_reuses_the_matrix_and_its_elimination_while_the_symbol_repeats(mon
     assert ig.lift_system_at(h, c)[3] is E2
 
 
+def _forbid(monkeypatch, owner, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("%s called" % name)
+
+    monkeypatch.setattr(owner, name, forbidden)
+
+
 def test_conditions_2_and_3_eliminate_a_constant_symbol_once(monkeypatch):
-    # wave2.jf has a constant symbol, so every sampled point has the
-    # same lift matrix: the exact rank of condition 2 and the lifts of
-    # condition 3 read one elimination of it
-    made = _count_echelons(monkeypatch)
-    report = ig.check_conditions(_corpus_op("wave2.jf"), samples=8)
-    assert report.passed
-    assert report.condition2.data["profile"].sample_count == 8
-    assert len(report.condition3.data["free_counts"]) == 8
-    assert len(made) == 1
+    # conditions 2 and 3 read one sample of the variety and one lift
+    # system per point: wave2.jf has a constant symbol, so every point
+    # has the same lift matrix and one elimination serves them all; the
+    # curved Klein-Gordon symbols change with the base point, so each
+    # point's matrix is eliminated once
+    for name, echelons in [("wave2.jf", 1), ("kg_curved2.jf", 8), ("offdiag.jf", 8)]:
+        h = _corpus_op(name)
+        sampled, systems = [], []
+        sample, lift_system_at = sy.sample_variety_points, ig.lift_system_at
+        monkeypatch.setattr(sy, "sample_variety_points",
+                            lambda *args: sampled.append(args) or sample(*args))
+        monkeypatch.setattr(ig, "lift_system_at",
+                            lambda h, p: systems.append(p) or lift_system_at(h, p))
+        for owner, attr in [(ig, "lift_point"), (sp.Echelon, "solve"), (jc.JetPoint, "extend")]:
+            _forbid(monkeypatch, owner, attr)
+        made = _count_echelons(monkeypatch)
+        report = ig.check_conditions(h, samples=8)
+        assert report.passed, name
+        assert len(report.condition2.data["profile"].sampled_ranks) == 8
+        assert len(report.condition3.data["free_counts"]) == 8
+        assert [args[1:] for args in sampled] == [(8, 1)]
+        assert len(systems) == 8
+        assert len(made) == echelons, name
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_condition_3_counts_the_free_columns_of_each_lift(seed):
+    # the free counts that condition 3 reads off the eliminations of
+    # condition 2 are those of full lifts at the same points
+    for name in SCALAR_CORPUS:
+        h = _corpus_op(name)
+        if h.n != 1:
+            continue
+        report = ig.check_conditions(h, samples=8, seed=seed)
+        want = [ig.lift_point(h, p, check=False).free_count
+                for p in sy.sample_variety_points(h, 8, seed + 1)]
+        assert report.condition3.data["free_counts"] == want, name
+
+
+def test_condition_3_reports_the_first_obstructed_point(monkeypatch):
+    h = _corpus_op("kg_curved2.jf")
+    calls = []
+    consistent_with = sp.Echelon.consistent_with
+
+    def third_fails(self, y):
+        calls.append(y)
+        return len(calls) != 3 and consistent_with(self, y)
+
+    monkeypatch.setattr(sp.Echelon, "consistent_with", third_fails)
+    report = ig.check_conditions(h, samples=8, seed=0)
+    c3 = report.condition3
+    assert not c3.passed and not c3.certified
+    assert c3.detail == ("lift obstructed at a sampled point: no lift at this point: "
+                         "the next-order conditions are inconsistent")
+    third = sy.sample_variety_points(h, 8, 1)[2]
+    witness = c3.data["witness"]
+    assert (witness.base, witness.values) == (third.base, third.values)
+    # condition 2 still ranks every point
+    assert report.condition2.passed
+    assert len(report.condition2.data["profile"].sampled_ranks) == 8
+    assert report.verdict == "not established: lift surjectivity failed"
+
+
+@pytest.mark.parametrize("error", [sx.EvaluationError("no value assigned to a"),
+                                   sy.SamplerError("no top-order variable")])
+def test_a_failure_while_building_the_lift_systems_fails_conditions_2_and_3(monkeypatch, error):
+    # an evaluation or sampler error at the second point ends both
+    # conditions with condition 2's note, not the check with an error
+    h = _corpus_op("kg_curved2.jf")
+    calls = []
+    lift_system_at = ig.lift_system_at
+
+    def second_fails(h, p):
+        calls.append(p)
+        if len(calls) == 2:
+            raise error
+        return lift_system_at(h, p)
+
+    monkeypatch.setattr(ig, "lift_system_at", second_fails)
+    for mode in ("exact", "float"):
+        calls.clear()
+        report = ig.check_conditions(h, samples=8, seed=0, mode=mode)
+        c2, c3 = report.condition2, report.condition3
+        assert c2.detail == c3.detail == "sampling failed: %s" % error
+        assert not c2.passed and not c3.passed
+        assert c2.data["profile"].sampled_ranks == []
+        assert c3.data == {}
+        assert report.condition1.passed
 
 
 def test_lift_point_builds_its_system_through_the_module_attribute(monkeypatch):
