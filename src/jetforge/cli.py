@@ -16,7 +16,9 @@ whole file to float mode (and conflicts with an explicit --mode exact).
 Reports are emitted as text or as canonical JSON whose bytes depend
 only on the input file, the flags, and the seed; timings appear in the
 text rendering only.  Exit codes: 0 when every check passed, 1 when a
-check failed or a computation was obstructed, 2 for usage errors.
+check failed or a computation was obstructed, 2 with one `error:` line
+on stderr for a file, flag or free-data file that cannot be used (a
+parse error names its line and column in the file it is in).
 """
 
 from __future__ import annotations
@@ -101,94 +103,55 @@ class ProblemSpec:
 # parsing
 
 
-class _Lines:
-    """Statement splitter: yields each statement with its offset in the
-    text.  Comments are blanked, not dropped, so offset + i is the text
+def _statements(text):
+    """The statements of text, each with its offset in the text.
+    Comments are blanked, not dropped, so offset + i is the text
     position of a statement's character i."""
-
-    def __init__(self, text):
-        self.text = text
-
-    def statements(self):
-        out = []
-        buf = []
-        start = None
-        pos = 0
-        in_comment = False
-        depth = 0
-        for pos, ch in enumerate(self.text):
-            if ch == "#":
-                in_comment = True
-            elif ch == "\n":
-                in_comment = False
-            if in_comment:
-                ch = " "
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth < 0:
-                    raise ParseError("unbalanced '}'", self.text, pos)
-                if depth == 0:
-                    buf.append(ch)
-                    stmt = "".join(buf).strip()
-                    if stmt:
-                        out.append((stmt, start))
-                    buf = []
-                    start = None
-                    continue
-            if ch == ";" and depth == 0:
+    out = []
+    buf = []
+    start = None
+    pos = 0
+    in_comment = False
+    depth = 0
+    for pos, ch in enumerate(text):
+        if ch == "#":
+            in_comment = True
+        elif ch == "\n":
+            in_comment = False
+        if in_comment:
+            ch = " "
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced '}'", text, pos)
+            if depth == 0:
+                buf.append(ch)
                 stmt = "".join(buf).strip()
                 if stmt:
                     out.append((stmt, start))
                 buf = []
                 start = None
                 continue
-            if start is None:
-                if ch.isspace():
-                    continue
-                start = pos
-            buf.append(ch)
-        tail = "".join(buf).strip()
-        if depth != 0:
-            raise ParseError("unbalanced '{'", self.text, pos)
-        if tail:
-            raise ParseError("missing ';' after final statement", self.text, start or 0)
-        return out
-
-
-def _expect_int(text, raw, pos):
-    """The integer in raw, pos being the text position of raw; an error
-    points at the stripped value, or at the next token of the text when
-    raw is blank."""
-    value, at = _field(raw, pos)
-    if not value:
-        while at < len(text) and text[at].isspace():
-            at += 1
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError("expected an integer, got %r" % value, text, at)
-
-
-# the chart declarations: the letter each declares and its least value
-_CHART_DECLS = {"base": ("m", 1), "fiber": ("n", 1), "order": ("k", 0)}
-
-
-def _chart_value(text, head, stmt, pos):
-    """The value of the chart declaration stmt ('base m = <int>', 'fiber
-    n = <int>' or 'order k = <int>'), pos being its text position; a
-    value below its least is refused at its token."""
-    letter, least = _CHART_DECLS[head]
-    body, at = _field(stmt[len(head):], pos + len(head))
-    if not body.startswith(letter):
-        raise ParseError("expected '%s %s = <int>'" % (head, letter), text, pos)
-    lhs, _, rhs = body.partition("=")
-    rhs, at = _field(rhs, at + len(lhs) + 1)
-    value = _expect_int(text, rhs, at)
-    if value < least:
-        raise ParseError("%s %s must be >= %d, got %d" % (head, letter, least, value), text, at)
-    return value
+        if ch == ";" and depth == 0:
+            stmt = "".join(buf).strip()
+            if stmt:
+                out.append((stmt, start))
+            buf = []
+            start = None
+            continue
+        if start is None:
+            if ch.isspace():
+                continue
+            start = pos
+        buf.append(ch)
+    tail = "".join(buf).strip()
+    if depth != 0:
+        raise ParseError("unbalanced '{'", text, pos)
+    if tail:
+        raise ParseError("missing ';' after final statement", text, start or 0)
+    return out
 
 
 def _field(s, pos):
@@ -196,6 +159,38 @@ def _field(s, pos):
     first character, pos being that of s."""
     stripped = s.lstrip()
     return stripped.rstrip(), pos + len(s) - len(stripped)
+
+
+def _sides(s, pos):
+    """The two sides of 'lhs = rhs', split at the first '=' and
+    stripped, each followed by the text position of its first
+    character, pos being that of s: (lhs, lhs_at, rhs, rhs_at).
+    Without an '=', rhs is blank."""
+    lhs, _, rhs = s.partition("=")
+    return (*_field(lhs, pos), *_field(rhs, pos + len(lhs) + 1))
+
+
+def _next_token(text, at):
+    """The text position of the first non-blank character from at on."""
+    while at < len(text) and text[at].isspace():
+        at += 1
+    return at
+
+
+def _expect_int(text, value, at):
+    """The integer a stripped value spells, at being its text position;
+    an error points at the value, or at the next token of the text when
+    value is blank."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError("expected an integer, got %r" % value, text, _next_token(text, at))
+
+
+# the chart declarations: the letter each declares and its least value
+_CHART_DECLS = {"base": ("m", 1), "fiber": ("n", 1), "order": ("k", 0)}
+# the declarations that need the chart, as their errors name them
+_AFTER_CHART = {"metric": "metric block", "param": "param", "operator": "operator"}
 
 
 def _taken_name(name):
@@ -269,27 +264,32 @@ def _parse(text, registry=None):
         saw_decimal = saw_decimal or dec
         return _sub_params(e, [(name, v) for name, v in params if name not in extra_params])
 
-    for stmt, pos in _Lines(text).statements():
+    for stmt, pos in _statements(text):
         head = stmt.split(None, 1)[0]
+        body, at = _field(stmt[len(head):], pos + len(head))
+        if head in _AFTER_CHART and len(chart) < 3:
+            raise ProblemError("%s before chart declarations" % _AFTER_CHART[head])
         if head in _CHART_DECLS:
-            letter = _CHART_DECLS[head][0]
+            letter, least = _CHART_DECLS[head]
             if letter in chart:
                 raise ParseError("'%s %s' declared twice" % (head, letter), text, pos)
-            chart[letter] = _chart_value(text, head, stmt, pos)
+            lhs, _, value, at = _sides(body, at)
+            if not lhs.startswith(letter):
+                raise ParseError("expected '%s %s = <int>'" % (head, letter), text, pos)
+            chart[letter] = _expect_int(text, value, at)
+            if chart[letter] < least:
+                raise ParseError("%s %s must be >= %d, got %d"
+                                 % (head, letter, least, chart[letter]), text, at)
         elif head == "metric":
-            if len(chart) < 3:
-                raise ProblemError("metric block before chart declarations")
-            body, at = _field(stmt[len("metric"):], pos + len("metric"))
             if not (body.startswith("{") and body.endswith("}")):
                 raise ParseError("metric block must be '{ ... }'", text, at)
             metric_entries = {}
             at += 1
             for raw in body[1:-1].split(";"):
-                part, epos = _field(raw, at)
+                lhs, epos, rhs, rhs_at = _sides(raw, at)
                 at += len(raw) + 1
-                if not part:
+                if not raw.strip():
                     continue
-                lhs, _, rhs = part.partition("=")
                 name = lhs.replace(" ", "")
                 if not (name.startswith("g[") and name.endswith("]")):
                     raise ParseError("metric entries look like g[i][j] = expr", text, epos)
@@ -300,13 +300,9 @@ def _parse(text, registry=None):
                     raise ParseError("bad metric indices in %r" % name, text, epos)
                 if (i, j) in metric_entries:
                     raise ParseError("metric entry %s given twice" % name, text, epos)
-                metric_entries[(i, j)] = parse_e(*_field(rhs, epos + len(lhs) + 1), 0)
+                metric_entries[(i, j)] = parse_e(rhs, rhs_at, 0)
         elif head == "param":
-            if len(chart) < 3:
-                raise ProblemError("param before chart declarations")
-            body, at = _field(stmt[len("param"):], pos + len("param"))
-            lhs, _, rhs = body.partition("=")
-            name = lhs.strip()
+            name, _, rhs, rhs_at = _sides(body, at)
             if not name.isidentifier():
                 raise ParseError("bad parameter name %r" % name, text, pos)
             if name in param_at:
@@ -315,46 +311,34 @@ def _parse(text, registry=None):
             if taken:
                 raise ParseError("param name %r is taken by %s" % (name, taken), text, at)
             param_at[name] = at
-            params.append((name, parse_e(*_field(rhs, at + len(lhs) + 1), 0)))
+            params.append((name, parse_e(rhs, rhs_at, 0)))
         elif head == "operator":
-            if len(chart) < 3:
-                raise ProblemError("operator before chart declarations")
             if op_kind is not None:
                 raise ParseError("'operator h' declared twice", text, pos)
-            body, at = _field(stmt[len("operator"):], pos + len("operator"))
-            lhs, _, rhs = body.partition("=")
-            if lhs.strip() != "h":
+            lhs, _, rhs, at = _sides(body, at)
+            if lhs != "h" or "=" not in body:
                 raise ParseError("operators are declared as 'operator h = ...'", text, pos)
-            rhs, at = _field(rhs, at + len(lhs) + 1)
             if rhs.startswith("klein_gordon"):
                 op_kind = "klein_gordon"
                 inner, at = _field(rhs[len("klein_gordon"):], at + len("klein_gordon"))
                 if not (inner.startswith("(") and inner.endswith(")")):
                     raise ParseError("klein_gordon takes (F1=..., F2=..., K=...)", text, at)
-                F1 = sx.ZERO
-                F2 = sx.ZERO
-                Kpoly = None
+                fields = {"F1": sx.ZERO, "F2": sx.ZERO, "K": None}
                 for off, part in _split_top(inner[1:-1]):
-                    key, _, val = part.partition("=")
-                    val = _field(val, at + 1 + off + len(key) + 1)
-                    key, key_at = _field(key, at + 1 + off)
-                    if key == "F1":
-                        F1 = parse_e(*val, 0)
-                    elif key == "F2":
-                        F2 = parse_e(*val, 0)
-                    elif key == "K":
-                        Kpoly = parse_e(*val, 0, extra_params=("z",))
-                    else:
+                    key, key_at, val, val_at = _sides(part, at + 1 + off)
+                    if key not in fields:
                         raise ParseError("unknown klein_gordon field %r" % key, text, key_at)
+                    fields[key] = parse_e(val, val_at, 0, extra_params=("z",) if key == "K" else ())
                 if metric_entries is None:
                     raise ProblemError("klein_gordon requires a metric block")
-                kg_fields = (F1, F2, Kpoly)
+                kg_fields = tuple(fields.values())
+            elif not rhs:
+                raise ParseError("operator h has no components", text, _next_token(text, at))
             else:
                 op_kind = "expr"
                 op_exprs = tuple(parse_e(*_field(p, at + off), chart["k"])
                                  for off, p in _split_top(rhs))
         elif head == "query":
-            body, at = _field(stmt[len("query"):], pos + len("query"))
             name, _, rest = body.partition("(")
             at += len(name) + 1
             name = name.strip()
@@ -367,12 +351,11 @@ def _parse(text, registry=None):
             for off, part in _split_top(rest[:-1]):
                 if not part.strip():
                     continue
+                key, key_at, value, value_at = _sides(part, at + off)
                 if "=" in part:
-                    kname, _, val = part.partition("=")
-                    kwargs.append((kname.strip(),
-                                   _expect_int(text, val, at + off + len(kname) + 1)))
+                    kwargs.append((key, _expect_int(text, value, value_at)))
                 else:
-                    args.append(_expect_int(text, part, at + off))
+                    args.append(_expect_int(text, key, key_at))
             queries.append(Query(name, tuple(args), tuple(kwargs)))
         else:
             raise ParseError("unknown declaration %r" % head, text, pos)
@@ -744,18 +727,17 @@ def _load_free_data(path, h):
     text = _read_text(path)
     table = {}
     ctx = sx.ExprContext(h.m, n=h.n, order=64)
-    for stmt, pos in _Lines(text).statements():
-        lhs, _, rhs = stmt.partition("=")
-        src, at = _field(lhs, pos)
+    for stmt, pos in _statements(text):
+        key, at, value, value_at = _sides(stmt, pos)
         try:
-            e = sx.parse_expr(src, ctx)
+            e = sx.parse_expr(key, ctx)
             terms = e.terms()
             if (len(terms) != 1 or len(terms[0][0]) != 1
                     or not isinstance(terms[0][0][0][0], JetVar)):
                 raise ProblemError("free-data keys must be single jet variables")
             v = terms[0][0][0][0]
-            src, at = _field(rhs, pos + len(lhs) + 1)
-            val = sx.parse_expr(src, ctx)
+            at = value_at
+            val = sx.parse_expr(value, ctx)
             if not val.is_constant():
                 raise ProblemError("free-data values must be rational constants")
         except ParseError as err:
@@ -763,7 +745,7 @@ def _load_free_data(path, h):
         except (ValueError, sx.ExprError) as err:
             raise ParseError("%s in %r" % (err, stmt), text, pos) from None
         if (v.alpha, v.index) in table:
-            raise ParseError("free-data key %s given twice" % lhs.strip(), text, pos)
+            raise ParseError("free-data key %s given twice" % key, text, pos)
         table[(v.alpha, v.index)] = val.constant_value()
     return table
 
@@ -937,79 +919,55 @@ def _build_argparser():
     return ap
 
 
-def _located(err, text):
-    """The error line for a ParseError in text: its message, then the
-    line and column of its position."""
+def _cli_flags(ns, spec):
+    """The CliFlags of the parsed command line ns for spec, with a
+    free-data file read and checked once, before any query runs.
+    Raises ProblemError for a flag that cannot be used, and what
+    `_load_free_data` raises for a free-data file."""
+    mode = ns.mode
+    if spec.float_literals:
+        if mode == "exact":
+            raise ProblemError("file contains decimal literals; exact mode unavailable")
+        mode = "float"
+    free_data = ns.free_data
+    if free_data not in ("zero", "random") and not free_data.startswith("file:"):
+        raise ProblemError("--free-data must be zero, random, or file:PATH")
+    if ns.samples < 1:
+        raise ProblemError("--samples must be at least 1")
+    if ns.samples > MAX_SAMPLES:
+        raise ProblemError("--samples %d is too large: above the limit of %d"
+                           % (ns.samples, MAX_SAMPLES))
+    if ns.order < 0:
+        raise ProblemError("--order must be nonnegative")
+    if any(v is not None and v < 0 for v in (ns.pmax, ns.qmax)):
+        raise ProblemError("--pmax and --qmax must be nonnegative")
+    if free_data.startswith("file:"):
+        free_data = _load_free_data(free_data[5:], spec.operator)
+    return CliFlags(order=ns.order, samples=ns.samples, seed=ns.seed, mode=mode or "exact",
+                    free_data=free_data, pmax=ns.pmax, qmax=ns.qmax)
+
+
+def _located(err):
+    """The error line for a ParseError: its message, then the line and
+    column of its position in its text."""
     pos = err.pos or 0
-    line = text.count("\n", 0, pos) + 1
-    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+    line = err.text.count("\n", 0, pos) + 1
+    col = pos - (err.text.rfind("\n", 0, pos) + 1) + 1
     return "error: %s (line %d, col %d)" % (err.message, line, col)
 
 
 def main(argv=None):
-    ap = _build_argparser()
-    ns = ap.parse_args(argv)
+    ns = _build_argparser().parse_args(argv)
     try:
-        text = _read_text(ns.file)
-    except OSError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    try:
-        spec = parse_problem_file(text)
-    except ParseError as err:
-        print(_located(err, text), file=sys.stderr)
-        return 2
-    except (ProblemError, ValueError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-
-    mode = ns.mode
-    if spec.float_literals:
-        if mode == "exact":
-            print("error: file contains decimal literals; exact mode unavailable",
-                  file=sys.stderr)
-            return 2
-        mode = "float"
-    elif mode is None:
-        mode = "exact"
-
-    if ns.free_data not in ("zero", "random") and not ns.free_data.startswith("file:"):
-        print("error: --free-data must be zero, random, or file:PATH", file=sys.stderr)
-        return 2
-    if ns.samples < 1:
-        print("error: --samples must be at least 1", file=sys.stderr)
-        return 2
-    if ns.samples > MAX_SAMPLES:
-        print("error: --samples %d is too large: above the limit of %d"
-              % (ns.samples, MAX_SAMPLES), file=sys.stderr)
-        return 2
-    if ns.order < 0:
-        print("error: --order must be nonnegative", file=sys.stderr)
-        return 2
-    if any(v is not None and v < 0 for v in (ns.pmax, ns.qmax)):
-        print("error: --pmax and --qmax must be nonnegative", file=sys.stderr)
-        return 2
-
-    free_data = ns.free_data
-    if free_data.startswith("file:"):
-        # read and checked once, before any query runs
-        try:
-            free_data = _load_free_data(free_data[5:], spec.operator)
-        except OSError as err:
-            print("error: %s" % err, file=sys.stderr)
-            return 2
-        except ParseError as err:
-            print(_located(err, err.text), file=sys.stderr)
-            return 2
-
-    flags = CliFlags(order=ns.order, samples=ns.samples, seed=ns.seed, mode=mode,
-                     free_data=free_data, pmax=ns.pmax, qmax=ns.qmax)
-    try:
-        report = run_command(spec, ns.command, flags, source=ns.file)
+        spec = parse_problem_file(_read_text(ns.file))
+        report = run_command(spec, ns.command, _cli_flags(ns, spec), source=ns.file)
         if ns.json not in (None, "-"):
             with open(ns.json, "w", encoding="utf-8") as fh:
                 fh.write(emit_report(report, "json"))
-    except (ProblemError, OSError) as err:
+    except ParseError as err:
+        print(_located(err), file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     sys.stdout.write(emit_report(report, "json" if ns.json == "-" else "text"))

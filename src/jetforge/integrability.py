@@ -442,13 +442,16 @@ def _check_symbol_nonvanishing(h, samples, seed):
                 "matrix has no zero row, so the symbol cannot vanish where the metric "
                 "is nondegenerate",
             )
-    # sampled fallback: all coefficients zero at some point would fail
+    # sampled fallback: all coefficients zero at some point would fail;
+    # a point where a coefficient's denominator vanishes is skipped
     slots, points = sy._random_points(coeffs, samples, seed)
     batch = sx.Batch(coeffs, slots)
+    skipped = 0
     for values in points:
         try:
             vals = batch.at(values)
         except sx.EvalZeroDivision:
+            skipped += 1
             continue
         except sx.EvaluationError:
             return ConditionReport(
@@ -461,10 +464,17 @@ def _check_symbol_nonvanishing(h, samples, seed):
                 "all top-order coefficients vanish at a sampled point",
                 {"witness": {v: values[pos] for v, pos in slots.items()}},
             )
-    return ConditionReport(
-        "symbol nonvanishing", True, False,
-        "nonzero at all %d sampled points" % samples,
-    )
+    evaluated = samples - skipped
+    if not evaluated:
+        return ConditionReport(
+            "symbol nonvanishing", False, False,
+            "no point evaluated: a denominator vanishes at each of the %d sampled points"
+            % samples,
+        )
+    detail = "nonzero at all %d sampled points" % evaluated
+    if skipped:
+        detail += " evaluated; %d skipped where a denominator vanishes" % skipped
+    return ConditionReport("symbol nonvanishing", True, False, detail)
 
 
 def check_conditions(h, samples=20, seed=0, mode="exact"):

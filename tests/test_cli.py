@@ -951,3 +951,119 @@ def test_python_dash_m_runs_the_command_line(monkeypatch, capsys):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout == capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the usage-error contract: exit 2 and one error line, never a traceback
+
+
+_OPERATOR = "operator h = u[(2,0)] - u[(0,2)];\n"
+
+
+@pytest.mark.parametrize("text, free_data, message", [
+    # an operator with no components once ended every command in a
+    # traceback from max() over its components
+    (_CHART + "operator h = ;\n", None,
+     "operator h has no components (line 4, col 14)"),
+    (_CHART + "operator h =\n  ;\n", None,
+     "operator h has no components (line 5, col 3)"),
+    (_CHART + "operator h;\n", None,
+     "operators are declared as 'operator h = ...' (line 4, col 1)"),
+    (_CHART + "metric { g[1][1] = 1;\n" + _OPERATOR, None,
+     "unbalanced '{' (line 5, col 34)"),
+    (_CHART + "operator h = u[(2,0)]\n", None,
+     "missing ';' after final statement (line 4, col 1)"),
+    ("base m = two;\nfiber n = 1;\norder k = 2;\n" + _OPERATOR, None,
+     "expected an integer, got 'two' (line 1, col 10)"),
+    (_CHART + "metric { g[1] = 1; }\n" + _OPERATOR, None,
+     "bad metric indices in 'g[1]' (line 4, col 10)"),
+    (_CHART + "param x2 = 1;\n" + _OPERATOR, None,
+     "param name 'x2' is taken by a base coordinate (line 4, col 7)"),
+    (_CHART + _OPERATOR + "query bogus();\n", None,
+     "unknown query 'bogus'"),
+    (_CHART + _OPERATOR + "query prolong(l = one);\n", None,
+     "expected an integer, got 'one' (line 5, col 19)"),
+    (_KG_HEAD + "operator h = klein_gordon(F1=1, G=2);\n", None,
+     "unknown klein_gordon field 'G' (line 5, col 33)"),
+    (_CHART + _OPERATOR, "u[(0,3)] = 1;\nu[(0,3)] = 2;\n",
+     "free-data key u[(0,3)] given twice (line 2, col 1)"),
+], ids=["empty_operator", "empty_operator_next_line", "operator_without_equals",
+        "unbalanced_braces", "missing_semicolon", "chart_value",
+        "metric_entry", "taken_param", "unknown_query", "query_integer", "klein_gordon_field",
+        "free_data_key_twice"])
+def test_every_malformed_input_exits_2_with_one_error_line(tmp_path, text, free_data, message):
+    path = tmp_path / "bad.jf"
+    path.write_text(text)
+    flags = []
+    if free_data is not None:
+        fd = tmp_path / "fd.txt"
+        fd.write_text(free_data)
+        flags = ["--free-data", "file:%s" % fd]
+    for command in cli.COMMANDS:
+        code, out, err = _main_output([command, str(path), *flags])
+        assert (code, out, err) == (2, "", "error: %s\n" % message), command
+
+
+def test_a_value_error_while_running_is_an_error_line(tmp_path, monkeypatch):
+    def refuse(h, name, args):
+        raise ValueError("refused for the test")
+
+    monkeypatch.setattr(cli, "_refuse_oversized", refuse)
+    path = tmp_path / "wave.jf"
+    path.write_text(WAVE)
+    assert _main_output(["integrability", str(path)]) == (2, "", "error: refused for the test\n")
+
+
+_PADDING = st.sampled_from(("", " ", "  ", "\t", "\n", " \n\t "))
+
+
+@st.composite
+def _padded_corpus_text(draw):
+    """A corpus file, the same file with the blanks around each '=' and
+    ',' outside comments redrawn, and the positions just after each
+    '=' of the padded text."""
+    text = _corpus_bytes(draw(st.sampled_from(sorted(
+        f for f in os.listdir(CORPUS_DIR) if f.endswith(".jf"))))).decode("utf-8")
+    out = []
+    after_equals = []
+    size = 0
+    for line in text.splitlines(keepends=True):
+        code, sharp, comment = line.partition("#")
+        for ch in code:
+            piece = draw(_PADDING) + ch + draw(_PADDING) if ch in "=," else ch
+            out.append(piece)
+            size += len(piece)
+            if ch == "=":
+                after_equals.append(size)
+        out.append(sharp + comment)
+        size += len(sharp + comment)
+    return text, "".join(out), after_equals
+
+
+@settings(max_examples=30, deadline=None)
+@given(_padded_corpus_text())
+def test_padding_around_equals_and_commas_keeps_the_spec(case):
+    text, padded, _ = case
+    _same_spec(cli._parse.__wrapped__(padded), cli.parse_problem_file(text))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_padded_corpus_text(), st.data())
+def test_a_bad_value_is_located_at_its_first_character_after_padding(case, data):
+    _, padded, after_equals = case
+    at = data.draw(st.sampled_from(after_equals))
+    while padded[at].isspace():
+        at += 1
+    bad = padded[:at] + "?" + padded[at:]
+    with pytest.raises(sx.ParseError) as exc:
+        cli._parse.__wrapped__(bad)
+    assert exc.value.pos == at
+
+
+def test_a_metric_entry_name_may_be_followed_by_any_blank():
+    # a tab or a newline before '=' once stayed in the entry's name
+    for blank in ("\t", "\n", " \t\n "):
+        spec = cli.parse_problem_file(
+            _CHART + "metric { g[1][1]%s= 1; g[2][2]%s= -1; }\n" % (blank, blank)
+            + "operator h = klein_gordon(F1=1, F2=1, K=z^3);\n")
+        assert spec.metric.entry(1, 1) == sx.ONE and spec.metric.entry(2, 2) == -sx.ONE

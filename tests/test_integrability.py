@@ -335,9 +335,10 @@ def _condition1_fallback_reference(h, samples, seed):
                 "symbol nonvanishing", False, False,
                 "all top-order coefficients vanish at a sampled point",
                 {"witness": assignment}), skipped
-    return ig.ConditionReport(
-        "symbol nonvanishing", True, False,
-        "nonzero at all %d sampled points" % samples), skipped
+    detail = "nonzero at all %d sampled points" % (samples - skipped)
+    if skipped:
+        detail += " evaluated; %d skipped where a denominator vanishes" % skipped
+    return ig.ConditionReport("symbol nonvanishing", True, False, detail), skipped
 
 
 _X1, _X2 = sx.base(1), sx.base(2)
@@ -362,6 +363,31 @@ def test_condition1_sampled_fallback_matches_the_per_trial_loop(component, outco
         if outcome == "nonzero at all" and component.has_recip():
             # the quotient's payload is drawn as 0 in some trial, which is skipped
             assert skipped
+
+
+_QUOTIENT = "base m = 2;\nfiber n = 1;\norder k = 2;\noperator h = u[(2,0)]/x1 + x2*u[(0,2)];\n"
+
+
+@pytest.mark.parametrize("seed, detail", [
+    (0, "nonzero at all 8 sampled points"),
+    (1, "nonzero at all 8 sampled points"),
+    (2, "nonzero at all 7 sampled points evaluated; 1 skipped where a denominator vanishes"),
+    (5, "nonzero at all 8 sampled points"),
+])
+def test_condition1_counts_the_points_it_evaluated(seed, detail):
+    # at seed 2 one of the 8 points has x1 = 0; it once still read "all 8"
+    h = cli.parse_problem_file(_QUOTIENT).operator
+    got = ig._check_symbol_nonvanishing(h, 8, seed)
+    assert (got.passed, got.certified, got.detail) == (True, False, detail)
+
+
+def test_condition1_fails_when_no_point_is_evaluated():
+    # the single point of seed 7 has x1 = 0, so nothing was checked
+    h = cli.parse_problem_file(_QUOTIENT).operator
+    got = ig._check_symbol_nonvanishing(h, 1, 7)
+    assert (got.passed, got.certified) == (False, False)
+    assert got.detail == "no point evaluated: a denominator vanishes at each of the 1 sampled points"
+    assert not ig.check_conditions(h, samples=1, seed=7).passed
 
 
 def _cofactor_over_det(grid, r, c):
