@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from math import comb
 
 from .mindex import MultiIndex
@@ -189,6 +189,9 @@ def _expect_int(text, value, at):
 
 # the chart declarations: the letter each declares and its least value
 _CHART_DECLS = {"base": ("m", 1), "fiber": ("n", 1), "order": ("k", 0)}
+# the parameters each query takes, in positional order
+_QUERY_PARAMS = {"prolong": ("l",), "symbol": (), "spencer": ("pmax", "qmax"),
+                 "integrability": (), "codim": ("l",), "solve": ("N",), "tower": ("levels",)}
 # the declarations that need the chart, as their errors name them
 _AFTER_CHART = {"metric": "metric block", "param": "param", "operator": "operator"}
 
@@ -274,7 +277,7 @@ def _parse(text, registry=None):
             if letter in chart:
                 raise ParseError("'%s %s' declared twice" % (head, letter), text, pos)
             lhs, _, value, at = _sides(body, at)
-            if not lhs.startswith(letter):
+            if lhs != letter or "=" not in body:
                 raise ParseError("expected '%s %s = <int>'" % (head, letter), text, pos)
             chart[letter] = _expect_int(text, value, at)
             if chart[letter] < least:
@@ -344,18 +347,36 @@ def _parse(text, registry=None):
             name = name.strip()
             if not rest.endswith(")"):
                 raise ParseError("queries look like 'query name(args);'", text, pos)
-            if name not in _RUNNERS:
+            if name not in _QUERY_PARAMS:
                 raise ProblemError("unknown query %r" % name)
+            names = _QUERY_PARAMS[name]
             args = []
             kwargs = []
+            given = {}  # parameter -> "position" or "keyword"
             for off, part in _split_top(rest[:-1]):
                 if not part.strip():
                     continue
                 key, key_at, value, value_at = _sides(part, at + off)
-                if "=" in part:
-                    kwargs.append((key, _expect_int(text, value, value_at)))
+                if "=" not in part:
+                    if len(args) == len(names):
+                        raise ParseError("query %s takes at most %d positional argument%s"
+                                         % (name, len(names), "" if len(names) == 1 else "s"),
+                                         text, key_at)
+                    key, value, value_at, how = names[len(args)], key, key_at, "position"
+                elif key not in names:
+                    raise ParseError("unknown argument %r of query %s" % (key, name), text, key_at)
                 else:
-                    args.append(_expect_int(text, key, key_at))
+                    how = "keyword"
+                if key in given:
+                    raise ParseError("argument %r of query %s given %s" % (
+                        key, name, "twice" if given[key] == how else "by position and by keyword"),
+                        text, key_at)
+                given[key] = how
+                number = _expect_int(text, value, value_at)
+                if how == "keyword":
+                    kwargs.append((key, number))
+                else:
+                    args.append(number)
             queries.append(Query(name, tuple(args), tuple(kwargs)))
         else:
             raise ParseError("unknown declaration %r" % head, text, pos)
@@ -461,55 +482,102 @@ class Report:
     def passed(self):
         return all(r.passed for r in self.results)
 
-    def to_json_obj(self):
-        return {
-            "schema": SCHEMA,
-            "command": self.command,
-            "source": self.source,
-            "seed": self.seed,
-            "samples": self.samples,
-            "mode": self.mode,
-            "passed": self.passed,
-            "results": [
-                {
-                    "query": r.query,
-                    "args": _jsonable(r.args),
-                    "passed": r.passed,
-                    "provenance": r.provenance,
-                    "data": _jsonable(r.data),
-                    "notes": list(r.notes),
-                }
-                for r in self.results
-            ],
-        }
-
-
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return str(v) if v.denominator != 1 else str(v.numerator)
-    if isinstance(v, MultiIndex):
-        return list(v)
-    if isinstance(v, Expr):
-        return sx.format_expr(v)
-    if isinstance(v, dict):
-        return {_key_str(kk): _jsonable(vv) for kk, vv in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, float):
-        return repr(v)
-    return v
-
 
 def _key_str(kk):
-    if isinstance(kk, (tuple, MultiIndex)):
+    if isinstance(kk, tuple):  # a MultiIndex too
         return ",".join(str(x) for x in kk)
     return str(kk)
 
 
+def _write_json(v, out, pad):
+    """Append to the list out the canonical JSON text of v, a value that
+    opens at indent pad (a string of blanks): the text that
+    `json.dumps(..., sort_keys=True, indent=2)` gives v after each
+    Fraction is made "p/q" (or "n" when q is 1), each Expr its
+    `format_expr` string and each float its repr string, each
+    MultiIndex, tuple or list an array, and each dict key `_key_str(key)`,
+    the last value kept where two keys give one string.  Strings are
+    ASCII-only, with \\u escapes; a value of any other type raises
+    TypeError, as json.dumps does."""
+    if isinstance(v, str):
+        out.append(_json_str(v))
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, Fraction):
+        out.append('"%s"' % v)
+    elif isinstance(v, Expr):
+        out.append(_json_str(sx.format_expr(v)))
+    elif isinstance(v, float):
+        out.append(_json_str(repr(v)))
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for x in v:
+            out.append(sep)
+            _write_json(x, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, x in sorted({_key_str(k): x for k, x in v.items()}.items()):
+            out.append(sep)
+            out.append(_json_str(key))
+            out.append(": ")
+            _write_json(x, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(v).__name__)
+
+
+def _json_report(report):
+    """The canonical JSON text of a report, with a final newline.  The
+    report and result keys of the schema are written in sorted order;
+    only a result's args, data and notes go through `_write_json`."""
+    out = ['{\n  "command": ', _json_str(report.command),
+           ',\n  "mode": ', _json_str(report.mode),
+           ',\n  "passed": ', "true" if report.passed else "false",
+           ',\n  "results": ']
+    sep = "[\n"
+    for r in report.results:
+        out += (sep, '    {\n      "args": ')
+        _write_json(r.args, out, "      ")
+        out.append(',\n      "data": ')
+        _write_json(r.data, out, "      ")
+        out.append(',\n      "notes": ')
+        _write_json(r.notes, out, "      ")
+        out += (',\n      "passed": ', "true" if r.passed else "false",
+                ',\n      "provenance": ', _json_str(r.provenance),
+                ',\n      "query": ', _json_str(r.query), "\n    }")
+        sep = ",\n"
+    out.append("\n  ]" if report.results else "[]")
+    out += (',\n  "samples": ', int.__repr__(report.samples),
+            ',\n  "schema": ', _json_str(SCHEMA),
+            ',\n  "seed": ', int.__repr__(report.seed),
+            ',\n  "source": ', _json_str(report.source), "\n}\n")
+    return "".join(out)
+
+
 def emit_report(report, fmt="text"):
-    """Render a report; JSON bytes are canonical for fixed inputs."""
+    """Render a report: fmt "json" gives its canonical JSON text (see
+    `_json_report`), whose bytes are fixed by the input file, the flags
+    and the seed; any other fmt gives the text rendering, with each
+    query's time."""
     if fmt == "json":
-        return json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n"
+        return _json_report(report)
     lines = []
     lines.append("jetforge report (schema %s)" % SCHEMA)
     lines.append("command: %s   source: %s" % (report.command, report.source))
@@ -568,24 +636,22 @@ def _first_given(*values):
 
 def _query_args(q, h, flags):
     """The arguments of query q on the operator h as its report names
-    them, defaults filled in: l for prolong and codim (the position,
-    then the keyword, then flags.order), N for solve (the position,
-    then the keyword, then the larger of order + 2 and flags.order),
-    levels for tower (the position, then the keyword, then order + 2),
-    pmax and qmax for spencer (the flags, then the keywords, then the
-    positions, then m and order + 2); none for the other queries."""
-    kw = q.arg_dict()
-    pos = q.args
+    them: each as the file gives it, by position or by keyword (the
+    parser lets a parameter be given once), or else its default: l for
+    prolong and codim defaults to flags.order, N for solve to the
+    larger of order + 2 and flags.order, levels for tower to order + 2,
+    and spencer's pmax and qmax to m and order + 2, with the flags
+    --pmax and --qmax above the file; the other queries take none."""
+    given = dict(zip(_QUERY_PARAMS[q.name], q.args), **q.arg_dict())
     if q.name in ("prolong", "codim"):
-        return {"l": pos[0] if pos else kw.get("l", flags.order)}
+        return {"l": given.get("l", flags.order)}
     if q.name == "solve":
-        return {"N": pos[0] if pos else kw.get("N", max(h.order + 2, flags.order))}
+        return {"N": given.get("N", max(h.order + 2, flags.order))}
     if q.name == "tower":
-        return {"levels": pos[0] if pos else kw.get("levels", h.order + 2)}
+        return {"levels": given.get("levels", h.order + 2)}
     if q.name == "spencer":
-        return {"pmax": _first_given(flags.pmax, kw.get("pmax"), pos[0] if len(pos) > 0 else h.m),
-                "qmax": _first_given(flags.qmax, kw.get("qmax"),
-                                     pos[1] if len(pos) > 1 else h.order + 2)}
+        return {"pmax": _first_given(flags.pmax, given.get("pmax"), h.m),
+                "qmax": _first_given(flags.qmax, given.get("qmax"), h.order + 2)}
     return {}
 
 

@@ -320,10 +320,17 @@ def test_json_reports_are_byte_identical():
     assert obj["passed"] is True
 
 
+def _written(v):
+    """The value v as the report writer writes it, read back."""
+    out = []
+    cli._write_json(v, out, "")
+    return json.loads("".join(out))
+
+
 def test_jsonable_fractions_and_floats():
-    assert cli._jsonable(Q(1, 3)) == "1/3"
-    assert cli._jsonable(0.5) == repr(0.5)
-    assert cli._jsonable({"a": (Q(2), 1)}) == {"a": ["2", 1]}
+    assert _written(Q(1, 3)) == "1/3"
+    assert _written(0.5) == repr(0.5)
+    assert _written({"a": (Q(2), 1)}) == {"a": ["2", 1]}
 
 
 def test_text_report_rendering():
@@ -346,7 +353,6 @@ def test_format_problem_round_trip_fixed_point():
 
 
 _PARAM_NAMES = ("a", "b", "c")
-_QUERY_KWARGS = ("pmax", "qmax", "N", "levels")
 
 
 def _rational_text(draw):
@@ -391,9 +397,12 @@ def _problem_text(draw):
                       for _ in range(draw(st.integers(1, 2)))]
         lines.append("operator h = %s;" % ", ".join(components))
     for _ in range(draw(st.integers(0, 3))):
-        name = draw(st.sampled_from(sorted(cli._RUNNERS)))
-        args = [str(v) for v in draw(st.lists(st.integers(-1, 6), max_size=1))]
-        kwargs = draw(st.lists(st.sampled_from(_QUERY_KWARGS), unique=True, max_size=2))
+        # each parameter of the query at most once, by position or by keyword
+        name = draw(st.sampled_from(sorted(cli._QUERY_PARAMS)))
+        names = cli._QUERY_PARAMS[name]
+        n_pos = draw(st.integers(0, len(names)))
+        args = [str(draw(st.integers(-1, 6))) for _ in range(n_pos)]
+        kwargs = draw(st.lists(st.sampled_from(names[n_pos:]), unique=True)) if names[n_pos:] else []
         args += ["%s=%d" % (kw, draw(st.integers(-1, 6))) for kw in kwargs]
         lines.append("query %s(%s);" % (name, ", ".join(args)))
     return "\n".join(lines) + "\n"
@@ -987,10 +996,36 @@ _OPERATOR = "operator h = u[(2,0)] - u[(0,2)];\n"
      "unknown klein_gordon field 'G' (line 5, col 33)"),
     (_CHART + _OPERATOR, "u[(0,3)] = 1;\nu[(0,3)] = 2;\n",
      "free-data key u[(0,3)] given twice (line 2, col 1)"),
+    # a chart declaration without '=' was once read up to the next
+    # statement, and one whose letter only began with m parsed
+    ("base m = 2;\n  fiber n 1;\norder k = 2;\n" + _OPERATOR, None,
+     "expected 'fiber n = <int>' (line 2, col 3)"),
+    ("base mx = 2;\nfiber nn = 1;\norder kk = 2;\n" + _OPERATOR, None,
+     "expected 'base m = <int>' (line 1, col 1)"),
+    # a query argument that nothing reads was once dropped silently
+    (_CHART + _OPERATOR + "query spencer(pmax=1,  qmx=9);\n", None,
+     "unknown argument 'qmx' of query spencer (line 5, col 24)"),
+    (_CHART + _OPERATOR + "query integrability(l=1);\n", None,
+     "unknown argument 'l' of query integrability (line 5, col 21)"),
+    (_CHART + _OPERATOR + "query prolong(l=1, l=2);\n", None,
+     "argument 'l' of query prolong given twice (line 5, col 20)"),
+    (_CHART + _OPERATOR + "query prolong(1, 2);\n", None,
+     "query prolong takes at most 1 positional argument (line 5, col 18)"),
+    (_CHART + _OPERATOR + "query spencer(1, 2,\n  3);\n", None,
+     "query spencer takes at most 2 positional arguments (line 6, col 3)"),
+    (_CHART + _OPERATOR + "query symbol(0);\n", None,
+     "query symbol takes at most 0 positional arguments (line 5, col 14)"),
+    (_CHART + _OPERATOR + "query prolong(1, l=2);\n", None,
+     "argument 'l' of query prolong given by position and by keyword (line 5, col 18)"),
+    (_CHART + _OPERATOR + "query spencer(qmax=3, 1, 2);\n", None,
+     "argument 'qmax' of query spencer given by position and by keyword (line 5, col 26)"),
 ], ids=["empty_operator", "empty_operator_next_line", "operator_without_equals",
         "unbalanced_braces", "missing_semicolon", "chart_value",
         "metric_entry", "taken_param", "unknown_query", "query_integer", "klein_gordon_field",
-        "free_data_key_twice"])
+        "free_data_key_twice", "chart_without_equals", "chart_letter",
+        "query_unknown_keyword", "query_keyword_of_no_parameter", "query_repeated_keyword",
+        "query_surplus_position", "spencer_surplus_position", "symbol_surplus_position",
+        "query_position_and_keyword", "spencer_keyword_then_position"])
 def test_every_malformed_input_exits_2_with_one_error_line(tmp_path, text, free_data, message):
     path = tmp_path / "bad.jf"
     path.write_text(text)

@@ -134,3 +134,36 @@ def test_package_namespace_is_the_submodules():
     names = {n for n in vars(jetforge) if not (n.startswith("__") and n.endswith("__"))}
     assert names == {"mindex", "symexpr", "jetcalc", "spencer", "symbols",
                      "integrability", "formal", "pfd", "cli"}
+
+
+def _json_dump_calls(tree):
+    """The line numbers of the calls of json.dump and json.dumps in a
+    tree, through any name it imports them or the module under."""
+    modules, dumpers = {"json"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "json")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            dumpers.update(a.asname or a.name for a in node.names if a.name in ("dump", "dumps"))
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr in ("dump", "dumps")
+                and isinstance(f.value, ast.Name) and f.value.id in modules) \
+                or (isinstance(f, ast.Name) and f.id in dumpers):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_report_bytes_have_one_writer():
+    """No module under src/jetforge calls json.dump or json.dumps: every
+    JSON byte of a report comes from cli._write_json."""
+    assert _json_dump_calls(ast.parse(
+        "import json as j\nfrom json import dumps as d\nj.dump(x, f)\nd(x)\njson.dumps(x)\n"
+    )) == [3, 4, 5]
+    calls = ["%s:%d" % (os.path.relpath(path, ROOT), line)
+             for path, tree in _parse_all(os.path.join("src", "jetforge")).items()
+             for line in _json_dump_calls(tree)]
+    assert not calls, "json.dump or json.dumps called at %s" % ", ".join(sorted(calls))
