@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from math import comb
+from typing import NamedTuple
 
 from .mindex import MultiIndex
 from . import symexpr as sx
@@ -44,17 +45,6 @@ from . import formal as fm
 from . import pfd
 
 SCHEMA = "jetforge-report/1"
-
-_COMMAND_QUERIES = {
-    "prolong": ("prolong",),
-    "symbol": ("symbol",),
-    "spencer": ("spencer",),
-    "integrability": ("integrability", "codim"),
-    "solve": ("solve",),
-    "tower": ("tower",),
-}
-
-COMMANDS = tuple(_COMMAND_QUERIES)
 
 
 class ProblemError(ValueError):
@@ -189,9 +179,6 @@ def _expect_int(text, value, at):
 
 # the chart declarations: the letter each declares and its least value
 _CHART_DECLS = {"base": ("m", 1), "fiber": ("n", 1), "order": ("k", 0)}
-# the parameters each query takes, in positional order
-_QUERY_PARAMS = {"prolong": ("l",), "symbol": (), "spencer": ("pmax", "qmax"),
-                 "integrability": (), "codim": ("l",), "solve": ("N",), "tower": ("levels",)}
 # the declarations that need the chart, as their errors name them
 _AFTER_CHART = {"metric": "metric block", "param": "param", "operator": "operator"}
 
@@ -347,9 +334,9 @@ def _parse(text, registry=None):
             name = name.strip()
             if not rest.endswith(")"):
                 raise ParseError("queries look like 'query name(args);'", text, pos)
-            if name not in _QUERY_PARAMS:
+            if name not in _QUERIES:
                 raise ProblemError("unknown query %r" % name)
-            names = _QUERY_PARAMS[name]
+            names = _QUERIES[name].params
             args = []
             kwargs = []
             given = {}  # parameter -> "position" or "keyword"
@@ -642,7 +629,7 @@ def _query_args(q, h, flags):
     larger of order + 2 and flags.order, levels for tower to order + 2,
     and spencer's pmax and qmax to m and order + 2, with the flags
     --pmax and --qmax above the file; the other queries take none."""
-    given = dict(zip(_QUERY_PARAMS[q.name], q.args), **q.arg_dict())
+    given = dict(zip(_QUERIES[q.name].params, q.args), **q.arg_dict())
     if q.name in ("prolong", "codim"):
         return {"l": given.get("l", flags.order)}
     if q.name == "solve":
@@ -816,15 +803,25 @@ def _load_free_data(path, h):
     return table
 
 
-_RUNNERS = {
-    "prolong": _run_prolong,
-    "symbol": _run_symbol,
-    "spencer": _run_spencer,
-    "integrability": _run_integrability,
-    "codim": _run_codim,
-    "solve": _run_solve,
-    "tower": _run_tower,
+class _QueryKind(NamedTuple):
+    command: str  # the command that runs the query
+    params: tuple  # the parameters it takes, in positional order
+    run: object  # its runner, (h, args, flags) -> QueryResult
+
+
+# every query by name: a command runs its queries in this order, and
+# the first one is its default
+_QUERIES = {
+    "prolong": _QueryKind("prolong", ("l",), _run_prolong),
+    "symbol": _QueryKind("symbol", (), _run_symbol),
+    "spencer": _QueryKind("spencer", ("pmax", "qmax"), _run_spencer),
+    "integrability": _QueryKind("integrability", (), _run_integrability),
+    "codim": _QueryKind("integrability", ("l",), _run_codim),
+    "solve": _QueryKind("solve", ("N",), _run_solve),
+    "tower": _QueryKind("tower", ("levels",), _run_tower),
 }
+
+COMMANDS = tuple(dict.fromkeys(q.command for q in _QUERIES.values()))
 
 
 def run_command(spec, command, flags, source="<memory>"):
@@ -836,7 +833,7 @@ def run_command(spec, command, flags, source="<memory>"):
     """
     if command not in COMMANDS:
         raise ProblemError("unknown command %r" % command)
-    kinds = _COMMAND_QUERIES[command]
+    kinds = [name for name, q in _QUERIES.items() if q.command == command]
     if spec.queries:
         queries = [q for q in spec.queries if q.name in kinds]
     else:
@@ -849,7 +846,7 @@ def run_command(spec, command, flags, source="<memory>"):
     for q, args in zip(queries, query_args):
         t0 = time.perf_counter()
         try:
-            r = _RUNNERS[q.name](h, args, flags)
+            r = _QUERIES[q.name].run(h, args, flags)
         except (RuntimeError, ValueError, OverflowError, sx.ExprError) as err:
             r = QueryResult(q.name, args, False, _provenance(flags),
                             {"error": str(err)}, notes=["error: %s" % err])

@@ -79,11 +79,8 @@ def formal_solve(h, seed_point, N, policy="zero", free_table=None, seed=None):
     if h.n_out != 1 or h.n != 1:
         raise ValueError("formal solving handles scalar operators")
     b = seed_point
-    l0 = b.chart.k - h.order
-    if l0 < 0:
-        raise ValueError("seed order below operator order")
-    vals = jc.prolong_op(h, l0).evaluate_at(b)
-    if any(v != 0 for v in vals):
+    jc.point_level(h, b)  # refuses another bundle and a seed below h's order
+    if not jc.on_variety(h, b):
         raise ValueError("seed does not satisfy the prolonged equations")
     if b.chart.k > N:
         # the seed already holds jets above the order asked for

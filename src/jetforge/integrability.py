@@ -15,7 +15,10 @@ rational data, where identities are decided structurally and the ranks
 that the symbol fixes have closed forms: where sigma != 0 the lift
 matrix, the prolonged symbol, has rank m and each block of the
 prolonged Jacobian full row rank (`symbols.rank_profile`,
-`variety_codim`).  Everything else is reported as sampled evidence.
+`variety_codim`).  Condition 1 of a Klein-Gordon operator is certified
+by its construction: its symbol is the inverse metric, which
+`MetricSpec` builds only for a metric that is not singular, so nothing
+is re-proved.  Everything else is reported as sampled evidence.
 """
 
 from __future__ import annotations
@@ -78,9 +81,6 @@ class MetricSpec:
         self._inv = None
         self._brackets = None
         self._christoffel = None
-
-    def entry(self, i, j):
-        return self.entries[i - 1][j - 1]
 
     def determinant(self):
         if self._det is None:
@@ -179,8 +179,9 @@ class MetricSpec:
 
 
 class KleinGordonOp(jc.DiffOp):
-    """Second-order wave-type operator built from a metric: the
-    Laplace-Beltrami part plus F1*u and a self-interaction F2*K(u)."""
+    """Second-order wave-type operator built from a metric by
+    `make_klein_gordon`: the Laplace-Beltrami part plus F1*u and a
+    self-interaction F2*K(u)."""
 
     __slots__ = ("metric",)
 
@@ -260,22 +261,11 @@ class LiftResult:
         return len(self.free_labels)
 
 
-def _level(h, b):
-    """The level l of the point b for h, b of order h.order + l on h's
-    bundle."""
-    l = b.chart.k - h.order
-    if l < 0:
-        raise ValueError("point order below operator order")
-    if (b.chart.m, b.chart.n) != (h.m, h.n):
-        raise ValueError("point and operator live on different bundles")
-    return l
-
-
 def lift_system_at(h, b):
     """The affine system for one more order of jet coordinates at b.
 
     Rows are the components of prolong_op(h, l+1) of outer degree
-    exactly l+1 (l inferred from b); columns are the order-(k+l+1)
+    exactly l+1 (l = `jc.point_level(h, b)`); columns are the order-(k+l+1)
     coordinates in graded-lex order.  Returns (A, R, column labels, E):
     R the tuple of right-hand-side values, one per row, and E the
     `Echelon` of [A | I], which decides and solves A x = y for every y.
@@ -288,7 +278,7 @@ def lift_system_at(h, b):
     This is the one writer of the plan's `last`: while sigma(b) equals
     that of the plan's last point, A and E are that point's objects.
     """
-    plan = jc.lift_plan(h, _level(h, b))
+    plan = jc.lift_plan(h, jc.point_level(h, b))
     values = plan.values_at(b)
     sigma = [values[p] for p in plan.sigma]
     if plan.last is None or plan.last[0] != sigma:
@@ -322,10 +312,8 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
     and the solution is unique given the free values; it is the new
     jets of the lifted point, in label order.
     """
-    if check:
-        vals = jc.prolong_op(h, _level(h, b)).evaluate_at(b)
-        if any(v != 0 for v in vals):
-            raise ValueError("point does not satisfy the prolonged equations")
+    if check and not jc.on_variety(h, b):
+        raise ValueError("point does not satisfy the prolonged equations")
     _, R, unknowns, E = lift_system_at(h, b)
     free = E.free
     free_values = None
@@ -423,25 +411,16 @@ def _check_symbol_nonvanishing(h, samples, seed):
                 "symbol nonvanishing", True, True,
                 "a top-order coefficient is the nonzero constant %s" % c,
             )
-    metric = getattr(h, "metric", None)
-    if metric is not None:
-        ok = True
-        m = metric.m
-        for i in range(1, m + 1):
-            for k in range(1, m + 1):
-                prod = sx.ZERO
-                for j in range(1, m + 1):
-                    prod = prod + metric.inverse_entry(i, j) * metric.entry(j, k)
-                want = sx.ONE if i == k else sx.ZERO
-                if not sx.is_identically_zero(prod - want):
-                    ok = False
-        if ok:
-            return ConditionReport(
-                "symbol nonvanishing", True, True,
-                "top-order coefficients form the exact inverse metric; an invertible "
-                "matrix has no zero row, so the symbol cannot vanish where the metric "
-                "is nondegenerate",
-            )
+    if isinstance(h, KleinGordonOp):
+        # certified by construction: `make_klein_gordon` reads the top
+        # order off g^{ij}, which `MetricSpec` builds only for a metric
+        # whose determinant is not identically zero
+        return ConditionReport(
+            "symbol nonvanishing", True, True,
+            "top-order coefficients form the exact inverse metric; an invertible "
+            "matrix has no zero row, so the symbol cannot vanish where the metric "
+            "is nondegenerate",
+        )
     # sampled fallback: all coefficients zero at some point would fail;
     # a point where a coefficient's denominator vanishes is skipped
     slots, points = sy._random_points(coeffs, samples, seed)

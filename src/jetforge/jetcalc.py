@@ -197,12 +197,12 @@ class DiffOp:
     __slots__ = ("m", "n", "order", "components", "labels", "_symbol", "_prolongations",
                  "_lift_plans", "_sampler", "_batches")
 
-    def __init__(self, m, n, order, components, labels=None):
+    def __init__(self, m, n, order, components):
         components = tuple(as_expr(c) for c in components)
         for c in components:
             if c.max_jet_degree() > order:
                 raise ValueError("component uses jets above the declared order")
-        self._fill(m, n, order, components, labels)
+        self._fill(m, n, order, components, None)
 
     @classmethod
     def _unchecked(cls, m, n, order, components, labels):
@@ -334,6 +334,27 @@ def prolong_op(h, l):
         if j not in levels:
             levels[j] = _prolong_once(h, levels.get(j - 1, h), j)
     return levels.get(l, h)
+
+
+def point_level(h, b):
+    """The level l = b.chart.k - h.order of the jet point b for h: the
+    equations of b's chart are those of prolong_op(h, l).  Refuses a
+    point of another bundle and a point below h's order."""
+    if (b.chart.m, b.chart.n) != (h.m, h.n):
+        raise ValueError("point and operator live on different bundles")
+    if b.chart.k < h.order:
+        raise ValueError("point order below operator order")
+    return b.chart.k - h.order
+
+
+def on_variety(h, b):
+    """Whether the jet point b lies on the equation variety R_{k+l} of h,
+    l its level: every component of prolong_op(h, l) vanishes at b.  No
+    equation reaches below h's order, so a point of h's bundle there is
+    on it; a point of another bundle is refused at every order."""
+    if b.chart.k < h.order and (b.chart.m, b.chart.n) == (h.m, h.n):
+        return True
+    return all(v == 0 for v in prolong_op(h, point_level(h, b)).evaluate_at(b))
 
 
 def _prolong_once(h, prev, l):

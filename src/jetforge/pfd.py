@@ -469,10 +469,7 @@ class EquationSubtower:
         self.h = h
 
     def membership(self, jp):
-        l = jp.chart.k - self.h.order
-        if l < 0:
-            return True
-        return all(v == 0 for v in jc.prolong_op(self.h, l).evaluate_at(jp))
+        return jc.on_variety(self.h, jp)
 
     def dimension(self, level):
         """Expected dimension of the level: jet dimension minus the

@@ -106,10 +106,10 @@ def test_criterion_01_klein_gordon_lift_golden():
     origin = {sx.BaseVar(i): Q(0) for i in range(1, 5)}
     for i in range(1, 5):
         for j in range(1, 5):
-            v = sx.evaluate(g_curved.entry(i, j), origin, exact=True)
+            v = sx.evaluate(g_curved.entries[i - 1][j - 1], origin, exact=True)
             assert v == (eta[i - 1] if i == j else 0)
             for l in range(1, 5):
-                dv = sx.evaluate(sx.differentiate(g_curved.entry(i, j), sx.BaseVar(l)),
+                dv = sx.evaluate(sx.differentiate(g_curved.entries[i - 1][j - 1], sx.BaseVar(l)),
                                  origin, exact=True)
                 assert dv == 0
 

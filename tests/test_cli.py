@@ -114,7 +114,7 @@ def test_parse_refuses_a_repeated_metric_entry_at_its_statement():
     # both triangles of an off-diagonal entry are still one entry each
     spec = cli.parse_problem_file(
         KG.replace(_KG_METRIC, "metric { g[1][1] = 2; g[1][2] = x1; g[2][1] = x1; g[2][2] = -1; }"))
-    assert spec.metric.entry(1, 2) == spec.metric.entry(2, 1) == sx.base(1)
+    assert spec.metric.entries[0][1] == spec.metric.entries[1][0] == sx.base(1)
 
 
 _CHART = "base m = 2;\nfiber n = 1;\norder k = 2;\n"
@@ -398,8 +398,8 @@ def _problem_text(draw):
         lines.append("operator h = %s;" % ", ".join(components))
     for _ in range(draw(st.integers(0, 3))):
         # each parameter of the query at most once, by position or by keyword
-        name = draw(st.sampled_from(sorted(cli._QUERY_PARAMS)))
-        names = cli._QUERY_PARAMS[name]
+        name = draw(st.sampled_from(sorted(cli._QUERIES)))
+        names = cli._QUERIES[name].params
         n_pos = draw(st.integers(0, len(names)))
         args = [str(draw(st.integers(-1, 6))) for _ in range(n_pos)]
         kwargs = draw(st.lists(st.sampled_from(names[n_pos:]), unique=True)) if names[n_pos:] else []
@@ -1101,4 +1101,4 @@ def test_a_metric_entry_name_may_be_followed_by_any_blank():
         spec = cli.parse_problem_file(
             _CHART + "metric { g[1][1]%s= 1; g[2][2]%s= -1; }\n" % (blank, blank)
             + "operator h = klein_gordon(F1=1, F2=1, K=z^3);\n")
-        assert spec.metric.entry(1, 1) == sx.ONE and spec.metric.entry(2, 2) == -sx.ONE
+        assert spec.metric.entries[0][0] == sx.ONE and spec.metric.entries[1][1] == -sx.ONE

@@ -20,8 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetforge import formal as fm
 from jetforge import integrability as ig
 from jetforge import jetcalc as jc
+from jetforge import pfd
 from jetforge import symexpr as sx
 from jetforge.mindex import MultiIndex
 from jetforge.symexpr import BaseVar, JetVar
@@ -173,12 +175,51 @@ def test_lift_plan_unknowns_are_the_new_layout_labels():
         assert plan.unknowns == above.labels[len(below.labels):]
 
 
-def test_lift_rejects_a_point_of_another_bundle():
+def _zero_point(m, n, k):
+    chart = jc.JetChartSpec(m, n, k)
+    return jc.JetPoint(chart, (0,) * m, {label: 0 for label in chart.labels})
+
+
+# every entry point that reads a point's level or its membership in the
+# equation variety, all through `jc.point_level` and `jc.on_variety`
+_ENTRY_POINTS = {
+    "lift_system_at": ig.lift_system_at,
+    "lift_point": ig.lift_point,
+    "formal_solve": lambda h, b: fm.formal_solve(h, b, 4),
+    "membership": lambda h, b: pfd.EquationSubtower(h).membership(b),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@pytest.mark.parametrize("m, n", [(3, 1), (4, 2)], ids=["other_m", "other_n"])
+def test_lift_rejects_a_point_of_another_bundle(m, n, entry):
+    # h lives on m = 4, n = 1; the zero point is at h's order 2
     h = _curved_kg4()
-    chart = jc.JetChartSpec(3, 1, 2)
-    b = jc.JetPoint(chart, (0, 0, 0), {label: 0 for label in chart.labels})
+    with pytest.raises(ValueError, match="point and operator live on different bundles"):
+        _ENTRY_POINTS[entry](h, _zero_point(m, n, 2))
+
+
+def test_a_point_below_the_operator_order_is_a_member_without_a_level():
+    h = _curved_kg4()
+    assert pfd.EquationSubtower(h).membership(_zero_point(4, 1, 1))
+    for entry in ("lift_system_at", "lift_point", "formal_solve"):
+        with pytest.raises(ValueError, match="point order below operator order"):
+            _ENTRY_POINTS[entry](h, _zero_point(4, 1, 1))
+    # below the order, a point of another bundle is still refused
     with pytest.raises(ValueError, match="different bundles"):
-        ig.lift_system_at(h, b)
+        pfd.EquationSubtower(h).membership(_zero_point(3, 1, 1))
+
+
+def test_a_point_off_the_variety_is_refused_with_its_message():
+    # u = 1 and every derivative 0: h = u + u^3 = 2 there
+    h = _curved_kg4()
+    chart = jc.JetChartSpec(4, 1, 2)
+    b = jc.JetPoint(chart, (0,) * 4, {(1, I): int(I.degree == 0) for _, I in chart.labels})
+    assert not pfd.EquationSubtower(h).membership(b)
+    with pytest.raises(ValueError, match="point does not satisfy the prolonged equations"):
+        ig.lift_point(h, b, check=True)
+    with pytest.raises(ValueError, match="seed does not satisfy the prolonged equations"):
+        fm.formal_solve(h, b, 4)
 
 
 def test_warm_lift_builds_no_keys_and_converts_no_fractions():
