@@ -179,63 +179,62 @@ class MetricSpec:
 
 
 class KleinGordonOp(jc.DiffOp):
-    """Second-order wave-type operator built from a metric by
-    `make_klein_gordon`: the Laplace-Beltrami part plus F1*u and a
-    self-interaction F2*K(u)."""
+    """Scalar order-2 operator built from a metric alone:
+    sum_ij g^{ij} u_{1_i + 1_j} - sum_ijk g^{ij} Gamma^k_{ij} u_{1_k}
+    + F1 u + F2 K(u), for K a callable Expr -> Expr.  The potential
+    terms may not hold derivatives of u, so the top order is g^{ij}.
+    """
 
     __slots__ = ("metric",)
 
-    def __init__(self, metric, components):
-        super().__init__(metric.m, 1, 2, components)
+    def __init__(self, metric, F1=0, F2=0, K=None):
+        m = metric.m
+        F1 = sx.as_expr(F1)
+        F2 = sx.as_expr(F2)
+        u0 = sx.jet(1, MultiIndex.zero(m))
+        h = sx.ZERO
+        for i in range(1, m + 1):
+            for j in range(1, m + 1):
+                gij = metric.inverse_entry(i, j)
+                if gij.is_zero():
+                    continue
+                I = MultiIndex.unit(m, i).add(MultiIndex.unit(m, j))
+                h = h + gij * sx.jet(1, I)
+        # sum_ij g^{ij} Gamma^k_{ij} = 1/2 sum_l g^{kl} w_l with
+        # w_l = sum_ij g^{ij} (d_i g_jl + d_j g_il - d_l g_ij): m
+        # contractions instead of m^3 products g^{ij} Gamma^k_{ij}
+        w = [sx.ZERO] * m
+        for (i, j), nonzero in metric.brackets().items():
+            gij = metric.inverse_entry(i + 1, j + 1)
+            if gij.is_zero():
+                continue
+            if i != j:
+                # the bracket is symmetric in i, j: the (j, i) term too
+                gij = 2 * gij
+            for l, b in nonzero:
+                w[l] = w[l] + gij * b
+        for k in range(1, m + 1):
+            total = sx.ZERO
+            for l in range(m):
+                if not w[l].is_zero():
+                    total = total + metric.inverse_entry(k, l + 1) * w[l]
+            if not total.is_zero():
+                h = h - Fraction(1, 2) * total * sx.jet(1, MultiIndex.unit(m, k))
+        potential = F1 * u0
+        if not F2.is_zero():
+            if K is None:
+                raise ValueError("F2 is nonzero but no K was given")
+            potential = potential + F2 * sx.as_expr(K(u0))
+        if potential.max_jet_degree() > 0:
+            raise ValueError("F1, F2 and K(u) may not hold derivatives of u")
+        h = h + potential
+        super().__init__(m, 1, 2, [h])
         self.metric = metric
 
 
 def make_klein_gordon(metric, F1=0, F2=0, K=None):
-    """Scalar order-2 operator
-    sum_ij g^{ij} u_{1_i + 1_j} - sum_ijk g^{ij} Gamma^k_{ij} u_{1_k}
-    + F1 u + F2 K(u).
-
-    K is a callable Expr -> Expr, the self-interaction applied to u.
-    """
-    m = metric.m
-    F1 = sx.as_expr(F1)
-    F2 = sx.as_expr(F2)
-    u0 = sx.jet(1, MultiIndex.zero(m))
-    h = sx.ZERO
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            gij = metric.inverse_entry(i, j)
-            if gij.is_zero():
-                continue
-            I = MultiIndex.unit(m, i).add(MultiIndex.unit(m, j))
-            h = h + gij * sx.jet(1, I)
-    # sum_ij g^{ij} Gamma^k_{ij} = 1/2 sum_l g^{kl} w_l with
-    # w_l = sum_ij g^{ij} (d_i g_jl + d_j g_il - d_l g_ij): m
-    # contractions instead of m^3 products g^{ij} Gamma^k_{ij}
-    w = [sx.ZERO] * m
-    for (i, j), nonzero in metric.brackets().items():
-        gij = metric.inverse_entry(i + 1, j + 1)
-        if gij.is_zero():
-            continue
-        if i != j:
-            # the bracket is symmetric in i, j: the (j, i) term too
-            gij = 2 * gij
-        for l, b in nonzero:
-            w[l] = w[l] + gij * b
-    for k in range(1, m + 1):
-        total = sx.ZERO
-        for l in range(m):
-            if not w[l].is_zero():
-                total = total + metric.inverse_entry(k, l + 1) * w[l]
-        if not total.is_zero():
-            h = h - Fraction(1, 2) * total * sx.jet(1, MultiIndex.unit(m, k))
-    if not F1.is_zero():
-        h = h + F1 * u0
-    if not F2.is_zero():
-        if K is None:
-            raise ValueError("F2 is nonzero but no K was given")
-        h = h + F2 * sx.as_expr(K(u0))
-    return KleinGordonOp(metric, [h])
+    """The `KleinGordonOp` of the metric and potential terms."""
+    return KleinGordonOp(metric, F1, F2, K)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +411,7 @@ def _check_symbol_nonvanishing(h, samples, seed):
                 "a top-order coefficient is the nonzero constant %s" % c,
             )
     if isinstance(h, KleinGordonOp):
-        # certified by construction: `make_klein_gordon` reads the top
+        # certified by construction: `KleinGordonOp` reads the top
         # order off g^{ij}, which `MetricSpec` builds only for a metric
         # whose determinant is not identically zero
         return ConditionReport(

@@ -499,18 +499,24 @@ class LinearTower:
     """A tower whose connecting maps are surjective exact matrices."""
 
     def __init__(self, dims, steps):
+        self._set(dims, steps, lambda i, M: sp.Echelon(M, sp.RationalMatrix.identity(M.nrows)))
+
+    def _set(self, dims, steps, eliminate):
+        """Check the shapes and keep eliminate(i, steps[i]), the
+        elimination of [steps[i] | identity], for `tower_splitting`: its
+        kernel and its section; refuse a step it finds not surjective."""
         self.dims = list(dims)
         self.steps = list(steps)
-        if len(self.steps) != max(len(self.dims) - 1, 0):
+        if not self.dims:
+            raise ValueError("a tower needs at least one level")
+        if len(self.steps) != len(self.dims) - 1:
             raise ValueError("need one step matrix per adjacent pair")
-        # the elimination of each [step | identity], kept for
-        # `tower_splitting`: its kernel and its section
         self.echelons = []
         for i, Mstep in enumerate(self.steps):
             if Mstep.nrows != self.dims[i] or Mstep.ncols != self.dims[i + 1]:
                 raise ValueError("step %d has shape %dx%d, expected %dx%d" % (
                     i, Mstep.nrows, Mstep.ncols, self.dims[i], self.dims[i + 1]))
-            E = sp.Echelon(Mstep, sp.RationalMatrix.identity(self.dims[i]))
+            E = eliminate(i, Mstep)
             if E.rank != self.dims[i]:
                 raise ValueError("step %d is not surjective" % i)
             self.echelons.append(E)
@@ -618,8 +624,11 @@ class TensorTowerResult:
 def tensor_tower(V, W):
     """The levelwise tensor tower with its exact splitting certificate.
 
-    Builds (V_i (x) W_i) with Kronecker steps, splits all three towers,
-    verifies the lift identities exactly, and checks that the dimension
+    Builds (V_i (x) W_i) with Kronecker steps, whose eliminations are
+    the Kronecker products of the factors' (`spencer.Echelon.kron`; Horn
+    & Johnson, Topics in Matrix Analysis, 1991, sec. 4.2), so no tensor
+    step is eliminated.  Splits all three towers, verifies the lift
+    identities against the explicit steps, and checks that the dimension
     of each tensor level equals the sum over kernel-piece products of
     the factors up to that level.
     """
@@ -627,7 +636,8 @@ def tensor_tower(V, W):
         raise ValueError("towers must have the same length")
     dims = [a * b for a, b in zip(V.dims, W.dims)]
     steps = [kron(a, b) for a, b in zip(V.steps, W.steps)]
-    T = LinearTower(dims, steps)
+    T = LinearTower.__new__(LinearTower)
+    T._set(dims, steps, lambda i, M: sp.Echelon.kron(V.echelons[i], W.echelons[i]))
     sV = tower_splitting(V)
     sW = tower_splitting(W)
     sT = tower_splitting(T)

@@ -12,7 +12,10 @@ outputs are those of any exact elimination.  The pass touches only the
 nonzero entries of rows, and products only the nonzero pairs of factors.
 A solve is the same pass over the augmented matrix [M | rhs], pivoting
 in M's columns only: rank, kernel basis, consistency and solutions are
-all read from that one `Echelon`.  On top of it sit the symbolic system
+all read from that one `Echelon`.  The elimination of [A (x) B | I]
+needs none: for A and B of full row rank it is the Kronecker product of
+those of [A | I] and [B | I] (`Echelon.kron`; Horn & Johnson, Topics in
+Matrix Analysis, 1991, sec. 4.2).  On top of it sit the symbolic system
 g(h; a) of an operator at a jet point, its level-by-level prolongations
 (each level built from the integer reduced rows of the level below, so
 rows never outgrow m times the rank below), the delta-complex on
@@ -340,6 +343,51 @@ class Echelon:
         self.pivots = pivots
         self.free = sorted(set(range(ncols)) - set(pivots))
         self.rank = len(pivots)
+
+    @classmethod
+    def kron(cls, EA, EB):
+        """The elimination of [A (x) B | I] from those of [A | I] and
+        [B | I], for A and B of full row rank, with no elimination.
+
+        From S_A * A = R_A and S_B * B = R_B reduced, (S_A (x) S_B) *
+        [A (x) B | I] = [R_A (x) R_B | S_A (x) S_B] (Horn & Johnson,
+        Topics in Matrix Analysis, 1991, sec. 4.2), and R_A (x) R_B is
+        reduced, with pivots pA * ncols(B) + pB: the unique reduced form.
+        Row (r, s) multiplies the factors' rows r and s part by part, over
+        its content.  Raises ValueError on a factor not of full row rank.
+        """
+        if EA.rank != len(EA.rhs_labels) or EB.rank != len(EB.rhs_labels):
+            raise ValueError("a Kronecker echelon needs factors [A | I] of full row rank")
+
+        def halves(E):
+            # each reduced row as its M part and its right-hand side part
+            n = len(E.col_labels)
+            return [([(j, v) for j, v in row.items() if j < n],
+                     [(j - n, v) for j, v in row.items() if j >= n]) for row in E.rows]
+
+        nb, w = len(EB.col_labels), len(EB.rhs_labels)
+        ncols = len(EA.col_labels) * nb
+        rows = []
+        b_halves = halves(EB)
+        for am, ar in halves(EA):
+            for bm, br in b_halves:
+                row = {j * nb + l: a * b for j, a in am for l, b in bm}
+                row.update({ncols + j * w + l: a * b for j, a in ar for l, b in br})
+                content = gcd(*row.values())
+                if content != 1:
+                    row = {j: v // content for j, v in row.items()}
+                rows.append(row)
+        E = cls.__new__(cls)
+        E.col_labels = tuple(range(ncols))
+        E.rhs_labels = tuple(range(len(EA.rhs_labels) * w))
+        E.pivots = [pa * nb + pb for pa in EA.pivots for pb in EB.pivots]
+        E.free = sorted(set(range(ncols)) - set(E.pivots))
+        E.rank = len(E.pivots)
+        E.consistent = True
+        E._rest = []
+        E._rows = rows
+        E._above = None
+        return E
 
     @property
     def rows(self):

@@ -433,6 +433,40 @@ def test_condition1_of_klein_gordon_re_proves_nothing(name, monkeypatch):
         "is nondegenerate")
 
 
+@pytest.mark.parametrize("name, detail", [
+    ("kg_curved2.jf", "top-order coefficients form the exact inverse metric; an invertible "
+                      "matrix has no zero row, so the symbol cannot vanish where the metric "
+                      "is nondegenerate"),
+    ("offdiag.jf", "top-order coefficients form the exact inverse metric; an invertible "
+                   "matrix has no zero row, so the symbol cannot vanish where the metric "
+                   "is nondegenerate"),
+    ("kg_mink4.jf", "a top-order coefficient is the nonzero constant 1"),
+])
+def test_condition1_reports_of_the_klein_gordon_corpus(name, detail):
+    h = _corpus_operator(name)
+    assert type(h) is ig.KleinGordonOp
+    c1 = ig.check_conditions(h, samples=4, seed=0).condition1
+    assert (c1.name, c1.passed, c1.certified, c1.detail) == ("symbol nonvanishing", True, True, detail)
+
+
+def test_a_klein_gordon_operator_is_built_from_its_metric_only():
+    # condition 1 certifies every KleinGordonOp by its type, so neither
+    # given components nor derivatives of u in the potential get in: the
+    # symbol of x1*u_(2,0) vanishes on x1 = 0
+    g = ig.MetricSpec.minkowski(2)
+    x1, u20 = sx.base(1), sx.jet(1, (2, 0))
+    with pytest.raises(TypeError):
+        ig.KleinGordonOp(g, [x1 * u20])
+    with pytest.raises(ValueError, match="derivatives of u"):
+        ig.KleinGordonOp(g, F1=sx.jet(1, (1, 0)))
+    with pytest.raises(ValueError, match="derivatives of u"):
+        ig.make_klein_gordon(g, F2=1, K=lambda e: (x1 - 1) * u20 + sx.jet(1, (0, 2)))
+    h = ig.KleinGordonOp(g, 2, 1, lambda e: e ** 3)
+    assert h.components == ig.make_klein_gordon(g, 2, 1, lambda e: e ** 3).components
+    assert h.components == (u20 - sx.jet(1, (0, 2)) + 2 * sx.jet(1, (0, 0))
+                            + sx.jet(1, (0, 0)) ** 3,)
+
+
 def _cofactor_over_det(grid, r, c):
     n = len(grid)
     minor = [[grid[rr][cc] for cc in range(n) if cc != c] for rr in range(n) if rr != r]

@@ -208,6 +208,11 @@ def test_linear_tower_requires_surjective_steps():
         pfd.LinearTower([2, 2], [RM([[Q(1), Q(0)], [Q(0), Q(0)]])])
 
 
+def test_a_tower_needs_at_least_one_level():
+    with pytest.raises(ValueError, match="a tower needs at least one level"):
+        pfd.LinearTower([], [])
+
+
 def test_kron_keeps_the_width_of_zero_row_factors():
     def zero(nr, nc):
         return RM.from_int_rows([{}] * nr, [1] * nr, range(nc))
@@ -435,3 +440,58 @@ def test_tangent_threads():
     pfd.TangentThread(th, [(Q(1),), (Q(1), Q(2)), (Q(1), Q(2), Q(4))])
     with pytest.raises(pfd.ThreadError):
         pfd.TangentThread(th, [(Q(1),), (Q(2), Q(2)), (Q(2), Q(2), Q(0))])
+
+
+def _criterion_08_tower(rng):
+    # the towers of tests/test_acceptance.py::test_criterion_08_tensor_tower_splitting
+    dims = sorted(rng.randint(1, 6) for _ in range(5))
+    steps = []
+    for i in range(4):
+        while True:
+            M = RM([[Q(rng.randint(-3, 3)) for _ in range(dims[i + 1])]
+                    for _ in range(dims[i])])
+            if M.rank() == dims[i]:
+                steps.append(M)
+                break
+    return pfd.LinearTower(dims, steps)
+
+
+def _tower_pairs():
+    rng = random.Random(88)
+    pairs = [(_criterion_08_tower(rng), _criterion_08_tower(rng)) for _ in range(3)]
+    # a level of dimension 0, below a 1x2 step whose second column is free
+    V = pfd.LinearTower([0, 1, 2], [RM.from_int_rows([], [], range(1)), RM([[Q(2), Q(0)]])])
+    W = pfd.LinearTower([1, 2, 2], [RM([[Q(1), Q(-1)]]), RM([[Q(1), Q(1, 2)], [Q(0), Q(3)]])])
+    return pairs + [(V, W), (W, V)]
+
+
+@pytest.mark.parametrize("pair", range(5))
+def test_tensor_tower_eliminates_no_tensor_step(pair, monkeypatch):
+    V, W = _tower_pairs()[pair]
+    calls = []
+    real = sp.Echelon.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.Echelon, "__init__", counting)
+    res = pfd.tensor_tower(V, W)
+    assert calls == []
+    monkeypatch.undo()
+    # the same as the splittings of the tensor tower built by elimination
+    T = pfd.LinearTower(res.tensor.dims, res.tensor.steps)
+    assert T.dims == [a * b for a, b in zip(V.dims, W.dims)]
+    assert T.steps == [pfd.kron(a, b) for a, b in zip(V.steps, W.steps)]
+    for got, want in zip(res.tensor.echelons, T.echelons):
+        assert (got.pivots, got.free, got.rank) == (want.pivots, want.free, want.rank)
+    sV, sW, sT = pfd.tower_splitting(V), pfd.tower_splitting(W), pfd.tower_splitting(T)
+    for got, want in ((res.left, sV), (res.right, sW), (res.diagonal, sT)):
+        assert got.lifts == want.lifts
+        assert got.sections == want.sections
+        assert got.kernel_bases == want.kernel_bases
+    assert res.left.tower is V and res.right.tower is W and res.diagonal.tower is res.tensor
+    assert sV.verify() and sW.verify() and sT.verify()
+    assert res.identities_hold is True and res.dim_identity_holds is True
+    assert [sum(sV.tilde_dim(i) * sW.tilde_dim(j) for i in range(k + 1) for j in range(k + 1))
+            for k in range(T.length)] == T.dims

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetforge import cli
 from jetforge import jetcalc as jc
+from jetforge import pfd
 from jetforge import spencer as sp
 from jetforge import symexpr as sx
 from jetforge.spencer import RationalMatrix
@@ -476,3 +477,83 @@ def test_one_equation_cohomology_closed_form_on_constant_symbols(m, k, data):
                     .filter(any))
     g = sp.SymbolicSystem(m, 1, k, RationalMatrix([row], col_labels=labels))
     assert sp.cohomology_dims(g, m, k + 3) == _one_equation_table(m, k)
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker echelon
+
+
+def _identity_echelon(M):
+    return sp.Echelon(M, RationalMatrix.identity(M.nrows))
+
+
+def _reduced(E):
+    """The reduced rows of E over their pivot values, as Fraction dicts."""
+    return [{j: Q(v, row[p]) for j, v in row.items()} for row, p in zip(E.rows, E.pivots)]
+
+
+@st.composite
+def _full_row_rank(draw):
+    """A rational matrix of full row rank: a row-echelon block with
+    nonzero pivots, each row plus multiples of the rows below it, its
+    columns permuted.  Rows 0..3, and columns from the row count up, so
+    0-row, square and wide factors (with free columns) all come up."""
+    nr = draw(st.integers(0, 3))
+    nc = draw(st.integers(nr, nr + 2))
+    entry = st.sampled_from([Q(0), Q(0), Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4), Q(5, 3)])
+    pivot = st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 3), Q(-5, 2)])
+    rows = [[Q(0)] * r + [draw(pivot)] + [draw(entry) for _ in range(nc - r - 1)]
+            for r in range(nr)]
+    for r in range(nr):
+        for s in range(r + 1, nr):
+            k = draw(st.integers(-2, 2))
+            rows[r] = [a + k * b for a, b in zip(rows[r], rows[s])]
+    perm = draw(st.permutations(range(nc)))
+    return RationalMatrix([[row[p] for p in perm] for row in rows], col_labels=range(nc))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_full_row_rank(), _full_row_rank())
+@example(_zero(0, 2), RationalMatrix([[Q(1), Q(2)], [Q(0), Q(3)]]))
+@example(RationalMatrix([[Q(0), Q(2), Q(1, 2)]]), _zero(0, 0))
+@example(RationalMatrix([[Q(1, 2), Q(0)], [Q(1), Q(1)]]), RationalMatrix([[Q(0), Q(-1), Q(3)]]))
+def test_kronecker_echelon_is_the_elimination_of_the_kronecker_product(A, B):
+    K = pfd.kron(A, B)
+    got = sp.Echelon.kron(_identity_echelon(A), _identity_echelon(B))
+    want = _identity_echelon(K)
+    assert got.rank == want.rank == A.nrows * B.nrows
+    assert got.pivots == want.pivots
+    assert got.free == want.free
+    assert got.consistent and want.consistent
+    assert got.col_labels == want.col_labels and got.rhs_labels == want.rhs_labels
+    assert _reduced(got) == _reduced(want)
+    assert got.kernel_basis() == want.kernel_basis()
+    assert got.solution() == want.solution()
+    assert K.matmul(got.solution()) == RationalMatrix.identity(K.nrows)
+
+
+def test_kronecker_echelon_against_sympy_rref():
+    import sympy
+
+    A = RationalMatrix([[Q(2), Q(1), Q(0)], [Q(1), Q(1, 2), Q(-3)]])
+    B = RationalMatrix([[Q(0), Q(1, 3), Q(1)], [Q(4), Q(0), Q(-1)]])
+    K = pfd.kron(A, B)
+    n = K.nrows
+    aug = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                        + [int(i == c) for c in range(n)] for i, row in enumerate(K.rows)])
+    R, pivots = aug.rref()
+    E = sp.Echelon.kron(_identity_echelon(A), _identity_echelon(B))
+    assert tuple(E.pivots) == pivots
+    width = K.ncols + n
+    for r, row in enumerate(_reduced(E)):
+        assert [row.get(j, Q(0)) for j in range(width)] == [
+            Q(int(x.p), int(x.q)) for x in R.row(r)]
+
+
+def test_kronecker_echelon_refuses_a_rank_deficient_factor():
+    full = _identity_echelon(RationalMatrix([[Q(1), Q(2), Q(0)]]))
+    deficient = _identity_echelon(RationalMatrix([[Q(1), Q(2)], [Q(-2), Q(-4)]]))
+    assert deficient.rank == 1
+    for EA, EB in ((full, deficient), (deficient, full), (deficient, deficient)):
+        with pytest.raises(ValueError, match="full row rank"):
+            sp.Echelon.kron(EA, EB)
