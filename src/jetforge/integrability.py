@@ -16,8 +16,9 @@ that the symbol fixes have closed forms: where sigma != 0 the lift
 matrix, the prolonged symbol, has rank m and each block of the
 prolonged Jacobian full row rank (`symbols.rank_profile`,
 `variety_codim`).  Condition 1 of a Klein-Gordon operator is certified
-by its construction: its symbol is the inverse metric, which
-`MetricSpec` builds only for a metric that is not singular, so nothing
+by its construction: its symbol is the inverse metric, and a
+`MetricSpec` is nonsingular from construction, which builds the inverse
+and refuses a metric whose determinant is identically zero, so nothing
 is re-proved.  Everything else is reported as sampled evidence.
 """
 
@@ -41,15 +42,17 @@ from .symexpr import BaseVar
 
 
 class MetricSpec:
-    """A pseudo-Riemannian metric on the base chart, with exact inverse
-    and Christoffel symbols.
+    """A nonsingular pseudo-Riemannian metric on the base chart, with its
+    exact inverse.
 
     Entries are expressions in base variables, keyed by 1-based index
-    pairs.  The inverse is computed one block at a time (`blocks`): each
-    block's adjugate over that block's determinant, and zero between
-    blocks.  So its entries are exact rational expressions wherever the
-    determinant does not vanish, and each carries only its own block's
-    determinant.
+    pairs.  The inverse is built at construction, one block at a time
+    (`blocks`): each block's adjugate over that block's determinant, and
+    zero between blocks.  det g is the product of the block
+    determinants, so a metric whose determinant is identically zero is
+    refused there.  The inverse entries are exact rational expressions
+    wherever the determinant does not vanish, and each carries only its
+    own block's determinant.
     """
 
     def __init__(self, m, entries):
@@ -77,17 +80,26 @@ class MetricSpec:
                 if bad:
                     raise ValueError("metric entries must be base-only expressions")
         self.entries = grid
-        self._det = None
-        self._inv = None
-        self._brackets = None
-        self._christoffel = None
-
-    def determinant(self):
-        if self._det is None:
-            self._det = sx.det(self.entries)
-            if sx.is_identically_zero(self._det):
+        inv = self._inv = [[sx.ZERO] * m for _ in range(m)]
+        for block in self.blocks():
+            n = len(block)
+            g = [[grid[r][c] for c in block] for r in block]
+            det = sx.det(g)
+            if sx.is_identically_zero(det):
                 raise ValueError("metric expression is singular")
-        return self._det
+            # the one 1/det that every entry of the block is a cofactor times
+            inv_det = sx.inverse(det)
+            for r in range(n):
+                for c in range(n):
+                    minor = [
+                        [g[rr][cc] for cc in range(n) if cc != c]
+                        for rr in range(n)
+                        if rr != r
+                    ]
+                    sign = -1 if (r + c) % 2 else 1
+                    # adjugate transposes, but cofactor matrices of
+                    # symmetric matrices are symmetric
+                    inv[block[c]][block[r]] = sign * sx.det(minor) * inv_det
 
     def blocks(self):
         """The index blocks of the metric, 0-based and in index order: the
@@ -102,67 +114,26 @@ class MetricSpec:
         return sorted(blocks)
 
     def inverse_entry(self, i, j):
-        if self._inv is None:
-            # singular metrics are refused before any block is inverted
-            self.determinant()
-            inv = [[sx.ZERO] * self.m for _ in range(self.m)]
-            for block in self.blocks():
-                n = len(block)
-                g = [[self.entries[r][c] for c in block] for r in block]
-                # the one 1/det that every entry of the block is a cofactor
-                # times; a metric of one block reuses det g
-                inv_det = sx.inverse(self._det if n == self.m else sx.det(g))
-                for r in range(n):
-                    for c in range(n):
-                        minor = [
-                            [g[rr][cc] for cc in range(n) if cc != c]
-                            for rr in range(n)
-                            if rr != r
-                        ]
-                        cof = sx.det(minor)
-                        sign = -1 if (r + c) % 2 else 1
-                        # adjugate transposes, but cofactor matrices of
-                        # symmetric matrices are symmetric
-                        inv[block[c]][block[r]] = sign * cof * inv_det
-            self._inv = inv
         return self._inv[i - 1][j - 1]
 
     def brackets(self):
         """The nonzero brackets d_i g_jl + d_j g_il - d_l g_ij, which are
         symmetric in i, j: {(i, j): [(l, bracket), ...]} for i <= j, in l
-        order, with 0-based indices; built on first use and kept."""
-        if self._brackets is None:
-            m = self.m
-            base = [BaseVar(l) for l in range(1, m + 1)]
-            dg = [
-                [list(sx.partials(self.entries[a][b], base).values()) for b in range(m)]
-                for a in range(m)
-            ]
-            brackets = self._brackets = {}
-            for ii in range(m):
-                for jj in range(ii, m):
-                    brackets[(ii, jj)] = [
-                        (ll, b) for ll in range(m)
-                        if not (b := dg[jj][ll][ii] + dg[ii][ll][jj] - dg[ii][jj][ll]).is_zero()
-                    ]
-        return self._brackets
-
-    def christoffel(self, k, i, j):
-        """Levi-Civita symbols: one half g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
-        if self._christoffel is None:
-            m = self.m
-            table = {}
-            brackets = self.brackets()
-            for kk in range(1, m + 1):
-                for (ii, jj), nonzero in brackets.items():
-                    total = sx.ZERO
-                    for ll, b in nonzero:
-                        total = total + self.inverse_entry(kk, ll + 1) * b
-                    total = Fraction(1, 2) * total
-                    table[(kk, ii + 1, jj + 1)] = total
-                    table[(kk, jj + 1, ii + 1)] = total
-            self._christoffel = table
-        return self._christoffel[(k, i, j)]
+        order, with 0-based indices."""
+        m = self.m
+        base = [BaseVar(l) for l in range(1, m + 1)]
+        dg = [
+            [list(sx.partials(self.entries[a][b], base).values()) for b in range(m)]
+            for a in range(m)
+        ]
+        brackets = {}
+        for ii in range(m):
+            for jj in range(ii, m):
+                brackets[(ii, jj)] = [
+                    (ll, b) for ll in range(m)
+                    if not (b := dg[jj][ll][ii] + dg[ii][ll][jj] - dg[ii][jj][ll]).is_zero()
+                ]
+        return brackets
 
     @classmethod
     def diagonal(cls, values):
@@ -412,8 +383,8 @@ def _check_symbol_nonvanishing(h, samples, seed):
             )
     if isinstance(h, KleinGordonOp):
         # certified by construction: `KleinGordonOp` reads the top
-        # order off g^{ij}, which `MetricSpec` builds only for a metric
-        # whose determinant is not identically zero
+        # order off g^{ij}, and a `MetricSpec` is nonsingular from its
+        # construction, which refuses an identically zero determinant
         return ConditionReport(
             "symbol nonvanishing", True, True,
             "top-order coefficients form the exact inverse metric; an invertible "

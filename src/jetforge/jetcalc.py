@@ -183,7 +183,8 @@ def _jet_values(labels, jets):
 class DiffOp:
     """A differential operator of order <= k in bundle coordinates.
 
-    Components are expressions over the order-k chart; the target space
+    Components are expressions over the order-k chart, and one that uses
+    a base or jet variable off that chart is refused; the target space
     is R^len(components).  `labels` records (beta, I) provenance for
     prolonged operators; plain operators get beta-only labels.
 
@@ -199,15 +200,20 @@ class DiffOp:
 
     def __init__(self, m, n, order, components):
         components = tuple(as_expr(c) for c in components)
+        slots = JetChartSpec(m, n, order).slots
         for c in components:
-            if c.max_jet_degree() > order:
-                raise ValueError("component uses jets above the declared order")
+            for v in c.free_vars():
+                if isinstance(v, (BaseVar, JetVar)) and v not in slots:
+                    if isinstance(v, JetVar) and v.index.degree > order:
+                        raise ValueError("component uses jets above the declared order")
+                    raise ValueError("component uses %s, which is not a coordinate of the "
+                                     "chart with m = %d, n = %d" % (sx.atom_str(v), m, n))
         self._fill(m, n, order, components, None)
 
     @classmethod
     def _unchecked(cls, m, n, order, components, labels):
-        """The operator of the given Expr components, whose jets are of
-        order <= order by construction, without checking them."""
+        """The operator of the given Expr components, whose variables
+        are on the chart by construction, without checking them."""
         h = cls.__new__(cls)
         h._fill(m, n, order, tuple(components), labels)
         return h

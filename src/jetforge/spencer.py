@@ -191,9 +191,6 @@ class RationalMatrix:
             dens.append(den * common)
         return RationalMatrix.from_int_rows(nums, dens, other.col_labels, row_labels=self.row_labels)
 
-    def column(self, j):
-        return [Fraction(num.get(j, 0), den) for num, den in zip(self.nums, self.dens)]
-
     def is_zero(self):
         return not any(self.nums)
 

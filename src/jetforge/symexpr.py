@@ -1158,10 +1158,12 @@ class _Parser:
             if not 1 <= i <= ctx.m:
                 raise ParseError("base variable %s out of range 1..%d" % (name, ctx.m), self.text, pos)
             return base(i)
+        if name in ctx.params:
+            if self.peek()[1] == "(":
+                raise ParseError("parameter %r takes no arguments" % name, self.text, pos)
+            return param(name)
         if self.peek()[1] == "(":
             return self.call(name, pos)
-        if name in ctx.params:
-            return param(name)
         raise ParseError("undeclared identifier %r" % name, self.text, pos)
 
     def call(self, name, pos):
@@ -1171,16 +1173,6 @@ class _Parser:
             self.next()
             args.append(self.expr())
         self.expect(")")
-        if name in self.ctx.params:
-            # parameter functions may be written applied to the base point,
-            # e.g. g11(x1, x2); the arguments must be the base tuple
-            expected = [base(i + 1) for i in range(self.ctx.m)]
-            if args != expected and args != [base(1)]:
-                raise ParseError(
-                    "parameter %r may only be applied to the base coordinates" % name,
-                    self.text, pos,
-                )
-            return param(name)
         if primitive_registered(name):
             if len(args) != 1:
                 raise ParseError("primitive %r takes one argument" % name, self.text, pos)
@@ -1259,15 +1251,3 @@ def random_rational(rng, bound):
     and the generator's state afterwards are those of the randint form.
     """
     return rng.choice(rng.choice(_rational_table(bound)))
-
-
-def random_polynomial(rng, variables, degree=2, terms=3, bound=5):
-    """Random polynomial expression in the given variables."""
-    variables = list(variables)
-    out = ZERO
-    for _ in range(terms):
-        mono = ONE
-        for _ in range(rng.randint(0, degree)):
-            mono = mono * Expr.variable(rng.choice(variables))
-        out = out + Expr.const(random_rational(rng, bound)) * mono
-    return out

@@ -25,6 +25,8 @@ from jetforge import symbols as sy
 from jetforge import symexpr as sx
 from jetforge.mindex import MultiIndex
 
+from random_exprs import random_polynomial
+
 RM = sp.RationalMatrix
 
 X1, X2 = sx.base(1), sx.base(2)
@@ -199,7 +201,7 @@ def _random_order3_linear(rng):
         e = sx.ZERO
         for I in jc.JetChartSpec(2, 1, 3).jet_indices():
             if rng.random() < 0.4:
-                e = e + sx.random_polynomial(rng, atoms, degree=2, terms=2,
+                e = e + random_polynomial(rng, atoms, degree=2, terms=2,
                                              bound=4) * sx.jet(1, I)
         e = e + (1 + X1 ** 2) * sx.jet(1, (3, 0))  # keep order 3 honest
         comps.append(e)
@@ -333,7 +335,7 @@ def test_criterion_09_pfd_calculus():
         atoms = [sx.BaseVar(i) for i in range(1, nslots + 1)]
         for _ in range(3):
             key = tuple(sorted(rng.sample(range(1, nslots + 1), degree)))
-            table[key] = sx.random_polynomial(rng, atoms, degree=2, terms=2, bound=4)
+            table[key] = random_polynomial(rng, atoms, degree=2, terms=2, bound=4)
         forms.append(pfd.LocalForm(tw, level, degree, table))
     for om in forms:
         assert pfd.d(pfd.d(om)).is_zero()
@@ -351,7 +353,7 @@ def test_criterion_09_pfd_calculus():
     for idx in range(20):
         level = idx % 3
         atoms = jt.slots(level)
-        e = sx.random_polynomial(rng, atoms, degree=2, terms=4, bound=5)
+        e = random_polynomial(rng, atoms, degree=2, terms=4, bound=5)
         f = pfd.LocalFunction(level, jt.to_tower_expr(e, level))
         a = pfd.vf_apply(D1, pfd.vf_apply(D2, f))
         b = pfd.vf_apply(D2, pfd.vf_apply(D1, f))

@@ -145,9 +145,17 @@ _CHART = "base m = 2;\nfiber n = 1;\norder k = 2;\n"
      "metric block must be '{ ... }' (line 4, col 8)"),
     (_CHART + "metric { g[1][1] = 1; g[2][2] = -1; }\noperator h = klein_gordon F1=1;\n",
      "klein_gordon takes (F1=..., F2=..., K=...) (line 5, col 27)"),
+    # a parameter is a constant: a(x1, x2) once parsed to it, and a(x1)
+    # was accepted where a(x2) was refused
+    (_CHART + "param a = 2;\noperator h = u[(2,0)] - a(x1)*u[(0,2)];\n",
+     "parameter 'a' takes no arguments in 'u[(2,0)] - a(x1)*u[(0,2)]' (line 5, col 25)"),
+    (_CHART + "param a = 2;\noperator h = u[(2,0)] - a(x2)*u[(0,2)];\n",
+     "parameter 'a' takes no arguments in 'u[(2,0)] - a(x2)*u[(0,2)]' (line 5, col 25)"),
+    (_CHART + "param a = 2;\noperator h = u[(2,0)] - 2*a(x1, x2)*u[(0,2)];\n",
+     "parameter 'a' takes no arguments in 'u[(2,0)] - 2*a(x1, x2)*u[(0,2)]' (line 5, col 27)"),
 ], ids=["chart", "metric_entry", "operator_after_comment", "second_component",
         "klein_gordon_field", "param", "query_integer", "klein_gordon_key", "metric_block",
-        "klein_gordon_arguments"])
+        "klein_gordon_arguments", "param_call_x1", "param_call_x2", "param_call_base_point"])
 def test_main_locates_a_parse_error_once_at_its_token(tmp_path, capsys, text, message):
     path = tmp_path / "bad.jf"
     path.write_text(text)

@@ -155,3 +155,22 @@ def test_residual_float_mode():
     rep = fm.verify_residual(sol, 2, mode="float")
     assert rep.passed
     assert rep.max_abs <= 1e-9
+
+
+def test_residual_summary_of_a_tampered_solution():
+    # (x1 + x2)^3 solves the wave equation; one changed top jet value
+    # leaves the residual D_1 D_1 h = u_(4,0) - u_(2,2) at 1
+    x1, x2 = sx.base(1), sx.base(2)
+    good = _solution_of_poly((x1 + x2) ** 3, 4)
+    jets = good.top_jet.jets
+    jets[(1, MultiIndex((4, 0)))] += 1
+    bad = fm.FormalSolution(operator=good.operator,
+                            top_jet=jc.JetPoint(good.top_jet.chart, good.base, jets))
+    assert fm.verify_residual(good, 2).passed
+    exact = fm.verify_residual(bad, 2)
+    assert not exact.passed
+    assert sorted(exact.values) == [0, 0, 0, 0, 0, 1]
+    assert exact.summary() == "nonzero residual at outer order <= 2"
+    approx = fm.verify_residual(bad, 2, mode="float")
+    assert not approx.passed and approx.max_abs == 1.0
+    assert approx.summary() == "max |residual| = 1 at outer order <= 2"

@@ -75,9 +75,6 @@ def _definitions(tree, path=(), in_class=False):
 TEST_ONLY = {
     "format_problem": "the printer of the parse/print fixed point that criterion 10 checks",
     "wedge": "the exterior product of the Leibniz rule for d that criterion 9 checks",
-    "random_polynomial": "the seeded generator of the forms criterion 9 checks and of unit-test inputs",
-    "column": "RationalMatrix.column, the one-column reader through which the kernel, solve and lift tests compare",
-    "christoffel": "MetricSpec.christoffel, the Levi-Civita table the Klein-Gordon operator's contracted first-order part is checked against",
 }
 
 

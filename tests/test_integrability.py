@@ -44,10 +44,11 @@ def test_minkowski_metric_values():
     assert g.inverse_entry(1, 1) == sx.ONE
     assert g.inverse_entry(2, 2) == sx.as_expr(-1)
     assert g.inverse_entry(1, 2).is_zero()
+    table = _christoffel_reference(g)
     for k in range(1, 4):
         for i in range(1, 4):
             for j in range(1, 4):
-                assert g.christoffel(k, i, j).is_zero()
+                assert table[(k, i, j)].is_zero()
 
 
 def _christoffel_reference(g):
@@ -103,11 +104,15 @@ def test_christoffel_table_and_operator_match_the_reference_loop(name, entries):
     g = ig.MetricSpec(len(entries), entries)
     ref = ig.MetricSpec(len(entries), entries)
     table = _christoffel_reference(ref)
-    for key, want in table.items():
-        got = g.christoffel(*key)
-        assert got == want and str(got) == str(want), (name, key)
-    # an operator built from the reference table is the same operator
-    ref._christoffel = table
+    # the hoisted brackets, contracted with g^{kl}, give the same table
+    for (i, j), nonzero in g.brackets().items():
+        for k in range(1, g.m + 1):
+            got = sx.ZERO
+            for l, b in nonzero:
+                got = got + g.inverse_entry(k, l + 1) * b
+            got = Q(1, 2) * got
+            want = table[(k, i + 1, j + 1)]
+            assert got == want and str(got) == str(want), (name, k, i, j)
     cubic = lambda e: e ** 3
     h = ig.make_klein_gordon(g, F1=1, F2=1, K=cubic)
     want = ig.make_klein_gordon(ref, F1=1, F2=1, K=cubic)
@@ -120,6 +125,7 @@ def test_klein_gordon_operator_matches_the_gamma_loop(name, entries):
     # the operator built term by term from the Christoffel table, one
     # product g^{ij} Gamma^k_{ij} per (i, j, k)
     g = ig.MetricSpec(len(entries), entries)
+    table = _christoffel_reference(g)
     m = g.m
     u = lambda I: sx.jet(1, MultiIndex(I))
     unit = lambda i: MultiIndex.unit(m, i)
@@ -128,7 +134,7 @@ def test_klein_gordon_operator_matches_the_gamma_loop(name, entries):
         for j in range(1, m + 1):
             want = want + g.inverse_entry(i, j) * u(unit(i).add(unit(j)))
             for k in range(1, m + 1):
-                want = want - g.inverse_entry(i, j) * g.christoffel(k, i, j) * u(unit(k))
+                want = want - g.inverse_entry(i, j) * table[(k, i, j)] * u(unit(k))
     h = ig.make_klein_gordon(g, F1=1, F2=1, K=lambda e: e ** 3)
     assert h.components[0] == want, name
 
@@ -148,6 +154,7 @@ def test_christoffel_values_curved():
     # g = diag(1 - x2^2/4, -1 - x1^2/4); by the standard formula
     # Gamma^1_{12} = -x2/(4 g11) * ... verified against direct evaluation
     g = _curved_metric_m2()
+    table = _christoffel_reference(g)
     rng = random.Random(2)
     pts = [{sx.BaseVar(1): sx.random_rational(rng, 1), sx.BaseVar(2): sx.random_rational(rng, 1)}
            for _ in range(4)]
@@ -160,11 +167,11 @@ def test_christoffel_values_curved():
         want_211 = Q(1, 2) * (Q(x2v) / 2) / g22           # Gamma^2_{11}
         want_122 = Q(1, 2) * (Q(x1v) / 2) / g11           # Gamma^1_{22}
         want_212 = Q(1, 2) * (-Q(x1v) / 2) / g22          # Gamma^2_{12}
-        assert sx.evaluate(g.christoffel(1, 1, 2), a) == want_112
-        assert sx.evaluate(g.christoffel(2, 1, 1), a) == want_211
-        assert sx.evaluate(g.christoffel(1, 2, 2), a) == want_122
-        assert sx.evaluate(g.christoffel(2, 1, 2), a) == want_212
-        assert sx.evaluate(g.christoffel(2, 2, 2), a) == 0
+        assert sx.evaluate(table[(1, 1, 2)], a) == want_112
+        assert sx.evaluate(table[(2, 1, 1)], a) == want_211
+        assert sx.evaluate(table[(1, 2, 2)], a) == want_122
+        assert sx.evaluate(table[(2, 1, 2)], a) == want_212
+        assert sx.evaluate(table[(2, 2, 2)], a) == 0
 
 
 def test_make_klein_gordon_flat_reduces_to_wave():
@@ -306,9 +313,15 @@ def test_metric_rejects_asymmetric_or_jet_entries():
 
 
 def test_metric_singular_determinant_rejected():
-    g = ig.MetricSpec(2, {(1, 1): sx.ONE, (1, 2): sx.ONE, (2, 1): sx.ONE, (2, 2): sx.ONE})
-    with pytest.raises(ValueError):
-        g.inverse_entry(1, 1)
+    # refused when it is constructed, before any entry is read
+    with pytest.raises(ValueError, match="^metric expression is singular$"):
+        ig.MetricSpec(2, {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1})
+    # a singular block among nonsingular ones is refused too
+    x1 = sx.base(1)
+    with pytest.raises(ValueError, match="^metric expression is singular$"):
+        ig.MetricSpec(3, {(1, 1): -1, (2, 2): x1, (2, 3): x1, (3, 2): x1, (3, 3): x1})
+    assert not hasattr(ig.MetricSpec.minkowski(2), "determinant")
+    assert not hasattr(ig.MetricSpec.minkowski(2), "christoffel")
 
 
 def _condition1_fallback_reference(h, samples, seed):

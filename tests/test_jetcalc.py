@@ -8,6 +8,8 @@ from jetforge import symexpr as sx
 from jetforge.mindex import GradedIndexRange, MultiIndex, dim_F
 from jetforge.symexpr import BaseVar, JetVar
 
+from random_exprs import random_polynomial
+
 
 def _wave():
     return jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) - sx.jet(1, (0, 2))])
@@ -47,7 +49,7 @@ def test_total_derivatives_commute():
     atoms = [BaseVar(1), BaseVar(2), JetVar(1, MultiIndex((0, 0))),
              JetVar(1, MultiIndex((1, 0))), JetVar(1, MultiIndex((1, 1)))]
     for _ in range(10):
-        e = sx.random_polynomial(rng, atoms, degree=3, terms=4, bound=6)
+        e = random_polynomial(rng, atoms, degree=3, terms=4, bound=6)
         d12 = jc.total_derivative(jc.total_derivative(e, 1), 2)
         d21 = jc.total_derivative(jc.total_derivative(e, 2), 1)
         assert (d12 - d21).is_zero()
@@ -146,14 +148,31 @@ def test_diffop_rejects_overflow_order():
         jc.DiffOp(2, 1, 1, [sx.jet(1, (2, 0))])
 
 
+@pytest.mark.parametrize("m, n, order, component, var", [
+    # u2 with n = 1: condition 1 read "every top-order coefficient is
+    # the zero expression"
+    (1, 1, 1, sx.jet(2, (1,)), "u2[(1)]"),
+    # x5 on m = 2: conditions 2 and 3 failed with "sampling failed"
+    (2, 1, 2, sx.jet(1, (2, 0)) - sx.jet(1, (0, 2)) + sx.base(5), "x5"),
+    (2, 1, 2, sx.jet(1, (0, 0, 1)), "u[(0,0,1)]"),
+    # inside a quotient too
+    (2, 1, 2, sx.jet(1, (2, 0)) * sx.inverse(1 + sx.base(3) ** 2), "x3"),
+], ids=["fiber", "base", "multi_index", "quotient"])
+def test_diffop_refuses_a_variable_off_its_chart(m, n, order, component, var):
+    with pytest.raises(ValueError) as err:
+        jc.DiffOp(m, n, order, [component])
+    assert str(err.value) == ("component uses %s, which is not a coordinate of the chart "
+                              "with m = %d, n = %d" % (var, m, n))
+
+
 def test_prolongation_checks_no_jet_degree(monkeypatch):
     # the operator a caller passes in is checked; its prolongations have
     # the right jet degree by construction
     h = jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) * sx.jet(1, (0, 0)) - sx.jet(1, (0, 2))])
     calls = []
-    real = sx.Expr.max_jet_degree
-    monkeypatch.setattr(sx.Expr, "max_jet_degree", lambda e: calls.append(e) or real(e))
+    real = jc.DiffOp.__init__
+    monkeypatch.setattr(jc.DiffOp, "__init__", lambda *a: calls.append(a) or real(*a))
     top = jc.prolong_op(h, 3)
     assert calls == []
     assert top.order == 5
-    assert max(real(c) for c in top.components) == 5
+    assert max(c.max_jet_degree() for c in top.components) == 5

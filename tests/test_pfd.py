@@ -11,6 +11,8 @@ from jetforge import pfd
 from jetforge import spencer as sp
 from jetforge import symexpr as sx
 
+from random_exprs import random_polynomial
+
 RM = sp.RationalMatrix
 
 
@@ -28,7 +30,7 @@ def _random_form(rng, tower, level, degree, max_slot):
     atoms = [sx.BaseVar(i) for i in slots]
     for _ in range(3):
         key = tuple(sorted(rng.sample(slots, degree)))
-        table[key] = sx.random_polynomial(rng, atoms, degree=2, terms=2, bound=4)
+        table[key] = random_polynomial(rng, atoms, degree=2, terms=2, bound=4)
     return pfd.LocalForm(tower, level, degree, table)
 
 
@@ -104,7 +106,7 @@ def test_total_derivative_brackets_vanish():
         assert all(e.is_zero() for e in br.component_map(i))
     rng = random.Random(11)
     for _ in range(5):
-        e = sx.random_polynomial(rng, jt.slots(1), degree=2, terms=4, bound=5)
+        e = random_polynomial(rng, jt.slots(1), degree=2, terms=4, bound=5)
         fl = pfd.LocalFunction(1, jt.to_tower_expr(e, 1))
         a = pfd.vf_apply(D1, pfd.vf_apply(D2, fl))
         b = pfd.vf_apply(D2, pfd.vf_apply(D1, fl))
@@ -421,7 +423,7 @@ def test_tower_splitting_verify_rejects_tampering():
     assert _reassemble(split, split.kernel_bases, mid).verify()
     K = split.kernel_bases[mid]
     assert K.ncols == 2
-    section = split.sections[mid].column(0)
+    section = [r[0] for r in split.sections[mid].rows]
     for c in range(K.ncols):
         # the step maps a section column to a unit vector, so adding one
         # moves the kernel column out of the kernel

@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetforge import cli
+from jetforge import formal as fm
 from jetforge import integrability as ig
 from jetforge import jetcalc as jc
 from jetforge import spencer as sp
@@ -386,11 +387,11 @@ def _ref_lift(h, b, policy="zero", free_data=None, seed=None):
         values = {lab: draws[lab] for lab in free}
     elif policy == "explicit":
         values = {lab: free_data[lab] for lab in free if lab in free_data}
-    x = E.solution().column(0)
+    x = [r[0] for r in E.solution().rows]
     K = E.kernel_basis()
     for k, lab in enumerate(K.col_labels):
         v = (values or {}).get(lab, 0)
-        x = [a + v * c for a, c in zip(x, K.column(k))]
+        x = [a + v * c for a, c in zip(x, (r[k] for r in K.rows))]
     return ig.LiftResult(point=b.extend(x), free_labels=free, rank=E.rank)
 
 
@@ -635,6 +636,21 @@ def test_lift_where_the_symbol_vanishes(policy):
     res = _check_lift(h, solvable, **kwargs)
     assert res.rank == 0 and res.free_count == 4
     assert _check_lift(h, off, **kwargs).rank == 2
+
+
+def test_formal_solve_names_the_obstructed_order():
+    # on x1 = 0 the seed is on the variety when u = 0, and the order-3
+    # lift needs u_(2,0) + u_(0,2) - u_(1,0) = 0, which fails here
+    h = _vanishing_symbol_op()
+    chart = jc.JetChartSpec(2, 1, 2)
+    seed = jc.JetPoint(chart, (Q(0), Q(1, 3)), {
+        (1, (0, 0)): 0, (1, (1, 0)): 1, (1, (0, 1)): 0,
+        (1, (2, 0)): 2, (1, (1, 1)): 5, (1, (0, 2)): 3})
+    assert jc.on_variety(h, seed)
+    with pytest.raises(ig.LiftObstructionError) as err:
+        fm.formal_solve(h, seed, 5)
+    assert str(err.value) == ("obstruction at order 3: no lift at this point: "
+                              "the next-order conditions are inconsistent")
 
 
 @pytest.mark.parametrize("name", SCALAR_CORPUS)

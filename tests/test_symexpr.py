@@ -17,6 +17,8 @@ from jetforge.symexpr import (
 )
 from jetforge.mindex import MultiIndex
 
+from random_exprs import random_polynomial
+
 
 def _ctx(m=2, order=2, **kw):
     return ExprContext(m, order=order, **kw)
@@ -110,7 +112,7 @@ def test_parser_round_trip_on_random_expressions():
     ctx = _ctx()
     atoms = [BaseVar(1), BaseVar(2), JetVar(1, MultiIndex((1, 0))), JetVar(1, MultiIndex((0, 2)))]
     for _ in range(25):
-        e = sx.random_polynomial(rng, atoms, degree=3, terms=5, bound=7)
+        e = random_polynomial(rng, atoms, degree=3, terms=5, bound=7)
         back = sx.parse_expr(sx.format_expr(e), ctx)
         assert back == e
 
