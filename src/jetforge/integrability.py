@@ -27,9 +27,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
-from .mindex import MultiIndex, GradedIndexRange, dim_F
+from .mindex import MultiIndex
 from . import symexpr as sx
 from . import jetcalc as jc
 from . import spencer as sp
@@ -45,12 +45,12 @@ class MetricSpec:
     """A nonsingular pseudo-Riemannian metric on the base chart, with its
     exact inverse.
 
-    Entries are expressions in base variables, keyed by 1-based index
-    pairs.  The inverse is built at construction, one block at a time
-    (`blocks`): each block's adjugate over that block's determinant, and
-    zero between blocks.  det g is the product of the block
-    determinants, so a metric whose determinant is identically zero is
-    refused there.  The inverse entries are exact rational expressions
+    Entries are expressions in the base variables x1..xm, given as a
+    dict keyed by 1-based index pairs.  The inverse is built at
+    construction, one block at a time (`blocks`): each block's adjugate
+    over that block's determinant, and zero between blocks.  det g is
+    the product of the block determinants, so a metric whose determinant
+    is identically zero is refused there.  The inverse entries are exact rational expressions
     wherever the determinant does not vanish, and each carries only its
     own block's determinant.
     """
@@ -58,27 +58,20 @@ class MetricSpec:
     def __init__(self, m, entries):
         self.m = m
         grid = [[sx.ZERO] * m for _ in range(m)]
-        if isinstance(entries, dict):
-            items = entries.items()
-        else:
-            if len(entries) != m or any(len(row) != m for row in entries):
-                raise ValueError("metric grid must be %d x %d" % (m, m))
-            items = (
-                ((i + 1, j + 1), entries[i][j])
-                for i in range(m)
-                for j in range(m)
-            )
-        for (i, j), e in items:
+        for (i, j), e in entries.items():
             if not (1 <= i <= m and 1 <= j <= m):
                 raise ValueError("metric index g[%s][%s] is outside 1..%d" % (i, j, m))
-            grid[i - 1][j - 1] = sx.as_expr(e)
+            e = grid[i - 1][j - 1] = sx.as_expr(e)
+            for v in e.free_vars():
+                if not isinstance(v, BaseVar):
+                    raise ValueError("metric entries must be base-only expressions")
+                if v.i > m:
+                    raise ValueError("metric entry g[%d][%d] uses x%d, which is not a base "
+                                     "variable x1..x%d of the metric" % (i, j, v.i, m))
         for i in range(m):
             for j in range(m):
                 if not sx.is_identically_zero(grid[i][j] - grid[j][i]):
                     raise ValueError("metric must be symmetric")
-                bad = [v for v in grid[i][j].free_vars() if not isinstance(v, BaseVar)]
-                if bad:
-                    raise ValueError("metric entries must be base-only expressions")
         self.entries = grid
         inv = self._inv = [[sx.ZERO] * m for _ in range(m)]
         for block in self.blocks():
@@ -497,7 +490,8 @@ def variety_codim(h, l, samples=10, seed=0):
     """Jacobian rank of the prolonged system at sampled variety points.
 
     The expected codimension of the order-(k+l) equation variety is the
-    number of defining equations, dim_F(m, 0, l) for a scalar operator.
+    number of defining equations, comb(m + l, l) for a scalar operator:
+    one D_I h per |I| <= l.
 
     The Jacobian of `prolong_op(h, l)` is block lower-triangular: D_I h
     has order k + |I|, and its columns of that order are the shifted
@@ -514,5 +508,5 @@ def variety_codim(h, l, samples=10, seed=0):
     # built before sampling, so a prolongation error comes first
     jc.prolong_op(h, l)
     observed = [1 + sum(ranks) for _, ranks in _lifted_points(h, l, samples, seed)]
-    expected = dim_F(GradedIndexRange(h.m, 0, l))
+    expected = comb(h.m + l, l)
     return CodimReport(level=l, expected=expected, observed=observed, points=len(observed))

@@ -13,9 +13,9 @@ import functools
 from fractions import Fraction
 from types import MappingProxyType
 
-from .mindex import MultiIndex, GradedIndexRange, enumerate_indices
+from .mindex import MultiIndex, enumerate_indices
 from . import symexpr as sx
-from .symexpr import Expr, BaseVar, JetVar, as_expr, differentiate
+from .symexpr import Expr, BaseVar, JetVar, ParamVar, as_expr, differentiate
 
 
 class JetChartSpec:
@@ -63,7 +63,7 @@ def _chart(m, n, k):
     else:
         below = _chart(m, n, k - 1)
         indices, labels, atoms = below.indices, below.labels, below.atoms
-    top = enumerate_indices(GradedIndexRange(m, k, k))
+    top = enumerate_indices(m, k)
     new = tuple((alpha, I) for I in top for alpha in range(1, n + 1))
     labels += new
     atoms += tuple(JetVar(alpha, I) for alpha, I in new)
@@ -184,7 +184,8 @@ class DiffOp:
     """A differential operator of order <= k in bundle coordinates.
 
     Components are expressions over the order-k chart, and one that uses
-    a base or jet variable off that chart is refused; the target space
+    a base or jet variable off that chart, or a parameter without a
+    value, is refused; the target space
     is R^len(components).  `labels` records (beta, I) provenance for
     prolonged operators; plain operators get beta-only labels.
 
@@ -203,6 +204,9 @@ class DiffOp:
         slots = JetChartSpec(m, n, order).slots
         for c in components:
             for v in c.free_vars():
+                if isinstance(v, ParamVar):
+                    raise ValueError("component uses the parameter %s, which has no value; "
+                                     "substitute it first" % sx.atom_str(v))
                 if isinstance(v, (BaseVar, JetVar)) and v not in slots:
                     if isinstance(v, JetVar) and v.index.degree > order:
                         raise ValueError("component uses jets above the declared order")
@@ -367,18 +371,15 @@ def _prolong_once(h, prev, l):
     """Level l from level l - 1: D_I h_beta = D_i D_{I - 1_i} h_beta for
     each new |I| = l, with i the first axis where I is positive."""
     nb = h.n_out
-    below = {J: pos for pos, J in enumerate(enumerate_indices(GradedIndexRange(h.m, l - 1, l - 1)))}
-    first = len(prev.components) - len(below) * nb  # where degree l - 1 starts in prev
+    indices = JetChartSpec(h.m, h.n, l).indices
+    # position of each index |J| <= l - 1 among the components of prev
+    below = {J: pos * nb for pos, J in enumerate(indices) if J.degree < l}
     components = list(prev.components)
-    for I in enumerate_indices(GradedIndexRange(h.m, l, l)):
+    for I in indices[len(below):]:
         i = next(ax + 1 for ax, e in enumerate(I) if e > 0)
-        at = first + below[I.sub_unit(i)] * nb
+        at = below[I.sub_unit(i)]
         components.extend(total_derivative(c, i) for c in prev.components[at:at + nb])
-    labels = [
-        (beta, I)
-        for I in enumerate_indices(GradedIndexRange(h.m, 0, l))
-        for beta in range(1, nb + 1)
-    ]
+    labels = [(beta, I) for I in indices for beta in range(1, nb + 1)]
     # D_i raises the jet order by at most one, so level l has order <= h.order + l
     return DiffOp._unchecked(h.m, h.n, h.order + l, components, labels)
 
@@ -397,7 +398,7 @@ def symbol_table(h):
     table = h._symbol
     if table is None:
         tops = [JetVar(alpha, J)
-                for J in enumerate_indices(GradedIndexRange(h.m, h.order, h.order))
+                for J in enumerate_indices(h.m, h.order)
                 for alpha in range(1, h.n + 1)]
         entries = {}
         for beta, comp in enumerate(h.components, start=1):
@@ -547,13 +548,11 @@ def bundle_to_classical(h):
     if not h.is_linear():
         raise ValueError("operator is not linear")
     coeffs = {}
-    rng = GradedIndexRange(h.m, 0, h.order)
     for beta, comp in enumerate(h.components, start=1):
-        for I in enumerate_indices(rng):
-            for alpha in range(1, h.n + 1):
-                c = differentiate(comp, JetVar(alpha, I))
-                if not c.is_zero():
-                    coeffs[(alpha, beta, I)] = c
+        for alpha, I in h.chart().labels:
+            c = differentiate(comp, JetVar(alpha, I))
+            if not c.is_zero():
+                coeffs[(alpha, beta, I)] = c
     return coeffs
 
 

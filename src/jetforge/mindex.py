@@ -11,7 +11,6 @@ that pivoting and golden outputs are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class MultiIndex(tuple):
@@ -75,21 +74,6 @@ class MultiIndex(tuple):
         return cls._trusted([1 if j == i - 1 else 0 for j in range(m)])
 
 
-@dataclass(frozen=True)
-class GradedIndexRange:
-    """All multi-indices I in N^m with k1 <= |I| <= k2."""
-
-    m: int
-    k1: int
-    k2: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("base dimension must be >= 1")
-        if not 0 <= self.k1 <= self.k2:
-            raise ValueError("need 0 <= k1 <= k2, got (%d, %d)" % (self.k1, self.k2))
-
-
 def _compositions(total, parts):
     # weak compositions of `total` into `parts` slots, first slot largest
     # first; this realizes the lexicographic part of the canonical order.
@@ -101,22 +85,16 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
-def enumerate_indices(rng: GradedIndexRange):
-    """All I with k1 <= |I| <= k2 in graded lexicographic order.
-
-    Degree ascends first; within a degree, indices are ordered so that
-    weight on earlier axes comes first, e.g. (2,0), (1,1), (0,2).
+def enumerate_indices(m, q):
+    """All I in N^m with |I| = q, in graded lexicographic order: weight
+    on earlier axes comes first, e.g. (2,0), (1,1), (0,2).  Empty for
+    q < 0.  Several degrees in a row are the `indices` of a jet chart.
     """
-    out = []
-    for deg in range(rng.k1, rng.k2 + 1):
-        for c in _compositions(deg, rng.m):
-            out.append(MultiIndex._trusted(c))
-    return out
-
-
-def dim_F(rng: GradedIndexRange):
-    """Number of multi-indices in the range (dimension of F(m, k1, k2))."""
-    return sum(math.comb(deg + rng.m - 1, rng.m - 1) for deg in range(rng.k1, rng.k2 + 1))
+    if m < 1:
+        raise ValueError("base dimension must be >= 1")
+    if q < 0:
+        return []
+    return [MultiIndex._trusted(c) for c in _compositions(q, m)]
 
 
 def factorial(I: MultiIndex):

@@ -21,11 +21,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .mindex import MultiIndex, GradedIndexRange, dim_F, factorial
+from .mindex import MultiIndex, factorial
 from . import symexpr as sx
 from . import jetcalc as jc
 from . import spencer as sp
+from . import integrability as ig
 from .symexpr import Expr, BaseVar, differentiate
 
 
@@ -478,13 +480,11 @@ class EquationSubtower:
         l = level - self.h.order
         if l < 0:
             return chart.dim
-        return chart.dim - dim_F(GradedIndexRange(self.h.m, 0, l))
+        return chart.dim - comb(self.h.m + l, l)
 
     def check_projection_surjectivity(self, l, samples=5, seed=0):
         """Witness that points of the level-(k+l) variety lift one more
         level at sampled points."""
-        from . import integrability as ig
-
         pts = ig.sample_prolonged_points(self.h, l, samples, seed)
         for p in pts:
             ig.lift_point(self.h, p, check=False)

@@ -16,12 +16,12 @@ all read from that one `Echelon`.  The elimination of [A (x) B | I]
 needs none: for A and B of full row rank it is the Kronecker product of
 those of [A | I] and [B | I] (`Echelon.kron`; Horn & Johnson, Topics in
 Matrix Analysis, 1991, sec. 4.2).  On top of it sit the symbolic system
-g(h; a) of an operator at a jet point, its level-by-level prolongations
-(each level built from the integer reduced rows of the level below, so
-rows never outgrow m times the rank below), the delta-complex on
+g(h; a) of an operator at a jet point, its prolongations (each level
+built from the operator's own rows by shifting their indices, one row
+per row of A_k and |I| = q - k), the delta-complex on
 wedge-times-symmetric coordinates, built as sparse integer rows, and
-exact cohomology dimensions.  Both the prolongations and the delta rows
-read one index table of d/dxi_i per (m, q, n).  A cohomology table needs
+exact cohomology dimensions.  The delta rows read one index table of
+d/dxi_i per (m, q, n).  A cohomology table needs
 each rank of delta on wedge(p) tensor g_q once: it is dim g_q for p = 0
 and 0 for p >= m, and otherwise the rank of the rows of delta at the
 free coordinates of g_(q-1) alone, which hold its whole image.
@@ -32,9 +32,9 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, perm, prod
 
-from .mindex import GradedIndexRange, enumerate_indices, dim_F, multinomial
+from .mindex import enumerate_indices, multinomial
 from . import symexpr as sx
 from . import jetcalc as jc
 
@@ -503,41 +503,23 @@ def wedge_basis(m, p):
     return [tuple(c) for c in itertools.combinations(range(1, m + 1), p)]
 
 
-def sym_basis(m, q):
-    """Monomial basis xi^J of Sym^q, graded-lex order."""
-    if q < 0:
-        return []
-    return enumerate_indices(GradedIndexRange(m, q, q))
-
-
 @functools.cache
 def sym_component_labels(m, q, n):
     """(J, alpha) labels for Sym^q tensor R^n, J outer; one tuple per
     (m, q, n)."""
-    return tuple((J, alpha) for J in sym_basis(m, q) for alpha in range(1, n + 1))
+    return tuple((J, alpha) for J in enumerate_indices(m, q) for alpha in range(1, n + 1))
 
 
 @functools.cache
 def _partials(m, q, n):
     """The index table of d/dxi_i: Sym^q tensor R^n -> Sym^(q-1) tensor
-    R^n, built once per (m, q, n), in two readings.
-
-    `down[j]` lists, for the j-th coordinate (J, a) of level q, the
-    triples (i, t, J_i) for each J_i > 0, where t is the position of
-    (J - 1_i, a) at level q - 1.  `up[i - 1]` is the pair of tuples
-    (column, factor): d/dxi_i sends position t at level q - 1 onto the
-    level-q coordinate column[t], whose J_i is factor[t].
+    R^n, built once per (m, q, n): entry j lists, for the j-th coordinate
+    (J, a) of level q, the triples (i, t, J_i) for each J_i > 0, where t
+    is the position of (J - 1_i, a) at level q - 1.
     """
     pos = {lab: t for t, lab in enumerate(sym_component_labels(m, q - 1, n))}
-    down = tuple(tuple((i, pos[(J.sub_unit(i), a)], J[i - 1]) for i in range(1, m + 1) if J[i - 1])
+    return tuple(tuple((i, pos[(J.sub_unit(i), a)], J[i - 1]) for i in range(1, m + 1) if J[i - 1])
                  for (J, a) in sym_component_labels(m, q, n))
-    column = [[None] * len(pos) for _ in range(m)]
-    factor = [[None] * len(pos) for _ in range(m)]
-    for j, targets in enumerate(down):
-        for i, t, Ji in targets:
-            column[i - 1][t] = j
-            factor[i - 1][t] = Ji
-    return down, tuple((tuple(c), tuple(f)) for c, f in zip(column, factor))
 
 
 def wedge_sign(i, S):
@@ -563,7 +545,7 @@ def _delta_rows(m, p, q, n, basis, nb, targets=None):
     never summed.
     """
     below = sym_component_labels(m, q - 1, n)
-    down = _partials(m, q, n)[0]
+    down = _partials(m, q, n)
     if targets is not None:
         # renumber the kept targets and drop the others
         at_row = [None] * len(below)
@@ -618,7 +600,7 @@ class SymbolicSystem:
     Level q >= k stores a constraint matrix A_q on Sym^q tensor R^n
     coordinates, its `Echelon` and the kernel basis B_q, with
     ker A_q = col B_q.  A_k is the operator's own matrix; each later A_q
-    is the derivatives of the reduced rows of level q - 1.  Levels below
+    is the rows of A_k composed with each d^I, |I| = q - k.  Levels below
     the operator order are the full symmetric powers, matching the
     single-equation scalar reading; level q < 0 is zero.
     """
@@ -637,7 +619,7 @@ class SymbolicSystem:
     def full_dim(self, q):
         if q < 0:
             return 0
-        return dim_F(GradedIndexRange(self.m, q, q)) * self.n
+        return comb(self.m + q - 1, q) * self.n
 
     def dim_g(self, q):
         if q < 0:
@@ -666,30 +648,37 @@ class SymbolicSystem:
         return self._levels[q][0]
 
     def prolong_to(self, q):
-        """Compute levels up to q: g_{q} = {T : d_i T in g_{q-1} for all i}.
+        """Compute levels up to q: g_q = {T : d^I T in g_k for all
+        |I| = q - k}, the prolongation of g_k (Seiler, Involution, 2010).
 
-        The rows of A_q are d/dxi_i applied to each reduced row r of
-        level q - 1, for i = 1..m: the entry at (J, a) is
-        J_i * r[(J - 1_i, a)].  They span the same space as the rows of
-        A_{q-1} times each d/dxi_i, so the reduced form and B_q are the
-        same, and there are at most m * rank(A_{q-1}) of them.  They are
-        built from the integer reduced rows of level q - 1, each over its
-        pivot value, so the entries are the same rationals.  The column
-        and factor of each entry come from the `_partials` table: d/dxi_i
-        sends source column s = (J - 1_i, a) to (J, a) with factor J_i.
+        The rows of A_q are psi o d^I for each |I| = q - k in graded-lex
+        order and, within one I, each row psi of A_k in order: d^I sends
+        xi^(J+I) to (J+I)!/J! xi^J, so the row has entry
+        psi[(J, a)] * (J+I)!/J! at (J + I, a).  They span the annihilator
+        of g_q, which the d/dxi_i of the rows of level q - 1 span too, so
+        the reduced form and B_q are those of the level-by-level
+        prolongation.  A_q has nrows(A_k) * comb(m + q - k - 1, m - 1)
+        rows.
         """
+        A = self._levels[self.k][0]
+        low = sym_component_labels(self.m, self.k, self.n)
         for level in range(self.k + 1, q + 1):
             if level in self._levels:
                 continue
-            prev = self._levels[level - 1][1]
+            labels = sym_component_labels(self.m, level, self.n)
+            at = {lab: t for t, lab in enumerate(labels)}
+            shifts = enumerate_indices(self.m, level - self.k)
             nums = []
-            dens = []
-            for cols, fs in _partials(self.m, level, self.n)[1]:
-                for r, pc in zip(prev.rows, prev.pivots):
-                    nums.append({cols[s]: fs[s] * x for s, x in r.items()})
-                    dens.append(r[pc])
+            for I in shifts:
+                for num in A.nums:
+                    row = {}
+                    for j, x in num.items():
+                        J, a = low[j]
+                        JI = J.add(I)
+                        row[at[(JI, a)]] = x * prod(map(perm, JI, I))  # (J+I)!/J!
+                    nums.append(row)
             self._add_level(level, RationalMatrix.from_int_rows(
-                nums, dens, sym_component_labels(self.m, level, self.n)))
+                nums, A.dens * len(shifts), labels))
 
 
 def symbol_constraint_matrix(h, a):

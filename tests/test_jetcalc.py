@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -5,7 +6,7 @@ import pytest
 
 from jetforge import jetcalc as jc
 from jetforge import symexpr as sx
-from jetforge.mindex import GradedIndexRange, MultiIndex, dim_F
+from jetforge.mindex import MultiIndex
 from jetforge.symexpr import BaseVar, JetVar
 
 from random_exprs import random_polynomial
@@ -70,7 +71,7 @@ def test_prolong_component_count():
     h = _wave()
     for l in range(4):
         P = jc.prolong_op(h, l)
-        assert P.n_out == dim_F(GradedIndexRange(2, 0, l))
+        assert P.n_out == math.comb(2 + l, l)
 
 
 def test_jet_of_section_matches_derivatives():
@@ -163,6 +164,19 @@ def test_diffop_refuses_a_variable_off_its_chart(m, n, order, component, var):
         jc.DiffOp(m, n, order, [component])
     assert str(err.value) == ("component uses %s, which is not a coordinate of the chart "
                               "with m = %d, n = %d" % (var, m, n))
+
+
+@pytest.mark.parametrize("component", [
+    sx.jet(1, (2, 0)) - sx.param("c") * sx.jet(1, (0, 2)),
+    # inside a quotient too
+    sx.jet(1, (2, 0)) * sx.inverse(1 + sx.param("c") ** 2),
+], ids=["coefficient", "quotient"])
+def test_diffop_refuses_a_parameter_without_a_value(component):
+    # a leftover parameter is no chart coordinate: evaluating it later
+    # would fail far from where it came in
+    with pytest.raises(ValueError) as err:
+        jc.DiffOp(2, 1, 2, [component])
+    assert str(err.value) == "component uses the parameter c, which has no value; substitute it first"
 
 
 def test_prolongation_checks_no_jet_degree(monkeypatch):

@@ -18,6 +18,7 @@ exact.
 import collections
 import contextlib
 import io
+import math
 import os
 import random
 from fractions import Fraction as Q
@@ -33,7 +34,7 @@ from jetforge import jetcalc as jc
 from jetforge import spencer as sp
 from jetforge import symbols as sy
 from jetforge import symexpr as sx
-from jetforge.mindex import GradedIndexRange, MultiIndex, dim_F, enumerate_indices, multinomial
+from jetforge.mindex import MultiIndex, enumerate_indices, multinomial
 from jetforge.symexpr import JetVar
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -76,7 +77,7 @@ def _ref_prolong(h, l):
     key = (h.m, h.components, l)
     if key not in _REF_PROLONGED:
         comps, labels = [], []
-        for I in enumerate_indices(GradedIndexRange(h.m, 0, l)):
+        for I in jc.JetChartSpec(h.m, h.n, l).indices:
             for beta in range(1, h.n_out + 1):
                 e = h.components[beta - 1]
                 for i, times in enumerate(I, start=1):
@@ -92,7 +93,7 @@ def _ref_lift_system(h, b):
     l = b.chart.k - h.order
     top = h.order + l + 1
     unknowns = [(alpha, T)
-                for T in enumerate_indices(GradedIndexRange(h.m, top, top))
+                for T in enumerate_indices(h.m, top)
                 for alpha in range(1, h.n + 1)]
     assignment = b.assignment()
     for alpha, T in unknowns:
@@ -666,7 +667,7 @@ def test_lift_matrix_has_full_row_rank_where_the_symbol_is_nonzero(name):
             if all(sx.evaluate(e, assignment) == 0 for e in symbol):
                 continue
             A = ig.lift_system_at(h, b)[0]
-            assert A.nrows == dim_F(GradedIndexRange(h.m, l + 1, l + 1))
+            assert A.nrows == math.comb(h.m + l, l + 1)
             assert sp.Echelon(A).rank == A.nrows, (name, l)
             checked += 1
     assert checked == 9
@@ -684,7 +685,7 @@ def _ref_generic_rank(h):
     v, c = sy._solvable_top_var(h)
     sol = -(h.components[0] - c * sx.Expr.variable(v)) / c
     table = jc.symbol_table(h)
-    cols = [(alpha, T) for T in enumerate_indices(GradedIndexRange(h.m, h.order + 1, h.order + 1))
+    cols = [(alpha, T) for T in enumerate_indices(h.m, h.order + 1)
             for alpha in range(1, h.n + 1)]
     return sp.generic_rank_exprs([
         [sx.substitute(jc.shifted_symbol(table, alpha, 1, T, MultiIndex.unit(h.m, i)), {v: sol})

@@ -12,6 +12,7 @@ from jetforge import jetcalc as jc
 from jetforge import pfd
 from jetforge import spencer as sp
 from jetforge import symexpr as sx
+from jetforge.mindex import MultiIndex, enumerate_indices
 from jetforge.spencer import RationalMatrix
 
 
@@ -301,25 +302,54 @@ def test_prolonged_rows_stay_within_m_times_rank_below():
             assert g.constraints_at(q).nrows <= g.m * rank_below, (g.m, g.n, q)
 
 
-def test_prolonged_rows_are_derivatives_of_the_reduced_rows_below():
-    # A_q is d/dxi_i of each row of the reduced row echelon form of
-    # A_{q-1} (sympy's, as Fractions), i outer, entry for entry
+def _shifted_rows(A, m, n, k, q):
+    """psi o d^I for each |I| = q - k, I outer, and each row psi of A:
+    d^I applied to xi^T one axis at a time."""
+    labels = sp.sym_component_labels(m, q, n)
+    out = []
+    for I in enumerate_indices(m, q - k):
+        for psi in A.rows:
+            row = []
+            for T, a in labels:
+                J, f = list(T), Q(1)
+                for i, times in enumerate(I):
+                    for _ in range(times):
+                        f *= J[i]
+                        J[i] -= 1
+                row.append(f * psi[A.col_labels.index((MultiIndex(J), a))] if min(J) >= 0 else Q(0))
+            out.append(tuple(row))
+    return tuple(out)
+
+
+def _sympy_rref(M):
     sympy = pytest.importorskip("sympy")
+    if not M.nrows:
+        return ()
+    R, pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                              for r in M.rows]).rref()
+    return tuple(tuple(Q(int(x.p), int(x.q)) for x in R.row(r)) for r in range(len(pivots)))
+
+
+def test_prolonged_rows_are_the_operator_rows_shifted_by_each_index():
+    # A_q is psi o d^I for each row psi of A_k and each |I| = q - k,
+    # entry for entry, and its reduced form is that of the level-by-level
+    # chain: d/dxi_i of the reduced rows of level q - 1 (sympy's rref)
     rng = random.Random(33)
     for m in (2, 3):
         for n in (1, 2):
-            A = _random_constraints(rng, m, n, 2)
-            g = sp.SymbolicSystem(m, n, 2, A)
-            for q in range(3, 6):
-                below = g.constraints_at(q - 1)
-                R, pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
-                                          for r in below.rows]).rref() if below.nrows else (None, ())
-                reduced = RationalMatrix(
-                    [[Q(int(x.p), int(x.q)) for x in R.row(r)] for r in range(len(pivots))],
-                    col_labels=below.col_labels)
-                want = [row for i in range(1, m + 1)
-                        for row in reduced.matmul(_derivative_matrix(m, q, n, i)).rows]
-                assert g.constraints_at(q).rows == tuple(want), (m, n, q)
+            for k in (1, 2):
+                A = _random_constraints(rng, m, n, k)
+                g = sp.SymbolicSystem(m, n, k, A)
+                for q in range(k + 1, k + 4):
+                    got = g.constraints_at(q)
+                    assert got.rows == _shifted_rows(A, m, n, k, q), (m, n, k, q)
+                    below = g.constraints_at(q - 1)
+                    reduced = RationalMatrix(list(_sympy_rref(below)), col_labels=below.col_labels)
+                    chain = RationalMatrix(
+                        [row for i in range(1, m + 1)
+                         for row in reduced.matmul(_derivative_matrix(m, q, n, i)).rows],
+                        col_labels=got.col_labels)
+                    assert _sympy_rref(got) == _sympy_rref(chain), (m, n, k, q)
 
 
 def _scalar_hilbert(m, k, q):

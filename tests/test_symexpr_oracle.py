@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from jetforge import cli
 from jetforge import jetcalc as jc
 from jetforge import symexpr as sx
-from jetforge.mindex import GradedIndexRange, MultiIndex, enumerate_indices
+from jetforge.mindex import MultiIndex
 from jetforge.symexpr import (
     BaseVar,
     EvalZeroDivision,
@@ -650,7 +650,7 @@ def _reference_prolongation(h, l):
     # the composition order of `prolong_op`, each D_i by the reference
     levels = {MultiIndex.zero(h.m): list(h.components)}
     out = []
-    for I in enumerate_indices(GradedIndexRange(h.m, 0, l)):
+    for I in jc.JetChartSpec(h.m, h.n, l).indices:
         if I.degree:
             i = next(ax + 1 for ax, e in enumerate(I) if e > 0)
             levels[I] = [_total_derivative_reference(c, i) for c in levels[I.sub_unit(i)]]
