@@ -360,6 +360,9 @@ def _parse(text, registry=None):
                         text, key_at)
                 given[key] = how
                 number = _expect_int(text, value, value_at)
+                if number < 0:
+                    raise ParseError("argument %r of query %s must be >= 0, got %d"
+                                     % (key, name, number), text, value_at)
                 if how == "keyword":
                     kwargs.append((key, number))
                 else:

@@ -424,10 +424,10 @@ class LiftPlan:
     order-(k+l+1) coordinates `unknowns` (the new labels of the
     order-(k+l+1) chart, (alpha, T) graded-lex on T) from the rows
     D_I h_beta with |I| = l + 1 (`row_labels`), which are affine in
-    them.  `batch` holds, row after row, the Jacobian entries
-    d(D_I h_beta)/du^alpha_T in column order followed by the row's
-    component with the unknowns set to zero, which is all that a lift
-    evaluates, so the first error evaluating a row meets is the one a
+    them.  `batch` holds, row after row, the nonzero Jacobian entries
+    d(D_I h_beta)/du^alpha_T no earlier row holds, then the row's
+    component with the unknowns set to zero: what a lift evaluates, each
+    once, met in row order, so the first error is the one a row-by-row
     lift raises.  Setting the unknowns to zero drops the terms that have
     one as a factor (`sx.drop_factors`), and nothing of order k+l+1 is
     left, so the batch is compiled against the point's own chart, order
@@ -477,8 +477,11 @@ class LiftPlan:
             for j, (alpha, T) in enumerate(self.unknowns):
                 e = shifted_symbol(symbol, alpha, beta, T, I)
                 if not e.is_zero():
-                    row.append((j, sigma.setdefault(id(e), len(exprs))))
-                exprs.append(e)
+                    pos = sigma.get(id(e))
+                    if pos is None:
+                        pos = sigma[id(e)] = len(exprs)
+                        exprs.append(e)
+                    row.append((j, pos))
             entries.append(tuple(row))
             rhs.append(len(exprs))
             exprs.append(sx.drop_factors(comp, new))

@@ -598,7 +598,7 @@ class SymbolicSystem:
     """The symbol kernel g(h; a) and its prolongations, all exact.
 
     Level q >= k stores a constraint matrix A_q on Sym^q tensor R^n
-    coordinates, its `Echelon` and the kernel basis B_q, with
+    coordinates and the kernel basis B_q that its `Echelon` gives, with
     ker A_q = col B_q.  A_k is the operator's own matrix; each later A_q
     is the rows of A_k composed with each d^I, |I| = q - k.  Levels below
     the operator order are the full symmetric powers, matching the
@@ -613,8 +613,7 @@ class SymbolicSystem:
         self._add_level(k, constraints)
 
     def _add_level(self, q, A):
-        E = Echelon(A)
-        self._levels[q] = (A, E, E.kernel_basis())
+        self._levels[q] = (A, Echelon(A).kernel_basis())
 
     def full_dim(self, q):
         if q < 0:
@@ -627,7 +626,7 @@ class SymbolicSystem:
         if q < self.k:
             return self.full_dim(q)
         self.prolong_to(q)
-        return self._levels[q][2].ncols
+        return self._levels[q][1].ncols
 
     def basis(self, q):
         """Basis matrix of g_q (columns), identity below the order."""
@@ -638,7 +637,7 @@ class SymbolicSystem:
             return RationalMatrix.from_int_rows(
                 [{j: 1} for j in range(len(labels))], [1] * len(labels), labels, row_labels=labels)
         self.prolong_to(q)
-        return self._levels[q][2]
+        return self._levels[q][1]
 
     def constraints_at(self, q):
         if q < self.k:
@@ -687,14 +686,15 @@ def symbol_constraint_matrix(h, a):
     Entry at (beta, (J, alpha)) is the partial of h_beta by u^alpha_J
     evaluated at a, divided by multinomial(J); with this normalization a
     decomposable power v^{(x)k} pairs to the symbol polynomial at v.
-    All the entries are read from one `sx.Batch` on the point's chart.
+    Only the symbol table's entries are read, in its order, from one
+    `sx.Batch` on the point's chart; an absent entry is 0.
     """
     labels = sym_component_labels(h.m, h.order, h.n)
     table = jc.symbol_table(h)
+    values = sx.Batch(table.values(), a.chart.slots).at(a.base + a.values)
+    entries = {(alpha, beta, J): x / multinomial(J) for (alpha, beta, J), x in zip(table, values)}
     betas = tuple(range(1, h.n_out + 1))
-    entries = [table.get((alpha, beta, J), sx.ZERO) for beta in betas for (J, alpha) in labels]
-    values = iter(sx.Batch(entries, a.chart.slots).at(a.base + a.values))
-    rows = [[next(values) / multinomial(J) for (J, _) in labels] for _ in betas]
+    rows = [[entries.get((alpha, beta, J), 0) for (J, alpha) in labels] for beta in betas]
     return RationalMatrix(rows, row_labels=betas, col_labels=labels)
 
 

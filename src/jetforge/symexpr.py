@@ -364,7 +364,7 @@ def _wrap(terms):
     """The expression of `terms`, a term dict without zero coefficients
     (or None), which it takes over."""
     if not terms:
-        # one zero object, so the zeros of a batch share one entry
+        # the shared zero, not a new empty expression per result
         return ZERO
     e = Expr.__new__(Expr)
     e._terms = terms
@@ -706,7 +706,8 @@ class Batch:
     The table lists the atoms in the order evaluating the expressions
     one by one meets them, their distinct (atom position, exponent)
     powers, and one entry (L, dmax, coefs, gaps, monos, const) per
-    distinct Expr object: L is the lcm of the expression's coefficient
+    expression given, in order, so an Expr given twice is compiled
+    twice: L is the lcm of the expression's coefficient
     denominators, dmax the largest total degree of its monomials, term
     t has coefficient coefs[t] / L and total degree dmax - gaps[t], and
     monos[t] lists the positions of its powers.  So with atom values
@@ -730,45 +731,37 @@ class Batch:
     evaluating the expressions one by one meets.
     """
 
-    __slots__ = ("atoms", "powers", "entries", "out", "dsteps", "read", "special")
+    __slots__ = ("atoms", "powers", "entries", "dsteps", "read", "special")
 
     def __init__(self, exprs, slots):
         atoms = {}
         powers = {}
         entries = []
-        seen = {}
-        out = []
         for e in exprs:
-            pos = seen.get(id(e))
-            if pos is None:
-                pos = seen[id(e)] = len(entries)
-                terms = e._terms
-                L = math.lcm(*[c.denominator for c in terms.values()])
-                coefs = []
-                degrees = []
-                monos = []
-                for mono, c in terms.items():
-                    coefs.append(c.numerator * (L // c.denominator))
-                    d = 0
-                    ps = []
-                    for f in mono:
-                        p = powers.get(f)
-                        if p is None:
-                            p = powers[f] = len(powers)
-                            atoms.setdefault(f[0], len(atoms))
-                        ps.append(p)
-                        d += f[1]
-                    degrees.append(d)
-                    monos.append(tuple(ps))
-                dmax = max(degrees, default=0)
-                entries.append((L, dmax, tuple(coefs), tuple([dmax - d for d in degrees]),
-                                tuple(monos), None if any(monos) else Fraction(sum(coefs), L)))
-            out.append(pos)
+            terms = e._terms
+            L = math.lcm(*[c.denominator for c in terms.values()])
+            coefs = []
+            degrees = []
+            monos = []
+            for mono, c in terms.items():
+                coefs.append(c.numerator * (L // c.denominator))
+                d = 0
+                ps = []
+                for f in mono:
+                    p = powers.get(f)
+                    if p is None:
+                        p = powers[f] = len(powers)
+                        atoms.setdefault(f[0], len(atoms))
+                    ps.append(p)
+                    d += f[1]
+                degrees.append(d)
+                monos.append(tuple(ps))
+            dmax = max(degrees, default=0)
+            entries.append((L, dmax, tuple(coefs), tuple([dmax - d for d in degrees]),
+                            tuple(monos), None if any(monos) else Fraction(sum(coefs), L)))
         self.atoms = tuple(atoms)
         self.powers = tuple([(atoms[a], k) for a, k in powers])
         self.entries = tuple(entries)
-        # None when every expression is its own entry, in order
-        self.out = None if len(out) == len(entries) else tuple(out)
         # consecutive exponents of the powers of D that the entries use
         exps = sorted({0}.union(*[(t[1], *t[3]) for t in entries]))
         self.dsteps = tuple(zip(exps, exps[1:]))
@@ -791,35 +784,34 @@ class Batch:
 
     def _run(self, vals):
         entries = self.entries
-        if vals:
-            D = math.lcm(*[x.denominator for x in vals])
-            nums = [x.numerator * (D // x.denominator) for x in vals]
-            f = [nums[i] if k == 1 else nums[i] ** k for i, k in self.powers].__getitem__
-            dpow = {0: 1}
-            for a, b in self.dsteps:
-                dpow[b] = dpow[a] * D ** (b - a)
-            # the powers of zero-valued atoms; a term holding one is 0
-            zero = None
-            if 0 in nums:
-                zero = {p for p, (i, _) in enumerate(self.powers) if not nums[i]}
-            res = []
-            for L, dmax, coefs, gaps, monos, const in entries:
-                if const is not None:
-                    res.append(const)
-                    continue
-                total = 0
-                if zero is None:
-                    for c, g, mono in zip(coefs, gaps, monos):
-                        total += math.prod(map(f, mono), start=c * dpow[g])
-                else:
-                    for c, g, mono in zip(coefs, gaps, monos):
-                        if zero.isdisjoint(mono):
-                            total += math.prod(map(f, mono), start=c * dpow[g])
-                res.append(Fraction(total, L * dpow[dmax]) if total else _F0)
-        else:
+        if not vals:
             # atom-free: every entry holds its constant
-            res = [t[5] for t in entries]
-        return res if self.out is None else [res[i] for i in self.out]
+            return [t[5] for t in entries]
+        D = math.lcm(*[x.denominator for x in vals])
+        nums = [x.numerator * (D // x.denominator) for x in vals]
+        f = [nums[i] if k == 1 else nums[i] ** k for i, k in self.powers].__getitem__
+        dpow = {0: 1}
+        for a, b in self.dsteps:
+            dpow[b] = dpow[a] * D ** (b - a)
+        # the powers of zero-valued atoms; a term holding one is 0
+        zero = None
+        if 0 in nums:
+            zero = {p for p, (i, _) in enumerate(self.powers) if not nums[i]}
+        res = []
+        for L, dmax, coefs, gaps, monos, const in entries:
+            if const is not None:
+                res.append(const)
+                continue
+            total = 0
+            if zero is None:
+                for c, g, mono in zip(coefs, gaps, monos):
+                    total += math.prod(map(f, mono), start=c * dpow[g])
+            else:
+                for c, g, mono in zip(coefs, gaps, monos):
+                    if zero.isdisjoint(mono):
+                        total += math.prod(map(f, mono), start=c * dpow[g])
+            res.append(Fraction(total, L * dpow[dmax]) if total else _F0)
+        return res
 
 
 def _argument(a):

@@ -86,6 +86,7 @@ def _one_by_one(exprs, point):
 def test_one_batch_at_two_points_equals_one_by_one(exprs, pair):
     first, second = pair
     batch, _ = _slotted(exprs, first)
+    assert len(batch.entries) == len(exprs)
     for point in (first, second, first):
         _, values = _slotted(exprs, point)
         assert _outcome(lambda: batch.at(values)) == _one_by_one(exprs, point)
@@ -107,10 +108,14 @@ def test_slot_reading_equals_assignment_reading(exprs, first, second):
                 == _one_by_one(exprs, reads))
 
 
-def test_shared_objects_get_one_entry():
+def test_repeated_objects_each_get_an_entry():
     e = sx.base(1) * sx.base(2) + 1
-    batch = sx.Batch([e, sx.ZERO, e, sx.ZERO, sx.as_expr(3), e], {X1: 0, X2: 1})
-    assert len(batch.entries) == 3
+    exprs = [e, sx.ZERO, e, sx.ZERO, sx.as_expr(3), e]
+    batch = sx.Batch(exprs, {X1: 0, X2: 1})
+    assert len(batch.entries) == len(exprs)
+    assert not hasattr(batch, "out")
+    # the repeats add no atom or power
+    assert batch.atoms == (X1, X2) and len(batch.powers) == 2
     assert batch.at([Q(2), Q(1, 2)]) == [2, 0, 2, 0, 3, 2]
     assert sx.Batch([sx.ZERO, sx.as_expr(Q(1, 2))], {}).at([]) == [0, Q(1, 2)]
 

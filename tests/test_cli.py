@@ -153,9 +153,24 @@ _CHART = "base m = 2;\nfiber n = 1;\norder k = 2;\n"
      "parameter 'a' takes no arguments in 'u[(2,0)] - a(x2)*u[(0,2)]' (line 5, col 25)"),
     (_CHART + "param a = 2;\noperator h = u[(2,0)] - 2*a(x1, x2)*u[(0,2)];\n",
      "parameter 'a' takes no arguments in 'u[(2,0)] - 2*a(x1, x2)*u[(0,2)]' (line 5, col 27)"),
+    # a negative query argument, by keyword or by position, at its value
+    (_CHART + "operator h = u[(2,0)];\nquery prolong(l=-1);\n",
+     "argument 'l' of query prolong must be >= 0, got -1 (line 5, col 17)"),
+    (_CHART + "operator h = u[(2,0)];\nquery codim(l=-2);\n",
+     "argument 'l' of query codim must be >= 0, got -2 (line 5, col 15)"),
+    (_CHART + "operator h = u[(2,0)];\nquery spencer(pmax=-1);\n",
+     "argument 'pmax' of query spencer must be >= 0, got -1 (line 5, col 20)"),
+    (_CHART + "operator h = u[(2,0)];\nquery tower(levels=-1);\n",
+     "argument 'levels' of query tower must be >= 0, got -1 (line 5, col 20)"),
+    (_CHART + "operator h = u[(2,0)];\nquery solve(N=-1);\n",
+     "argument 'N' of query solve must be >= 0, got -1 (line 5, col 15)"),
+    (_CHART + "operator h = u[(2,0)];\nquery prolong( -3);\n",
+     "argument 'l' of query prolong must be >= 0, got -3 (line 5, col 16)"),
 ], ids=["chart", "metric_entry", "operator_after_comment", "second_component",
         "klein_gordon_field", "param", "query_integer", "klein_gordon_key", "metric_block",
-        "klein_gordon_arguments", "param_call_x1", "param_call_x2", "param_call_base_point"])
+        "klein_gordon_arguments", "param_call_x1", "param_call_x2", "param_call_base_point",
+        "negative_prolong", "negative_codim", "negative_spencer", "negative_tower",
+        "negative_solve", "negative_positional"])
 def test_main_locates_a_parse_error_once_at_its_token(tmp_path, capsys, text, message):
     path = tmp_path / "bad.jf"
     path.write_text(text)
@@ -299,9 +314,12 @@ def test_run_command_failure_reported_not_raised():
 ])
 def test_failed_query_names_positional_arguments(query, command, args):
     # a failed query reports its arguments under the names a successful
-    # one uses, positional ones included
-    text = WAVE.split("query")[0] + "query %s;\n" % query
-    rep = cli.run_command(cli.parse_problem_file(text), command, _flags())
+    # one uses, positional ones included; the parser refuses a negative
+    # argument, so the query is built as a library caller builds one
+    name, _, rest = query.partition("(")
+    q = cli.Query(name, tuple(int(a) for a in rest[:-1].split(",")))
+    spec = dataclasses.replace(cli.parse_problem_file(WAVE.split("query")[0]), queries=(q,))
+    rep = cli.run_command(spec, command, _flags())
     [r] = rep.results
     assert not r.passed and "error" in r.data
     assert r.args == args
@@ -409,9 +427,9 @@ def _problem_text(draw):
         name = draw(st.sampled_from(sorted(cli._QUERIES)))
         names = cli._QUERIES[name].params
         n_pos = draw(st.integers(0, len(names)))
-        args = [str(draw(st.integers(-1, 6))) for _ in range(n_pos)]
+        args = [str(draw(st.integers(0, 6))) for _ in range(n_pos)]
         kwargs = draw(st.lists(st.sampled_from(names[n_pos:]), unique=True)) if names[n_pos:] else []
-        args += ["%s=%d" % (kw, draw(st.integers(-1, 6))) for kw in kwargs]
+        args += ["%s=%d" % (kw, draw(st.integers(0, 6))) for kw in kwargs]
         lines.append("query %s(%s);" % (name, ", ".join(args)))
     return "\n".join(lines) + "\n"
 
@@ -688,10 +706,16 @@ def test_main_refuses_negative_bounds(tmp_path, capsys):
 
 
 def test_spencer_query_with_negative_bound_fails():
-    spec = cli.parse_problem_file(WAVE.replace("qmax=4", "qmax=-1"))
-    rep = cli.run_command(spec, "spencer", _flags())
+    # refused where the file is read, at the value
+    text = WAVE.replace("qmax=4", "qmax=-1")
+    with pytest.raises(cli.ParseError) as err:
+        cli.parse_problem_file(text)
+    assert err.value.message == "argument 'qmax' of query spencer must be >= 0, got -1"
+    assert text[err.value.pos:].startswith("-1);")
+    # a library caller's flags are still checked when the query runs
+    rep = cli.run_command(cli.parse_problem_file(WAVE), "spencer", _flags(pmax=-1))
     assert not rep.passed
-    assert "nonnegative" in rep.results[0].data["error"]
+    assert rep.results[0].data == {"error": "pmax and qmax must be nonnegative"}
 
 
 @pytest.mark.parametrize("text,argv", [
@@ -808,10 +832,13 @@ def test_main_refuses_oversized_tower_up_front(tmp_path, capsys):
 def test_main_tower_with_negative_levels_fails(tmp_path, capsys):
     path = tmp_path / "neg.jf"
     path.write_text(LAPLACE3 + "query tower(-1);\n")
-    assert cli.main(["tower", str(path), "--json"]) == 1
-    res = json.loads(capsys.readouterr().out)["results"][0]
-    assert not res["passed"]
-    assert res["data"] == {"error": "levels must be nonnegative"}
+    assert cli.main(["tower", str(path), "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: argument 'levels' of query tower must be >= 0, got -1 (line 5, col 13)\n"
+    assert out.out == ""
+    # the runner still refuses one from a library caller
+    with pytest.raises(ValueError, match="^levels must be nonnegative$"):
+        cli._run_tower(cli.parse_problem_file(LAPLACE3).operator, {"levels": -1}, _flags())
 
 
 def test_main_reports_unwritable_json_path(tmp_path, capsys):

@@ -206,6 +206,35 @@ def test_lift_plans_read_only_the_points_own_chart(name, make):
         assert max(_batch_reads(plan.batch)) < below.dim
 
 
+@pytest.mark.parametrize("metric", [ig.MetricSpec.minkowski(4), _curved_metric(4)],
+                         ids=["minkowski", "curved"])
+def test_lift_plan_batch_holds_each_symbol_entry_once_then_the_rows(metric):
+    # no zero and no repeat: the distinct symbol values, then one right-hand
+    # side per row; Minkowski m = 4 has 4 symbol entries and 4, 10, 20, 35 rows
+    h = ig.make_klein_gordon(metric, F1=1, F2=1, K=lambda e: e ** 3)
+    for l, want in enumerate((8, 14, 24, 39)):
+        plan = jc.lift_plan(h, l)
+        assert len(plan.batch.entries) == len(plan.sigma) + len(plan.rhs) == want
+        assert len(set(plan.sigma)) == len(plan.sigma)
+        assert set(plan.sigma).isdisjoint(plan.rhs)
+        assert {p for row in plan.entries for _, p in row} == set(plan.sigma)
+
+
+def test_lift_raises_the_first_fault_in_row_order():
+    # row one, D_1 h_1, has cos(x1) on its right-hand side; row two,
+    # D_1 h_2, has the symbol value 1/(x1 - x2), which divides by zero at
+    # (1, 1); row one's error comes first, as it does row by row
+    x1, x2 = sx.base(1), sx.base(2)
+    h = jc.DiffOp(2, 1, 1, [sx.jet(1, (1, 0)) + sx.prim("sin", x1),
+                            sx.jet(1, (0, 1)) / (x1 - x2)])
+    b = jc.JetPoint.from_values(jc.JetChartSpec(2, 1, 1), (1, 1), [0, 0, 0])
+    message = "^exact evaluation of transcendental primitive 'cos'$"
+    with pytest.raises(sx.EvaluationError, match=message):
+        _ref_lift_system(h, b)
+    with pytest.raises(sx.EvaluationError, match=message):
+        ig.lift_system_at(h, b)
+
+
 @st.composite
 def _polynomial_ops(draw):
     """Random polynomial operators, possibly nonlinear in the top-order
