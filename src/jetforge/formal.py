@@ -84,8 +84,8 @@ def formal_solve(h, seed_point, N, policy="zero", free_table=None, seed=None):
         raise ValueError("seed does not satisfy the prolonged equations")
     if b.chart.k > N:
         # the seed already holds jets above the order asked for
-        I = next(I for I in b.chart.indices if I.degree > N)
-        raise ValueError("coefficient beyond truncation order: %s" % (I,))
+        raise ValueError("truncation order N = %d is below the seed's order %d"
+                         % (N, b.chart.k))
     free_counts = []
     while b.chart.k < N:
         level_seed = None

@@ -307,22 +307,17 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
 
 
 def sample_prolonged_points(h, l, count, seed):
-    """Points of ker(h)^(l) built by lifting sampled ker(h) points with
-    seeded random free data."""
-    return [b for b, _ in _lifted_points(h, l, count, seed)]
-
-
-def _lifted_points(h, l, count, seed):
-    """(point, lift ranks) for each point of `sample_prolonged_points`:
-    the rank of the lift matrix of each of the l steps that built it."""
+    """Points of ker(h)^(l): each point b of
+    `sy.sample_variety_points(h, count, seed)` lifted l times by
+    `lift_point`, step j of point idx with random free data seeded
+    "seed:idx:j"."""
+    points = []
     for idx, b in enumerate(sy.sample_variety_points(h, count, seed)):
-        ranks = []
         for step in range(l):
-            res = lift_point(h, b, policy="random", seed="%s:%d:%d" % (seed, idx, step),
-                             check=False)
-            b = res.point
-            ranks.append(res.rank)
-        yield b, ranks
+            b = lift_point(h, b, policy="random", seed="%s:%d:%d" % (seed, idx, step),
+                           check=False).point
+        points.append(b)
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +495,31 @@ def variety_codim(h, l, samples=10, seed=0):
     c(b) != 0, c the symbol entry of its solved variable, so sigma(b) != 0
     there and at each lift of it.  Then each diagonal block has full row
     rank (multiplication by sigma(xi) is injective), and so has the
-    Jacobian: its rank is 1 plus the rank of each lift step that built
-    the point, read off its `LiftResult`.
+    Jacobian: its rank is 1 plus the rank of each lift matrix A_j,
+    j < l.
+
+    A_j depends on a point only through sigma, which reads its jets of
+    order <= k alone, and the lifts that `sample_prolonged_points` makes
+    keep those.  So each sampled point b of R_k is scored without
+    lifting it: the ranks are read off `lift_system_at` at b_0 = b and
+    b_{j+1} = b_j extended by zero jets of the next order, points of the
+    same charts as the lifted ones with the same sigma, so the same
+    matrices A_j.  The lifted points' own jets, their random free data
+    and their solves are not needed.
     """
     if h.n_out != 1:
         raise ValueError("codimension diagnostics are for scalar operators")
+    if samples < 1:
+        raise ValueError("samples must be at least 1, got %d" % samples)
     # built before sampling, so a prolongation error comes first
     jc.prolong_op(h, l)
-    observed = [1 + sum(ranks) for _, ranks in _lifted_points(h, l, samples, seed)]
+    observed = []
+    for b in sy.sample_variety_points(h, samples, seed):
+        rank = 1
+        for _ in range(l):
+            _, _, unknowns, E = lift_system_at(h, b)
+            rank += E.rank
+            b = b.extend([0] * len(unknowns))
+        observed.append(rank)
     expected = comb(h.m + l, l)
     return CodimReport(level=l, expected=expected, observed=observed, points=len(observed))

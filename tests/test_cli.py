@@ -331,7 +331,7 @@ def test_failed_solve_reports_its_order_from_the_command_line(capsys):
         text = fh.read().replace("query solve(4);", "query solve(1);")
     rep = cli.run_command(cli.parse_problem_file(text), "solve", _flags())
     [r] = rep.results
-    assert r.data == {"error": "coefficient beyond truncation order: (2, 0)"}
+    assert r.data == {"error": "truncation order N = 1 is below the seed's order 2"}
     assert r.args == {"N": 1}
 
 

@@ -117,8 +117,16 @@ def test_formal_solve_rejects_seed_above_the_order():
     h = _wave()
     chart = jc.JetChartSpec(2, 1, 3)
     seed_pt = jc.JetPoint(chart, (Q(0), Q(0)), {(1, I): Q(0) for I in chart.jet_indices()})
-    with pytest.raises(ValueError, match=r"beyond truncation order: \(3, 0\)"):
+    with pytest.raises(ValueError, match="^truncation order N = 2 is below the seed's order 3$"):
         fm.formal_solve(h, seed_pt, 2)
+
+
+@pytest.mark.parametrize("N", [0, 1])
+def test_formal_solve_below_the_operator_order_names_n_and_the_seed_order(N):
+    h = _wave()
+    seed_pt = ig.sample_prolonged_points(h, 0, 1, seed=11)[0]
+    with pytest.raises(ValueError, match="^truncation order N = %d is below the seed's order 2$" % N):
+        fm.formal_solve(h, seed_pt, N)
 
 
 def test_free_counts_match_symbol_kernel_dims():

@@ -311,6 +311,14 @@ def test_variety_codim_wave():
         assert rep.expected == math.comb(2 + l, l)
 
 
+def test_variety_codim_refuses_no_samples():
+    # zero samples would report every observed codimension matching
+    h = _corpus_operator("laplace3.jf")
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="^samples must be at least 1, got %d$" % samples):
+            ig.variety_codim(h, 2, samples=samples)
+
+
 def test_metric_rejects_asymmetric_or_jet_entries():
     with pytest.raises(ValueError):
         ig.MetricSpec(2, {(1, 2): sx.base(1), (2, 1): sx.base(2),

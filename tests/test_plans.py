@@ -321,6 +321,61 @@ def test_variety_codim_ranks_match_per_point_reference(name, make, levels):
         assert rep.points == 3
 
 
+def _ref_lifted_ranks(h, l, samples, seed):
+    # each sampled point lifted l times with random free data, step j of
+    # point idx seeded "seed:idx:j", scored 1 plus each lift step's rank
+    out = []
+    for idx, b in enumerate(sy.sample_variety_points(h, samples, seed)):
+        rank = 1
+        for step in range(l):
+            res = ig.lift_point(h, b, policy="random", seed="%s:%d:%d" % (seed, idx, step),
+                                check=False)
+            b = res.point
+            rank += res.rank
+        out.append(rank)
+    return out
+
+
+@pytest.mark.parametrize("name", SCALAR_CORPUS)
+def test_variety_codim_ranks_match_the_lifted_chain_on_the_corpus(name):
+    h = _corpus_op(name)
+    for l in range(4):
+        assert ig.variety_codim(h, l, samples=3, seed=5).observed == _ref_lifted_ranks(h, l, 3, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polynomial_ops().filter(lambda h: h.n_out == 1), st.integers(0, 2 ** 32))
+def test_variety_codim_ranks_match_the_lifted_chain_on_random_operators(h, seed):
+    for l in range(4):
+        try:
+            want = _ref_lifted_ranks(h, l, 2, seed)
+        except sy.SamplerError as err:
+            with pytest.raises(sy.SamplerError) as info:
+                ig.variety_codim(h, l, samples=2, seed=seed)
+            assert str(info.value) == str(err)
+            return
+        assert ig.variety_codim(h, l, samples=2, seed=seed).observed == want
+
+
+def test_variety_codim_lifts_nothing_and_seeds_only_the_sampler(monkeypatch):
+    seeds = []
+
+    class SeedRecordingRandom(random.Random):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    def no_lift(*args, **kwargs):
+        raise AssertionError("variety_codim lifted a point")
+
+    monkeypatch.setattr(random, "Random", SeedRecordingRandom)
+    monkeypatch.setattr(ig, "lift_point", no_lift)
+    h = _corpus_op("kg_curved2.jf")
+    rep = ig.variety_codim(h, 3, samples=4, seed="codim:1")
+    assert rep.all_match and rep.points == 4
+    assert seeds == ["codim:1"]
+
+
 def test_lift_point_check_still_evaluates_the_residual():
     h = _kg(2)
     b = ig.sample_prolonged_points(h, 1, 1, seed=3)[0]

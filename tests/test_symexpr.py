@@ -228,3 +228,13 @@ def test_random_rational_is_the_randint_fraction_on_the_same_stream(seed, bound,
     got = [sx.random_rational(rng, bound) for _ in range(count)]
     assert got == [Q(ref.randint(-bound, bound), ref.randint(1, bound)) for _ in range(count)]
     assert rng.random() == ref.random()
+
+
+def test_random_rational_is_the_choice_form_with_the_same_state():
+    for bound in range(1, 17):
+        rows = sx._rational_table(bound)
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = [sx.random_rational(rng, bound) for _ in range(5)]
+            assert got == [ref.choice(ref.choice(rows)) for _ in range(5)]
+            assert rng.getstate() == ref.getstate()
