@@ -196,8 +196,7 @@ class DiffOp:
     operator must not be mutated after construction.
     """
 
-    __slots__ = ("m", "n", "order", "components", "labels", "_symbol", "_prolongations",
-                 "_lift_plans", "_sampler", "_batches")
+    __slots__ = ("m", "n", "order", "components", "labels", "_kept")
 
     def __init__(self, m, n, order, components):
         components = tuple(as_expr(c) for c in components)
@@ -230,11 +229,7 @@ class DiffOp:
         if labels is None:
             labels = tuple((beta, MultiIndex.zero(m)) for beta in range(1, len(components) + 1))
         self.labels = tuple(labels)
-        self._symbol = None  # symbol_table(self)
-        self._prolongations = {}  # l >= 1 -> prolong_op(self, l)
-        self._lift_plans = {}  # l -> lift_plan(self, l)
-        self._sampler = None  # symbols.sampler_plan(self)
-        self._batches = {}  # chart -> sx.Batch of the components
+        self._kept = {}
 
     @property
     def n_out(self):
@@ -249,9 +244,7 @@ class DiffOp:
         if not exact:
             return tuple(sx.evaluate_many(self.components, point.assignment(), exact=False))
         chart = point.chart
-        batch = self._batches.get(chart)
-        if batch is None:
-            batch = self._batches[chart] = sx.Batch(self.components, chart.slots)
+        batch = kept(self, ("batch", chart), sx.Batch, self.components, chart.slots)
         return tuple(batch.at(point.base + point.values))
 
     def is_linear(self):
@@ -275,6 +268,15 @@ class DiffOp:
         return "DiffOp(m=%d, n=%d, order=%d, n_out=%d)" % (
             self.m, self.n, self.order, self.n_out,
         )
+
+
+def kept(h, key, build, *args):
+    """The value the operator h keeps under key, else build(*args), kept
+    and returned; a build that raises keeps nothing (see `DiffOp`)."""
+    value = h._kept.get(key, _MISSING)
+    if value is _MISSING:
+        value = h._kept[key] = build(*args)
+    return value
 
 
 class SectionPoly:
@@ -339,11 +341,10 @@ def prolong_op(h, l):
     """
     if l < 0:
         raise ValueError("prolongation order must be >= 0")
-    levels = h._prolongations
+    level = h
     for j in range(1, l + 1):
-        if j not in levels:
-            levels[j] = _prolong_once(h, levels.get(j - 1, h), j)
-    return levels.get(l, h)
+        level = kept(h, ("level", j), _prolong_once, h, level, j)
+    return level
 
 
 def point_level(h, b):
@@ -395,18 +396,19 @@ def symbol_table(h):
     returns that one mapping: symbols, symbol matrices, the variety
     sampler and lift plans all read it.
     """
-    table = h._symbol
-    if table is None:
-        tops = [JetVar(alpha, J)
-                for J in enumerate_indices(h.m, h.order)
-                for alpha in range(1, h.n + 1)]
-        entries = {}
-        for beta, comp in enumerate(h.components, start=1):
-            for v, c in sx.partials(comp, tops).items():
-                if not c.is_zero():
-                    entries[(v.alpha, beta, v.index)] = c
-        table = h._symbol = MappingProxyType(entries)
-    return table
+    return kept(h, "symbol", _symbol_entries, h)
+
+
+def _symbol_entries(h):
+    tops = [JetVar(alpha, J)
+            for J in enumerate_indices(h.m, h.order)
+            for alpha in range(1, h.n + 1)]
+    entries = {}
+    for beta, comp in enumerate(h.components, start=1):
+        for v, c in sx.partials(comp, tops).items():
+            if not c.is_zero():
+                entries[(v.alpha, beta, v.index)] = c
+    return MappingProxyType(entries)
 
 
 def shifted_symbol(table, alpha, beta, T, I):
@@ -502,10 +504,7 @@ def lift_plan(h, l):
     built on first use and kept on h."""
     if l < 0:
         raise ValueError("lift level must be >= 0")
-    plan = h._lift_plans.get(l)
-    if plan is None:
-        plan = h._lift_plans[l] = LiftPlan(h, l)
-    return plan
+    return kept(h, ("lift plan", l), LiftPlan, h, l)
 
 
 class IotaReindex:

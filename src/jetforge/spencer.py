@@ -691,7 +691,8 @@ def symbol_constraint_matrix(h, a):
     """
     labels = sym_component_labels(h.m, h.order, h.n)
     table = jc.symbol_table(h)
-    values = sx.Batch(table.values(), a.chart.slots).at(a.base + a.values)
+    batch = jc.kept(h, ("symbol batch", a.chart), sx.Batch, table.values(), a.chart.slots)
+    values = batch.at(a.base + a.values)
     entries = {(alpha, beta, J): x / multinomial(J) for (alpha, beta, J), x in zip(table, values)}
     betas = tuple(range(1, h.n_out + 1))
     rows = [[entries.get((alpha, beta, J), 0) for (J, alpha) in labels] for beta in betas]

@@ -134,10 +134,7 @@ class SamplerPlan:
 def sampler_plan(h):
     """The sampler plan of h, built on first use and kept on h.  A build
     that fails keeps nothing, so every call raises its SamplerError."""
-    plan = h._sampler
-    if plan is None:
-        plan = h._sampler = SamplerPlan(h)
-    return plan
+    return jc.kept(h, "sampler", SamplerPlan, h)
 
 
 def sample_variety_points(h, count, seed):

@@ -897,11 +897,11 @@ def test_variety_points_match_the_per_call_sampler_on_the_corpus(name):
 def test_the_sampler_plan_is_built_once_per_operator():
     h = _corpus_op("kg_curved2.jf")
     first = sy.sample_variety_points(h, 3, 0)
-    plan = h._sampler
+    plan = sy.sampler_plan(h)
     assert isinstance(plan, sy.SamplerPlan)
     assert sy.sample_variety_points(h, 3, 0) == first
     sy.rank_profile(h, samples=2, seed=1)
-    assert h._sampler is plan is sy.sampler_plan(h)
+    assert sy.sampler_plan(h) is plan
 
 
 def _vanishing_everywhere_sampled():
@@ -938,4 +938,9 @@ def test_a_failed_sampler_plan_is_not_kept(h):
     for _ in range(2):
         with pytest.raises(sy.SamplerError):
             sy.sampler_plan(h)
-        assert h._sampler is None
+        assert not any(isinstance(v, sy.SamplerPlan) for v in h._kept.values())
+    # a scalar operator's symbol table is built, and kept, before its
+    # sampler plan fails; a non-scalar one fails before reading it
+    values = list(h._kept.values())
+    table = jc.symbol_table(h)
+    assert any(v is table for v in values) == (h.n_out == 1)
