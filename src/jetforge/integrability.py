@@ -310,7 +310,11 @@ def sample_prolonged_points(h, l, count, seed):
     """Points of ker(h)^(l): each point b of
     `sy.sample_variety_points(h, count, seed)` lifted l times by
     `lift_point`, step j of point idx with random free data seeded
-    "seed:idx:j"."""
+    "seed:idx:j".  Refuses l < 0 and count < 1."""
+    if l < 0:
+        raise ValueError("level l must be at least 0, got %d" % l)
+    if count < 1:
+        raise ValueError("count must be at least 1, got %d" % count)
     points = []
     for idx, b in enumerate(sy.sample_variety_points(h, count, seed)):
         for step in range(l):
@@ -416,9 +420,12 @@ def _check_symbol_nonvanishing(h, samples, seed):
 
 def check_conditions(h, samples=20, seed=0, mode="exact"):
     """Run the three-part formal-integrability check on a scalar operator;
-    conditions 2 and 3 read one `sy.rank_profile`, sampled at seed + 1."""
+    conditions 2 and 3 read one `sy.rank_profile`, sampled at seed + 1.
+    Refuses samples < 1, which would pass with no evidence."""
     if h.n != 1 or h.n_out != 1:
         raise ValueError("the checker handles scalar operators (n = 1, one component)")
+    if samples < 1:
+        raise ValueError("samples must be at least 1, got %d" % samples)
 
     c1 = _check_symbol_nonvanishing(h, samples, seed)
 

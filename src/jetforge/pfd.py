@@ -484,7 +484,9 @@ class EquationSubtower:
 
     def check_projection_surjectivity(self, l, samples=5, seed=0):
         """Witness that points of the level-(k+l) variety lift one more
-        level at sampled points."""
+        level at sampled points; refuses samples < 1 and l < 0."""
+        if samples < 1:
+            raise ValueError("samples must be at least 1, got %d" % samples)
         pts = ig.sample_prolonged_points(self.h, l, samples, seed)
         for p in pts:
             ig.lift_point(self.h, p, check=False)

@@ -233,13 +233,16 @@ def rank_profile(h, samples=20, seed=0, mode="exact"):
     generic rank equals them all.  The same pass decides condition 3:
     the lift at p solves when E is consistent with the right-hand side R,
     with len(E.free) free columns.  A sampler or evaluation failure, a
-    float overflow included, is a note, not an error.
+    float overflow included, is a note, not an error; samples < 1 is
+    refused.
     """
     # integrability imports this module
     from .integrability import lift_system_at
 
     if mode not in ("exact", "float"):
         raise ValueError("mode must be exact or float")
+    if samples < 1:
+        raise ValueError("samples must be at least 1, got %d" % samples)
     report = RankReport(mode=mode)
     exact = mode == "exact"
 

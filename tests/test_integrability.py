@@ -9,6 +9,7 @@ from jetforge import cli
 from jetforge import integrability as ig
 from jetforge import jetcalc as jc
 from jetforge import spencer as sp
+from jetforge import symbols as sy
 from jetforge import symexpr as sx
 from jetforge.mindex import MultiIndex
 
@@ -542,3 +543,28 @@ def test_metric_indices_outside_the_chart_are_refused():
     for key in [(3, 3), (0, 0), (1, 3), (-1, 1)]:
         with pytest.raises(ValueError, match=r"metric index g\[.*\] is outside 1\.\.2"):
             ig.MetricSpec(2, {(1, 1): 1, (2, 2): -1, key: 1})
+
+
+@pytest.mark.parametrize("name", ["wave2.jf", "kg_curved2.jf"])
+def test_condition_checks_refuse_no_samples(name):
+    # zero samples passed lift surjectivity "at all 0 sampled points"
+    # and ranked nothing
+    h = _corpus_operator(name)
+    for samples in (0, -1):
+        message = "^samples must be at least 1, got %d$" % samples
+        with pytest.raises(ValueError, match=message):
+            ig.check_conditions(h, samples=samples)
+        with pytest.raises(ValueError, match=message):
+            sy.rank_profile(h, samples=samples)
+
+
+def test_sample_prolonged_points_refuses_a_negative_level_and_no_points():
+    # l = -1 returned the unlifted order-k points
+    h = _corpus_operator("kg_curved2.jf")
+    for l in (-1, -2):
+        with pytest.raises(ValueError, match="^level l must be at least 0, got %d$" % l):
+            ig.sample_prolonged_points(h, l, 1, "s")
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="^count must be at least 1, got %d$" % count):
+            ig.sample_prolonged_points(h, 0, count, "s")
+    assert ig.sample_prolonged_points(h, 0, 1, "s")[0].chart.k == 2

@@ -205,6 +205,16 @@ def test_equation_subtower_membership_and_dims():
     assert E.check_projection_surjectivity(1, samples=3, seed=5) == 3
 
 
+def test_projection_surjectivity_refuses_no_samples_and_a_negative_level():
+    # samples = 0 returned 0 and witnessed nothing
+    E = pfd.EquationSubtower(jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) - sx.jet(1, (0, 2))]))
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="^samples must be at least 1, got %d$" % samples):
+            E.check_projection_surjectivity(1, samples=samples)
+    with pytest.raises(ValueError, match="^level l must be at least 0, got -1$"):
+        E.check_projection_surjectivity(-1, samples=1)
+
+
 def test_linear_tower_requires_surjective_steps():
     with pytest.raises(ValueError):
         pfd.LinearTower([2, 2], [RM([[Q(1), Q(0)], [Q(0), Q(0)]])])
