@@ -189,10 +189,14 @@ class DiffOp:
     is R^len(components).  `labels` records (beta, I) provenance for
     prolonged operators; plain operators get beta-only labels.
 
-    Its symbol (`symbol_table`), prolongations (`prolong_op`), lift
-    plans (`lift_plan`), variety sampler plan (`symbols.sampler_plan`)
-    and the exact evaluation batch of its components for each chart it
-    is evaluated on are built on first use and kept on it, so an
+    What is derived from the components is built on first use and kept
+    on the operator, in the one dict `_kept`, which only `kept` writes:
+    the symbol (`symbol_table`), each prolongation level (`prolong_op`),
+    each lift plan (`lift_plan`), the variety sampler plan
+    (`symbols.sampler_plan`), and for each chart it is evaluated on the
+    exact batch of its components (`evaluate_at`) and that of its symbol
+    entries (`spencer.symbol_constraint_matrix`).  A build that raises
+    keeps nothing, so the next call builds again and raises again.  An
     operator must not be mutated after construction.
     """
 
@@ -336,8 +340,8 @@ def prolong_op(h, l):
 
     Ordered graded-lex on the outer index I, then by beta; labels carry
     the (beta, I) provenance.  Each level is built once per operator,
-    from the components of the level below, and kept on h: every later
-    call for that level returns the same object.
+    from the components of the level below, and kept on h by `kept`:
+    every later call for that level returns the same object.
     """
     if l < 0:
         raise ValueError("prolongation order must be >= 0")
@@ -392,8 +396,8 @@ def symbol_table(h):
 
     This is the one place where components are differentiated by
     top-order jets, one walk per component (`sx.partials`).  The table
-    is built on first use and kept on h, read-only, and every call
-    returns that one mapping: symbols, symbol matrices, the variety
+    is built on first use and kept on h by `kept`, read-only, and every
+    call returns that one mapping: symbols, symbol matrices, the variety
     sampler and lift plans all read it.
     """
     return kept(h, "symbol", _symbol_entries, h)
@@ -501,7 +505,7 @@ class LiftPlan:
 
 def lift_plan(h, l):
     """The lift plan of h at level l (points of order h.order + l),
-    built on first use and kept on h."""
+    built on first use and kept on h by `kept`."""
     if l < 0:
         raise ValueError("lift level must be >= 0")
     return kept(h, ("lift plan", l), LiftPlan, h, l)

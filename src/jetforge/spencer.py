@@ -687,7 +687,8 @@ def symbol_constraint_matrix(h, a):
     evaluated at a, divided by multinomial(J); with this normalization a
     decomposable power v^{(x)k} pairs to the symbol polynomial at v.
     Only the symbol table's entries are read, in its order, from one
-    `sx.Batch` on the point's chart; an absent entry is 0.
+    `sx.Batch` on the point's chart, compiled once per operator and
+    chart and kept on h by `jc.kept`; an absent entry is 0.
     """
     labels = sym_component_labels(h.m, h.order, h.n)
     table = jc.symbol_table(h)

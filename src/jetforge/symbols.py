@@ -132,8 +132,8 @@ class SamplerPlan:
 
 
 def sampler_plan(h):
-    """The sampler plan of h, built on first use and kept on h.  A build
-    that fails keeps nothing, so every call raises its SamplerError."""
+    """The sampler plan of h, kept on h by `jc.kept`.  A build that
+    fails keeps nothing, so every call raises its SamplerError."""
     return jc.kept(h, "sampler", SamplerPlan, h)
 
 

@@ -164,3 +164,39 @@ def test_report_bytes_have_one_writer():
              for path, tree in _parse_all(os.path.join("src", "jetforge")).items()
              for line in _json_dump_calls(tree)]
     assert not calls, "json.dump or json.dumps called at %s" % ", ".join(sorted(calls))
+
+
+def _kept_uses(tree, path=()):
+    """(qualname of the enclosing function or class, line, whether it
+    binds the attribute) for each `<expr>._kept` in a tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _kept_uses(node, path + (node.name,))
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "_kept":
+            yield ".".join(path), node.lineno, isinstance(node.ctx, ast.Store)
+        yield from _kept_uses(node, path)
+
+
+def test_only_kept_writes_an_operators_store():
+    """What an operator keeps is written by `jetcalc.kept` alone: no
+    code under src/ touches `._kept` but that function and the binding
+    of the empty store in `DiffOp._fill`, and `_kept` is the only
+    underscore slot of `DiffOp`."""
+    assert list(_kept_uses(ast.parse(
+        "class A:\n    def f(self):\n        self._kept = {}\n"
+        "def g(h):\n    h._kept[1] = 2\n    return h._kept.get(1)\n"
+    ))) == [("A.f", 3, True), ("g", 5, False), ("g", 6, False)]
+    jetcalc = os.path.join(ROOT, "src", "jetforge", "jetcalc.py")
+    allowed = {(jetcalc, "kept", False), (jetcalc, "DiffOp._fill", True)}
+    stray = ["%s:%d in %s" % (os.path.relpath(path, ROOT), line, where or "module")
+             for path, tree in _parse_all(os.path.join("src", "jetforge")).items()
+             for where, line, binds in _kept_uses(tree)
+             if (path, where, binds) not in allowed]
+    assert not stray, "._kept used outside jetcalc.kept at %s" % ", ".join(sorted(stray))
+    with open(jetcalc, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    diffop = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "DiffOp")
+    slots = next(ast.literal_eval(n.value) for n in diffop.body if isinstance(n, ast.Assign)
+                 and [t.id for t in n.targets if isinstance(t, ast.Name)] == ["__slots__"])
+    assert [s for s in slots if s.startswith("_")] == ["_kept"]
