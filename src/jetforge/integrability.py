@@ -271,9 +271,11 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
     returns with A, against R (`Echelon.solve`): A and E repeat wherever
     the symbol values do, as at every point of a constant-coefficient
     operator or over one base point of a Klein-Gordon operator.  The
-    free columns are those of the reduced row echelon form of A alone,
-    and the solution is unique given the free values; it is the new
-    jets of the lifted point, in label order.
+    quotient values that the membership check and the lift plan's batch
+    compute, such as g^{ij}(x), repeat wherever the values they read do
+    (`sx.Batch`).  The free columns are those of the reduced row
+    echelon form of A alone, and the solution is unique given the free
+    values; it is the new jets of the lifted point, in label order.
     """
     if check and not jc.on_variety(h, b):
         raise ValueError("point does not satisfy the prolonged equations")
@@ -310,11 +312,9 @@ def sample_prolonged_points(h, l, count, seed):
     """Points of ker(h)^(l): each point b of
     `sy.sample_variety_points(h, count, seed)` lifted l times by
     `lift_point`, step j of point idx with random free data seeded
-    "seed:idx:j".  Refuses l < 0 and count < 1."""
+    "seed:idx:j".  Refuses l < 0, and the sampler refuses count < 1."""
     if l < 0:
         raise ValueError("level l must be at least 0, got %d" % l)
-    if count < 1:
-        raise ValueError("count must be at least 1, got %d" % count)
     points = []
     for idx, b in enumerate(sy.sample_variety_points(h, count, seed)):
         for step in range(l):

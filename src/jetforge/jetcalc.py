@@ -89,7 +89,9 @@ class JetPoint:
     The jet values are a tuple `values` in the order of the chart's
     labels (`chart.labels`), so `project` keeps a prefix and `extend`
     appends the new top-order values.  `p[(alpha, I)]` reads one value;
-    `jets` builds the {(alpha, I): value} dict.
+    `jets` builds the {(alpha, I): value} dict.  Two points are equal
+    when their charts have the same (m, n, k) and their base and jet
+    values are equal.
 
     Example:
         >>> chart = JetChartSpec(1, 1, 1)
@@ -158,7 +160,8 @@ class JetPoint:
     def __eq__(self, other):
         return (
             isinstance(other, JetPoint)
-            and self.chart is other.chart
+            and (self.chart.m, self.chart.n, self.chart.k)
+            == (other.chart.m, other.chart.n, other.chart.k)
             and self.base == other.base
             and self.values == other.values
         )
@@ -193,9 +196,10 @@ class DiffOp:
     on the operator, in the one dict `_kept`, which only `kept` writes:
     the symbol (`symbol_table`), each prolongation level (`prolong_op`),
     each lift plan (`lift_plan`), the variety sampler plan
-    (`symbols.sampler_plan`), and for each chart it is evaluated on the
-    exact batch of its components (`evaluate_at`) and that of its symbol
-    entries (`spencer.symbol_constraint_matrix`).  A build that raises
+    (`symbols.sampler_plan`), and, keyed by the (m, n, k) of each chart
+    it is evaluated on, the exact batch of its components
+    (`evaluate_at`) and that of its symbol entries
+    (`spencer.symbol_constraint_matrix`).  A build that raises
     keeps nothing, so the next call builds again and raises again.  An
     operator must not be mutated after construction.
     """
@@ -248,7 +252,8 @@ class DiffOp:
         if not exact:
             return tuple(sx.evaluate_many(self.components, point.assignment(), exact=False))
         chart = point.chart
-        batch = kept(self, ("batch", chart), sx.Batch, self.components, chart.slots)
+        batch = kept(self, ("batch", chart.m, chart.n, chart.k), sx.Batch, self.components,
+                     chart.slots)
         return tuple(batch.at(point.base + point.values))
 
     def is_linear(self):
@@ -458,7 +463,10 @@ class LiftPlan:
     of each row's component.  `last` is (the values at `sigma`, A, the
     `Echelon` of [A | I]) of the last point a lift system was built at,
     None until then; only the last one is kept, and only
-    `integrability.lift_system_at` writes it.
+    `integrability.lift_system_at` writes it.  Likewise the batch keeps
+    the last value of each quotient it reads (`sx.Batch`), so quotient
+    values repeat wherever their inputs do, as g^{ij}(x) does over one
+    base point, just as A and E repeat wherever sigma(b) does.
     """
 
     __slots__ = ("unknowns", "row_labels", "batch", "entries", "sigma", "rhs", "last")

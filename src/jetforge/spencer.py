@@ -692,7 +692,9 @@ def symbol_constraint_matrix(h, a):
     """
     labels = sym_component_labels(h.m, h.order, h.n)
     table = jc.symbol_table(h)
-    batch = jc.kept(h, ("symbol batch", a.chart), sx.Batch, table.values(), a.chart.slots)
+    chart = a.chart
+    batch = jc.kept(h, ("symbol batch", chart.m, chart.n, chart.k), sx.Batch, table.values(),
+                    chart.slots)
     values = batch.at(a.base + a.values)
     entries = {(alpha, beta, J): x / multinomial(J) for (alpha, beta, J), x in zip(table, values)}
     betas = tuple(range(1, h.n_out + 1))

@@ -147,7 +147,10 @@ def sample_variety_points(h, count, seed):
     the batches of its coefficient and the rest, is the operator's
     `sampler_plan`.  Draws where the solve coefficient vanishes are
     rejected; after 200 draws per requested point the sampler gives up.
+    Refuses count < 1.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1, got %d" % count)
     plan = sampler_plan(h)
     rng = random.Random(seed)
     chart, solved = plan.chart, plan.solved

@@ -729,9 +729,18 @@ class Batch:
     slots, a variable not at all ("no value assigned").  Evaluating
     atoms is the only step that can fail, so the first error is the one
     evaluating the expressions one by one meets.
+
+    `inputs` are the slot positions a batch reads, its own and those of
+    the arguments nested in it.  An argument batch keeps in `memo`,
+    which only `at` writes, the values at its inputs and the compound
+    value last computed from them, so a compound value repeats wherever
+    its inputs do (an operator's base-only coefficients, say, over one
+    base point), without its argument being evaluated again.  Only a
+    value is kept: a primitive, and an argument that is 0 or reads an
+    unassigned variable, raise at every call.
     """
 
-    __slots__ = ("atoms", "powers", "entries", "dsteps", "read", "special")
+    __slots__ = ("atoms", "powers", "entries", "dsteps", "read", "special", "inputs", "memo")
 
     def __init__(self, exprs, slots):
         atoms = {}
@@ -770,6 +779,9 @@ class Batch:
             (i, a, None if isinstance(a, VarRef) else Batch([_argument(a)], slots))
             for i, a in enumerate(self.atoms) if a not in slots
         ])
+        self.inputs = tuple(sorted(set(self.read).union(
+            *[inner.inputs for _, _, inner in self.special if inner is not None])))
+        self.memo = None
 
     def at(self, values):
         """Exact values with each slotted atom read from values (a
@@ -779,7 +791,11 @@ class Batch:
         for i, a, inner in self.special:
             if inner is None:
                 raise _unassigned(a)
-            vals.insert(i, _exact_compound(a, inner.at(values)[0]))
+            key = [values[p] for p in inner.inputs]
+            memo = inner.memo
+            if memo is None or memo[0] != key:
+                memo = inner.memo = (key, _exact_compound(a, inner.at(values)[0]))
+            vals.insert(i, memo[1])
         return self._run(vals)
 
     def _run(self, vals):

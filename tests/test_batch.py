@@ -5,7 +5,9 @@ integer table and reads each variable at its slot position; every exact
 evaluation runs one.  A batch compiled once and evaluated at several
 points must give the values, and the first error (type and message),
 of `evaluate` on each expression alone and of `evaluate_many`, with a
-variable that has no slot met in its turn.
+variable that has no slot met in its turn.  A batch that keeps the last
+value of each quotient must give, at every point of a sequence, what a
+batch compiled afresh gives there.
 """
 
 from fractions import Fraction as Q
@@ -25,13 +27,21 @@ VALUES = st.sampled_from([Q(0), Q(0), Q(1), Q(-1), Q(2), Q(1, 3), Q(-5, 2)])
 COEFS = st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4)])
 
 
+# quotients written nested over x1, x2, u[0]; `inverse` clears each to
+# one quotient, 1/(1 + 1/x1) to x1/(1 + x1)
+NESTED = [sx.inverse(1 + sx.inverse(sx.base(1))),
+          sx.inverse(sx.base(2) + sx.inverse(sx.base(1) - sx.Expr.variable(U[0])))]
+ZERO_DIVISION = (EvalZeroDivision, "division by zero while evaluating a quotient")
+
+
 @st.composite
-def batches(draw):
+def batches(draw, nested=()):
     """Expressions over variables and quotients, with shared objects,
     zero and constants among them."""
     pool = [sx.Expr.variable(v) for v in VARS]
     pool.append(sx.inverse(sx.base(1) - sx.base(2)))
     pool.append(sx.inverse(sx.base(1) + sx.Expr.variable(U[0])))
+    pool.extend(nested)
     made = []
     for _ in range(draw(st.integers(1, 4))):
         e = sx.ZERO
@@ -60,6 +70,23 @@ def point_pairs(draw):
     """Two points that assign the same variables."""
     first = draw(points())
     return first, {v: draw(VALUES) for v in first}
+
+
+@st.composite
+def walks(draw):
+    """Points in turn whose quotient inputs x1, x2, u[0] are taken from
+    a pool of at most three, so that they repeat, alternate and change,
+    while the other variables are drawn afresh; now and then every
+    point leaves out the same variable."""
+    pool = draw(st.lists(st.tuples(VALUES, VALUES, VALUES), min_size=1, max_size=3))
+    left_out = draw(st.sampled_from([None, None, None, X1, U[0], A]))
+    walk = []
+    for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=8)):
+        point = dict(zip((X1, X2, U[0]), pool[i]))
+        point.update({v: draw(VALUES) for v in (U[1], U[2], A)})
+        point.pop(left_out, None)
+        walk.append(point)
+    return walk
 
 
 def _slotted(exprs, point):
@@ -106,6 +133,70 @@ def test_slot_reading_equals_assignment_reading(exprs, first, second):
         assert (_outcome(lambda: batch.at(values))
                 == _outcome(lambda: sx.evaluate_many(exprs, reads))
                 == _one_by_one(exprs, reads))
+
+
+@settings(max_examples=150, deadline=None)
+@given(batches(NESTED), walks())
+def test_kept_quotient_values_equal_a_fresh_batch_at_every_point(exprs, walk):
+    batch, _ = _slotted(exprs, walk[0])
+    for point in walk:
+        fresh, values = _slotted(exprs, point)
+        assert _outcome(lambda: batch.at(values)) == _outcome(lambda: fresh.at(values))
+
+
+def test_a_nested_quotient_keys_its_value_on_the_inputs_it_reads(monkeypatch):
+    computed = []
+    exact = sx._exact_compound
+
+    def counting(a, inner):
+        computed.append(a)
+        return exact(a, inner)
+
+    monkeypatch.setattr(sx, "_exact_compound", counting)
+    batch = sx.Batch([NESTED[0] * sx.base(2)], {X1: 0, X2: 1})
+    (_, _, inner), = batch.special
+    assert inner.inputs == (0,) and batch.inputs == (0, 1)
+    assert batch.at([Q(1), Q(3)]) == [Q(3, 2)]
+    assert len(computed) == 1 and inner.memo == ([Q(1)], Q(1, 2))
+    # x2 changes, x1 does not: the quotient is not computed again
+    assert batch.at([Q(1), Q(5)]) == [Q(5, 2)]
+    assert len(computed) == 1
+    assert batch.at([Q(2), Q(5)]) == [Q(10, 3)]
+    assert len(computed) == 2 and inner.memo == ([Q(2)], Q(1, 3))
+    for _ in range(2):
+        assert _outcome(lambda: batch.at([Q(-1), Q(5)])) == ZERO_DIVISION
+    assert inner.memo == ([Q(2)], Q(1, 3))
+    # a quotient in a primitive's argument: the primitive has no exact
+    # value, the quotient keeps its own, and the argument batch reads
+    # the quotient's inputs
+    batch = sx.Batch([sx.prim("exp", sx.inverse(1 + sx.base(1))) * sx.base(2)], {X1: 0, X2: 1})
+    (_, _, arg), = batch.special
+    (_, _, payload), = arg.special
+    assert arg.read == () and arg.inputs == payload.inputs == (0,)
+    transcendental = (EvaluationError, "exact evaluation of transcendental primitive 'exp'")
+    for x1, want in ((Q(1), transcendental), (Q(-1), ZERO_DIVISION), (Q(1), transcendental)):
+        del computed[:]
+        assert _outcome(lambda: batch.at([x1, Q(5)])) == want
+    assert computed == [batch.atoms[1]]
+    assert arg.memo is None and payload.memo == ([Q(1)], Q(1, 2))
+
+
+def test_an_argument_that_fails_raises_at_every_call():
+    q = sx.inverse(sx.base(1) - sx.base(2))
+    batch = sx.Batch([q], {X1: 0, X2: 1})
+    assert batch.at([Q(3), Q(1)]) == [Q(1, 2)]
+    # a zero argument after a value kept under another key
+    for _ in range(2):
+        assert _outcome(lambda: batch.at([Q(3), Q(3)])) == ZERO_DIVISION
+    assert batch.at([Q(3), Q(1)]) == [Q(1, 2)]
+    # an exact primitive, and an argument with an unassigned variable
+    for e, message in ((sx.prim("sin", sx.base(1)), "exact evaluation of transcendental "
+                        "primitive 'sin'"),
+                       (sx.inverse(sx.base(1) + sx.Expr.variable(A)), "no value assigned to a")):
+        batch = sx.Batch([e], {X1: 0})
+        for _ in range(2):
+            assert _outcome(lambda: batch.at([Q(1)])) == (EvaluationError, message)
+        assert batch.special[0][2].memo is None
 
 
 def test_repeated_objects_each_get_an_entry():

@@ -166,16 +166,16 @@ def test_report_bytes_have_one_writer():
     assert not calls, "json.dump or json.dumps called at %s" % ", ".join(sorted(calls))
 
 
-def _kept_uses(tree, path=()):
+def _attribute_uses(tree, attr, path=()):
     """(qualname of the enclosing function or class, line, whether it
-    binds the attribute) for each `<expr>._kept` in a tree."""
+    binds the attribute) for each `<expr>.<attr>` in a tree."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _kept_uses(node, path + (node.name,))
+            yield from _attribute_uses(node, attr, path + (node.name,))
             continue
-        if isinstance(node, ast.Attribute) and node.attr == "_kept":
+        if isinstance(node, ast.Attribute) and node.attr == attr:
             yield ".".join(path), node.lineno, isinstance(node.ctx, ast.Store)
-        yield from _kept_uses(node, path)
+        yield from _attribute_uses(node, attr, path)
 
 
 def test_only_kept_writes_an_operators_store():
@@ -183,15 +183,15 @@ def test_only_kept_writes_an_operators_store():
     code under src/ touches `._kept` but that function and the binding
     of the empty store in `DiffOp._fill`, and `_kept` is the only
     underscore slot of `DiffOp`."""
-    assert list(_kept_uses(ast.parse(
+    assert list(_attribute_uses(ast.parse(
         "class A:\n    def f(self):\n        self._kept = {}\n"
         "def g(h):\n    h._kept[1] = 2\n    return h._kept.get(1)\n"
-    ))) == [("A.f", 3, True), ("g", 5, False), ("g", 6, False)]
+    ), "_kept")) == [("A.f", 3, True), ("g", 5, False), ("g", 6, False)]
     jetcalc = os.path.join(ROOT, "src", "jetforge", "jetcalc.py")
     allowed = {(jetcalc, "kept", False), (jetcalc, "DiffOp._fill", True)}
     stray = ["%s:%d in %s" % (os.path.relpath(path, ROOT), line, where or "module")
              for path, tree in _parse_all(os.path.join("src", "jetforge")).items()
-             for where, line, binds in _kept_uses(tree)
+             for where, line, binds in _attribute_uses(tree, "_kept")
              if (path, where, binds) not in allowed]
     assert not stray, "._kept used outside jetcalc.kept at %s" % ", ".join(sorted(stray))
     with open(jetcalc, encoding="utf-8") as fh:
@@ -200,3 +200,22 @@ def test_only_kept_writes_an_operators_store():
     slots = next(ast.literal_eval(n.value) for n in diffop.body if isinstance(n, ast.Assign)
                  and [t.id for t in n.targets if isinstance(t, ast.Name)] == ["__slots__"])
     assert [s for s in slots if s.startswith("_")] == ["_kept"]
+
+
+def test_only_batch_at_writes_a_memo():
+    """The one-entry memo of a `symexpr.Batch` is written by `Batch.at`
+    alone: no code under src/ binds an attribute `memo` but that method
+    and `Batch.__init__`, which sets it to None."""
+    symexpr = os.path.join(ROOT, "src", "jetforge", "symexpr.py")
+    trees = _parse_all(os.path.join("src", "jetforge"))
+    binds = {(path, where): line for path, tree in trees.items()
+             for where, line, binds in _attribute_uses(tree, "memo") if binds}
+    stray = ["%s:%d in %s" % (os.path.relpath(path, ROOT), line, where or "module")
+             for (path, where), line in binds.items()
+             if (path, where) not in {(symexpr, "Batch.at"), (symexpr, "Batch.__init__")}]
+    assert not stray, ".memo bound outside Batch.at at %s" % ", ".join(sorted(stray))
+    batch = next(n for n in trees[symexpr].body if isinstance(n, ast.ClassDef) and n.name == "Batch")
+    init = next(n for n in batch.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    assert [ast.unparse(n) for n in ast.walk(init) if isinstance(n, ast.Assign)
+            and any(isinstance(t, ast.Attribute) and t.attr == "memo" for t in n.targets)] \
+        == ["self.memo = None"]

@@ -2,7 +2,8 @@
 
 Each operator keeps what it derives in one store, filled only by
 `jetcalc.kept`: a second call finds the value kept by the first, and a
-build that raises keeps nothing.  Apart from those stores, what the
+build that raises keeps nothing; the batches kept there keep the last
+quotient values they computed.  Apart from those stores, what the
 package derives and keeps is in its module-level `functools` caches, so
 clearing them and building fresh operators makes a run cold again.
 """
@@ -130,7 +131,7 @@ def _process_caches():
 def _counted_mix(monkeypatch):
     """The builds of one pass of a small mix, each kind counted."""
     counts = dict.fromkeys(("prolongation levels", "lift plans", "sampler plans",
-                            "batch compiles"), 0)
+                            "batch compiles", "compound values"), 0)
 
     def counting(kind, f):
         @functools.wraps(f)
@@ -144,6 +145,8 @@ def _counted_mix(monkeypatch):
         mp.setattr(jc.LiftPlan, "__init__", counting("lift plans", jc.LiftPlan.__init__))
         mp.setattr(sy.SamplerPlan, "__init__", counting("sampler plans", sy.SamplerPlan.__init__))
         mp.setattr(sx.Batch, "__init__", counting("batch compiles", sx.Batch.__init__))
+        # a compound value is computed only where its batch's memo misses
+        mp.setattr(sx, "_exact_compound", counting("compound values", sx._exact_compound))
         with contextlib.redirect_stdout(io.StringIO()):
             for name in ("kg_curved2.jf", "wave2.jf"):
                 for command in ("integrability", "solve"):
@@ -163,3 +166,44 @@ def test_clearing_the_process_caches_makes_a_run_cold(monkeypatch):
         passes.append(_counted_mix(monkeypatch))
     assert all(passes[0].values()), passes[0]
     assert passes[0] == passes[1]
+
+
+def test_fresh_operators_start_with_empty_memos(monkeypatch):
+    # the memos live on batches kept on an operator, so a fresh operator
+    # computes every compound value of its first lift again
+    computed = []
+    exact = sx._exact_compound
+
+    def counting(a, inner):
+        computed.append(a)
+        return exact(a, inner)
+
+    monkeypatch.setattr(sx, "_exact_compound", counting)
+
+    def lift(h):
+        del computed[:]
+        ig.lift_point(h, b)
+        return len(computed)
+
+    metric = ig.MetricSpec.diagonal([1 - sx.base(2) ** 2 / 4, -1 - sx.base(1) ** 2 / 4])
+    h = ig.make_klein_gordon(metric, F1=1)
+    b = ig.sample_prolonged_points(h, 0, 1, "memo")[0]
+    first = lift(h)
+    assert first and lift(h) == 0
+    fresh = ig.make_klein_gordon(metric, F1=1)
+    assert not fresh._kept
+    assert lift(fresh) == first
+
+
+def test_a_cleared_chart_cache_keeps_one_batch_per_chart():
+    # charts were compared by identity: a point made before the clear
+    # was unequal to its copy made after, and h kept a second batch
+    h = _operator()
+    a = _point(h, "clear")
+    values = h.evaluate_at(a), sp.symbol_constraint_matrix(h, a).rows
+    kept = len(h._kept)
+    jc._chart.cache_clear()
+    b = _point(h, "clear")
+    assert b.chart is not a.chart and b == a
+    assert (h.evaluate_at(b), sp.symbol_constraint_matrix(h, b).rows) == values
+    assert len(h._kept) == kept

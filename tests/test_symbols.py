@@ -118,6 +118,15 @@ def test_sample_variety_points_satisfy_equation():
         assert all(v == 0 for v in vals)
 
 
+def test_sample_variety_points_refuses_no_points():
+    # a count of 0 or below returned an empty sample
+    h = jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) - sx.jet(1, (0, 2))])
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="^count must be at least 1, got %d$" % count):
+            sy.sample_variety_points(h, count, seed=0)
+    assert len(sy.sample_variety_points(h, 1, seed=0)) == 1
+
+
 def test_sampler_raises_without_affine_top_variable():
     h = jc.DiffOp(2, 1, 2, [sx.jet(1, (2, 0)) ** 2 + sx.jet(1, (0, 2)) ** 2])
     with pytest.raises(sy.SamplerError):
