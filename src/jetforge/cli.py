@@ -195,13 +195,6 @@ def _taken_name(name):
     return None
 
 
-def _sub_params(e, params):
-    if not params:
-        return e
-    bindings = {ParamVar(name): expr for name, expr in params}
-    return sx.substitute(e, bindings)
-
-
 def parse_problem_file(text):
     """Parse a problem file into a ProblemSpec.
 
@@ -252,7 +245,8 @@ def _parse(text, registry=None):
             raise ParseError("%s in %r" % (err.message, " ".join(src.split())), text,
                              pos + (err.pos or 0))
         saw_decimal = saw_decimal or dec
-        return _sub_params(e, [(name, v) for name, v in params if name not in extra_params])
+        return sx.substitute(e, {ParamVar(name): v for name, v in params
+                                 if name not in extra_params})
 
     for stmt, pos in _statements(text):
         head = stmt.split(None, 1)[0]
@@ -314,20 +308,20 @@ def _parse(text, registry=None):
                 if not (inner.startswith("(") and inner.endswith(")")):
                     raise ParseError("klein_gordon takes (F1=..., F2=..., K=...)", text, at)
                 fields = {"F1": sx.ZERO, "F2": sx.ZERO, "K": None}
-                for off, part in _split_top(inner[1:-1]):
+                for off, part in _split_top(inner[1:-1], text, at + 1):
                     key, key_at, val, val_at = _sides(part, at + 1 + off)
                     if key not in fields:
                         raise ParseError("unknown klein_gordon field %r" % key, text, key_at)
                     fields[key] = parse_e(val, val_at, 0, extra_params=("z",) if key == "K" else ())
                 if metric_entries is None:
-                    raise ProblemError("klein_gordon requires a metric block")
+                    raise ProblemError("klein_gordon requires a metric block before the operator")
                 kg_fields = tuple(fields.values())
             elif not rhs:
                 raise ParseError("operator h has no components", text, _next_token(text, at))
             else:
                 op_kind = "expr"
                 op_exprs = tuple(parse_e(*_field(p, at + off), chart["k"])
-                                 for off, p in _split_top(rhs))
+                                 for off, p in _split_top(rhs, text, at))
         elif head == "query":
             name, _, rest = body.partition("(")
             at += len(name) + 1
@@ -340,9 +334,7 @@ def _parse(text, registry=None):
             args = []
             kwargs = []
             given = {}  # parameter -> "position" or "keyword"
-            for off, part in _split_top(rest[:-1]):
-                if not part.strip():
-                    continue
+            for off, part in _split_top(rest[:-1], text, at):
                 key, key_at, value, value_at = _sides(part, at + off)
                 if "=" not in part:
                     if len(args) == len(names):
@@ -398,9 +390,12 @@ def _parse(text, registry=None):
     return spec
 
 
-def _split_top(s):
+def _split_top(s, text, at):
     """Split on commas outside parentheses and brackets: (offset in s,
-    part) pairs."""
+    part) pairs, at being the text position of s.  A blank s is the
+    empty list; in any other, a blank item is refused where it stands."""
+    if not s.strip():
+        return []
     parts = []
     depth = 0
     start = 0
@@ -412,8 +407,11 @@ def _split_top(s):
         if ch == "," and depth == 0:
             parts.append((start, s[start:pos]))
             start = pos + 1
-    if s[start:].strip():
-        parts.append((start, s[start:]))
+    parts.append((start, s[start:]))
+    for off, part in parts:
+        if not part.strip():
+            raise ParseError("blank item in a comma-separated list", text,
+                             _next_token(text, at + off))
     return parts
 
 

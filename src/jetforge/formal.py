@@ -17,6 +17,7 @@ from .mindex import factorial
 from . import jetcalc as jc
 from . import integrability as ig
 from . import pfd
+from . import symbols as sy
 
 
 @dataclass
@@ -106,7 +107,11 @@ def formal_solve(h, seed_point, N, policy="zero", free_table=None, seed=None):
 
 def verify_residual(sol, r, mode="exact"):
     """Evaluate all prolonged components of outer order <= r on the top
-    jet at the base point."""
+    jet at the base point.  Exact mode passes when every value is 0,
+    float mode when every |value| is below `sy.FLOAT_RANK_TOL`, the
+    tolerance float-mode reports are labelled with."""
+    if mode not in ("exact", "float"):
+        raise ValueError("mode must be exact or float")
     h = sol.operator
     if r > sol.order - h.order:
         raise ValueError("not enough series orders for residual depth %d" % r)
@@ -118,6 +123,6 @@ def verify_residual(sol, r, mode="exact"):
         report = ResidualReport(order=r, passed=passed, mode=mode, values=values)
     else:
         mx = max(abs(float(v)) for v in values) if values else 0.0
-        passed = mx < 1e-9
+        passed = mx < sy.FLOAT_RANK_TOL
         report = ResidualReport(order=r, passed=passed, mode=mode, values=values, max_abs=mx)
     return report

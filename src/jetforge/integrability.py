@@ -242,7 +242,7 @@ def lift_system_at(h, b):
     that of the plan's last point, A and E are that point's objects.
     """
     plan = jc.lift_plan(h, jc.point_level(h, b))
-    values = plan.values_at(b)
+    values = plan.batch.at(b.base + b.values)
     sigma = [values[p] for p in plan.sigma]
     if plan.last is None or plan.last[0] != sigma:
         nums, dens = [], []

@@ -263,14 +263,10 @@ class DiffOp:
         must be expressions in base variables alone.
         """
         for c in self.components:
-            rest = c
             for v in c.jet_vars():
                 coef = differentiate(c, v)
                 if any(isinstance(w, JetVar) for w in coef.free_vars()):
                     return False
-                rest = rest - coef * Expr.variable(v)
-            if any(isinstance(w, JetVar) for w in rest.free_vars()):
-                return False
         return True
 
     def __repr__(self):
@@ -442,7 +438,7 @@ class LiftPlan:
     lift raises.  Setting the unknowns to zero drops the terms that have
     one as a factor (`sx.drop_factors`), and nothing of order k+l+1 is
     left, so the batch is compiled against the point's own chart, order
-    k+l, and `values_at` reads the point as it is.
+    k+l, and `integrability.lift_system_at` reads the point as it is.
 
     The Jacobian is read off the symbol by an index shift, not by
     differentiating the prolonged rows: for |I| >= 1,
@@ -506,10 +502,6 @@ class LiftPlan:
         self.rhs = tuple(rhs)
         self.last = None
 
-    def values_at(self, b):
-        """The entries at the level-l point b, row after row."""
-        return self.batch.at(b.base + b.values)
-
 
 def lift_plan(h, l):
     """The lift plan of h at level l (points of order h.order + l),
@@ -563,10 +555,9 @@ def bundle_to_classical(h):
         raise ValueError("operator is not linear")
     coeffs = {}
     for beta, comp in enumerate(h.components, start=1):
-        for alpha, I in h.chart().labels:
-            c = differentiate(comp, JetVar(alpha, I))
+        for v, c in sx.partials(comp, comp.jet_vars()).items():
             if not c.is_zero():
-                coeffs[(alpha, beta, I)] = c
+                coeffs[(v.alpha, beta, v.index)] = c
     return coeffs
 
 

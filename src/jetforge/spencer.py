@@ -57,11 +57,11 @@ class RationalMatrix:
     denominator is the lcm of the entries' denominators), which makes the
     pair unique: two matrices of the same shape are equal exactly when
     their integer rows and denominators are.  `rows` is a read-only view
-    of the entries as tuples of `Fraction`, built on first read and
-    cached; nothing in the arithmetic below reads it.
+    of the entries as tuples of `Fraction`, built anew on each read;
+    nothing in the arithmetic below reads it.
     """
 
-    __slots__ = ("nums", "dens", "row_labels", "col_labels", "_rows")
+    __slots__ = ("nums", "dens", "row_labels", "col_labels")
 
     def __init__(self, rows, row_labels=None, col_labels=None):
         nums = []
@@ -92,7 +92,6 @@ class RationalMatrix:
         self.dens = tuple(dens)
         self.row_labels = tuple(row_labels)
         self.col_labels = tuple(col_labels)
-        self._rows = None
 
     @classmethod
     def from_int_rows(cls, nums, dens, col_labels, row_labels=None):
@@ -121,16 +120,14 @@ class RationalMatrix:
     @property
     def rows(self):
         """The entries as a tuple of `Fraction` tuples (read-only)."""
-        if self._rows is None:
-            zero = Fraction(0)
-            view = []
-            for num, den in zip(self.nums, self.dens):
-                r = [zero] * self.ncols
-                for j, v in num.items():
-                    r[j] = Fraction(v, den)
-                view.append(tuple(r))
-            self._rows = tuple(view)
-        return self._rows
+        zero = Fraction(0)
+        view = []
+        for num, den in zip(self.nums, self.dens):
+            r = [zero] * self.ncols
+            for j, v in num.items():
+                r[j] = Fraction(v, den)
+            view.append(tuple(r))
+        return tuple(view)
 
     @property
     def nrows(self):

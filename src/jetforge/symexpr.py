@@ -1251,25 +1251,7 @@ def _rational_table(bound):
 
 
 def random_rational(rng, bound):
-    """Fraction(rng.randint(-bound, bound), rng.randint(1, bound)), read
-    from a shared table without building a Fraction.
-
-    rng is a `random.Random`, whose randint(a, b) is
-    a + rng._randbelow(b - a + 1), and whose _randbelow(w) draws
-    getrandbits(w.bit_length()) until the draw is below w.  The two
-    rejection loops here are those two draws, of widths 2*bound + 1 and
-    bound, taken in one frame: the values, their order and the
-    generator's state afterwards are those of the randint form and of
-    rng.choice(rng.choice(rows)).
-    """
-    getrandbits = rng.getrandbits
-    width = 2 * bound + 1
-    bits = width.bit_length()
-    row = getrandbits(bits)
-    while row >= width:
-        row = getrandbits(bits)
-    bits = bound.bit_length()
-    col = getrandbits(bits)
-    while col >= bound:
-        col = getrandbits(bits)
-    return _rational_table(bound)[row][col]
+    """Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) read
+    from the shared table by rng.choice(rng.choice(rows)), which draws
+    the same values, in order, and leaves rng in the same state."""
+    return rng.choice(rng.choice(_rational_table(bound)))

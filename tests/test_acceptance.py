@@ -306,10 +306,12 @@ def test_criterion_08_tensor_tower_splitting():
             for i in range(k + 1):
                 lhs = res.tensor.connect(i, k).matmul(split.lifts[k])
                 want_cols = split.lifts[i].ncols
+                # rows builds its Fraction view on each read
+                got, lift = lhs.rows, split.lifts[i].rows
                 for r in range(lhs.nrows):
                     for c in range(lhs.ncols):
-                        want = split.lifts[i].rows[r][c] if c < want_cols else Q(0)
-                        assert lhs.rows[r][c] == want, (trial, i, k)
+                        want = lift[r][c] if c < want_cols else Q(0)
+                        assert got[r][c] == want, (trial, i, k)
         # truncation dimension identity at each level, recomputed here
         for k in range(5):
             total = sum(res.left.tilde_dim(i) * res.right.tilde_dim(j)

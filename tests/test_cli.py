@@ -166,11 +166,27 @@ _CHART = "base m = 2;\nfiber n = 1;\norder k = 2;\n"
      "argument 'N' of query solve must be >= 0, got -1 (line 5, col 15)"),
     (_CHART + "operator h = u[(2,0)];\nquery prolong( -3);\n",
      "argument 'l' of query prolong must be >= 0, got -3 (line 5, col 16)"),
+    # a blank item of a comma list was once dropped: spencer(,3) ran with
+    # pmax = 3, spencer(1,,2) as spencer(1, 2), and the others were accepted
+    (_CHART + "operator h = u[(2,0)];\nquery spencer(,3);\n",
+     "blank item in a comma-separated list (line 5, col 15)"),
+    (_CHART + "operator h = u[(2,0)];\nquery spencer(1,,2);\n",
+     "blank item in a comma-separated list (line 5, col 17)"),
+    (_CHART + "operator h = u[(2,0)];\nquery spencer(1, , 2);\n",
+     "blank item in a comma-separated list (line 5, col 18)"),
+    (_CHART + "operator h = u[(2,0)];\nquery prolong(1,);\n",
+     "blank item in a comma-separated list (line 5, col 17)"),
+    (_CHART + "operator h = u[(2,0)],;\n",
+     "blank item in a comma-separated list (line 4, col 23)"),
+    (_CHART + "metric { g[1][1] = 1; g[2][2] = -1; }\noperator h = klein_gordon(F1=1,);\n",
+     "blank item in a comma-separated list (line 5, col 32)"),
 ], ids=["chart", "metric_entry", "operator_after_comment", "second_component",
         "klein_gordon_field", "param", "query_integer", "klein_gordon_key", "metric_block",
         "klein_gordon_arguments", "param_call_x1", "param_call_x2", "param_call_base_point",
         "negative_prolong", "negative_codim", "negative_spencer", "negative_tower",
-        "negative_solve", "negative_positional"])
+        "negative_solve", "negative_positional", "blank_first_argument",
+        "blank_middle_argument", "blank_spaced_argument", "blank_last_argument",
+        "blank_last_component", "blank_last_klein_gordon_field"])
 def test_main_locates_a_parse_error_once_at_its_token(tmp_path, capsys, text, message):
     path = tmp_path / "bad.jf"
     path.write_text(text)
@@ -1004,7 +1020,7 @@ def test_python_dash_m_runs_the_command_line(monkeypatch, capsys):
 _OPERATOR = "operator h = u[(2,0)] - u[(0,2)];\n"
 
 
-@pytest.mark.parametrize("text, free_data, message", [
+@pytest.mark.parametrize("text, extra, message", [
     # an operator with no components once ended every command in a
     # traceback from max() over its components
     (_CHART + "operator h = ;\n", None,
@@ -1054,20 +1070,45 @@ _OPERATOR = "operator h = u[(2,0)] - u[(0,2)];\n"
      "argument 'l' of query prolong given by position and by keyword (line 5, col 18)"),
     (_CHART + _OPERATOR + "query spencer(qmax=3, 1, 2);\n", None,
      "argument 'qmax' of query spencer given by position and by keyword (line 5, col 26)"),
+    (_CHART + "metric { g[1][1] = 1; }}\n" + _OPERATOR, None,
+     "unbalanced '}' (line 4, col 24)"),
+    ("base m = 2;\nmetric { g[1][1] = 1; }\nfiber n = 1;\norder k = 2;\n" + _OPERATOR, None,
+     "metric block before chart declarations"),
+    ("base m = 2;\nfiber n = 1;\n" + _OPERATOR + "order k = 2;\n", None,
+     "operator before chart declarations"),
+    (_CHART + "metric { h[1][1] = 1; }\n" + _OPERATOR, None,
+     "metric entries look like g[i][j] = expr (line 4, col 10)"),
+    (_CHART + "param 2c = 1;\n" + _OPERATOR, None,
+     "bad parameter name '2c' (line 4, col 1)"),
+    (_CHART + _OPERATOR + "query prolong;\n", None,
+     "queries look like 'query name(args);' (line 5, col 1)"),
+    (_CHART + "operator h = klein_gordon(F1=1, F2=1, K=z^3);\n", None,
+     "klein_gordon requires a metric block before the operator"),
+    (_CHART + "operator h = klein_gordon(F1=1, F2=1, K=z^3);\n"
+     "metric { g[1][1] = 1; g[2][2] = -1; }\n", None,
+     "klein_gordon requires a metric block before the operator"),
+    (_CHART + _OPERATOR, ("--samples", "0"), "--samples must be at least 1"),
+    (_CHART + _OPERATOR, ("--order", "-1"), "--order must be nonnegative"),
 ], ids=["empty_operator", "empty_operator_next_line", "operator_without_equals",
         "unbalanced_braces", "missing_semicolon", "chart_value",
         "metric_entry", "taken_param", "unknown_query", "query_integer", "klein_gordon_field",
         "free_data_key_twice", "chart_without_equals", "chart_letter",
         "query_unknown_keyword", "query_keyword_of_no_parameter", "query_repeated_keyword",
         "query_surplus_position", "spencer_surplus_position", "symbol_surplus_position",
-        "query_position_and_keyword", "spencer_keyword_then_position"])
-def test_every_malformed_input_exits_2_with_one_error_line(tmp_path, text, free_data, message):
+        "query_position_and_keyword", "spencer_keyword_then_position", "unbalanced_close",
+        "metric_before_chart", "operator_before_chart", "metric_entry_name",
+        "bad_param_name", "query_without_parentheses", "klein_gordon_without_metric",
+        "klein_gordon_metric_after_operator", "no_samples", "negative_order"])
+def test_every_malformed_input_exits_2_with_one_error_line(tmp_path, text, extra, message):
+    # extra is None, the text of a free-data file, or command-line flags
     path = tmp_path / "bad.jf"
     path.write_text(text)
     flags = []
-    if free_data is not None:
+    if isinstance(extra, tuple):
+        flags = list(extra)
+    elif extra is not None:
         fd = tmp_path / "fd.txt"
-        fd.write_text(free_data)
+        fd.write_text(extra)
         flags = ["--free-data", "file:%s" % fd]
     for command in cli.COMMANDS:
         code, out, err = _main_output([command, str(path), *flags])

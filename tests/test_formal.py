@@ -6,6 +6,7 @@ from jetforge import formal as fm
 from jetforge import integrability as ig
 from jetforge import jetcalc as jc
 from jetforge import spencer as sp
+from jetforge import symbols as sy
 from jetforge import symexpr as sx
 from jetforge.mindex import MultiIndex, factorial
 
@@ -182,3 +183,32 @@ def test_residual_summary_of_a_tampered_solution():
     approx = fm.verify_residual(bad, 2, mode="float")
     assert not approx.passed and approx.max_abs == 1.0
     assert approx.summary() == "max |residual| = 1 at outer order <= 2"
+
+
+def test_float_residual_reads_the_float_rank_tolerance(monkeypatch):
+    # the tolerance float-mode reports are labelled with is the one the
+    # residual check applies
+    x1, x2 = sx.base(1), sx.base(2)
+    good = _solution_of_poly((x1 + x2) ** 3, 4)
+    jets = good.top_jet.jets
+    jets[(1, MultiIndex((4, 0)))] += Q(1, 10 ** 6)
+    bad = fm.FormalSolution(operator=good.operator,
+                            top_jet=jc.JetPoint(good.top_jet.chart, good.base, jets))
+    assert not fm.verify_residual(bad, 2, mode="float").passed
+    monkeypatch.setattr(sy, "FLOAT_RANK_TOL", 1e-5)
+    assert fm.verify_residual(bad, 2, mode="float").passed
+    assert not fm.verify_residual(bad, 2).passed
+
+
+@pytest.mark.parametrize("r, mode, message", [
+    # any mode but "exact" once ran the float check
+    (2, "exakt", "mode must be exact or float"),
+    (2, "Exact", "mode must be exact or float"),
+    (3, "exact", "not enough series orders for residual depth 3"),
+    (3, "float", "not enough series orders for residual depth 3"),
+], ids=["misspelt_mode", "capitalised_mode", "too_deep_exact", "too_deep_float"])
+def test_verify_residual_refuses_an_unknown_mode_and_a_depth_past_the_series(r, mode, message):
+    x1, x2 = sx.base(1), sx.base(2)
+    sol = _solution_of_poly((x1 + x2) ** 3, 4)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        fm.verify_residual(sol, r, mode=mode)

@@ -166,6 +166,31 @@ def test_report_bytes_have_one_writer():
     assert not calls, "json.dump or json.dumps called at %s" % ", ".join(sorted(calls))
 
 
+def _draw_loop_uses(tree):
+    """The line numbers of each use of getrandbits or of a _randbelow*
+    name in a tree, as an attribute or as a plain name."""
+    def drawn(name):
+        return name == "getrandbits" or name.startswith("_randbelow")
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and drawn(node.attr)
+                  or isinstance(node, ast.Name) and drawn(node.id))
+
+
+def test_no_module_copies_the_generators_draw_loop():
+    """No module under src/jetforge reads getrandbits or a _randbelow*
+    method: seeded draws go through the public methods of
+    `random.Random`, whose values and state a copy of its private
+    rejection loop would have to track."""
+    assert _draw_loop_uses(ast.parse(
+        "g = rng.getrandbits\nrow = g(3)\nrng._randbelow_with_getrandbits(5)\n"
+        "from random import getrandbits\ngetrandbits(2)\nrng.choice(rows)\n"
+    )) == [1, 3, 5]
+    uses = ["%s:%d" % (os.path.relpath(path, ROOT), line)
+            for path, tree in _parse_all(os.path.join("src", "jetforge")).items()
+            for line in _draw_loop_uses(tree)]
+    assert not uses, "the draw loop of random.Random used at %s" % ", ".join(sorted(uses))
+
+
 def _attribute_uses(tree, attr, path=()):
     """(qualname of the enclosing function or class, line, whether it
     binds the attribute) for each `<expr>.<attr>` in a tree."""

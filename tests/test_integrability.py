@@ -247,6 +247,8 @@ def test_lift_point_zero_policy_is_deterministic():
     r1 = ig.lift_point(h, b)
     r2 = ig.lift_point(h, b)
     assert r1.point == r2.point
+    with pytest.raises(ValueError, match="^unknown free-data policy 'zeros'$"):
+        ig.lift_point(h, b, policy="zeros")
 
 
 def test_lift_point_explicit_free_data_sets_kernel_columns():

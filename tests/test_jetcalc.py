@@ -126,6 +126,89 @@ def test_linear_detection_and_classical_round_trip():
     assert not nonlin.is_linear()
 
 
+def _per_label_classical(h):
+    # the coefficient table read chart label by chart label, zeros dropped
+    if not h.is_linear():
+        raise ValueError("operator is not linear")
+    coeffs = {}
+    for beta, comp in enumerate(h.components, start=1):
+        for alpha, I in h.chart().labels:
+            c = sx.differentiate(comp, JetVar(alpha, I))
+            if not c.is_zero():
+                coeffs[(alpha, beta, I)] = c
+    return coeffs
+
+
+def _is_linear_with_remainder(h):
+    # linear in the jets with jet-free coefficients, and nothing of the
+    # jets left once the linear part is taken off
+    for c in h.components:
+        rest = c
+        for v in c.jet_vars():
+            coef = sx.differentiate(c, v)
+            if any(isinstance(w, JetVar) for w in coef.free_vars()):
+                return False
+            rest = rest - coef * sx.Expr.variable(v)
+        if any(isinstance(w, JetVar) for w in rest.free_vars()):
+            return False
+    return True
+
+
+def _base_coefficient(rng, xs):
+    # a polynomial, a polynomial over 1 + x^2, or one plus a primitive
+    p = random_polynomial(rng, xs)
+    kind = rng.randrange(3)
+    if kind == 1:
+        return p * sx.inverse(1 + sx.Expr.variable(rng.choice(xs)) ** 2)
+    if kind == 2:
+        return p + sx.prim(rng.choice(("sin", "exp")), random_polynomial(rng, xs))
+    return p
+
+
+def _random_linear_operator(rng):
+    m, n, order = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 2)
+    chart = jc.JetChartSpec(m, n, order)
+    xs = chart.atoms[:m]
+    comps = []
+    for _ in range(rng.randint(1, 3)):
+        comp = _base_coefficient(rng, xs)
+        for alpha, I in rng.sample(chart.labels, rng.randint(0, len(chart.labels))):
+            comp = comp + _base_coefficient(rng, xs) * sx.jet(alpha, I)
+        comps.append(comp)
+    return jc.DiffOp(m, n, order, comps)
+
+
+def _nonlinear_term(rng, chart):
+    # a jet times a jet, or a jet inside a quotient or a primitive
+    u = sx.jet(*rng.choice(chart.labels))
+    v = sx.jet(*rng.choice(chart.labels))
+    return rng.choice((u * v, u ** 2 * sx.base(1), sx.inverse(1 + u ** 2),
+                       sx.prim("sin", u), sx.prim("exp", sx.base(1) + v) * u))
+
+
+def test_bundle_to_classical_is_the_per_label_table_in_its_order():
+    rng = random.Random(20)
+    for _ in range(60):
+        h = _random_linear_operator(rng)
+        assert list(jc.bundle_to_classical(h).items()) == list(_per_label_classical(h).items())
+
+
+def test_is_linear_is_the_check_with_the_remainder_test():
+    rng = random.Random(21)
+    for trial in range(80):
+        h = _random_linear_operator(rng)
+        if trial % 2:
+            comps = list(h.components)
+            i = rng.randrange(len(comps))
+            comps[i] = comps[i] + _nonlinear_term(rng, h.chart())
+            h = jc.DiffOp(h.m, h.n, h.order, comps)
+        assert h.is_linear() == _is_linear_with_remainder(h) == (trial % 2 == 0)
+    nonlinear = jc.DiffOp(2, 1, 1, [sx.jet(1, (1, 0)) * sx.jet(1, (0, 1))])
+    assert not nonlinear.is_linear() and not _is_linear_with_remainder(nonlinear)
+    with pytest.raises(ValueError, match="^operator is not linear$"):
+        jc.bundle_to_classical(nonlinear)
+
+
 def test_iota_reindex_labels_and_pullback():
     io = jc.IotaReindex(2, 1, 2, 1)
     assert io.label_map[(1, MultiIndex((1, 0)))] == (1, MultiIndex((1, 0)))

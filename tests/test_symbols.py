@@ -48,6 +48,43 @@ def test_symbol_polynomial_evaluation():
     assert sy.symbol_value(S, 1, a, (Q(0), Q(1))) == -1
 
 
+def _symbol_value_reference(S, beta, a, xi, alpha=1):
+    # sum s_J(a) xi^J, each coefficient evaluated at a, then times xi^J
+    total = Q(0)
+    for (a_, b, J), c in S.items():
+        if (a_, b) == (alpha, beta):
+            val = sx.evaluate(c, a.assignment())
+            for i, e in enumerate(J):
+                val = val * Q(xi[i]) ** e
+            total = total + val
+    return total
+
+
+def test_symbol_value_is_the_entrywise_sum():
+    rng = random.Random(7)
+    curved = ig.make_klein_gordon(ig.MetricSpec(
+        2, {(1, 1): 1 + sx.base(2) ** 2, (1, 2): sx.base(1), (2, 1): sx.base(1),
+            (2, 2): -1 - sx.base(1) ** 2}))
+    pair = jc.DiffOp(2, 2, 1, [sx.jet(1, (1, 0)) + sx.base(1) * sx.jet(2, (0, 1)),
+                               sx.jet(2, (1, 0)) - sx.jet(1, (0, 1)) / (1 + sx.base(2) ** 2)])
+    nonlinear = jc.DiffOp(2, 1, 2, [sx.jet(1, (0, 0)) * sx.jet(1, (2, 0)) - sx.jet(1, (1, 1))])
+    for h in (_wave(), _laplace(3), curved, pair, nonlinear):
+        tables = [sy.symbol_of(h)]
+        if h.is_linear():
+            tables.append(jc.bundle_to_classical(h))
+        for seed in range(4):
+            a = _point(h, seed)
+            xi = tuple(rng.choice((rng.randint(-3, 3), sx.random_rational(rng, 5)))
+                       for _ in range(h.m))
+            for S in tables:
+                for beta in range(1, h.n_out + 1):
+                    for alpha in range(1, h.n + 1):
+                        assert sy.symbol_value(S, beta, a, xi, alpha=alpha) \
+                            == _symbol_value_reference(S, beta, a, xi, alpha=alpha)
+    with pytest.raises(ValueError, match="^covector has 1 entries, need 2$"):
+        sy.symbol_value(sy.symbol_of(_wave()), 1, _point(_wave()), (Q(1),))
+
+
 def test_functional_values_divide_multinomial():
     h = _laplace(2)
     A = sp.symbol_constraint_matrix(h, _point(h))
