@@ -34,7 +34,6 @@ from json.encoder import encode_basestring_ascii as _json_str
 from math import comb
 from typing import NamedTuple
 
-from .mindex import MultiIndex
 from . import symexpr as sx
 from .symexpr import Expr, ParseError, ParamVar, JetVar
 from . import jetcalc as jc
@@ -618,10 +617,6 @@ def _random_jet_point(h, seed):
     return jc.JetPoint(chart, base, jets)
 
 
-def _first_given(*values):
-    return next(v for v in values if v is not None)
-
-
 def _query_args(q, h, flags):
     """The arguments of query q on the operator h as its report names
     them: each as the file gives it, by position or by keyword (the
@@ -638,8 +633,8 @@ def _query_args(q, h, flags):
     if q.name == "tower":
         return {"levels": given.get("levels", h.order + 2)}
     if q.name == "spencer":
-        return {"pmax": _first_given(flags.pmax, given.get("pmax"), h.m),
-                "qmax": _first_given(flags.qmax, given.get("qmax"), h.order + 2)}
+        return {"pmax": given.get("pmax", h.m) if flags.pmax is None else flags.pmax,
+                "qmax": given.get("qmax", h.order + 2) if flags.qmax is None else flags.qmax}
     return {}
 
 

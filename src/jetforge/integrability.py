@@ -385,10 +385,13 @@ def _check_symbol_nonvanishing(h, samples, seed):
         )
     # sampled fallback: all coefficients zero at some point would fail;
     # a point where a coefficient's denominator vanishes is skipped
-    slots, points = sy._random_points(coeffs, samples, seed)
+    rng = random.Random(seed)
+    allvars = sorted({v for c in coeffs for v in c.free_vars()}, key=lambda v: v.key)
+    slots = {v: pos for pos, v in enumerate(allvars)}
     batch = sx.Batch(coeffs, slots)
     skipped = 0
-    for values in points:
+    for _ in range(samples):
+        values = [sx.random_rational(rng, 5) for _ in allvars]
         try:
             vals = batch.at(values)
         except sx.EvalZeroDivision:

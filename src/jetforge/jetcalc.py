@@ -313,8 +313,8 @@ def jet_of_section(psi, p, k):
     """The k-jet of the section at p: jets[(alpha, I)] = d^I psi^alpha (p)."""
     chart = JetChartSpec(psi.m, psi.n, k)
     assignment = dict(zip(chart.atoms[:psi.m], p))
-    derivatives = [psi.derivative(alpha, I) for alpha, I in chart.labels]
-    return JetPoint.from_values(chart, p, sx.evaluate_many(derivatives, assignment))
+    values = sx.evaluate_many(section_jet_assignment(psi, k).values(), assignment)
+    return JetPoint.from_values(chart, p, values)
 
 
 def total_derivative(e, i):

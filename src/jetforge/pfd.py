@@ -72,22 +72,6 @@ class TowerSpec:
             exprs = tuple(sx.substitute(e, bindings) for e in self.steps[level])
         return exprs
 
-    def apply(self, i, j, point):
-        """Project a level-j point down to level i."""
-        if len(point) != self.dims[j]:
-            raise ValueError("point has wrong dimension for level %d" % j)
-        assignment = {BaseVar(t + 1): v for t, v in enumerate(point)}
-        return tuple(sx.evaluate(e, assignment) for e in self.connect(i, j))
-
-    def step_jacobian(self, i, point):
-        """Jacobian of the step map at a level-(i+1) point."""
-        assignment = {BaseVar(t + 1): v for t, v in enumerate(point)}
-        return sp.RationalMatrix([
-            [sx.evaluate(differentiate(e, BaseVar(t + 1)), assignment)
-             for t in range(self.dims[i + 1])]
-            for e in self.steps[i]
-        ])
-
 
 class ThreadError(ValueError):
     pass
@@ -110,7 +94,8 @@ class Thread:
             raise ThreadError("point has wrong dimension for level %d" % i)
         p = tuple(Fraction(v) for v in p)
         if i > 0:
-            down = self.tower.apply(i - 1, i, p)
+            at = {BaseVar(t + 1): v for t, v in enumerate(p)}
+            down = tuple(sx.evaluate_many(self.tower.steps[i - 1], at))
             prev = self.points[i - 1]
             if down != prev:
                 raise ThreadError(
@@ -128,17 +113,22 @@ class Thread:
 
 
 class TangentThread:
-    """Tangent vectors along a thread, compatible under step Jacobians."""
+    """Tangent vectors along a thread, compatible under each step's
+    differential: vectors[i - 1] = d(steps[i - 1])_thread[i] vectors[i]."""
 
     def __init__(self, thread, vectors):
         self.thread = thread
         self.vectors = [tuple(Fraction(x) for x in v) for v in vectors]
+        tower = thread.tower
         if len(self.vectors) > thread.length:
             raise ThreadError("more tangent vectors than thread points")
+        for i, v in enumerate(self.vectors):
+            if len(v) != tower.dims[i]:
+                raise ThreadError("tangent vector has wrong dimension for level %d" % i)
         for i in range(1, len(self.vectors)):
-            J = thread.tower.step_jacobian(i - 1, thread[i])
-            img = J.matmul(sp.RationalMatrix([[x] for x in self.vectors[i]]))
-            got = tuple(r[0] for r in img.rows)
+            at = {BaseVar(t + 1): x for t, x in enumerate(thread[i])}
+            grads = (sx.evaluate_many(sx.partials(e, at).values(), at) for e in tower.steps[i - 1])
+            got = tuple(sum(d * x for d, x in zip(g, self.vectors[i])) for g in grads)
             if got != self.vectors[i - 1]:
                 raise ThreadError(
                     "tangent vectors incompatible at level %d: %s vs %s"
@@ -250,7 +240,7 @@ class LocalVectorField:
         self.components = {i: tuple(sx.as_expr(e) for e in comps) for i, comps in components.items()}
 
     def type_of(self, i):
-        t = self._type(i) if callable(self._type) else self._type[i]
+        t = self._type(i)
         if t < i:
             raise ValueError("vector field type must satisfy m_i >= i")
         return t
@@ -303,7 +293,7 @@ def lie_bracket(V, W, i):
         ea = pullback_local_function(a, tower, target).expr
         eb = pullback_local_function(b, tower, target).expr
         comps.append(ea - eb)
-    return LocalVectorField(tower, {i: target}, {i: comps})
+    return LocalVectorField(tower, lambda _: target, {i: comps})
 
 
 class LocalForm:

@@ -519,13 +519,6 @@ def _partials(m, q, n):
                  for (J, a) in sym_component_labels(m, q, n))
 
 
-def wedge_sign(i, S):
-    """Sign of e_i wedge e_S against the sorted basis; None when i in S."""
-    if i in S:
-        return None
-    return -1 if sum(1 for s in S if s < i) % 2 else 1
-
-
 def _delta_rows(m, p, q, n, basis, nb, targets=None):
     """Integer rows of delta on wedge(p) tensor (the span of `basis`).
 
@@ -557,8 +550,10 @@ def _delta_rows(m, p, q, n, basis, nb, targets=None):
     nbelow = len(below)
     rows = [{} for _ in range(len(up) * nbelow)]
     for s, S in enumerate(wedges):
-        # per index i: the sign of e_i wedge e_S and the first row of S + i
-        ext = [None if i in S else (wedge_sign(i, S), at[tuple(sorted(S + (i,)))] * nbelow)
+        # per index i not in S: the sign of e_i wedge e_S, -1 to the
+        # number of entries of S below i, and the first row of S + i
+        ext = [None if i in S else (-1 if sum(1 for s in S if s < i) % 2 else 1,
+                                    at[tuple(sorted(S + (i,)))] * nbelow)
                for i in range(1, m + 1)]
         off = s * nb
         for vec, hits in zip(basis, down):
@@ -759,17 +754,14 @@ def cohomology_dims(g, pmax, qmax):
     """Table {(p, q): dim H^{p,q}(g)} computed by exact rank-nullity.
 
     Each rank of delta on wedge(p) tensor g_q (`delta_rank`) is computed
-    once: it enters both H^{p,q} and H^{p+1,q-1}.
+    once: it enters both H^{p,q} and H^{p+1,q-1}.  For p > m every term
+    is 0: comb(m, p) = 0 and `delta_rank` is 0 for p >= m.
     """
-    m = g.m
     rank = functools.cache(lambda p, q: delta_rank(g, p, q))
     dims = {}
     for p in range(0, pmax + 1):
         for q in range(0, qmax + 1):
-            if p > m:
-                dims[(p, q)] = 0
-            else:
-                dims[(p, q)] = comb(m, p) * g.dim_g(q) - rank(p, q) - rank(p - 1, q + 1)
+            dims[(p, q)] = comb(g.m, p) * g.dim_g(q) - rank(p, q) - rank(p - 1, q + 1)
     return dims
 
 

@@ -278,12 +278,3 @@ def rank_profile(h, samples=20, seed=0, mode="exact"):
         and all(r == report.generic_rank for r in report.sampled_ranks)
     )
     return report
-
-
-def _random_points(exprs, samples, seed):
-    """Seeded random exact points covering the free variables of exprs,
-    as ({variable: position}, a list of value lists)."""
-    rng = random.Random(seed)
-    allvars = sorted({v for e in exprs for v in e.free_vars()}, key=lambda v: v.key)
-    return ({v: pos for pos, v in enumerate(allvars)},
-            [[sx.random_rational(rng, 5) for _ in allvars] for _ in range(samples)])

@@ -456,8 +456,6 @@ def inverse(e):
     e = as_expr(e)
     if e.is_zero():
         raise ZeroDivisionError("division by the zero expression")
-    if e.is_constant():
-        return Expr.const(Fraction(1) / e.constant_value())
     items = e.terms()
     if len(items) == 1:
         mono, c = items[0]
@@ -484,8 +482,6 @@ def det(grid):
     n = len(grid)
     if n == 0:
         return ONE
-    if n == 1:
-        return grid[0][0]
     total = ZERO
     for c in range(n):
         if grid[0][c].is_zero():
