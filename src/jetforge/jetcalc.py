@@ -285,7 +285,8 @@ def kept(h, key, build, *args):
 
 
 class SectionPoly:
-    """A local section given by n component expressions in base variables."""
+    """A local section given by n component expressions in the base
+    variables x1..xm; one that uses another variable is refused."""
 
     __slots__ = ("m", "components")
 
@@ -293,15 +294,24 @@ class SectionPoly:
         self.m = m
         self.components = tuple(as_expr(c) for c in components)
         for c in self.components:
-            bad = [v for v in c.free_vars() if not isinstance(v, BaseVar)]
-            if bad:
+            free = c.free_vars()
+            if any(not isinstance(v, BaseVar) for v in free):
                 raise ValueError("section components must depend on base variables only")
+            off = [v for v in free if v.i > m]
+            if off:
+                raise ValueError("section component uses %s, which is not a base variable "
+                                 "for m = %d" % (sx.atom_str(min(off)), m))
 
     @property
     def n(self):
         return len(self.components)
 
     def derivative(self, alpha, I):
+        """d^I psi^alpha, for 1 <= alpha <= n and an I with m entries."""
+        if not 1 <= alpha <= self.n:
+            raise ValueError("component alpha = %d is outside 1..%d" % (alpha, self.n))
+        if len(I) != self.m:
+            raise ValueError("index %s has %d entries, need %d" % (tuple(I), len(I), self.m))
         e = self.components[alpha - 1]
         for i, exp in enumerate(I, start=1):
             for _ in range(exp):

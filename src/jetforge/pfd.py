@@ -184,8 +184,15 @@ def borel_realize(m, n, data, p0, order):
     data maps (alpha, I) to the derivative value u^alpha_I; the
     component polynomials are sums of data/I! * (x - p0)^I, witnessing
     surjectivity of the finite-order truncations of the jet projections.
+    A key with alpha outside 1..n or an I without m entries is refused.
     """
-    table = {(alpha, MultiIndex(I)): Fraction(v) for (alpha, I), v in data.items()}
+    table = {}
+    for (alpha, I), v in data.items():
+        if not 1 <= alpha <= n:
+            raise ValueError("component alpha = %d is outside 1..%d" % (alpha, n))
+        if len(I) != m:
+            raise ValueError("index %s has %d entries, need %d" % (tuple(I), len(I), m))
+        table[(alpha, MultiIndex(I))] = Fraction(v)
     comps = []
     for alpha in range(1, n + 1):
         e = sx.ZERO

@@ -45,7 +45,7 @@ def symbol_polynomial(S, beta, alpha=1):
 def symbol_value(S, beta, a, xi, alpha=1):
     """S_beta(xi; a) = sum s_J(a) xi^J, `symbol_polynomial` evaluated at
     the jet point a and the covector xi, which has an entry per axis."""
-    if len(xi) < a.chart.m:
+    if len(xi) != a.chart.m:
         raise ValueError("covector has %d entries, need %d" % (len(xi), a.chart.m))
     values = a.assignment()
     values.update((sx.CovectorVar(i), x) for i, x in enumerate(xi, start=1))
@@ -66,11 +66,14 @@ class DiagramReport:
 
 def check_linear_symbol_diagram(h, points, covectors):
     """Compare the jet-space symbol with the classical-coefficient symbol
-    at sampled (point, covector) pairs; both must agree exactly."""
+    at sampled (point, covector) pairs; both must agree exactly.  The
+    i-th covector goes with the i-th point, so the lists must be as long."""
     # the classical coefficients of order k, nonzero by construction;
     # bundle_to_classical refuses an operator that is not linear
     s_cls = {(alpha, beta, I): c for (alpha, beta, I), c in jc.bundle_to_classical(h).items()
              if I.degree == h.order}
+    if len(points) != len(covectors):
+        raise ValueError("%d points but %d covectors" % (len(points), len(covectors)))
     s_jet = symbol_of(h)
     count = 0
     for a, xi in zip(points, covectors):

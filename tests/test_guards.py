@@ -191,6 +191,46 @@ def test_no_module_copies_the_generators_draw_loop():
     assert not uses, "the draw loop of random.Random used at %s" % ", ".join(sorted(uses))
 
 
+def _private_reads(tree):
+    """The line numbers where a tree reads a _-prefixed name of a
+    jetforge module: `alias._name` through a name a package module is
+    imported under, or `from .mod import _name` (relative or absolute).
+    Dunder names do not count."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    def in_package(node):
+        return node.level > 0 or (node.module or "").split(".")[0] == "jetforge"
+    modules, lines = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and in_package(node):
+            if node.module in (None, "jetforge"):
+                modules.update(a.asname or a.name for a in node.names)
+            lines += [node.lineno for a in node.names if private(a.name)]
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names
+                           if a.asname and a.name.split(".")[0] == "jetforge")
+    lines += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and private(node.attr)
+              and isinstance(node.value, ast.Name) and node.value.id in modules]
+    return sorted(lines)
+
+
+def test_no_module_reads_another_modules_private_names():
+    """No module under src/jetforge reads a _-prefixed name of another
+    package module: what one module needs of another is public there."""
+    assert _private_reads(ast.parse(
+        "from . import symexpr as sx, symbols\nfrom .symbols import _entries, symbol_of\n"
+        "sx._wrap(e)\nsymbols._points(c)\nsx.ZERO\nself._kept\nsx.__name__\n"
+        "import jetforge.cli as c\nc._sides(t)\nfrom jetforge.pfd import _x\n"
+        "from json.encoder import encode_basestring_ascii as _s\nrandom._inst\n"
+    )) == [2, 3, 4, 9, 10]
+    reads = ["%s:%d" % (os.path.relpath(path, ROOT), line)
+             for path, tree in _parse_all(os.path.join("src", "jetforge")).items()
+             for line in _private_reads(tree)]
+    assert not reads, "another module's private name read at %s" % ", ".join(sorted(reads))
+
+
 def _attribute_uses(tree, attr, path=()):
     """(qualname of the enclosing function or class, line, whether it
     binds the attribute) for each `<expr>.<attr>` in a tree."""

@@ -249,6 +249,29 @@ def test_diffop_refuses_a_variable_off_its_chart(m, n, order, component, var):
                               "with m = %d, n = %d" % (var, m, n))
 
 
+@pytest.mark.parametrize("call, message", [
+    # x3 on m = 2: jet_of_section failed later with "no value assigned to x3"
+    (lambda: jc.SectionPoly(2, [sx.base(3)]),
+     "section component uses x3, which is not a base variable for m = 2"),
+    (lambda: jc.SectionPoly(2, [sx.base(1) * sx.inverse(1 + sx.base(3) ** 2)]),
+     "section component uses x3, which is not a base variable for m = 2"),
+    # alpha = 0 read the last component through a negative index
+    (lambda: jc.SectionPoly(2, [sx.base(1), sx.base(2)]).derivative(0, (1, 0)),
+     "component alpha = 0 is outside 1..2"),
+    (lambda: jc.SectionPoly(1, [sx.base(1)]).derivative(2, (1,)),
+     "component alpha = 2 is outside 1..1"),
+    # an index longer than m differentiated by x3 and returned 0
+    (lambda: jc.SectionPoly(2, [sx.base(1)]).derivative(1, (0, 0, 1)),
+     "index (0, 0, 1) has 3 entries, need 2"),
+    (lambda: jc.SectionPoly(2, [sx.base(1)]).derivative(1, (1,)),
+     "index (1,) has 1 entries, need 2"),
+], ids=["base", "quotient", "alpha_0", "alpha_past_n", "long_index", "short_index"])
+def test_section_refuses_what_it_cannot_use(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("component", [
     sx.jet(1, (2, 0)) - sx.param("c") * sx.jet(1, (0, 2)),
     # inside a quotient too

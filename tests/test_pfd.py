@@ -86,6 +86,20 @@ def test_borel_realization_random_data():
         assert back[key] == v
 
 
+@pytest.mark.parametrize("n, data, message", [
+    # the key with alpha = 2 on n = 1 was dropped without a word
+    (1, {(1, (0, 0)): 1, (2, (0, 0)): 5}, "component alpha = 2 is outside 1..1"),
+    (2, {(0, (1, 0)): 1}, "component alpha = 0 is outside 1..2"),
+    # a 3-entry index on m = 2 built x3
+    (1, {(1, (0, 0, 1)): 1}, "index (0, 0, 1) has 3 entries, need 2"),
+    (1, {(1, (1,)): 1}, "index (1,) has 1 entries, need 2"),
+], ids=["alpha_past_n", "alpha_0", "long_index", "short_index"])
+def test_borel_realization_refuses_a_key_off_the_bundle(n, data, message):
+    with pytest.raises(ValueError) as err:
+        pfd.borel_realize(2, n, data, (Q(0), Q(0)), 2)
+    assert str(err.value) == message
+
+
 def test_vf_apply_matches_total_derivative():
     jt = _jt()
     D1 = pfd.total_derivative_field(jt, 1)
@@ -452,6 +466,62 @@ def test_tangent_threads():
     pfd.TangentThread(th, [(Q(1),), (Q(1), Q(2)), (Q(1), Q(2), Q(4))])
     with pytest.raises(pfd.ThreadError):
         pfd.TangentThread(th, [(Q(1),), (Q(2), Q(2)), (Q(2), Q(2), Q(0))])
+
+
+def _nonlinear_tower():
+    # level 2 -> 1 is (x1, x2) -> (x1 x2, x2), level 1 -> 0 is x1 -> x1^2
+    x1, x2 = sx.base(1), sx.base(2)
+    return pfd.TowerSpec([1, 2, 2], [(x1 ** 2,), (x1 * x2, x2)])
+
+
+def _step_jacobian_image(tower, i, point, v):
+    """The step-(i-1) Jacobian at a level-i point, as a matrix of
+    derivative values, times v: the form the tangent check once used."""
+    at = {sx.BaseVar(t + 1): x for t, x in enumerate(point)}
+    J = RM([[sx.evaluate(sx.differentiate(e, sx.BaseVar(t + 1)), at)
+             for t in range(tower.dims[i])] for e in tower.steps[i - 1]])
+    return tuple(r[0] for r in J.matmul(RM([[x] for x in v])).rows)
+
+
+def test_thread_on_a_nonlinear_tower():
+    T = _nonlinear_tower()
+    th = pfd.Thread(T, [(Q(9, 4),), (Q(3, 2), Q(3)), (Q(1, 2), Q(3))])
+    assert th.points == [(Q(9, 4),), (Q(3, 2), Q(3)), (Q(1, 2), Q(3))]
+    with pytest.raises(pfd.ThreadError, match="^incompatible extension at level 1"):
+        pfd.Thread(T, [(Q(3, 2),), (Q(3, 2), Q(3))])
+    with pytest.raises(pfd.ThreadError, match="^incompatible extension at level 2"):
+        pfd.Thread(T, [(Q(9, 4),), (Q(3, 2), Q(3)), (Q(1, 2), Q(2))])
+
+
+def test_tangent_thread_on_a_nonlinear_tower_is_the_jacobian_product():
+    T = _nonlinear_tower()
+    rng = random.Random(5)
+    for _ in range(10):
+        p2 = tuple(sx.random_rational(rng, 5) for _ in range(2))
+        p1 = (p2[0] * p2[1], p2[1])
+        th = pfd.Thread(T, [(p1[0] ** 2,), p1, p2])
+        v2 = tuple(sx.random_rational(rng, 5) for _ in range(2))
+        v1 = _step_jacobian_image(T, 2, p2, v2)
+        v0 = _step_jacobian_image(T, 1, p1, v1)
+        assert v1 == (p2[1] * v2[0] + p2[0] * v2[1], v2[1])
+        pfd.TangentThread(th, [v0, v1, v2])
+        with pytest.raises(pfd.ThreadError, match="^tangent vectors incompatible at level 1"):
+            pfd.TangentThread(th, [(v0[0] + 1,), v1, v2])
+        with pytest.raises(pfd.ThreadError, match="^tangent vectors incompatible at level 2"):
+            pfd.TangentThread(th, [v0, (v1[0], v1[1] + 1), v2])
+
+
+@pytest.mark.parametrize("vectors, level", [
+    # a long top vector was a "shape mismatch" of the Jacobian product
+    ([(Q(0),), (Q(0), Q(0)), (Q(0), Q(0), Q(0))], 2),
+    ([(Q(0),), (Q(0),)], 1),
+    # a level-0 vector was checked only against a level-1 one
+    ([(Q(0), Q(0))], 0),
+], ids=["long", "short", "level_0"])
+def test_tangent_thread_refuses_a_vector_of_the_wrong_dimension(vectors, level):
+    th = pfd.Thread(_nonlinear_tower(), [(Q(0),), (Q(0), Q(0)), (Q(0), Q(0))])
+    with pytest.raises(pfd.ThreadError, match="^tangent vector has wrong dimension for level %d$" % level):
+        pfd.TangentThread(th, vectors)
 
 
 def _criterion_08_tower(rng):

@@ -128,6 +128,20 @@ def test_wave_cohomology_table_m2():
         assert v == expected_nonzero.get(key, 0), (key, v)
 
 
+@pytest.mark.parametrize("g", [
+    sp.symbolic_system_at(_wave(2), _point(_wave(2))),
+    sp.SymbolicSystem(2, 1, 2, RationalMatrix(
+        [], row_labels=(), col_labels=sp.sym_component_labels(2, 2, 1))),
+], ids=["wave", "full"])
+def test_cohomology_rows_past_m_are_zero(g):
+    # wedge(p) is 0 for p > m, so the general formula gives 0 there;
+    # the rows p <= m are those of the table with pmax = m
+    H = sp.cohomology_dims(g, g.m + 2, 3)
+    assert sorted(H) == [(p, q) for p in range(g.m + 3) for q in range(4)]
+    assert all(H[(p, q)] == 0 for p in range(g.m + 1, g.m + 3) for q in range(4))
+    assert {key: v for key, v in H.items() if key[0] <= g.m} == sp.cohomology_dims(g, g.m, 3)
+
+
 def test_prolong_system_matches_internal_levels():
     h = _wave(2)
     g = sp.symbolic_system_at(h, _point(h))

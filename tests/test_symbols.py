@@ -81,8 +81,9 @@ def test_symbol_value_is_the_entrywise_sum():
                     for alpha in range(1, h.n + 1):
                         assert sy.symbol_value(S, beta, a, xi, alpha=alpha) \
                             == _symbol_value_reference(S, beta, a, xi, alpha=alpha)
-    with pytest.raises(ValueError, match="^covector has 1 entries, need 2$"):
-        sy.symbol_value(sy.symbol_of(_wave()), 1, _point(_wave()), (Q(1),))
+    for xi in ((Q(1),), (Q(1), Q(1), Q(5))):
+        with pytest.raises(ValueError, match="^covector has %d entries, need 2$" % len(xi)):
+            sy.symbol_value(sy.symbol_of(_wave()), 1, _point(_wave()), xi)
 
 
 def test_functional_values_divide_multinomial():
@@ -110,6 +111,18 @@ def test_linear_symbol_diagram_gradient_laplace():
         rep = sy.check_linear_symbol_diagram(h, pts, covs)
         assert rep.passed
         assert rep.samples == 5
+
+
+def test_linear_symbol_diagram_refuses_unequal_lists():
+    # zip cut three points and one covector to "commutes on 1 samples"
+    h = _wave()
+    pts = [_point(h, seed=i) for i in range(3)]
+    with pytest.raises(ValueError, match="^3 points but 1 covectors$"):
+        sy.check_linear_symbol_diagram(h, pts, [(Q(1), Q(2))])
+    # a nonlinear operator is still refused first
+    nonlinear = jc.DiffOp(2, 1, 2, [sx.jet(1, (0, 0)) * sx.jet(1, (2, 0))])
+    with pytest.raises(ValueError, match="^operator is not linear$"):
+        sy.check_linear_symbol_diagram(nonlinear, [_point(nonlinear)], [])
 
 
 def test_symbol_prolong_matrix_shape_and_identity():
