@@ -56,9 +56,6 @@ class Query:
     args: tuple = ()
     kwargs: tuple = ()
 
-    def arg_dict(self):
-        return dict(self.kwargs)
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -625,7 +622,7 @@ def _query_args(q, h, flags):
     larger of order + 2 and flags.order, levels for tower to order + 2,
     and spencer's pmax and qmax to m and order + 2, with the flags
     --pmax and --qmax above the file; the other queries take none."""
-    given = dict(zip(_QUERIES[q.name].params, q.args), **q.arg_dict())
+    given = dict([*zip(_QUERIES[q.name].params, q.args), *q.kwargs])
     if q.name in ("prolong", "codim"):
         return {"l": given.get("l", flags.order)}
     if q.name == "solve":
@@ -1006,15 +1003,6 @@ def _cli_flags(ns, spec):
                     free_data=free_data, pmax=ns.pmax, qmax=ns.qmax)
 
 
-def _located(err):
-    """The error line for a ParseError: its message, then the line and
-    column of its position in its text."""
-    pos = err.pos or 0
-    line = err.text.count("\n", 0, pos) + 1
-    col = pos - (err.text.rfind("\n", 0, pos) + 1) + 1
-    return "error: %s (line %d, col %d)" % (err.message, line, col)
-
-
 def main(argv=None):
     ns = _build_argparser().parse_args(argv)
     try:
@@ -1024,7 +1012,11 @@ def main(argv=None):
             with open(ns.json, "w", encoding="utf-8") as fh:
                 fh.write(emit_report(report, "json"))
     except ParseError as err:
-        print(_located(err), file=sys.stderr)
+        # the message, then the line and column of its position in its text
+        pos = err.pos or 0
+        line = err.text.count("\n", 0, pos) + 1
+        col = pos - (err.text.rfind("\n", 0, pos) + 1) + 1
+        print("error: %s (line %d, col %d)" % (err.message, line, col), file=sys.stderr)
         return 2
     except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)

@@ -103,7 +103,13 @@ class JetPoint:
     __slots__ = ("chart", "base", "values")
 
     def __init__(self, chart, base, jets):
-        self._fill(chart, base, _jet_values(chart.labels, jets))
+        values = []
+        for key in chart.labels:
+            v = jets.get(key, _MISSING)
+            if v is _MISSING:
+                raise ValueError("missing jet value for %s" % (key,))
+            values.append(v)
+        self._fill(chart, base, values)
 
     @classmethod
     def from_values(cls, chart, base, values):
@@ -172,17 +178,6 @@ class JetPoint:
         )
 
 
-def _jet_values(labels, jets):
-    """The values of jets ({(alpha, I): value}) at labels, in order."""
-    out = []
-    for key in labels:
-        v = jets.get(key, _MISSING)
-        if v is _MISSING:
-            raise ValueError("missing jet value for %s" % (key,))
-        out.append(v)
-    return out
-
-
 class DiffOp:
     """A differential operator of order <= k in bundle coordinates.
 
@@ -221,14 +216,6 @@ class DiffOp:
                                      "chart with m = %d, n = %d" % (sx.atom_str(v), m, n))
         self._fill(m, n, order, components, None)
 
-    @classmethod
-    def _unchecked(cls, m, n, order, components, labels):
-        """The operator of the given Expr components, whose variables
-        are on the chart by construction, without checking them."""
-        h = cls.__new__(cls)
-        h._fill(m, n, order, tuple(components), labels)
-        return h
-
     def _fill(self, m, n, order, components, labels):
         self.m = m
         self.n = n
@@ -246,11 +233,9 @@ class DiffOp:
     def chart(self):
         return JetChartSpec(self.m, self.n, self.order)
 
-    def evaluate_at(self, point, exact=True):
-        """Component values at a jet point; exact ones read the point's
+    def evaluate_at(self, point):
+        """Exact component values at a jet point, read from the point's
         coordinates by slot position."""
-        if not exact:
-            return tuple(sx.evaluate_many(self.components, point.assignment(), exact=False))
         chart = point.chart
         batch = kept(self, ("batch", chart.m, chart.n, chart.k), sx.Batch, self.components,
                      chart.slots)
@@ -263,8 +248,7 @@ class DiffOp:
         must be expressions in base variables alone.
         """
         for c in self.components:
-            for v in c.jet_vars():
-                coef = differentiate(c, v)
+            for coef in sx.partials(c, c.jet_vars()).values():
                 if any(isinstance(w, JetVar) for w in coef.free_vars()):
                     return False
         return True
@@ -307,13 +291,14 @@ class SectionPoly:
         return len(self.components)
 
     def derivative(self, alpha, I):
-        """d^I psi^alpha, for 1 <= alpha <= n and an I with m entries."""
+        """d^I psi^alpha, for 1 <= alpha <= n and an I with m
+        nonnegative entries."""
         if not 1 <= alpha <= self.n:
             raise ValueError("component alpha = %d is outside 1..%d" % (alpha, self.n))
         if len(I) != self.m:
             raise ValueError("index %s has %d entries, need %d" % (tuple(I), len(I), self.m))
         e = self.components[alpha - 1]
-        for i, exp in enumerate(I, start=1):
+        for i, exp in enumerate(MultiIndex(I), start=1):
             for _ in range(exp):
                 e = differentiate(e, BaseVar(i))
         return e
@@ -396,8 +381,11 @@ def _prolong_once(h, prev, l):
         at = below[I.sub_unit(i)]
         components.extend(total_derivative(c, i) for c in prev.components[at:at + nb])
     labels = [(beta, I) for I in indices for beta in range(1, nb + 1)]
-    # D_i raises the jet order by at most one, so level l has order <= h.order + l
-    return DiffOp._unchecked(h.m, h.n, h.order + l, components, labels)
+    # D_i raises the jet order by at most one, so level l has order <= h.order + l,
+    # and its variables are on that chart by construction: nothing is checked
+    p = DiffOp.__new__(DiffOp)
+    p._fill(h.m, h.n, h.order + l, tuple(components), labels)
+    return p
 
 
 def symbol_table(h):

@@ -184,8 +184,11 @@ def borel_realize(m, n, data, p0, order):
     data maps (alpha, I) to the derivative value u^alpha_I; the
     component polynomials are sums of data/I! * (x - p0)^I, witnessing
     surjectivity of the finite-order truncations of the jet projections.
-    A key with alpha outside 1..n or an I without m entries is refused.
+    A p0 without m entries, and a key with alpha outside 1..n or an I
+    without m entries, is refused.
     """
+    if len(p0) != m:
+        raise ValueError("base point %s has %d entries, need %d" % (tuple(p0), len(p0), m))
     table = {}
     for (alpha, I), v in data.items():
         if not 1 <= alpha <= n:
@@ -326,9 +329,6 @@ class LocalForm:
                 norm[key] = e
         self.table = norm
 
-    def entry(self, key):
-        return self.table.get(tuple(key), sx.ZERO)
-
     def is_zero(self):
         return not self.table
 
@@ -342,8 +342,6 @@ class LocalForm:
         conn = tower.connect(self.level, j)
         bindings = {BaseVar(t + 1): conn[t] for t in range(len(conn))}
         out = {}
-        if self.degree == 0:
-            return LocalForm(tower, j, 0, {(): sx.substitute(self.entry(()), bindings)})
         # differentials of the connecting map components
         dconn = [
             [differentiate(conn[t], BaseVar(s + 1)) for s in range(tower.dims[j])]

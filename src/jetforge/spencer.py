@@ -324,18 +324,23 @@ class Echelon:
             pivot_rows.append(rows[p])
             pivots.append(c)
             above.append(earlier)
-        self.col_labels = M.col_labels
-        self.rhs_labels = () if rhs is None else rhs.col_labels
         # the rows that never became pivot rows are zero on M's columns:
         # each is [0 | n * rhs] for a vector n with n * M = 0
-        self._rest = [row for i, row in enumerate(rows) if rank_of[i] is None and row]
-        self.consistent = not self._rest
-        self._rows = pivot_rows
+        self._set(M.col_labels, () if rhs is None else rhs.col_labels, pivot_rows, pivots,
+                  above, [row for i, row in enumerate(rows) if rank_of[i] is None and row])
+
+    def _set(self, col_labels, rhs_labels, rows, pivots, above, rest):
+        """Set every slot; `rest` holds the nonzero rows that are not pivot rows."""
+        self.col_labels = col_labels
+        self.rhs_labels = rhs_labels
+        self._rows = rows
+        self.pivots = pivots
         # above[r]: the earlier pivot rows with an entry in column
         # pivots[r], still to be reduced by row r; None once reduced
         self._above = above
-        self.pivots = pivots
-        self.free = sorted(set(range(ncols)) - set(pivots))
+        self._rest = rest
+        self.consistent = not rest
+        self.free = sorted(set(range(len(col_labels))) - set(pivots))
         self.rank = len(pivots)
 
     @classmethod
@@ -372,15 +377,8 @@ class Echelon:
                     row = {j: v // content for j, v in row.items()}
                 rows.append(row)
         E = cls.__new__(cls)
-        E.col_labels = tuple(range(ncols))
-        E.rhs_labels = tuple(range(len(EA.rhs_labels) * w))
-        E.pivots = [pa * nb + pb for pa in EA.pivots for pb in EB.pivots]
-        E.free = sorted(set(range(ncols)) - set(E.pivots))
-        E.rank = len(E.pivots)
-        E.consistent = True
-        E._rest = []
-        E._rows = rows
-        E._above = None
+        E._set(tuple(range(ncols)), tuple(range(len(EA.rhs_labels) * w)), rows,
+               [pa * nb + pb for pa in EA.pivots for pb in EB.pivots], None, [])
         return E
 
     @property

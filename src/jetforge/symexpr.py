@@ -291,7 +291,8 @@ class Expr:
 
     def __add__(self, other):
         terms = dict(self._terms)
-        _add_terms(terms, as_expr(other)._terms)
+        for m, c in as_expr(other)._terms.items():
+            _add_term(terms, m, c)
         return _wrap(terms)
 
     __radd__ = __add__
@@ -370,12 +371,6 @@ def _wrap(terms):
     e._terms = terms
     e._key = None
     return e
-
-
-def _add_terms(terms, other):
-    """Add the term dict `other` into `terms` in place, dropping zeros."""
-    for m, c in other.items():
-        _add_term(terms, m, c)
 
 
 def _add_term(terms, m, c):
@@ -946,12 +941,6 @@ def is_identically_zero(e):
 # printing
 
 
-def _format_fraction(c):
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
-
-
 def _format_index(I):
     return "(" + ",".join(str(e) for e in I) + ")"
 
@@ -985,7 +974,7 @@ def _format_term(mono, c):
             num.append(s if exp == 1 else "%s^%d" % (s, exp))
     parts = []
     if c != 1 or not num:
-        parts.append(_format_fraction(c))
+        parts.append(str(c))
     parts.extend(num)
     text = "*".join(parts)
     for d in den:

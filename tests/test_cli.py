@@ -68,7 +68,7 @@ def test_parse_minimal_file():
     assert spec.operator_kind == "expr"
     assert len(spec.operator_exprs) == 1
     assert [q.name for q in spec.queries] == ["integrability", "spencer"]
-    assert spec.queries[1].arg_dict() == {"pmax": 2, "qmax": 4}
+    assert dict(spec.queries[1].kwargs) == {"pmax": 2, "qmax": 4}
     h = spec.operator
     assert h.order == 2
 
@@ -303,6 +303,12 @@ def test_query_filtering_and_empty_report():
     rep2 = cli.run_command(spec, "solve", _flags())
     assert rep2.results == []
     assert rep2.passed
+
+
+def test_run_command_refuses_an_unknown_command():
+    with pytest.raises(cli.ProblemError) as err:
+        cli.run_command(cli.parse_problem_file(WAVE), "frobnicate", cli.CliFlags())
+    assert str(err.value) == "unknown command 'frobnicate'"
 
 
 def test_default_query_synthesized_without_query_section():

@@ -265,7 +265,11 @@ def test_diffop_refuses_a_variable_off_its_chart(m, n, order, component, var):
      "index (0, 0, 1) has 3 entries, need 2"),
     (lambda: jc.SectionPoly(2, [sx.base(1)]).derivative(1, (1,)),
      "index (1,) has 1 entries, need 2"),
-], ids=["base", "quotient", "alpha_0", "alpha_past_n", "long_index", "short_index"])
+    # a negative entry was skipped: d^(-1,0) x1 returned x1
+    (lambda: jc.SectionPoly(2, [sx.base(1)]).derivative(1, (-1, 0)),
+     "multi-index entries must be nonnegative: (-1, 0)"),
+], ids=["base", "quotient", "alpha_0", "alpha_past_n", "long_index", "short_index",
+        "negative_entry"])
 def test_section_refuses_what_it_cannot_use(call, message):
     with pytest.raises(ValueError) as err:
         call()

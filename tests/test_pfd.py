@@ -86,17 +86,23 @@ def test_borel_realization_random_data():
         assert back[key] == v
 
 
-@pytest.mark.parametrize("n, data, message", [
+_P0 = (Q(0), Q(0))
+
+
+@pytest.mark.parametrize("n, data, p0, message", [
     # the key with alpha = 2 on n = 1 was dropped without a word
-    (1, {(1, (0, 0)): 1, (2, (0, 0)): 5}, "component alpha = 2 is outside 1..1"),
-    (2, {(0, (1, 0)): 1}, "component alpha = 0 is outside 1..2"),
+    (1, {(1, (0, 0)): 1, (2, (0, 0)): 5}, _P0, "component alpha = 2 is outside 1..1"),
+    (2, {(0, (1, 0)): 1}, _P0, "component alpha = 0 is outside 1..2"),
     # a 3-entry index on m = 2 built x3
-    (1, {(1, (0, 0, 1)): 1}, "index (0, 0, 1) has 3 entries, need 2"),
-    (1, {(1, (1,)): 1}, "index (1,) has 1 entries, need 2"),
-], ids=["alpha_past_n", "alpha_0", "long_index", "short_index"])
-def test_borel_realization_refuses_a_key_off_the_bundle(n, data, message):
+    (1, {(1, (0, 0, 1)): 1}, _P0, "index (0, 0, 1) has 3 entries, need 2"),
+    (1, {(1, (1,)): 1}, _P0, "index (1,) has 1 entries, need 2"),
+    # a short base point raised a bare IndexError; a long one lost its last entry
+    (1, {(1, (1, 0)): 1}, (0,), "base point (0,) has 1 entries, need 2"),
+    (1, {(1, (1, 0)): 1}, (0, 0, 7), "base point (0, 0, 7) has 3 entries, need 2"),
+], ids=["alpha_past_n", "alpha_0", "long_index", "short_index", "short_p0", "long_p0"])
+def test_borel_realization_refuses_a_key_off_the_bundle(n, data, p0, message):
     with pytest.raises(ValueError) as err:
-        pfd.borel_realize(2, n, data, (Q(0), Q(0)), 2)
+        pfd.borel_realize(2, n, data, p0, 2)
     assert str(err.value) == message
 
 
@@ -152,7 +158,7 @@ def test_leibniz_for_wedge():
     da_b = pfd.wedge(pfd.d(alpha), beta)
     a_db = pfd.wedge(alpha, pfd.d(beta))
     for key in set(da_b.table) | set(a_db.table) | set(lhs.table):
-        diff = lhs.entry(key) - da_b.entry(key) + a_db.entry(key)
+        diff = lhs.table.get(key, sx.ZERO) - da_b.table.get(key, sx.ZERO) + a_db.table.get(key, sx.ZERO)
         assert diff.is_zero(), key
 
 
@@ -163,7 +169,7 @@ def test_wedge_anticommutes_for_one_forms():
     w1 = pfd.wedge(alpha, beta)
     w2 = pfd.wedge(beta, alpha)
     for key in set(w1.table) | set(w2.table):
-        assert (w1.entry(key) + w2.entry(key)).is_zero()
+        assert (w1.table.get(key, sx.ZERO) + w2.table.get(key, sx.ZERO)).is_zero()
 
 
 def test_contact_form_annihilated_by_total_derivative():
@@ -203,7 +209,7 @@ def test_form_pullback_uses_jacobian_minors():
     tower = pfd.TowerSpec([1, 1], [(sx.base(1) ** 2,)])
     omega = pfd.LocalForm(tower, 0, 1, {(1,): sx.ONE})
     up = omega.pulled_to(1)
-    assert (up.entry((1,)) - 2 * sx.base(1)).is_zero()
+    assert (up.table.get((1,), sx.ZERO) - 2 * sx.base(1)).is_zero()
 
 
 def test_equation_subtower_membership_and_dims():

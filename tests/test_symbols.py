@@ -192,6 +192,28 @@ def test_rank_profile_certified_for_wave():
     assert "certified" in rep.summary()
 
 
+@pytest.mark.parametrize("coefficient", [
+    sx.prim("sin", sx.base(1)),
+    sx.inverse(1 + sx.prim("sin", sx.base(1))),
+], ids=["primitive", "primitive_in_quotient"])
+def test_rank_profile_skips_the_exact_rank_of_a_symbol_with_a_primitive(coefficient):
+    h = jc.DiffOp(2, 1, 2, [coefficient * sx.jet(1, (2, 0)) - sx.jet(1, (0, 2))])
+    rep = sy.rank_profile(h, samples=2)
+    assert rep.generic_rank is None
+    assert not rep.certified
+    assert rep.notes == [
+        "restricted to a rational chart of the constraint variety",
+        "generic rank skipped (non-polynomial entries)",
+        "sampling failed: exact sampling needs polynomial or rational data",
+    ]
+
+
+def test_rank_profile_refuses_an_unknown_mode():
+    with pytest.raises(ValueError) as err:
+        sy.rank_profile(_wave(), mode="decimal")
+    assert str(err.value) == "mode must be exact or float"
+
+
 def test_rank_profile_float_mode():
     h = _laplace(3)
     rep = sy.rank_profile(h, samples=4, seed=2, mode="float")

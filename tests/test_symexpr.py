@@ -129,6 +129,25 @@ def test_parser_jet_syntax_and_errors():
         sx.parse_expr("notdeclared + 1", ctx)
 
 
+@pytest.mark.parametrize("text, want", [
+    # int_literal's sign, then the negative branch of Expr.__pow__
+    ("x1^-2", sx.inverse(sx.base(1) ** 2)),
+    ("+x1", sx.base(1)),
+    # a trailing comma closes the jet index
+    ("u[(1,0,)]", sx.jet(1, (1, 0))),
+    ("sin(x1, x2)", "primitive 'sin' takes one argument"),
+    ("foo(x1)", "undeclared identifier 'foo'"),
+], ids=["negative_exponent", "unary_plus", "index_trailing_comma", "primitive_two_args",
+        "undeclared_call"])
+def test_parser_paths_table(text, want):
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as err:
+            sx.parse_expr(text, _ctx())
+        assert (err.value.message, err.value.pos) == (want, 0)
+    else:
+        assert sx.parse_expr(text, _ctx()) == want
+
+
 def test_parser_rational_vs_decimal_literals():
     ctx = _ctx()
     e, dec = sx.parse_expr_flagged("3/4 * x1", ctx)
