@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd
 
 from .mindex import MultiIndex
 from . import symexpr as sx
@@ -230,31 +230,33 @@ def lift_system_at(h, b):
     Rows are the components of prolong_op(h, l+1) of outer degree
     exactly l+1 (l = `jc.point_level(h, b)`); columns are the order-(k+l+1)
     coordinates in graded-lex order.  Returns (A, R, column labels, E):
-    R the tuple of right-hand-side values, one per row, and E the
-    `Echelon` of [A | I], which decides and solves A x = y for every y.
-    The rows and their Jacobian come from h's lift plan, compiled on b's
-    own chart with the new coordinates at zero (R is minus the rows
-    there); only their values at b are computed here.  A is the shifted
-    symbol, so it is built from the symbol values sigma(b) alone, at
-    the plan's structurally nonzero entries, each row over the lcm of
-    its entries' denominators, which is lowest terms; E is made with it.
-    This is the one writer of the plan's `last`: while sigma(b) equals
-    that of the plan's last point, A and E are that point's objects.
+    R the right-hand-side values, one per row, as the pair (nums, den),
+    the integers nums over one positive denominator den, and E the
+    `Echelon` of [A | I], which decides and solves A x = y for every y
+    in that form.  The rows and their Jacobian come from h's lift plan,
+    compiled on b's own chart with the new coordinates at zero (R is
+    minus the rows there); only their values at b are computed here,
+    read from b's integer row as integers over one denominator
+    (`sx.Batch`), so no Fraction is formed.  A is the shifted symbol, so
+    it is built from the symbol values sigma(b) alone, at the plan's
+    structurally nonzero entries, each row brought to lowest terms
+    (`RationalMatrix.from_int_rows`); E is made with it.  This is the
+    one writer of the plan's `last`: while sigma(b), keyed as integers
+    over one denominator in lowest terms, equals that of the plan's last
+    point, A and E are that point's objects.
     """
     plan = jc.lift_plan(h, jc.point_level(h, b))
-    values = plan.batch.at(b.base + b.values)
+    values, den = plan.batch.at(b.nums, b.den)
     sigma = [values[p] for p in plan.sigma]
-    if plan.last is None or plan.last[0] != sigma:
-        nums, dens = [], []
-        for row in plan.entries:
-            nz = [(j, values[p]) for j, p in row]
-            den = lcm(*[x.denominator for _, x in nz])
-            nums.append({j: x.numerator * (den // x.denominator) for j, x in nz})
-            dens.append(den)
-        A = sp.RationalMatrix.from_int_rows(nums, dens, plan.unknowns, row_labels=plan.row_labels)
-        plan.last = (sigma, A, sp.Echelon(A, sp.RationalMatrix.identity(A.nrows)))
+    g = gcd(den, *sigma)
+    key = (sigma, den) if g == 1 else ([x // g for x in sigma], den // g)
+    if plan.last is None or plan.last[0] != key:
+        nums = [{j: values[p] for j, p in row} for row in plan.entries]
+        A = sp.RationalMatrix.from_int_rows(nums, [den] * len(nums), plan.unknowns,
+                                            row_labels=plan.row_labels)
+        plan.last = (key, A, sp.Echelon(A, sp.RationalMatrix.identity(A.nrows)))
     _, A, E = plan.last
-    return A, tuple([-values[p] for p in plan.rhs]), list(plan.unknowns), E
+    return A, (tuple([-values[p] for p in plan.rhs]), den), list(plan.unknowns), E
 
 
 def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
@@ -275,7 +277,9 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
     compute, such as g^{ij}(x), repeat wherever the values they read do
     (`sx.Batch`).  The free columns are those of the reduced row
     echelon form of A alone, and the solution is unique given the free
-    values; it is the new jets of the lifted point, in label order.
+    values; it is the new jets of the lifted point, in label order,
+    appended to b's integer row (`JetPoint.extend`).  With no free data
+    drawn or given, a lift forms no Fraction.
     """
     if check and not jc.on_variety(h, b):
         raise ValueError("point does not satisfy the prolonged equations")
@@ -300,12 +304,13 @@ def lift_point(h, b, free_data=None, policy="zero", seed=None, check=True):
     elif policy != "zero":
         raise ValueError("unknown free-data policy %r" % policy)
     try:
-        x, free = E.solve(R, free_values)
+        (x, den), free = E.solve(R, free_values)
     except ValueError:
         # the free values are keyed by E's own free columns, so the one
         # error left is an inconsistent R
         raise LiftObstructionError(OBSTRUCTED) from None
-    return LiftResult(point=b.extend(x), free_labels=[unknowns[f] for f in free], rank=E.rank)
+    return LiftResult(point=b.extend(x, den), free_labels=[unknowns[f] for f in free],
+                      rank=E.rank)
 
 
 def sample_prolonged_points(h, l, count, seed):
@@ -393,7 +398,7 @@ def _check_symbol_nonvanishing(h, samples, seed):
     for _ in range(samples):
         values = [sx.random_rational(rng, 5) for _ in allvars]
         try:
-            vals = batch.at(values)
+            vals, _ = batch.at(*sx.integer_row(values))
         except sx.EvalZeroDivision:
             skipped += 1
             continue
@@ -402,7 +407,7 @@ def _check_symbol_nonvanishing(h, samples, seed):
                 "symbol nonvanishing", True, False,
                 "non-rational coefficients: nonvanishing not sampled exactly",
             )
-        if all(v == 0 for v in vals):
+        if not any(vals):
             return ConditionReport(
                 "symbol nonvanishing", False, False,
                 "all top-order coefficients vanish at a sampled point",
@@ -529,7 +534,7 @@ def variety_codim(h, l, samples=10, seed=0):
         for _ in range(l):
             _, _, unknowns, E = lift_system_at(h, b)
             rank += E.rank
-            b = b.extend([0] * len(unknowns))
+            b = b.extend([0] * len(unknowns), 1)
         observed.append(rank)
     expected = comb(h.m + l, l)
     return CodimReport(level=l, expected=expected, observed=observed, points=len(observed))

@@ -10,6 +10,7 @@ iterated total differentiation.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -79,19 +80,32 @@ def _chart(m, n, k):
 _MISSING = object()
 
 
-def _as_fraction(v):
-    return v if type(v) is Fraction else Fraction(v)
+def _lowest(nums, den):
+    """The integers nums over the nonzero int den in lowest terms, with
+    a positive denominator."""
+    if not den:
+        raise ValueError("zero denominator")
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return (nums, den) if g == 1 else ([x // g for x in nums], den // g)
 
 
 class JetPoint:
     """A point of the order-k jet chart: base values plus every jet value.
 
-    The jet values are a tuple `values` in the order of the chart's
-    labels (`chart.labels`), so `project` keeps a prefix and `extend`
-    appends the new top-order values.  `p[(alpha, I)]` reads one value;
-    `jets` builds the {(alpha, I): value} dict.  Two points are equal
-    when their charts have the same (m, n, k) and their base and jet
-    values are equal.
+    The one storage is an integer row over one positive denominator:
+    `nums` holds the coordinates in slot order (`chart.atoms`: the base
+    first, then the jets in the order of the chart's labels), each as a
+    numerator over `den`, the lcm of their denominators, the layout of a
+    `spencer.RationalMatrix` row.  So the row is in lowest terms and two
+    points are equal when their charts have the same (m, n, k) and their
+    rows and denominators are equal.  `project` keeps a prefix of the
+    row and `extend` appends the new top-order values, and the exact
+    readers, `DiffOp.evaluate_at` and the lift (`sx.Batch`), read the
+    row as it is.  `base`, `values` (the jets in label order), `jets`
+    (the {(alpha, I): value} dict) and `p[(alpha, I)]` are views, built
+    as `Fraction`s on each read.
 
     Example:
         >>> chart = JetChartSpec(1, 1, 1)
@@ -100,7 +114,7 @@ class JetPoint:
         Fraction(3, 1)
     """
 
-    __slots__ = ("chart", "base", "values")
+    __slots__ = ("chart", "nums", "den")
 
     def __init__(self, chart, base, jets):
         values = []
@@ -109,6 +123,10 @@ class JetPoint:
             if v is _MISSING:
                 raise ValueError("missing jet value for %s" % (key,))
             values.append(v)
+        if len(jets) != len(values):
+            # every label was found, so some key is not one
+            off = next(key for key in jets if key not in chart.index)
+            raise ValueError("jet key %s is not a coordinate of %r" % (off, chart))
         self._fill(chart, base, values)
 
     @classmethod
@@ -119,14 +137,41 @@ class JetPoint:
         p._fill(chart, base, values)
         return p
 
+    @classmethod
+    def from_row(cls, chart, nums, den):
+        """The point whose coordinates in slot order are nums[i] / den,
+        for ints nums and a nonzero int den, brought to lowest terms with
+        a positive denominator."""
+        if len(nums) != chart.dim:
+            raise ValueError("%d coordinates for the %d of %r" % (len(nums), chart.dim, chart))
+        return cls._made(chart, *_lowest(nums, den))
+
+    @classmethod
+    def _made(cls, chart, nums, den):
+        p = cls.__new__(cls)
+        p.chart = chart
+        p.nums = tuple(nums)
+        p.den = den
+        return p
+
     def _fill(self, chart, base, values):
         if len(base) != chart.m:
             raise ValueError("base point has wrong dimension")
         if len(values) != len(chart.labels):
             raise ValueError("wrong number of jet values")
+        nums, self.den = sx.integer_row([*base, *values])
         self.chart = chart
-        self.base = tuple([_as_fraction(b) for b in base])
-        self.values = tuple([_as_fraction(v) for v in values])
+        self.nums = tuple(nums)
+
+    @property
+    def base(self):
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.nums[:self.chart.m]])
+
+    @property
+    def values(self):
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.nums[self.chart.m:]])
 
     @property
     def jets(self):
@@ -141,7 +186,7 @@ class JetPoint:
         except TypeError:
             alpha, I = key
             pos = index[(alpha, tuple(I))]
-        return self.values[pos]
+        return Fraction(self.nums[self.chart.m + pos], self.den)
 
     def assignment(self):
         """Variable assignment suitable for symexpr.evaluate."""
@@ -151,25 +196,37 @@ class JetPoint:
         """Forget jets of degree above k1."""
         if k1 > self.chart.k:
             raise ValueError("cannot project upward")
+        if k1 < 0:
+            raise ValueError("cannot project below order 0, got %d" % k1)
         chart = JetChartSpec(self.chart.m, self.chart.n, k1)
-        return JetPoint.from_values(chart, self.base, self.values[:len(chart.labels)])
+        return JetPoint.from_row(chart, self.nums[:chart.dim], self.den)
 
-    def extend(self, values):
+    def extend(self, nums, den):
         """Adjoin order-(k+1) values, producing a point one level up.
 
-        values holds one value per new label (alpha, I), |I| = k + 1, in
-        the order of the order-(k+1) chart's labels, as `from_values`
-        takes them."""
+        The values are nums[i] / den, for ints nums and a nonzero int
+        den, one per new label (alpha, I), |I| = k + 1, in the order of
+        the order-(k+1) chart's labels; they join the point's row, the
+        two parts over the lcm of their denominators in lowest terms."""
         chart = JetChartSpec(self.chart.m, self.chart.n, self.chart.k + 1)
-        return JetPoint.from_values(chart, self.base, [*self.values, *values])
+        if len(nums) != chart.dim - self.chart.dim:
+            raise ValueError("wrong number of jet values")
+        # both parts in lowest terms over their own denominators, so each
+        # prime power of the lcm D is that of a denominator whose part
+        # has an entry prime to it: the row over D is in lowest terms
+        nums, den = _lowest(nums, den)
+        D = math.lcm(self.den, den)
+        row = self.nums if D == self.den else [x * (D // self.den) for x in self.nums]
+        new = nums if D == den else [x * (D // den) for x in nums]
+        return JetPoint._made(chart, [*row, *new], D)
 
     def __eq__(self, other):
         return (
             isinstance(other, JetPoint)
             and (self.chart.m, self.chart.n, self.chart.k)
             == (other.chart.m, other.chart.n, other.chart.k)
-            and self.base == other.base
-            and self.values == other.values
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __repr__(self):
@@ -234,12 +291,10 @@ class DiffOp:
         return JetChartSpec(self.m, self.n, self.order)
 
     def evaluate_at(self, point):
-        """Exact component values at a jet point, read from the point's
-        coordinates by slot position."""
-        chart = point.chart
-        batch = kept(self, ("batch", chart.m, chart.n, chart.k), sx.Batch, self.components,
-                     chart.slots)
-        return tuple(batch.at(point.base + point.values))
+        """Exact component values at a jet point, as `Fraction`s, read
+        from the point's row by slot position."""
+        nums, den = _components_at(self, point)
+        return tuple([Fraction(x, den) for x in nums])
 
     def is_linear(self):
         """Affine-linear in the jet variables with base-only coefficients.
@@ -257,6 +312,14 @@ class DiffOp:
         return "DiffOp(m=%d, n=%d, order=%d, n_out=%d)" % (
             self.m, self.n, self.order, self.n_out,
         )
+
+
+def _components_at(h, point):
+    """The component values of h at the point as integers over one
+    denominator, from the batch of h on the point's chart, kept on h."""
+    chart = point.chart
+    batch = kept(h, ("batch", chart.m, chart.n, chart.k), sx.Batch, h.components, chart.slots)
+    return batch.at(point.nums, point.den)
 
 
 def kept(h, key, build, *args):
@@ -365,7 +428,7 @@ def on_variety(h, b):
     on it; a point of another bundle is refused at every order."""
     if b.chart.k < h.order and (b.chart.m, b.chart.n) == (h.m, h.n):
         return True
-    return all(v == 0 for v in prolong_op(h, point_level(h, b)).evaluate_at(b))
+    return not any(_components_at(prolong_op(h, point_level(h, b)), b)[0])
 
 
 def _prolong_once(h, prev, l):
@@ -537,7 +600,10 @@ class IotaReindex:
         """Image of an order-(k+l) point in the iterated-jet chart."""
         if jp.chart is not self.source_chart:
             raise ValueError("point does not live on J^{k+l}")
-        return JetPoint.from_values(self.outer_chart, jp.base, [jp.values[s] for s in self._sources])
+        m = self.m
+        return JetPoint.from_row(self.outer_chart,
+                                 [*jp.nums[:m], *[jp.nums[m + s] for s in self._sources]],
+                                 jp.den)
 
     def pull_expr(self, e):
         """Rewrite an expression on J^l(pi_k) as one on J^{k+l}(pi)."""

@@ -11,6 +11,7 @@ that pivoting and golden outputs are reproducible.
 from __future__ import annotations
 
 import math
+import operator
 
 
 class MultiIndex(tuple):
@@ -21,7 +22,10 @@ class MultiIndex(tuple):
     """
 
     def __new__(cls, entries):
-        entries = tuple(int(e) for e in entries)
+        try:
+            entries = tuple(map(operator.index, entries))
+        except TypeError:
+            raise ValueError("multi-index entries must be integers: %r" % (entries,)) from None
         if any(e < 0 for e in entries):
             raise ValueError("multi-index entries must be nonnegative: %r" % (entries,))
         return super().__new__(cls, entries)

@@ -199,11 +199,12 @@ class RationalMatrix:
 
     def solve(self, rhs, free_values=None):
         """`Echelon.solve` for the one column rhs, eliminated with M as
-        [M | rhs], at y = (1,)."""
+        [M | rhs], at y = (1,), with x as a list of `Fraction`s."""
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has %d entries for %d rows" % (len(rhs), self.nrows))
         E = Echelon(self, RationalMatrix([[v] for v in rhs], col_labels=range(1)))
-        return E.solve((1,), free_values)
+        (x, den), free = E.solve(((1,), 1), free_values)
+        return [Fraction(v, den) for v in x], free
 
     def __eq__(self, other):
         # rows equal as Fraction tuples; a matrix without rows has no
@@ -435,35 +436,41 @@ class Echelon:
 
     def consistent_with(self, y):
         """Whether M * x = rhs_M * y has a solution, for rhs_M the
-        right-hand side this elimination was made with and y a sequence
-        of ints or `Fraction`s, one per column of rhs_M: whether every
-        row that never became a pivot row, a left-null vector of M on
-        the right-hand side columns, is zero at y.  Raises ValueError
-        when y has another length."""
-        if len(y) != len(self.rhs_labels):
+        right-hand side this elimination was made with and y a pair
+        (nums, den), the integers nums over the nonzero int den, one per
+        column of rhs_M: whether every row that never became a pivot
+        row, a left-null vector of M on the right-hand side columns, is
+        zero at nums, which den does not change.  Raises ValueError when
+        y has another length."""
+        nums, _ = y
+        if len(nums) != len(self.rhs_labels):
             raise ValueError("y has %d values for %d right-hand side columns"
-                             % (len(y), len(self.rhs_labels)))
+                             % (len(nums), len(self.rhs_labels)))
         ncols = len(self.col_labels)
-        return not any(sum(v * y[j - ncols] for j, v in row.items()) for row in self._rest)
+        return not any(sum(v * nums[j - ncols] for j, v in row.items()) for row in self._rest)
 
     def solve(self, y, free_values=None):
         """One exact solution x of M * x = rhs_M * y, for rhs_M the
-        right-hand side this elimination was made with and y a sequence
-        of ints or `Fraction`s, one per column of rhs_M.  One
-        elimination of [M | I] so solves M * x = b for every b: the
-        right-hand side part of each reduced pivot row is read against y.
+        right-hand side this elimination was made with and y a pair
+        (nums, den), the integers nums over the nonzero int den, one per
+        column of rhs_M.  One elimination of [M | I] so solves M * x = b
+        for every b: the right-hand side part of each reduced pivot row
+        is read against y.
 
         Free (non-pivot) coordinates are zero unless `free_values` maps
-        their column label to a value.  Returns (solution, free column
-        positions); raises ValueError on a y of another length or
-        inconsistency (`consistent_with`), on a label that is not a
-        column label, and on a label of a pivot column.
+        their column label to a value.  Returns ((xnums, xden), free
+        column positions): x in the same form, the integers xnums over
+        one positive denominator xden, the lcm of den, the free values'
+        denominators and the pivot values, not reduced.  Raises
+        ValueError on a y of another length or inconsistency
+        (`consistent_with`), on a label that is not a column label, and
+        on a label of a pivot column.
         """
         ncols = len(self.col_labels)
         if not self.consistent_with(y):
             raise ValueError("inconsistent linear system")
+        nums, den = y
         free = self.free
-        x = [Fraction(0)] * ncols
         # the known values of [M | rhs_M] as (column, numerator,
         # denominator): each given free value negated, then y
         known = []
@@ -475,16 +482,24 @@ class Echelon:
                 pos = pos_of[key]
                 if pos not in free:
                     raise ValueError("column %r is not free" % (key,))
-                val = x[pos] = Fraction(val)
+                val = Fraction(val)
                 if val:
                     known.append((pos, -val.numerator, val.denominator))
-        known += [(ncols + t, v.numerator, v.denominator) for t, v in enumerate(y) if v]
-        # all of them as integers over one denominator D
-        D = lcm(*[d for _, _, d in known])
+        known += [(ncols + t, v, den) for t, v in enumerate(nums) if v]
+        # all of them as integers over one denominator D, and x over
+        # D times the lcm P of the pivot values
+        D = lcm(den, *[d for _, _, d in known])
         known = [(j, n * (D // d)) for j, n, d in known]
-        for row, pc in zip(self.rows, self.pivots):
-            x[pc] = Fraction(sum([k * row[j] for j, k in known if j in row]), row[pc] * D)
-        return x, list(free)
+        rows = self.rows
+        P = lcm(*[row[pc] for row, pc in zip(rows, self.pivots)])
+        x = [0] * ncols
+        for j, k in known:
+            if j < ncols:
+                # a given free value, negated among the known ones
+                x[j] = -k * P
+        for row, pc in zip(rows, self.pivots):
+            x[pc] = sum([k * row[j] for j, k in known if j in row]) * (P // row[pc])
+        return (x, D * P), list(free)
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +700,9 @@ def symbol_constraint_matrix(h, a):
     chart = a.chart
     batch = jc.kept(h, ("symbol batch", chart.m, chart.n, chart.k), sx.Batch, table.values(),
                     chart.slots)
-    values = batch.at(a.base + a.values)
-    entries = {(alpha, beta, J): x / multinomial(J) for (alpha, beta, J), x in zip(table, values)}
+    values, den = batch.at(a.nums, a.den)
+    entries = {(alpha, beta, J): Fraction(x, den * multinomial(J))
+               for (alpha, beta, J), x in zip(table, values)}
     betas = tuple(range(1, h.n_out + 1))
     rows = [[entries.get((alpha, beta, J), 0) for (J, alpha) in labels] for beta in betas]
     return RationalMatrix(rows, row_labels=betas, col_labels=labels)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import symexpr as sx
 from . import jetcalc as jc
@@ -156,17 +157,19 @@ def sample_variety_points(h, count, seed):
         if tries > 200 * count:
             raise SamplerError("variety sampling kept hitting vanishing coefficients")
         coords = [sx.random_rational(rng, 5) for _ in range(chart.dim - 1)]
-        coords.insert(solved, None)
+        # the batches have no slot for the solved variable
+        coords.insert(solved, 0)
+        row = sx.integer_row(coords)
         try:
-            cval = plan.coef.at(coords)[0]
-            if cval == 0:
+            (c,), cden = plan.coef.at(*row)
+            if not c:
                 continue
-            rval = plan.rest.at(coords)[0]
+            (r,), rden = plan.rest.at(*row)
         except sx.EvalZeroDivision:
             continue
         except sx.EvaluationError:
             raise SamplerError("exact sampling needs polynomial or rational data")
-        coords[solved] = -rval / cval
+        coords[solved] = Fraction(-r * cden, rden * c)
         points.append(jc.JetPoint.from_values(chart, coords[:h.m], coords[h.m:]))
     return points
 

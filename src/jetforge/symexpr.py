@@ -414,7 +414,6 @@ def _mono_key(m):
     return tuple((a.key, e) for a, e in m)
 
 
-_F0 = Fraction(0)
 ZERO = Expr()
 ONE = Expr({(): Fraction(1)})
 
@@ -671,22 +670,30 @@ def evaluate_many(exprs, assignment, exact=True):
     """Values of several expressions at one point, in order.
 
     Exact mode compiles the expressions into one `Batch` whose slots
-    are the assignment's variables and reads it once.  Float mode sums
-    term by term; each distinct atom is evaluated once per call and its
-    value reused wherever it occurs again, inside quotient payloads and
-    primitive arguments too.  Nothing is kept between calls, and values
-    and errors are those of evaluating the expressions one by one.
+    are the assignment's variables, reads it once at the assignment's
+    values as one `integer_row`, and returns each value as a Fraction.
+    Float mode sums term by term; each distinct atom is evaluated once
+    per call and its value reused wherever it occurs again, inside
+    quotient payloads and primitive arguments too.  Nothing is kept
+    between calls, and values and errors are those of evaluating the
+    expressions one by one.
     """
     exprs = [as_expr(e) for e in exprs]
     if not exact:
         memo = {}
         return [_float_terms(e, assignment, memo) for e in exprs]
-    slots = {}
-    values = []
-    for v, x in assignment.items():
-        slots[v] = len(values)
-        values.append(x if type(x) is Fraction else Fraction(x))
-    return Batch(exprs, slots).at(values)
+    slots = {v: pos for pos, v in enumerate(assignment)}
+    nums, den = Batch(exprs, slots).at(*integer_row(assignment.values()))
+    return [Fraction(x, den) for x in nums]
+
+
+def integer_row(values):
+    """Rational values (ints, Fractions, or what `Fraction` takes) as one
+    integer row over one positive denominator: (nums, den), den the lcm
+    of their denominators, so the row is in lowest terms."""
+    values = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in values]
+    den = math.lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 class Batch:
@@ -694,57 +701,58 @@ class Batch:
     with each variable atom read from the position `slots` ({variable
     atom: position}) gives it.  Every exact evaluation runs one.
 
-    The table lists the atoms in the order evaluating the expressions
-    one by one meets them, their distinct (atom position, exponent)
-    powers, and one entry (L, dmax, coefs, gaps, monos, const) per
+    A point comes in as one integer row over one positive denominator,
+    as a `jetcalc.JetPoint` holds its coordinates, and the values go out
+    the same way: integers over one denominator, with no Fraction formed
+    and no gcd taken.  The table lists the atoms in the order evaluating
+    the expressions one by one meets them, their distinct (value
+    position, exponent) powers, and one entry (coefs, gaps, monos) per
     expression given, in order, so an Expr given twice is compiled
-    twice: L is the lcm of the expression's coefficient
-    denominators, dmax the largest total degree of its monomials, term
-    t has coefficient coefs[t] / L and total degree dmax - gaps[t], and
-    monos[t] lists the positions of its powers.  So with atom values
-    n / D the value of the expression is
-    sum(coefs[t] * D^gaps[t] * prod of its powers of n) / (L * D^dmax).
-    An expression without atoms has the same value at every point,
-    const (None when there are atoms).
+    twice.  The values of the atoms with a slot come first, then those
+    of the others, in that order.  With L (`den`) the lcm of the
+    coefficient denominators of all the expressions and dmax the largest
+    total degree of their monomials, term t of an entry has coefficient
+    coefs[t] / L and total degree dmax minus its gap, the exponent
+    numbered gaps[t] among those the entries use, and monos[t] lists the
+    positions of its powers.  So with atom values n / D every value is
+    the sum of coefs[t] * D^gap * its powers of n, over the one
+    denominator L * D^dmax.
 
-    An evaluation (`at`) takes one lcm D of the atom denominators,
-    computes each power once, of D only those whose exponent is a gap or
-    a dmax of some entry, each from the one before (`dsteps`), and sums
-    each entry over the integers; the one gcd is taken when its Fraction
-    is formed.  Terms that hold an atom of value 0 are skipped, not
-    multiplied out; when no atom is 0 that costs one membership test per
-    evaluation.
+    An evaluation (`at`) computes each power once, of D only those
+    whose exponent is a gap or dmax, each from the one before (`dsteps`,
+    the steps between them), and sums each entry over the integers.
+    Terms that hold an atom of value 0 are skipped, not multiplied out;
+    when no atom is 0 that costs one membership test per evaluation.
 
     Atoms that have no slot are evaluated in their turn: a quotient or
     primitive from its argument, by a batch of its own over the same
     slots, a variable not at all ("no value assigned").  Evaluating
     atoms is the only step that can fail, so the first error is the one
-    evaluating the expressions one by one meets.
+    evaluating the expressions one by one meets.  A quotient's value
+    p / q joins the slotted values over D = lcm(den, q), the
+    denominator of the row.
 
     `inputs` are the slot positions a batch reads, its own and those of
     the arguments nested in it.  An argument batch keeps in `memo`,
-    which only `at` writes, the values at its inputs and the compound
-    value last computed from them, so a compound value repeats wherever
-    its inputs do (an operator's base-only coefficients, say, over one
-    base point), without its argument being evaluated again.  Only a
-    value is kept: a primitive, and an argument that is 0 or reads an
-    unassigned variable, raise at every call.
+    which only `at` writes, its inputs as an integer row in lowest terms
+    and the compound value (p, q), q > 0, last computed from them, so a
+    compound value repeats wherever its inputs do (an operator's
+    base-only coefficients, say, over one base point, whatever the
+    denominator of the rest of the point), without its argument being
+    evaluated again.  Only a value is kept: a primitive, and an argument
+    that is 0 or reads an unassigned variable, raise at every call.
     """
 
-    __slots__ = ("atoms", "powers", "entries", "dsteps", "read", "special", "inputs", "memo")
+    __slots__ = ("atoms", "powers", "entries", "den", "dsteps", "read", "special", "inputs",
+                 "memo")
 
     def __init__(self, exprs, slots):
         atoms = {}
         powers = {}
-        entries = []
+        compiled = []
         for e in exprs:
-            terms = e._terms
-            L = math.lcm(*[c.denominator for c in terms.values()])
-            coefs = []
-            degrees = []
-            monos = []
-            for mono, c in terms.items():
-                coefs.append(c.numerator * (L // c.denominator))
+            terms = []
+            for mono, c in e._terms.items():
                 d = 0
                 ps = []
                 for f in mono:
@@ -754,61 +762,67 @@ class Batch:
                         atoms.setdefault(f[0], len(atoms))
                     ps.append(p)
                     d += f[1]
-                degrees.append(d)
-                monos.append(tuple(ps))
-            dmax = max(degrees, default=0)
-            entries.append((L, dmax, tuple(coefs), tuple([dmax - d for d in degrees]),
-                            tuple(monos), None if any(monos) else Fraction(sum(coefs), L)))
+                terms.append((c, d, tuple(ps)))
+            compiled.append(terms)
+        L = self.den = math.lcm(*[c.denominator for terms in compiled for c, _, _ in terms])
+        dmax = max([d for terms in compiled for _, d, _ in terms], default=0)
+        # the exponents of the powers of D that the entries use, and
+        # the steps between them
+        exps = sorted({0, dmax}.union(*[[dmax - d for _, d, _ in terms] for terms in compiled]))
+        self.dsteps = tuple([b - a for a, b in zip(exps, exps[1:])])
+        at = {e: i for i, e in enumerate(exps)}
+        self.entries = tuple([(tuple([c.numerator * (L // c.denominator) for c, _, _ in terms]),
+                               tuple([at[dmax - d] for _, d, _ in terms]),
+                               tuple([ps for _, _, ps in terms])) for terms in compiled])
+        # the values go in slotted atoms first, then the others
+        order = [a for a in atoms if a in slots] + [a for a in atoms if a not in slots]
+        place = {a: i for i, a in enumerate(order)}
         self.atoms = tuple(atoms)
-        self.powers = tuple([(atoms[a], k) for a, k in powers])
-        self.entries = tuple(entries)
-        # consecutive exponents of the powers of D that the entries use
-        exps = sorted({0}.union(*[(t[1], *t[3]) for t in entries]))
-        self.dsteps = tuple(zip(exps, exps[1:]))
-        self.read = tuple([slots[a] for a in self.atoms if a in slots])
-        self.special = tuple([
-            (i, a, None if isinstance(a, VarRef) else Batch([_argument(a)], slots))
-            for i, a in enumerate(self.atoms) if a not in slots
-        ])
+        self.powers = tuple([(place[a], k) for a, k in powers])
+        self.read = tuple([slots[a] for a in order if a in slots])
+        self.special = tuple([(a, None if isinstance(a, VarRef) else Batch([_argument(a)], slots))
+                              for a in order if a not in slots])
         self.inputs = tuple(sorted(set(self.read).union(
-            *[inner.inputs for _, _, inner in self.special if inner is not None])))
+            *[inner.inputs for _, inner in self.special if inner is not None])))
         self.memo = None
 
-    def at(self, values):
-        """Exact values with each slotted atom read from values (a
-        sequence of Fractions or ints) at its slot position."""
-        vals = [values[p] for p in self.read]
-        # atoms without a slot go in at their place, in order
-        for i, a, inner in self.special:
-            if inner is None:
-                raise _unassigned(a)
-            key = [values[p] for p in inner.inputs]
-            memo = inner.memo
-            if memo is None or memo[0] != key:
-                memo = inner.memo = (key, _exact_compound(a, inner.at(values)[0]))
-            vals.insert(i, memo[1])
-        return self._run(vals)
+    def at(self, nums, den):
+        """Exact values at the point whose coordinate at slot position p
+        is nums[p] / den, den > 0: (values, D), the values as the
+        integers values[i] over the one positive denominator D."""
+        vals = [nums[p] for p in self.read]
+        if self.special:
+            # the atoms without a slot, in turn, each over its own
+            # denominator
+            compound = []
+            for a, inner in self.special:
+                if inner is None:
+                    raise _unassigned(a)
+                key = [nums[p] for p in inner.inputs]
+                g = math.gcd(den, *key)
+                key = (key, den) if g == 1 else ([x // g for x in key], den // g)
+                memo = inner.memo
+                if memo is None or memo[0] != key:
+                    memo = inner.memo = (key, _exact_compound(a, *inner.at(nums, den)))
+                compound.append(memo[1])
+            D = math.lcm(den, *[q for _, q in compound])
+            if D != den:
+                vals = [x * (D // den) for x in vals]
+            vals += [p * (D // q) for p, q in compound]
+            den = D
+        return self._run(vals, den)
 
-    def _run(self, vals):
-        entries = self.entries
-        if not vals:
-            # atom-free: every entry holds its constant
-            return [t[5] for t in entries]
-        D = math.lcm(*[x.denominator for x in vals])
-        nums = [x.numerator * (D // x.denominator) for x in vals]
+    def _run(self, nums, D):
         f = [nums[i] if k == 1 else nums[i] ** k for i, k in self.powers].__getitem__
-        dpow = {0: 1}
-        for a, b in self.dsteps:
-            dpow[b] = dpow[a] * D ** (b - a)
+        dpow = [1]
+        for s in self.dsteps:
+            dpow.append(dpow[-1] * D ** s)
         # the powers of zero-valued atoms; a term holding one is 0
         zero = None
         if 0 in nums:
             zero = {p for p, (i, _) in enumerate(self.powers) if not nums[i]}
         res = []
-        for L, dmax, coefs, gaps, monos, const in entries:
-            if const is not None:
-                res.append(const)
-                continue
+        for coefs, gaps, monos in self.entries:
             total = 0
             if zero is None:
                 for c, g, mono in zip(coefs, gaps, monos):
@@ -817,8 +831,8 @@ class Batch:
                 for c, g, mono in zip(coefs, gaps, monos):
                     if zero.isdisjoint(mono):
                         total += math.prod(map(f, mono), start=c * dpow[g])
-            res.append(Fraction(total, L * dpow[dmax]) if total else _F0)
-        return res
+            res.append(total)
+        return res, self.den * dpow[-1]
 
 
 def _argument(a):
@@ -830,14 +844,19 @@ def _unassigned(a):
     return EvaluationError("no value assigned to %s" % atom_str(a))
 
 
-def _exact_compound(a, inner):
-    """The exact value of a primitive or quotient atom whose argument
-    (payload) has the value inner."""
+def _exact_compound(a, nums, den):
+    """The exact value (p, q), q > 0 and in lowest terms, of a primitive
+    or quotient atom whose argument (payload) has the value nums[0] /
+    den."""
     if isinstance(a, PrimCall):
         raise EvaluationError("exact evaluation of transcendental primitive %r" % a.name)
-    if inner == 0:
+    num, = nums
+    if not num:
         raise EvalZeroDivision("division by zero while evaluating a quotient")
-    return 1 / inner
+    g = math.gcd(num, den)
+    if num < 0:
+        g = -g
+    return den // g, num // g
 
 
 def _float_terms(e, assignment, memo):

@@ -13,6 +13,7 @@ last test counts.
 import collections
 import itertools
 import pickle
+import re
 from math import comb
 from fractions import Fraction as Q
 
@@ -106,7 +107,7 @@ def test_jet_point_matches_the_per_label_reference(case, data):
     assert list(chart.atoms) == list(ref.assignment())
     # the new values in label order: top is built in that order
     values = list(top.values())
-    up = p.extend(values)
+    up = p.extend(*sx.integer_row(values))
     _agrees(up, ref.extend(top))
     assert up.project(k) == p
     for k1 in range(k + 1):
@@ -128,7 +129,7 @@ def test_jet_point_matches_the_per_label_reference(case, data):
     # one new value too few or too many
     for wrong in (values[:-1], values + [0]):
         with pytest.raises(ValueError, match="^wrong number of jet values$"):
-            p.extend(wrong)
+            p.extend(*sx.integer_row(wrong))
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (4, 1)])
@@ -264,3 +265,127 @@ def test_warm_lift_builds_no_keys_and_converts_no_fractions():
             type.__setattr__(cls, name, value)
     assert got.point == want.point
     assert counts == {}
+
+
+# ---------------------------------------------------------------------------
+# one integer row over one denominator
+
+
+@settings(max_examples=60, deadline=None)
+@given(points(), st.integers(-30, 30).filter(bool))
+def test_equal_points_from_different_inputs_are_equal(case, scale):
+    m, n, k, base, jets, top = case
+    chart = jc.JetChartSpec(m, n, k)
+    p = jc.JetPoint(chart, base, jets)
+    values = [jets.get(label, jets.get((label[0], tuple(label[1])))) for label in chart.labels]
+    row = [Q(v) for v in (*base, *values)]
+    nums, den = sx.integer_row(row)
+    # the row is in lowest terms, over the lcm of the denominators
+    assert p.nums == tuple(nums) and p.den == den
+    same = [
+        jc.JetPoint.from_values(chart, [Q(b) for b in base], [str(Q(v)) for v in values]),
+        jc.JetPoint.from_row(chart, [x * scale for x in nums], den * scale),
+        jc.JetPoint(chart, base, dict(zip(chart.labels, values))),
+    ]
+    if k:
+        low = p.project(k - 1)
+        same.append(low.extend(*sx.integer_row(values[len(low.chart.labels):])))
+    for q in same:
+        assert q == p and q.nums == p.nums and q.den == p.den
+    # project(extend(x)) is the point again
+    up = p.extend(*sx.integer_row(list(top.values())))
+    assert up.project(k) == p
+    assert up.values[len(p.values):] == tuple(Q(v) for v in top.values())
+
+
+def test_views_read_as_before():
+    chart = jc.JetChartSpec(2, 1, 1)
+    p = jc.JetPoint(chart, (Q(1, 2), 0), {(1, (0, 0)): 3, (1, (1, 0)): Q(-2, 3),
+                                          (1, (0, 1)): Q(5, 4)})
+    assert (p.nums, p.den) == ((6, 0, 36, -8, 15), 12)
+    assert repr(p) == "JetPoint(m=2, n=1, k=1, base=(Fraction(1, 2), Fraction(0, 1)))"
+    assert p.base == (Q(1, 2), Q(0))
+    assert p.values == (Q(3), Q(-2, 3), Q(5, 4))
+    assert all(type(v) is Q for v in p.base + p.values)
+    assert p.jets == {(1, (0, 0)): 3, (1, (1, 0)): Q(-2, 3), (1, (0, 1)): Q(5, 4)}
+    assert p[(1, (1, 0))] == Q(-2, 3) and type(p[(1, [0, 1])]) is Q
+    assert p.project(0) == jc.JetPoint(jc.JetChartSpec(2, 1, 0), (Q(1, 2), 0), {(1, (0, 0)): 3})
+    assert p.project(0).den == 2
+
+
+@pytest.mark.parametrize("key", [(1, (5, 5)), (2, (0, 0)), (1, (0, 0, 0))],
+                         ids=["above_order", "other_component", "other_m"])
+def test_a_jet_key_off_the_chart_is_refused(key):
+    chart = jc.JetChartSpec(2, 1, 1)
+    jets = {label: 0 for label in chart.labels}
+    jets[key] = 9
+    jets[(1, (0, 2))] = 1
+    with pytest.raises(ValueError, match=r"^jet key %s is not a coordinate of "
+                       r"JetChartSpec\(m=2, n=1, k=1\)$" % re.escape(str(key))):
+        jc.JetPoint(chart, (0, 0), jets)
+
+
+def test_project_refuses_orders_off_the_chart():
+    p = _zero_point(2, 1, 2)
+    with pytest.raises(ValueError, match="^cannot project below order 0, got -1$"):
+        p.project(-1)
+    with pytest.raises(ValueError, match="^cannot project upward$"):
+        p.project(3)
+    assert p.project(0) == _zero_point(2, 1, 0)
+
+
+def test_a_row_is_refused_where_it_cannot_be_a_point():
+    chart = jc.JetChartSpec(1, 1, 1)
+    with pytest.raises(ValueError, match="^2 coordinates for the 3 of JetChartSpec"):
+        jc.JetPoint.from_row(chart, [1, 2], 1)
+    with pytest.raises(ValueError, match="^zero denominator$"):
+        jc.JetPoint.from_row(chart, [1, 2, 3], 0)
+    with pytest.raises(ValueError, match="^zero denominator$"):
+        _zero_point(1, 1, 0).extend([1], 0)
+    # a negative denominator is turned positive
+    assert jc.JetPoint.from_row(chart, [1, -2, 4], -2) == jc.JetPoint.from_values(
+        chart, [Q(-1, 2)], [1, -2])
+
+
+def _count_fractions(fn):
+    """fn() and the number of Fractions made while it ran, by either of
+    the two constructors that `fractions` has had."""
+    count = 0
+    saved = {name: vars(Q)[name] for name in ("__new__", "_from_coprime_ints") if name in vars(Q)}
+
+    def counted(make):
+        def wrapper(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return make(*args, **kwargs)
+        return wrapper
+
+    try:
+        type.__setattr__(Q, "__new__", staticmethod(counted(Q.__new__)))
+        if "_from_coprime_ints" in saved:
+            type.__setattr__(Q, "_from_coprime_ints",
+                             classmethod(counted(Q._from_coprime_ints.__func__)))
+        out = fn()
+    finally:
+        for name, value in saved.items():
+            type.__setattr__(Q, name, value)
+    return out, count
+
+
+def test_count_fractions_sees_arithmetic():
+    _, count = _count_fractions(lambda: Q(1, 2) + Q(1, 3))
+    assert count >= 1
+
+
+def test_warm_minkowski_lift_forms_no_fraction():
+    # the point is one integer row over one denominator, and the lift
+    # reads it, solves and appends to it in integers: with zero free
+    # data a warm lift, membership check included, forms no Fraction
+    h = ig.make_klein_gordon(ig.MetricSpec.minkowski(4), F1=1, F2=1, K=lambda e: e ** 3)
+    first, second = ig.sample_prolonged_points(h, 0, 2, seed="warm")
+    assert first.den != second.den
+    ig.lift_point(h, first)  # builds the plan, A, E and the check's batch
+    got, count = _count_fractions(lambda: ig.lift_point(h, second, policy="zero"))
+    assert count == 0
+    assert got.point.project(2) == second
+    assert jc.on_variety(h, got.point)

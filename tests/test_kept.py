@@ -174,9 +174,9 @@ def test_fresh_operators_start_with_empty_memos(monkeypatch):
     computed = []
     exact = sx._exact_compound
 
-    def counting(a, inner):
+    def counting(a, nums, den):
         computed.append(a)
-        return exact(a, inner)
+        return exact(a, nums, den)
 
     monkeypatch.setattr(sx, "_exact_compound", counting)
 

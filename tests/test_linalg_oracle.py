@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetforge import spencer as sp
+from jetforge import symexpr as sx
 from jetforge.spencer import Echelon, RationalMatrix
 
 # few distinct values and many zeros, so sparse and rank-deficient
@@ -120,15 +121,17 @@ def test_solve_matches_sympy_consistency(case, data):
     for rhs, values in zip(rhs_list, assign):
         b = sympy.Matrix(len(rhs), 1, [sympy.Rational(x.numerator, x.denominator) for x in rhs])
         consistent = S.row_join(b).rank() == S.rank()
-        assert E.consistent_with(rhs) == consistent
+        y = sx.integer_row(rhs)
+        assert E.consistent_with(y) == consistent
         if not consistent:
             with pytest.raises(ValueError, match="inconsistent"):
                 M.solve(rhs, free_values=values)
             with pytest.raises(ValueError, match="inconsistent"):
-                E.solve(rhs, free_values=values)
+                E.solve(y, free_values=values)
             continue
         x, free = M.solve(rhs, free_values=values)
-        assert E.solve(rhs, free_values=values) == (x, free)
+        (nums, den), got_free = E.solve(y, free_values=values)
+        assert ([Q(v, den) for v in nums], got_free) == (x, free)
         assert _times(M, x) == rhs
         assert free == [c for c in range(M.ncols) if c not in S.rref()[1]]
         for f in free:
@@ -137,12 +140,14 @@ def test_solve_matches_sympy_consistency(case, data):
 
 def test_solve_takes_one_value_per_right_hand_side_column():
     E = Echelon(RationalMatrix([[Q(1), Q(1)], [Q(2), Q(2)]]), RationalMatrix.identity(2))
-    for y in ([Q(1)], [Q(1), Q(2), Q(0)]):
+    for y in (([1], 1), ([1, 2, 0], 1)):
         with pytest.raises(ValueError, match="right-hand side columns"):
             E.consistent_with(y)
         with pytest.raises(ValueError, match="right-hand side columns"):
             E.solve(y)
-    assert E.solve([Q(1), Q(2)]) == ([Q(1), Q(0)], [1])
+    assert E.solve(([1, 2], 1)) == (([1, 0], 1), [1])
+    # y and x are integer rows over one denominator
+    assert E.solve(([1, 2], 3)) == (([1, 0], 3), [1])
 
 
 def test_solve_free_values_are_keyed_by_label_only():
@@ -356,8 +361,8 @@ def test_augmented_elimination_matches_sympy(system):
     assert all(X.rows[f] == (Q(0),) * k for f in E.free)
     if k == 1:
         # y = (1): b is B's one column
-        x, free = E.solve([1])
-        assert x == [r[0] for r in X.rows] and free == E.free
+        (x, den), free = E.solve(([1], 1))
+        assert [Q(v, den) for v in x] == [r[0] for r in X.rows] and free == E.free
 
 
 @st.composite

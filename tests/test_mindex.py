@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -91,3 +92,21 @@ def test_enumeration_is_empty_below_degree_zero_and_refuses_m_below_one():
     assert enumerate_indices(3, 0) == [MultiIndex.zero(3)]
     with pytest.raises(ValueError, match="base dimension"):
         enumerate_indices(0, 1)
+
+
+@pytest.mark.parametrize("entries", [(1.5, 0), (Fraction(3, 2), 0), ("2", 0), (1.0, 0),
+                                     (Fraction(2), 0), (None,)],
+                         ids=["float", "fraction", "string", "integral_float",
+                              "integral_fraction", "none"])
+def test_entries_that_are_not_integers_are_refused(entries):
+    # they were truncated by int(): (1.5, 0) was (1, 0) and ('2', 0) was (2, 0)
+    with pytest.raises(ValueError, match=r"^multi-index entries must be integers: "):
+        MultiIndex(entries)
+
+
+def test_integer_entries_of_other_types_are_taken():
+    assert MultiIndex([True, 2]) == (1, 2)
+    assert MultiIndex(range(3)) == (0, 1, 2)
+    assert all(type(e) is int for e in MultiIndex([True, 2]))
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        MultiIndex((-1, 0))

@@ -132,7 +132,8 @@ def _check_lift_system(h, b):
     A, R, unknowns, _ = ig.lift_system_at(h, b)
     rows, ref_rhs, row_labels, ref_unknowns = _ref_lift_system(h, b)
     assert [list(r) for r in A.rows] == rows
-    assert list(R) == ref_rhs
+    nums, den = R
+    assert [Q(x, den) for x in nums] == ref_rhs
     assert list(A.row_labels) == row_labels
     assert unknowns == ref_unknowns
     assert list(A.col_labels) == ref_unknowns
@@ -185,7 +186,7 @@ def test_lift_system_at_matches_per_entry_reference(name, make):
 def _batch_reads(batch):
     """The slots a batch reads, those of its quotient payloads too."""
     out = set(batch.read)
-    for _, _, inner in batch.special:
+    for _, inner in batch.special:
         out |= _batch_reads(inner)
     return out
 
@@ -269,7 +270,8 @@ def test_shifted_symbol_matches_per_entry_reference_on_random_operators(h, seed)
         A, R, unknowns, _ = ig.lift_system_at(h, b)
         rows, ref_rhs, row_labels, ref_unknowns = _ref_lift_system(h, b)
         assert [list(r) for r in A.rows] == rows
-        assert list(R) == ref_rhs
+        nums, den = R
+        assert [Q(x, den) for x in nums] == ref_rhs
         assert list(A.row_labels) == row_labels
         assert unknowns == ref_unknowns
     a = _random_point(h, h.order, rng)
@@ -477,7 +479,9 @@ def _ref_lift(h, b, policy="zero", free_data=None, seed=None):
     for k, lab in enumerate(K.col_labels):
         v = (values or {}).get(lab, 0)
         x = [a + v * c for a, c in zip(x, (r[k] for r in K.rows))]
-    return ig.LiftResult(point=b.extend(x), free_labels=free, rank=E.rank)
+    up = jc.JetChartSpec(b.chart.m, b.chart.n, b.chart.k + 1)
+    return ig.LiftResult(point=jc.JetPoint.from_values(up, b.base, [*b.values, *x]),
+                         free_labels=free, rank=E.rank)
 
 
 def _check_lift(h, b, **kwargs):
@@ -856,15 +860,13 @@ def test_sampled_symbol_ranks_are_the_lift_ranks_on_random_operators(h, seed):
 def _ref_sample_variety_points(h, count, seed):
     """The sampler as it was before its plan was kept on the operator:
     everything rebuilt per call, each coordinate drawn as a Fraction of
-    two randints."""
+    two randints, and each value from `sx.evaluate`."""
     v, c = sy._solvable_top_var(h)
     rest = h.components[0] - c * sx.Expr.variable(v)
     rng = random.Random(seed)
     chart = h.chart()
     solved = chart.slots[v]
     slots = {a: pos for a, pos in chart.slots.items() if pos != solved}
-    cb = sx.Batch([c], slots)
-    rb = sx.Batch([rest], slots)
     points = []
     tries = 0
     while len(points) < count:
@@ -873,11 +875,12 @@ def _ref_sample_variety_points(h, count, seed):
             raise sy.SamplerError("variety sampling kept hitting vanishing coefficients")
         coords = [Q(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(chart.dim - 1)]
         coords.insert(solved, None)
+        point = {a: coords[pos] for a, pos in slots.items()}
         try:
-            cval = cb.at(coords)[0]
+            cval = sx.evaluate(c, point)
             if cval == 0:
                 continue
-            rval = rb.at(coords)[0]
+            rval = sx.evaluate(rest, point)
         except sx.EvalZeroDivision:
             continue
         except sx.EvaluationError:

@@ -423,7 +423,9 @@ X1E, X2E, AE = sx.base(1), sx.base(2), sx.param("a")
 @example([AE + 1, X1E * sx.inverse(X2E - AE)], _zero_at(X1, X2, A))
 def test_kernel_at_zero_atoms_matches_the_plain_fraction_loop(batch, point):
     want = _outcome(lambda: [_plain(e, point) for e in batch])
-    at = lambda: sx.Batch(batch, SLOTS).at([point[v] for v in VARS])
+    def at():
+        nums, den = sx.Batch(batch, SLOTS).at(*sx.integer_row([point[v] for v in VARS]))
+        return [Q(x, den) for x in nums]
     many = lambda: sx.evaluate_many(batch, point)
     if isinstance(want, list):
         assert at() == many() == [sx.evaluate(e, point) for e in batch] == want
